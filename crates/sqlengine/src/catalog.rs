@@ -13,8 +13,10 @@ use crate::semantic::ModelHandle;
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    /// Snapshot taken at BEGIN; restored on ROLLBACK.
-    snapshot: Option<BTreeMap<String, Table>>,
+    /// `Some` while a transaction is open: each table as it was before
+    /// the transaction first wrote to it (`None`: it did not exist),
+    /// put back on ROLLBACK.
+    snapshot: Option<BTreeMap<String, Option<Table>>>,
     /// The session LLM handle semantic operators route through; `None`
     /// (the default) makes `LLM_MAP`/`LLM_FILTER`/`LLM_MATCH` fail with
     /// [`SqlError::Model`]. Transactions never roll this back — the
@@ -49,6 +51,7 @@ impl Database {
         if self.tables.contains_key(&table.name) {
             return Err(SqlError::TableExists(table.name.clone()));
         }
+        self.save(&table.name);
         self.tables.insert(table.name.clone(), table);
         Ok(())
     }
@@ -56,6 +59,7 @@ impl Database {
     /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> Result<(), SqlError> {
         let key = name.to_lowercase();
+        self.save(&key);
         self.tables.remove(&key).map(|_| ()).ok_or(SqlError::UnknownTable(key))
     }
 
@@ -65,10 +69,22 @@ impl Database {
         self.tables.get(&key).ok_or(SqlError::UnknownTable(key))
     }
 
-    /// Mutable table lookup.
+    /// Mutable table lookup (inside a transaction, the table's first
+    /// one snapshots it for ROLLBACK).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         let key = name.to_lowercase();
+        self.save(&key);
         self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))
+    }
+
+    /// Inside a transaction, remember `key`'s table as it is now unless
+    /// the transaction already did.
+    fn save(&mut self, key: &str) {
+        if let Some(snapshot) = &mut self.snapshot {
+            if !snapshot.contains_key(key) {
+                snapshot.insert(key.to_string(), self.tables.get(key).cloned());
+            }
+        }
     }
 
     /// All table names, sorted.
@@ -91,12 +107,13 @@ impl Database {
         self.snapshot.is_some()
     }
 
-    /// Begin a transaction (snapshot the catalog).
+    /// Begin a transaction. Tables are snapshotted as it first writes
+    /// to them, not here.
     pub fn begin(&mut self) -> Result<(), SqlError> {
         if self.snapshot.is_some() {
             return Err(SqlError::Txn("transaction already open".into()));
         }
-        self.snapshot = Some(self.tables.clone());
+        self.snapshot = Some(BTreeMap::new());
         Ok(())
     }
 
@@ -105,15 +122,18 @@ impl Database {
         self.snapshot.take().map(|_| ()).ok_or_else(|| SqlError::Txn("no open transaction".into()))
     }
 
-    /// Roll back to the BEGIN snapshot.
+    /// Roll back: every table the transaction wrote to, created or
+    /// dropped is as it was at BEGIN again.
     pub fn rollback(&mut self) -> Result<(), SqlError> {
-        match self.snapshot.take() {
-            Some(snap) => {
-                self.tables = snap;
-                Ok(())
-            }
-            None => Err(SqlError::Txn("no open transaction".into())),
+        let snapshot =
+            self.snapshot.take().ok_or_else(|| SqlError::Txn("no open transaction".into()))?;
+        for (key, was) in snapshot {
+            match was {
+                Some(table) => self.tables.insert(key, table),
+                None => self.tables.remove(&key),
+            };
         }
+        Ok(())
     }
 
     /// Parse and execute one statement.
@@ -241,6 +261,23 @@ mod tests {
         assert!(err.is_err());
         assert!(!db.in_transaction());
         assert_eq!(db.query("SELECT * FROM t").unwrap().len(), 2, "delete rolled back");
+    }
+
+    #[test]
+    fn rollback_undoes_create_drop_and_recreate() {
+        let mut db = db_with_t();
+        db.execute("CREATE TABLE other (x INT)").unwrap();
+        db.execute("BEGIN").unwrap();
+        db.execute("CREATE TABLE made (x INT)").unwrap();
+        db.execute("INSERT INTO made VALUES (1)").unwrap();
+        db.execute("DROP TABLE t").unwrap();
+        db.execute("CREATE TABLE t (other_shape TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES ('x')").unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert!(!db.has_table("made"), "a table created inside the transaction is gone");
+        let rs = db.query("SELECT id, name FROM t").unwrap();
+        assert_eq!(rs.len(), 2, "the dropped and recreated table is the original again");
+        assert!(db.has_table("other"), "an untouched table stays");
     }
 
     #[test]

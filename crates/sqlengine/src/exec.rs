@@ -14,6 +14,45 @@ use crate::result::{cmp_rows, ResultSet};
 use crate::schema::{Column, Row, Schema, Table};
 use crate::value::Value;
 
+/// The rows of one table a DML statement changed, as indices into
+/// `Table.rows` — what a durable wrapper has to write through.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RowChange {
+    /// This many rows were pushed at the end.
+    Inserted(usize),
+    /// These rows (ascending) were overwritten in place.
+    Updated(Vec<usize>),
+    /// These rows (ascending, indexed as before the statement) were
+    /// removed; the rest kept their order.
+    Deleted(Vec<usize>),
+}
+
+impl RowChange {
+    /// Number of rows changed.
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            RowChange::Inserted(n) => *n,
+            RowChange::Updated(rows) | RowChange::Deleted(rows) => rows.len(),
+        }
+    }
+}
+
+/// Remove the elements at the ascending indices `gone`, handing each to
+/// `removed`; the rest keep their order. Indices past the end are
+/// ignored.
+pub(crate) fn remove_at<T>(v: &mut Vec<T>, gone: &[usize], mut removed: impl FnMut(&T)) {
+    let mut gone = gone.iter().peekable();
+    let mut i = 0usize;
+    v.retain(|x| {
+        let hit = gone.next_if_eq(&&i).is_some();
+        i += 1;
+        if hit {
+            removed(x);
+        }
+        !hit
+    });
+}
+
 /// Execute any statement against the database.
 ///
 /// Observability: each statement opens a `sqlengine.exec` span (fields
@@ -22,6 +61,14 @@ use crate::value::Value;
 /// SELECT core additionally records per-operator row counts (see
 /// [`execute_core`]).
 pub fn execute(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlError> {
+    execute_reporting(db, stmt).map(|(rs, _)| rs)
+}
+
+/// [`execute`], also returning which rows a DML statement changed.
+pub(crate) fn execute_reporting(
+    db: &mut Database,
+    stmt: &Statement,
+) -> Result<(ResultSet, Option<RowChange>), SqlError> {
     let mut span = llmdm_obs::span("sqlengine.exec");
     let result = execute_inner(db, stmt);
     if span.is_recording() {
@@ -43,7 +90,7 @@ pub fn execute(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlErro
         );
         llmdm_obs::counter_add("sqlengine.exec.statements", 1.0);
         match &result {
-            Ok(rs) => {
+            Ok((rs, _)) => {
                 span.field("rows_out", rs.rows.len());
                 span.field("affected", rs.affected);
                 llmdm_obs::counter_add("sqlengine.exec.rows_out", rs.rows.len() as f64);
@@ -57,50 +104,57 @@ pub fn execute(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlErro
     result
 }
 
-fn execute_inner(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlError> {
-    match stmt {
-        Statement::Select(s) => execute_select(db, s),
-        Statement::Explain { analyze: false, select } => crate::plan::explain_select(db, select),
+fn execute_inner(
+    db: &mut Database,
+    stmt: &Statement,
+) -> Result<(ResultSet, Option<RowChange>), SqlError> {
+    let dml = |change: RowChange| (ResultSet::affected(change.rows()), Some(change));
+    let rs = match stmt {
+        Statement::Select(s) => execute_select(db, s)?,
+        Statement::Explain { analyze: false, select } => crate::plan::explain_select(db, select)?,
         Statement::Explain { analyze: true, select } => {
-            crate::plan::explain_analyze_select(db, select)
+            crate::plan::explain_analyze_select(db, select)?
         }
-        Statement::Insert { table, columns, values } => insert(db, table, columns.as_deref(), values),
+        Statement::Insert { table, columns, values } => {
+            return insert(db, table, columns.as_deref(), values).map(dml);
+        }
         Statement::Update { table, assignments, selection } => {
-            update(db, table, assignments, selection.as_ref())
+            return update(db, table, assignments, selection.as_ref()).map(dml);
         }
-        Statement::Delete { table, selection } => delete(db, table, selection.as_ref()),
+        Statement::Delete { table, selection } => {
+            return delete(db, table, selection.as_ref()).map(dml);
+        }
         Statement::CreateTable { table, columns, if_not_exists, persist } => {
-            if *if_not_exists && db.has_table(table) {
-                return Ok(ResultSet::empty());
+            if !(*if_not_exists && db.has_table(table)) {
+                let schema = Schema::new(
+                    columns.iter().map(|(n, t)| Column::new(n, *t)).collect(),
+                );
+                let mut t = Table::new(table, schema);
+                t.persist = *persist;
+                db.create_table(t)?;
             }
-            let schema = Schema::new(
-                columns.iter().map(|(n, t)| Column::new(n, *t)).collect(),
-            );
-            let mut t = Table::new(table, schema);
-            t.persist = *persist;
-            db.create_table(t)?;
-            Ok(ResultSet::empty())
+            ResultSet::empty()
         }
         Statement::DropTable { table, if_exists } => {
-            if *if_exists && !db.has_table(table) {
-                return Ok(ResultSet::empty());
+            if !*if_exists || db.has_table(table) {
+                db.drop_table(table)?;
             }
-            db.drop_table(table)?;
-            Ok(ResultSet::empty())
+            ResultSet::empty()
         }
         Statement::Begin => {
             db.begin()?;
-            Ok(ResultSet::empty())
+            ResultSet::empty()
         }
         Statement::Commit => {
             db.commit()?;
-            Ok(ResultSet::empty())
+            ResultSet::empty()
         }
         Statement::Rollback => {
             db.rollback()?;
-            Ok(ResultSet::empty())
+            ResultSet::empty()
         }
-    }
+    };
+    Ok((rs, None))
 }
 
 // ---------------- DML ----------------
@@ -110,7 +164,7 @@ fn insert(
     table: &str,
     columns: Option<&[String]>,
     values: &[Vec<Expr>],
-) -> Result<ResultSet, SqlError> {
+) -> Result<RowChange, SqlError> {
     // Evaluate value expressions first (no row scope: literals/arithmetic).
     let empty_scopes: [Scope<'_>; 0] = [];
     let mut rows: Vec<Row> = Vec::with_capacity(values.len());
@@ -126,7 +180,8 @@ fn insert(
     }
     let t = db.table_mut(table)?;
     let n = rows.len();
-    for row in rows {
+    let before = t.rows.len();
+    let pushed = rows.into_iter().try_for_each(|row| {
         let full = match columns {
             None => row,
             Some(cols) => {
@@ -148,9 +203,14 @@ fn insert(
                 full
             }
         };
-        t.push_row(full)?;
+        t.push_row(full)
+    });
+    if let Err(e) = pushed {
+        // All rows or none: a failed statement changes nothing.
+        t.rows.truncate(before);
+        return Err(e);
     }
-    Ok(ResultSet::affected(n))
+    Ok(RowChange::Inserted(n))
 }
 
 fn update(
@@ -158,14 +218,13 @@ fn update(
     table: &str,
     assignments: &[crate::ast::Assignment],
     selection: Option<&Expr>,
-) -> Result<ResultSet, SqlError> {
-    // Two-phase: compute new rows against an immutable snapshot, then swap.
-    let snapshot = db.table(table)?.clone();
-    let alias = snapshot.name.clone();
-    let mut new_rows = snapshot.rows.clone();
-    let mut affected = 0usize;
-    for (i, row) in snapshot.rows.iter().enumerate() {
-        let scopes = [Scope { alias: &alias, schema: &snapshot.schema, row }];
+) -> Result<RowChange, SqlError> {
+    // Two-phase: compute the new rows against the table as it is, then
+    // write them in place.
+    let t = db.table(table)?;
+    let mut writes: Vec<(usize, Row)> = Vec::new();
+    for (i, row) in t.rows.iter().enumerate() {
+        let scopes = [Scope { alias: &t.name, schema: &t.schema, row }];
         let env = Env { scopes: &scopes, db };
         let hit = match selection {
             None => true,
@@ -174,43 +233,49 @@ fn update(
         if !hit {
             continue;
         }
-        affected += 1;
+        let mut new_row = row.clone();
         for a in assignments {
-            let idx = snapshot
+            let idx = t
                 .schema
                 .index_of(&a.column)
                 .ok_or_else(|| SqlError::UnknownColumn(a.column.clone()))?;
-            new_rows[i][idx] = eval(&a.value, &env)?;
+            new_row[idx] = eval(&a.value, &env)?;
+        }
+        writes.push((i, new_row));
+    }
+    let mut changed = Vec::with_capacity(writes.len());
+    if !writes.is_empty() {
+        let t = db.table_mut(table)?;
+        for (i, row) in writes {
+            t.rows[i] = row;
+            changed.push(i);
         }
     }
-    db.table_mut(table)?.rows = new_rows;
-    Ok(ResultSet::affected(affected))
+    Ok(RowChange::Updated(changed))
 }
 
 fn delete(
     db: &mut Database,
     table: &str,
     selection: Option<&Expr>,
-) -> Result<ResultSet, SqlError> {
-    let snapshot = db.table(table)?.clone();
-    let alias = snapshot.name.clone();
-    let mut keep = Vec::with_capacity(snapshot.rows.len());
-    let mut affected = 0usize;
-    for row in &snapshot.rows {
-        let scopes = [Scope { alias: &alias, schema: &snapshot.schema, row }];
+) -> Result<RowChange, SqlError> {
+    let t = db.table(table)?;
+    let mut gone = Vec::new();
+    for (i, row) in t.rows.iter().enumerate() {
+        let scopes = [Scope { alias: &t.name, schema: &t.schema, row }];
         let env = Env { scopes: &scopes, db };
         let hit = match selection {
             None => true,
             Some(pred) => eval(pred, &env)?.is_truthy(),
         };
         if hit {
-            affected += 1;
-        } else {
-            keep.push(row.clone());
+            gone.push(i);
         }
     }
-    db.table_mut(table)?.rows = keep;
-    Ok(ResultSet::affected(affected))
+    if !gone.is_empty() {
+        remove_at(&mut db.table_mut(table)?.rows, &gone, |_| {});
+    }
+    Ok(RowChange::Deleted(gone))
 }
 
 // ---------------- SELECT ----------------

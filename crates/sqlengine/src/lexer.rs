@@ -132,30 +132,33 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
             }
             '\'' => {
-                // String literal with '' escaping.
+                // String literal with '' escaping. A quote is ASCII, so
+                // the runs between quotes are whole chars: copy each in
+                // one piece.
                 let mut s = String::new();
                 let start = i;
                 i += 1;
+                let mut run = i;
                 loop {
-                    if i >= bytes.len() {
-                        return Err(SqlError::Lex {
-                            message: "unterminated string".into(),
-                            offset: start,
-                        });
-                    }
-                    if bytes[i] == b'\'' {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
+                    match bytes.get(i) {
+                        None => {
+                            return Err(SqlError::Lex {
+                                message: "unterminated string".into(),
+                                offset: start,
+                            });
                         }
-                    } else {
-                        // Consume one full UTF-8 char.
-                        let ch_len = utf8_len(bytes[i]);
-                        s.push_str(&input[i..i + ch_len]);
-                        i += ch_len;
+                        Some(b'\'') => {
+                            s.push_str(&input[run..i]);
+                            if bytes.get(i + 1) == Some(&b'\'') {
+                                s.push('\'');
+                                i += 2;
+                                run = i;
+                            } else {
+                                i += 1;
+                                break;
+                            }
+                        }
+                        Some(_) => i += 1,
                     }
                 }
                 toks.push(Token::Str(s));
@@ -258,6 +261,9 @@ mod tests {
     fn string_escaping() {
         let toks = lex("'o''brien'").unwrap();
         assert_eq!(toks, vec![Token::Str("o'brien".into())]);
+        // Escapes at both ends, next to multi-byte chars, and an empty literal.
+        let toks = lex("'''héllo'' ''wörld''' ''").unwrap();
+        assert_eq!(toks, vec![Token::Str("'héllo' 'wörld'".into()), Token::Str(String::new())]);
     }
 
     #[test]

@@ -11,26 +11,37 @@
 //!   indistinguishable from the in-memory one — the differential
 //!   oracle (`execute_select_direct` + `ResultSet::bit_eq`) gates
 //!   this in `tests/persistence.rs`.
-//! * Query execution is untouched: the planner's Scan nodes still read
-//!   `Table.rows`. What changes is *where those rows come from* — on
-//!   every auto-commit `SELECT`, persistent tables are refreshed from
-//!   the store, pulling their pages through the buffer pool (cold
-//!   scans fault pages in, warm scans hit the pool; the
-//!   `store_durability` bench pins the gap).
-//! * Writes go through on commit boundaries: in auto-commit mode every
-//!   mutating statement is followed by a store transaction that
-//!   rewrites the changed state; inside `BEGIN … COMMIT` nothing
-//!   touches the store until `COMMIT`, and `ROLLBACK` leaves the store
-//!   untouched — the store's WAL then makes that boundary crash-atomic
-//!   in turn.
+//! * **The catalog is the read copy.** Tables are loaded once, in
+//!   [`PersistentDb::open`]; after that only this type can change a
+//!   PERSIST table, so `Table.rows` *is* what the store holds and a
+//!   `SELECT` never touches the store.
+//! * **The store is written through, by change.** Beside each table's
+//!   rows sits the [`RecordId`] of each stored row, in the same order
+//!   (the store keeps scan order under update and delete). DML reports
+//!   which row indices it changed; at the commit boundary those rows —
+//!   and only the pages holding them — are deleted, updated or appended
+//!   in one store transaction. In auto-commit mode that boundary is the
+//!   end of every mutating statement; inside `BEGIN … COMMIT` changes
+//!   accumulate until `COMMIT`, and `ROLLBACK` forgets them without
+//!   touching the store. The store's WAL makes the boundary
+//!   crash-atomic in turn.
+//! * **Contract:** after every statement that returns `Ok` outside a
+//!   transaction, memory == store, row order included, and the store
+//!   I/O it did is proportional to the pages it changed. If the store
+//!   transaction fails without wedging (an over-long row, say), the
+//!   PERSIST tables are reloaded from the store before the error is
+//!   returned, so the contract also holds after an `Err`. Whole tables
+//!   move only then, at open, and for `CREATE`/`DROP TABLE`.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use llmdm_store::{SharedVfs, Store, StoreConfig, StoreError};
+use llmdm_store::{RecordId, SharedVfs, Store, StoreConfig, StoreError};
 
 use crate::ast::Statement;
 use crate::catalog::Database;
 use crate::error::SqlError;
+use crate::exec::{remove_at, RowChange};
 use crate::result::ResultSet;
 use crate::schema::{Column, Row, Schema, Table};
 use crate::value::{DataType, Value};
@@ -152,12 +163,63 @@ fn decode_row(bytes: &[u8]) -> Result<Row, SqlError> {
 
 // -------------------------------------------------------- persistence
 
+/// What the store holds of one PERSIST table, and what memory has
+/// changed since the last commit.
+#[derive(Debug, Default)]
+struct Stored {
+    /// Record of each stored row, in row order. Rows past its end were
+    /// inserted since the last commit (INSERT only ever adds at the
+    /// end, and UPDATE/DELETE keep order).
+    ids: Vec<RecordId>,
+    /// Indices into `ids` of rows updated since then.
+    updated: BTreeSet<usize>,
+    /// Records of rows deleted since then.
+    deleted: Vec<RecordId>,
+    /// The table was dropped since then (and maybe created again under
+    /// the same name): the space goes, and nothing in it is reused.
+    dropped: bool,
+}
+
+impl Stored {
+    fn clean(ids: Vec<RecordId>) -> Self {
+        Stored { ids, ..Stored::default() }
+    }
+
+    fn note(&mut self, change: RowChange) {
+        match change {
+            RowChange::Inserted(_) => {}
+            RowChange::Updated(rows) => {
+                let stored = self.ids.len();
+                self.updated.extend(rows.into_iter().filter(|&i| i < stored));
+            }
+            RowChange::Deleted(gone) => {
+                // A surviving row moves down by the deleted rows before it.
+                self.updated = self
+                    .updated
+                    .iter()
+                    .filter_map(|&i| gone.binary_search(&i).err().map(|before| i - before))
+                    .collect();
+                let deleted = &mut self.deleted;
+                remove_at(&mut self.ids, &gone, |id| deleted.push(*id));
+            }
+        }
+    }
+}
+
 /// A [`Database`] whose `PERSIST` tables are durably backed by an
 /// `llmdm-store` [`Store`] (see module docs).
 #[derive(Debug)]
 pub struct PersistentDb {
     db: Database,
     store: Store,
+    /// One entry per table that has a space in the store.
+    stored: BTreeMap<String, Stored>,
+    /// Tables whose durable state lags memory: written at the next
+    /// commit boundary.
+    dirty: BTreeSet<String>,
+    /// `Stored::ids` of each table the open SQL transaction changed, as
+    /// they were at BEGIN — ROLLBACK puts them back.
+    undo: BTreeMap<String, Vec<RecordId>>,
 }
 
 impl PersistentDb {
@@ -165,14 +227,14 @@ impl PersistentDb {
     /// recovery and loading every persisted table into the catalog.
     pub fn open(vfs: SharedVfs, cfg: StoreConfig) -> Result<Self, SqlError> {
         let store = Store::open(vfs, cfg).map_err(storage_err)?;
-        let mut this = PersistentDb { db: Database::new(), store };
-        for space in this.store.spaces() {
-            if let Some(name) = space.strip_prefix(SPACE_PREFIX) {
-                let name = name.to_string();
-                let table = this.load_table(&name)?;
-                this.db.create_table(table)?;
-            }
-        }
+        let mut this = PersistentDb {
+            db: Database::new(),
+            store,
+            stored: BTreeMap::new(),
+            dirty: BTreeSet::new(),
+            undo: BTreeMap::new(),
+        };
+        this.reload()?;
         Ok(this)
     }
 
@@ -185,15 +247,11 @@ impl PersistentDb {
     }
 
     /// The wrapped in-memory database (read access — e.g. for the
-    /// differential oracle or schema summaries).
+    /// differential oracle or schema summaries). There is no mutable
+    /// access: a row changed behind this type's back would never reach
+    /// the store.
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// Mutable access to the wrapped database. Changes made here bypass
-    /// persistence until the next mutating statement commits.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
     }
 
     /// The underlying store (pool stats, recovery report, WAL length).
@@ -202,7 +260,7 @@ impl PersistentDb {
     }
 
     /// Parse and execute one statement (see module docs for when the
-    /// store is read and written).
+    /// store is written; it is read only at open).
     pub fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
         let stmt = crate::parser::parse_statement(sql)?;
         self.execute_stmt(&stmt)
@@ -220,6 +278,7 @@ impl PersistentDb {
                 Err(e) => {
                     if self.db.in_transaction() {
                         let _ = self.db.rollback();
+                        self.forget_changes();
                     }
                     return Err(e);
                 }
@@ -241,108 +300,171 @@ impl PersistentDb {
     }
 
     fn execute_stmt(&mut self, stmt: &Statement) -> Result<ResultSet, SqlError> {
-        // Reads outside a transaction refresh persistent tables from
-        // the store first: the scan pulls pages through the buffer
-        // pool. Inside a transaction the in-memory rows are
-        // authoritative (read-your-writes).
-        if matches!(stmt, Statement::Select(_) | Statement::Explain { .. })
-            && !self.db.in_transaction()
-        {
-            self.refresh_persistent_tables()?;
+        // After a kill the process is dead: memory may hold a commit
+        // the disk lost, so nothing may be served from it.
+        if self.store.wedged() {
+            return Err(storage_err(StoreError::Wedged));
         }
-        let rs = crate::exec::execute(&mut self.db, stmt)?;
-        let mutating = matches!(
+        let creates = matches!(
             stmt,
-            Statement::Insert { .. }
-                | Statement::Update { .. }
-                | Statement::Delete { .. }
-                | Statement::CreateTable { .. }
-                | Statement::DropTable { .. }
-                | Statement::Commit
+            Statement::CreateTable { table, persist: true, .. } if !self.db.has_table(table)
         );
-        if mutating && !self.db.in_transaction() && self.persistence_in_play() {
-            self.sync_all()?;
+        let (rs, change) = crate::exec::execute_reporting(&mut self.db, stmt)?;
+        match stmt {
+            Statement::CreateTable { table, .. } if creates => {
+                self.dirty.insert(table.to_lowercase());
+            }
+            Statement::DropTable { table, .. } => {
+                let name = table.to_lowercase();
+                if let Some(stored) = self.stored_mut(&name) {
+                    stored.dropped = true;
+                    self.dirty.insert(name);
+                }
+            }
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => {
+                let name = table.to_lowercase();
+                let change = change.expect("DML reports its rows");
+                if change.rows() > 0 && self.db.table(&name).is_ok_and(|t| t.persist) {
+                    // A table not stored yet, or dropped and created
+                    // again, is written whole at commit.
+                    if let Some(stored) = self.stored_mut(&name).filter(|s| !s.dropped) {
+                        stored.note(change);
+                    }
+                    self.dirty.insert(name);
+                }
+            }
+            Statement::Rollback => self.forget_changes(),
+            _ => {}
+        }
+        if !self.db.in_transaction() {
+            self.write_through()?;
         }
         Ok(rs)
     }
 
-    fn persistence_in_play(&self) -> bool {
-        self.db.table_names().iter().any(|n| self.db.table(n).map_or(false, |t| t.persist))
-            || !self.store.spaces().is_empty()
-    }
-
-    /// Rewrite durable state to match the catalog, atomically in one
-    /// store transaction: drop spaces for vanished tables, (re)create
-    /// and refill one space per persistent table.
-    fn sync_all(&mut self) -> Result<(), SqlError> {
-        let mut tables: Vec<(String, Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
-        for name in self.db.table_names() {
-            let t = self.db.table(name)?;
-            if t.persist {
-                tables.push((
-                    format!("{SPACE_PREFIX}{}", t.name),
-                    encode_schema(&t.schema),
-                    t.rows.iter().map(encode_row).collect(),
-                ));
-            }
+    /// `stored[name]` for changing, saved first for ROLLBACK if a SQL
+    /// transaction is open and has not changed it yet.
+    fn stored_mut(&mut self, name: &str) -> Option<&mut Stored> {
+        let stored = self.stored.get_mut(name)?;
+        if self.db.in_transaction() && !self.undo.contains_key(name) {
+            self.undo.insert(name.to_string(), stored.ids.clone());
         }
-        let store = &mut self.store;
-        store
-            .with_txn(|s| {
-                for space in s.spaces() {
-                    if space.starts_with(SPACE_PREFIX)
-                        && !tables.iter().any(|(sp, _, _)| *sp == space)
-                    {
-                        s.drop_space(&space)?;
-                    }
-                }
-                for (space, schema, rows) in &tables {
-                    if s.has_space(space) {
-                        s.truncate_space(space)?;
-                    } else {
-                        s.create_space(space)?;
-                    }
-                    s.append(space, schema)?;
-                    for r in rows {
-                        s.append(space, r)?;
-                    }
-                }
-                Ok(())
-            })
-            .map_err(storage_err)
+        Some(stored)
     }
 
-    /// Reload every persistent table's rows from the store (through
-    /// the buffer pool).
-    fn refresh_persistent_tables(&mut self) -> Result<(), SqlError> {
-        let names: Vec<String> = self
-            .db
-            .table_names()
-            .iter()
-            .filter(|n| self.db.table(n).map_or(false, |t| t.persist))
-            .map(|n| n.to_string())
-            .collect();
-        for name in names {
-            let table = self.load_table(&name)?;
-            *self.db.table_mut(&name)? = table;
+    /// ROLLBACK: the catalog is back at BEGIN, put the bookkeeping there
+    /// too. (Nothing was pending at BEGIN: auto-commit writes through
+    /// after every statement.)
+    fn forget_changes(&mut self) {
+        for (name, ids) in std::mem::take(&mut self.undo) {
+            self.stored.insert(name, Stored::clean(ids));
+        }
+        self.dirty.clear();
+    }
+
+    /// The commit boundary: bring the store up to memory for every
+    /// dirty table, atomically in one store transaction.
+    fn write_through(&mut self) -> Result<(), SqlError> {
+        self.undo.clear();
+        if self.dirty.is_empty() {
+            return Ok(());
+        }
+        let dirty = std::mem::take(&mut self.dirty);
+        let PersistentDb { db, store, stored, .. } = self;
+        let written = store.with_txn(|s| {
+            dirty.iter().try_for_each(|name| write_table(s, db.table(name).ok(), stored, name))
+        });
+        if let Err(e) = written {
+            // The store rolled back; memory has to follow it. (Wedged:
+            // no process is left to do that — re-open.)
+            if !self.store.wedged() {
+                self.reload()?;
+            }
+            return Err(storage_err(e));
         }
         Ok(())
     }
 
-    fn load_table(&mut self, name: &str) -> Result<Table, SqlError> {
+    /// Make the catalog's PERSIST tables what the store holds.
+    fn reload(&mut self) -> Result<(), SqlError> {
+        let persisted: Vec<String> = self
+            .db
+            .table_names()
+            .into_iter()
+            .filter(|n| self.db.table(n).is_ok_and(|t| t.persist))
+            .map(str::to_string)
+            .collect();
+        for name in persisted {
+            self.db.drop_table(&name)?;
+        }
+        self.stored.clear();
+        self.dirty.clear();
+        for space in self.store.spaces() {
+            if let Some(name) = space.strip_prefix(SPACE_PREFIX) {
+                let (table, ids) = self.load_table(name)?;
+                self.db.create_table(table)?;
+                self.stored.insert(name.to_string(), Stored::clean(ids));
+            }
+        }
+        Ok(())
+    }
+
+    fn load_table(&mut self, name: &str) -> Result<(Table, Vec<RecordId>), SqlError> {
         let space = format!("{SPACE_PREFIX}{name}");
-        let records = self.store.scan(&space).map_err(storage_err)?;
-        let Some((schema_rec, row_recs)) = records.split_first() else {
+        let records = self.store.scan_ids(&space).map_err(storage_err)?;
+        let Some(((_, schema_rec), row_recs)) = records.split_first() else {
             return Err(SqlError::Storage(format!("space {space} has no schema record")));
         };
-        let schema = decode_schema(schema_rec)?;
-        let mut table = Table::new(name, schema);
+        let mut table = Table::new(name, decode_schema(schema_rec)?);
         table.persist = true;
-        for r in row_recs {
-            table.rows.push(decode_row(r)?);
+        let mut ids = Vec::with_capacity(row_recs.len());
+        for (id, rec) in row_recs {
+            table.rows.push(decode_row(rec)?);
+            ids.push(*id);
         }
-        Ok(table)
+        Ok((table, ids))
     }
+}
+
+/// Bring one table's space up to `table` (`None`: it no longer exists)
+/// inside the open store transaction. Deletes go first so that the
+/// store's live records are exactly `ids` again when an update splits a
+/// page and reports where the records after it went.
+fn write_table(
+    s: &mut Store,
+    table: Option<&Table>,
+    stored: &mut BTreeMap<String, Stored>,
+    name: &str,
+) -> Result<(), StoreError> {
+    let space = format!("{SPACE_PREFIX}{name}");
+    let mut was = stored.remove(name);
+    if was.as_ref().is_some_and(|st| st.dropped) {
+        s.drop_space(&space)?;
+        was = None;
+    }
+    let Some(table) = table.filter(|t| t.persist) else { return Ok(()) };
+    let mut st = match was {
+        Some(st) => st,
+        None => {
+            s.create_space(&space)?;
+            s.append(&space, &encode_schema(&table.schema))?;
+            Stored::default()
+        }
+    };
+    for id in st.deleted.drain(..) {
+        s.delete(&space, id)?;
+    }
+    for i in std::mem::take(&mut st.updated) {
+        let moved = s.update(&space, st.ids[i], &encode_row(&table.rows[i]))?;
+        st.ids[i..i + moved.len()].copy_from_slice(&moved);
+    }
+    for row in &table.rows[st.ids.len()..] {
+        st.ids.push(s.append(&space, &encode_row(row))?);
+    }
+    stored.insert(name.to_string(), st);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -427,20 +549,181 @@ mod tests {
         assert!(db.store().spaces().is_empty());
     }
 
+    /// A [`MemVfs`] that counts the bytes read from it.
+    #[derive(Debug, Default)]
+    struct CountingVfs {
+        disk: MemVfs,
+        bytes_read: std::sync::atomic::AtomicU64,
+    }
+
+    impl llmdm_store::Vfs for CountingVfs {
+        fn read_at(&self, file: &str, offset: u64, len: usize) -> Vec<u8> {
+            self.bytes_read.fetch_add(len as u64, std::sync::atomic::Ordering::Relaxed);
+            self.disk.read_at(file, offset, len)
+        }
+        fn write_at(&mut self, file: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+            self.disk.write_at(file, offset, data)
+        }
+        fn truncate(&mut self, file: &str, len: u64) -> Result<(), StoreError> {
+            self.disk.truncate(file, len)
+        }
+        fn sync(&mut self, file: &str) -> Result<(), StoreError> {
+            self.disk.sync(file)
+        }
+        fn len(&self, file: &str) -> u64 {
+            self.disk.len(file)
+        }
+    }
+
     #[test]
-    fn selects_pull_pages_through_the_buffer_pool() {
-        let vfs = MemVfs::shared();
-        let mut db = mem_db(&vfs);
+    fn auto_commit_select_does_not_touch_the_store() {
+        let vfs = Arc::new(std::sync::Mutex::new(CountingVfs::default()));
+        let mut db = PersistentDb::open(vfs.clone(), StoreConfig::default()).unwrap();
         db.execute("CREATE TABLE t (id INT, body TEXT) PERSIST").unwrap();
         for i in 0..50 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'xxxxxxxxxxxxxxxxxxxx')")).unwrap();
         }
-        let before = db.store().pool_stats();
-        db.query("SELECT COUNT(*) FROM t").unwrap();
-        let after = db.store().pool_stats();
-        assert!(
-            after.hits + after.misses > before.hits + before.misses,
-            "a SELECT must touch the buffer pool"
-        );
+        let read = || vfs.lock().unwrap().bytes_read.load(std::sync::atomic::Ordering::Relaxed);
+        let (pool, bytes) = (db.store().pool_stats(), read());
+        for i in 0..100 {
+            let rs = db.query(&format!("SELECT body FROM t WHERE id = {}", i % 50)).unwrap();
+            assert_eq!(rs.rows.len(), 1);
+        }
+        assert_eq!(db.store().pool_stats(), pool, "a SELECT must not touch the buffer pool");
+        assert_eq!(read(), bytes, "a SELECT must not read the disk");
+    }
+
+    /// Pages each statement's store transaction logged, from the WAL's
+    /// `PageImage` frames (checkpointing is off, so they are all there).
+    fn pages_per_commit(vfs: &Arc<std::sync::Mutex<MemVfs>>) -> Vec<usize> {
+        let wal = vfs.lock().unwrap().bytes("data.wal");
+        let mut per_txn = BTreeMap::new();
+        for rec in llmdm_store::Wal::scan(&wal).records {
+            if let llmdm_store::WalRecord::PageImage { txn, .. } = rec {
+                *per_txn.entry(txn).or_insert(0usize) += 1;
+            } else if let llmdm_store::WalRecord::Begin { txn } = rec {
+                per_txn.entry(txn).or_insert(0);
+            }
+        }
+        per_txn.into_values().collect()
+    }
+
+    #[test]
+    fn single_row_statements_dirty_at_most_three_pages() {
+        let vfs = MemVfs::shared();
+        let cfg = || StoreConfig { checkpoint_bytes: None, ..StoreConfig::default() };
+        let mut db = PersistentDb::open(vfs.clone(), cfg()).unwrap();
+        db.execute("CREATE TABLE t (id INT, body TEXT) PERSIST").unwrap();
+        let rows: Vec<String> =
+            (0..1000).map(|i| format!("({i}, 'row {i:04} {}')", "x".repeat(60))).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+        let loaded = pages_per_commit(&vfs).len();
+        assert!(pages_per_commit(&vfs)[loaded - 1] > 20, "the table spans many pages");
+
+        let same_len = format!("row 0500 {}", "y".repeat(60));
+        let big = "z".repeat(3000);
+        // (statement, pages it must log if that is fixed by what it does)
+        let statements = [
+            (format!("INSERT INTO t VALUES (1000, 'row 1000 {}')", "x".repeat(60)), None),
+            (format!("UPDATE t SET body = '{same_len}' WHERE id = 500"), Some(1)),
+            // Outgrows its page: old page, new page, header.
+            (format!("UPDATE t SET body = '{big}' WHERE id = 500"), Some(3)),
+            ("DELETE FROM t WHERE id = 250".to_string(), Some(1)),
+            // Two rows too big to share a page: old tail, new tail, header.
+            (format!("INSERT INTO t VALUES (2000, '{big}')"), Some(3)),
+            (format!("INSERT INTO t VALUES (2001, '{big}')"), Some(3)),
+            // Empties a page inside the chain: freed page, predecessor, header.
+            ("DELETE FROM t WHERE id = 2000".to_string(), Some(3)),
+            ("DELETE FROM t WHERE id = 2001".to_string(), Some(3)),
+        ];
+        for (sql, _) in &statements {
+            assert_eq!(db.execute(sql).unwrap().affected, 1, "{sql}");
+        }
+        let pages = pages_per_commit(&vfs);
+        assert_eq!(pages.len(), loaded + statements.len(), "one store transaction each");
+        for ((sql, want), n) in statements.iter().zip(&pages[loaded..]) {
+            let sql = &sql[..40.min(sql.len())];
+            assert!((1..=3).contains(n), "{n} pages logged by: {sql}");
+            if let Some(want) = want {
+                assert_eq!(n, want, "pages logged by: {sql}");
+            }
+        }
+
+        let want = db.query("SELECT * FROM t").unwrap();
+        drop(db);
+        let mut db = PersistentDb::open(vfs, cfg()).unwrap();
+        assert!(db.query("SELECT * FROM t").unwrap().bit_eq(&want), "same rows, same order");
+    }
+
+    #[test]
+    fn oversized_row_fails_typed_and_leaves_memory_equal_to_the_store() {
+        let vfs = MemVfs::shared();
+        let mut db = mem_db(&vfs);
+        db.execute("CREATE TABLE t (id INT, body TEXT) PERSIST").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'fits')").unwrap();
+        let huge = "x".repeat(llmdm_store::MAX_RECORD);
+        let err = db.execute(&format!("INSERT INTO t VALUES (2, '{huge}')")).unwrap_err();
+        assert!(matches!(err, SqlError::Storage(_)), "{err}");
+        let err = db.execute(&format!("UPDATE t SET body = '{huge}' WHERE id = 1")).unwrap_err();
+        assert!(matches!(err, SqlError::Storage(_)), "{err}");
+        let err = db
+            .execute_script(&format!(
+                "BEGIN; INSERT INTO t VALUES (3, 'ok'); INSERT INTO t VALUES (4, '{huge}'); COMMIT;"
+            ))
+            .unwrap_err();
+        assert!(matches!(err, SqlError::Storage(_)), "{err}");
+
+        db.execute("INSERT INTO t VALUES (5, 'after')").unwrap();
+        let live = db.query("SELECT * FROM t").unwrap();
+        assert_eq!(live.rows.len(), 2, "only the rows whose statements succeeded");
+        assert_eq!(live.rows[0][1], Value::Str("fits".into()));
+        drop(db);
+        let mut db = mem_db(&vfs);
+        assert!(db.query("SELECT * FROM t").unwrap().bit_eq(&live), "reopen shows the same rows");
+    }
+
+    #[test]
+    fn rollback_forgets_changes_and_later_commits_still_line_up() {
+        let vfs = MemVfs::shared();
+        let mut db = mem_db(&vfs);
+        db.execute("CREATE TABLE t (id INT, body TEXT) PERSIST").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd')").unwrap();
+        db.execute_script(
+            "BEGIN; DELETE FROM t WHERE id = 2; UPDATE t SET body = 'C' WHERE id = 3; \
+             INSERT INTO t VALUES (5, 'e'); DROP TABLE t; ROLLBACK;",
+        )
+        .unwrap();
+        // Were the record ids of the rolled-back delete not restored,
+        // these would update and delete the wrong records.
+        db.execute_script(
+            "BEGIN; UPDATE t SET body = 'D' WHERE id = 4; DELETE FROM t WHERE id = 1; \
+             UPDATE t SET body = 'B' WHERE id = 2; DELETE FROM t WHERE id = 3; \
+             INSERT INTO t VALUES (6, 'f'); COMMIT;",
+        )
+        .unwrap();
+        let live = db.query("SELECT * FROM t").unwrap();
+        let bodies: Vec<_> = live.rows.iter().map(|r| r[1].clone()).collect();
+        assert_eq!(bodies, ["B", "D", "f"].map(|s| Value::Str(s.into())));
+        drop(db);
+        let mut db = mem_db(&vfs);
+        assert!(db.query("SELECT * FROM t").unwrap().bit_eq(&live));
+    }
+
+    #[test]
+    fn drop_and_recreate_inside_one_transaction_replaces_the_space() {
+        let vfs = MemVfs::shared();
+        let mut db = mem_db(&vfs);
+        db.execute("CREATE TABLE t (id INT) PERSIST").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        db.execute_script(
+            "BEGIN; DELETE FROM t WHERE id = 1; DROP TABLE t; \
+             CREATE TABLE t (name TEXT, n INT) PERSIST; INSERT INTO t VALUES ('x', 7); COMMIT;",
+        )
+        .unwrap();
+        let live = db.query("SELECT * FROM t").unwrap();
+        assert_eq!(live.rows, vec![vec![Value::Str("x".into()), Value::Int(7)]]);
+        drop(db);
+        let mut db = mem_db(&vfs);
+        assert!(db.query("SELECT * FROM t").unwrap().bit_eq(&live));
     }
 }

@@ -21,7 +21,10 @@
 //! * **[`store`]** — the [`Store`]: spaces (named record heaps) on top
 //!   of the pager, with a transactional API whose commit protocol is
 //!   `WAL append → WAL fsync → page flush → db fsync`, each boundary a
-//!   seeded kill point.
+//!   seeded kill point. Records are addressed by [`RecordId`]
+//!   (page, slot): `update` and `delete` rewrite the one page that
+//!   holds the record and keep scan order, so a commit's I/O is
+//!   proportional to the pages it changed.
 //! * **[`faults`]** — [`StorageFaults`], the adapter that drives those
 //!   kill points from `llmdm-resil`'s [`llmdm_resil::FaultPlan`] on a
 //!   shared [`llmdm_resil::SimClock`]: every storage barrier advances
@@ -64,7 +67,7 @@ pub mod wal;
 
 pub use faults::{BarrierOp, KillPoint, StorageFaults};
 pub use pager::{Pager, PoolStats, PAGE_DATA, PAGE_SIZE};
-pub use store::{RecoveryReport, Store, StoreConfig, MAX_RECORD};
+pub use store::{RecordId, RecoveryReport, Store, StoreConfig, MAX_RECORD};
 pub use vfs::{DirVfs, MemVfs, SharedVfs, Vfs};
 pub use wal::{Wal, WalRecord, WalScan};
 
@@ -95,6 +98,9 @@ pub enum StoreError {
     SpaceExists(String),
     /// A record exceeds the per-page payload capacity.
     RecordTooLarge(usize),
+    /// The id names no live record of the space (deleted, moved by a
+    /// page split, or never issued).
+    NoSuchRecord(RecordId),
 }
 
 impl fmt::Display for StoreError {
@@ -109,6 +115,9 @@ impl fmt::Display for StoreError {
             StoreError::UnknownSpace(s) => write!(f, "unknown space: {s}"),
             StoreError::SpaceExists(s) => write!(f, "space already exists: {s}"),
             StoreError::RecordTooLarge(n) => write!(f, "record of {n} bytes exceeds page capacity"),
+            StoreError::NoSuchRecord(id) => {
+                write!(f, "no live record at page {} slot {}", id.page, id.slot)
+            }
         }
     }
 }

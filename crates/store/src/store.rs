@@ -20,7 +20,22 @@
 //! A *space* is a chain of record pages; the catalog is itself such a
 //! chain whose records are `[name_len u16][name][head u32]` entries,
 //! rewritten wholesale on create/drop (space heads are allocated at
-//! create time, so appends never touch the catalog).
+//! create time and never change, so record operations never touch the
+//! catalog).
+//!
+//! ## Record addressing
+//!
+//! A [`RecordId`] names a record by its page and its slot (its ordinal
+//! among the page's `nrec` entries). [`Store::update`] and
+//! [`Store::delete`] rewrite that one page. A deleted slot stays behind
+//! as a 2-byte `len = 0xFFFF` marker so the slots after it keep their
+//! numbers; a page left without live records is unlinked from the chain
+//! and freed (the head is emptied instead). A record that grows past
+//! its page's free space splits the page: it and the records after it
+//! move to new pages linked right behind, so **scan order never
+//! changes** — that is what lets a caller hold rows in a `Vec` whose
+//! order is the chain's. The store keeps each space's page list in
+//! memory (walked once at open), so finding a predecessor reads no page.
 //!
 //! ## Commit protocol
 //!
@@ -59,6 +74,20 @@ const VERSION: u32 = 1;
 const PAGE_HDR: usize = 8;
 /// Largest single record a space can hold (records never span pages).
 pub const MAX_RECORD: usize = PAGE_DATA - PAGE_HDR - 2;
+/// `len` of a deleted slot (no record is that long: [`MAX_RECORD`]).
+const DEAD: u16 = u16::MAX;
+
+/// Address of one record: the page that holds it and its slot there.
+/// Valid until the record is deleted or a growing [`Store::update`] of
+/// a record before it on the same page moves it (the update returns
+/// the new ids).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RecordId {
+    /// Page number in the database file.
+    pub page: u32,
+    /// Ordinal among the page's slots, deleted ones included.
+    pub slot: u16,
+}
 
 // ------------------------------------------------ record-page helpers
 
@@ -83,31 +112,64 @@ fn rp_free(buf: &[u8]) -> usize {
     PAGE_DATA.saturating_sub(rp_used(buf).max(PAGE_HDR))
 }
 
-fn rp_push(buf: &mut [u8], rec: &[u8]) {
-    let nrec = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes"));
+/// Add one slot at the end: a record, or with `None` a deleted slot.
+fn rp_push(buf: &mut [u8], rec: Option<&[u8]>) {
+    let nrec = rp_nrec(buf);
     let used = rp_used(buf).max(PAGE_HDR);
-    buf[used..used + 2].copy_from_slice(&(rec.len() as u16).to_le_bytes());
-    buf[used + 2..used + 2 + rec.len()].copy_from_slice(rec);
+    let (len, bytes) = match rec {
+        Some(rec) => (rec.len() as u16, rec),
+        None => (DEAD, &[][..]),
+    };
+    buf[used..used + 2].copy_from_slice(&len.to_le_bytes());
+    buf[used + 2..used + 2 + bytes.len()].copy_from_slice(bytes);
     buf[4..6].copy_from_slice(&(nrec + 1).to_le_bytes());
-    buf[6..8].copy_from_slice(&((used + 2 + rec.len()) as u16).to_le_bytes());
+    buf[6..8].copy_from_slice(&((used + 2 + bytes.len()) as u16).to_le_bytes());
 }
 
-fn rp_records(buf: &[u8]) -> Result<Vec<Vec<u8>>, StoreError> {
-    let nrec = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes")) as usize;
+fn rp_nrec(buf: &[u8]) -> u16 {
+    u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes"))
+}
+
+/// A record page's slots in order; `None` is a deleted slot.
+type Slots = Vec<Option<Vec<u8>>>;
+
+fn rp_slots(buf: &[u8]) -> Result<Slots, StoreError> {
+    let nrec = rp_nrec(buf) as usize;
     let mut out = Vec::with_capacity(nrec);
     let mut off = PAGE_HDR;
     for _ in 0..nrec {
         if off + 2 > PAGE_DATA {
             return Err(StoreError::Corrupt("record offset past page end".into()));
         }
-        let len = u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes")) as usize;
-        if off + 2 + len > PAGE_DATA {
+        let len = u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes"));
+        off += 2;
+        if len == DEAD {
+            out.push(None);
+            continue;
+        }
+        let len = len as usize;
+        if off + len > PAGE_DATA {
             return Err(StoreError::Corrupt("record length past page end".into()));
         }
-        out.push(buf[off + 2..off + 2 + len].to_vec());
-        off += 2 + len;
+        out.push(Some(buf[off..off + len].to_vec()));
+        off += len;
     }
     Ok(out)
+}
+
+/// Bytes a record page holding `slots` uses, header included.
+fn rp_size(slots: &[Option<Vec<u8>>]) -> usize {
+    PAGE_HDR + slots.iter().map(|s| 2 + s.as_ref().map_or(0, Vec::len)).sum::<usize>()
+}
+
+/// Overwrite a record page with `slots` (which must fit) and `next`.
+fn rp_write(buf: &mut [u8], next: u32, slots: &[Option<Vec<u8>>]) {
+    buf.fill(0);
+    rp_init(buf);
+    rp_set_next(buf, next);
+    for slot in slots {
+        rp_push(buf, slot.as_deref());
+    }
 }
 
 // ----------------------------------------------------------- metadata
@@ -153,12 +215,21 @@ impl Header {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct SpaceInfo {
-    head: u32,
-    /// Last page of the chain (in-memory only; re-derived at open by
-    /// walking the chain).
-    tail: u32,
+    /// The chain's pages, head first (in-memory only; re-derived at
+    /// open by walking the chain). Never empty.
+    pages: Vec<u32>,
+}
+
+impl SpaceInfo {
+    fn head(&self) -> u32 {
+        self.pages[0]
+    }
+
+    fn tail(&self) -> u32 {
+        *self.pages.last().expect("a space has a head page")
+    }
 }
 
 #[derive(Debug)]
@@ -168,7 +239,9 @@ struct TxnState {
     /// them — restored on rollback.
     before: HashMap<u32, Vec<u8>>,
     header: Header,
-    catalog: BTreeMap<String, SpaceInfo>,
+    /// Spaces as they were before this transaction first changed their
+    /// page list (`None`: did not exist) — restored on rollback.
+    spaces: BTreeMap<String, Option<SpaceInfo>>,
 }
 
 /// What [`Store::open`] found and did while recovering.
@@ -348,6 +421,12 @@ impl Store {
         self.txn.is_some()
     }
 
+    /// Whether a kill point fired: every call now fails with
+    /// [`StoreError::Wedged`] until the owner re-opens.
+    pub fn wedged(&self) -> bool {
+        self.wedged
+    }
+
     /// Space names, sorted.
     pub fn spaces(&self) -> Vec<String> {
         self.catalog.keys().cloned().collect()
@@ -373,7 +452,7 @@ impl Store {
             id,
             before: HashMap::new(),
             header: self.header,
-            catalog: self.catalog.clone(),
+            spaces: BTreeMap::new(),
         });
         Ok(())
     }
@@ -423,7 +502,12 @@ impl Store {
             self.pager.restore_page(id, img);
         }
         self.header = t.header;
-        self.catalog = t.catalog;
+        for (name, was) in t.spaces {
+            match was {
+                Some(info) => self.catalog.insert(name, info),
+                None => self.catalog.remove(&name),
+            };
+        }
         self.header_dirty = false;
         self.wal.append(&WalRecord::Rollback { txn: t.id })?;
         llmdm_obs::counter_add("store.rollbacks", 1.0);
@@ -462,18 +546,17 @@ impl Store {
         }
         let head = self.alloc_page()?;
         rp_init(self.write_page(head)?);
-        self.catalog.insert(name.to_string(), SpaceInfo { head, tail: head });
+        self.save_space(name);
+        self.catalog.insert(name.to_string(), SpaceInfo { pages: vec![head] });
         self.rewrite_catalog()
     }
 
     /// Drop a space, returning its pages to the freelist.
     pub fn drop_space(&mut self, name: &str) -> Result<(), StoreError> {
         self.ensure_txn()?;
-        let info = *self
-            .catalog
-            .get(name)
-            .ok_or_else(|| StoreError::UnknownSpace(name.to_string()))?;
-        self.free_chain(info.head)?;
+        let head = self.space(name)?.head();
+        self.free_chain(head)?;
+        self.save_space(name);
         self.catalog.remove(name);
         self.rewrite_catalog()
     }
@@ -481,51 +564,119 @@ impl Store {
     /// Delete every record in a space, keeping the space itself.
     pub fn truncate_space(&mut self, name: &str) -> Result<(), StoreError> {
         self.ensure_txn()?;
-        let info = *self
-            .catalog
-            .get(name)
-            .ok_or_else(|| StoreError::UnknownSpace(name.to_string()))?;
-        let rest = rp_next(self.pager.page(info.head)?);
+        let head = self.space(name)?.head();
+        let rest = rp_next(self.pager.page(head)?);
         if rest != 0 {
             self.free_chain(rest)?;
         }
-        rp_init(self.write_page(info.head)?);
-        self.catalog.get_mut(name).expect("just looked up").tail = info.head;
+        rp_init(self.write_page(head)?);
+        self.space_mut(name).expect("just looked up").pages.truncate(1);
         Ok(())
     }
 
     /// Append one record to a space (requires an open transaction).
-    pub fn append(&mut self, space: &str, rec: &[u8]) -> Result<(), StoreError> {
+    pub fn append(&mut self, space: &str, rec: &[u8]) -> Result<RecordId, StoreError> {
         self.ensure_txn()?;
         if rec.len() > MAX_RECORD {
             return Err(StoreError::RecordTooLarge(rec.len()));
         }
-        let info = *self
-            .catalog
-            .get(space)
-            .ok_or_else(|| StoreError::UnknownSpace(space.to_string()))?;
-        let mut tail = info.tail;
-        let free = rp_free(self.pager.page(tail)?);
-        if free < 2 + rec.len() {
+        let mut tail = self.space(space)?.tail();
+        if rp_free(self.pager.page(tail)?) < 2 + rec.len() {
             let np = self.alloc_page()?;
             rp_init(self.write_page(np)?);
             rp_set_next(self.write_page(tail)?, np);
-            self.catalog.get_mut(space).expect("just looked up").tail = np;
+            self.space_mut(space).expect("just looked up").pages.push(np);
             tail = np;
         }
-        rp_push(self.write_page(tail)?, rec);
+        let buf = self.write_page(tail)?;
+        let slot = rp_nrec(buf);
+        rp_push(buf, Some(rec));
+        Ok(RecordId { page: tail, slot })
+    }
+
+    /// Replace the record at `id`, rewriting its page. If the new bytes
+    /// no longer fit there the page splits: the records before `id`
+    /// stay, `id` and the records after it move to new pages linked
+    /// right behind. Returns the ids, in scan order, of the updated
+    /// record and the records that followed it on its page **if they
+    /// moved**, and nothing if the page was rewritten in place.
+    pub fn update(
+        &mut self,
+        space: &str,
+        id: RecordId,
+        rec: &[u8],
+    ) -> Result<Vec<RecordId>, StoreError> {
+        self.ensure_txn()?;
+        if rec.len() > MAX_RECORD {
+            return Err(StoreError::RecordTooLarge(rec.len()));
+        }
+        let (mut pos, mut slots) = self.locate(space, id)?;
+        let next = rp_next(self.pager.page(id.page)?);
+        slots[id.slot as usize] = Some(rec.to_vec());
+        if rp_size(&slots) <= PAGE_DATA {
+            rp_write(self.write_page(id.page)?, next, &slots);
+            return Ok(Vec::new());
+        }
+        let moving: Vec<Vec<u8>> =
+            slots.split_off(id.slot as usize).into_iter().flatten().collect();
+        if slots.iter().all(Option::is_none) {
+            // Nothing live stays behind, so no id depends on these slots.
+            slots.clear();
+        }
+        let mut page = id.page;
+        let mut moved = Vec::with_capacity(moving.len());
+        for r in moving {
+            if rp_size(&slots) + 2 + r.len() > PAGE_DATA {
+                let np = self.alloc_page()?;
+                rp_write(self.write_page(page)?, np, &slots);
+                pos += 1;
+                self.space_mut(space).expect("located above").pages.insert(pos, np);
+                page = np;
+                slots.clear();
+            }
+            moved.push(RecordId { page, slot: slots.len() as u16 });
+            slots.push(Some(r));
+        }
+        rp_write(self.write_page(page)?, next, &slots);
+        Ok(moved)
+    }
+
+    /// Delete the record at `id`, rewriting its page; ids of the other
+    /// records stay valid. A page left without live records is unlinked
+    /// from the chain and freed (the head page is emptied instead).
+    pub fn delete(&mut self, space: &str, id: RecordId) -> Result<(), StoreError> {
+        self.ensure_txn()?;
+        let (pos, mut slots) = self.locate(space, id)?;
+        let next = rp_next(self.pager.page(id.page)?);
+        slots[id.slot as usize] = None;
+        if slots.iter().any(Option::is_some) {
+            rp_write(self.write_page(id.page)?, next, &slots);
+        } else if pos == 0 {
+            rp_write(self.write_page(id.page)?, next, &[]);
+        } else {
+            let info = self.space_mut(space).expect("located above");
+            info.pages.remove(pos);
+            let prev = info.pages[pos - 1];
+            rp_set_next(self.write_page(prev)?, next);
+            self.free_page(id.page)?;
+        }
         Ok(())
     }
 
-    /// All records in a space, in append order. Works outside a
-    /// transaction (and inside one, it reads your own writes).
+    /// All records in a space, in chain order (append order, with
+    /// updates in place). Works outside a transaction (and inside one,
+    /// it reads your own writes).
     pub fn scan(&mut self, space: &str) -> Result<Vec<Vec<u8>>, StoreError> {
         self.ensure_live()?;
-        let info = *self
-            .catalog
-            .get(space)
-            .ok_or_else(|| StoreError::UnknownSpace(space.to_string()))?;
-        self.read_chain(info.head)
+        let head = self.space(space)?.head();
+        self.read_chain(head, |_, rec| rec)
+    }
+
+    /// [`Store::scan`] with each record's [`RecordId`].
+    pub fn scan_ids(&mut self, space: &str) -> Result<Vec<(RecordId, Vec<u8>)>, StoreError> {
+        self.ensure_live()?;
+        let head = self.space(space)?.head();
+        self.read_chain(head, |id, rec| (id, rec))
     }
 
     // ----------------------------------------------------- internals
@@ -535,6 +686,42 @@ impl Store {
             return Err(StoreError::Wedged);
         }
         Ok(())
+    }
+
+    fn space(&self, name: &str) -> Result<&SpaceInfo, StoreError> {
+        self.catalog.get(name).ok_or_else(|| StoreError::UnknownSpace(name.to_string()))
+    }
+
+    /// Snapshot a space's page list (or its absence) into the open
+    /// transaction before the first change to it, as
+    /// [`Store::write_page`] does for pages.
+    fn save_space(&mut self, name: &str) {
+        let txn = self.txn.as_mut().expect("page lists only change inside a transaction");
+        if !txn.spaces.contains_key(name) {
+            txn.spaces.insert(name.to_string(), self.catalog.get(name).cloned());
+        }
+    }
+
+    /// A space's page list for changing (`None`: no such space).
+    fn space_mut(&mut self, name: &str) -> Option<&mut SpaceInfo> {
+        self.save_space(name);
+        self.catalog.get_mut(name)
+    }
+
+    /// Position in the space's chain and slots of the page `id` points
+    /// into, after checking that `id` names a live record of `space`.
+    fn locate(&mut self, space: &str, id: RecordId) -> Result<(usize, Slots), StoreError> {
+        let pos = self
+            .space(space)?
+            .pages
+            .iter()
+            .position(|&p| p == id.page)
+            .ok_or(StoreError::NoSuchRecord(id))?;
+        let slots = rp_slots(self.pager.page(id.page)?)?;
+        match slots.get(id.slot as usize) {
+            Some(Some(_)) => Ok((pos, slots)),
+            _ => Err(StoreError::NoSuchRecord(id)),
+        }
     }
 
     fn ensure_txn(&self) -> Result<(), StoreError> {
@@ -620,7 +807,7 @@ impl Store {
                 let mut e = Vec::with_capacity(2 + name.len() + 4);
                 e.extend_from_slice(&(name.len() as u16).to_le_bytes());
                 e.extend_from_slice(name.as_bytes());
-                e.extend_from_slice(&info.head.to_le_bytes());
+                e.extend_from_slice(&info.head().to_le_bytes());
                 e
             })
             .collect();
@@ -647,23 +834,31 @@ impl Store {
                 rp_set_next(self.write_page(tail)?, np);
                 tail = np;
             }
-            rp_push(self.write_page(tail)?, r);
+            rp_push(self.write_page(tail)?, Some(r));
         }
         Ok(head)
     }
 
-    fn read_chain(&mut self, head: u32) -> Result<Vec<Vec<u8>>, StoreError> {
+    /// The live records of the chain starting at `head`, in order, each
+    /// as `keep` wants it.
+    fn read_chain<T>(
+        &mut self,
+        head: u32,
+        keep: impl Fn(RecordId, Vec<u8>) -> T,
+    ) -> Result<Vec<T>, StoreError> {
         let mut out = Vec::new();
         let mut p = head;
         while p != 0 {
             self.pager.pin(p)?;
             let parsed = {
                 let buf = self.pager.page(p)?;
-                rp_records(buf).map(|recs| (rp_next(buf), recs))
+                rp_slots(buf).map(|slots| (rp_next(buf), slots))
             };
             self.pager.unpin(p);
-            let (next, mut recs) = parsed?;
-            out.append(&mut recs);
+            let (next, slots) = parsed?;
+            out.extend(slots.into_iter().enumerate().filter_map(|(slot, rec)| {
+                Some(keep(RecordId { page: p, slot: slot as u16 }, rec?))
+            }));
             p = next;
         }
         Ok(out)
@@ -673,7 +868,7 @@ impl Store {
         if self.header.catalog_head == 0 {
             return Ok(());
         }
-        let entries = self.read_chain(self.header.catalog_head)?;
+        let entries = self.read_chain(self.header.catalog_head, |_, rec| rec)?;
         for e in entries {
             if e.len() < 6 {
                 return Err(StoreError::Corrupt("short catalog entry".into()));
@@ -685,20 +880,20 @@ impl Store {
             let name = String::from_utf8(e[2..2 + name_len].to_vec())
                 .map_err(|_| StoreError::Corrupt("catalog name not utf-8".into()))?;
             let head = u32::from_le_bytes(e[2 + name_len..].try_into().expect("4 bytes"));
-            let tail = self.chain_tail(head)?;
-            self.catalog.insert(name, SpaceInfo { head, tail });
+            let pages = self.chain_pages(head)?;
+            self.catalog.insert(name, SpaceInfo { pages });
         }
         Ok(())
     }
 
-    fn chain_tail(&mut self, head: u32) -> Result<u32, StoreError> {
-        let mut p = head;
+    fn chain_pages(&mut self, head: u32) -> Result<Vec<u32>, StoreError> {
+        let mut pages = vec![head];
         loop {
-            let next = rp_next(self.pager.page(p)?);
+            let next = rp_next(self.pager.page(*pages.last().expect("starts with head"))?);
             if next == 0 {
-                return Ok(p);
+                return Ok(pages);
             }
-            p = next;
+            pages.push(next);
         }
     }
 }
@@ -840,6 +1035,146 @@ mod tests {
         drop(s);
         let mut s2 = open(&vfs);
         assert_eq!(s2.scan("q").unwrap(), vec![b"fresh".to_vec()]);
+    }
+
+    /// A space of `n` records of `len` bytes, committed; their ids.
+    fn filled(s: &mut Store, n: usize, len: usize) -> Vec<RecordId> {
+        s.with_txn(|s| {
+            s.create_space("r")?;
+            (0..n).map(|i| s.append("r", &vec![i as u8; len])).collect()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn update_and_delete_rewrite_in_place_and_keep_other_ids() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        let ids = filled(&mut s, 6, 100);
+        s.with_txn(|s| {
+            assert_eq!(s.update("r", ids[2], b"short")?, vec![], "fits: nothing moves");
+            s.delete("r", ids[1])?;
+            s.delete("r", ids[4])
+        })
+        .unwrap();
+        let want: Vec<(RecordId, Vec<u8>)> = vec![
+            (ids[0], vec![0; 100]),
+            (ids[2], b"short".to_vec()),
+            (ids[3], vec![3; 100]),
+            (ids[5], vec![5; 100]),
+        ];
+        assert_eq!(s.scan_ids("r").unwrap(), want);
+        drop(s);
+        assert_eq!(open(&vfs).scan_ids("r").unwrap(), want);
+    }
+
+    #[test]
+    fn stale_and_foreign_ids_are_refused() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        let ids = filled(&mut s, 3, 10);
+        s.begin().unwrap();
+        s.create_space("other").unwrap();
+        s.delete("r", ids[1]).unwrap();
+        assert_eq!(s.delete("r", ids[1]), Err(StoreError::NoSuchRecord(ids[1])));
+        assert_eq!(s.update("r", ids[1], b"x"), Err(StoreError::NoSuchRecord(ids[1])));
+        assert_eq!(s.delete("other", ids[0]), Err(StoreError::NoSuchRecord(ids[0])));
+        let past = RecordId { page: ids[0].page, slot: 99 };
+        assert_eq!(s.delete("r", past), Err(StoreError::NoSuchRecord(past)));
+        assert_eq!(
+            s.update("r", ids[0], &vec![0; MAX_RECORD + 1]),
+            Err(StoreError::RecordTooLarge(MAX_RECORD + 1))
+        );
+        s.commit().unwrap();
+        assert_eq!(s.scan("r").unwrap(), vec![vec![0; 10], vec![2; 10]]);
+    }
+
+    #[test]
+    fn growing_update_splits_the_page_and_keeps_scan_order() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        // 30 x 102 bytes: one page.
+        let ids = filled(&mut s, 30, 100);
+        assert!(ids.iter().all(|id| id.page == ids[0].page));
+        s.with_txn(|s| s.append("r", b"tail")).unwrap();
+
+        let moved = s.with_txn(|s| s.update("r", ids[10], &vec![0xAA; 2000])).unwrap();
+        assert_eq!(moved.len(), 21, "the grown record, the 19 after it on its page, and the tail");
+        assert_eq!(moved[..11], ids[10..21], "what still fits stays where it was");
+        assert!(moved[11..].iter().all(|id| id.page != ids[0].page), "the rest left the page");
+        let scanned = s.scan_ids("r").unwrap();
+        let scanned_ids: Vec<RecordId> = scanned.iter().map(|(id, _)| *id).collect();
+        assert_eq!(scanned_ids, [&ids[..10], &moved[..]].concat(), "ids before it are untouched");
+        let mut want: Vec<Vec<u8>> = (0..30).map(|i| vec![i as u8; 100]).collect();
+        want[10] = vec![0xAA; 2000];
+        want.push(b"tail".to_vec());
+        assert_eq!(s.scan("r").unwrap(), want);
+        assert_eq!(s.catalog["r"].pages.len(), 2, "one page became two");
+
+        // Too big to share a page with either neighbour: three pages.
+        let moved = s.with_txn(|s| s.update("r", ids[5], &vec![0xBB; MAX_RECORD])).unwrap();
+        assert_eq!(moved.len(), 16, "it and the rest of its page");
+        want[5] = vec![0xBB; MAX_RECORD];
+        assert_eq!(s.scan("r").unwrap(), want);
+        assert_eq!(s.catalog["r"].pages.len(), 4);
+        drop(s);
+        assert_eq!(open(&vfs).scan("r").unwrap(), want);
+    }
+
+    #[test]
+    fn emptied_pages_are_unlinked_and_reused() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        // 1000-byte records: four to a page, five pages.
+        let ids = filled(&mut s, 20, 1000);
+        let pages = s.catalog["r"].pages.clone();
+        assert_eq!(pages.len(), 5);
+        let grown = s.header.page_count;
+
+        // Middle page, tail page, then the head (which must stay).
+        for (range, left) in [(8..12, 4), (16..20, 3), (0..4, 3)] {
+            s.with_txn(|s| ids[range.clone()].iter().try_for_each(|&id| s.delete("r", id)))
+                .unwrap();
+            assert_eq!(s.catalog["r"].pages.len(), left, "after deleting {range:?}");
+        }
+        assert_eq!(s.catalog["r"].pages, vec![pages[0], pages[1], pages[3]]);
+        assert_eq!(s.header.freelist_head, pages[4], "freed pages are on the freelist");
+        let want: Vec<Vec<u8>> =
+            [4..8, 12..16].into_iter().flatten().map(|i| vec![i as u8; 1000]).collect();
+        assert_eq!(s.scan("r").unwrap(), want);
+
+        // Appends go to the new tail and take freed pages before fresh ones.
+        s.with_txn(|s| (0..8).try_for_each(|_| s.append("r", &[7; 1000]).map(|_| ()))).unwrap();
+        assert_eq!(s.header.page_count, grown, "the file did not grow");
+        assert_eq!(s.header.freelist_head, 0);
+        drop(s);
+        let mut s = open(&vfs);
+        assert_eq!(s.scan("r").unwrap().len(), 16);
+        assert_eq!(s.catalog["r"].pages.len(), 5, "the chain walk at open finds every page");
+    }
+
+    #[test]
+    fn rollback_restores_page_lists_of_split_and_unlinked_chains() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        let ids = filled(&mut s, 8, 1000);
+        let (pages, header) = (s.catalog["r"].pages.clone(), s.header);
+        let before = s.scan_ids("r").unwrap();
+
+        s.begin().unwrap();
+        s.update("r", ids[1], &vec![9; 3000]).unwrap();
+        ids[4..8].iter().for_each(|&id| s.delete("r", id).unwrap());
+        s.create_space("gone").unwrap();
+        assert_ne!(s.catalog["r"].pages, pages);
+        s.rollback().unwrap();
+
+        assert_eq!(s.catalog["r"].pages, pages);
+        assert_eq!(s.header, header);
+        assert!(!s.has_space("gone"));
+        assert_eq!(s.scan_ids("r").unwrap(), before);
+        // Ids handed out before the rolled-back transaction still work.
+        s.with_txn(|s| s.delete("r", ids[7])).unwrap();
+        assert_eq!(s.scan("r").unwrap().len(), 7);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use llmdm_store::{
 };
 
 const SPACE: &str = "events";
-const COMMITS: usize = 4;
+const COMMITS: usize = 8;
 
 fn config(faults: StorageFaults) -> StoreConfig {
     // Checkpointing off: every committed txn stays visible in the WAL,
@@ -23,16 +23,48 @@ fn shared(vfs: &Arc<Mutex<MemVfs>>) -> SharedVfs {
     vfs.clone()
 }
 
+/// One record operation of the workload, by position in scan order.
+enum Step {
+    Append(Vec<u8>),
+    Update(usize, Vec<u8>),
+    Delete(usize),
+}
+
+/// Commit number `k` of the workload. The first four append `k + 1`
+/// records each, so commits differ in page pressure; the rest change
+/// records in place: a same-size update, one that outgrows its page
+/// (split), deletes that empty a page inside the chain (unlink), and a
+/// shrink that leaves a mixed page behind.
+fn steps(k: usize) -> Vec<Step> {
+    let big = |b: u8| vec![b; 3000];
+    match k {
+        0..=3 => (0..=k).map(|j| Step::Append(format!("rec-{k}-{j}").into_bytes())).collect(),
+        4 => vec![Step::Update(2, b"REC-1-1".to_vec()), Step::Delete(0)],
+        5 => vec![
+            Step::Update(3, big(5)),
+            Step::Update(1, big(4)),
+            Step::Append(big(6)),
+            Step::Append(big(7)),
+        ],
+        6 => vec![Step::Delete(9), Step::Delete(4), Step::Delete(4), Step::Delete(4)],
+        7 => vec![Step::Update(3, b"small again".to_vec()), Step::Append(b"last".to_vec())],
+        _ => unreachable!("the workload has {COMMITS} commits"),
+    }
+}
+
 /// Commit number `k` of the workload (commit 0 creates the space).
-/// Each commit appends `k + 1` records so commits differ in page
-/// pressure.
 fn apply_commit(s: &mut Store, k: usize) -> Result<(), StoreError> {
     s.with_txn(|s| {
         if k == 0 {
             s.create_space(SPACE)?;
         }
-        for j in 0..=k {
-            s.append(SPACE, format!("rec-{k}-{j}").as_bytes())?;
+        for step in steps(k) {
+            let ids = s.scan_ids(SPACE)?;
+            match step {
+                Step::Append(rec) => drop(s.append(SPACE, &rec)?),
+                Step::Update(i, rec) => drop(s.update(SPACE, ids[i].0, &rec)?),
+                Step::Delete(i) => s.delete(SPACE, ids[i].0)?,
+            }
         }
         Ok(())
     })
@@ -41,9 +73,11 @@ fn apply_commit(s: &mut Store, k: usize) -> Result<(), StoreError> {
 /// Expected records after the first `commits` commits.
 fn expected(commits: usize) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
-    for k in 0..commits {
-        for j in 0..=k {
-            out.push(format!("rec-{k}-{j}").into_bytes());
+    for step in (0..commits).flat_map(steps) {
+        match step {
+            Step::Append(rec) => out.push(rec),
+            Step::Update(i, rec) => out[i] = rec,
+            Step::Delete(i) => drop(out.remove(i)),
         }
     }
     out
@@ -95,6 +129,24 @@ fn recovered_scan(vfs: &Arc<Mutex<MemVfs>>) -> (Store, Vec<Vec<u8>>) {
     let mut s = Store::open(shared(vfs), config(StorageFaults::none())).unwrap();
     let records = if s.has_space(SPACE) { s.scan(SPACE).unwrap() } else { Vec::new() };
     (s, records)
+}
+
+#[test]
+fn workload_splits_and_unlinks_pages() {
+    let vfs = MemVfs::shared();
+    let mut s = Store::open(shared(&vfs), config(StorageFaults::none())).unwrap();
+    let chain_pages: Vec<usize> = (0..COMMITS)
+        .map(|k| {
+            apply_commit(&mut s, k).unwrap();
+            let mut pages: Vec<u32> =
+                s.scan_ids(SPACE).unwrap().iter().map(|(id, _)| id.page).collect();
+            pages.dedup();
+            pages.len()
+        })
+        .collect();
+    // Commit 5 splits the head and opens two tail pages; commit 6
+    // unlinks the page between them.
+    assert_eq!(chain_pages, [1, 1, 1, 1, 1, 4, 3, 3]);
 }
 
 #[test]
@@ -236,18 +288,12 @@ fn stochastic_chaos_sweep_converges_with_retries() {
                 llmdm_resil::SimClock::new(),
             );
             let mut s = Store::open(shared(&vfs), config(faults)).unwrap();
-            // How many commits already landed? Infer from record count
-            // (commit k contributes k + 1 records).
-            let present =
-                if s.has_space(SPACE) { s.scan(SPACE).unwrap().len() } else { 0 };
-            let mut done = 0;
-            let mut acc = 0;
-            while done < COMMITS && acc + done + 1 <= present {
-                acc += done + 1;
-                done += 1;
-            }
-            assert_eq!(acc, present, "recovered record count must be a commit boundary");
-            assert_eq!(s.scan_or_empty(), expected(done), "prefix intact (seed {seed})");
+            // How many commits already landed? Every commit changes the
+            // records, so the recovered state names its prefix.
+            let present = s.scan_or_empty();
+            let done = (0..=COMMITS)
+                .find(|&n| expected(n) == present)
+                .unwrap_or_else(|| panic!("recovered state is no commit boundary (seed {seed})"));
             let mut killed = false;
             for k in done..COMMITS {
                 match apply_commit(&mut s, k) {

@@ -7,6 +7,10 @@
 //!    yields byte-identical database files and identical scans.
 //! 3. **No-steal buffer pool** — under random workloads with tiny pool
 //!    capacities, eviction pressure never loses a dirty page.
+//! 4. **Record addressing** — random `append`/`update`/`delete`
+//!    sequences against a `Vec` model: scan order, bytes and
+//!    [`RecordId`]s agree after every operation, commit, rollback and
+//!    crash + recovery, and freed pages are reused.
 
 use std::collections::HashMap;
 
@@ -14,8 +18,8 @@ use llmdm_rt::proptest;
 use llmdm_rt::proptest::prelude::*;
 use llmdm_rt::rand::{Rng, SeedableRng, SmallRng};
 use llmdm_store::{
-    Vfs,
-    MemVfs, Pager, SharedVfs, StorageFaults, Store, StoreConfig, Wal, WalRecord, PAGE_DATA,
+    MemVfs, Pager, RecordId, SharedVfs, StorageFaults, Store, StoreConfig, Vfs, Wal, WalRecord,
+    MAX_RECORD, PAGE_DATA,
 };
 
 const SPACE: &str = "events";
@@ -92,7 +96,102 @@ fn recover_from_cut(wal: &[u8], cut: usize) -> (Store, Vec<Vec<u8>>) {
     (s, records)
 }
 
+/// One random record operation on the open transaction, mirrored on
+/// the model (records with the ids the store's contract says they have).
+fn random_record_op(
+    rng: &mut SmallRng,
+    s: &mut Store,
+    model: &mut Vec<(RecordId, Vec<u8>)>,
+) {
+    // Mostly small records, some near a page: splits and multi-page
+    // chains both happen within a few dozen operations.
+    let bytes = |rng: &mut SmallRng| {
+        let len = if rng.gen_bool(0.2) {
+            rng.gen_range(1000usize..=MAX_RECORD)
+        } else {
+            rng.gen_range(0usize..300)
+        };
+        vec![rng.gen_range(0u8..=255); len]
+    };
+    match rng.gen_range(0..10) {
+        0..=3 => {
+            let rec = bytes(rng);
+            let id = s.append(SPACE, &rec).unwrap();
+            model.push((id, rec));
+        }
+        4..=6 if !model.is_empty() => {
+            let i = rng.gen_range(0..model.len());
+            let rec = bytes(rng);
+            let moved = s.update(SPACE, model[i].0, &rec).unwrap();
+            model[i].1 = rec;
+            for (slot, id) in model[i..].iter_mut().zip(moved) {
+                slot.0 = id;
+            }
+        }
+        _ if !model.is_empty() => {
+            let i = rng.gen_range(0..model.len());
+            s.delete(SPACE, model.remove(i).0).unwrap();
+        }
+        _ => {}
+    }
+}
+
 proptest! {
+    #[test]
+    fn record_ops_match_a_vec_model_through_commit_rollback_and_crash(
+        seed in any::<u64>(),
+        pool in 2usize..8,
+        txns in 4usize..16,
+    ) {
+        let vfs = MemVfs::shared();
+        let open = || {
+            let shared: SharedVfs = vfs.clone();
+            Store::open(shared, StoreConfig { pool_pages: pool, ..config() }).unwrap()
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut s = open();
+        s.with_txn(|s| s.create_space(SPACE)).unwrap();
+        let mut committed: Vec<(RecordId, Vec<u8>)> = Vec::new();
+        for _ in 0..txns {
+            let mut model = committed.clone();
+            s.begin().unwrap();
+            for _ in 0..rng.gen_range(1..8) {
+                random_record_op(&mut rng, &mut s, &mut model);
+                prop_assert_eq!(&s.scan_ids(SPACE).unwrap(), &model, "inside the transaction");
+            }
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    s.commit().unwrap();
+                    committed = model;
+                }
+                6..=7 => s.rollback().unwrap(),
+                _ => {
+                    // Die with the transaction open (or, half the time,
+                    // right after its commit) and lose the page cache.
+                    if rng.gen_bool(0.5) {
+                        s.commit().unwrap();
+                        committed = model;
+                    }
+                    drop(s);
+                    llmdm_rt::lock_recover(&vfs).crash();
+                    s = open();
+                }
+            }
+            prop_assert_eq!(&s.scan_ids(SPACE).unwrap(), &committed, "at the boundary");
+        }
+
+        // Freed pages go back to the freelist: emptying the space and
+        // refilling it in order needs no page the file does not have.
+        let len = llmdm_rt::lock_recover(&vfs).len("data.db");
+        s.with_txn(|s| committed.iter().try_for_each(|(id, _)| s.delete(SPACE, *id))).unwrap();
+        prop_assert!(s.scan(SPACE).unwrap().is_empty());
+        s.with_txn(|s| committed.iter().try_for_each(|(_, r)| s.append(SPACE, r).map(|_| ())))
+            .unwrap();
+        prop_assert_eq!(llmdm_rt::lock_recover(&vfs).len("data.db"), len, "file grew");
+        let records: Vec<Vec<u8>> = committed.into_iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(s.scan(SPACE).unwrap(), records);
+    }
+
     #[test]
     fn torn_tail_cut_recovers_to_last_committed_txn(
         commits in 1usize..5,

@@ -81,4 +81,7 @@ LLMDM_BENCH_FAST=1 LLMDM_BENCH_DIR="$BENCH_DIR" cargo bench --offline -p llmdm-b
 test -s "$BENCH_DIR/BENCH_store.json" || { echo "store_durability emitted no BENCH_store.json"; exit 1; }
 rm -rf "$BENCH_DIR"
 
+echo "== perf benchmark package (own workspace: its unit tests + the --fast smoke over all five workloads, so a library change that breaks its build or output checks fails here)"
+CARGO_TARGET_DIR="$PWD/target/perf" cargo test --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "verify: OK"
