@@ -6,13 +6,13 @@
 //! model but helps it reason); misses call the model unmodified. Responses
 //! are inserted subject to the admission predictor.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use llmdm_model::prelude::*;
-use llmdm_model::PriceTable;
 
-use crate::cache::{EntryKind, HitKind, Lookup, SemanticCache};
+use crate::cache::{EntryKind, HitKind, Lookup};
 use crate::predictor::AccessPredictor;
+use crate::sharded::ShardedCache;
 
 /// Outcome of a cached ask.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,19 +29,24 @@ pub struct CachedAnswer {
     pub stale: bool,
 }
 
-/// A model wrapped with a semantic cache and an admission predictor.
+/// A model wrapped with a [`ShardedCache`] and an admission predictor —
+/// the one key-addressed cache client.
+///
+/// [`CachedLlm::ask`] takes `&self`, so a serving worker pool shares one
+/// client without an outer lock; a single-threaded caller passes
+/// `ShardedCache::new(config, 1)`, which is one `SemanticCache` behind
+/// one lock.
 ///
 /// The model is held as a trait object, so any [`LanguageModel`] — a bare
 /// `SimLlm`, a fault-injecting `FaultyModel`, or a retry-wrapped
 /// `ResilientClient` — can sit behind the cache. When the model fails
 /// with a *retryable* error (rate limit, timeout, outage), the cache
-/// falls back to [`SemanticCache::serve_stale`] before surfacing the
+/// falls back to [`ShardedCache::serve_stale`] before surfacing the
 /// error.
 pub struct CachedLlm {
     model: Arc<dyn LanguageModel>,
-    cache: SemanticCache,
-    predictor: Option<AccessPredictor>,
-    prices: Option<PriceTable>,
+    cache: ShardedCache,
+    predictor: Option<Mutex<AccessPredictor>>,
 }
 
 impl std::fmt::Debug for CachedLlm {
@@ -52,33 +57,16 @@ impl std::fmt::Debug for CachedLlm {
 
 impl CachedLlm {
     /// Wrap `model` with `cache`; `predictor = None` admits everything.
-    /// Accepts any concrete model type and erases it internally.
-    pub fn new<M: LanguageModel + 'static>(
-        model: Arc<M>,
-        cache: SemanticCache,
-        predictor: Option<AccessPredictor>,
-    ) -> Self {
-        Self::new_dyn(model, cache, predictor)
-    }
-
-    /// Wrap an already-erased trait object.
-    pub fn new_dyn(
+    pub fn new(
         model: Arc<dyn LanguageModel>,
-        cache: SemanticCache,
+        cache: ShardedCache,
         predictor: Option<AccessPredictor>,
     ) -> Self {
-        CachedLlm { model, cache, predictor, prices: None }
-    }
-
-    /// Supply a price table for [`CachedLlm::hypothetical_cost`] savings
-    /// reports (the erased model no longer exposes its meter).
-    pub fn with_prices(mut self, prices: PriceTable) -> Self {
-        self.prices = Some(prices);
-        self
+        CachedLlm { model, cache, predictor: predictor.map(Mutex::new) }
     }
 
     /// The underlying cache (stats, inspection).
-    pub fn cache(&self) -> &SemanticCache {
+    pub fn cache(&self) -> &ShardedCache {
         &self.cache
     }
 
@@ -91,16 +79,15 @@ impl CachedLlm {
     /// `prompt` is the full model prompt to send on a miss; `kind` tags
     /// the entry for the Cache(O)/Cache(A) experiments.
     pub fn ask(
-        &mut self,
+        &self,
         key: &str,
         prompt: &str,
         kind: EntryKind,
     ) -> Result<CachedAnswer, ModelError> {
-        if let Some(p) = &mut self.predictor {
-            p.observe(key);
+        if let Some(p) = &self.predictor {
+            llmdm_rt::lock_recover(p).observe(key);
         }
-        let lookup = self.cache.lookup(key);
-        match lookup {
+        match self.cache.lookup(key) {
             Lookup::Hit { response, kind: HitKind::Reuse, .. } => {
                 return Ok(CachedAnswer {
                     text: response,
@@ -141,7 +128,7 @@ impl CachedLlm {
     /// graceful degradation under upstream outage. Non-retryable errors
     /// (bad request, malformed payload) surface unchanged: stale data
     /// can't fix a broken request.
-    fn stale_fallback(&mut self, key: &str, err: ModelError) -> Result<CachedAnswer, ModelError> {
+    fn stale_fallback(&self, key: &str, err: ModelError) -> Result<CachedAnswer, ModelError> {
         if !err.is_retryable() {
             return Err(err);
         }
@@ -153,33 +140,28 @@ impl CachedLlm {
         }
     }
 
-    fn maybe_insert(&mut self, key: &str, completion: &Completion, kind: EntryKind) {
-        let admit = self.predictor.as_ref().map(|p| p.should_admit(key)).unwrap_or(true);
+    fn maybe_insert(&self, key: &str, completion: &Completion, kind: EntryKind) {
+        let admit = self
+            .predictor
+            .as_ref()
+            .map(|p| llmdm_rt::lock_recover(p).should_admit(key))
+            .unwrap_or(true);
         if admit {
             self.cache.insert(key, &completion.text, kind);
         } else {
-            self.cache.note_rejected();
+            self.cache.note_rejected(key);
         }
-    }
-
-    /// Tokens that would have been billed for the given usage had the
-    /// cache missed — used in savings reports. Requires a price table
-    /// supplied via [`CachedLlm::with_prices`]; returns `0.0` otherwise.
-    pub fn hypothetical_cost(&self, usage: TokenUsage) -> f64 {
-        self.prices
-            .as_ref()
-            .and_then(|t| t.get(self.model.name()))
-            .map(|p| p.cost(usage.input_tokens, usage.output_tokens))
-            .unwrap_or(0.0)
     }
 }
 
 /// Append a cached example pair to an envelope prompt, incrementing its
-/// `examples` header. Shared with the sharded concurrent client so both
-/// paths produce byte-identical augmented prompts.
+/// `examples` header. Shared with [`crate::stack::CachedModel`] so the
+/// key-addressed and prompt-addressed paths produce byte-identical
+/// augmented prompts.
 pub(crate) fn augment_prompt(prompt: &str, cached_query: &str, cached_response: &str) -> String {
     let example = format!("Example Q: {cached_query}\nExample SQL: {cached_response}\n");
-    // Bump the `### examples:` header if present; else append one.
+    // Bump the first `### examples: N` header if there is one; a prompt
+    // without it gains no header, only the example pair at the end.
     let mut out = String::with_capacity(prompt.len() + example.len() + 32);
     let mut bumped = false;
     for line in prompt.split_inclusive('\n') {
@@ -202,14 +184,17 @@ pub(crate) fn augment_prompt(prompt: &str, cached_query: &str, cached_response: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, SemanticCache};
+    use crate::cache::CacheConfig;
     use llmdm_model::{ModelZoo, PromptEnvelope};
+
+    fn one_shard() -> ShardedCache {
+        ShardedCache::new(CacheConfig::default(), 1)
+    }
 
     fn client() -> (ModelZoo, CachedLlm) {
         let zoo = ModelZoo::standard(5);
-        let cache = SemanticCache::new(CacheConfig::default());
         let model = zoo.medium();
-        (zoo, CachedLlm::new(model, cache, None))
+        (zoo, CachedLlm::new(model, one_shard(), None))
     }
 
     fn oracle_prompt(q: &str) -> String {
@@ -223,7 +208,7 @@ mod tests {
 
     #[test]
     fn second_identical_ask_is_free() {
-        let (zoo, mut c) = client();
+        let (zoo, c) = client();
         let q = "what are the names of stadiums that had concerts in 2014";
         let a1 = c.ask(q, &oracle_prompt(q), EntryKind::Original).unwrap();
         assert!(!a1.from_cache);
@@ -238,7 +223,7 @@ mod tests {
 
     #[test]
     fn similar_ask_augments_and_still_calls_model() {
-        let (zoo, mut c) = client();
+        let (zoo, c) = client();
         let q1 = "What are the names of stadiums that had concerts in 2014?";
         let q2 = "What are the names of stadiums that had concerts in 2016?";
         c.ask(q1, &oracle_prompt(q1), EntryKind::Original).unwrap();
@@ -252,10 +237,9 @@ mod tests {
     #[test]
     fn predictor_gates_admission() {
         let zoo = ModelZoo::standard(5);
-        let cache = SemanticCache::new(CacheConfig::default());
         // Very strict admission: needs several observations.
         let predictor = AccessPredictor::with_params(5.0, 0.5);
-        let mut c = CachedLlm::new(zoo.medium(), cache, Some(predictor));
+        let c = CachedLlm::new(zoo.medium(), one_shard(), Some(predictor));
         let q = "rarely repeated query shape";
         c.ask(q, &oracle_prompt(q), EntryKind::Original).unwrap();
         assert_eq!(c.cache().len(), 0, "cold shape should not be admitted");
@@ -276,11 +260,7 @@ mod tests {
         let q = "What are the names of stadiums that had concerts in 2014?";
 
         // Warm the cache through a healthy model.
-        let mut healthy = CachedLlm::new(
-            zoo.medium(),
-            SemanticCache::new(CacheConfig::default()),
-            None,
-        );
+        let healthy = CachedLlm::new(zoo.medium(), one_shard(), None);
         let warm = healthy.ask(q, &oracle_prompt(q), EntryKind::Original).unwrap();
         assert!(!warm.stale);
 
@@ -296,8 +276,8 @@ mod tests {
             )],
         ));
         let faulty = Arc::new(FaultyModel::new(zoo.medium(), plan, SimClock::new()));
-        let CachedLlm { cache, predictor, .. } = healthy;
-        let mut down = CachedLlm::new(faulty, cache, predictor);
+        let CachedLlm { cache, .. } = healthy;
+        let down = CachedLlm::new(faulty, cache, None);
 
         // A *similar* (not identical) query: regular lookup augments →
         // model call fails → stale serve kicks in.
@@ -333,24 +313,13 @@ mod tests {
             )],
         ));
         let faulty = Arc::new(FaultyModel::new(zoo.medium(), plan, SimClock::new()));
-        let mut c = CachedLlm::new(faulty, SemanticCache::new(CacheConfig::default()), None);
+        let c = CachedLlm::new(faulty, one_shard(), None);
         // Even with a perfectly-matching entry available, a non-retryable
         // error must surface rather than mask a broken request.
-        c.cache.insert("the query", "cached answer", EntryKind::Original);
+        c.cache().insert("the query", "cached answer", EntryKind::Original);
         let got = c.ask("the query different year", &oracle_prompt("q"), EntryKind::Original);
         assert!(got.is_err());
         assert_eq!(c.cache().stats().stale_serves, 0);
-    }
-
-    #[test]
-    fn hypothetical_cost_needs_price_table() {
-        let zoo = ModelZoo::standard(5);
-        let usage = TokenUsage { input_tokens: 1000, output_tokens: 100 };
-        let bare = CachedLlm::new(zoo.medium(), SemanticCache::new(CacheConfig::default()), None);
-        assert_eq!(bare.hypothetical_cost(usage), 0.0);
-        let priced = CachedLlm::new(zoo.medium(), SemanticCache::new(CacheConfig::default()), None)
-            .with_prices(zoo.meter().prices().clone());
-        assert!(priced.hypothetical_cost(usage) > 0.0);
     }
 
     #[test]
@@ -360,5 +329,10 @@ mod tests {
         let env = PromptEnvelope::parse(&out).unwrap();
         assert_eq!(env.examples(), 5);
         assert!(out.contains("Example Q: cached q"));
+
+        // No header to bump: the prompt passes through and only gains
+        // the example pair.
+        let out = augment_prompt("Q: x\n", "cached q", "cached sql");
+        assert_eq!(out, "Q: x\n\nExample Q: cached q\nExample SQL: cached sql\n");
     }
 }

@@ -20,8 +20,13 @@
 //! * **admission prediction** ([`predictor::AccessPredictor`]): "predict
 //!   the probability of future access" to decide whether to cache a new
 //!   entry at all;
-//! * a [`client::CachedLlm`] wrapper that puts the cache in front of any
-//!   simulated model, counting saved calls and dollars.
+//! * a lock-striped [`sharded::ShardedCache`] whose operations take
+//!   `&self`, so a worker pool shares one cache;
+//! * one key-addressed client, [`client::CachedLlm`], that puts a
+//!   `ShardedCache` in front of any model (`ask(&self, key, prompt, …)`:
+//!   reuse hits are free, augment hits extend the prompt, retryable
+//!   outages degrade to stale serves), and one prompt-addressed
+//!   [`stack::CachedModel`] layer for `ModelStack`.
 //!
 //! The Table III experiment itself (original-only vs original+sub-query
 //! caching over the decomposition pipeline) lives in the `llmdm` facade
@@ -40,5 +45,5 @@ pub use cache::{CacheConfig, CacheStats, EvictionPolicy, EntryKind, HitKind, Loo
 pub use persist::PersistentCache;
 pub use client::CachedLlm;
 pub use predictor::AccessPredictor;
-pub use sharded::{ConcurrentCachedLlm, ShardedCache};
+pub use sharded::ShardedCache;
 pub use stack::{shared_cache, CacheStackExt, CachedModel, SharedCache};

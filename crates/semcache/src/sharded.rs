@@ -1,13 +1,12 @@
-//! [`ShardedCache`] — a lock-striped [`SemanticCache`] for concurrent
-//! serving, plus [`ConcurrentCachedLlm`], the `&self` counterpart of
-//! [`crate::CachedLlm`].
+//! [`ShardedCache`] — a lock-striped [`SemanticCache`], the `&self`
+//! cache [`crate::CachedLlm`] sits on.
 //!
-//! The single-threaded cache takes `&mut self` on every probe, which
-//! would serialize an entire worker pool behind one lock. Instead the
-//! serving layer shards the cache into `N` independent
-//! `RwLock<SemanticCache>` stripes and routes each query to exactly one
-//! shard by locality-sensitive hashing: the **sign bits of the leading
-//! embedding dimensions** form the shard key, so
+//! [`SemanticCache`] takes `&mut self` on every probe, which would
+//! serialize an entire worker pool behind one lock. Instead the cache
+//! is split into `N` independent `RwLock<SemanticCache>` stripes and
+//! each query is routed to exactly one shard by locality-sensitive
+//! hashing: the **sign bits of the leading embedding dimensions** form
+//! the shard key, so
 //!
 //! * an exact repeat always routes to the same shard and therefore still
 //!   gets its reuse hit, and
@@ -26,14 +25,11 @@
 //! globally under arbitrary interleavings (stress-tested in
 //! `tests/concurrent_stress.rs`).
 
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use llmdm_model::prelude::*;
 use llmdm_model::Embedder;
 
-use crate::cache::{CacheConfig, CacheStats, EntryKind, HitKind, Lookup, SemanticCache};
-use crate::client::{augment_prompt, CachedAnswer};
-use crate::predictor::AccessPredictor;
+use crate::cache::{CacheConfig, CacheStats, EntryKind, Lookup, SemanticCache};
 
 /// How many leading embedding dimensions contribute a sign bit to the
 /// shard key (2^8 = 256 raw buckets, folded mod `shards`).
@@ -75,8 +71,12 @@ impl ShardedCache {
     /// Deterministic shard index for `query`: the sign bits of the first
     /// [`ROUTE_BITS`] embedding dimensions, folded mod the shard count.
     /// Falls back to FNV-1a of the raw bytes if embedding fails, so every
-    /// query routes somewhere and repeats stay sticky.
+    /// query routes somewhere and repeats stay sticky. With one shard
+    /// there is nothing to decide and nothing is embedded.
     pub fn route(&self, query: &str) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         match self.router.embed(query) {
             Ok(v) => {
                 let mut key = 0usize;
@@ -157,126 +157,12 @@ impl ShardedCache {
     }
 }
 
-/// The `&self` (shareable) counterpart of [`crate::CachedLlm`]: a sharded
-/// semantic cache in front of a thread-safe model, usable directly from a
-/// serving worker pool without an outer lock.
-///
-/// Semantics mirror [`crate::CachedLlm::ask`] exactly — reuse hits are
-/// free, augment hits extend the prompt via the same
-/// `augment_prompt` helper, retryable model failures degrade to stale
-/// serves — the only difference is which shard's lock each cache
-/// operation takes.
-pub struct ConcurrentCachedLlm {
-    model: Arc<dyn LanguageModel>,
-    cache: ShardedCache,
-    predictor: Option<Mutex<AccessPredictor>>,
-}
-
-impl std::fmt::Debug for ConcurrentCachedLlm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentCachedLlm").field("entries", &self.cache.len()).finish()
-    }
-}
-
-impl ConcurrentCachedLlm {
-    /// Wrap `model` with a sharded cache; `predictor = None` admits all.
-    pub fn new(
-        model: Arc<dyn LanguageModel>,
-        cache: ShardedCache,
-        predictor: Option<AccessPredictor>,
-    ) -> Self {
-        ConcurrentCachedLlm { model, cache, predictor: predictor.map(Mutex::new) }
-    }
-
-    /// The underlying sharded cache (stats, inspection).
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &Arc<dyn LanguageModel> {
-        &self.model
-    }
-
-    /// Ask with caching; see [`crate::CachedLlm::ask`] for the contract.
-    /// Takes `&self`, so any number of workers may call it concurrently.
-    pub fn ask(
-        &self,
-        key: &str,
-        prompt: &str,
-        kind: EntryKind,
-    ) -> Result<CachedAnswer, ModelError> {
-        if let Some(p) = &self.predictor {
-            llmdm_rt::lock_recover(p).observe(key);
-        }
-        match self.cache.lookup(key) {
-            Lookup::Hit { response, kind: HitKind::Reuse, .. } => {
-                return Ok(CachedAnswer {
-                    text: response,
-                    from_cache: true,
-                    cost: 0.0,
-                    stale: false,
-                });
-            }
-            Lookup::Hit { query, response, kind: HitKind::Augment, .. } => {
-                let augmented = augment_prompt(prompt, &query, &response);
-                let completion = match self.model.complete(&CompletionRequest::new(augmented)) {
-                    Ok(c) => c,
-                    Err(e) => return self.stale_fallback(key, e),
-                };
-                self.maybe_insert(key, &completion, kind);
-                return Ok(CachedAnswer {
-                    text: completion.text,
-                    from_cache: false,
-                    cost: completion.cost,
-                    stale: false,
-                });
-            }
-            Lookup::Miss => {}
-        }
-        let completion = match self.model.complete(&CompletionRequest::new(prompt.to_string())) {
-            Ok(c) => c,
-            Err(e) => return self.stale_fallback(key, e),
-        };
-        self.maybe_insert(key, &completion, kind);
-        Ok(CachedAnswer {
-            text: completion.text,
-            from_cache: false,
-            cost: completion.cost,
-            stale: false,
-        })
-    }
-
-    fn stale_fallback(&self, key: &str, err: ModelError) -> Result<CachedAnswer, ModelError> {
-        if !err.is_retryable() {
-            return Err(err);
-        }
-        match self.cache.serve_stale(key) {
-            Some((_, response, _)) => {
-                Ok(CachedAnswer { text: response, from_cache: true, cost: 0.0, stale: true })
-            }
-            None => Err(err),
-        }
-    }
-
-    fn maybe_insert(&self, key: &str, completion: &Completion, kind: EntryKind) {
-        let admit = self
-            .predictor
-            .as_ref()
-            .map(|p| llmdm_rt::lock_recover(p).should_admit(key))
-            .unwrap_or(true);
-        if admit {
-            self.cache.insert(key, &completion.text, kind);
-        } else {
-            self.cache.note_rejected(key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmdm_model::PromptEnvelope;
+    use crate::cache::HitKind;
+    use crate::client::CachedLlm;
+    use llmdm_model::{ModelZoo, PromptEnvelope};
 
     fn sharded(n: usize) -> ShardedCache {
         ShardedCache::new(CacheConfig::default(), n)
@@ -293,11 +179,12 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
-        let c = sharded(4);
+        let (c, one) = (sharded(4), sharded(1));
         for q in ["alpha bravo", "charlie delta", "echo foxtrot", ""] {
             let s = c.route(q);
             assert!(s < 4);
             assert_eq!(s, c.route(q), "same query must route to the same shard");
+            assert_eq!(one.route(q), 0);
         }
     }
 
@@ -359,7 +246,7 @@ mod tests {
     #[test]
     fn concurrent_asks_stay_consistent() {
         let zoo = ModelZoo::standard(11);
-        let llm = ConcurrentCachedLlm::new(
+        let llm = CachedLlm::new(
             zoo.medium(),
             ShardedCache::new(CacheConfig { capacity: 512, ..Default::default() }, 4),
             None,

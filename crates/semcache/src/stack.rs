@@ -25,9 +25,9 @@
 //! assert_eq!(llmdm_rt::lock_recover(&cache).stats().reuse_hits, 1);
 //! ```
 //!
-//! Unlike [`crate::CachedLlm`] (whose cache *key* can differ from the
-//! model *prompt* — the decomposition experiments key on the user
-//! question), this layer keys on the full prompt, which is the right
+//! Unlike the key-addressed [`crate::CachedLlm`] (whose cache *key* can
+//! differ from the model *prompt* — the decomposition experiments key on
+//! the user question), this layer keys on the full prompt, which is the right
 //! semantics inside a generic decorator chain where no out-of-band key
 //! exists. Reuse hits synthesize a zero-cost [`Completion`]; augment
 //! hits rewrite the prompt with the cached example before delegating.

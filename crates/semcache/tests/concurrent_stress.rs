@@ -1,6 +1,6 @@
 //! Stress test for the lock-striped [`ShardedCache`] under real thread
 //! contention: 8 workers × 1 000 requests against one shared
-//! [`ConcurrentCachedLlm`].
+//! [`CachedLlm`].
 //!
 //! Two invariants must survive arbitrary interleavings:
 //!
@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use llmdm_model::prelude::*;
 use llmdm_model::PromptEnvelope;
-use llmdm_semcache::{CacheConfig, ConcurrentCachedLlm, EntryKind, ShardedCache};
+use llmdm_semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
 
 const THREADS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 1_000;
@@ -35,7 +35,7 @@ fn oracle_prompt(q: &str) -> String {
 #[test]
 fn eight_threads_thousand_requests_reconcile() {
     let zoo = ModelZoo::standard(SEED);
-    let llm = ConcurrentCachedLlm::new(
+    let llm = CachedLlm::new(
         zoo.medium(),
         ShardedCache::new(CacheConfig { capacity: 256, seed: SEED, ..Default::default() }, 8),
         None,

@@ -7,11 +7,10 @@
 //! workspace plugs into — a worker pool grown into a multi-tenant,
 //! QoS-aware frontend:
 //!
-//! * **typed submissions**: a validated
-//!   [`ServeRequest`]` { tenant, class, batch_key, payload }` built via
-//!   [`ServeRequest::builder`], replacing the old stringly
-//!   `(class, payload)` tuples (still available through the deprecated
-//!   [`serve`] adapter);
+//! * **one entry point**: [`serve_requests`] runs validated
+//!   [`ServeRequest`]` { tenant, class, batch_key, payload }`s built via
+//!   [`ServeRequest::builder`]; the batch handler sees each full
+//!   [`Job`] (id, stream id, tenant, trace context, payload);
 //! * **per-tenant token-bucket quotas** ([`tenant::TokenBucket`], exact
 //!   integer millitoken arithmetic on the simulated clock): over-quota
 //!   submissions fail with [`ServeError::Throttled`] carrying the exact
@@ -27,7 +26,8 @@
 //!   [`ServeError::Shed`]` { retry_after_ms }` pointing past the window;
 //! * **deterministic token streaming**: [`stream::StreamHandle`] yields
 //!   seeded prefixes of the final completion — identical prefix
-//!   sequences at any worker count ([`serve_requests_streaming`]);
+//!   sequences at any worker count (a handler builds one per job with
+//!   `StreamHandle::new(text, job.stream_id)`);
 //! * a **simulated N-node cluster** ([`cluster::Cluster`]) sharding
 //!   caller-owned node state (cache stripes, vecdb partitions) under a
 //!   seeded rendezvous router, stitching results back to global
@@ -67,14 +67,12 @@ pub mod stream;
 pub mod tenant;
 
 pub use cluster::{Cluster, ClusterNode, ClusterRun};
-pub use queue::{BoundedQueue, ServeError};
+pub use queue::ServeError;
 pub use request::{ServeRequest, ServeRequestBuilder};
 pub use scheduler::{
-    record_job_cost, serve_jobs, serve_requests, serve_requests_streaming, Disposition, Job,
-    ServeConfig, ServeConfigBuilder, ServeRun, ServeStats,
+    record_job_cost, serve_requests, Disposition, Job, ServeConfig, ServeConfigBuilder, ServeRun,
+    ServeStats,
 };
-#[allow(deprecated)]
-pub use scheduler::serve;
 pub use stream::StreamHandle;
 pub use tenant::{
     Priority, ShedPolicy, TenantId, TenantPolicies, TenantPolicy, TenantStats, TokenBucket,
@@ -90,8 +88,7 @@ pub mod prelude {
     pub use crate::queue::ServeError;
     pub use crate::request::ServeRequest;
     pub use crate::scheduler::{
-        serve_jobs, serve_requests, serve_requests_streaming, Disposition, Job, ServeConfig,
-        ServeRun, ServeStats,
+        serve_requests, Disposition, Job, ServeConfig, ServeRun, ServeStats,
     };
     pub use crate::stream::StreamHandle;
     pub use crate::tenant::{

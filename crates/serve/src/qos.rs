@@ -1,13 +1,14 @@
-//! [`QosQueue`] — the priority-classed, weighted-fair replacement for
-//! plain FIFO `pop_batch`.
+//! [`QosQueue`] — the serving layer's one queue: bounded,
+//! priority-classed, weighted-fair.
 //!
 //! One backlog per [`Priority`] class behind a single mutex + condvar.
+//! Producers never block: a full queue rejects (admission control).
 //! Consumers pop *batches*: the queue picks which class to serve by
 //! **credit-based weighted round-robin** (credits = class weights,
 //! refreshed when every backlogged class is out), then coalesces up to
 //! `max` same-`batch_key` items from that class's backlog, preserving
-//! relative order among the rest — exactly the coalescing rule the old
-//! FIFO queue used, now scoped to one class.
+//! relative order among the rest. With a single class in use this is
+//! plain FIFO with same-key coalescing.
 //!
 //! Properties the scheduler and the property tests rely on:
 //!
@@ -106,7 +107,7 @@ impl<T: QosItem> QosQueue<T> {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        llmdm_rt::lock_recover(&self.inner)
     }
 
     /// The configured high-water mark.
@@ -125,8 +126,8 @@ impl<T: QosItem> QosQueue<T> {
     }
 
     /// Enqueue at the back of the item's class. Rejects (never blocks)
-    /// at capacity with the same deterministic depth-scaled hint the
-    /// FIFO queue uses, or [`ServeError::Closed`] after close.
+    /// at capacity with a deterministic depth-scaled retry hint, or with
+    /// [`ServeError::Closed`] after close.
     pub fn try_push(&self, item: T) -> Result<(), ServeError> {
         let mut g = self.lock();
         if g.closed {
@@ -242,6 +243,15 @@ mod tests {
         let b2: Vec<u64> = q.pop_batch(8).unwrap().into_iter().map(|i| i.n).collect();
         assert_eq!(b2, vec![2, 5]);
         assert!(q.pop_batch(8).is_none());
+
+        // `max` caps a batch even when more same-key items are queued.
+        let q = QosQueue::new(16);
+        for n in 0..6 {
+            q.try_push(item(Priority::Standard, "a", n)).unwrap();
+        }
+        q.close();
+        assert_eq!(q.pop_batch(4).unwrap().len(), 4);
+        assert_eq!(q.pop_batch(4).unwrap().len(), 2);
     }
 
     #[test]
@@ -325,8 +335,56 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn closed_queue_rejects_pushes_and_drains() {
+        let q = QosQueue::new(4);
+        q.try_push(item(Priority::Standard, "a", 1)).unwrap();
         q.close();
-        assert_eq!(q.try_push(item(Priority::Standard, "a", 4)), Err(ServeError::Closed));
+        assert_eq!(q.try_push(item(Priority::Standard, "a", 2)), Err(ServeError::Closed));
+        assert_eq!(q.pop_batch(4).unwrap()[0].n, 1, "queued work survives close");
+        assert!(q.pop_batch(4).is_none());
+    }
+
+    #[test]
+    fn concurrent_producers_consumers_lose_nothing() {
+        // 4 producers × 4 consumers over every class and two keys: each
+        // of the 400 items is popped exactly once.
+        let q = QosQueue::new(1024);
+        let producers_done = std::sync::Barrier::new(5);
+        let mut popped: Vec<u64> = std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (q, producers_done) = (&q, &producers_done);
+                s.spawn(move || {
+                    for i in 0..100u64 {
+                        let p = Priority::all()[(i % 3) as usize];
+                        let key = if i % 2 == 0 { "even" } else { "odd" };
+                        q.try_push(item(p, key, t * 100 + i)).unwrap();
+                    }
+                    producers_done.wait();
+                });
+            }
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        while let Some(batch) = q.pop_batch(3) {
+                            got.extend(batch.into_iter().map(|i| i.n));
+                        }
+                        got
+                    })
+                })
+                .collect();
+            // Consumers drain while producers push; close only after the
+            // last push so none of them sees end-of-stream early.
+            producers_done.wait();
+            q.close();
+            consumers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        popped.sort_unstable();
+        assert_eq!(popped, (0..400).collect::<Vec<u64>>());
     }
 
     #[test]

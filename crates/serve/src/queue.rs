@@ -1,16 +1,11 @@
-//! The bounded MPMC queue with admission control.
+//! [`ServeError`] — the serving layer's typed refusals.
 //!
-//! `std`-only (one `Mutex` + `Condvar`), mirroring the structure of a
-//! classic bounded channel but with *reject-not-block* semantics on the
-//! producer side: a full queue refuses new work with a typed
-//! [`ServeError::Rejected`] carrying a deterministic retry hint, the way
-//! an overloaded API endpoint returns HTTP 429 instead of hanging the
-//! client. Consumers block (or drain in batches) until the queue is both
-//! closed and empty.
+//! Admission is *reject-not-block*: a full [`crate::qos::QosQueue`]
+//! refuses new work with [`ServeError::Rejected`] carrying a
+//! deterministic retry hint, the way an overloaded API endpoint returns
+//! HTTP 429 instead of hanging the client.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Condvar, Mutex, MutexGuard};
 
 use llmdm_rt::{FromJson, Json, JsonError, ToJson};
 
@@ -194,244 +189,9 @@ impl FromJson for ServeError {
     }
 }
 
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer multi-consumer queue.
-///
-/// * Producers: [`BoundedQueue::try_push`] — never blocks; rejects past
-///   capacity (admission control / backpressure).
-/// * Consumers: [`BoundedQueue::pop`] / [`BoundedQueue::pop_batch`] —
-///   block until an item arrives or the queue is closed *and* drained.
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> fmt::Debug for BoundedQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BoundedQueue")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` items at a time
-    /// (`capacity` is clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The configured high-water mark.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Try to enqueue `item`. Rejects (instead of blocking) when the
-    /// queue is at capacity — the admission-control contract — or closed.
-    pub fn try_push(&self, item: T) -> Result<(), ServeError> {
-        let mut g = self.lock();
-        if g.closed {
-            return Err(ServeError::Closed);
-        }
-        let depth = g.items.len();
-        if depth >= self.capacity {
-            // Deterministic hint: deeper backlog → longer suggested wait.
-            return Err(ServeError::Rejected { depth, retry_after_ms: 5 * depth as u64 });
-        }
-        g.items.push_back(item);
-        drop(g);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Close the queue: producers start failing with
-    /// [`ServeError::Closed`], consumers drain the remainder and then
-    /// observe end-of-stream.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Blocking pop. `None` means closed-and-drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut g = self.lock();
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.not_empty.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocking batch pop with coalescing: waits for one item, then —
-    /// without further blocking — collects up to `max - 1` more queued
-    /// items for which `same(&first, &candidate)` holds (e.g. same model
-    /// tier, same task class), preserving queue order among the
-    /// collected items. `None` means closed-and-drained.
-    pub fn pop_batch(&self, max: usize, same: impl Fn(&T, &T) -> bool) -> Option<Vec<T>> {
-        let max = max.max(1);
-        let mut g = self.lock();
-        let first = loop {
-            if let Some(item) = g.items.pop_front() {
-                break item;
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.not_empty.wait(g).unwrap_or_else(|e| e.into_inner());
-        };
-        let mut batch = Vec::with_capacity(max);
-        // Scan the backlog for coalescible items; non-matching items keep
-        // their relative order.
-        let mut i = 0;
-        while batch.len() + 1 < max && i < g.items.len() {
-            if same(&first, &g.items[i]) {
-                let item = g.items.remove(i).expect("index checked");
-                batch.push(item);
-            } else {
-                i += 1;
-            }
-        }
-        batch.insert(0, first);
-        Some(batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn fifo_order_single_consumer() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        q.close();
-        let mut got = Vec::new();
-        while let Some(v) = q.pop() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn admission_rejects_past_capacity() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        match q.try_push(3) {
-            Err(ServeError::Rejected { depth, retry_after_ms }) => {
-                assert_eq!(depth, 2);
-                assert_eq!(retry_after_ms, 10);
-            }
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        // Draining reopens admission.
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn closed_queue_rejects_pushes_and_drains() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.close();
-        assert_eq!(q.try_push(2), Err(ServeError::Closed));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn batch_coalesces_same_class_across_gaps() {
-        let q = BoundedQueue::new(16);
-        for (class, n) in [("a", 1), ("b", 2), ("a", 3), ("a", 4), ("b", 5)] {
-            q.try_push((class, n)).unwrap();
-        }
-        q.close();
-        let b1 = q.pop_batch(8, |x, y| x.0 == y.0).unwrap();
-        assert_eq!(b1, vec![("a", 1), ("a", 3), ("a", 4)]);
-        let b2 = q.pop_batch(8, |x, y| x.0 == y.0).unwrap();
-        assert_eq!(b2, vec![("b", 2), ("b", 5)]);
-        assert!(q.pop_batch(8, |x, y| x.0 == y.0).is_none());
-    }
-
-    #[test]
-    fn batch_respects_max() {
-        let q = BoundedQueue::new(16);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        q.close();
-        let b = q.pop_batch(4, |_, _| true).unwrap();
-        assert_eq!(b, vec![0, 1, 2, 3]);
-        let b = q.pop_batch(4, |_, _| true).unwrap();
-        assert_eq!(b, vec![4, 5]);
-    }
-
-    #[test]
-    fn concurrent_producers_consumers_lose_nothing() {
-        let q = std::sync::Arc::new(BoundedQueue::new(1024));
-        let consumed = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let q = q.clone();
-                s.spawn(move || {
-                    for i in 0..100 {
-                        q.try_push(t * 100 + i).unwrap();
-                    }
-                });
-            }
-            let consumers: Vec<_> = (0..3)
-                .map(|_| {
-                    let q = q.clone();
-                    let consumed = &consumed;
-                    s.spawn(move || {
-                        while q.pop().is_some() {
-                            consumed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })
-                })
-                .collect();
-            // Close only once all 400 items are in flight or consumed
-            // (consumed is incremented after pop, so the sum undercounts
-            // transiently — never overcounts).
-            while consumed.load(Ordering::Relaxed) + q.len() < 400 {
-                std::thread::yield_now();
-            }
-            q.close();
-            drop(consumers);
-        });
-        assert_eq!(consumed.load(Ordering::Relaxed), 400);
-    }
 
     #[test]
     fn serve_error_jsonio_roundtrips_every_variant() {
@@ -480,17 +240,5 @@ mod tests {
             assert!(!e.is_retryable(), "{e}");
             assert_eq!(e.retry_after_ms(), None);
         }
-    }
-
-    #[test]
-    fn pop_blocks_until_push() {
-        let q = std::sync::Arc::new(BoundedQueue::new(4));
-        std::thread::scope(|s| {
-            let q2 = q.clone();
-            let h = s.spawn(move || q2.pop());
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            q.try_push(42).unwrap();
-            assert_eq!(h.join().unwrap(), Some(42));
-        });
     }
 }

@@ -1,11 +1,7 @@
-//! [`ServeRequest`] — the typed submission unit that replaces the old
-//! stringly `(class, payload)` tuples.
+//! [`ServeRequest`] — the typed submission unit.
 //!
-//! The old `serve(config, Vec<(String, P)>, handler)` surface conflated
-//! two unrelated things in one string: *who* is asking (nobody — there
-//! was no tenant) and *how to batch* (the tuple's first element doubled
-//! as the coalescing key). The redesigned request carries each concern
-//! in its own typed field:
+//! *Who* is asking, *how urgently*, and *how to batch* are separate
+//! concerns, so each has its own typed field:
 //!
 //! * [`ServeRequest::tenant`] — the quota account ([`TenantId`],
 //!   validated non-empty);
@@ -14,8 +10,7 @@
 //!   builder's [`ServeRequestBuilder::class_label`] is where free text
 //!   gets checked);
 //! * [`ServeRequest::batch_key`] — the coalescing key handlers see
-//!   (defaults to the priority's label, matching the old tuple
-//!   behavior);
+//!   (defaults to the priority's label);
 //! * [`ServeRequest::payload`] — the caller's job body, untouched.
 //!
 //! Construction goes through a validating builder mirroring

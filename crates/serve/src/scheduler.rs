@@ -25,12 +25,11 @@
 //! 3. **Backpressure.** Outside outages a full queue rejects with the
 //!    classic depth-scaled [`ServeError::Rejected`] hint.
 //!
-//! Draining replaces the old FIFO `pop_batch` with the
-//! [`QosQueue`]'s credit-based weighted-fair dequeue (4:2:1 across
-//! [`Priority`] classes, starvation-free), coalescing same-`batch_key`
-//! jobs up to `max_batch` per dispatch. The *sequence* of batches is
-//! deterministic; which worker runs each batch is not, and result
-//! slotting makes that invisible.
+//! Draining uses the [`QosQueue`]'s credit-based weighted-fair dequeue
+//! (4:2:1 across [`Priority`] classes, starvation-free), coalescing
+//! same-`batch_key` jobs up to `max_batch` per dispatch. The *sequence*
+//! of batches is deterministic; which worker runs each batch is not,
+//! and result slotting makes that invisible.
 //!
 //! Continuous-admission serving is the same machinery with producers
 //! and consumers running concurrently against the same queue; the
@@ -47,7 +46,6 @@ use llmdm_resil::SimClock;
 use crate::qos::{QosItem, QosQueue};
 use crate::queue::ServeError;
 use crate::request::ServeRequest;
-use crate::stream::StreamHandle;
 use crate::tenant::{
     Priority, ShedPolicy, TenantId, TenantPolicies, TenantPolicy, TenantStats, TokenBucket,
     MILLI_PER_JOB,
@@ -213,8 +211,9 @@ pub struct Job<P> {
     pub class: String,
     /// Request-scoped trace context, captured at admission: trace id is
     /// `stream_id` (clamped off 0), parent span is the job's
-    /// `serve.admit` span. A [`serve_jobs`] handler attaches it so
-    /// worker-side spans stitch into the request's flame tree.
+    /// `serve.admit` span. A handler that wraps a job's work in
+    /// `let _g = job.trace.attach();` gets its worker-side spans
+    /// stitched into the request's flame tree.
     pub trace: TraceContext,
     /// The request payload handed to the handler.
     pub payload: P,
@@ -331,7 +330,12 @@ pub fn record_job_cost(class: &str, usd: f64) {
 
 /// Run typed [`ServeRequest`]s through a pool of `config.workers`
 /// threads with quota admission, weighted-fair dequeue, and outage
-/// load-shedding — the primary entry point of the redesigned API.
+/// load-shedding — the one entry point that runs requests.
+///
+/// Admission mints each job's [`TraceContext`] under its `serve.admit`
+/// span; workers emit one `serve.batch` span per dispatch plus windowed
+/// per-class and per-tenant telemetry, and slot results by submission
+/// index.
 ///
 /// The handler receives `(batch_key, jobs)` for one coalesced batch and
 /// must return exactly one result per job, in order. It must be a pure
@@ -348,124 +352,6 @@ where
     T: Send,
     E: Send,
     F: Fn(&str, &[Job<P>]) -> Vec<Result<T, E>> + Sync,
-{
-    serve_requests_core(config, requests, |class, batch: Vec<Job<P>>| {
-        let outs = handler(class, &batch);
-        assert_eq!(outs.len(), batch.len(), "handler must return one result per job");
-        batch.iter().map(|j| j.id).zip(outs).collect()
-    })
-}
-
-/// [`serve_requests`] for text completions, wrapping every successful
-/// result in a deterministic [`StreamHandle`]: chunk boundaries depend
-/// only on `(final text, stream id)`, so consumers observe the
-/// identical prefix sequence at any worker count.
-pub fn serve_requests_streaming<P, E, F>(
-    config: &ServeConfig,
-    requests: Vec<ServeRequest<P>>,
-    handler: F,
-) -> ServeRun<StreamHandle, E>
-where
-    P: Send,
-    E: Send,
-    F: Fn(&str, &[Job<P>]) -> Vec<Result<String, E>> + Sync,
-{
-    serve_requests(config, requests, |class, batch: &[Job<P>]| {
-        handler(class, batch)
-            .into_iter()
-            .zip(batch)
-            .map(|(out, job)| out.map(|text| StreamHandle::new(text, job.stream_id)))
-            .collect()
-    })
-}
-
-/// The tenant every tuple-era submission bills against.
-fn legacy_tenant() -> TenantId {
-    TenantId::new("default").expect("literal is non-empty")
-}
-
-/// Convert old-style `(class, payload)` tuples into [`ServeRequest`]s:
-/// tenant `default`, [`Priority::Standard`], batch key = the class
-/// string (unvalidated, preserving historical behavior exactly).
-fn legacy_requests<P>(jobs: Vec<(String, P)>) -> Vec<ServeRequest<P>> {
-    let tenant = legacy_tenant();
-    jobs.into_iter()
-        .map(|(class, payload)| ServeRequest {
-            tenant: tenant.clone(),
-            class: Priority::Standard,
-            batch_key: class,
-            payload,
-        })
-        .collect()
-}
-
-/// Run `jobs` (as `(class, payload)` pairs, in submission order) through
-/// the scheduler — the pre-QoS tuple API, kept as a thin adapter.
-///
-/// Every job bills against tenant `default` at [`Priority::Standard`],
-/// which makes the QoS queue degenerate to exactly the old FIFO +
-/// coalescing behavior (same admission outcomes, same retry hints, same
-/// batches). New code should build typed requests and call
-/// [`serve_requests`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `serve_requests` with typed `ServeRequest`s built via `ServeRequest::builder`"
-)]
-pub fn serve<P, T, E, F>(config: &ServeConfig, jobs: Vec<(String, P)>, handler: F) -> ServeRun<T, E>
-where
-    P: Send,
-    T: Send,
-    E: Send,
-    F: Fn(&str, &[P]) -> Vec<Result<T, E>> + Sync,
-{
-    serve_requests_core(config, legacy_requests(jobs), |class, batch: Vec<Job<P>>| {
-        let ids: Vec<u64> = batch.iter().map(|j| j.id).collect();
-        let payloads: Vec<P> = batch.into_iter().map(|j| j.payload).collect();
-        let outs = handler(class, &payloads);
-        assert_eq!(outs.len(), payloads.len(), "handler must return one result per payload");
-        ids.into_iter().zip(outs).collect()
-    })
-}
-
-/// The tuple-input variant of [`serve_requests`]: the handler receives
-/// the full [`Job`]s of one coalesced batch (ids, stream ids, trace
-/// contexts) instead of bare payloads.
-///
-/// This is the trace-aware entry point for callers still on the tuple
-/// surface: a handler that wraps each job's work in
-/// `let _g = job.trace.attach();` gets its spans stitched into that
-/// request's flame tree regardless of which worker ran it. Same
-/// adapter semantics as [`serve`] (tenant `default`, standard class).
-pub fn serve_jobs<P, T, E, F>(
-    config: &ServeConfig,
-    jobs: Vec<(String, P)>,
-    handler: F,
-) -> ServeRun<T, E>
-where
-    P: Send,
-    T: Send,
-    E: Send,
-    F: Fn(&str, &[Job<P>]) -> Vec<Result<T, E>> + Sync,
-{
-    serve_requests(config, legacy_requests(jobs), handler)
-}
-
-/// The shared machinery behind every entry point: quota + shedding
-/// admission (which mints each job's [`TraceContext`] under its
-/// `serve.admit` span), the weighted-fair queue, the worker pool,
-/// micro-batch spans, windowed per-class and per-tenant telemetry, and
-/// result slotting. `dispatch` consumes one coalesced batch and returns
-/// `(job id, result)` pairs.
-fn serve_requests_core<P, T, E, D>(
-    config: &ServeConfig,
-    requests: Vec<ServeRequest<P>>,
-    dispatch: D,
-) -> ServeRun<T, E>
-where
-    P: Send,
-    T: Send,
-    E: Send,
-    D: Fn(&str, Vec<Job<P>>) -> Vec<(u64, Result<T, E>)> + Sync,
 {
     let mut span = llmdm_obs::span("serve.run");
     let workers = config.workers.max(1);
@@ -582,7 +468,7 @@ where
                 Err(ServeError::Shed { class: job.priority, retry_after_ms })
             }
         } else {
-            // 3. Plain backpressure (the pre-QoS admission path).
+            // 3. Plain backpressure.
             queue.try_push(job)
         };
 
@@ -637,7 +523,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let queue = &queue;
-                let dispatch = &dispatch;
+                let handler = &handler;
                 let slots = &slots;
                 let batches = &batches;
                 let largest = &largest;
@@ -648,10 +534,10 @@ where
                     let mut lat_wins: BTreeMap<String, WindowHandle<'static>> = BTreeMap::new();
                     while let Some(batch) = queue.pop_batch(config.max_batch) {
                         let mut bspan = llmdm_obs::span("serve.batch");
-                        let class = batch[0].class.clone();
+                        let class = batch[0].class.as_str();
                         let size = batch.len();
                         if bspan.is_recording() {
-                            bspan.field("class", class.as_str());
+                            bspan.field("class", class);
                             bspan.field("priority", batch[0].priority.label());
                             bspan.field("size", size);
                             bspan.field("worker", w);
@@ -663,12 +549,12 @@ where
                         }
                         let telemetry = llmdm_obs::is_enabled();
                         let t0 = telemetry.then(Instant::now);
-                        let outs = dispatch(&class, batch);
-                        assert_eq!(outs.len(), size, "dispatch must return one result per job");
+                        let outs = handler(class, &batch);
+                        assert_eq!(outs.len(), size, "handler must return one result per job");
                         if let Some(t0) = t0 {
                             let ms = t0.elapsed().as_secs_f64() * 1e3;
-                            let win = lat_wins.entry(class.clone()).or_insert_with(|| {
-                                llmdm_obs::window("serve.batch_latency_ms", &class)
+                            let win = lat_wins.entry(class.to_string()).or_insert_with(|| {
+                                llmdm_obs::window("serve.batch_latency_ms", class)
                             });
                             // One observation per job, so per-class rates
                             // compare across batch sizes.
@@ -680,8 +566,8 @@ where
                         largest.fetch_max(size, Ordering::Relaxed);
                         processed += size as u64;
                         let mut guard = llmdm_rt::lock_recover(&slots);
-                        for (id, out) in outs {
-                            guard[id as usize] = Some(Disposition::Done(out));
+                        for (job, out) in batch.iter().zip(outs) {
+                            guard[job.id as usize] = Some(Disposition::Done(out));
                         }
                     }
                     processed
@@ -722,10 +608,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamHandle;
     use llmdm_resil::Window;
 
-    fn echo_jobs(n: usize) -> Vec<(String, u64)> {
-        (0..n as u64).map(|i| (if i % 2 == 0 { "even" } else { "odd" }.to_string(), i)).collect()
+    /// One tenant, one priority class: the QoS queue degenerates to FIFO
+    /// + same-key coalescing.
+    fn echo_jobs(n: usize) -> Vec<ServeRequest<u64>> {
+        (0..n as u64)
+            .map(|i| {
+                ServeRequest::builder("default", i)
+                    .batch_key(if i % 2 == 0 { "even" } else { "odd" })
+                    .build()
+                    .unwrap()
+            })
+            .collect()
     }
 
     fn echo_requests(n: usize) -> Vec<ServeRequest<u64>> {
@@ -744,19 +640,14 @@ mod tests {
             .collect()
     }
 
-    fn echo_handler(class: &str, batch: &[u64]) -> Vec<Result<String, ServeError>> {
-        batch.iter().map(|v| Ok(format!("{class}:{v}"))).collect()
-    }
-
     fn echo_jobs_handler(class: &str, batch: &[Job<u64>]) -> Vec<Result<String, ServeError>> {
         batch.iter().map(|j| Ok(format!("{class}:{}", j.payload))).collect()
     }
 
     #[test]
-    #[allow(deprecated)]
     fn single_worker_matches_direct_loop() {
         let cfg = ServeConfig { workers: 1, ..Default::default() };
-        let run = serve(&cfg, echo_jobs(20), echo_handler);
+        let run = serve_requests(&cfg, echo_jobs(20), echo_jobs_handler);
         assert_eq!(run.stats.admitted, 20);
         assert_eq!(run.stats.rejected, 0);
         for (i, d) in run.results.iter().enumerate() {
@@ -764,7 +655,6 @@ mod tests {
             assert_eq!(d.ok().unwrap(), &format!("{class}:{i}"));
         }
         assert_eq!(run.stats.per_worker_jobs, vec![20]);
-        // The tuple adapter bills everything to the `default` tenant.
         assert_eq!(run.stats.per_tenant["default"].submitted, 20);
         assert!(run.stats.reconciles());
     }
@@ -783,10 +673,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn admission_rejects_deterministically() {
         let cfg = ServeConfig { workers: 2, queue_capacity: 10, ..Default::default() };
-        let run = serve(&cfg, echo_jobs(25), echo_handler);
+        let run = serve_requests(&cfg, echo_jobs(25), echo_jobs_handler);
         assert_eq!(run.stats.admitted, 10);
         assert_eq!(run.stats.rejected, 15);
         // Exactly the first `capacity` submissions are admitted.
@@ -805,13 +694,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn batches_coalesce_only_same_class() {
         let seen = Mutex::new(Vec::new());
         let cfg = ServeConfig { workers: 1, max_batch: 8, ..Default::default() };
-        let run = serve(&cfg, echo_jobs(16), |class: &str, batch: &[u64]| {
-            llmdm_rt::lock_recover(&seen).push((class.to_string(), batch.to_vec()));
-            batch.iter().map(|v| Ok::<u64, ServeError>(*v)).collect()
+        let run = serve_requests(&cfg, echo_jobs(16), |class: &str, batch: &[Job<u64>]| {
+            let payloads: Vec<u64> = batch.iter().map(|j| j.payload).collect();
+            llmdm_rt::lock_recover(&seen).push((class.to_string(), payloads.clone()));
+            payloads.into_iter().map(Ok::<u64, ServeError>).collect()
         });
         assert_eq!(run.stats.admitted, 16);
         let seen = seen.into_inner().unwrap();
@@ -832,10 +721,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_jobs_hands_over_identity() {
+    fn handler_sees_each_jobs_identity() {
         let cfg = ServeConfig { workers: 2, seed: 42, ..Default::default() };
         let run: ServeRun<(u64, u64), ServeError> =
-            serve_jobs(&cfg, echo_jobs(16), |_class, batch: &[Job<u64>]| {
+            serve_requests(&cfg, echo_jobs(16), |_class, batch: &[Job<u64>]| {
                 batch
                     .iter()
                     .map(|j| {
@@ -858,16 +747,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn batch_spans_carry_job_ids() {
         // Isolated recorder? Spans go to the global recorder, so filter
         // by a class name unique to this test instead.
         llmdm_obs::enable();
         let cfg = ServeConfig { workers: 1, max_batch: 4, ..Default::default() };
-        let jobs: Vec<(String, u64)> =
-            (0..6).map(|i| ("batch_ids_test".to_string(), i)).collect();
-        let _run: ServeRun<u64, ServeError> =
-            serve(&cfg, jobs, |_c, b: &[u64]| b.iter().map(|v| Ok(*v)).collect());
+        let jobs: Vec<ServeRequest<u64>> = (0..6)
+            .map(|i| {
+                ServeRequest::builder("default", i).batch_key("batch_ids_test").build().unwrap()
+            })
+            .collect();
+        let _run: ServeRun<u64, ServeError> = serve_requests(&cfg, jobs, |_c, b: &[Job<u64>]| {
+            b.iter().map(|j| Ok(j.payload)).collect()
+        });
         let rep = llmdm_obs::snapshot();
         let mut covered: Vec<u64> = Vec::new();
         for s in rep.spans.iter().filter(|s| s.name == "serve.batch") {
@@ -894,14 +786,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn handler_errors_surface_per_job() {
         let cfg = ServeConfig { workers: 2, ..Default::default() };
         let run: ServeRun<u64, String> =
-            serve(&cfg, echo_jobs(10), |_class, batch: &[u64]| {
+            serve_requests(&cfg, echo_jobs(10), |_class, batch: &[Job<u64>]| {
                 batch
                     .iter()
-                    .map(|v| if *v == 3 { Err("boom".to_string()) } else { Ok(*v) })
+                    .map(|j| if j.payload == 3 { Err("boom".to_string()) } else { Ok(j.payload) })
                     .collect()
             });
         for (i, d) in run.results.iter().enumerate() {
@@ -1086,8 +977,11 @@ mod tests {
         let text_for = |j: &Job<u64>| format!("answer {} with several words to chunk", j.payload);
         let mk = |workers: usize| {
             let cfg = ServeConfig { workers, seed: 99, ..Default::default() };
-            serve_requests_streaming(&cfg, echo_requests(24), |_c, batch: &[Job<u64>]| {
-                batch.iter().map(|j| Ok::<String, ServeError>(text_for(j))).collect()
+            serve_requests(&cfg, echo_requests(24), |_c, batch: &[Job<u64>]| {
+                batch
+                    .iter()
+                    .map(|j| Ok::<_, ServeError>(StreamHandle::new(text_for(j), j.stream_id)))
+                    .collect()
             })
         };
         let base = mk(1);

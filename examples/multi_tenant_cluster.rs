@@ -35,7 +35,7 @@ use std::sync::Arc;
 use llmdm::cascade::{HotpotConfig, HotpotWorkload, QaSolver};
 use llmdm::model::prelude::*;
 use llmdm::resil::Window;
-use llmdm::semcache::{CacheConfig, ConcurrentCachedLlm, EntryKind, ShardedCache};
+use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
 use llmdm::serve::prelude::*;
 
 const SEED: u64 = 42;
@@ -95,8 +95,8 @@ fn main() {
 
     // Each node owns a 2-stripe sharded cache over the shared model —
     // the cluster shards *state*, the zoo stays one billing domain.
-    let cluster: Cluster<ConcurrentCachedLlm> = Cluster::with_nodes(SEED, NODES, |_, i| {
-        ConcurrentCachedLlm::new(
+    let cluster: Cluster<CachedLlm> = Cluster::with_nodes(SEED, NODES, |_, i| {
+        CachedLlm::new(
             model.clone(),
             ShardedCache::new(
                 CacheConfig { capacity: 256, seed: SEED + i as u64, ..Default::default() },
@@ -130,7 +130,7 @@ fn main() {
         .tenant_policy("free", TenantPolicy::per_sec(2, 1))
         .build()
         .expect("valid config");
-    let ask = |_node: usize, llm: &ConcurrentCachedLlm, _class: &str, batch: &[Job<Req>]| {
+    let ask = |_node: usize, llm: &CachedLlm, _class: &str, batch: &[Job<Req>]| {
         batch
             .iter()
             .map(|j| llm.ask(&j.payload.key, &j.payload.prompt, EntryKind::Original))
@@ -206,13 +206,13 @@ fn main() {
             .map(|j| {
                 model
                     .complete(&CompletionRequest::new(j.payload.prompt.clone()))
-                    .map(|c| c.text)
+                    .map(|c| StreamHandle::new(c.text, j.stream_id))
             })
-            .collect::<Vec<Result<String, ModelError>>>()
+            .collect::<Vec<Result<StreamHandle, ModelError>>>()
     };
     let collect = |workers: usize| -> Vec<Vec<String>> {
         let cfg = ServeConfig { workers, ..stream_cfg.clone() };
-        serve_requests_streaming(&cfg, requests.clone(), stream_handler)
+        serve_requests(&cfg, requests.clone(), stream_handler)
             .results
             .into_iter()
             .map(|d| {

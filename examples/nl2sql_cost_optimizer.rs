@@ -11,7 +11,7 @@ use llmdm::cascade::eval::run_table1;
 use llmdm::model::{CompletionRequest, LanguageModel, ModelZoo};
 use llmdm::nlq::pipeline::run_table2;
 use llmdm::nlq::{concert_domain, ExamplePool, Nl2SqlSolver, PromptBuilder};
-use llmdm::semcache::{CacheConfig, CachedLlm, SemanticCache};
+use llmdm::semcache::{CacheConfig, CachedLlm, ShardedCache};
 
 fn main() {
     // --- The cascade saves money on QA traffic (Table I) ----------------
@@ -50,11 +50,7 @@ fn main() {
     let zoo = ModelZoo::standard(42);
     zoo.register_solver(Arc::new(Nl2SqlSolver));
     let builder = PromptBuilder::new(ExamplePool::generate(42), db.schema_summary());
-    let mut cached = CachedLlm::new(
-        zoo.large(),
-        SemanticCache::new(CacheConfig::default()),
-        None,
-    );
+    let cached = CachedLlm::new(zoo.large(), ShardedCache::new(CacheConfig::default(), 1), None);
     let questions = [
         "What are the names of stadiums that had concerts in 2014?",
         "What are the names of stadiums that had festivals in 2013?",

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run -p llmdm --example request_tracing`.
 //!
-//! Drives a fixed serving workload through [`llmdm::serve::serve_jobs`]
+//! Drives a fixed serving workload through [`llmdm::serve::serve_requests`]
 //! at 1, 2, and 8 workers. Each request's spans come from at least three
 //! threads — admission on the caller thread, handling on a worker
 //! thread, and a post-processing step on a thread the handler spawns
@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 
 use llmdm::obs::{self, Report, TraceContext, WindowConfig};
-use llmdm::serve::{record_job_cost, serve_jobs, ServeConfig};
+use llmdm::serve::{record_job_cost, serve_requests, ServeConfig, ServeRequest};
 use llmdm::sql::{Database, Value};
 
 const SEED: u64 = 42;
@@ -106,14 +106,16 @@ fn run_workload(workers: usize) -> Report {
     obs::set_window_config(WindowConfig { bucket_ms: 500, nbuckets: 8 });
 
     let config = ServeConfig { workers, queue_capacity: 64, max_batch: 4, seed: SEED, ..Default::default() };
-    let jobs: Vec<(String, String)> = (0..JOBS)
+    let requests: Vec<ServeRequest<String>> = (0..JOBS)
         .map(|i| {
-            let class = if i % 2 == 0 { "sql" } else { "summarize" };
-            (class.to_string(), format!("request-{i}"))
+            ServeRequest::builder("default", format!("request-{i}"))
+                .batch_key(if i % 2 == 0 { "sql" } else { "summarize" })
+                .build()
+                .expect("valid request")
         })
         .collect();
 
-    let run = serve_jobs(&config, jobs, |class, batch| {
+    let run = serve_requests(&config, requests, |class, batch| {
         batch
             .iter()
             .map(|job| {

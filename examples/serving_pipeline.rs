@@ -19,7 +19,7 @@
 //!    per-job results (the handler is pure per payload), and per-tenant
 //!    accounting reconciles (`admitted + rejected + shed == submitted`).
 //! 5. **Concurrent cache + exact dollars**: a 4-worker run through
-//!    [`ConcurrentCachedLlm`] over a lock-striped [`ShardedCache`] keeps
+//!    [`CachedLlm`] over a lock-striped [`ShardedCache`] keeps
 //!    the per-shard AND global `reuse+augment+stale+misses == lookups`
 //!    invariant, and the fault injector's executed cost reconciles with
 //!    the usage meter to 1e-9.
@@ -32,7 +32,7 @@ use llmdm::cascade::{HotpotConfig, HotpotWorkload, QaSolver};
 use llmdm::model::prelude::*;
 use llmdm::nlq::{concert_domain, ExamplePool, Nl2SqlSolver, PromptBuilder, Workload, WorkloadConfig};
 use llmdm::resil::FaultPlan;
-use llmdm::semcache::{CacheConfig, ConcurrentCachedLlm, EntryKind, ShardedCache};
+use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
 use llmdm::serve::prelude::*;
 
 const SEED: u64 = 42;
@@ -224,7 +224,7 @@ fn main() {
     cached_jobs.extend(jobs2.iter().cloned());
     let stack = ModelStack::new(&zoo2).with_faults(Arc::new(FaultPlan::none()));
     let faulty = stack.faulty().expect("with_faults applied").clone();
-    let llm = ConcurrentCachedLlm::new(
+    let llm = CachedLlm::new(
         stack.build_arc(),
         ShardedCache::new(CacheConfig { capacity: 512, seed: SEED, ..Default::default() }, 4),
         None,

@@ -23,7 +23,7 @@ use llmdm::model::prelude::*;
 use llmdm::nlq::{ExamplePool, PromptBuilder, Workload, WorkloadConfig};
 use llmdm::obs::Report;
 use llmdm::rt::json::{Json, ToJson};
-use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, SemanticCache};
+use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
 use llmdm::transform::Grid;
 use llmdm::DataManager;
 
@@ -105,9 +105,9 @@ fn run_pipeline() -> llmdm::semcache::CacheStats {
     let nlq_db = llmdm::nlq::concert_domain(SEED);
     let builder = PromptBuilder::new(ExamplePool::generate(SEED), nlq_db.schema_summary());
     let stacked = ModelStack::tier(zoo, ModelTier::Large).with_default_retry().build_arc();
-    let mut cached = CachedLlm::new_dyn(
+    let cached = CachedLlm::new(
         stacked,
-        SemanticCache::new(CacheConfig { seed: SEED, ..Default::default() }),
+        ShardedCache::new(CacheConfig { seed: SEED, ..Default::default() }, 1),
         None,
     );
     let nlq_workload =

@@ -250,6 +250,32 @@ fn no_source_file_references_removed_crates() {
     assert!(offenders.is_empty(), "external-crate imports crept back:\n{}", offenders.join("\n"));
 }
 
+#[test]
+fn no_deprecated_items_in_library_crates() {
+    // A replaced API is deleted and its callers ported in the same
+    // change; an "adapter kept for now" is a second way in.
+    let root = workspace_root();
+    let perf = root.join("crates/bench/src/bin/perf");
+    let mut offenders = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        let src = entry.expect("entry").path().join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        visit(&src, &mut |p, text| {
+            if p.starts_with(&perf) {
+                return;
+            }
+            for (n, line) in text.lines().enumerate() {
+                if line.contains("#[deprecated") || line.contains("#[allow(deprecated)]") {
+                    offenders.push(format!("{}:{}: {}", p.display(), n + 1, line.trim()));
+                }
+            }
+        });
+    }
+    assert!(offenders.is_empty(), "deprecated items in library crates:\n{}", offenders.join("\n"));
+}
+
 fn visit(dir: &Path, f: &mut impl FnMut(&Path, &str)) {
     for entry in fs::read_dir(dir).expect("read dir") {
         let p = entry.expect("entry").path();

@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use llmdm::obs::{self, Report, TraceContext, WindowConfig};
-use llmdm::serve::{serve_jobs, ServeConfig};
+use llmdm::serve::{serve_requests, ServeConfig, ServeRequest};
 
 const SEED: u64 = 0xA11CE;
 const JOBS: usize = 8;
@@ -28,11 +28,16 @@ fn run_workload(workers: usize) -> Report {
     obs::set_window_config(WindowConfig::default());
 
     let config = ServeConfig { workers, queue_capacity: 64, max_batch: 4, seed: SEED, ..Default::default() };
-    let jobs: Vec<(String, u64)> = (0..JOBS as u64)
-        .map(|i| (if i % 2 == 0 { "alpha" } else { "beta" }.to_string(), i))
+    let requests: Vec<ServeRequest<u64>> = (0..JOBS as u64)
+        .map(|i| {
+            ServeRequest::builder("default", i)
+                .batch_key(if i % 2 == 0 { "alpha" } else { "beta" })
+                .build()
+                .expect("valid request")
+        })
         .collect();
 
-    let run = serve_jobs(&config, jobs, |_class, batch| {
+    let run = serve_requests(&config, requests, |_class, batch| {
         batch
             .iter()
             .map(|job| {
