@@ -5,19 +5,18 @@
 //! 1. A *disabled* recorder's entry points cost roughly one relaxed
 //!    atomic load. Measured as 100-call batches (amortizing the timer
 //!    overhead that would otherwise swamp a nanosecond-scale call) and
-//!    asserted against `LLMDM_OBS_DISABLED_NS_MAX` ns/call (default 50).
+//!    gated at 50 ns/call on the batch median.
 //! 2. Wrapping the tokenizer hot loop with disabled instrumentation adds
-//!    less than 5% (asserted on `min_ns`, the least noisy statistic,
-//!    with `LLMDM_OBS_TOKENIZER_SLACK` percent slack, default 5).
+//!    less than 5% (gated on `min_ns`, the least noisy statistic).
 //!
-//! Enabled-recorder costs are measured for the report but not asserted —
+//! Enabled-recorder costs are measured for the report but not gated —
 //! they are allowed to cost what real recording costs.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; a regression
 //! that makes the disabled path allocate or take a lock fails the build.
 
 use llmdm_model::Tokenizer;
-use llmdm_rt::bench::{black_box, Criterion};
+use llmdm_rt::bench::{black_box, Bound::AtMost, Criterion};
 
 const BATCH: usize = 100;
 
@@ -90,61 +89,32 @@ fn bench_tokenizer_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// A disabled entry point's budget, ns per call (median of a batch).
+const DISABLED_NS_MAX: f64 = 50.0;
+/// Disabled instrumentation may slow the tokenizer loop by at most 5 %
+/// (on `min_ns`, the least noisy statistic).
+const TOKENIZER_RATIO_MAX: f64 = 1.05;
 
-fn stat<'a>(c: &'a Criterion, id: &str) -> &'a llmdm_rt::bench::BenchStats {
-    c.results()
-        .iter()
-        .find(|s| s.id == id)
-        .unwrap_or_else(|| panic!("no stats for `{id}`"))
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    bench_disabled(&mut c);
-    bench_enabled(&mut c);
-    bench_tokenizer_overhead(&mut c);
-
-    // Pin claim 1: disabled entry points stay ~an atomic load per call.
-    let max_per_call_ns = env_f64("LLMDM_OBS_DISABLED_NS_MAX", 50.0);
+fn gates(c: &mut Criterion) {
+    // Claim 1: disabled entry points stay ~an atomic load per call.
     for id in
         ["obs_disabled/counter_add_x100", "obs_disabled/span_x100", "obs_disabled/observe_x100"]
     {
-        let s = stat(&c, id);
-        let per_call = s.median_ns as f64 / BATCH as f64;
-        assert!(
-            per_call <= max_per_call_ns,
-            "{id}: {per_call:.1} ns/call exceeds the disabled-path budget of {max_per_call_ns} ns \
-             (median {} ns per {BATCH}-call batch)",
-            s.median_ns
-        );
-        println!("{id}: {per_call:.2} ns/call (budget {max_per_call_ns})");
+        let per_call = c.stat(id).median_ns as f64 / BATCH as f64;
+        c.gate(format!("{id} ns/call (median)"), per_call, AtMost(DISABLED_NS_MAX));
     }
-
-    // Pin claim 2: <5% overhead on the tokenizer hot loop.
-    let slack = 1.0 + env_f64("LLMDM_OBS_TOKENIZER_SLACK", 5.0) / 100.0;
-    let plain = stat(&c, "tokenizer_obs/plain").min_ns as f64;
-    let with_obs = stat(&c, "tokenizer_obs/with_disabled_obs").min_ns as f64;
-    assert!(
-        with_obs <= plain * slack,
-        "disabled obs adds {:.1}% to the tokenizer loop (plain {plain} ns, with obs {with_obs} ns, \
-         budget {:.0}%)",
-        (with_obs / plain - 1.0) * 100.0,
-        (slack - 1.0) * 100.0
-    );
-    println!(
-        "tokenizer overhead: {:+.2}% (plain {plain} ns, with disabled obs {with_obs} ns)",
-        (with_obs / plain - 1.0) * 100.0
-    );
-
-    // Report, stamped like every other bench.
-    let seed = std::env::var("LLMDM_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
-    let meta = llmdm_obs::run_meta(Some(seed));
-    let path = llmdm_rt::bench::report_dir().join("BENCH_obs_overhead.json");
-    match c.write_json_with_meta(&path, "obs_overhead", &meta) {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    // Claim 2: <5% overhead on the tokenizer hot loop.
+    let plain = c.stat("tokenizer_obs/plain").min_ns as f64;
+    let with_obs = c.stat("tokenizer_obs/with_disabled_obs").min_ns as f64;
+    let ratio = with_obs / plain;
+    c.gate("tokenizer_obs with_disabled_obs/plain (min)", ratio, AtMost(TOKENIZER_RATIO_MAX));
 }
+
+llmdm_rt::bench_main!(
+    "obs_overhead",
+    None,
+    bench_disabled,
+    bench_enabled,
+    bench_tokenizer_overhead,
+    gates
+);

@@ -6,13 +6,11 @@
 //! succeeds first try does one breaker poll and no backoff. This bench
 //! measures a bare `SimLlm::complete` against the same call through
 //!
-//! 1. a `FaultyModel` with `FaultPlan::none()` — asserted <5% overhead
-//!    on `min_ns` (`LLMDM_RESIL_NOOP_SLACK` percent, default 5);
-//! 2. a full `ResilientClient(FaultyModel(SimLlm))` stack — measured
-//!    and reported, asserted under a looser wrapper budget
-//!    (`LLMDM_RESIL_WRAPPED_SLACK` percent, default 25) since the
-//!    breaker/stats mutexes are real work the fast path legitimately
-//!    pays.
+//! 1. a `FaultyModel` with `FaultPlan::none()` — gated at <5% overhead
+//!    on `min_ns`;
+//! 2. a full `ResilientClient(FaultyModel(SimLlm))` stack — gated under
+//!    a looser 25% wrapper budget, since the breaker/stats mutexes are
+//!    real work the fast path legitimately pays.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; a regression
 //! that puts hashing or allocation on the clean path fails the build.
@@ -24,19 +22,22 @@ use llmdm_model::{
     CompletionRequest, FaultyModel, LanguageModel, ModelZoo, ResilientClient, SimLlm,
 };
 use llmdm_resil::{FaultPlan, SimClock};
-use llmdm_rt::bench::{black_box, Criterion};
+use llmdm_rt::bench::{black_box, Bound::AtMost, Criterion};
+
+const SEED: u64 = 11;
 
 fn prompts() -> Vec<String> {
     let w = llmdm_cascade::HotpotWorkload::generate(llmdm_cascade::HotpotConfig {
         n: 16,
-        seed: 11,
+        seed: SEED,
         ..Default::default()
     });
     w.items.iter().map(|i| i.prompt()).collect()
 }
 
 fn bench_paths(c: &mut Criterion) {
-    let zoo = ModelZoo::standard(11);
+    llmdm_obs::disable();
+    let zoo = ModelZoo::standard(SEED);
     zoo.register_solver(Arc::new(QaSolver));
     let model: Arc<SimLlm> = zoo.medium();
     let prompts = prompts();
@@ -76,60 +77,18 @@ fn bench_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// A no-op fault plan may cost at most 5 % over a bare completion.
+const NOOP_RATIO_MAX: f64 = 1.05;
+/// The full stack's budget is looser: the breaker/stats mutexes are real
+/// work the fast path legitimately pays.
+const WRAPPED_RATIO_MAX: f64 = 1.25;
+
+fn gates(c: &mut Criterion) {
+    let bare = c.stat("resil_noop/bare_model").min_ns as f64;
+    let noop = c.stat("resil_noop/faulty_noop").min_ns as f64;
+    let stack = c.stat("resil_noop/resilient_stack").min_ns as f64;
+    c.gate("resil_noop faulty_noop/bare_model (min)", noop / bare, AtMost(NOOP_RATIO_MAX));
+    c.gate("resil_noop resilient_stack/bare_model (min)", stack / bare, AtMost(WRAPPED_RATIO_MAX));
 }
 
-fn stat<'a>(c: &'a Criterion, id: &str) -> &'a llmdm_rt::bench::BenchStats {
-    c.results()
-        .iter()
-        .find(|s| s.id == id)
-        .unwrap_or_else(|| panic!("no stats for `{id}`"))
-}
-
-fn main() {
-    llmdm_obs::disable();
-    let mut c = Criterion::default();
-    bench_paths(&mut c);
-
-    let bare = stat(&c, "resil_noop/bare_model").min_ns as f64;
-    let noop = stat(&c, "resil_noop/faulty_noop").min_ns as f64;
-    let stack = stat(&c, "resil_noop/resilient_stack").min_ns as f64;
-
-    let noop_slack = 1.0 + env_f64("LLMDM_RESIL_NOOP_SLACK", 5.0) / 100.0;
-    assert!(
-        noop <= bare * noop_slack,
-        "no-op fault injection adds {:.1}% to a clean completion \
-         (bare {bare} ns, faulty {noop} ns, budget {:.0}%)",
-        (noop / bare - 1.0) * 100.0,
-        (noop_slack - 1.0) * 100.0
-    );
-    println!(
-        "faulty_noop overhead: {:+.2}% (bare {bare} ns, faulty {noop} ns, budget {:.0}%)",
-        (noop / bare - 1.0) * 100.0,
-        (noop_slack - 1.0) * 100.0
-    );
-
-    let wrapped_slack = 1.0 + env_f64("LLMDM_RESIL_WRAPPED_SLACK", 25.0) / 100.0;
-    assert!(
-        stack <= bare * wrapped_slack,
-        "full resilient stack adds {:.1}% to a clean completion \
-         (bare {bare} ns, stack {stack} ns, budget {:.0}%)",
-        (stack / bare - 1.0) * 100.0,
-        (wrapped_slack - 1.0) * 100.0
-    );
-    println!(
-        "resilient_stack overhead: {:+.2}% (bare {bare} ns, stack {stack} ns, budget {:.0}%)",
-        (stack / bare - 1.0) * 100.0,
-        (wrapped_slack - 1.0) * 100.0
-    );
-
-    // Report, stamped like every other bench.
-    let seed = std::env::var("LLMDM_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
-    let meta = llmdm_obs::run_meta(Some(seed));
-    let path = llmdm_rt::bench::report_dir().join("BENCH_resil_overhead.json");
-    match c.write_json_with_meta(&path, "resil_overhead", &meta) {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
+llmdm_rt::bench_main!("resil_overhead", Some(SEED), bench_paths, gates);

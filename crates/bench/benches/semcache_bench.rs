@@ -1,6 +1,6 @@
 //! Semantic-cache lookup/insert throughput and eviction-policy overhead.
 
-use llmdm_rt::bench::{criterion_group, BenchmarkId, Criterion};
+use llmdm_rt::bench::{BenchmarkId, Criterion};
 use llmdm_semcache::{CacheConfig, EntryKind, EvictionPolicy, SemanticCache};
 
 fn filled_cache(n: usize, policy: EvictionPolicy) -> SemanticCache {
@@ -52,5 +52,4 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("semcache_bench", None, bench_cache);

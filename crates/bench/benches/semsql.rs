@@ -6,10 +6,9 @@
 //!
 //! * **batch dedup** — each semantic operator memoizes prompts across its
 //!   input, so a duplicate-heavy batch costs one model call per *distinct*
-//!   prompt. Pinned: on a cacheless stack, a duplicate-heavy `LLM_MAP`
-//!   batch must bill ≥ `LLMDM_SEMSQL_MIN_DEDUP` (default 2.0)× fewer
-//!   calls — and proportionally fewer dollars — than the same-size
-//!   unique-value batch.
+//!   prompt. Gated: on a cacheless stack, a duplicate-heavy `LLM_MAP`
+//!   batch must bill ≥ 2× fewer calls — and proportionally fewer
+//!   dollars — than the same-size unique-value batch.
 //! * **cache savings** — with the semantic cache in the stack, re-running
 //!   a query bills zero further calls and zero further dollars.
 //!
@@ -18,13 +17,15 @@
 //! seeded model. `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`;
 //! results land in `BENCH_semsql.json`.
 
-use llmdm_rt::bench::Criterion;
+use llmdm_rt::bench::{Bound::AtLeast, Criterion};
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
 use llmdm_sqlengine::{parse_statement, Database, ModelHandle, SelectStmt, Statement, Value};
 
 const ROWS: i64 = 96;
 const DISTINCT: i64 = 8;
 const SEED: u64 = 11;
+/// Dedup must cut calls, and dollars, at least this many times.
+const MIN_DEDUP: f64 = 2.0;
 
 /// One table, two text columns over the same rows: `category` repeats
 /// `DISTINCT` values (duplicate-heavy), `label` is unique per row.
@@ -52,14 +53,6 @@ fn select_stmt(sql: &str) -> SelectStmt {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn stat<'a>(c: &'a Criterion, id: &str) -> &'a llmdm_rt::bench::BenchStats {
-    c.results().iter().find(|s| s.id == id).unwrap_or_else(|| panic!("no stats for `{id}`"))
-}
-
 const DUP_SQL: &str = "SELECT LLM_MAP(category, 'categorize') FROM items";
 const UNIQ_SQL: &str = "SELECT LLM_MAP(label, 'categorize') FROM items";
 
@@ -73,7 +66,7 @@ fn billed(handle: &ModelHandle, sql: &str) -> (u64, f64) {
     (after.total_calls() - before.total_calls(), after.dollars_since(&before))
 }
 
-fn main() {
+fn run(c: &mut Criterion) {
     llmdm_obs::disable();
 
     // ---- Correctness gate: planner ≡ direct, bit for bit. -----------
@@ -92,7 +85,6 @@ fn main() {
     }
 
     // ---- Dedup pin (cacheless stack isolates operator dedup). -------
-    let min_dedup = env_f64("LLMDM_SEMSQL_MIN_DEDUP", 2.0);
     let (dup_calls, dup_dollars) = billed(&ModelHandle::sim_uncached(SEED), DUP_SQL);
     let (uniq_calls, uniq_dollars) = billed(&ModelHandle::sim_uncached(SEED), UNIQ_SQL);
     println!(
@@ -105,15 +97,8 @@ fn main() {
     );
     assert_eq!(uniq_calls, ROWS as u64, "unique batch should bill one call per row");
     let call_ratio = uniq_calls as f64 / dup_calls as f64;
-    let dollar_ratio = uniq_dollars / dup_dollars;
-    assert!(
-        call_ratio >= min_dedup,
-        "dedup call savings {call_ratio:.2}x below the {min_dedup:.1}x floor"
-    );
-    assert!(
-        dollar_ratio >= min_dedup,
-        "dedup dollar savings {dollar_ratio:.2}x below the {min_dedup:.1}x floor"
-    );
+    c.gate("dedup calls unique/duplicate", call_ratio, AtLeast(MIN_DEDUP));
+    c.gate("dedup dollars unique/duplicate", uniq_dollars / dup_dollars, AtLeast(MIN_DEDUP));
 
     // ---- Cache pin: a warm re-run bills nothing. --------------------
     let cached = ModelHandle::sim(SEED);
@@ -136,34 +121,19 @@ fn main() {
     );
 
     // ---- Timing: warm-cache planner latency on both workloads. ------
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("semsql");
-        let dup_stmt = select_stmt(DUP_SQL);
-        let uniq_stmt = select_stmt(UNIQ_SQL);
-        group.bench_function("llm_map_dup/plan", |b| {
-            b.iter(|| execute_select(&db, &dup_stmt).expect("executes"))
-        });
-        group.bench_function("llm_map_dup/direct", |b| {
-            b.iter(|| execute_select_direct(&db, &dup_stmt).expect("executes"))
-        });
-        group.bench_function("llm_map_uniq/plan", |b| {
-            b.iter(|| execute_select(&db, &uniq_stmt).expect("executes"))
-        });
-        group.finish();
-    }
-
-    for id in ["semsql/llm_map_dup/plan", "semsql/llm_map_dup/direct", "semsql/llm_map_uniq/plan"]
-    {
-        let s = stat(&c, id);
-        println!("{id}: median {} ns", s.median_ns);
-    }
-
-    let seed = std::env::var("LLMDM_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let meta = llmdm_obs::run_meta(Some(seed));
-    let path = llmdm_rt::bench::report_dir().join("BENCH_semsql.json");
-    match c.write_json_with_meta(&path, "semsql", &meta) {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let mut group = c.benchmark_group("semsql");
+    let dup_stmt = select_stmt(DUP_SQL);
+    let uniq_stmt = select_stmt(UNIQ_SQL);
+    group.bench_function("llm_map_dup/plan", |b| {
+        b.iter(|| execute_select(&db, &dup_stmt).expect("executes"))
+    });
+    group.bench_function("llm_map_dup/direct", |b| {
+        b.iter(|| execute_select_direct(&db, &dup_stmt).expect("executes"))
+    });
+    group.bench_function("llm_map_uniq/plan", |b| {
+        b.iter(|| execute_select(&db, &uniq_stmt).expect("executes"))
+    });
+    group.finish();
 }
+
+llmdm_rt::bench_main!("semsql", Some(SEED), run);

@@ -19,8 +19,8 @@
 //! * every sweep configuration's accounting reconciles
 //!   (`admitted + rejected + shed == submitted`, per tenant).
 //!
-//! Then: 8-worker ops/sec must be ≥ `LLMDM_SERVE_MIN_SPEEDUP` (default 3)
-//! times the 1-worker figure, on median ns.
+//! Then: 8-worker ops/sec is gated at ≥ 3× the 1-worker figure, on
+//! median ns.
 //!
 //! The **saturation sweep** extends the report: ops/sec and p99 as the
 //! offered load rises against a fixed per-tenant quota
@@ -39,7 +39,7 @@ use llmdm_cascade::{HotpotConfig, HotpotWorkload, QaSolver};
 use llmdm_model::prelude::*;
 use llmdm_nlq::{concert_domain, ExamplePool, Nl2SqlSolver, PromptBuilder, Workload, WorkloadConfig};
 use llmdm_resil::FaultPlan;
-use llmdm_rt::bench::{Criterion, Throughput};
+use llmdm_rt::bench::{Bound::AtLeast, Criterion, Throughput};
 use llmdm_serve::prelude::*;
 
 const SEED: u64 = 42;
@@ -47,6 +47,8 @@ const SEED: u64 = 42;
 /// becomes ~1.2 ms of actual wait — long enough to dominate the CPU
 /// cost of a simulated completion, short enough to keep the bench quick.
 const LATENCY_SCALE: u32 = 256;
+/// 8 workers must reach this multiple of 1-worker throughput.
+const MIN_SPEEDUP: f64 = 3.0;
 
 #[derive(Clone)]
 struct Req {
@@ -108,15 +110,7 @@ fn mixed_requests(pools: &Pools, per_round: (usize, usize)) -> Vec<ServeRequest<
     jobs
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn stat<'a>(c: &'a Criterion, id: &str) -> &'a llmdm_rt::bench::BenchStats {
-    c.results().iter().find(|s| s.id == id).unwrap_or_else(|| panic!("no stats for `{id}`"))
-}
-
-fn main() {
+fn run(c: &mut Criterion) {
     llmdm_obs::disable();
     let zoo = ModelZoo::standard(SEED);
     let pools = pools(&zoo);
@@ -165,7 +159,6 @@ fn main() {
     }
 
     // ---- Timing: the same run at 1/2/4/8 workers. -------------------
-    let mut c = Criterion::default();
     // Each sample is a whole serve run (tens of ms): stretch the budget
     // so every worker count gets a handful of samples even in fast mode.
     c.measure = c.measure.max(Duration::from_millis(250));
@@ -249,27 +242,14 @@ fn main() {
     assert!(diff < 1e-9, "executed ${executed:.9} != metered ${metered:.9} (diff {diff:e})");
     println!("dollar reconciliation: executed ${executed:.4} == metered ${metered:.4}");
 
-    // ---- The scaling pin. -------------------------------------------
-    let m1 = stat(&c, "serve_throughput/workers/1").median_ns as f64;
-    for workers in [2usize, 4, 8] {
-        let mw = stat(&c, &format!("serve_throughput/workers/{workers}")).median_ns as f64;
-        println!("speedup at {workers} workers: {:.2}x", m1 / mw);
+    // ---- The scaling gate. ------------------------------------------
+    let m1 = c.stat("serve_throughput/workers/1").median_ns as f64;
+    for workers in [2usize, 4] {
+        let mw = c.stat(&format!("serve_throughput/workers/{workers}")).median_ns as f64;
+        println!("speedup at {workers} workers: {:.2}x, ungated", m1 / mw);
     }
-    let m8 = stat(&c, "serve_throughput/workers/8").median_ns as f64;
-    let min_speedup = env_f64("LLMDM_SERVE_MIN_SPEEDUP", 3.0);
-    assert!(
-        m1 / m8 >= min_speedup,
-        "8-worker speedup {:.2}x below the {min_speedup:.1}x floor \
-         (1w median {m1} ns, 8w median {m8} ns)",
-        m1 / m8
-    );
-
-    // Report, stamped like every other bench.
-    let seed = std::env::var("LLMDM_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(SEED);
-    let meta = llmdm_obs::run_meta(Some(seed));
-    let path = llmdm_rt::bench::report_dir().join("BENCH_serve.json");
-    match c.write_json_with_meta(&path, "serve", &meta) {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let m8 = c.stat("serve_throughput/workers/8").median_ns as f64;
+    c.gate("serve_throughput workers/1 / workers/8 (median)", m1 / m8, AtLeast(MIN_SPEEDUP));
 }
+
+llmdm_rt::bench_main!("serve", Some(SEED), run);

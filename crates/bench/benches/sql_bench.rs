@@ -1,11 +1,13 @@
 //! SQL parse + execute throughput on the concert fixture.
 
-use llmdm_rt::bench::{criterion_group, Criterion};
+use llmdm_rt::bench::Criterion;
 use llmdm_nlq::concert_domain;
 use llmdm_sqlengine::parse_statement;
 
+const SEED: u64 = 1;
+
 fn bench_sql(c: &mut Criterion) {
-    let db = concert_domain(1);
+    let db = concert_domain(SEED);
     let queries = [
         "SELECT name FROM stadium WHERE capacity > 30000",
         "SELECT s.name, COUNT(*) FROM stadium s JOIN concert c ON s.stadium_id = c.stadium_id \
@@ -30,5 +32,4 @@ fn bench_sql(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sql);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("sql_bench", Some(SEED), bench_sql);

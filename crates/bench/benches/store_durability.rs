@@ -4,21 +4,21 @@
 //!
 //! * **the buffer pool earns its keep** — a scan whose pages are
 //!   resident (warm) must beat a scan that faults every page in from
-//!   the VFS and re-verifies its checksum (cold) by at least
-//!   `LLMDM_STORE_MIN_SPEEDUP` (default 2×). Cold scans run against
-//!   real files (`DirVfs` in a temp dir) so the fault-in path includes
-//!   genuine `read`s, not just map lookups;
+//!   the VFS and re-verifies its checksum (cold) by at least 2× (gated
+//!   on medians). Cold scans run against real files (`DirVfs` in a temp
+//!   dir) so the fault-in path includes genuine `read`s, not just map
+//!   lookups;
 //! * **recovery cost scales with WAL length** — with checkpointing
 //!   disabled, re-opening a store replays every committed frame; the
 //!   bench times recovery against a short and a long WAL so regressions
-//!   in the replay loop are visible. Reported, not pinned: absolute
+//!   in the replay loop are visible. Reported, not gated: absolute
 //!   recovery time is machine-dependent, but both images are
 //!   correctness-gated before timing.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; results
 //! land in `BENCH_store.json`.
 
-use llmdm_rt::bench::Criterion;
+use llmdm_rt::bench::{Bound::AtLeast, Criterion};
 use llmdm_store::{DirVfs, MemVfs, SharedVfs, Store, StoreConfig};
 
 const SPACE: &str = "bench";
@@ -27,6 +27,8 @@ const SPACE: &str = "bench";
 // the fault-in path (file open + read + checksum verify) we're pinning.
 const RECORDS: usize = 150;
 const RECORD_LEN: usize = 3800;
+/// A warm scan must beat a cold one by this much.
+const MIN_SPEEDUP: f64 = 2.0;
 
 /// Pool large enough to hold the whole fixture, so the warm scan never
 /// evicts.
@@ -80,15 +82,7 @@ fn wal_image(commits: usize) -> SharedVfs {
     vfs
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn stat<'a>(c: &'a Criterion, id: &str) -> &'a llmdm_rt::bench::BenchStats {
-    c.results().iter().find(|s| s.id == id).unwrap_or_else(|| panic!("no stats for `{id}`"))
-}
-
-fn main() {
+fn run(c: &mut Criterion) {
     llmdm_obs::disable();
 
     // ---- Scan fixture on real files. --------------------------------
@@ -122,53 +116,34 @@ fn main() {
     }
 
     // ---- Timing. ----------------------------------------------------
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("store");
-        group.bench_function("scan/cold", |b| {
-            b.iter(|| {
-                store.clear_pool().expect("clear pool");
-                store.scan(SPACE).expect("scan")
-            })
-        });
-        group.bench_function("scan/warm", |b| {
-            b.iter(|| store.scan(SPACE).expect("scan"))
-        });
-        let recovery_cfg =
-            || StoreConfig { checkpoint_bytes: None, ..StoreConfig::default() };
-        group.bench_function("recovery/wal_8_commits", |b| {
-            b.iter(|| Store::open(short_wal.clone(), recovery_cfg()).expect("recover"))
-        });
-        group.bench_function("recovery/wal_64_commits", |b| {
-            b.iter(|| Store::open(long_wal.clone(), recovery_cfg()).expect("recover"))
-        });
-        group.finish();
-    }
-
-    // ---- The pin: a warm pool beats re-faulting every page. ---------
-    let cold_ns = stat(&c, "store/scan/cold").median_ns as f64;
-    let warm_ns = stat(&c, "store/scan/warm").median_ns as f64;
-    let min_speedup = env_f64("LLMDM_STORE_MIN_SPEEDUP", 2.0);
-    println!(
-        "scan: warm speedup {:.2}x over cold (cold {cold_ns} ns, warm {warm_ns} ns, {faulted} pages)",
-        cold_ns / warm_ns
-    );
-    assert!(
-        cold_ns / warm_ns >= min_speedup,
-        "warm scan speedup {:.2}x below the {min_speedup:.1}x floor \
-         (cold median {cold_ns} ns, warm median {warm_ns} ns)",
-        cold_ns / warm_ns
-    );
-    let rec8 = stat(&c, "store/recovery/wal_8_commits").median_ns;
-    let rec64 = stat(&c, "store/recovery/wal_64_commits").median_ns;
-    println!("recovery: 8-commit WAL {rec8} ns, 64-commit WAL {rec64} ns");
-
-    let seed = std::env::var("LLMDM_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let meta = llmdm_obs::run_meta(Some(seed));
-    let path = llmdm_rt::bench::report_dir().join("BENCH_store.json");
-    match c.write_json_with_meta(&path, "store", &meta) {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let mut group = c.benchmark_group("store");
+    group.bench_function("scan/cold", |b| {
+        b.iter(|| {
+            store.clear_pool().expect("clear pool");
+            store.scan(SPACE).expect("scan")
+        })
+    });
+    group.bench_function("scan/warm", |b| {
+        b.iter(|| store.scan(SPACE).expect("scan"))
+    });
+    let recovery_cfg =
+        || StoreConfig { checkpoint_bytes: None, ..StoreConfig::default() };
+    group.bench_function("recovery/wal_8_commits", |b| {
+        b.iter(|| Store::open(short_wal.clone(), recovery_cfg()).expect("recover"))
+    });
+    group.bench_function("recovery/wal_64_commits", |b| {
+        b.iter(|| Store::open(long_wal.clone(), recovery_cfg()).expect("recover"))
+    });
+    group.finish();
+    // Timing is over: remove the fixture now, so no gate outcome leaks it.
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // ---- The gate: a warm pool beats re-faulting every page. --------
+    let cold_ns = c.stat("store/scan/cold").median_ns as f64;
+    let warm_ns = c.stat("store/scan/warm").median_ns as f64;
+    c.gate("store scan cold/warm (median)", cold_ns / warm_ns, AtLeast(MIN_SPEEDUP));
 }
+
+// Record contents are a pure function of the record index: no seed.
+llmdm_rt::bench_main!("store", None, run);

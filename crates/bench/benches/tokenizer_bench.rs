@@ -1,7 +1,7 @@
 //! Tokenizer throughput: every dollar figure in the reproduction flows
 //! through `Tokenizer::count`.
 
-use llmdm_rt::bench::{criterion_group, Criterion, Throughput};
+use llmdm_rt::bench::{Criterion, Throughput};
 use llmdm_model::Tokenizer;
 
 fn bench_tokenizer(c: &mut Criterion) {
@@ -14,5 +14,4 @@ fn bench_tokenizer(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tokenizer);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("tokenizer_bench", None, bench_tokenizer);

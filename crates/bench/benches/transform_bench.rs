@@ -1,6 +1,6 @@
 //! Pattern mining and operator-program discovery throughput.
 
-use llmdm_rt::bench::{criterion_group, Criterion};
+use llmdm_rt::bench::Criterion;
 use llmdm_transform::{discover_program, mine_pattern, Grid};
 
 fn bench_transform(c: &mut Criterion) {
@@ -23,5 +23,4 @@ fn bench_transform(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transform);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("transform_bench", None, bench_transform);

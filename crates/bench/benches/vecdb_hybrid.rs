@@ -1,13 +1,16 @@
 //! Hybrid filtered search: pre-filter vs post-filter vs adaptive ordering
 //! as selectivity varies (§III-B2's "order of filtering" question).
 
-use llmdm_rt::bench::{criterion_group, BenchmarkId, Criterion};
+use llmdm_rt::bench::{BenchmarkId, Criterion};
 use llmdm_vecdb::{AttrValue, Collection, Filter, HybridStrategy, Metric};
 use llmdm_rt::rand::rngs::SmallRng;
 use llmdm_rt::rand::{Rng, SeedableRng};
 
+/// Seeds the collection; the query stream draws from `SEED + 6`.
+const SEED: u64 = 3;
+
 fn build(n: usize, rare_fraction: f64) -> Collection {
-    let mut rng = SmallRng::seed_from_u64(3);
+    let mut rng = SmallRng::seed_from_u64(SEED);
     let mut coll = Collection::new(32, Metric::Cosine);
     for id in 0..n as u64 {
         let v: Vec<f32> = (0..32).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -19,7 +22,7 @@ fn build(n: usize, rare_fraction: f64) -> Collection {
 
 fn bench_hybrid(c: &mut Criterion) {
     let n = 5_000;
-    let mut rng = SmallRng::seed_from_u64(9);
+    let mut rng = SmallRng::seed_from_u64(SEED + 6);
     let queries: Vec<Vec<f32>> =
         (0..32).map(|_| (0..32).map(|_| rng.gen_range(-1.0..1.0f32)).collect()).collect();
 
@@ -44,5 +47,4 @@ fn bench_hybrid(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_hybrid);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("vecdb_hybrid", Some(SEED), bench_hybrid);

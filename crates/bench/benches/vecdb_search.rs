@@ -1,12 +1,14 @@
 //! Vector index search: flat (exact) vs IVF vs HNSW — the recall/latency
 //! engine room behind every vector-database use in the paper.
 
-use llmdm_rt::bench::{criterion_group, BenchmarkId, Criterion};
+use llmdm_rt::bench::{BenchmarkId, Criterion};
 use llmdm_vecdb::{FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, VectorIndex};
 use llmdm_rt::rand::rngs::SmallRng;
 use llmdm_rt::rand::{Rng, SeedableRng};
 
 const DIM: usize = 64;
+/// Seeds the indexed vectors; the query stream draws from `SEED + 1`.
+const SEED: u64 = 1;
 
 fn random_vecs(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -15,8 +17,8 @@ fn random_vecs(n: usize, seed: u64) -> Vec<Vec<f32>> {
 
 fn bench_search(c: &mut Criterion) {
     let n = 10_000;
-    let vecs = random_vecs(n, 1);
-    let queries = random_vecs(64, 2);
+    let vecs = random_vecs(n, SEED);
+    let queries = random_vecs(64, SEED + 1);
 
     let mut flat = FlatIndex::new(DIM, Metric::Cosine);
     let mut ivf = IvfIndex::new(
@@ -76,5 +78,4 @@ fn bench_search(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_search);
-llmdm_obs::bench_main!(benches);
+llmdm_rt::bench_main!("vecdb_search", Some(SEED), bench_search);

@@ -7,7 +7,7 @@
 //! `LLMDM_BENCH_DIR` to redirect the report).
 
 use llmdm_model::Tokenizer;
-use llmdm_rt::bench::{report_dir, BenchmarkId, Criterion, Throughput};
+use llmdm_rt::bench::{BenchmarkId, Criterion, Throughput};
 use llmdm_rt::rand::rngs::SmallRng;
 use llmdm_rt::rand::{Rng, SeedableRng};
 use llmdm_semcache::{CacheConfig, EntryKind, SemanticCache};
@@ -15,6 +15,9 @@ use llmdm_sqlengine::parse_statement;
 use llmdm_vecdb::{FlatIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
 
 const DIM: usize = 64;
+/// Seeds the indexed vectors and the SQL fixture; the query vectors draw
+/// from `SEED + 1`.
+const SEED: u64 = 1;
 
 fn random_vecs(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -22,8 +25,8 @@ fn random_vecs(n: usize, seed: u64) -> Vec<Vec<f32>> {
 }
 
 fn bench_vecdb(c: &mut Criterion) {
-    let vecs = random_vecs(4096, 1);
-    let queries = random_vecs(64, 2);
+    let vecs = random_vecs(4096, SEED);
+    let queries = random_vecs(64, SEED + 1);
     let mut flat = FlatIndex::new(DIM, Metric::Cosine);
     let mut hnsw = HnswIndex::new(DIM, Metric::Cosine, HnswConfig::default()).expect("config");
     for (i, v) in vecs.iter().enumerate() {
@@ -57,7 +60,7 @@ fn bench_tokenizer(c: &mut Criterion) {
 }
 
 fn bench_sql(c: &mut Criterion) {
-    let db = llmdm_nlq::concert_domain(1);
+    let db = llmdm_nlq::concert_domain(SEED);
     let complex = "SELECT name FROM stadium WHERE stadium_id IN \
          (SELECT stadium_id FROM concert WHERE year = 2014) \
          AND stadium_id NOT IN (SELECT stadium_id FROM sports_meeting WHERE year = 2015)";
@@ -95,15 +98,4 @@ fn bench_semcache(c: &mut Criterion) {
     group.finish();
 }
 
-fn main() {
-    let mut c = Criterion::default();
-    bench_vecdb(&mut c);
-    bench_tokenizer(&mut c);
-    bench_sql(&mut c);
-    bench_semcache(&mut c);
-    let path = report_dir().join("BENCH_seed.json");
-    match c.write_json(&path, "seed") {
-        Ok(_) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
+llmdm_rt::bench_main!("seed", Some(SEED), bench_vecdb, bench_tokenizer, bench_sql, bench_semcache);

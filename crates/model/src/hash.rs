@@ -3,42 +3,11 @@
 //! Every stochastic component in the workspace derives its randomness from
 //! explicit seeds so that experiments are reproducible bit-for-bit across
 //! runs and platforms. `std::collections::hash_map::DefaultHasher` is not
-//! guaranteed stable across Rust releases, so we implement FNV-1a and a
-//! small split-mix finalizer ourselves.
+//! guaranteed stable across Rust releases, so the workspace's FNV-1a and
+//! SplitMix64 finalizer ([`llmdm_rt::hash`], re-exported here) are the
+//! base, and this module adds the seed-splitting helpers on top.
 
-/// FNV-1a 64-bit hash of a byte slice.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// FNV-1a of a string.
-#[inline]
-pub fn fnv1a_str(s: &str) -> u64 {
-    fnv1a(s.as_bytes())
-}
-
-/// SplitMix64 finalizer — decorrelates sequential seeds.
-#[inline]
-pub fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Combine two hash values into one (order-sensitive).
-#[inline]
-pub fn combine(a: u64, b: u64) -> u64 {
-    splitmix(a ^ b.rotate_left(17).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
+pub use llmdm_rt::hash::{combine, fnv1a, fnv1a_str, splitmix};
 
 /// Derive a deterministic sub-seed from a base seed and a label.
 ///
@@ -61,14 +30,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_known_vectors() {
-        // FNV-1a test vectors from the reference implementation.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn unit_f64_in_range() {
         for i in 0..10_000u64 {
             let u = unit_f64(splitmix(i));
@@ -80,11 +41,6 @@ mod tests {
     fn seed_for_distinct_labels_differ() {
         assert_ne!(seed_for(7, "a"), seed_for(7, "b"));
         assert_ne!(seed_for(7, "a"), seed_for(8, "a"));
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        assert_ne!(combine(1, 2), combine(2, 1));
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! binary) can answer *"where did this run spend its tokens, dollars and
 //! milliseconds?"* without each crate growing its own siloed counters.
 //!
-//! Three pieces:
-//!
 //! Five pieces:
 //!
 //! 1. **Spans** ([`span`], [`Span`]): hierarchical RAII timing regions
@@ -60,19 +58,15 @@
 
 mod export;
 mod hist;
-mod meta;
 mod recorder;
 mod trace;
 mod window;
 
 pub use export::{MetricsSummary, Report, SpanNode};
-
-// Re-export the runtime so `bench_main!` can reach it via `$crate` even
-// though the expanding crate may not depend on `llmdm-rt` directly.
-#[doc(hidden)]
-pub use llmdm_rt as __rt;
 pub use hist::{Histogram, HistogramSummary};
-pub use meta::{git_rev, run_meta, timestamp_unix};
+// The run-metadata stamp `Report::write_trace`/`write_window` share with
+// the bench harness.
+pub use llmdm_rt::meta::{git_rev, run_meta, timestamp_unix};
 pub use recorder::{FieldValue, Recorder, Span, SpanRecord, WindowHandle};
 pub use trace::{current_trace_id, TraceContext, TraceGuard};
 pub use window::{Window, WindowBucket, WindowConfig, WindowSummary};

@@ -132,14 +132,8 @@ struct State {
 const COUNTER_STRIPES: usize = 8;
 
 fn counter_stripe(name: &str) -> usize {
-    // FNV-1a over the name; stable across runs so tests can reason
-    // about striping.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % COUNTER_STRIPES as u64) as usize
+    // Stable across runs so tests can reason about striping.
+    (llmdm_rt::hash::fnv1a_str(name) % COUNTER_STRIPES as u64) as usize
 }
 
 /// A thread-safe span + metric recorder.

@@ -29,6 +29,7 @@
 use std::cell::Cell;
 
 use crate::recorder;
+use llmdm_rt::hash::splitmix;
 
 thread_local! {
     /// The trace id stamped on spans opened on this thread (0 = none).
@@ -38,16 +39,6 @@ thread_local! {
 /// The trace id currently attached to this thread (0 = none).
 pub fn current_trace_id() -> u64 {
     CURRENT_TRACE.with(|c| c.get())
-}
-
-/// SplitMix64 — the workspace-standard seeded mixer (same constants as
-/// the serving layer's stream ids), so trace ids derived from a seed are
-/// byte-stable across processes, runs, and worker counts.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A request-scoped trace context: which trace spans belong to, and which
@@ -76,7 +67,7 @@ impl TraceContext {
     /// stream ids — in fact equal to them unless the mix lands on 0,
     /// which is reserved for "no trace").
     pub fn derive(seed: u64, request: u64) -> TraceContext {
-        TraceContext::root(mix64(seed ^ mix64(request)).max(1))
+        TraceContext::root(splitmix(seed ^ splitmix(request)).max(1))
     }
 
     /// Whether this context carries a real trace id.

@@ -59,32 +59,4 @@ pub use deadline::Deadline;
 pub use plan::{FaultKind, FaultPlan, FaultRates, TierPlan, Window};
 pub use retry::{execute, CallStats, ResilError, Retryable, RetryPolicy};
 
-/// Stable, seed-friendly FNV-1a hash (local copy so this crate stays
-/// free of non-rt/obs dependencies; the constants match
-/// `llmdm_model::hash`).
-#[inline]
-pub(crate) fn fnv1a_str(s: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// SplitMix64 finalizer for decorrelating derived seeds.
-#[inline]
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Order-sensitive combination of two hashes.
-#[inline]
-pub(crate) fn combine(a: u64, b: u64) -> u64 {
-    splitmix(a ^ b.rotate_left(17).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
+pub(crate) use llmdm_rt::hash::{combine, fnv1a_str, splitmix};

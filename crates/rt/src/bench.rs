@@ -3,29 +3,31 @@
 //!
 //! API-compatible with the slice of criterion the benches use:
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
-//! [`BenchmarkGroup::throughput`], [`BenchmarkId::new`], and the
-//! [`criterion_group!`] / [`criterion_main!`] macros.
+//! [`BenchmarkGroup::throughput`], [`BenchmarkId::new`].
 //!
 //! Measurement model: a warmup phase (time-boxed), then up to
 //! [`Criterion::max_samples`] individually timed iterations within a
 //! measurement budget. Reported statistics are min / mean / **median /
-//! p99** — the two the ROADMAP's perf PRs regress against. Results are
-//! printed as a table and written as JSON to `BENCH_<group>.json`
-//! (override the directory with `LLMDM_BENCH_DIR`), so baselines can be
-//! diffed and committed.
+//! p99** — the two the ROADMAP's perf PRs regress against.
+//!
+//! This module is also the only place that knows how a bench run ends.
+//! A target is one or more `fn(&mut Criterion)` handed to
+//! [`bench_main!`](crate::bench_main): they time their cases, read the
+//! numbers back with [`Criterion::stat`], and hold each claim to its
+//! bound with [`Criterion::gate`]. [`Criterion::finish`] then stamps the
+//! run (`git_rev`, `timestamp_unix`, `seed`), writes
+//! `BENCH_<label>.json` (override the directory with `LLMDM_BENCH_DIR`)
+//! with every gate's outcome beside the timings, and only after the
+//! report is on disk exits non-zero listing every gate that failed.
 
 use crate::json::Json;
 use std::fmt;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// An opaque value the optimizer must assume is used (re-export of
 /// `std::hint::black_box`, criterion-compatible name).
 pub use std::hint::black_box;
-
-// Make `use llmdm_rt::bench::{criterion_group, criterion_main};` work the
-// way the criterion imports did: the macros are `#[macro_export]`ed at the
-// crate root, so re-export them under this module too.
-pub use crate::{criterion_group, criterion_main};
 
 /// Identifies a benchmark within a group (`function/param`).
 pub struct BenchmarkId {
@@ -134,7 +136,59 @@ impl BenchStats {
     }
 }
 
-/// The harness entry point: holds timing budgets and collected results.
+/// The bound a [`Criterion::gate`] holds a measured value to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The value must be `>=` this (speedups, savings ratios).
+    AtLeast(f64),
+    /// The value must be `<=` this (overhead ratios, ns budgets).
+    AtMost(f64),
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(x) => write!(f, ">= {x}"),
+            Bound::AtMost(x) => write!(f, "<= {x}"),
+        }
+    }
+}
+
+/// One recorded [`Criterion::gate`] outcome.
+struct Gate {
+    name: String,
+    value: f64,
+    bound: Bound,
+}
+
+impl Gate {
+    /// A NaN value (a 0/0 ratio) fails either bound.
+    fn pass(&self) -> bool {
+        match self.bound {
+            Bound::AtLeast(x) => self.value >= x,
+            Bound::AtMost(x) => self.value <= x,
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.clone())),
+            ("value", Json::Num(self.value)),
+            ("bound", Json::Str(self.bound.to_string())),
+            ("pass", Json::Bool(self.pass())),
+        ])
+    }
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.pass() { "ok" } else { "FAILED" };
+        write!(f, "gate {:<66} {:>9.3}  ({})  {verdict}", self.name, self.value, self.bound)
+    }
+}
+
+/// The harness entry point: holds timing budgets, collected results and
+/// gate outcomes.
 pub struct Criterion {
     /// Warmup budget per benchmark.
     pub warmup: Duration,
@@ -143,6 +197,7 @@ pub struct Criterion {
     /// Sample-count cap per benchmark.
     pub max_samples: usize,
     results: Vec<BenchStats>,
+    gates: Vec<Gate>,
 }
 
 impl Default for Criterion {
@@ -154,6 +209,7 @@ impl Default for Criterion {
             measure: Duration::from_millis(if fast { 60 } else { 400 }),
             max_samples: 20_000,
             results: Vec::new(),
+            gates: Vec::new(),
         }
     }
 }
@@ -164,42 +220,53 @@ impl Criterion {
         BenchmarkGroup { criterion: self, name: name.into(), throughput: None }
     }
 
-    /// All stats collected so far.
-    pub fn results(&self) -> &[BenchStats] {
-        &self.results
+    /// The stats recorded under the full id `group/function[/param]`.
+    /// Panics naming the id if no such benchmark ran.
+    pub fn stat(&self, id: &str) -> &BenchStats {
+        self.results.iter().find(|s| s.id == id).unwrap_or_else(|| panic!("no stats for `{id}`"))
     }
 
-    /// Write collected results as a JSON report. Returns the rendered
-    /// document.
-    pub fn write_json(&self, path: &std::path::Path, label: &str) -> std::io::Result<String> {
-        self.write_json_with_meta(path, label, &[])
+    /// Hold `value` to `bound`: prints one line and records the outcome
+    /// for the report. A failed gate does not stop the run —
+    /// [`Criterion::finish`] fails it once the report is written.
+    pub fn gate(&mut self, name: impl Into<String>, value: f64, bound: Bound) {
+        let gate = Gate { name: name.into(), value, bound };
+        println!("{gate}");
+        self.gates.push(gate);
     }
 
-    /// Write collected results as a JSON report with extra top-level
-    /// `meta` fields (git rev / seed / timestamp — supplied by
-    /// `llmdm-obs::run_meta`, which this dependency-floor crate cannot
-    /// itself compute). Returns the rendered document.
-    pub fn write_json_with_meta(
-        &self,
-        path: &std::path::Path,
-        label: &str,
-        meta: &[(String, Json)],
-    ) -> std::io::Result<String> {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("label".to_string(), Json::Str(label.to_string())),
-            ("harness".to_string(), Json::Str("llmdm-rt/bench".to_string())),
-        ];
-        if !meta.is_empty() {
-            fields.push(("meta".to_string(), Json::Obj(meta.to_vec())));
+    /// End the run: write `BENCH_<label>.json` into [`report_dir`],
+    /// stamped with git rev, timestamp and `seed` — the seed the target
+    /// actually drew its randomness from, `None` (rendered `null`) for a
+    /// target that draws none. Exits non-zero, after the report is on
+    /// disk, if any gate failed or the report could not be written.
+    pub fn finish(&self, label: &str, seed: Option<u64>) {
+        let path = report_dir().join(format!("BENCH_{label}.json"));
+        if let Err(why) = self.report(&path, label, seed) {
+            eprintln!("{why}");
+            std::process::exit(1);
         }
-        fields.push((
-            "benchmarks".to_string(),
-            Json::Arr(self.results.iter().map(BenchStats::to_json).collect()),
-        ));
-        let doc = Json::Obj(fields);
-        let text = doc.render();
-        std::fs::write(path, &text)?;
-        Ok(text)
+    }
+
+    /// [`Criterion::finish`] minus the exit: write the report to `path`,
+    /// then return every failed gate as the error.
+    fn report(&self, path: &Path, label: &str, seed: Option<u64>) -> Result<(), String> {
+        let doc = Json::obj([
+            ("label", Json::Str(label.to_string())),
+            ("harness", Json::Str("llmdm-rt/bench".to_string())),
+            ("meta", Json::Obj(crate::meta::run_meta(seed))),
+            ("benchmarks", Json::Arr(self.results.iter().map(BenchStats::to_json).collect())),
+            ("gates", Json::Arr(self.gates.iter().map(Gate::to_json).collect())),
+        ]);
+        std::fs::write(path, doc.render())
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+        let failed: Vec<String> =
+            self.gates.iter().filter(|g| !g.pass()).map(Gate::to_string).collect();
+        if failed.is_empty() {
+            return Ok(());
+        }
+        Err(format!("{} of {} gates failed:\n{}", failed.len(), self.gates.len(), failed.join("\n")))
     }
 }
 
@@ -268,38 +335,17 @@ pub fn report_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("."))
 }
 
-/// Declare a bench suite: `criterion_group!(benches, fn_a, fn_b);`
+/// The one way a bench target gets its `main`:
+/// `bench_main!("label", seed, fn_a, fn_b);` runs each
+/// `fn(&mut Criterion)` in order on a default [`Criterion`](crate::bench::Criterion)
+/// and ends with [`Criterion::finish`](crate::bench::Criterion::finish)`(label, seed)`.
 #[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group(c: &mut $crate::bench::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Generate `main` for a bench target: runs the groups, prints a table,
-/// and writes `BENCH_<binary>.json`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
+macro_rules! bench_main {
+    ($label:expr, $seed:expr, $($target:path),+ $(,)?) => {
         fn main() {
             let mut c = $crate::bench::Criterion::default();
-            $($group(&mut c);)+
-            let bin = std::env::args()
-                .next()
-                .and_then(|p| {
-                    std::path::Path::new(&p)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                })
-                .map(|s| s.split('-').next().unwrap_or(&s).to_string())
-                .unwrap_or_else(|| "bench".to_string());
-            let path = $crate::bench::report_dir().join(format!("BENCH_{bin}.json"));
-            match c.write_json(&path, &bin) {
-                Ok(_) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+            $($target(&mut c);)+
+            c.finish($label, $seed);
         }
     };
 }
@@ -313,8 +359,19 @@ mod tests {
             warmup: Duration::from_millis(1),
             measure: Duration::from_millis(10),
             max_samples: 500,
-            results: Vec::new(),
+            ..Criterion::default()
         }
+    }
+
+    /// A per-test report path (tests run on parallel threads).
+    fn temp_report(test: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("llmdm_bench_{test}_{}.json", std::process::id()))
+    }
+
+    fn read_report(path: &Path) -> Json {
+        let text = std::fs::read_to_string(path).expect("report is on disk");
+        let _ = std::fs::remove_file(path);
+        Json::parse(&text).expect("valid json")
     }
 
     #[test]
@@ -329,7 +386,7 @@ mod tests {
             });
             g.finish();
         }
-        let r = c.results();
+        let r = &c.results;
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].id, "unit/noop");
         assert_eq!(r[1].id, "unit/spin/64");
@@ -339,21 +396,82 @@ mod tests {
             assert!(s.mean_ns > 0.0);
         }
         assert!(r[0].throughput.is_some());
+        assert_eq!(c.stat("unit/spin/64").id, "unit/spin/64");
+    }
+
+    #[test]
+    #[should_panic(expected = "no stats for `unit/missing`")]
+    fn stat_on_an_unknown_id_panics_naming_it() {
+        fast().stat("unit/missing");
     }
 
     #[test]
     fn json_report_roundtrips() {
         let mut c = fast();
         c.benchmark_group("g").bench_function("f", |b| b.iter(|| black_box(0)));
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("llmdm_bench_test_{}.json", std::process::id()));
-        let text = c.write_json(&path, "test").expect("write");
-        let parsed = crate::json::Json::parse(&text).expect("valid json");
+        let path = temp_report("roundtrip");
+        c.report(&path, "test", None).expect("no gates, nothing to fail");
+        let parsed = read_report(&path);
+        assert_eq!(parsed.get("label").unwrap().as_str().unwrap(), "test");
         let benches = parsed.get("benchmarks").unwrap().as_arr().unwrap();
         assert_eq!(benches.len(), 1);
         assert_eq!(benches[0].get("id").unwrap().as_str().unwrap(), "g/f");
         assert!(benches[0].get("median_ns").unwrap().as_f64().unwrap() >= 0.0);
-        let _ = std::fs::remove_file(&path);
+        // Stamped, with `seed: None` rendered as null rather than dropped.
+        let meta = parsed.get("meta").unwrap();
+        assert!(meta.get("timestamp_unix").unwrap().as_u64().unwrap() > 0);
+        assert!(meta.get("git_rev").is_some());
+        assert_eq!(meta.get("seed").unwrap(), &Json::Null);
+        // Ungated targets still carry the (empty) gates array.
+        assert!(parsed.get("gates").unwrap().as_arr().unwrap().is_empty());
+    }
+
+    #[test]
+    fn passing_gates_roundtrip_with_the_seed() {
+        let mut c = fast();
+        c.gate("speedup", 2.5, Bound::AtLeast(2.0));
+        c.gate("overhead", 1.05, Bound::AtMost(1.05));
+        let path = temp_report("passing");
+        c.report(&path, "test", Some(11)).expect("both gates hold");
+        let parsed = read_report(&path);
+        assert_eq!(parsed.get("meta").unwrap().get("seed").unwrap().as_u64().unwrap(), 11);
+        let gates = parsed.get("gates").unwrap().as_arr().unwrap();
+        assert_eq!(gates.len(), 2);
+        assert_eq!(gates[0].get("name").unwrap().as_str().unwrap(), "speedup");
+        assert_eq!(gates[0].get("value").unwrap().as_f64().unwrap(), 2.5);
+        assert_eq!(gates[0].get("bound").unwrap().as_str().unwrap(), ">= 2");
+        assert_eq!(gates[1].get("bound").unwrap().as_str().unwrap(), "<= 1.05");
+        for g in gates {
+            assert_eq!(g.get("pass").unwrap(), &Json::Bool(true));
+        }
+    }
+
+    #[test]
+    fn failed_gates_are_reported_after_the_file_exists() {
+        let mut c = fast();
+        c.gate("speedup", 1.1, Bound::AtLeast(1.2));
+        c.gate("held", 3.0, Bound::AtLeast(2.0));
+        c.gate("overhead", 1.3, Bound::AtMost(1.25));
+        c.gate("undefined", f64::NAN, Bound::AtMost(50.0));
+        let path = temp_report("failing");
+        let why = c.report(&path, "test", None).expect_err("three gates failed");
+        // Every failure is listed, not just the first; the held gate is not.
+        assert!(why.starts_with("3 of 4 gates failed"), "{why}");
+        for name in ["speedup", "overhead", "undefined"] {
+            assert!(why.contains(name), "{why}");
+        }
+        assert!(!why.contains("held"), "{why}");
+        // And the report the failing run most needs is complete on disk.
+        let parsed = read_report(&path);
+        let pass: Vec<bool> = parsed
+            .get("gates")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|g| g.get("pass").unwrap() == &Json::Bool(true))
+            .collect();
+        assert_eq!(pass, [false, true, false, false]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | `rand`        | SplitMix64-seeded xoshiro256\*\* with a rand-compatible surface (`Rng::gen_range`/`gen_bool`/`fill`, `SeedableRng::seed_from_u64`, `seq::SliceRandom`) | [`rand`] |
 //! | `serde`       | hand-written [`json::ToJson`] / [`json::FromJson`] over an owned JSON tree | [`json`] |
 //! | `proptest`    | seeded generator strategies + shrink-by-halving runner ([`proptest!`] macro) | [`proptest`] |
-//! | `criterion`   | warmup + timed-iteration harness, median/p99, JSON reports | [`bench`] |
+//! | `criterion`   | warmup + timed-iteration harness, median/p99, gated and stamped JSON reports behind one [`bench_main!`] | [`bench`] |
 //! | `crossbeam`   | `std::thread::scope` (std since 1.63) | — |
 //! | `parking_lot` | `std::sync::{Mutex, RwLock}` with poison recovery | — |
 //!
@@ -25,7 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod hash;
 pub mod json;
+pub mod meta;
 pub mod proptest;
 pub mod rand;
 pub mod sync;

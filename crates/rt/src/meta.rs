@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use llmdm_rt::json::Json;
+use crate::json::Json;
 
 /// Seconds since the Unix epoch (0 if the system clock is before 1970).
 pub fn timestamp_unix() -> u64 {
@@ -75,7 +75,8 @@ fn resolve_head(git_dir: &Path) -> Option<String> {
 
 /// The shared metadata object: `git_rev`, `timestamp_unix`, and `seed`
 /// (null when no seed applies). Returned as JSON object fields so both
-/// the trace exporter and the bench harness embed the identical shape.
+/// the trace exporter (`llmdm-obs`) and [`crate::bench::Criterion::finish`]
+/// embed the identical shape.
 pub fn run_meta(seed: Option<u64>) -> Vec<(String, Json)> {
     vec![
         (
@@ -94,41 +95,6 @@ pub fn run_meta(seed: Option<u64>) -> Vec<(String, Json)> {
             },
         ),
     ]
-}
-
-
-/// Generate `main` for a `harness = false` bench target, like
-/// `llmdm_rt::criterion_main!` but stamping the emitted
-/// `BENCH_<binary>.json` with [`run_meta`] (git rev + timestamp + the
-/// `LLMDM_BENCH_SEED` env seed, default 42) so baseline reports are
-/// attributable and diffable.
-#[macro_export]
-macro_rules! bench_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::__rt::bench::Criterion::default();
-            $($group(&mut c);)+
-            let bin = std::env::args()
-                .next()
-                .and_then(|p| {
-                    std::path::Path::new(&p)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                })
-                .map(|s| s.split('-').next().unwrap_or(&s).to_string())
-                .unwrap_or_else(|| "bench".to_string());
-            let seed = std::env::var("LLMDM_BENCH_SEED")
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(42);
-            let meta = $crate::run_meta(Some(seed));
-            let path = $crate::__rt::bench::report_dir().join(format!("BENCH_{bin}.json"));
-            match c.write_json_with_meta(&path, &bin, &meta) {
-                Ok(_) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
-    };
 }
 
 #[cfg(test)]

@@ -443,14 +443,9 @@ fn base_seed(name: &str) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x5EED_CAFE_F00Du64);
-    // FNV-1a over the property name so sibling properties draw
-    // independent streams.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    env ^ h
+    // Hash the property name in so sibling properties draw independent
+    // streams.
+    env ^ crate::hash::fnv1a_str(name)
 }
 
 enum Outcome {

@@ -85,14 +85,7 @@ impl ShardedCache {
                 }
                 key % self.shards.len()
             }
-            Err(_) => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in query.as_bytes() {
-                    h ^= u64::from(*b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (h as usize) % self.shards.len()
-            }
+            Err(_) => (llmdm_rt::hash::fnv1a_str(query) as usize) % self.shards.len(),
         }
     }
 

@@ -8,7 +8,7 @@
 //! cluster owns *routing* and *fan-out*, the nodes own state.
 //!
 //! Routing is **rendezvous (highest-random-weight) hashing**: key `k`
-//! lands on the node maximizing `mix64(seed ⊕ fnv1a(node) ⊕ fnv1a(k))`.
+//! lands on the node maximizing `splitmix(seed ⊕ fnv1a(node) ⊕ fnv1a(k))`.
 //! Compared to modulo hashing this gives the two properties the tests
 //! pin:
 //!
@@ -27,17 +27,8 @@
 
 use crate::queue::ServeError;
 use crate::request::ServeRequest;
-use crate::scheduler::{mix64, serve_requests, Disposition, Job, ServeConfig, ServeStats};
-
-/// FNV-1a over raw bytes (the workspace's standard string hash).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use crate::scheduler::{serve_requests, Disposition, Job, ServeConfig, ServeStats};
+use llmdm_rt::hash::{fnv1a_str, splitmix};
 
 /// One named node and its caller-owned state.
 #[derive(Debug)]
@@ -120,7 +111,7 @@ impl<N> Cluster<N> {
 
     /// The rendezvous score of `key` on node `node` under this seed.
     fn score(&self, node: &str, key: &str) -> u64 {
-        mix64(self.seed ^ fnv1a(node) ^ fnv1a(key))
+        splitmix(self.seed ^ fnv1a_str(node) ^ fnv1a_str(key))
     }
 
     /// Route `key` to a node index: the argmax of the rendezvous score
@@ -158,7 +149,7 @@ impl<N> Cluster<N> {
 
     /// Fan `requests` out across the cluster and serve each node's
     /// share with `config` (per-node seed derived as
-    /// `mix64(seed ⊕ node_index + 1)`, so stream ids differ per node but
+    /// `splitmix(seed ⊕ node_index + 1)`, so stream ids differ per node but
     /// stay reproducible). `key_of` extracts the routing key from a
     /// request; `handler` dispatches one coalesced batch on one node
     /// (`node_index`, node state, batch key, jobs). Results come back
@@ -194,7 +185,7 @@ impl<N> Cluster<N> {
         for (node_idx, shard) in shards.into_iter().enumerate() {
             let node = &self.nodes[node_idx];
             let node_config = ServeConfig {
-                seed: mix64(config.seed ^ (node_idx as u64 + 1)),
+                seed: splitmix(config.seed ^ (node_idx as u64 + 1)),
                 ..config.clone()
             };
             let (slots, reqs): (Vec<usize>, Vec<ServeRequest<P>>) = shard.into_iter().unzip();

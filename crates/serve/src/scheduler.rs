@@ -42,6 +42,7 @@ use std::time::Instant;
 
 use llmdm_obs::{TraceContext, WindowHandle};
 use llmdm_resil::SimClock;
+use llmdm_rt::hash::splitmix;
 
 use crate::qos::{QosItem, QosQueue};
 use crate::queue::ServeError;
@@ -305,18 +306,10 @@ impl<T, E> ServeRun<T, E> {
     }
 }
 
-/// SplitMix64: the seeded id/route mixer (no process entropy).
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic per-request stream id for submission index `id`
 /// under `seed`.
 pub fn stream_id(seed: u64, id: u64) -> u64 {
-    mix64(seed ^ mix64(id))
+    splitmix(seed ^ splitmix(id))
 }
 
 /// Record `usd` of spend for one job of `class` into the windowed

@@ -32,6 +32,7 @@ use llmdm_model::{
     CompletionRequest, LanguageModel, ModelError, ModelStack, ModelZoo, PromptEnvelope,
     PromptSolver, SolvedTask, UsageMeter,
 };
+use llmdm_rt::hash::fnv1a_str;
 use llmdm_semcache::{shared_cache, CacheConfig, CacheStackExt, CacheStats, SharedCache};
 
 use crate::error::SqlError;
@@ -353,17 +354,6 @@ pub fn complete(handle: Option<&ModelHandle>, prompt: &str) -> Result<String, Sq
 // The deterministic semsql solver
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a string — a local copy (the model crate's hash helpers
-/// are private) used only to derive deterministic fallback labels.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 const POSITIVE_WORDS: &[&str] = &["good", "great", "love", "happy", "excellent", "wonderful"];
 const NEGATIVE_WORDS: &[&str] = &["bad", "terrible", "hate", "awful", "sad", "broken"];
 
@@ -420,7 +410,7 @@ impl PromptSolver for SemSqlSolver {
                 } else if template.contains("sentiment") {
                     sentiment(body).to_string()
                 } else {
-                    format!("c{}", fnv1a(&format!("{template}\u{1}{body}")) % 4)
+                    format!("c{}", fnv1a_str(&format!("{template}\u{1}{body}")) % 4)
                 };
                 Ok(SolvedTask::new(answer, difficulty))
             }
@@ -432,7 +422,7 @@ impl PromptSolver for SemSqlSolver {
                 } else if template.contains("even") {
                     body.parse::<i64>().map(|n| n % 2 == 0).unwrap_or(false)
                 } else {
-                    fnv1a(&format!("{template}\u{1}{body}")) % 2 == 0
+                    fnv1a_str(&format!("{template}\u{1}{body}")) % 2 == 0
                 };
                 let (ans, alt) = if truth { ("true", "false") } else { ("false", "true") };
                 let alts = if template.contains("garbled") {

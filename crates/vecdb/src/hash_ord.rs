@@ -45,20 +45,11 @@ impl Ord for MinScore {
     }
 }
 
-// Deterministic hashing for level assignment (duplicated from llmdm-model's
-// hash module to keep this substrate dependency-free).
-
-#[inline]
-pub(crate) fn next(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+// Deterministic hashing for level assignment.
 
 #[inline]
 pub(crate) fn level_hash(seed: u64, counter: u64) -> u64 {
-    next(seed ^ counter.wrapping_mul(0x2545_f491_4f6c_dd1d))
+    llmdm_rt::hash::splitmix(seed ^ counter.wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
 #[inline]

@@ -124,7 +124,7 @@ impl HnswIndex {
             let u = crate::hash_ord::unit(x);
             if u < std::f64::consts::E.recip() && level < 16 {
                 level += 1;
-                x = crate::hash_ord::next(x);
+                x = llmdm_rt::hash::splitmix(x);
             } else {
                 return level;
             }

@@ -78,9 +78,7 @@ fn main() {
     assert!(lat.hist.count > 0 && lat.hist.p99 >= lat.hist.p50, "rolling quantiles populated");
 
     // ---- 3. Export. --------------------------------------------------
-    let dir = std::env::var_os("LLMDM_BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
+    let dir = llmdm::rt::bench::report_dir();
     let tpath = report.write_trace(&dir, "request", Some(SEED), &[]).expect("trace written");
     let wpath = report.write_window(&dir, "serve", Some(SEED)).expect("window written");
     println!("wrote {}", tpath.display());

@@ -41,9 +41,7 @@ fn main() {
     let report = llmdm::obs::snapshot();
     let extra =
         vec![("semcache".to_string(), cache_stats.to_json())];
-    let dir = std::env::var_os("LLMDM_BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
+    let dir = llmdm::rt::bench::report_dir();
     let path = report
         .write_trace(&dir, "pipeline", Some(SEED), &extra)
         .expect("trace written");

@@ -276,6 +276,38 @@ fn no_deprecated_items_in_library_crates() {
     assert!(offenders.is_empty(), "deprecated items in library crates:\n{}", offenders.join("\n"));
 }
 
+#[test]
+fn bench_targets_have_one_entry_point() {
+    // How a bench run ends — gates, stamp, report, exit status — lives in
+    // `llmdm_rt::bench` and nowhere else: a target gets its `main` from
+    // the one `bench_main!`, never writes its own, and reads no env var
+    // (run length and output path are the harness's two).
+    let root = workspace_root();
+    let perf = root.join("crates/bench/src/bin/perf");
+    let benches = root.join("crates/bench/benches");
+    let baseline = root.join("crates/bench/src/bin/bench_baseline.rs");
+    let mut offenders = Vec::new();
+    let (mut bench_main_defs, mut criterion_main_defs) = (0, 0);
+    visit(&root.join("crates"), &mut |p, text| {
+        if p.starts_with(&perf) {
+            return;
+        }
+        bench_main_defs += text.matches("macro_rules! bench_main").count();
+        criterion_main_defs += text.matches("macro_rules! criterion_main").count();
+        let is_bench = p.starts_with(&benches);
+        for (n, line) in text.lines().enumerate() {
+            if (is_bench && line.contains("fn main"))
+                || ((is_bench || p == baseline) && line.contains("std::env::var"))
+            {
+                offenders.push(format!("{}:{}: {}", p.display(), n + 1, line.trim()));
+            }
+        }
+    });
+    assert!(offenders.is_empty(), "hand-rolled bench entry points:\n{}", offenders.join("\n"));
+    assert_eq!(bench_main_defs, 1, "exactly one `bench_main!` definition under crates/");
+    assert_eq!(criterion_main_defs, 0, "`criterion_main!` is gone; `bench_main!` replaced it");
+}
+
 fn visit(dir: &Path, f: &mut impl FnMut(&Path, &str)) {
     for entry in fs::read_dir(dir).expect("read dir") {
         let p = entry.expect("entry").path();
