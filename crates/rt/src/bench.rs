@@ -200,10 +200,15 @@ pub struct Criterion {
     gates: Vec<Gate>,
 }
 
+/// Whether this is a smoke run (`LLMDM_BENCH_FAST=1`): budgets shrink, and
+/// a target may skip the fixtures that take minutes to build.
+pub fn fast() -> bool {
+    std::env::var("LLMDM_BENCH_FAST").is_ok_and(|v| v == "1")
+}
+
 impl Default for Criterion {
     fn default() -> Self {
-        // `LLMDM_BENCH_FAST=1` shrinks budgets for smoke runs.
-        let fast = std::env::var("LLMDM_BENCH_FAST").is_ok_and(|v| v == "1");
+        let fast = fast();
         Criterion {
             warmup: Duration::from_millis(if fast { 20 } else { 150 }),
             measure: Duration::from_millis(if fast { 60 } else { 400 }),
@@ -296,6 +301,47 @@ impl BenchmarkGroup<'_> {
         let stats = BenchStats::from_samples(full, b.samples, self.throughput);
         print_stats_line(&stats);
         self.criterion.results.push(stats);
+    }
+
+    /// Measure several functions *interleaved*: one timed call of each
+    /// per round, round after round, each getting the budget
+    /// [`bench_function`](Self::bench_function) would give it. On a shared
+    /// machine a slow spell then lands on every case alike, so the ratio
+    /// of two medians is a ratio of work and not of whose window the
+    /// neighbours disturbed — measure this way what a gate will compare.
+    /// Every round runs the cases in a fresh (seeded) random order, so each
+    /// runs equally often on the caches each of the others left behind. A
+    /// case passes its own result through [`black_box`].
+    pub fn bench_interleaved(&mut self, cases: &mut [(&str, &mut dyn FnMut())]) {
+        use crate::rand::{seq::SliceRandom, SeedableRng, SmallRng};
+        let budget = |per_case: Duration| per_case * cases.len() as u32;
+        let (warmup, measure) = (budget(self.criterion.warmup), budget(self.criterion.measure));
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut order: Vec<usize> = (0..cases.len()).collect();
+        let mut samples = vec![Vec::new(); cases.len()];
+        let warm_start = Instant::now();
+        while warm_start.elapsed() < warmup {
+            order.shuffle(&mut rng);
+            order.iter().for_each(|&case| (cases[case].1)());
+        }
+        let run_start = Instant::now();
+        while samples[0].len() < self.criterion.max_samples {
+            order.shuffle(&mut rng);
+            for &case in &order {
+                let t = Instant::now();
+                (cases[case].1)();
+                samples[case].push(t.elapsed().as_nanos() as u64);
+            }
+            if run_start.elapsed() >= measure {
+                break;
+            }
+        }
+        for ((id, _), samples) in cases.iter().zip(samples) {
+            let full = format!("{}/{id}", self.name);
+            let stats = BenchStats::from_samples(full, samples, self.throughput);
+            print_stats_line(&stats);
+            self.criterion.results.push(stats);
+        }
     }
 
     /// End the group (criterion-compat no-op; results live on the
@@ -397,6 +443,31 @@ mod tests {
         }
         assert!(r[0].throughput.is_some());
         assert_eq!(c.stat("unit/spin/64").id, "unit/spin/64");
+    }
+
+    #[test]
+    fn interleaved_cases_run_once_per_round_in_shuffled_order() {
+        let mut c = fast();
+        let order = std::cell::RefCell::new(String::new());
+        c.benchmark_group("trio").bench_interleaved(&mut [
+            ("a", &mut || order.borrow_mut().push('a')),
+            ("b", &mut || order.borrow_mut().push('b')),
+            ("c", &mut || order.borrow_mut().push('c')),
+        ]);
+        // Every round (warmup included) runs each case exactly once, and
+        // not always in the order given.
+        let order = order.into_inner();
+        let rounds: Vec<&[u8]> = order.as_bytes().chunks(3).collect();
+        for round in &rounds {
+            let mut sorted = round.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, b"abc", "{order}");
+        }
+        assert!(rounds.iter().any(|round| *round != b"abc"), "{order}");
+        // One sample per timed call, the same number for every case.
+        let iters = c.stat("trio/a").iters;
+        assert!(iters >= 1 && iters <= rounds.len());
+        assert_eq!((c.stat("trio/b").iters, c.stat("trio/c").iters), (iters, iters));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The collection API: vectors + attribute metadata + hybrid search.
 //!
-//! A [`Collection`] keeps every vector twice, as production vector stores
-//! do: raw rows in a [`FlatIndex`] (ground truth, pre-filtered scans) and a
-//! [`HnswIndex`] accelerator (unfiltered and post-filtered ANN search).
+//! A [`Collection`] keeps each vector once, in its [`HnswIndex`]'s arena:
+//! ANN search walks the graph over it, while exact search and pre-filtered
+//! search score rows straight out of it. Beside the index sit two columns
+//! addressed by the same row numbers — each row's metadata, and the
+//! [`AttrIndex`] that answers "which rows have `key = value`" without
+//! reading any of it.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
+use crate::attr_index::{AttrIndex, Resolved};
 use crate::error::VecDbError;
-use crate::filter::{Filter, HybridStrategy, KPredictor, Metadata};
-use crate::flat::FlatIndex;
+use crate::filter::{Filter, HybridStrategy, KPredictor, Metadata, Predicate};
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::index::VectorIndex;
 use crate::metric::Metric;
@@ -24,16 +27,10 @@ pub struct Document {
     pub metadata: Metadata,
 }
 
-/// A search result with its attributes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchHit {
-    /// The matching document's id.
-    pub id: u64,
-    /// Similarity score (higher is better).
-    pub score: f32,
-    /// The document's attributes (cloned for convenience).
-    pub metadata: Metadata,
-}
+/// A search result: the matching document's id and its similarity score
+/// (higher is better). Its attributes are one [`Collection::metadata`] call
+/// away for the callers that want them.
+pub type SearchHit = crate::index::Neighbor;
 
 /// Statistics from one hybrid search, for strategy evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -48,12 +45,33 @@ pub struct HybridStats {
     pub used_prefilter: bool,
 }
 
+/// What the strategy rule knows about a filter before any vector is scored.
+struct Estimate<'a> {
+    /// Fraction of the collection expected to match.
+    selectivity: f64,
+    /// Metadata entries read to get it (0 when the index answered).
+    checked: usize,
+    /// The attribute index's answer, when the filter has an `Eq`/`In`.
+    resolved: Option<Resolved<'a>>,
+}
+
 /// An in-memory vector collection with metadata and hybrid search.
+///
+/// **Tie rule.** Wherever two documents score the same bits against a
+/// query, the one inserted earlier ranks first: exact and pre-filtered
+/// search score rows in ascending row order (posting lists are ascending by
+/// construction, and so is the metadata scan behind an unindexable filter)
+/// into a buffer that keeps the earlier arrival ahead on a tie, and the
+/// graph search breaks ties on row number. No result depends on a hash
+/// map's iteration order, so the same inserts, removes and queries give the
+/// same hits in every process.
 #[derive(Debug)]
 pub struct Collection {
-    flat: FlatIndex,
     ann: HnswIndex,
-    meta: HashMap<u64, Metadata>,
+    /// By the index's row number; `None` once the document is removed,
+    /// until the compaction that drops its row.
+    row_meta: Vec<Option<Metadata>>,
+    attrs: AttrIndex,
     predictor: KPredictor,
 }
 
@@ -61,22 +79,22 @@ impl Collection {
     /// Create a collection for `dim`-dimensional vectors.
     pub fn new(dim: usize, metric: Metric) -> Self {
         Collection {
-            flat: FlatIndex::new(dim, metric),
             ann: HnswIndex::new(dim, metric, HnswConfig::default())
                 .expect("default HNSW config is valid"),
-            meta: HashMap::new(),
+            row_meta: Vec::new(),
+            attrs: AttrIndex::default(),
             predictor: KPredictor::new(),
         }
     }
 
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
-        self.flat.dim()
+        self.ann.dim()
     }
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.flat.len()
+        self.ann.len()
     }
 
     /// Whether the collection is empty.
@@ -90,45 +108,56 @@ impl Collection {
         K: Into<String>,
         I: IntoIterator<Item = (K, crate::filter::AttrValue)>,
     {
-        self.flat.insert(id, vector.clone())?;
-        if let Err(e) = self.ann.insert(id, vector) {
-            // Keep flat and ANN in sync on failure.
-            let _ = self.flat.remove(id);
-            return Err(e);
-        }
-        self.meta.insert(id, metadata.into_iter().map(|(k, v)| (k.into(), v)).collect());
+        self.ann.insert(id, vector)?;
+        // The index appended the vector as its next row; so do the columns.
+        let row = self.row_meta.len() as u32;
+        debug_assert_eq!(self.ann.row_of(id), Some(row));
+        let metadata: Metadata = metadata.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        self.attrs.insert(row, &metadata);
+        self.row_meta.push(Some(metadata));
         Ok(())
     }
 
     /// Remove a document.
     pub fn remove(&mut self, id: u64) -> Result<(), VecDbError> {
-        self.flat.remove(id)?;
+        let row = self.ann.row_of(id).ok_or(VecDbError::NotFound(id))?;
         self.ann.remove(id)?;
-        self.meta.remove(&id);
-        // Rebuild the graph when tombstones dominate.
+        if let Some(metadata) = self.row_meta[row as usize].take() {
+            self.attrs.remove(row, &metadata);
+        }
+        // Rebuild the graph when tombstones dominate. Compaction renumbers
+        // the surviving rows in order, and so do the two columns.
         if self.ann.tombstone_ratio() > 0.5 {
             self.ann.compact();
+            self.row_meta.retain(Option::is_some);
+            self.attrs = AttrIndex::default();
+            for (row, metadata) in self.row_meta.iter().flatten().enumerate() {
+                self.attrs.insert(row as u32, metadata);
+            }
         }
         Ok(())
     }
 
     /// Fetch a document.
     pub fn get(&self, id: u64) -> Option<Document> {
-        let vector = self.flat.get(id)?.to_vec();
-        let metadata = self.meta.get(&id).cloned().unwrap_or_default();
+        let vector = self.ann.get(id)?.to_vec();
+        let metadata = self.metadata(id).cloned().unwrap_or_default();
         Some(Document { id, vector, metadata })
+    }
+
+    /// The attributes stored with `id`.
+    pub fn metadata(&self, id: u64) -> Option<&Metadata> {
+        self.row_meta[self.ann.row_of(id)? as usize].as_ref()
     }
 
     /// Unfiltered ANN search.
     pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchHit>, VecDbError> {
-        let hits = self.ann.search(query, k)?;
-        Ok(hits.into_iter().map(|n| self.hit(n.id, n.score)).collect())
+        self.ann.search(query, k)
     }
 
-    /// Unfiltered exact search (flat scan).
+    /// Unfiltered exact search (a scan of the whole arena).
     pub fn search_exact(&self, query: &[f32], k: usize) -> Result<Vec<SearchHit>, VecDbError> {
-        let hits = self.flat.search(query, k)?;
-        Ok(hits.into_iter().map(|n| self.hit(n.id, n.score)).collect())
+        self.ann.search_rows(query, k, 0..self.ann.rows() as u32)
     }
 
     /// Hybrid search with the default adaptive strategy.
@@ -153,25 +182,45 @@ impl Collection {
             let hits = self.search(query, k)?;
             return Ok((hits, HybridStats::default()));
         }
-        match strategy {
-            HybridStrategy::PreFilter => self.prefilter_search(query, k, filter),
+        let mut span = llmdm_obs::span("vecdb.hybrid.search");
+        // Beside the hits and their stats: the selectivity the strategy was
+        // chosen by (an explicit strategy takes none) and whether the
+        // attribute index, rather than a metadata scan, answered the filter.
+        let (hits, stats, selectivity, indexed) = match strategy {
+            HybridStrategy::PreFilter => {
+                let resolved = self.attrs.resolve(filter);
+                let indexed = resolved.is_some();
+                let (hits, stats) = self.prefilter_search(query, k, filter, resolved)?;
+                (hits, stats, None, indexed)
+            }
             HybridStrategy::PostFilter { expansion } => {
-                self.postfilter_search(query, k, filter, expansion)
+                let (hits, stats) = self.postfilter_search(query, k, filter, expansion)?;
+                (hits, stats, None, false)
             }
             HybridStrategy::Adaptive { selectivity_threshold, sample } => {
-                let (sel, checked) = self.estimate_selectivity(filter, sample);
-                if sel < selectivity_threshold {
-                    let (hits, mut stats) = self.prefilter_search(query, k, filter)?;
-                    stats.metadata_checked += checked;
-                    Ok((hits, stats))
+                let est = self.estimate(filter, sample);
+                let indexed = est.resolved.is_some();
+                let (hits, mut stats) = if est.selectivity < selectivity_threshold {
+                    self.prefilter_search(query, k, filter, est.resolved)?
                 } else {
-                    let expansion = self.predictor.predict(sel);
-                    let (hits, mut stats) = self.postfilter_search(query, k, filter, expansion)?;
-                    stats.metadata_checked += checked;
-                    Ok((hits, stats))
-                }
+                    let expansion = self.predictor.predict(est.selectivity);
+                    self.postfilter_search(query, k, filter, expansion)?
+                };
+                stats.metadata_checked += est.checked;
+                (hits, stats, Some(est.selectivity), indexed)
             }
+        };
+        if span.is_recording() {
+            span.field("strategy", if stats.used_prefilter { "prefilter" } else { "postfilter" });
+            if let Some(selectivity) = selectivity {
+                span.field("selectivity", selectivity);
+            }
+            // Rows scored exactly (pre-filter) or over-fetched (post-filter).
+            span.field("candidates", stats.vectors_scored);
+            span.field("indexed", indexed);
+            span.field("rounds", stats.rounds);
         }
+        Ok((hits, stats))
     }
 
     /// Hybrid search that also *trains* the k-predictor from what this
@@ -182,7 +231,7 @@ impl Collection {
         k: usize,
         filter: &Filter,
     ) -> Result<Vec<SearchHit>, VecDbError> {
-        let (sel, _) = self.estimate_selectivity(filter, 256);
+        let sel = self.estimate(filter, 256).selectivity;
         let expansion = self.predictor.predict(sel);
         let (hits, stats) = self.postfilter_search(query, k, filter, expansion)?;
         // The expansion that would have sufficed: the final round's factor.
@@ -191,13 +240,13 @@ impl Collection {
         Ok(hits)
     }
 
-    /// Exact fraction of documents matching `filter` (full metadata scan).
+    /// Exact fraction of documents matching `filter`.
     pub fn selectivity(&self, filter: &Filter) -> f64 {
-        if self.meta.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let n = self.meta.values().filter(|m| filter.matches(m)).count();
-        n as f64 / self.meta.len() as f64
+        let (rows, _) = self.survivors(filter, self.attrs.resolve(filter));
+        rows.len() as f64 / self.len() as f64
     }
 
     /// The learned k-predictor.
@@ -205,36 +254,54 @@ impl Collection {
         &self.predictor
     }
 
-    fn hit(&self, id: u64, score: f32) -> SearchHit {
-        SearchHit { id, score, metadata: self.meta.get(&id).cloned().unwrap_or_default() }
+    /// Whether the live document at `row` satisfies every predicate.
+    fn row_matches(&self, row: u32, predicates: &[&Predicate]) -> bool {
+        self.row_meta[row as usize].as_ref().is_some_and(|m| predicates.iter().all(|p| p.matches(m)))
     }
 
-    /// Estimate selectivity on a deterministic metadata sample.
-    ///
-    /// Sampling iterates ids in sorted order — HashMap iteration order is
-    /// process-random and would break the workspace's bit-for-bit
-    /// determinism guarantee for collections larger than the sample.
-    fn estimate_selectivity(&self, filter: &Filter, sample: usize) -> (f64, usize) {
-        if self.meta.is_empty() {
-            return (0.0, 0);
+    /// The filter's selectivity as the strategy rule sees it. With an
+    /// indexable predicate it is the index's candidate count over the
+    /// collection size — exact when nothing is residual, an upper bound
+    /// otherwise. Without one it is the match rate of a `sample`-row stride
+    /// over the metadata column, in row order.
+    fn estimate<'a>(&'a self, filter: &'a Filter, sample: usize) -> Estimate<'a> {
+        if self.is_empty() {
+            return Estimate { selectivity: 0.0, checked: 0, resolved: None };
         }
-        let mut ids: Vec<u64> = self.meta.keys().copied().collect();
-        ids.sort_unstable();
-        let step = (ids.len() / sample.max(1)).max(1);
-        let mut checked = 0usize;
-        let mut matched = 0usize;
-        for &id in ids.iter().step_by(step) {
-            let m = &self.meta[&id];
+        if let Some(resolved) = self.attrs.resolve(filter) {
+            let selectivity = resolved.rows.len() as f64 / self.len() as f64;
+            return Estimate { selectivity, checked: 0, resolved: Some(resolved) };
+        }
+        let step = (self.row_meta.len() / sample.max(1)).max(1);
+        let sampled = self.row_meta.iter().step_by(step).flatten();
+        let (mut checked, mut matched) = (0usize, 0usize);
+        for m in sampled {
             checked += 1;
-            if filter.matches(m) {
-                matched += 1;
-            }
+            matched += usize::from(filter.matches(m));
         }
-        if checked == 0 {
-            (0.0, 0)
-        } else {
-            (matched as f64 / checked as f64, checked)
+        let selectivity = if checked == 0 { 0.0 } else { matched as f64 / checked as f64 };
+        Estimate { selectivity, checked, resolved: None }
+    }
+
+    /// The rows matching `filter`, ascending, and how many metadata entries
+    /// were read to find them: none when the index resolved every
+    /// predicate, its candidates when some are residual, and the whole
+    /// column — every row a candidate, every predicate residual — when it
+    /// resolved nothing.
+    fn survivors<'a>(
+        &self,
+        filter: &'a Filter,
+        resolved: Option<Resolved<'a>>,
+    ) -> (Cow<'a, [u32]>, usize) {
+        let Resolved { rows, residual } = resolved.unwrap_or_else(|| Resolved {
+            rows: (0..self.row_meta.len() as u32).collect(),
+            residual: filter.predicates().iter().collect(),
+        });
+        if residual.is_empty() {
+            return (rows, 0);
         }
+        let matching = rows.iter().copied().filter(|&row| self.row_matches(row, &residual));
+        (matching.collect(), rows.len())
     }
 
     fn prefilter_search(
@@ -242,21 +309,16 @@ impl Collection {
         query: &[f32],
         k: usize,
         filter: &Filter,
+        resolved: Option<Resolved<'_>>,
     ) -> Result<(Vec<SearchHit>, HybridStats), VecDbError> {
-        let candidates: Vec<u64> = self
-            .meta
-            .iter()
-            .filter(|(_, m)| filter.matches(m))
-            .map(|(&id, _)| id)
-            .collect();
+        let (rows, metadata_checked) = self.survivors(filter, resolved);
         let stats = HybridStats {
-            vectors_scored: candidates.len(),
-            metadata_checked: self.meta.len(),
+            vectors_scored: rows.len(),
+            metadata_checked,
             rounds: 0,
             used_prefilter: true,
         };
-        let hits = self.flat.search_among(query, k, &candidates)?;
-        Ok((hits.into_iter().map(|n| self.hit(n.id, n.score)).collect(), stats))
+        Ok((self.ann.search_rows(query, k, rows.iter().copied())?, stats))
     }
 
     fn postfilter_search(
@@ -270,20 +332,14 @@ impl Collection {
         let mut fetch = (k * expansion.max(1)).max(k);
         loop {
             stats.rounds += 1;
-            let raw = self.ann.search(query, fetch)?;
-            stats.vectors_scored += raw.len();
-            let filtered: Vec<SearchHit> = raw
-                .iter()
-                .filter(|n| {
-                    self.meta.get(&n.id).is_some_and(|m| filter.matches(m))
-                })
-                .take(k)
-                .map(|n| self.hit(n.id, n.score))
-                .collect();
-            stats.metadata_checked += raw.len();
+            let mut hits = self.ann.search(query, fetch)?;
+            stats.vectors_scored += hits.len();
+            stats.metadata_checked += hits.len();
+            hits.retain(|n| self.metadata(n.id).is_some_and(|m| filter.matches(m)));
+            hits.truncate(k);
             // Done when we have k results, or we already fetched everything.
-            if filtered.len() >= k || fetch >= self.len() {
-                return Ok((filtered, stats));
+            if hits.len() >= k || fetch >= self.len() {
+                return Ok((hits, stats));
             }
             fetch = (fetch * 2).min(self.len().max(1));
         }
@@ -345,7 +401,7 @@ mod tests {
         ] {
             let (hits, _) = coll.search_filtered_with(&q, 10, &f, strategy).unwrap();
             assert_eq!(hits.len(), 10);
-            assert!(hits.iter().all(|h| h.metadata.get("kind")
+            assert!(hits.iter().all(|h| coll.metadata(h.id).unwrap().get("kind")
                 == Some(&AttrValue::Str("table".into()))));
         }
     }
@@ -450,5 +506,222 @@ mod tests {
         let doc = coll.get(180).unwrap();
         let hits = coll.search(&doc.vector, 1).unwrap();
         assert_eq!(hits[0].id, 180);
+    }
+
+    #[test]
+    fn metadata_follows_its_document_through_removal_and_compaction() {
+        let mut coll = sample_collection();
+        assert_eq!(coll.metadata(7).unwrap().get("id"), Some(&AttrValue::Int(7)));
+        assert!(coll.metadata(999).is_none());
+        // Removing 150 of 200 compacts the index and renumbers every row.
+        for id in 0..150u64 {
+            coll.remove(id).unwrap();
+            assert!(coll.metadata(id).is_none());
+        }
+        assert_eq!(coll.metadata(180).unwrap().get("id"), Some(&AttrValue::Int(180)));
+        let q = coll.get(181).unwrap().vector;
+        let (hits, stats) = coll
+            .search_filtered_with(&q, 50, &Filter::eq("kind", "table"), HybridStrategy::PreFilter)
+            .unwrap();
+        assert_eq!(stats.vectors_scored, 25, "odd ids in 150..200");
+        assert_eq!(hits[0].id, 181);
+        assert!(hits.iter().all(|h| h.id >= 150 && h.id % 2 == 1));
+    }
+
+    /// The tie rule, across builds: a hash map with a per-instance seed
+    /// anywhere on the search path would shuffle which of the tied
+    /// documents make the cut from one `Collection` to the next.
+    #[test]
+    fn tied_scores_rank_in_insertion_order_in_every_build() {
+        let build = || {
+            let mut coll = Collection::new(4, Metric::Cosine);
+            for id in 0..40u64 {
+                // Ids 10..30 share one vector; the rest are distinct.
+                let v = if (10..30).contains(&id) {
+                    vec![1.0, 0.0, 0.0, 0.0]
+                } else {
+                    vec![0.1, 1.0, id as f32, 0.0]
+                };
+                let tag = if id % 2 == 0 { "even" } else { "odd" };
+                coll.insert(id, v, [("tag", AttrValue::from(tag)), ("n", AttrValue::Int(id as i64))])
+                    .unwrap();
+            }
+            coll
+        };
+        let query = [1.0, 0.0, 0.0, 0.0];
+        let indexed = Filter::eq("tag", "even");
+        let scanned = Filter::all().and(Predicate::Exists("tag".into()));
+        let answers: Vec<[Vec<u64>; 3]> = (0..16)
+            .map(|_| {
+                let coll = build();
+                let ids = |hits: Vec<SearchHit>| hits.iter().map(|h| h.id).collect::<Vec<u64>>();
+                let pre = |f| coll.search_filtered_with(&query, 3, f, HybridStrategy::PreFilter);
+                [
+                    ids(pre(&indexed).unwrap().0),
+                    ids(pre(&scanned).unwrap().0),
+                    ids(coll.search_exact(&query, 3).unwrap()),
+                ]
+            })
+            .collect();
+        // Ten even and twenty in all tie at cosine 1.0; k = 3 takes the
+        // first three inserted.
+        assert_eq!(answers[0], [vec![10, 12, 14], vec![10, 11, 12], vec![10, 11, 12]]);
+        assert!(answers.iter().all(|a| a == &answers[0]), "{answers:?}");
+    }
+
+    mod differential {
+        //! The attribute index and the arena scan against a model that has
+        //! neither: a `Vec` of the live documents in insertion order,
+        //! `Filter::matches` on each, and a stable sort by score.
+
+        use super::*;
+        use crate::metric::Rows;
+        use llmdm_rt::proptest;
+        use llmdm_rt::proptest::prelude::*;
+
+        const DIM: usize = 5;
+        const KEYS: [&str; 3] = ["x", "y", "z"];
+
+        /// Code 0 is "key absent"; the rest cover all four kinds, the
+        /// `Int`/`Float` twins, both zeros and NaN.
+        fn value(code: u8) -> Option<AttrValue> {
+            Some(match code {
+                0 => return None,
+                1 => "a".into(),
+                2 => "b".into(),
+                3 => "ab".into(),
+                4 => AttrValue::Int(1),
+                5 => AttrValue::Float(1.0),
+                6 => AttrValue::Int(2),
+                7 => AttrValue::Float(2.5),
+                8 => AttrValue::Int(0),
+                9 => AttrValue::Float(0.0),
+                10 => AttrValue::Float(-0.0),
+                11 => AttrValue::Float(f64::NAN),
+                12 => AttrValue::Bool(true),
+                _ => AttrValue::Bool(false),
+            })
+        }
+
+        fn predicate((kind, key, a, b): (u8, usize, u8, u8)) -> Predicate {
+            let key = KEYS[key].to_string();
+            let v = |code| value(code).expect("codes 1.. are values");
+            match kind {
+                0 => Predicate::Eq(key, v(a)),
+                1 => Predicate::Ne(key, v(a)),
+                2 => Predicate::Lt(key, v(a)),
+                3 => Predicate::Le(key, v(a)),
+                4 => Predicate::Gt(key, v(a)),
+                5 => Predicate::Ge(key, v(a)),
+                // `a` twice: a value list may name one posting list twice.
+                6 => Predicate::In(key, vec![v(a), v(b), v(a)]),
+                7 => Predicate::Contains(key, if a % 2 == 0 { "a" } else { "b" }.into()),
+                _ => Predicate::Exists(key),
+            }
+        }
+
+        /// Half the vectors come from a pool of three, so equal scores —
+        /// the tie rule's business — turn up in most cases.
+        fn vector(pool: u8, fresh: Vec<f32>) -> Vec<f32> {
+            match pool {
+                0 => vec![1.0, 0.0, 0.0, 0.5, 0.0],
+                1 => vec![0.0, 1.0, 0.0, 0.0, -0.5],
+                2 => vec![0.0; DIM],
+                _ => fresh,
+            }
+        }
+
+        fn fresh_vector() -> impl Strategy<Value = Vec<f32>> {
+            proptest::collection::vec(-1.0f32..1.0, DIM)
+        }
+
+        proptest! {
+            #[test]
+            fn index_and_arena_agree_with_a_plain_model(
+                ops in proptest::collection::vec(
+                    (0u8..3, 0u64..16, 0u8..6, fresh_vector(), (0u8..14, 0u8..14, 0u8..14)),
+                    1..70,
+                ),
+                predicates in proptest::collection::vec((0u8..9, 0usize..3, 1u8..14, 1u8..14), 1..4),
+                query in (0u8..6, fresh_vector()),
+                k in 1usize..8,
+            ) {
+                let mut coll = Collection::new(DIM, Metric::Cosine);
+                let mut model: Vec<(u64, Vec<f32>, Metadata)> = Vec::new();
+                for (op, id, pool, fresh, (x, y, z)) in ops {
+                    let known = model.iter().position(|(live, _, _)| *live == id);
+                    // Two inserts to one remove, so collections grow, yet
+                    // tombstones pass 50 % often enough to compact.
+                    if op < 2 {
+                        let v = vector(pool, fresh);
+                        let metadata: Metadata = KEYS
+                            .iter()
+                            .zip([x, y, z])
+                            .filter_map(|(key, code)| Some((key.to_string(), value(code)?)))
+                            .collect();
+                        let inserted = coll.insert(id, v.clone(), metadata.clone());
+                        prop_assert_eq!(inserted.is_ok(), known.is_none());
+                        if known.is_none() {
+                            model.push((id, v, metadata));
+                        }
+                    } else {
+                        prop_assert_eq!(coll.remove(id).is_ok(), known.is_some());
+                        if let Some(at) = known {
+                            model.remove(at);
+                        }
+                    }
+                }
+                prop_assert_eq!(coll.len(), model.len());
+                for (id, v, metadata) in &model {
+                    let doc = coll.get(*id).expect("live in the model");
+                    prop_assert_eq!(&doc.vector, v);
+                    // `{:?}`: a NaN attribute is not `==` to itself.
+                    prop_assert_eq!(format!("{:?}", doc.metadata), format!("{metadata:?}"));
+                }
+
+                let filter = predicates.into_iter().fold(Filter::all(), |f, p| f.and(predicate(p)));
+                let query = vector(query.0, query.1);
+                // The model's ranking of `docs`: same kernel, no index, no
+                // arena — a stable sort leaves ties in insertion order.
+                let rank = |docs: Vec<&(u64, Vec<f32>, Metadata)>| {
+                    let mut rows = Rows::new(DIM, Metric::Cosine);
+                    docs.iter().for_each(|(_, v, _)| rows.push(v));
+                    let q = Metric::Cosine.prepare(&query);
+                    let mut ranked: Vec<SearchHit> = docs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (id, _, _))| SearchHit { id: *id, score: rows.score(&q, i) })
+                        .collect();
+                    ranked.sort_by(|a, b| b.score.total_cmp(&a.score));
+                    ranked
+                };
+                let matching = rank(model.iter().filter(|(_, _, m)| filter.matches(m)).collect());
+
+                // Index-resolved survivors are exactly the matching set …
+                let (all, stats) = coll
+                    .search_filtered_with(&query, model.len() + 1, &filter, HybridStrategy::PreFilter)
+                    .unwrap();
+                prop_assert_eq!(stats.vectors_scored, matching.len());
+                prop_assert_eq!(&all, &matching);
+                if !model.is_empty() {
+                    let exact = matching.len() as f64 / model.len() as f64;
+                    prop_assert_eq!(coll.selectivity(&filter), exact);
+                }
+                // … the top k of them is the model's top k, ids and bits …
+                let (top, _) =
+                    coll.search_filtered_with(&query, k, &filter, HybridStrategy::PreFilter).unwrap();
+                prop_assert_eq!(&top[..], &matching[..k.min(matching.len())]);
+                // … and the unfiltered scan ranks everything the same way.
+                let everything = rank(model.iter().collect());
+                prop_assert_eq!(
+                    &coll.search_exact(&query, k).unwrap()[..],
+                    &everything[..k.min(everything.len())]
+                );
+                // Whatever the adaptive rule picks, a hit matches the filter.
+                for hit in coll.search_filtered(&query, k, &filter).unwrap() {
+                    prop_assert!(filter.matches(coll.metadata(hit.id).expect("a hit is stored")));
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 
-
 /// An attribute value attached to a stored vector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
@@ -153,6 +152,11 @@ impl Filter {
         self
     }
 
+    /// The predicates, in the order they were added.
+    pub(crate) fn predicates(&self) -> &[Predicate] {
+        &self.predicates
+    }
+
     /// Whether `meta` satisfies every predicate.
     pub fn matches(&self, meta: &Metadata) -> bool {
         self.predicates.iter().all(|p| p.matches(meta))
@@ -177,8 +181,9 @@ impl Filter {
 /// How to order attribute filtering vs vector search (§III-B2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HybridStrategy {
-    /// Scan attributes first, then exact-rank the survivors. Best when the
-    /// filter is selective.
+    /// Resolve the attributes first (through the attribute index where the
+    /// filter has `Eq`/`In` predicates, by scanning metadata otherwise),
+    /// then exact-rank the survivors. Best when the filter is selective.
     PreFilter,
     /// ANN-search first with `expansion × k` over-fetch, then filter. Best
     /// when most items pass the filter.
@@ -187,13 +192,16 @@ pub enum HybridStrategy {
         /// under-delivery.
         expansion: usize,
     },
-    /// Estimate selectivity on a metadata sample and pick pre- vs
-    /// post-filtering per query — the adaptive mechanism the paper
-    /// envisions.
+    /// Pick pre- vs post-filtering per query from the filter's selectivity
+    /// — the adaptive mechanism the paper envisions. The selectivity is the
+    /// attribute index's candidate count over the collection size (exact
+    /// when every predicate is `Eq`/`In`, an upper bound otherwise); only a
+    /// filter with no indexable predicate is estimated on a metadata
+    /// sample.
     Adaptive {
-        /// Use pre-filtering when estimated selectivity is below this.
+        /// Use pre-filtering when the selectivity is below this.
         selectivity_threshold: f64,
-        /// Metadata sample size for the estimate.
+        /// Metadata sample size for the estimate of an unindexable filter.
         sample: usize,
     },
 }
@@ -207,9 +215,9 @@ impl Default for HybridStrategy {
 /// Online predictor of the post-filter over-fetch factor.
 ///
 /// Observes `(selectivity, expansion that was actually needed)` pairs and
-/// predicts the expansion for future queries by selectivity bucket, with a
-/// 25% safety margin. Falls back to `1/selectivity` before enough
-/// observations exist.
+/// predicts the expansion for future queries by selectivity bucket. Falls
+/// back to `1/selectivity` before enough observations exist; either way
+/// with a 25% safety margin.
 #[derive(Debug, Clone)]
 pub struct KPredictor {
     /// Ten selectivity buckets of width 0.1: (sum of needed expansions, n).
@@ -247,13 +255,16 @@ impl KPredictor {
         let b = Self::bucket(selectivity);
         let (sum, n) = self.buckets[b];
         let base = if n >= 3 {
-            (sum / n as f64) * self.margin
+            sum / n as f64
         } else {
             // Cold start: the analytic estimate. If a fraction `s` of items
             // pass, expect to fetch ~1/s × k to surface k survivors.
             (1.0 / selectivity.max(0.01)).min(64.0)
         };
-        base.ceil().max(1.0) as usize
+        // The margin covers the estimate as much as the mean: 1/s × k
+        // candidates hold k survivors only on average, so without it every
+        // other cold query comes back short and pays for a second round.
+        (base * self.margin).ceil().max(1.0) as usize
     }
 
     /// Total number of observations.

@@ -1,41 +1,38 @@
 //! Exhaustive (brute-force) index: exact results, O(n·d) per query.
 //!
-//! The recall baseline for the ANN indexes and the execution engine behind
-//! pre-filtered hybrid search (scanning only the filter's survivors).
+//! The recall baseline for the ANN indexes, and the whole index of callers
+//! whose collections stay small (the semantic cache). A
+//! [`Collection`](crate::Collection) does not keep one: it scans its HNSW
+//! arena instead.
 
 use std::collections::HashMap;
 
 use crate::error::VecDbError;
 use crate::index::{check_dim, push_topk, Neighbor, VectorIndex};
-use crate::metric::Metric;
+use crate::metric::{Metric, Rows};
 
 /// Exact nearest-neighbor index over a dense array.
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
-    dim: usize,
-    metric: Metric,
     ids: Vec<u64>,
-    data: Vec<f32>, // row-major, len = ids.len() * dim
+    rows: Rows, // row `pos` belongs to `ids[pos]`
     pos: HashMap<u64, usize>,
 }
 
 impl FlatIndex {
     /// Create an empty flat index.
     pub fn new(dim: usize, metric: Metric) -> Self {
-        FlatIndex { dim, metric, ids: Vec::new(), data: Vec::new(), pos: HashMap::new() }
+        FlatIndex { ids: Vec::new(), rows: Rows::new(dim, metric), pos: HashMap::new() }
     }
 
     /// The stored vector for `id`, if present.
     pub fn get(&self, id: u64) -> Option<&[f32]> {
-        let pos = *self.pos.get(&id)?;
-        Some(&self.data[pos * self.dim..(pos + 1) * self.dim])
+        Some(self.rows.row(*self.pos.get(&id)?))
     }
 
     /// Iterate `(id, vector)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[f32])> {
-        self.ids.iter().enumerate().map(move |(pos, &id)| {
-            (id, &self.data[pos * self.dim..(pos + 1) * self.dim])
-        })
+        self.ids.iter().enumerate().map(move |(pos, &id)| (id, self.rows.row(pos)))
     }
 
     /// Exact k-NN with the scan fanned out across `threads` OS threads
@@ -59,7 +56,9 @@ impl FlatIndex {
             return self.search(query, k);
         }
         let mut span = llmdm_obs::span("vecdb.flat.par_search");
-        check_dim(self.dim, query)?;
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
+        let q = &q;
         let chunk = n.div_ceil(t);
         let mut partials: Vec<Vec<Neighbor>> = Vec::with_capacity(t);
         std::thread::scope(|s| {
@@ -70,12 +69,8 @@ impl FlatIndex {
                     s.spawn(move || {
                         let mut best = Vec::with_capacity(k.min(hi - lo));
                         for pos in lo..hi {
-                            let v = &self.data[pos * self.dim..(pos + 1) * self.dim];
-                            push_topk(
-                                &mut best,
-                                k,
-                                Neighbor { id: self.ids[pos], score: self.metric.score(query, v) },
-                            );
+                            let score = self.rows.score(q, pos);
+                            push_topk(&mut best, k, Neighbor { id: self.ids[pos], score });
                         }
                         best
                     })
@@ -111,13 +106,14 @@ impl FlatIndex {
         candidates: &[u64],
     ) -> Result<Vec<Neighbor>, VecDbError> {
         let mut span = llmdm_obs::span("vecdb.flat.search_among");
-        check_dim(self.dim, query)?;
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
         let mut best = Vec::with_capacity(k.min(candidates.len()));
         let mut comps = 0usize;
         for &id in candidates {
-            if let Some(v) = self.get(id) {
+            if let Some(&pos) = self.pos.get(&id) {
                 comps += 1;
-                push_topk(&mut best, k, Neighbor { id, score: self.metric.score(query, v) });
+                push_topk(&mut best, k, Neighbor { id, score: self.rows.score(&q, pos) });
             }
         }
         if span.is_recording() {
@@ -134,11 +130,11 @@ impl FlatIndex {
 
 impl VectorIndex for FlatIndex {
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     fn metric(&self) -> Metric {
-        self.metric
+        self.rows.metric()
     }
 
     fn len(&self) -> usize {
@@ -146,37 +142,34 @@ impl VectorIndex for FlatIndex {
     }
 
     fn insert(&mut self, id: u64, vector: Vec<f32>) -> Result<(), VecDbError> {
-        check_dim(self.dim, &vector)?;
+        check_dim(self.rows.dim(), &vector)?;
         if self.pos.contains_key(&id) {
             return Err(VecDbError::DuplicateId(id));
         }
         self.pos.insert(id, self.ids.len());
         self.ids.push(id);
-        self.data.extend_from_slice(&vector);
+        self.rows.push(&vector);
         Ok(())
     }
 
     fn remove(&mut self, id: u64) -> Result<(), VecDbError> {
         let pos = self.pos.remove(&id).ok_or(VecDbError::NotFound(id))?;
         // Swap-remove the row to keep the array dense.
-        let last = self.ids.len() - 1;
         self.ids.swap_remove(pos);
-        if pos != last {
-            let (head, tail) = self.data.split_at_mut(last * self.dim);
-            head[pos * self.dim..(pos + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
-            self.pos.insert(self.ids[pos], pos);
+        self.rows.swap_remove(pos);
+        if let Some(&moved) = self.ids.get(pos) {
+            self.pos.insert(moved, pos);
         }
-        self.data.truncate(last * self.dim);
         Ok(())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, VecDbError> {
         let mut span = llmdm_obs::span("vecdb.flat.search");
-        check_dim(self.dim, query)?;
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
         let mut best = Vec::with_capacity(k.min(self.ids.len()));
         for (pos, &id) in self.ids.iter().enumerate() {
-            let v = &self.data[pos * self.dim..(pos + 1) * self.dim];
-            push_topk(&mut best, k, Neighbor { id, score: self.metric.score(query, v) });
+            push_topk(&mut best, k, Neighbor { id, score: self.rows.score(&q, pos) });
         }
         if span.is_recording() {
             // Brute force scans everything: candidates == distance comps.

@@ -10,13 +10,23 @@
 //!
 //! Deletions are tombstoned: removed ids stay as graph waypoints (keeping
 //! connectivity) but are filtered from results; `compact()` rebuilds.
+//!
+//! # Layout
+//!
+//! A node is a *row number*, handed out in insertion order, and everything
+//! about it lives in a column indexed by that number: its vector in one
+//! row-major `f32` arena ([`Rows`], with the inverse norm cosine scoring
+//! wants beside it), its id, its tombstone flag, its drawn level, and its
+//! links ([`Links`]). A row number is stable until [`HnswIndex::compact`],
+//! which drops the tombstoned rows and renumbers the rest in order — so
+//! ascending row order is always insertion order.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::error::VecDbError;
 use crate::hash_ord::{MaxScore, MinScore};
-use crate::index::{check_dim, Neighbor, VectorIndex};
-use crate::metric::Metric;
+use crate::index::{check_dim, push_topk, Neighbor, VectorIndex};
+use crate::metric::{Metric, Prepared, Rows};
 
 /// HNSW construction/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -37,22 +47,144 @@ impl Default for HnswConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    id: u64,
-    vector: Vec<f32>,
-    /// Adjacency per layer; `neighbors[l]` are internal node indexes.
-    neighbors: Vec<Vec<u32>>,
-    deleted: bool,
+/// Adjacency, in two flat `u32` tables of fixed-stride blocks. A block is
+/// a count followed by that layer's capacity in slots.
+///
+/// * Layer 0: node `n`'s block sits at `n · (1 + 2m)` of `base`.
+/// * Layers ≥ 1: only a node whose drawn level is ≥ 1 (a fraction
+///   `1/e ≈ 37 %`) owns any; its `level` blocks of `1 + m` sit back to back
+///   in `upper`, starting at `upper_at[n]`.
+#[derive(Debug)]
+struct Links {
+    m: usize,
+    /// The level each node drew: it has a block on layers `0..=level` only.
+    levels: Vec<u8>,
+    base: Vec<u32>,
+    /// Meaningful only where `levels[n] ≥ 1`.
+    upper_at: Vec<u32>,
+    upper: Vec<u32>,
+}
+
+impl Links {
+    fn new(m: usize) -> Self {
+        Links { m, levels: Vec::new(), base: Vec::new(), upper_at: Vec::new(), upper: Vec::new() }
+    }
+
+    /// Max links of a node on `layer`.
+    fn cap(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.m * 2
+        } else {
+            self.m
+        }
+    }
+
+    /// Append the (empty) blocks of the next node, which drew `level`.
+    fn push_node(&mut self, level: usize) {
+        self.levels.push(u8::try_from(level).expect("levels are capped at 16"));
+        self.base.resize(self.base.len() + 1 + self.cap(0), 0);
+        self.upper_at.push(u32::try_from(self.upper.len()).expect("upper table outgrew u32"));
+        self.upper.resize(self.upper.len() + level * (1 + self.m), 0);
+    }
+
+    /// The table holding `layer`'s blocks, and where `node`'s starts in it.
+    fn block(&self, node: u32, layer: usize) -> (&[u32], usize) {
+        // Not a debug assert: past its level a node's "block" would be the
+        // next node's.
+        assert!(layer <= self.levels[node as usize] as usize, "node {node} has no layer {layer}");
+        if layer == 0 {
+            (&self.base, node as usize * (1 + 2 * self.m))
+        } else {
+            (&self.upper, self.upper_at[node as usize] as usize + (layer - 1) * (1 + self.m))
+        }
+    }
+
+    /// As [`Links::block`], to write through.
+    fn block_mut(&mut self, node: u32, layer: usize) -> (&mut [u32], usize) {
+        let at = self.block(node, layer).1;
+        (if layer == 0 { &mut self.base } else { &mut self.upper }, at)
+    }
+
+    #[inline]
+    fn get(&self, node: u32, layer: usize) -> &[u32] {
+        let (table, at) = self.block(node, layer);
+        &table[at + 1..at + 1 + table[at] as usize]
+    }
+
+    /// Replace `node`'s links on `layer` with `links` (at most `cap`).
+    fn set(&mut self, node: u32, layer: usize, links: impl Iterator<Item = u32>) {
+        let cap = self.cap(layer);
+        let (table, at) = self.block_mut(node, layer);
+        let mut n = 0;
+        for (slot, link) in table[at + 1..at + 1 + cap].iter_mut().zip(links) {
+            *slot = link;
+            n += 1;
+        }
+        table[at] = n;
+    }
+
+    /// Add one link; `false`, and nothing written, when the block is full.
+    fn push(&mut self, node: u32, layer: usize, link: u32) -> bool {
+        let cap = self.cap(layer);
+        let (table, at) = self.block_mut(node, layer);
+        let n = table[at] as usize;
+        if n == cap {
+            return false;
+        }
+        table[at + 1 + n] = link;
+        table[at] += 1;
+        true
+    }
+}
+
+/// One bit per row: has the current search scored it yet?
+struct Visited(Vec<u64>);
+
+impl Visited {
+    fn new(rows: usize) -> Self {
+        Visited(vec![0; rows.div_ceil(64)])
+    }
+
+    /// Mark `node`; `true` if it was not marked before.
+    #[inline]
+    fn insert(&mut self, node: u32) -> bool {
+        let (word, bit) = (&mut self.0[node as usize / 64], 1u64 << (node % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
+/// When the best-first search of a layer ends.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// Keep the best `ef` scored nodes; end when the nearest unexpanded one
+    /// is farther than the worst of a full set.
+    Ef(usize),
+    /// Keep everything scored; end after `patience` expansions in a row
+    /// that leave the best `k` live scores as they were.
+    Patience { k: usize, patience: usize },
+}
+
+/// What one best-first search found.
+struct Found {
+    /// `(score, node)`, best first, tombstones included.
+    nodes: Vec<(f32, u32)>,
+    /// Distance computations made.
+    scored: usize,
+    /// Whether a [`Stop::Patience`] search ran out of patience rather than
+    /// frontier.
+    gave_up: bool,
 }
 
 /// Hierarchical navigable small-world index.
 #[derive(Debug)]
 pub struct HnswIndex {
-    dim: usize,
-    metric: Metric,
     config: HnswConfig,
-    nodes: Vec<Node>,
+    rows: Rows,
+    ids: Vec<u64>,
+    deleted: Vec<bool>,
+    links: Links,
     by_id: HashMap<u64, u32>,
     entry: Option<u32>,
     max_level: usize,
@@ -67,10 +199,11 @@ impl HnswIndex {
             return Err(VecDbError::InvalidConfig("m and ef parameters must be positive".into()));
         }
         Ok(HnswIndex {
-            dim,
-            metric,
             config,
-            nodes: Vec::new(),
+            rows: Rows::new(dim, metric),
+            ids: Vec::new(),
+            deleted: Vec::new(),
+            links: Links::new(config.m),
             by_id: HashMap::new(),
             entry: None,
             max_level: 0,
@@ -91,26 +224,72 @@ impl HnswIndex {
 
     /// Fraction of stored nodes that are tombstones.
     pub fn tombstone_ratio(&self) -> f64 {
-        if self.nodes.is_empty() {
+        if self.ids.is_empty() {
             0.0
         } else {
-            (self.nodes.len() - self.live) as f64 / self.nodes.len() as f64
+            (self.ids.len() - self.live) as f64 / self.ids.len() as f64
         }
     }
 
-    /// Rebuild the graph without tombstones.
+    /// Rebuild the graph without tombstones. Live rows keep their relative
+    /// order and are renumbered from 0.
     pub fn compact(&mut self) {
-        let live: Vec<(u64, Vec<f32>)> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.deleted)
-            .map(|n| (n.id, n.vector.clone()))
-            .collect();
-        let config = self.config;
-        *self = HnswIndex::new(self.dim, self.metric, config).expect("config was valid");
-        for (id, v) in live {
-            self.insert(id, v).expect("reinsert of valid vector");
+        let fresh = HnswIndex::new(self.rows.dim(), self.rows.metric(), self.config)
+            .expect("config was valid");
+        let old = std::mem::replace(self, fresh);
+        for (row, &id) in old.ids.iter().enumerate() {
+            if !old.deleted[row] {
+                self.insert_row(id, old.rows.row(row)).expect("reinsert of valid vector");
+            }
         }
+    }
+
+    /// Rows in the arena, tombstones included: the next insert gets this
+    /// row number.
+    pub(crate) fn rows(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The row holding live id `id`.
+    pub(crate) fn row_of(&self, id: u64) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// The stored vector for `id`, if present.
+    pub(crate) fn get(&self, id: u64) -> Option<&[f32]> {
+        Some(self.rows.row(self.row_of(id)? as usize))
+    }
+
+    /// Exact top-`k` among `rows`, scored straight out of the arena in the
+    /// order given (so equal scores keep that order); tombstoned rows are
+    /// skipped. `0..rows()` is the brute-force scan.
+    pub(crate) fn search_rows(
+        &self,
+        query: &[f32],
+        k: usize,
+        rows: impl IntoIterator<Item = u32>,
+    ) -> Result<Vec<Neighbor>, VecDbError> {
+        let mut span = llmdm_obs::span("vecdb.hnsw.search_rows");
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
+        let mut best = Vec::with_capacity(k.min(self.live));
+        let mut comps = 0usize;
+        for row in rows {
+            if !self.deleted[row as usize] {
+                comps += 1;
+                let score = self.rows.score(&q, row as usize);
+                push_topk(&mut best, k, Neighbor { id: self.ids[row as usize], score });
+            }
+        }
+        if span.is_recording() {
+            span.field("k", k);
+            span.field("candidates", comps);
+            span.field("distance_comps", comps);
+            llmdm_obs::counter_add("vecdb.search.queries", 1.0);
+            llmdm_obs::counter_add("vecdb.search.candidates", comps as f64);
+            llmdm_obs::counter_add("vecdb.search.distance_comps", comps as f64);
+        }
+        Ok(best)
     }
 
     /// Geometric level assignment with p = 1/e, deterministic per insert.
@@ -131,20 +310,18 @@ impl HnswIndex {
         }
     }
 
-    #[inline]
-    fn score(&self, q: &[f32], node: u32) -> f32 {
-        self.metric.score(q, &self.nodes[node as usize].vector)
-    }
-
     /// Greedy descent on one layer: move to the best neighbor until no
-    /// neighbor improves.
-    fn greedy_step(&self, q: &[f32], start: u32, layer: usize) -> u32 {
+    /// neighbor improves. Adds its distance computations to `scored`.
+    fn greedy_step(&self, q: &Prepared<'_>, start: u32, layer: usize, scored: &mut usize) -> u32 {
         let mut cur = start;
-        let mut cur_score = self.score(q, cur);
+        let mut cur_score = self.rows.score(q, cur as usize);
+        *scored += 1;
         loop {
             let mut improved = false;
-            for &nb in &self.nodes[cur as usize].neighbors[layer] {
-                let s = self.score(q, nb);
+            let links = self.links.get(cur, layer);
+            *scored += links.len();
+            for &nb in links {
+                let s = self.rows.score(q, nb as usize);
                 if s > cur_score {
                     cur = nb;
                     cur_score = s;
@@ -157,66 +334,155 @@ impl HnswIndex {
         }
     }
 
-    /// Best-first search on `layer` with frontier width `ef`. Returns up to
-    /// `ef` candidates, best first, including tombstoned nodes (callers
-    /// filter).
-    fn search_layer(&self, q: &[f32], entry: u32, ef: usize, layer: usize) -> Vec<(f32, u32)> {
-        let mut visited: HashSet<u32> = HashSet::new();
+    /// Greedy descent from the entry point through every layer above
+    /// `floor`: where a search of layer `floor` should start.
+    fn descend(&self, q: &Prepared<'_>, floor: usize, scored: &mut usize) -> Option<u32> {
+        let mut entry = self.entry?;
+        for layer in (floor + 1..=self.max_level).rev() {
+            entry = self.greedy_step(q, entry, layer, scored);
+        }
+        Some(entry)
+    }
+
+    /// Best-first search of `layer` from `entry`: repeatedly expand the
+    /// nearest unexpanded node, scoring each neighbor not yet seen, until
+    /// `stop` says so or the frontier drains. The one search loop of this
+    /// index — construction, fixed-`ef` search and patience search differ
+    /// only in `stop`.
+    fn best_first(&self, q: &Prepared<'_>, entry: u32, layer: usize, stop: Stop) -> Found {
+        // `Ef` bounds the kept set; `Patience` keeps every node it scores.
+        let width = match stop {
+            Stop::Ef(ef) => ef,
+            Stop::Patience { .. } => usize::MAX,
+        };
+        let mut visited = Visited::new(self.ids.len());
         visited.insert(entry);
-        let entry_score = self.score(q, entry);
-        // Frontier: max-heap on score. Results: min-heap to evict worst.
-        let mut frontier: BinaryHeap<MaxScore> = BinaryHeap::new();
-        frontier.push(MaxScore { score: entry_score, node: entry });
-        let mut results: BinaryHeap<MinScore> = BinaryHeap::new();
-        results.push(MinScore { score: entry_score, node: entry });
+        let entry_score = self.rows.score(q, entry as usize);
+        let mut scored = 1usize;
+        // Frontier: max-heap on score. Kept set: min-heap to evict worst.
+        let mut frontier = BinaryHeap::from([MaxScore { score: entry_score, node: entry }]);
+        let mut kept = BinaryHeap::from([MinScore { score: entry_score, node: entry }]);
+        // Patience only: the best `k` live scores, worst on top.
+        let mut top: BinaryHeap<MinScore> = BinaryHeap::new();
+        if matches!(stop, Stop::Patience { k, .. } if k > 0) && !self.deleted[entry as usize] {
+            top.push(MinScore { score: entry_score, node: entry });
+        }
+        let mut stale = 0usize;
+        let mut gave_up = false;
 
         while let Some(MaxScore { score, node }) = frontier.pop() {
-            let worst = results.peek().map(|m| m.score).unwrap_or(f32::NEG_INFINITY);
-            if results.len() >= ef && score < worst {
+            if kept.len() >= width && kept.peek().is_some_and(|worst| score < worst.score) {
                 break;
             }
-            for &nb in &self.nodes[node as usize].neighbors[layer] {
+            let mut improved = false;
+            for &nb in self.links.get(node, layer) {
                 if !visited.insert(nb) {
                     continue;
                 }
-                let s = self.score(q, nb);
-                let worst = results.peek().map(|m| m.score).unwrap_or(f32::NEG_INFINITY);
-                if results.len() < ef || s > worst {
+                let s = self.rows.score(q, nb as usize);
+                scored += 1;
+                if kept.len() < width || kept.peek().is_some_and(|worst| s > worst.score) {
                     frontier.push(MaxScore { score: s, node: nb });
-                    results.push(MinScore { score: s, node: nb });
-                    if results.len() > ef {
-                        results.pop();
+                    kept.push(MinScore { score: s, node: nb });
+                    if kept.len() > width {
+                        kept.pop();
+                    }
+                }
+                if let Stop::Patience { k, .. } = stop {
+                    let enters = top.len() < k || top.peek().is_some_and(|kth| s > kth.score);
+                    if enters && !self.deleted[nb as usize] {
+                        top.push(MinScore { score: s, node: nb });
+                        if top.len() > k {
+                            top.pop();
+                        }
+                        improved = true;
                     }
                 }
             }
-        }
-        let mut out: Vec<(f32, u32)> =
-            results.into_iter().map(|m| (m.score, m.node)).collect();
-        out.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        out
-    }
-
-    /// Connect `node` to the best `m` candidates on `layer`, and prune
-    /// neighbors that exceed their degree bound.
-    fn connect(&mut self, node: u32, mut candidates: Vec<(f32, u32)>, layer: usize) {
-        let m_max = if layer == 0 { self.config.m * 2 } else { self.config.m };
-        candidates.retain(|&(_, c)| c != node);
-        candidates.truncate(m_max);
-        for &(_, c) in &candidates {
-            self.nodes[node as usize].neighbors[layer].push(c);
-            self.nodes[c as usize].neighbors[layer].push(node);
-            // Prune an over-full neighbor to its best m_max links.
-            if self.nodes[c as usize].neighbors[layer].len() > m_max {
-                let cv = self.nodes[c as usize].vector.clone();
-                let mut links: Vec<(f32, u32)> = self.nodes[c as usize].neighbors[layer]
-                    .iter()
-                    .map(|&l| (self.score(&cv, l), l))
-                    .collect();
-                links.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-                links.truncate(m_max);
-                self.nodes[c as usize].neighbors[layer] = links.into_iter().map(|(_, l)| l).collect();
+            if let Stop::Patience { k, patience } = stop {
+                stale = if improved { 0 } else { stale + 1 };
+                if stale >= patience && top.len() >= k.min(self.live) {
+                    gave_up = true;
+                    break;
+                }
             }
         }
+        let mut nodes: Vec<(f32, u32)> = kept.into_iter().map(|m| (m.score, m.node)).collect();
+        // Equal scores: the earlier insert first.
+        nodes.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        Found { nodes, scored, gave_up }
+    }
+
+    /// The live nodes of `found`, best first, at most `k`.
+    fn neighbors(&self, found: Found, k: usize) -> Vec<Neighbor> {
+        found
+            .nodes
+            .into_iter()
+            .filter(|&(_, n)| !self.deleted[n as usize])
+            .take(k)
+            .map(|(score, n)| Neighbor { id: self.ids[n as usize], score })
+            .collect()
+    }
+
+    /// Connect `node` to the best candidates on `layer` (best first, at
+    /// most the layer's capacity), and prune neighbors that exceed theirs.
+    fn connect(&mut self, node: u32, candidates: &[(f32, u32)], layer: usize) {
+        let cap = self.links.cap(layer);
+        for &(_, c) in candidates.iter().take(cap) {
+            self.links.push(node, layer, c);
+            if self.links.push(c, layer, node) {
+                continue;
+            }
+            // `c` is full: keep the best `cap` of its links and `node`,
+            // scored from `c`'s own row in the arena.
+            let from_c = self.rows.prepare_row(c as usize);
+            let mut scored: Vec<(f32, u32)> = self
+                .links
+                .get(c, layer)
+                .iter()
+                .chain(std::iter::once(&node))
+                .map(|&l| (self.rows.score(&from_c, l as usize), l))
+                .collect();
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+            self.links.set(c, layer, scored.iter().take(cap).map(|&(_, l)| l));
+        }
+    }
+
+    /// [`VectorIndex::insert`] from a borrowed vector.
+    fn insert_row(&mut self, id: u64, vector: &[f32]) -> Result<(), VecDbError> {
+        check_dim(self.rows.dim(), vector)?;
+        if self.by_id.contains_key(&id) {
+            return Err(VecDbError::DuplicateId(id));
+        }
+        let level = self.draw_level();
+        let idx = u32::try_from(self.ids.len()).expect("more rows than u32 can number");
+        self.rows.push(vector);
+        self.ids.push(id);
+        self.deleted.push(false);
+        self.links.push_node(level);
+        self.by_id.insert(id, idx);
+        self.live += 1;
+
+        // The new node's row, already in the arena, is the query.
+        // Greedy descent through layers above the new node's level.
+        let q = self.rows.prepare_row(idx as usize);
+        let Some(mut entry) = self.descend(&q, level, &mut 0) else {
+            self.entry = Some(idx);
+            self.max_level = level;
+            return Ok(());
+        };
+        // Insert with ef_construction search on each shared layer.
+        for layer in (0..=level.min(self.max_level)).rev() {
+            let q = self.rows.prepare_row(idx as usize);
+            let found = self.best_first(&q, entry, layer, Stop::Ef(self.config.ef_construction));
+            entry = found.nodes.first().map_or(entry, |&(_, n)| n);
+            self.connect(idx, &found.nodes, layer);
+        }
+        if level > self.max_level {
+            self.max_level = level;
+            self.entry = Some(idx);
+        }
+        Ok(())
     }
 }
 
@@ -247,79 +513,24 @@ impl HnswIndex {
         k: usize,
         patience: usize,
     ) -> Result<AdaptiveSearch, VecDbError> {
-        crate::index::check_dim(self.dim, query)?;
-        let Some(mut entry) = self.entry else {
-            return Ok(AdaptiveSearch {
-                neighbors: Vec::new(),
-                scored: 0,
-                terminated_early: false,
-            });
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
+        let Some(entry) = self.descend(&q, 0, &mut 0) else {
+            return Ok(AdaptiveSearch { neighbors: Vec::new(), scored: 0, terminated_early: false });
         };
-        for layer in (1..=self.max_level).rev() {
-            entry = self.greedy_step(query, entry, layer);
-        }
-
-        // Best-first on layer 0 with patience-based stopping.
-        let mut visited: HashSet<u32> = HashSet::new();
-        visited.insert(entry);
-        let mut scored = 1usize;
-        let entry_score = self.score(query, entry);
-        let mut frontier: BinaryHeap<MaxScore> = BinaryHeap::new();
-        frontier.push(MaxScore { score: entry_score, node: entry });
-        // Live best-k (tombstones excluded).
-        let mut best: Vec<Neighbor> = Vec::new();
-        if !self.nodes[entry as usize].deleted {
-            best.push(Neighbor { id: self.nodes[entry as usize].id, score: entry_score });
-        }
-        let mut stale = 0usize;
-        let mut terminated_early = false;
-
-        while let Some(MaxScore { node, .. }) = frontier.pop() {
-            let mut improved = false;
-            for &nb in &self.nodes[node as usize].neighbors[0] {
-                if !visited.insert(nb) {
-                    continue;
-                }
-                let s = self.score(query, nb);
-                scored += 1;
-                frontier.push(MaxScore { score: s, node: nb });
-                if !self.nodes[nb as usize].deleted {
-                    let kth = if best.len() >= k {
-                        best[k - 1].score
-                    } else {
-                        f32::NEG_INFINITY
-                    };
-                    if s > kth {
-                        crate::index::push_topk(
-                            &mut best,
-                            k,
-                            Neighbor { id: self.nodes[nb as usize].id, score: s },
-                        );
-                        improved = true;
-                    }
-                }
-            }
-            if improved {
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale >= patience && best.len() >= k.min(self.live) {
-                    terminated_early = true;
-                    break;
-                }
-            }
-        }
-        Ok(AdaptiveSearch { neighbors: best, scored, terminated_early })
+        let found = self.best_first(&q, entry, 0, Stop::Patience { k, patience });
+        let (scored, terminated_early) = (found.scored, found.gave_up);
+        Ok(AdaptiveSearch { neighbors: self.neighbors(found, k), scored, terminated_early })
     }
 }
 
 impl VectorIndex for HnswIndex {
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     fn metric(&self) -> Metric {
-        self.metric
+        self.rows.metric()
     }
 
     fn len(&self) -> usize {
@@ -327,270 +538,43 @@ impl VectorIndex for HnswIndex {
     }
 
     fn insert(&mut self, id: u64, vector: Vec<f32>) -> Result<(), VecDbError> {
-        check_dim(self.dim, &vector)?;
-        if self.by_id.contains_key(&id) {
-            return Err(VecDbError::DuplicateId(id));
-        }
-        let level = self.draw_level();
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            id,
-            vector,
-            neighbors: vec![Vec::new(); level + 1],
-            deleted: false,
-        });
-        self.by_id.insert(id, idx);
-        self.live += 1;
-
-        let Some(mut entry) = self.entry else {
-            self.entry = Some(idx);
-            self.max_level = level;
-            return Ok(());
-        };
-
-        let q = self.nodes[idx as usize].vector.clone();
-        // Greedy descent through layers above the new node's level.
-        let top = self.max_level;
-        for layer in ((level + 1)..=top).rev() {
-            entry = self.greedy_step(&q, entry, layer);
-        }
-        // Insert with ef_construction search on each shared layer.
-        for layer in (0..=level.min(top)).rev() {
-            let candidates = self.search_layer(&q, entry, self.config.ef_construction, layer);
-            entry = candidates.first().map(|&(_, n)| n).unwrap_or(entry);
-            self.connect(idx, candidates, layer);
-        }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = Some(idx);
-        }
-        Ok(())
+        self.insert_row(id, &vector)
     }
 
     fn remove(&mut self, id: u64) -> Result<(), VecDbError> {
-        let &idx = self.by_id.get(&id).ok_or(VecDbError::NotFound(id))?;
-        if self.nodes[idx as usize].deleted {
-            return Err(VecDbError::NotFound(id));
-        }
-        self.nodes[idx as usize].deleted = true;
-        self.by_id.remove(&id);
+        let idx = self.by_id.remove(&id).ok_or(VecDbError::NotFound(id))?;
+        self.deleted[idx as usize] = true;
         self.live -= 1;
         Ok(())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, VecDbError> {
         let mut span = llmdm_obs::span("vecdb.hnsw.search");
-        check_dim(self.dim, query)?;
-        let Some(mut entry) = self.entry else {
+        check_dim(self.rows.dim(), query)?;
+        let q = self.rows.metric().prepare(query);
+        let mut descent = 0usize;
+        let Some(entry) = self.descend(&q, 0, &mut descent) else {
             return Ok(Vec::new());
         };
-        for layer in (1..=self.max_level).rev() {
-            entry = self.greedy_step(query, entry, layer);
-        }
         let ef = self.config.ef_search.max(k);
-        let found = self.search_layer(query, entry, ef, 0);
+        let found = self.best_first(&q, entry, 0, Stop::Ef(ef));
         if span.is_recording() {
-            // `found` is the beam the base layer actually scored — the
-            // candidates-scanned figure that separates ANN from brute force.
+            // `candidates` is the beam the base layer kept, `visited` the
+            // base-layer nodes it scored to get there, `distance_comps`
+            // those plus the upper layers' greedy descent — the figures
+            // that separate ANN from brute force.
             span.field("k", k);
             span.field("ef", ef);
-            span.field("candidates", found.len());
+            span.field("candidates", found.nodes.len());
+            span.field("visited", found.scored);
+            span.field("distance_comps", descent + found.scored);
             llmdm_obs::counter_add("vecdb.search.queries", 1.0);
-            llmdm_obs::counter_add("vecdb.search.candidates", found.len() as f64);
+            llmdm_obs::counter_add("vecdb.search.candidates", found.nodes.len() as f64);
+            llmdm_obs::counter_add("vecdb.search.distance_comps", (descent + found.scored) as f64);
         }
-        Ok(found
-            .into_iter()
-            .filter(|&(_, n)| !self.nodes[n as usize].deleted)
-            .take(k)
-            .map(|(score, n)| Neighbor { id: self.nodes[n as usize].id, score })
-            .collect())
+        Ok(self.neighbors(found, k))
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::flat::FlatIndex;
-    use llmdm_rt::rand::rngs::SmallRng;
-    use llmdm_rt::rand::{Rng, SeedableRng};
-
-    fn random_vecs(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect()).collect()
-    }
-
-    fn build(n: usize, seed: u64) -> (HnswIndex, Vec<Vec<f32>>) {
-        let vecs = random_vecs(n, 16, seed);
-        let mut idx = HnswIndex::new(16, Metric::Cosine, HnswConfig::default()).unwrap();
-        for (i, v) in vecs.iter().enumerate() {
-            idx.insert(i as u64, v.clone()).unwrap();
-        }
-        (idx, vecs)
-    }
-
-    #[test]
-    fn finds_inserted_vectors() {
-        let (idx, vecs) = build(300, 11);
-        for probe in [0usize, 123, 299] {
-            let hits = idx.search(&vecs[probe], 1).unwrap();
-            assert_eq!(hits[0].id, probe as u64, "probe {probe}");
-        }
-    }
-
-    #[test]
-    fn recall_vs_flat_above_90_percent() {
-        let (idx, vecs) = build(1000, 7);
-        let mut flat = FlatIndex::new(16, Metric::Cosine);
-        for (i, v) in vecs.iter().enumerate() {
-            flat.insert(i as u64, v.clone()).unwrap();
-        }
-        let queries = random_vecs(50, 16, 555);
-        let mut overlap = 0usize;
-        let mut total = 0usize;
-        for q in &queries {
-            let gold: HashSet<u64> = flat.search(q, 10).unwrap().iter().map(|n| n.id).collect();
-            let got = idx.search(q, 10).unwrap();
-            overlap += got.iter().filter(|n| gold.contains(&n.id)).count();
-            total += gold.len();
-        }
-        let recall = overlap as f64 / total as f64;
-        assert!(recall > 0.9, "recall@10 = {recall}");
-    }
-
-    #[test]
-    fn results_sorted_best_first() {
-        let (idx, vecs) = build(200, 3);
-        let hits = idx.search(&vecs[0], 10).unwrap();
-        assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
-    }
-
-    #[test]
-    fn tombstoned_ids_not_returned() {
-        let (mut idx, vecs) = build(200, 9);
-        idx.remove(42).unwrap();
-        assert_eq!(idx.len(), 199);
-        let hits = idx.search(&vecs[42], 5).unwrap();
-        assert!(hits.iter().all(|h| h.id != 42));
-        assert!(idx.remove(42).is_err());
-    }
-
-    #[test]
-    fn compact_removes_tombstones() {
-        let (mut idx, vecs) = build(200, 13);
-        for id in 0..100u64 {
-            idx.remove(id).unwrap();
-        }
-        assert!(idx.tombstone_ratio() > 0.4);
-        idx.compact();
-        assert_eq!(idx.tombstone_ratio(), 0.0);
-        assert_eq!(idx.len(), 100);
-        let hits = idx.search(&vecs[150], 1).unwrap();
-        assert_eq!(hits[0].id, 150);
-    }
-
-    #[test]
-    fn duplicate_rejected() {
-        let mut idx = HnswIndex::new(4, Metric::Cosine, HnswConfig::default()).unwrap();
-        idx.insert(1, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!(idx.insert(1, vec![0.0, 1.0, 0.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn empty_search_is_empty() {
-        let idx = HnswIndex::new(4, Metric::Cosine, HnswConfig::default()).unwrap();
-        assert!(idx.search(&[1.0, 0.0, 0.0, 0.0], 3).unwrap().is_empty());
-    }
-
-    #[test]
-    fn higher_ef_no_worse_recall() {
-        let (mut idx, vecs) = build(800, 21);
-        let mut flat = FlatIndex::new(16, Metric::Cosine);
-        for (i, v) in vecs.iter().enumerate() {
-            flat.insert(i as u64, v.clone()).unwrap();
-        }
-        let queries = random_vecs(30, 16, 77);
-        let recall = |idx: &HnswIndex| {
-            let mut overlap = 0;
-            for q in &queries {
-                let gold: HashSet<u64> =
-                    flat.search(q, 5).unwrap().iter().map(|n| n.id).collect();
-                overlap +=
-                    idx.search(q, 5).unwrap().iter().filter(|n| gold.contains(&n.id)).count();
-            }
-            overlap
-        };
-        idx.set_ef_search(8);
-        let low = recall(&idx);
-        idx.set_ef_search(128);
-        let high = recall(&idx);
-        assert!(high >= low, "low={low} high={high}");
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        assert!(HnswIndex::new(4, Metric::L2, HnswConfig { m: 0, ..Default::default() }).is_err());
-    }
-
-    #[test]
-    fn adaptive_search_matches_fixed_ef_recall_at_lower_cost() {
-        let (idx, vecs) = build(1200, 31);
-        let mut flat = FlatIndex::new(16, Metric::Cosine);
-        for (i, v) in vecs.iter().enumerate() {
-            flat.insert(i as u64, v.clone()).unwrap();
-        }
-        let queries = random_vecs(40, 16, 777);
-        let mut fixed_recall = 0usize;
-        let mut adaptive_recall = 0usize;
-        let mut adaptive_scored = 0usize;
-        let mut total = 0usize;
-        for q in &queries {
-            let gold: HashSet<u64> = flat.search(q, 10).unwrap().iter().map(|n| n.id).collect();
-            let fixed = idx.search(q, 10).unwrap();
-            let adaptive = idx.search_adaptive(q, 10, 24).unwrap();
-            fixed_recall += fixed.iter().filter(|n| gold.contains(&n.id)).count();
-            adaptive_recall += adaptive.neighbors.iter().filter(|n| gold.contains(&n.id)).count();
-            adaptive_scored += adaptive.scored;
-            total += gold.len();
-        }
-        let fr = fixed_recall as f64 / total as f64;
-        let ar = adaptive_recall as f64 / total as f64;
-        assert!(ar > fr - 0.05, "adaptive recall {ar} vs fixed {fr}");
-        assert!(ar > 0.85, "adaptive recall {ar}");
-        // Cost should stay well below exhaustive.
-        assert!(
-            adaptive_scored / queries.len() < 1200 / 2,
-            "mean scored {}",
-            adaptive_scored / queries.len()
-        );
-    }
-
-    #[test]
-    fn adaptive_patience_trades_cost_for_recall() {
-        let (idx, _) = build(800, 33);
-        let queries = random_vecs(20, 16, 91);
-        let cost_at = |patience: usize| {
-            queries
-                .iter()
-                .map(|q| idx.search_adaptive(q, 10, patience).unwrap().scored)
-                .sum::<usize>()
-        };
-        assert!(cost_at(4) <= cost_at(64), "more patience must not cost less");
-    }
-
-    #[test]
-    fn adaptive_search_respects_tombstones() {
-        let (mut idx, vecs) = build(300, 35);
-        idx.remove(17).unwrap();
-        let out = idx.search_adaptive(&vecs[17], 5, 16).unwrap();
-        assert!(out.neighbors.iter().all(|n| n.id != 17));
-        assert_eq!(out.neighbors.len(), 5);
-    }
-
-    #[test]
-    fn adaptive_search_empty_index() {
-        let idx = HnswIndex::new(4, Metric::Cosine, HnswConfig::default()).unwrap();
-        let out = idx.search_adaptive(&[1.0, 0.0, 0.0, 0.0], 3, 8).unwrap();
-        assert!(out.neighbors.is_empty());
-        assert_eq!(out.scored, 0);
-    }
-}
+mod tests;

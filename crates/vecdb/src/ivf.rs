@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use crate::error::VecDbError;
 use crate::index::{check_dim, push_topk, Neighbor, VectorIndex};
 use crate::kmeans::KMeans;
-use crate::metric::Metric;
+use crate::metric::{Metric, Prepared, Rows};
 
 /// IVF build/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +33,27 @@ impl Default for IvfConfig {
     }
 }
 
+/// One inverted list: row `i` of `rows` belongs to `ids[i]`.
+#[derive(Debug, Clone)]
+struct List {
+    ids: Vec<u64>,
+    rows: Rows,
+}
+
+impl List {
+    fn push(&mut self, id: u64, vector: &[f32]) {
+        self.ids.push(id);
+        self.rows.push(vector);
+    }
+
+    /// Offer every entry to the best-`k` buffer, in list order.
+    fn scan(&self, q: &Prepared<'_>, k: usize, best: &mut Vec<Neighbor>) {
+        for (i, &id) in self.ids.iter().enumerate() {
+            push_topk(best, k, Neighbor { id, score: self.rows.score(q, i) });
+        }
+    }
+}
+
 /// Inverted-file approximate index.
 #[derive(Debug)]
 pub struct IvfIndex {
@@ -40,7 +61,7 @@ pub struct IvfIndex {
     metric: Metric,
     config: IvfConfig,
     quantizer: Option<KMeans>,
-    lists: Vec<Vec<(u64, Vec<f32>)>>,
+    lists: Vec<List>,
     ids: HashSet<u64>,
     len: usize,
     inserts_since_train: usize,
@@ -74,6 +95,19 @@ impl IvfIndex {
         self.config.nprobe = nprobe.max(1);
     }
 
+    fn empty_list(&self) -> List {
+        List { ids: Vec::new(), rows: Rows::new(self.dim, self.metric) }
+    }
+
+    /// The lists a query scans, nearest centroid first (every list before
+    /// the quantizer is trained).
+    fn probed(&self, query: &[f32]) -> Vec<usize> {
+        match &self.quantizer {
+            Some(km) => km.nearest_n(query, self.config.nprobe),
+            None => (0..self.lists.len()).collect(),
+        }
+    }
+
     /// Probed search with the list scans fanned out across `threads` OS
     /// threads (the serving layer's parallel path).
     ///
@@ -88,16 +122,15 @@ impl IvfIndex {
         k: usize,
         threads: usize,
     ) -> Result<Vec<Neighbor>, VecDbError> {
-        let probed: Vec<usize> = match &self.quantizer {
-            Some(km) => km.nearest_n(query, self.config.nprobe),
-            None => (0..self.lists.len()).collect(),
-        };
+        let probed = self.probed(query);
         let t = threads.max(1).min(probed.len().max(1));
         if t <= 1 {
             return self.search(query, k);
         }
         let mut span = llmdm_obs::span("vecdb.ivf.par_search");
         check_dim(self.dim, query)?;
+        let q = self.metric.prepare(query);
+        let q = &q;
         let chunk = probed.len().div_ceil(t);
         let mut partials: Vec<(Vec<Neighbor>, usize)> = Vec::with_capacity(t);
         std::thread::scope(|s| {
@@ -108,14 +141,8 @@ impl IvfIndex {
                         let mut best = Vec::with_capacity(k);
                         let mut scanned = 0usize;
                         for &c in lists {
-                            scanned += self.lists[c].len();
-                            for (id, v) in &self.lists[c] {
-                                push_topk(
-                                    &mut best,
-                                    k,
-                                    Neighbor { id: *id, score: self.metric.score(query, v) },
-                                );
-                            }
+                            scanned += self.lists[c].ids.len();
+                            self.lists[c].scan(q, k, &mut best);
                         }
                         (best, scanned)
                     })
@@ -149,16 +176,17 @@ impl IvfIndex {
     /// Retrain the quantizer on the currently stored vectors and
     /// redistribute the lists.
     pub fn retrain(&mut self) {
-        let all: Vec<(u64, Vec<f32>)> =
-            self.lists.drain(..).flatten().collect();
-        if all.is_empty() {
+        let old = std::mem::take(&mut self.lists);
+        self.inserts_since_train = 0;
+        if self.len == 0 {
             self.quantizer = None;
-            self.inserts_since_train = 0;
             return;
         }
-        let mut flat = Vec::with_capacity(all.len() * self.dim);
-        for (_, v) in &all {
-            flat.extend_from_slice(v);
+        let mut flat = Vec::with_capacity(self.len * self.dim);
+        for list in &old {
+            for i in 0..list.ids.len() {
+                flat.extend_from_slice(list.rows.row(i));
+            }
         }
         let km = KMeans::train(
             &flat,
@@ -167,15 +195,15 @@ impl IvfIndex {
             self.config.train_iters,
             self.config.seed,
         );
-        self.lists = vec![Vec::new(); km.k];
-        for (id, v) in all {
-            let c = km.nearest(&v).0;
-            self.lists[c].push((id, v));
+        self.lists = vec![self.empty_list(); km.k];
+        for list in &old {
+            for (i, &id) in list.ids.iter().enumerate() {
+                let v = list.rows.row(i);
+                self.lists[km.nearest(v).0].push(id, v);
+            }
         }
         self.quantizer = Some(km);
-        self.inserts_since_train = 0;
     }
-
 }
 
 impl VectorIndex for IvfIndex {
@@ -196,18 +224,14 @@ impl VectorIndex for IvfIndex {
         if !self.ids.insert(id) {
             return Err(VecDbError::DuplicateId(id));
         }
-        match &self.quantizer {
-            Some(km) => {
-                let c = km.nearest(&vector).0;
-                self.lists[c].push((id, vector));
-            }
-            None => {
-                if self.lists.is_empty() {
-                    self.lists.push(Vec::new());
-                }
-                self.lists[0].push((id, vector));
-            }
+        let c = match &self.quantizer {
+            Some(km) => km.nearest(&vector).0,
+            None => 0,
+        };
+        if self.lists.is_empty() {
+            self.lists.push(self.empty_list());
         }
+        self.lists[c].push(id, &vector);
         self.len += 1;
         self.inserts_since_train += 1;
         if self.inserts_since_train >= self.config.retrain_threshold
@@ -223,8 +247,9 @@ impl VectorIndex for IvfIndex {
             return Err(VecDbError::NotFound(id));
         }
         for list in &mut self.lists {
-            if let Some(pos) = list.iter().position(|(i, _)| *i == id) {
-                list.swap_remove(pos);
+            if let Some(pos) = list.ids.iter().position(|&i| i == id) {
+                list.ids.swap_remove(pos);
+                list.rows.swap_remove(pos);
                 self.len -= 1;
                 return Ok(());
             }
@@ -235,33 +260,12 @@ impl VectorIndex for IvfIndex {
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, VecDbError> {
         let mut span = llmdm_obs::span("vecdb.ivf.search");
         check_dim(self.dim, query)?;
+        let q = self.metric.prepare(query);
         let mut best = Vec::with_capacity(k);
         let mut scanned = 0usize;
-        match &self.quantizer {
-            Some(km) => {
-                for c in km.nearest_n(query, self.config.nprobe) {
-                    scanned += self.lists[c].len();
-                    for (id, v) in &self.lists[c] {
-                        push_topk(
-                            &mut best,
-                            k,
-                            Neighbor { id: *id, score: self.metric.score(query, v) },
-                        );
-                    }
-                }
-            }
-            None => {
-                for list in &self.lists {
-                    scanned += list.len();
-                    for (id, v) in list {
-                        push_topk(
-                            &mut best,
-                            k,
-                            Neighbor { id: *id, score: self.metric.score(query, v) },
-                        );
-                    }
-                }
-            }
+        for c in self.probed(query) {
+            scanned += self.lists[c].ids.len();
+            self.lists[c].scan(&q, k, &mut best);
         }
         if span.is_recording() {
             span.field("k", k);

@@ -13,7 +13,8 @@
 //!   graph-based [`hnsw::HnswIndex`] — behind one [`index::VectorIndex`]
 //!   trait;
 //! * a [`collection::Collection`] API pairing each vector with attribute
-//!   metadata;
+//!   metadata, and an attribute index (posting lists per key and value) so
+//!   that an equality filter is a lookup, not a scan;
 //! * hybrid filtered search with **pre-filter**, **post-filter**, and
 //!   **adaptive** orderings ([`filter::HybridStrategy`]), including the
 //!   paper's "vector search first" pathology where all `k` returned items
@@ -37,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod attr_index;
 mod hash_ord;
 pub mod collection;
 pub mod error;

@@ -109,7 +109,8 @@ proptest! {
             let (hits, _) = coll.search_filtered_with(&query, k, &filter, strategy).unwrap();
             prop_assert!(hits.len() <= k);
             for h in &hits {
-                prop_assert_eq!(h.metadata.get("tag"), Some(&AttrValue::Int(wanted)));
+                let metadata = coll.metadata(h.id).expect("a hit is a stored document");
+                prop_assert_eq!(metadata.get("tag"), Some(&AttrValue::Int(wanted)));
             }
             if matches!(strategy, HybridStrategy::PreFilter) {
                 prop_assert_eq!(hits.len(), k.min(qualifying));

@@ -48,9 +48,12 @@ done
 #   sqlplan           planner >=1.2x direct on filtered-scan and top-k; bit-equality
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
 #   store_durability  warm scan >=2x cold through the buffer pool; fixtures read back
+#   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
+#   vecdb_hybrid      adaptive <=1.25x the better of pre-/post-filter at 2% and 50%; prefilter@2% <= exact scan
 BENCH_DIR="$(mktemp -d)"
 for pair in obs_overhead:obs_overhead obs_window:obswindow resil_overhead:resil_overhead \
-    serve_throughput:serve sqlplan:sqlplan semsql:semsql store_durability:store; do
+    serve_throughput:serve sqlplan:sqlplan semsql:semsql store_durability:store \
+    vecdb_search:vecdb_search vecdb_hybrid:vecdb_hybrid; do
     target="${pair%%:*}" report="BENCH_${pair##*:}.json"
     echo "== gated bench $target"
     LLMDM_BENCH_FAST=1 LLMDM_BENCH_DIR="$BENCH_DIR" cargo bench --offline -p llmdm-bench --bench "$target"
