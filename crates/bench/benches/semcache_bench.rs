@@ -1,7 +1,83 @@
-//! Semantic-cache lookup/insert throughput and eviction-policy overhead.
+//! The semantic cache's hot path, pinned; lookup/insert throughput and
+//! eviction-policy overhead, reported.
+//!
+//! DESIGN.md §17 claims that a prompt costs the cache one embedding plus
+//! a scan, whatever the outcome. Gated here on a `semsql`-shaped prompt
+//! against a full 256-entry cache, as ratios of medians measured
+//! interleaved within one run (so a loaded box moves both sides alike):
+//!
+//! * `miss_pair` — probe → `lookup_probed` (miss) → `insert_probed`
+//!   (evicting), what a cold prompt costs around its model call — at most
+//!   1.5 × `embed`;
+//! * `lookup_hit` — probe → `lookup_probed` (reuse) — at most 1.5 ×
+//!   `embed`.
+//!
+//! A second embedding on either path, or a scan that grows past half an
+//! embedding, fails the gate. `scripts/verify.sh` runs this with
+//! `LLMDM_BENCH_FAST=1`; results land in `BENCH_semcache.json`.
 
-use llmdm_rt::bench::{BenchmarkId, Criterion};
-use llmdm_semcache::{CacheConfig, EntryKind, EvictionPolicy, SemanticCache};
+use llmdm_rt::bench::{black_box, BenchmarkId, Bound::AtMost, Criterion};
+use llmdm_semcache::{CacheConfig, EntryKind, EvictionPolicy, Lookup, Probe, SemanticCache};
+use llmdm_sqlengine::semantic::unary_prompt;
+use llmdm_sqlengine::Value;
+
+/// The capacity `perf`'s semantic workloads run the cache at.
+const ENTRIES: usize = 256;
+/// A cache operation pair may cost this many embeddings, at most.
+const MAX_OVER_EMBED: f64 = 1.5;
+
+/// The prompt `LLM_MAP(body, …)` sends for review row `i`: ~200 bytes
+/// (what `perf`'s semantic workloads send), unique per row.
+fn semsql_prompt(i: usize) -> String {
+    let body = format!(
+        "sturdy quiet compact battery arrived late works fine overall \
+         and still holds a full charge after a week of daily use #0-{i}"
+    );
+    unary_prompt("map", "name the product category of this review", &Value::Str(body))
+}
+
+/// A full cache of the first [`ENTRIES`] prompts under `perf`'s
+/// thresholds (only an identical prompt may hit).
+fn full_cache() -> SemanticCache {
+    let mut cache = SemanticCache::new(CacheConfig {
+        capacity: ENTRIES,
+        reuse_threshold: 0.9999,
+        augment_threshold: 0.9999,
+        ..Default::default()
+    });
+    for i in 0..ENTRIES {
+        cache.insert(&semsql_prompt(i), "electronics", EntryKind::Original);
+    }
+    cache
+}
+
+fn bench_hot_path(c: &mut Criterion) {
+    let (mut cold, mut warm) = (full_cache(), full_cache());
+    let embedder = cold.embedder().clone();
+    let (mut e, mut m, mut h) = (0usize, ENTRIES, 0usize);
+    let mut group = c.benchmark_group("hot_path");
+    // Every case formats its prompt, so the ratios compare like with like.
+    group.bench_interleaved(&mut [
+        ("embed", &mut || {
+            e += 1;
+            black_box(embedder.embed(&semsql_prompt(e)).expect("prompt is not empty"));
+        }),
+        ("miss_pair", &mut || {
+            m += 1;
+            let prompt = semsql_prompt(m);
+            let probe = Probe::new(&embedder, &prompt);
+            assert_eq!(cold.lookup_probed(&probe), Lookup::Miss);
+            cold.insert_probed(probe, "electronics", EntryKind::Original);
+        }),
+        ("lookup_hit", &mut || {
+            h = (h + 1) % ENTRIES;
+            let prompt = semsql_prompt(h);
+            let hit = warm.lookup_probed(&Probe::new(&embedder, &prompt));
+            assert!(matches!(black_box(hit), Lookup::Hit { .. }));
+        }),
+    ]);
+    group.finish();
+}
 
 fn filled_cache(n: usize, policy: EvictionPolicy) -> SemanticCache {
     let mut c = SemanticCache::new(CacheConfig { capacity: n, policy, ..Default::default() });
@@ -52,4 +128,12 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-llmdm_rt::bench_main!("semcache_bench", None, bench_cache);
+fn gates(c: &mut Criterion) {
+    let embed = c.stat("hot_path/embed").median_ns as f64;
+    for id in ["miss_pair", "lookup_hit"] {
+        let ratio = c.stat(&format!("hot_path/{id}")).median_ns as f64 / embed;
+        c.gate(format!("hot_path {id}/embed (median)"), ratio, AtMost(MAX_OVER_EMBED));
+    }
+}
+
+llmdm_rt::bench_main!("semcache", None, bench_hot_path, bench_cache, gates);

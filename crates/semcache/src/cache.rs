@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use llmdm_model::Embedder;
+use llmdm_rt::hash::fnv1a_str;
 use llmdm_vecdb::{FlatIndex, Metric, VectorIndex};
 
 /// What kind of entry this is (the Cache(O)/Cache(A) distinction).
@@ -181,9 +182,52 @@ impl llmdm_rt::json::ToJson for CacheStats {
     }
 }
 
+/// A query as the cache sees it: everything the cache derives from the
+/// text alone — its embedding and the hash its verbatim copy is filed
+/// under — computed once, by [`Probe::new`], outside any lock, and then
+/// carried from the lookup to the insert (or stale serve) that follows a
+/// miss, so one prompt costs one embedding however many cache operations
+/// it takes.
+///
+/// The probe borrows its text, so a vector cannot be paired with a text
+/// it was not made from. It must be made with the target cache's
+/// [`SemanticCache::embedder`] (or a clone of it).
+#[derive(Debug)]
+pub struct Probe<'a> {
+    text: &'a str,
+    text_hash: u64,
+    /// `None` when the embedder refused the text (it is empty): such a
+    /// probe misses every lookup and inserts nothing.
+    vector: Option<Vec<f32>>,
+}
+
+impl<'a> Probe<'a> {
+    /// Embed and hash `text`.
+    pub fn new(embedder: &Embedder, text: &'a str) -> Self {
+        Probe { text, text_hash: fnv1a_str(text), vector: embedder.embed(text).ok() }
+    }
+
+    /// The probed text.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// FNV-1a of the text.
+    pub(crate) fn text_hash(&self) -> u64 {
+        self.text_hash
+    }
+
+    /// The embedding, if the text has one.
+    pub(crate) fn vector(&self) -> Option<&[f32]> {
+        self.vector.as_deref()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     query: String,
+    /// `fnv1a_str(query)`: where `by_text` files this entry.
+    text_hash: u64,
     response: String,
     kind: EntryKind,
     hits: u64,
@@ -200,6 +244,12 @@ pub struct SemanticCache {
     /// Response-keyed index (populated when `match_responses` is on).
     response_index: FlatIndex,
     entries: HashMap<u64, Entry>,
+    /// Entry ids by the hash of their query text, so `insert` finds a
+    /// verbatim duplicate without comparing against every entry. A
+    /// bucket holds more than one id only when two texts collide, which
+    /// is why a hash match is confirmed on the text. Kept in step with
+    /// `entries` by insert and `evict_one`; lookups never consult it.
+    by_text: HashMap<u64, Vec<u64>>,
     next_id: u64,
     clock: u64,
     stats: CacheStats,
@@ -217,6 +267,7 @@ impl SemanticCache {
             index,
             response_index,
             entries: HashMap::new(),
+            by_text: HashMap::new(),
             next_id: 0,
             clock: 0,
             stats: CacheStats::default(),
@@ -243,12 +294,25 @@ impl SemanticCache {
         &self.config
     }
 
-    /// Look up a query; updates recency/frequency/weight on hits.
+    /// The embedder probes for this cache are made with. Stateless and
+    /// cheap to clone: a client that shares the cache behind a lock keeps
+    /// a clone and embeds before locking.
+    pub fn embedder(&self) -> &Embedder {
+        &self.embedder
+    }
+
+    /// Look up a query; [`SemanticCache::lookup_probed`] on a fresh probe.
+    pub fn lookup(&mut self, query: &str) -> Lookup {
+        let probe = Probe::new(&self.embedder, query);
+        self.lookup_probed(&probe)
+    }
+
+    /// Look up a probed query; updates recency/frequency/weight on hits.
     ///
     /// Observability: every call opens a `semcache.lookup` span with a
     /// `cache=hit|miss` field (hits add `kind` and `similarity`) and bumps
     /// one of the `semcache.lookup.{reuse,augment,miss}` counters.
-    pub fn lookup(&mut self, query: &str) -> Lookup {
+    pub fn lookup_probed(&mut self, probe: &Probe<'_>) -> Lookup {
         let mut span = llmdm_obs::span("semcache.lookup");
         let miss = |span: &mut llmdm_obs::Span<'_>| {
             if span.is_recording() {
@@ -259,15 +323,15 @@ impl SemanticCache {
         };
         self.clock += 1;
         self.stats.lookups += 1;
-        let Ok(v) = self.embedder.embed(query) else {
+        let Some(v) = probe.vector() else {
             self.stats.misses += 1;
             return miss(&mut span);
         };
-        let best = self.index.search(&v, 1).ok().and_then(|hits| hits.into_iter().next());
+        let best = self.index.search(v, 1).ok().and_then(|hits| hits.into_iter().next());
         // Optional response-keyed match: taken only when it beats the
         // query-keyed match, and only ever as an augment.
         let response_best = if self.config.match_responses {
-            self.response_index.search(&v, 1).ok().and_then(|hits| hits.into_iter().next())
+            self.response_index.search(v, 1).ok().and_then(|hits| hits.into_iter().next())
         } else {
             None
         };
@@ -326,7 +390,14 @@ impl SemanticCache {
         }
     }
 
-    /// Serve the best *stale-but-similar* entry for `query` during an
+    /// Stale-serve for a query; [`SemanticCache::serve_stale_probed`] on a
+    /// fresh probe.
+    pub fn serve_stale(&mut self, query: &str) -> Option<(String, String, f32)> {
+        let probe = Probe::new(&self.embedder, query);
+        self.serve_stale_probed(&probe)
+    }
+
+    /// Serve the best *stale-but-similar* entry for the probed query during an
     /// upstream outage (§III-C availability trade-off: when the model is
     /// down, a vaguely-related cached answer beats no answer).
     ///
@@ -339,15 +410,13 @@ impl SemanticCache {
     /// query. Bumps the `resil.stale_serves` counter on success.
     ///
     /// Returns `(cached_query, cached_response, similarity)`.
-    pub fn serve_stale(&mut self, query: &str) -> Option<(String, String, f32)> {
+    pub fn serve_stale_probed(&mut self, probe: &Probe<'_>) -> Option<(String, String, f32)> {
         let mut span = llmdm_obs::span("semcache.serve_stale");
         self.clock += 1;
         self.stats.lookups += 1;
-        let found = self
-            .embedder
-            .embed(query)
-            .ok()
-            .and_then(|v| self.index.search(&v, 1).ok().and_then(|hits| hits.into_iter().next()))
+        let found = probe
+            .vector()
+            .and_then(|v| self.index.search(v, 1).ok().and_then(|hits| hits.into_iter().next()))
             .filter(|best| best.score >= self.config.stale_threshold);
         let Some(best) = found else {
             self.stats.misses += 1;
@@ -368,26 +437,34 @@ impl SemanticCache {
         Some((entry.query.clone(), entry.response.clone(), best.score))
     }
 
-    /// Insert a (query, response) pair, evicting if full. A query already
-    /// cached verbatim is refreshed instead of duplicated.
+    /// Insert a (query, response) pair; [`SemanticCache::insert_probed`]
+    /// on a fresh probe.
     pub fn insert(&mut self, query: &str, response: &str, kind: EntryKind) {
+        let probe = Probe::new(&self.embedder, query);
+        self.insert_probed(probe, response, kind);
+    }
+
+    /// Insert a (probed query, response) pair, evicting if full. A query
+    /// already cached verbatim is refreshed instead of duplicated. The
+    /// probe is consumed: its vector becomes the entry's index key.
+    pub fn insert_probed(&mut self, probe: Probe<'_>, response: &str, kind: EntryKind) {
         let _span = llmdm_obs::span("semcache.insert");
         llmdm_obs::counter_add("semcache.insert", 1.0);
         self.clock += 1;
-        if let Some((&id, _)) = self.entries.iter().find(|(_, e)| e.query == query) {
-            let e = self.entries.get_mut(&id).expect("just found");
+        let Probe { text: query, text_hash, vector } = probe;
+        let verbatim = self.by_text.get(&text_hash).and_then(|ids| {
+            ids.iter().copied().find(|id| self.entries[id].query == query)
+        });
+        if let Some(id) = verbatim {
+            let e = self.entries.get_mut(&id).expect("by_text and entries are in sync");
             e.response = response.to_string();
             e.last_access = self.clock;
             // Keep the response-keyed index in step with the new response.
-            if self.config.match_responses {
-                let _ = self.response_index.remove(id);
-                if let Ok(rv) = self.embedder.embed(response) {
-                    let _ = self.response_index.insert(id, rv);
-                }
-            }
+            let _ = self.response_index.remove(id);
+            self.index_response(id, response);
             return;
         }
-        let Ok(v) = self.embedder.embed(query) else {
+        let Some(v) = vector else {
             return;
         };
         while self.entries.len() >= self.config.capacity.max(1) {
@@ -396,15 +473,13 @@ impl SemanticCache {
         let id = self.next_id;
         self.next_id += 1;
         self.index.insert(id, v).expect("fresh id");
-        if self.config.match_responses {
-            if let Ok(rv) = self.embedder.embed(response) {
-                self.response_index.insert(id, rv).expect("fresh id");
-            }
-        }
+        self.index_response(id, response);
+        self.by_text.entry(text_hash).or_default().push(id);
         self.entries.insert(
             id,
             Entry {
                 query: query.to_string(),
+                text_hash,
                 response: response.to_string(),
                 kind,
                 hits: 0,
@@ -412,6 +487,16 @@ impl SemanticCache {
                 weight: 1.0,
             },
         );
+    }
+
+    /// File `response` under `id` in the response-keyed index, when
+    /// responses are matched at all.
+    fn index_response(&mut self, id: u64, response: &str) {
+        if self.config.match_responses {
+            if let Ok(rv) = self.embedder.embed(response) {
+                let _ = self.response_index.insert(id, rv);
+            }
+        }
     }
 
     /// Record that the admission predictor rejected an insert (for stats).
@@ -442,6 +527,18 @@ impl SemanticCache {
         Ok(())
     }
 
+    /// The surviving entries as `(id, query, response, kind)` in id order.
+    #[cfg(test)]
+    pub(crate) fn entries_by_id(&self) -> Vec<(u64, &str, &str, EntryKind)> {
+        let mut out: Vec<_> = self
+            .entries
+            .iter()
+            .map(|(&id, e)| (id, e.query.as_str(), e.response.as_str(), e.kind))
+            .collect();
+        out.sort_by_key(|e| e.0);
+        out
+    }
+
     fn evict_one(&mut self) {
         let victim = match self.config.policy {
             EvictionPolicy::Lru => self
@@ -465,7 +562,12 @@ impl SemanticCache {
                 .map(|(&id, _)| id),
         };
         if let Some(id) = victim {
-            self.entries.remove(&id);
+            let entry = self.entries.remove(&id).expect("victim was just found");
+            let bucket = self.by_text.get_mut(&entry.text_hash).expect("every entry is filed");
+            bucket.retain(|&other| other != id);
+            if bucket.is_empty() {
+                self.by_text.remove(&entry.text_hash);
+            }
             let _ = self.index.remove(id);
             let _ = self.response_index.remove(id);
             self.stats.evictions += 1;
@@ -723,6 +825,100 @@ mod tests {
         let mut empty = SemanticCache::new(CacheConfig::default());
         assert!(empty.serve_stale("anything").is_none());
         assert!(empty.stats().reconciles());
+    }
+
+    /// `by_text` files exactly the live entries, each under its text's
+    /// hash, and `len()` / `iter()` count the same set.
+    fn assert_filed(c: &SemanticCache) {
+        let mut filed: Vec<u64> = c.by_text.values().flatten().copied().collect();
+        filed.sort_unstable();
+        let live: Vec<u64> = c.entries_by_id().iter().map(|e| e.0).collect();
+        assert_eq!(filed, live, "by_text and entries hold different ids");
+        assert_eq!(c.len(), live.len());
+        assert_eq!(c.iter().count(), live.len());
+        for (hash, ids) in &c.by_text {
+            assert!(!ids.is_empty(), "an emptied bucket must be dropped");
+            for id in ids {
+                assert_eq!(c.entries[id].text_hash, *hash);
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_text_comes_back_as_a_new_entry_then_refreshes() {
+        let mut c = cache(2, EvictionPolicy::Lru);
+        c.insert("alpha bravo charlie", "1", EntryKind::Original);
+        c.insert("delta echo foxtrot", "2", EntryKind::Original);
+        c.insert("golf hotel india", "3", EntryKind::Original); // evicts alpha
+        assert_eq!(c.lookup("alpha bravo charlie"), Lookup::Miss);
+        assert_filed(&c);
+        // The evicted text left no ghost behind: it is inserted afresh
+        // (evicting delta), not "refreshed" into an entry that is gone.
+        c.insert("alpha bravo charlie", "4", EntryKind::Original);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats().evictions, 2);
+        assert_filed(&c);
+        // And now that it is live again, a repeat refreshes it in place.
+        c.insert("alpha bravo charlie", "5", EntryKind::Original);
+        assert_eq!(c.stats().evictions, 2);
+        assert!(matches!(
+            c.lookup("alpha bravo charlie"),
+            Lookup::Hit { response, .. } if response == "5"
+        ));
+        assert_filed(&c);
+    }
+
+    #[test]
+    fn colliding_texts_stay_two_entries() {
+        // Two texts forced onto one hash bucket: a hash match alone must
+        // never pass for a verbatim match.
+        let mut c = cache(2, EvictionPolicy::Lru);
+        fn forged<'a>(c: &SemanticCache, text: &'a str) -> Probe<'a> {
+            Probe { text_hash: 7, ..Probe::new(c.embedder(), text) }
+        }
+        c.insert_probed(forged(&c, "alpha bravo charlie"), "1", EntryKind::Original);
+        c.insert_probed(forged(&c, "delta echo foxtrot"), "2", EntryKind::Original);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.by_text[&7].len(), 2);
+        // A refresh through the shared bucket reaches the right entry.
+        c.insert_probed(forged(&c, "delta echo foxtrot"), "2b", EntryKind::Original);
+        assert_eq!(
+            c.entries_by_id(),
+            vec![
+                (0, "alpha bravo charlie", "1", EntryKind::Original),
+                (1, "delta echo foxtrot", "2b", EntryKind::Original),
+            ]
+        );
+        assert_filed(&c);
+        // Evicting one of the pair (alpha, the LRU) leaves the other filed.
+        c.insert_probed(forged(&c, "golf hotel india"), "3", EntryKind::Original);
+        assert_eq!(c.by_text[&7].len(), 2);
+        assert_eq!(c.lookup("alpha bravo charlie"), Lookup::Miss);
+        c.insert_probed(forged(&c, "delta echo foxtrot"), "2c", EntryKind::Original);
+        assert_eq!(c.len(), 2, "delta was refreshed, not duplicated");
+        assert_filed(&c);
+    }
+
+    #[test]
+    fn text_map_tracks_entries_through_random_inserts() {
+        use llmdm_rt::rand::rngs::SmallRng;
+        use llmdm_rt::rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Lfu, EvictionPolicy::default()] {
+            let mut c = cache(8, policy);
+            for i in 0..1_000 {
+                // 24 texts over 8 slots: fresh inserts, refreshes and
+                // returns of evicted texts all occur.
+                let q = format!("query shape number {} of the pool", rng.gen_range(0..24u32));
+                c.insert(&q, &format!("response {i}"), EntryKind::Original);
+                if rng.gen_bool(0.3) {
+                    let _ = c.lookup(&q);
+                }
+                assert!(c.len() <= 8);
+                assert_filed(&c);
+            }
+            assert_eq!(c.len(), 8);
+        }
     }
 
     #[test]

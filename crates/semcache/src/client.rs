@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use llmdm_model::prelude::*;
 
-use crate::cache::{EntryKind, HitKind, Lookup};
+use crate::cache::{EntryKind, HitKind, Lookup, Probe};
 use crate::predictor::AccessPredictor;
 use crate::sharded::ShardedCache;
 
@@ -87,7 +87,11 @@ impl CachedLlm {
         if let Some(p) = &self.predictor {
             llmdm_rt::lock_recover(p).observe(key);
         }
-        match self.cache.lookup(key) {
+        // The one embedding of this ask, made before any shard is locked;
+        // the lookup, and whichever of insert, rejection note or stale
+        // serve follows it, route and scan with this vector.
+        let probe = self.cache.probe(key);
+        let request = match self.cache.lookup_probed(&probe) {
             Lookup::Hit { response, kind: HitKind::Reuse, .. } => {
                 return Ok(CachedAnswer {
                     text: response,
@@ -96,30 +100,19 @@ impl CachedLlm {
                     stale: false,
                 });
             }
+            // Extend the prompt with the cached pair as one more example,
+            // bumping the examples header so the model's ICL benefit
+            // applies.
             Lookup::Hit { query, response, kind: HitKind::Augment, .. } => {
-                // Extend the prompt with the cached pair as one more
-                // example, bumping the examples header so the model's ICL
-                // benefit applies.
-                let augmented = augment_prompt(prompt, &query, &response);
-                let completion = match self.model.complete(&CompletionRequest::new(augmented)) {
-                    Ok(c) => c,
-                    Err(e) => return self.stale_fallback(key, e),
-                };
-                self.maybe_insert(key, &completion, kind);
-                return Ok(CachedAnswer {
-                    text: completion.text,
-                    from_cache: false,
-                    cost: completion.cost,
-                    stale: false,
-                });
+                CompletionRequest::new(augment_prompt(prompt, &query, &response))
             }
-            Lookup::Miss => {}
-        }
-        let completion = match self.model.complete(&CompletionRequest::new(prompt.to_string())) {
-            Ok(c) => c,
-            Err(e) => return self.stale_fallback(key, e),
+            Lookup::Miss => CompletionRequest::new(prompt.to_string()),
         };
-        self.maybe_insert(key, &completion, kind);
+        let completion = match self.model.complete(&request) {
+            Ok(c) => c,
+            Err(e) => return self.stale_fallback(&probe, e),
+        };
+        self.maybe_insert(probe, &completion, kind);
         Ok(CachedAnswer { text: completion.text, from_cache: false, cost: completion.cost, stale: false })
     }
 
@@ -128,11 +121,11 @@ impl CachedLlm {
     /// graceful degradation under upstream outage. Non-retryable errors
     /// (bad request, malformed payload) surface unchanged: stale data
     /// can't fix a broken request.
-    fn stale_fallback(&self, key: &str, err: ModelError) -> Result<CachedAnswer, ModelError> {
+    fn stale_fallback(&self, probe: &Probe<'_>, err: ModelError) -> Result<CachedAnswer, ModelError> {
         if !err.is_retryable() {
             return Err(err);
         }
-        match self.cache.serve_stale(key) {
+        match self.cache.serve_stale_probed(probe) {
             Some((_, response, _)) => {
                 Ok(CachedAnswer { text: response, from_cache: true, cost: 0.0, stale: true })
             }
@@ -140,16 +133,16 @@ impl CachedLlm {
         }
     }
 
-    fn maybe_insert(&self, key: &str, completion: &Completion, kind: EntryKind) {
+    fn maybe_insert(&self, probe: Probe<'_>, completion: &Completion, kind: EntryKind) {
         let admit = self
             .predictor
             .as_ref()
-            .map(|p| llmdm_rt::lock_recover(p).should_admit(key))
+            .map(|p| llmdm_rt::lock_recover(p).should_admit(probe.text()))
             .unwrap_or(true);
         if admit {
-            self.cache.insert(key, &completion.text, kind);
+            self.cache.insert_probed(probe, &completion.text, kind);
         } else {
-            self.cache.note_rejected(key);
+            self.cache.note_rejected(&probe);
         }
     }
 }

@@ -20,6 +20,9 @@
 //! * **admission prediction** ([`predictor::AccessPredictor`]): "predict
 //!   the probability of future access" to decide whether to cache a new
 //!   entry at all;
+//! * **one embedding per prompt** ([`cache::Probe`]): a query is embedded
+//!   once, outside any lock, and the same probe routes, scans, and — on a
+//!   miss — becomes the inserted entry's key (DESIGN.md §17);
 //! * a lock-striped [`sharded::ShardedCache`] whose operations take
 //!   `&self`, so a worker pool shares one cache;
 //! * one key-addressed client, [`client::CachedLlm`], that puts a
@@ -41,7 +44,9 @@ pub mod predictor;
 pub mod sharded;
 pub mod stack;
 
-pub use cache::{CacheConfig, CacheStats, EvictionPolicy, EntryKind, HitKind, Lookup, SemanticCache};
+pub use cache::{
+    CacheConfig, CacheStats, EntryKind, EvictionPolicy, HitKind, Lookup, Probe, SemanticCache,
+};
 pub use persist::PersistentCache;
 pub use client::CachedLlm;
 pub use predictor::AccessPredictor;

@@ -29,7 +29,7 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use llmdm_model::Embedder;
 
-use crate::cache::{CacheConfig, CacheStats, EntryKind, Lookup, SemanticCache};
+use crate::cache::{CacheConfig, CacheStats, EntryKind, Lookup, Probe, SemanticCache};
 
 /// How many leading embedding dimensions contribute a sign bit to the
 /// shard key (2^8 = 256 raw buckets, folded mod `shards`).
@@ -68,24 +68,30 @@ impl ShardedCache {
         self.shards.len()
     }
 
-    /// Deterministic shard index for `query`: the sign bits of the first
-    /// [`ROUTE_BITS`] embedding dimensions, folded mod the shard count.
-    /// Falls back to FNV-1a of the raw bytes if embedding fails, so every
+    /// Probe `query` with the routing embedder. Takes no lock: a caller
+    /// makes the probe once and hands it to every operation on that query.
+    pub(crate) fn probe<'a>(&self, query: &'a str) -> Probe<'a> {
+        Probe::new(&self.router, query)
+    }
+
+    /// The probed query's home shard: the sign bits of the first
+    /// `ROUTE_BITS` (8) embedding dimensions, folded mod the shard count.
+    /// Falls back to FNV-1a of the raw bytes if embedding failed, so every
     /// query routes somewhere and repeats stay sticky. With one shard
-    /// there is nothing to decide and nothing is embedded.
-    pub fn route(&self, query: &str) -> usize {
+    /// there is nothing to decide.
+    fn shard_of(&self, probe: &Probe<'_>) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
-        match self.router.embed(query) {
-            Ok(v) => {
+        match probe.vector() {
+            Some(v) => {
                 let mut key = 0usize;
                 for x in v.iter().take(ROUTE_BITS) {
                     key = (key << 1) | usize::from(*x >= 0.0);
                 }
                 key % self.shards.len()
             }
-            Err(_) => (llmdm_rt::hash::fnv1a_str(query) as usize) % self.shards.len(),
+            None => (probe.text_hash() as usize) % self.shards.len(),
         }
     }
 
@@ -97,25 +103,42 @@ impl ShardedCache {
         llmdm_rt::read_recover(&self.shards[shard])
     }
 
-    /// Look up a query on its home shard. Exactly one shard is locked.
+    /// Look up a query on its home shard: one embedding, which both routes
+    /// and scans, and exactly one shard locked.
     pub fn lookup(&self, query: &str) -> Lookup {
-        self.write(self.route(query)).lookup(query)
+        self.lookup_probed(&self.probe(query))
+    }
+
+    /// [`ShardedCache::lookup`] for a caller that already holds the probe.
+    pub(crate) fn lookup_probed(&self, probe: &Probe<'_>) -> Lookup {
+        self.write(self.shard_of(probe)).lookup_probed(probe)
     }
 
     /// Stale-serve from the query's home shard (outage degradation).
     pub fn serve_stale(&self, query: &str) -> Option<(String, String, f32)> {
-        self.write(self.route(query)).serve_stale(query)
+        self.serve_stale_probed(&self.probe(query))
+    }
+
+    /// [`ShardedCache::serve_stale`] for a caller that already holds the probe.
+    pub(crate) fn serve_stale_probed(&self, probe: &Probe<'_>) -> Option<(String, String, f32)> {
+        self.write(self.shard_of(probe)).serve_stale_probed(probe)
     }
 
     /// Insert on the query's home shard.
     pub fn insert(&self, query: &str, response: &str, kind: EntryKind) {
-        self.write(self.route(query)).insert(query, response, kind);
+        self.insert_probed(self.probe(query), response, kind);
     }
 
-    /// Record an admission rejection against the query's home shard (the
-    /// shard that *would* have stored it).
-    pub fn note_rejected(&self, query: &str) {
-        self.write(self.route(query)).note_rejected();
+    /// [`ShardedCache::insert`] for a caller that already holds the probe,
+    /// which it gives up: the vector becomes the entry's key.
+    pub(crate) fn insert_probed(&self, probe: Probe<'_>, response: &str, kind: EntryKind) {
+        self.write(self.shard_of(&probe)).insert_probed(probe, response, kind);
+    }
+
+    /// Record an admission rejection against the probed query's home
+    /// shard (the shard that *would* have stored it).
+    pub(crate) fn note_rejected(&self, probe: &Probe<'_>) {
+        self.write(self.shard_of(probe)).note_rejected();
     }
 
     /// Total entries across shards.
@@ -153,9 +176,11 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::HitKind;
+    use crate::cache::{EvictionPolicy, HitKind};
     use crate::client::CachedLlm;
     use llmdm_model::{ModelZoo, PromptEnvelope};
+    use llmdm_rt::rand::rngs::SmallRng;
+    use llmdm_rt::rand::{Rng, SeedableRng};
 
     fn sharded(n: usize) -> ShardedCache {
         ShardedCache::new(CacheConfig::default(), n)
@@ -174,10 +199,10 @@ mod tests {
     fn routing_is_deterministic_and_in_range() {
         let (c, one) = (sharded(4), sharded(1));
         for q in ["alpha bravo", "charlie delta", "echo foxtrot", ""] {
-            let s = c.route(q);
+            let s = c.shard_of(&c.probe(q));
             assert!(s < 4);
-            assert_eq!(s, c.route(q), "same query must route to the same shard");
-            assert_eq!(one.route(q), 0);
+            assert_eq!(s, c.shard_of(&c.probe(q)), "same query must route to the same shard");
+            assert_eq!(one.shard_of(&one.probe(q)), 0);
         }
     }
 
@@ -201,7 +226,11 @@ mod tests {
         let q1 = "What are the names of stadiums that had concerts in 2014?";
         let q2 = "What are the names of stadiums that had concerts in 2016?";
         // The LSH routing must send the near-duplicate to the same shard…
-        assert_eq!(c.route(q1), c.route(q2), "near-duplicates must co-locate");
+        assert_eq!(
+            c.shard_of(&c.probe(q1)),
+            c.shard_of(&c.probe(q2)),
+            "near-duplicates must co-locate"
+        );
         c.insert(q1, "SQL-A", EntryKind::Original);
         // …so it still gets its augment hit.
         match c.lookup(q2) {
@@ -276,4 +305,148 @@ mod tests {
         assert!(c.len() <= 8, "len {} exceeds global budget", c.len());
         assert!(c.stats().evictions > 0);
     }
+
+    /// Either cache behind the three operations the trace drives.
+    enum Traced {
+        Plain(Box<SemanticCache>),
+        Sharded(ShardedCache),
+    }
+
+    impl Traced {
+        fn lookup(&mut self, q: &str) -> Lookup {
+            match self {
+                Traced::Plain(c) => c.lookup(q),
+                Traced::Sharded(c) => c.lookup(q),
+            }
+        }
+
+        fn serve_stale(&mut self, q: &str) -> Option<(String, String, f32)> {
+            match self {
+                Traced::Plain(c) => c.serve_stale(q),
+                Traced::Sharded(c) => c.serve_stale(q),
+            }
+        }
+
+        fn insert(&mut self, q: &str, r: &str, kind: EntryKind) {
+            match self {
+                Traced::Plain(c) => c.insert(q, r, kind),
+                Traced::Sharded(c) => c.insert(q, r, kind),
+            }
+        }
+
+        /// Final counters and the surviving entries, shard by shard in id
+        /// order, as one string.
+        fn end_state(&self) -> String {
+            match self {
+                Traced::Plain(c) => format!("{:?} {:?}", c.stats(), c.entries_by_id()),
+                Traced::Sharded(c) => {
+                    let shards: Vec<String> = (0..c.shard_count())
+                        .map(|i| format!("{:?}", c.read(i).entries_by_id()))
+                        .collect();
+                    format!("{:?} {:?} {shards:?}", c.stats(), c.stats_per_shard())
+                }
+            }
+        }
+    }
+
+    /// A text from a pool of 8 shapes × 40 numbers (320 > the larger
+    /// capacity, so both capacities evict): same-shape neighbours land in
+    /// the augment and stale bands, repeats reuse, shapes miss each other;
+    /// multi-byte, lowercase-expanding and punctuation-only shapes are in,
+    /// and one draw in a hundred is the empty text no embedder accepts.
+    fn trace_text(rng: &mut SmallRng) -> String {
+        if rng.gen_range(0..100u32) == 0 {
+            return String::new();
+        }
+        let n = rng.gen_range(0..40u32);
+        match rng.gen_range(0..8u32) {
+            0 => format!("What are the names of stadiums that had concerts in {}?", 2000 + n),
+            1 => format!("median household income by postal region {n}"),
+            2 => format!("list all singers ordered by age, page {n}"),
+            3 => format!("total concert attendance per year since {}", 1980 + n),
+            4 => format!("Émile's café on Straße {n}: 漢字 menu"),
+            5 => format!("İSTANBUL weather for day {n}"),
+            6 => format!("SELECT name FROM stadium WHERE stadium_id = {n}"),
+            _ => format!("?!… — {n} …!?"),
+        }
+    }
+
+    fn trace_digest(mut cache: Traced, seed: u64) -> u64 {
+        use llmdm_rt::hash::{combine, fnv1a_str};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut digest = seed;
+        for _ in 0..5_000 {
+            let q = trace_text(&mut rng);
+            let outcome = match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    // Half the responses are query-shaped, so the response
+                    // index (when on) has something to match.
+                    let r = if rng.gen_bool(0.5) {
+                        trace_text(&mut rng)
+                    } else {
+                        format!("answer {}", rng.gen_range(0..1000u32))
+                    };
+                    let kind =
+                        if rng.gen_bool(0.3) { EntryKind::SubQuery } else { EntryKind::Original };
+                    cache.insert(&q, &r, kind);
+                    "insert".to_string()
+                }
+                4..=7 => match cache.lookup(&q) {
+                    Lookup::Hit { query, response, similarity, kind } => {
+                        format!("hit {kind:?} {:08x} {query:?} {response:?}", similarity.to_bits())
+                    }
+                    Lookup::Miss => "miss".to_string(),
+                },
+                _ => match cache.serve_stale(&q) {
+                    Some((query, response, sim)) => {
+                        format!("stale {:08x} {query:?} {response:?}", sim.to_bits())
+                    }
+                    None => "stale-miss".to_string(),
+                },
+            };
+            digest = combine(digest, fnv1a_str(&outcome));
+        }
+        combine(digest, fnv1a_str(&cache.end_state()))
+    }
+
+    /// Every outcome of a seeded trace — `Lookup` variant, similarity
+    /// bits, returned text — the final counters and the survivors, over
+    /// all three policies × response matching on/off × capacity 8/256,
+    /// through a bare cache and through 1 and 4 shards, folded into one
+    /// number. The constant was computed at `f03e425`, before the probe
+    /// refactor and the new embedding kernel; neither may move it.
+    #[test]
+    fn seeded_trace_digest_is_pinned() {
+        use llmdm_rt::hash::combine;
+        let policies = [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Lfu,
+            EvictionPolicy::Weighted { reuse_weight: 4.0, augment_weight: 1.0 },
+        ];
+        let mut digest = 0u64;
+        for (p, policy) in policies.into_iter().enumerate() {
+            for match_responses in [false, true] {
+                for capacity in [8usize, 256] {
+                    let config = CacheConfig {
+                        capacity,
+                        policy,
+                        match_responses,
+                        seed: 42,
+                        ..Default::default()
+                    };
+                    let seed = (p * 4 + usize::from(match_responses) * 2 + capacity / 256) as u64;
+                    for cache in [
+                        Traced::Plain(Box::new(SemanticCache::new(config))),
+                        Traced::Sharded(ShardedCache::new(config, 1)),
+                        Traced::Sharded(ShardedCache::new(config, 4)),
+                    ] {
+                        digest = combine(digest, trace_digest(cache, seed));
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, PINNED_TRACE_DIGEST, "got {digest:#018x}");
+    }
+
+    const PINNED_TRACE_DIGEST: u64 = 0x2fed_6a7c_5c5c_3345;
 }

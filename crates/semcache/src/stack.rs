@@ -36,9 +36,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use llmdm_model::prelude::*;
-use llmdm_model::ModelStack;
+use llmdm_model::{Embedder, ModelStack};
 
-use crate::cache::{CacheConfig, EntryKind, HitKind, Lookup, SemanticCache};
+use crate::cache::{CacheConfig, EntryKind, HitKind, Lookup, Probe, SemanticCache};
 use crate::client::augment_prompt;
 
 /// A semantic cache shareable between the stack layer and the caller
@@ -56,12 +56,16 @@ pub fn shared_cache(config: CacheConfig) -> SharedCache {
 pub struct CachedModel {
     inner: Arc<dyn LanguageModel>,
     cache: SharedCache,
+    /// A clone of the cache's embedder, taken once at construction, so a
+    /// prompt is embedded before the cache's mutex is taken, not under it.
+    embedder: Embedder,
 }
 
 impl CachedModel {
     /// Wrap `inner` with `cache`.
     pub fn new(inner: Arc<dyn LanguageModel>, cache: SharedCache) -> Self {
-        CachedModel { inner, cache }
+        let embedder = llmdm_rt::lock_recover(&cache).embedder().clone();
+        CachedModel { inner, cache, embedder }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SemanticCache> {
@@ -75,32 +79,33 @@ impl LanguageModel for CachedModel {
     }
 
     fn complete(&self, req: &CompletionRequest) -> Result<Completion, ModelError> {
-        let hit = self.lock().lookup(&req.prompt);
-        match hit {
-            Lookup::Hit { response, kind: HitKind::Reuse, .. } => Ok(Completion {
-                text: response,
-                model: format!("{}+cache", self.inner.name()),
-                usage: TokenUsage::default(),
-                cost: 0.0,
-                latency: Duration::ZERO,
-                confidence: 1.0,
-            }),
+        // The one embedding of this request. The two critical sections
+        // below are a flat scan and an index append around the model call.
+        let probe = Probe::new(&self.embedder, &req.prompt);
+        let hit = self.lock().lookup_probed(&probe);
+        let c = match hit {
+            Lookup::Hit { response, kind: HitKind::Reuse, .. } => {
+                return Ok(Completion {
+                    text: response,
+                    model: format!("{}+cache", self.inner.name()),
+                    usage: TokenUsage::default(),
+                    cost: 0.0,
+                    latency: Duration::ZERO,
+                    confidence: 1.0,
+                })
+            }
             Lookup::Hit { query, response, kind: HitKind::Augment, .. } => {
                 let augmented = augment_prompt(&req.prompt, &query, &response);
                 let inner_req = CompletionRequest {
                     prompt: augmented,
                     max_output_tokens: req.max_output_tokens,
                 };
-                let c = self.inner.complete(&inner_req)?;
-                self.lock().insert(&req.prompt, &c.text, EntryKind::Original);
-                Ok(c)
+                self.inner.complete(&inner_req)?
             }
-            Lookup::Miss => {
-                let c = self.inner.complete(req)?;
-                self.lock().insert(&req.prompt, &c.text, EntryKind::Original);
-                Ok(c)
-            }
-        }
+            Lookup::Miss => self.inner.complete(req)?,
+        };
+        self.lock().insert_probed(probe, &c.text, EntryKind::Original);
+        Ok(c)
     }
 
     fn context_window(&self) -> usize {

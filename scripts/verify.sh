@@ -50,10 +50,11 @@ done
 #   store_durability  warm scan >=2x cold through the buffer pool; fixtures read back
 #   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
 #   vecdb_hybrid      adaptive <=1.25x the better of pre-/post-filter at 2% and 50%; prefilter@2% <= exact scan
+#   semcache_bench    probe+lookup+insert (miss) and probe+lookup (hit) each <=1.5x one embedding at a full 256-entry cache
 BENCH_DIR="$(mktemp -d)"
 for pair in obs_overhead:obs_overhead obs_window:obswindow resil_overhead:resil_overhead \
     serve_throughput:serve sqlplan:sqlplan semsql:semsql store_durability:store \
-    vecdb_search:vecdb_search vecdb_hybrid:vecdb_hybrid; do
+    vecdb_search:vecdb_search vecdb_hybrid:vecdb_hybrid semcache_bench:semcache; do
     target="${pair%%:*}" report="BENCH_${pair##*:}.json"
     echo "== gated bench $target"
     LLMDM_BENCH_FAST=1 LLMDM_BENCH_DIR="$BENCH_DIR" cargo bench --offline -p llmdm-bench --bench "$target"
