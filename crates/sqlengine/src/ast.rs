@@ -78,6 +78,16 @@ pub enum Expr {
         /// Column name.
         name: String,
     },
+    /// A column resolved to its position in the row an operator evaluates
+    /// over. The planner and DML bind columns to slots once per statement;
+    /// the parser never produces one.
+    Slot {
+        /// Index into the row.
+        index: usize,
+        /// The column as an unknown-column error names it (`alias.col` or
+        /// `col`): there is no row to read in an aggregate's empty group.
+        name: String,
+    },
     /// Binary operation.
     Binary {
         /// Operator.
@@ -240,7 +250,7 @@ impl Expr {
     pub fn contains_llm(&self) -> bool {
         match self {
             Expr::LlmMap { .. } | Expr::LlmFilter { .. } | Expr::LlmMatch { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } => false,
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => false,
             Expr::Binary { left, right, .. } => left.contains_llm() || right.contains_llm(),
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
                 expr.contains_llm()
@@ -264,7 +274,7 @@ impl Expr {
         match self {
             Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => 1 + arg.count_llm(),
             Expr::LlmMatch { left, right, .. } => 1 + left.count_llm() + right.count_llm(),
-            Expr::Literal(_) | Expr::Column { .. } => 0,
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => 0,
             Expr::Binary { left, right, .. } => left.count_llm() + right.count_llm(),
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
                 expr.count_llm()

@@ -1,202 +1,179 @@
 //! Expression evaluation.
 //!
-//! Expressions are evaluated against an [`Env`] of in-scope table rows
-//! (one scope per FROM item). Subqueries re-enter the executor against the
-//! same database. Aggregate nodes are *not* handled here — the executor
-//! evaluates them per group via `eval_grouped` in the executor.
+//! Expressions are evaluated against an [`Env`]: one row — or a join's
+//! left and right rows side by side — laid out per the [`Bindings`] of the
+//! tables in scope. A column the planner or DML bound is an
+//! [`Expr::Slot`] and reads its value by index; a bare [`Expr::Column`]
+//! is resolved by name, which is how the direct reference executor reads
+//! every column and how the planner reaches a column that failed to bind
+//! (to raise the same error it always did). Subqueries re-enter the
+//! executor against the same database. Aggregate nodes are *not* handled
+//! here — the executor evaluates them per group via `eval_grouped`.
+
+use std::borrow::Cow;
 
 use crate::ast::{BinOp, Expr, SelectStmt, UnOp};
 use crate::catalog::Database;
 use crate::error::SqlError;
-use crate::schema::Schema;
+use crate::exec::Bindings;
 use crate::value::Value;
 
-/// One table in scope: alias, schema, and the row slice.
+/// The evaluation environment: the row, the layout that names its
+/// columns, and the database (for subqueries and the session model).
 #[derive(Debug, Clone, Copy)]
-pub struct Scope<'a> {
-    /// The table's alias (or name when unaliased), lowercase.
-    pub alias: &'a str,
-    /// The table's schema.
-    pub schema: &'a Schema,
-    /// This table's portion of the joined row.
-    pub row: &'a [Value],
-}
-
-/// The evaluation environment: in-scope rows plus the database (for
-/// subqueries).
-#[derive(Debug, Clone, Copy)]
-pub struct Env<'a> {
-    /// In-scope tables, FROM order.
-    pub scopes: &'a [Scope<'a>],
-    /// The database, for subquery execution.
-    pub db: &'a Database,
+pub(crate) struct Env<'a> {
+    layout: &'a Bindings,
+    /// The row, or a join's left row.
+    row: &'a [Value],
+    /// A join's right row, read as if it followed `row`.
+    right: &'a [Value],
+    /// Positions past `row` and `right` read NULL: a LEFT JOIN's padding.
+    padded: bool,
+    pub(crate) db: &'a Database,
 }
 
 impl<'a> Env<'a> {
-    /// Resolve a column reference to its value.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Value, SqlError> {
-        match qualifier {
-            Some(q) => {
-                let q = q.to_lowercase();
-                for s in self.scopes {
-                    if s.alias == q {
-                        if let Some(i) = s.schema.index_of(name) {
-                            return Ok(s.row[i].clone());
-                        }
-                        return Err(SqlError::UnknownColumn(format!("{q}.{name}")));
-                    }
-                }
-                Err(SqlError::UnknownColumn(format!("{q}.{name}")))
-            }
-            None => {
-                let mut found: Option<Value> = None;
-                for s in self.scopes {
-                    if let Some(i) = s.schema.index_of(name) {
-                        if found.is_some() {
-                            return Err(SqlError::AmbiguousColumn(name.to_string()));
-                        }
-                        found = Some(s.row[i].clone());
-                    }
-                }
-                found.ok_or_else(|| SqlError::UnknownColumn(name.to_string()))
-            }
+    /// One row laid out per `layout`.
+    pub(crate) fn new(layout: &'a Bindings, row: &'a [Value], db: &'a Database) -> Self {
+        Env { layout, row, right: &[], padded: false, db }
+    }
+
+    /// A join's left row and right row (`None`: NULL padding), evaluated
+    /// without concatenating them.
+    pub(crate) fn pair(
+        layout: &'a Bindings,
+        left: &'a [Value],
+        right: Option<&'a [Value]>,
+        db: &'a Database,
+    ) -> Self {
+        Env { layout, row: left, right: right.unwrap_or(&[]), padded: right.is_none(), db }
+    }
+
+    /// The value at position `i` of the row, `None` past its end.
+    pub(crate) fn value(&self, i: usize) -> Option<&'a Value> {
+        match self.row.get(i) {
+            Some(v) => Some(v),
+            None => match self.right.get(i - self.row.len()) {
+                Some(v) => Some(v),
+                None => self.padded.then_some(&Value::Null),
+            },
         }
+    }
+
+    /// Resolve a column reference by name.
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<&'a Value, SqlError> {
+        let i = self.layout.resolve(qualifier, name)?;
+        self.value(i).ok_or_else(|| SqlError::UnknownColumn(name.to_string()))
     }
 }
 
 /// Evaluate `expr` in `env`. Errors on aggregate nodes (executor handles
 /// those).
-pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
+pub(crate) fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
+    operand(expr, env).map(Cow::into_owned)
+}
+
+/// Whether `expr` evaluates to TRUE in `env` (the WHERE / ON test).
+pub(crate) fn truthy(expr: &Expr, env: &Env<'_>) -> Result<bool, SqlError> {
+    walk(expr, env).map(|v| v.is_truthy()).map_err(|e| *e)
+}
+
+/// `expr`'s value in `env`: a column, slot or literal comes back
+/// borrowed, so comparisons and tests read their operands in place; a
+/// value is copied only when it becomes output.
+pub(crate) fn operand<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, SqlError> {
+    walk(expr, env).map_err(|e| *e)
+}
+
+/// The expression walker behind [`operand`]. Its error is boxed so that
+/// a result is three words: evaluation is a chain of these returns, and
+/// a five-word one costs several times more per node.
+fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlError>> {
+    let owned = |v: Value| Ok(Cow::Owned(v));
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { qualifier, name } => env.resolve(qualifier.as_deref(), name),
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Slot { index, name } => match env.value(*index) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Err(SqlError::UnknownColumn(name.clone()).into()),
+        },
+        Expr::Column { qualifier, name } => Ok(Cow::Borrowed(env.resolve(qualifier.as_deref(), name)?)),
         Expr::Binary { op, left, right } => {
-            let (op, left, right) = (*op, left, right);
+            let l = walk(left, env)?;
+            // Short-circuit: the right side is not evaluated at all after
+            // `FALSE AND` / `TRUE OR`.
             match op {
-                BinOp::And => {
-                    // Short-circuit; NULL-collapsing at the boundary.
-                    let l = eval(left, env)?;
-                    if matches!(l, Value::Bool(false)) {
-                        return Ok(Value::Bool(false));
+                BinOp::And | BinOp::Or => {
+                    if matches!(*l, Value::Bool(b) if b == (*op == BinOp::Or)) {
+                        return owned(Value::Bool(*op == BinOp::Or));
                     }
-                    let r = eval(right, env)?;
-                    if matches!(r, Value::Bool(false)) {
-                        return Ok(Value::Bool(false));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    Ok(Value::Bool(as_bool(&l)? && as_bool(&r)?))
+                    owned(logic(*op, &l, &*walk(right, env)?)?)
                 }
-                BinOp::Or => {
-                    let l = eval(left, env)?;
-                    if matches!(l, Value::Bool(true)) {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = eval(right, env)?;
-                    if matches!(r, Value::Bool(true)) {
-                        return Ok(Value::Bool(true));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    Ok(Value::Bool(as_bool(&l)? || as_bool(&r)?))
-                }
-                _ => {
-                    let l = eval(left, env)?;
-                    let r = eval(right, env)?;
-                    eval_binop(op, &l, &r)
-                }
+                _ => owned(eval_binop(*op, &l, &*walk(right, env)?)?),
             }
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, env)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => i
-                        .checked_neg()
-                        .map(Value::Int)
-                        .ok_or_else(|| SqlError::Exec("integer overflow in negation".into())),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(SqlError::Type(format!("cannot negate {other}"))),
-                },
-                UnOp::Not => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Bool(b) => Ok(Value::Bool(!b)),
-                    other => Err(SqlError::Type(format!("NOT expects boolean, got {other}"))),
-                },
-            }
-        }
+        Expr::Unary { op, expr } => owned(unary(*op, &*walk(expr, env)?)?),
         Expr::Aggregate { .. } => {
-            Err(SqlError::Exec("aggregate used outside GROUP BY context".into()))
+            Err(SqlError::Exec("aggregate used outside GROUP BY context".into()).into())
         }
         Expr::InList { expr, list, negated } => {
-            let v = eval(expr, env)?;
+            let v = walk(expr, env)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval(item, env)?;
+                let iv = walk(item, env)?;
                 if iv.is_null() {
                     saw_null = true;
                     continue;
                 }
                 if v.sql_cmp(&iv) == Some(std::cmp::Ordering::Equal) {
-                    return Ok(Value::Bool(!negated));
+                    return owned(Value::Bool(!negated));
                 }
             }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
+            owned(if saw_null { Value::Null } else { Value::Bool(*negated) })
         }
         Expr::InSubquery { expr, subquery, negated } => {
-            let v = eval(expr, env)?;
+            let v = walk(expr, env)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let rs = run_subquery(subquery, env.db)?;
             if rs.columns.len() != 1 {
-                return Err(SqlError::Exec("IN subquery must project one column".into()));
+                return Err(SqlError::Exec("IN subquery must project one column".into()).into());
             }
             let found = rs
                 .rows
                 .iter()
                 .any(|r| v.sql_cmp(&r[0]) == Some(std::cmp::Ordering::Equal));
-            Ok(Value::Bool(found != *negated))
+            owned(Value::Bool(found != *negated))
         }
         Expr::Exists { subquery, negated } => {
             let rs = run_subquery(subquery, env.db)?;
-            Ok(Value::Bool(rs.rows.is_empty() == *negated))
+            owned(Value::Bool(rs.rows.is_empty() == *negated))
         }
         Expr::ScalarSubquery(subquery) => {
-            let rs = run_subquery(subquery, env.db)?;
+            let mut rs = run_subquery(subquery, env.db)?;
             if rs.columns.len() != 1 {
-                return Err(SqlError::Exec("scalar subquery must project one column".into()));
+                return Err(SqlError::Exec("scalar subquery must project one column".into()).into());
             }
             match rs.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rs.rows[0][0].clone()),
-                n => Err(SqlError::Exec(format!("scalar subquery returned {n} rows"))),
+                0 => owned(Value::Null),
+                1 => owned(rs.rows.swap_remove(0).swap_remove(0)),
+                n => Err(SqlError::Exec(format!("scalar subquery returned {n} rows")).into()),
             }
         }
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, env)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(SqlError::Type(format!("LIKE expects text, got {other}"))),
-            }
-        }
+        Expr::Like { expr, pattern, negated } => match &*walk(expr, env)? {
+            Value::Null => owned(Value::Null),
+            Value::Str(s) => owned(Value::Bool(like_match(s, pattern) != *negated)),
+            other => Err(SqlError::Type(format!("LIKE expects text, got {other}")).into()),
+        },
         Expr::Between { expr, low, high, negated } => {
-            let v = eval(expr, env)?;
-            let lo = eval(low, env)?;
-            let hi = eval(high, env)?;
+            let v = walk(expr, env)?;
+            let lo = walk(low, env)?;
+            let hi = walk(high, env)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let ge = matches!(
                 v.sql_cmp(&lo),
@@ -206,38 +183,35 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
                 v.sql_cmp(&hi),
                 Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
             );
-            Ok(Value::Bool((ge && le) != *negated))
+            owned(Value::Bool((ge && le) != *negated))
         }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, env)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
+        Expr::IsNull { expr, negated } => owned(Value::Bool(walk(expr, env)?.is_null() != *negated)),
         Expr::LlmMap { arg, template } => {
-            let v = eval(arg, env)?;
+            let v = walk(arg, env)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let prompt = crate::semantic::unary_prompt("map", template, &v);
-            Ok(Value::Str(crate::semantic::complete(env.db.model(), &prompt)?))
+            owned(Value::Str(crate::semantic::complete(env.db.model(), &prompt)?))
         }
         Expr::LlmFilter { arg, template } => {
-            let v = eval(arg, env)?;
+            let v = walk(arg, env)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let prompt = crate::semantic::unary_prompt("filter", template, &v);
             let text = crate::semantic::complete(env.db.model(), &prompt)?;
-            Ok(Value::Bool(crate::semantic::parse_bool(&text)?))
+            owned(Value::Bool(crate::semantic::parse_bool(&text)?))
         }
         Expr::LlmMatch { left, right, template } => {
-            let l = eval(left, env)?;
-            let r = eval(right, env)?;
+            let l = walk(left, env)?;
+            let r = walk(right, env)?;
             if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let prompt = crate::semantic::match_prompt(template, &l, &r);
             let text = crate::semantic::complete(env.db.model(), &prompt)?;
-            Ok(Value::Bool(crate::semantic::parse_bool(&text)?))
+            owned(Value::Bool(crate::semantic::parse_bool(&text)?))
         }
     }
 }
@@ -253,6 +227,37 @@ fn as_bool(v: &Value) -> Result<bool, SqlError> {
     match v {
         Value::Bool(b) => Ok(*b),
         other => Err(SqlError::Type(format!("expected boolean, got {other}"))),
+    }
+}
+
+/// `l AND r` / `l OR r` once both sides are known, NULL-collapsing at the
+/// boundary: the absorbing value (FALSE for AND, TRUE for OR) on either
+/// side wins, then NULL, then both sides must be boolean.
+pub(crate) fn logic(op: BinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
+    let absorbing = op == BinOp::Or;
+    if matches!(l, Value::Bool(b) if *b == absorbing) || matches!(r, Value::Bool(b) if *b == absorbing)
+    {
+        return Ok(Value::Bool(absorbing));
+    }
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    let (l, r) = (as_bool(l)?, as_bool(r)?);
+    Ok(Value::Bool(if absorbing { l || r } else { l && r }))
+}
+
+/// Apply a unary operator with SQL NULL propagation.
+pub(crate) fn unary(op: UnOp, v: &Value) -> Result<Value, SqlError> {
+    match (op, v) {
+        (_, Value::Null) => Ok(Value::Null),
+        (UnOp::Neg, Value::Int(i)) => i
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| SqlError::Exec("integer overflow in negation".into())),
+        (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+        (UnOp::Neg, other) => Err(SqlError::Type(format!("cannot negate {other}"))),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnOp::Not, other) => Err(SqlError::Type(format!("NOT expects boolean, got {other}"))),
     }
 }
 
@@ -326,8 +331,8 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
                 Ok(Value::Float(v))
             }
         },
-        // Handled short-circuiting in `eval`/`eval_grouped`; a typed error
-        // here keeps stray calls from panicking.
+        // Handled short-circuiting in `operand` and by `logic`; a typed
+        // error here keeps stray calls from panicking.
         BinOp::And | BinOp::Or => {
             Err(SqlError::Exec("logical operator outside boolean context".into()))
         }
@@ -339,33 +344,37 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
 /// Iterative two-pointer match with single-`%` backtracking: worst case
 /// O(len(s) · len(pattern)), unlike the naive recursive formulation whose
 /// backtracking is exponential on patterns like `%a%a%a%…` (a query-text
-/// denial-of-service vector).
+/// denial-of-service vector). The pointers are byte offsets on char
+/// boundaries, so nothing is allocated.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let at = |t: &str, i: usize| t[i..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
     // Position after the most recent `%` and the input position it was
     // tried at; on mismatch, retry from there consuming one more char.
     let mut star: Option<(usize, usize)> = None;
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if let Some((star_pi, star_si)) = star {
-            pi = star_pi;
-            si = star_si + 1;
-            star = Some((star_pi, star_si + 1));
-        } else {
-            return false;
+    while let Some(c) = at(s, si) {
+        match at(pattern, pi) {
+            Some(p) if p == '_' || p == c => {
+                si += c.len_utf8();
+                pi += p.len_utf8();
+            }
+            Some('%') => {
+                star = Some((pi + 1, si));
+                pi += 1;
+            }
+            _ => match star {
+                Some((star_pi, star_si)) => {
+                    // `star_si <= si`, so a char starts there.
+                    let next = star_si + at(s, star_si).map_or(1, char::len_utf8);
+                    pi = star_pi;
+                    si = next;
+                    star = Some((star_pi, next));
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].chars().all(|c| c == '%')
 }
 
 #[cfg(test)]
@@ -374,20 +383,21 @@ mod tests {
     use crate::schema::{Column, Schema};
     use crate::value::DataType;
 
-    fn env_fixture() -> (Database, Schema, Vec<Value>) {
+    fn env_fixture() -> (Database, Bindings, Vec<Value>) {
         let db = Database::new();
         let schema = Schema::new(vec![
             Column::new("x", DataType::Int),
             Column::new("name", DataType::Text),
         ]);
+        let mut layout = Bindings::default();
+        layout.push("t".into(), schema);
         let row = vec![Value::Int(5), Value::Str("alice".into())];
-        (db, schema, row)
+        (db, layout, row)
     }
 
     fn eval_with(expr: &str) -> Result<Value, SqlError> {
-        let (db, schema, row) = env_fixture();
-        let scopes = [Scope { alias: "t", schema: &schema, row: &row }];
-        let env = Env { scopes: &scopes, db: &db };
+        let (db, layout, row) = env_fixture();
+        let env = Env::new(&layout, &row, &db);
         let e = crate::parser::parse_expr(expr)?;
         eval(&e, &env)
     }
@@ -398,6 +408,36 @@ mod tests {
         assert_eq!(eval_with("t.x").unwrap(), Value::Int(5));
         assert!(matches!(eval_with("t.missing"), Err(SqlError::UnknownColumn(_))));
         assert!(matches!(eval_with("u.x"), Err(SqlError::UnknownColumn(_))));
+    }
+
+    #[test]
+    fn bound_slots_read_what_names_resolve_to() {
+        let (db, layout, row) = env_fixture();
+        let env = Env::new(&layout, &row, &db);
+        for sql in ["t.name", "NAME", "x + 1", "name LIKE 'a%' AND x BETWEEN 1 AND 9", "u.x"] {
+            let e = crate::parser::parse_expr(sql).unwrap();
+            let bound = layout.bind(&e);
+            assert_eq!(eval(&bound, &env), eval(&e, &env), "{sql}");
+        }
+        // An empty group has no row: a slot fails the way a name does
+        // with no table in scope.
+        let none = Bindings::default();
+        let empty = Env::new(&none, &[], &db);
+        for sql in ["t.NAME", "x"] {
+            let e = crate::parser::parse_expr(sql).unwrap();
+            assert_eq!(eval(&layout.bind(&e), &empty), eval(&e, &empty), "{sql}");
+        }
+    }
+
+    #[test]
+    fn a_pair_reads_both_sides_and_pads_with_nulls() {
+        let (db, one, row) = env_fixture();
+        let mut layout = one.clone();
+        layout.push("u".into(), one.schemas[0].clone());
+        let right = vec![Value::Int(7), Value::Str("bob".into())];
+        let e = layout.bind(&crate::parser::parse_expr("u.x - t.x").unwrap());
+        assert_eq!(eval(&e, &Env::pair(&layout, &row, Some(&right), &db)).unwrap(), Value::Int(2));
+        assert_eq!(eval(&e, &Env::pair(&layout, &row, None, &db)).unwrap(), Value::Null);
     }
 
     #[test]
@@ -455,6 +495,10 @@ mod tests {
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "%%%c"));
         assert!(like_match("mississippi", "%iss%pi"));
+        // Multi-byte chars: `_` is one char, not one byte.
+        assert!(like_match("Été", "_t_"));
+        assert!(like_match("naïve café", "%ï%é"));
+        assert!(!like_match("été", "__"));
         // Pathological backtracking input: must terminate fast, not blow up
         // exponentially like the old recursive matcher.
         let s = "a".repeat(2000);
@@ -480,16 +524,15 @@ mod tests {
     fn ambiguous_column_detected() {
         let db = Database::new();
         let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
-        let row = vec![Value::Int(1)];
-        let scopes = [
-            Scope { alias: "a", schema: &schema, row: &row },
-            Scope { alias: "b", schema: &schema, row: &row },
-        ];
-        let env = Env { scopes: &scopes, db: &db };
+        let mut layout = Bindings::default();
+        layout.push("a".into(), schema.clone());
+        layout.push("b".into(), schema);
+        let row = vec![Value::Int(1), Value::Int(2)];
+        let env = Env::new(&layout, &row, &db);
         let e = crate::parser::parse_expr("x").unwrap();
         assert!(matches!(eval(&e, &env), Err(SqlError::AmbiguousColumn(_))));
         let q = crate::parser::parse_expr("b.x").unwrap();
-        assert_eq!(eval(&q, &env).unwrap(), Value::Int(1));
+        assert_eq!(eval(&q, &env).unwrap(), Value::Int(2));
     }
 
     #[test]
@@ -498,8 +541,8 @@ mod tests {
         // via unary minus on i64::MIN's literal magnitude… which itself is
         // out of range, so build the expression programmatically.
         let db = Database::new();
-        let scopes: Vec<Scope<'_>> = Vec::new();
-        let env = Env { scopes: &scopes, db: &db };
+        let none = Bindings::default();
+        let env = Env::new(&none, &[], &db);
         let e = Expr::Unary {
             op: crate::ast::UnOp::Neg,
             expr: Box::new(Expr::Literal(Value::Int(i64::MIN))),

@@ -4,12 +4,14 @@
 //! WHERE → GROUP BY/aggregates → HAVING → projection → set operations →
 //! DISTINCT → ORDER BY → LIMIT/OFFSET.
 
+use std::borrow::Cow;
+
 use crate::ast::{
-    AggFunc, Expr, FromItem, JoinType, SelectItem, SelectStmt, SetOp, Statement,
+    AggFunc, BinOp, Expr, FromItem, JoinType, SelectItem, SelectStmt, SetOp, Statement,
 };
 use crate::catalog::Database;
 use crate::error::SqlError;
-use crate::eval::{eval, Env, Scope};
+use crate::eval::{eval, eval_binop, logic, operand, truthy, unary, Env};
 use crate::result::{cmp_rows, ResultSet};
 use crate::schema::{Column, Row, Schema, Table};
 use crate::value::Value;
@@ -166,10 +168,10 @@ fn insert(
     values: &[Vec<Expr>],
 ) -> Result<RowChange, SqlError> {
     // Evaluate value expressions first (no row scope: literals/arithmetic).
-    let empty_scopes: [Scope<'_>; 0] = [];
+    let none = Bindings::default();
     let mut rows: Vec<Row> = Vec::with_capacity(values.len());
     {
-        let env = Env { scopes: &empty_scopes, db };
+        let env = Env::new(&none, &[], db);
         for exprs in values {
             let mut row = Vec::with_capacity(exprs.len());
             for e in exprs {
@@ -220,26 +222,28 @@ fn update(
     selection: Option<&Expr>,
 ) -> Result<RowChange, SqlError> {
     // Two-phase: compute the new rows against the table as it is, then
-    // write them in place.
+    // write them in place. Columns bind once; an unknown target column
+    // still fails only when a row matches.
     let t = db.table(table)?;
+    let layout = Bindings::of_table(t);
+    let selection = selection.map(|e| layout.bind(e));
+    let targets: Vec<(Result<usize, SqlError>, Expr)> = assignments
+        .iter()
+        .map(|a| {
+            let idx = t.schema.index_of(&a.column);
+            (idx.ok_or_else(|| SqlError::UnknownColumn(a.column.clone())), layout.bind(&a.value))
+        })
+        .collect();
     let mut writes: Vec<(usize, Row)> = Vec::new();
     for (i, row) in t.rows.iter().enumerate() {
-        let scopes = [Scope { alias: &t.name, schema: &t.schema, row }];
-        let env = Env { scopes: &scopes, db };
-        let hit = match selection {
-            None => true,
-            Some(pred) => eval(pred, &env)?.is_truthy(),
-        };
-        if !hit {
+        let env = Env::new(&layout, row, db);
+        if !selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             continue;
         }
         let mut new_row = row.clone();
-        for a in assignments {
-            let idx = t
-                .schema
-                .index_of(&a.column)
-                .ok_or_else(|| SqlError::UnknownColumn(a.column.clone()))?;
-            new_row[idx] = eval(&a.value, &env)?;
+        for (idx, value) in &targets {
+            let idx = idx.clone()?;
+            new_row[idx] = eval(value, &env)?;
         }
         writes.push((i, new_row));
     }
@@ -260,15 +264,12 @@ fn delete(
     selection: Option<&Expr>,
 ) -> Result<RowChange, SqlError> {
     let t = db.table(table)?;
+    let layout = Bindings::of_table(t);
+    let selection = selection.map(|e| layout.bind(e));
     let mut gone = Vec::new();
     for (i, row) in t.rows.iter().enumerate() {
-        let scopes = [Scope { alias: &t.name, schema: &t.schema, row }];
-        let env = Env { scopes: &scopes, db };
-        let hit = match selection {
-            None => true,
-            Some(pred) => eval(pred, &env)?.is_truthy(),
-        };
-        if hit {
+        let env = Env::new(&layout, row, db);
+        if selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             gone.push(i);
         }
     }
@@ -283,7 +284,8 @@ fn delete(
 /// Table bindings for a joined row layout: aliases, schemas, and segment
 /// offsets, FROM order. Shared between the direct executor and the
 /// planner's physical operators so expression scoping is identical on
-/// both paths.
+/// both paths: [`Bindings::resolve`] is the one set of name rules, used by
+/// name at evaluation time and once per operator by [`Bindings::bind`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Bindings {
     /// Aliases (lowercase), FROM order.
@@ -295,6 +297,13 @@ pub(crate) struct Bindings {
 }
 
 impl Bindings {
+    /// One stored table under its own name, as DML sees it.
+    pub(crate) fn of_table(t: &Table) -> Bindings {
+        let mut b = Bindings::default();
+        b.push(t.name.clone(), t.schema.clone());
+        b
+    }
+
     /// Append a table binding at the end of the row layout.
     pub(crate) fn push(&mut self, alias: String, schema: Schema) {
         let offset = self.width();
@@ -308,15 +317,93 @@ impl Bindings {
         self.schemas.iter().map(|s| s.len()).sum()
     }
 
-    /// Evaluation scopes over one row laid out per this binding set.
-    pub(crate) fn scopes<'a>(&'a self, row: &'a [Value]) -> Vec<Scope<'a>> {
-        self.aliases
+    /// Resolve a column reference to its position in a row laid out per
+    /// these bindings. A qualifier picks its table (case-insensitively);
+    /// a bare name must occur in exactly one table.
+    pub(crate) fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, SqlError> {
+        let mut tables = self.aliases.iter().zip(&self.schemas).zip(&self.offsets);
+        match qualifier {
+            Some(q) => {
+                let q = q.to_lowercase();
+                tables
+                    .find(|((alias, _), _)| **alias == q)
+                    .and_then(|((_, schema), offset)| Some(offset + schema.index_of(name)?))
+                    .ok_or_else(|| SqlError::UnknownColumn(format!("{q}.{name}")))
+            }
+            None => {
+                let mut found = None;
+                for ((_, schema), offset) in tables {
+                    if let Some(i) = schema.index_of(name) {
+                        if found.is_some() {
+                            return Err(SqlError::AmbiguousColumn(name.to_string()));
+                        }
+                        found = Some(offset + i);
+                    }
+                }
+                found.ok_or_else(|| SqlError::UnknownColumn(name.to_string()))
+            }
+        }
+    }
+
+    /// `expr` with every column that resolves here replaced by its
+    /// [`Expr::Slot`]. A column that does not resolve stays by name, so it
+    /// raises the error it always did when — and only when — a row
+    /// evaluates it. Subquery bodies are left alone: they bind when they
+    /// run.
+    pub(crate) fn bind(&self, expr: &Expr) -> Expr {
+        let mut bound = expr.clone();
+        self.bind_in_place(&mut bound);
+        bound
+    }
+
+    fn bind_in_place(&self, e: &mut Expr) {
+        match e {
+            Expr::Column { qualifier, name } => {
+                if let Ok(index) = self.resolve(qualifier.as_deref(), name) {
+                    let name = match qualifier {
+                        Some(q) => format!("{}.{name}", q.to_lowercase()),
+                        None => std::mem::take(name),
+                    };
+                    *e = Expr::Slot { index, name };
+                }
+            }
+            Expr::Binary { left, right, .. } | Expr::LlmMatch { left, right, .. } => {
+                self.bind_in_place(left);
+                self.bind_in_place(right);
+            }
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Like { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::LlmMap { arg: expr, .. }
+            | Expr::LlmFilter { arg: expr, .. }
+            | Expr::Aggregate { arg: Some(expr), .. } => self.bind_in_place(expr),
+            Expr::InList { expr, list, .. } => {
+                self.bind_in_place(expr);
+                list.iter_mut().for_each(|x| self.bind_in_place(x));
+            }
+            Expr::Between { expr, low, high, .. } => {
+                self.bind_in_place(expr);
+                self.bind_in_place(low);
+                self.bind_in_place(high);
+            }
+            Expr::Literal(_)
+            | Expr::Slot { .. }
+            | Expr::Aggregate { arg: None, .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => {}
+        }
+    }
+
+    /// [`Bindings::bind`] for a projection list.
+    pub(crate) fn bind_items(&self, items: &[SelectItem]) -> Vec<SelectItem> {
+        items
             .iter()
-            .enumerate()
-            .map(|(i, alias)| {
-                let start = self.offsets[i];
-                let end = start + self.schemas[i].len();
-                Scope { alias, schema: &self.schemas[i], row: &row[start..end] }
+            .map(|it| match it {
+                SelectItem::Expr { expr, alias } => {
+                    SelectItem::Expr { expr: self.bind(expr), alias: alias.clone() }
+                }
+                other => other.clone(),
             })
             .collect()
     }
@@ -551,10 +638,7 @@ fn execute_core(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError>
     for row in &joined.rows {
         let keep = match &stmt.selection {
             None => true,
-            Some(pred) => {
-                let scopes = joined.bindings.scopes(row);
-                eval(pred, &Env { scopes: &scopes, db })?.is_truthy()
-            }
+            Some(pred) => truthy(pred, &Env::new(&joined.bindings, row, db))?,
         };
         if keep {
             filtered.push(row.clone());
@@ -607,10 +691,7 @@ fn build_from(db: &Database, from: &[FromItem]) -> Result<Joined, SqlError> {
                         combined.extend(right.iter().cloned());
                         let keep = match cond {
                             None => true,
-                            Some(c) => {
-                                let scopes = joined.bindings.scopes(&combined);
-                                eval(c, &Env { scopes: &scopes, db })?.is_truthy()
-                            }
+                            Some(c) => truthy(c, &Env::new(&joined.bindings, &combined, db))?,
                         };
                         if keep {
                             next_rows.push(combined);
@@ -624,8 +705,7 @@ fn build_from(db: &Database, from: &[FromItem]) -> Result<Joined, SqlError> {
                     for right in &table.rows {
                         let mut combined = left.clone();
                         combined.extend(right.iter().cloned());
-                        let scopes = joined.bindings.scopes(&combined);
-                        if eval(cond, &Env { scopes: &scopes, db })?.is_truthy() {
+                        if truthy(cond, &Env::new(&joined.bindings, &combined, db))? {
                             matched = true;
                             next_rows.push(combined);
                         }
@@ -718,20 +798,13 @@ pub(crate) fn expand_projections(
 }
 
 /// Project one row through expanded (wildcard-free) select items.
-pub(crate) fn project_row(
-    db: &Database,
-    bindings: &Bindings,
-    items: &[SelectItem],
-    row: &[Value],
-) -> Result<Row, SqlError> {
-    let scopes = bindings.scopes(row);
-    let env = Env { scopes: &scopes, db };
+pub(crate) fn project_row(items: &[SelectItem], env: &Env<'_>) -> Result<Row, SqlError> {
     let mut projected = Vec::with_capacity(items.len());
     for item in items {
         let SelectItem::Expr { expr, .. } = item else {
             return Err(SqlError::Exec("unexpanded wildcard in projection".into()));
         };
-        projected.push(eval(expr, &env)?);
+        projected.push(eval(expr, env)?);
     }
     Ok(projected)
 }
@@ -747,50 +820,70 @@ fn plain_project(
         items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
-        out.push(project_row(db, &joined.bindings, &items, row)?);
+        out.push(project_row(&items, &Env::new(&joined.bindings, row, db))?);
     }
     Ok((columns, out))
 }
 
 /// Group `rows` by `group_by` keys (first-seen order, [`Value::group_eq`]
 /// equality), apply HAVING, and project each surviving group through
-/// `items`. Shared by the direct executor's aggregate path and the
-/// planner's Aggregate operator.
-pub(crate) fn aggregate_rows(
+/// `items`; `env` evaluates over one row. Shared by the direct executor's
+/// aggregate path and the planner's Aggregate operator. Keys and
+/// aggregate arguments are read in place, so nothing is copied or grown
+/// per row.
+pub(crate) fn aggregate_rows<'r, R>(
     db: &Database,
-    bindings: &Bindings,
-    group_by: &[Expr],
-    having: Option<&Expr>,
-    items: &[SelectItem],
-    rows: Vec<Vec<Value>>,
+    group_by: &'r [Expr],
+    having: Option<&'r Expr>,
+    items: &'r [SelectItem],
+    rows: &'r [R],
+    env: impl Fn(&'r R) -> Env<'r>,
 ) -> Result<Vec<Row>, SqlError> {
-    // Group rows by the GROUP BY key.
-    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
+    // Each row's group, numbered in first-seen order.
+    let mut keys: Vec<Vec<Cow<'r, Value>>> = Vec::new();
+    let mut group_of: Vec<usize> = Vec::with_capacity(rows.len());
+    let mut key: Vec<Cow<'r, Value>> = Vec::with_capacity(group_by.len());
     for row in rows {
-        let key: Vec<Value> = {
-            let scopes = bindings.scopes(&row);
-            let env = Env { scopes: &scopes, db };
-            group_by.iter().map(|e| eval(e, &env)).collect::<Result<_, _>>()?
-        };
-        match groups
-            .iter_mut()
-            .find(|(k, _)| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a.group_eq(b)))
-        {
-            Some((_, rows)) => rows.push(row),
-            None => groups.push((key, vec![row])),
+        let env = env(row);
+        key.clear();
+        for e in group_by {
+            key.push(operand(e, &env)?);
         }
+        let g = match keys.iter().position(|k| k.iter().zip(&key).all(|(a, b)| a.group_eq(b))) {
+            Some(g) => g,
+            None => {
+                keys.push(key.clone());
+                keys.len() - 1
+            }
+        };
+        group_of.push(g);
     }
     // Global aggregate over empty input still yields one group.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
+    if keys.is_empty() && group_by.is_empty() {
+        keys.push(Vec::new());
+    }
+    // The groups' rows back to back, in input order within each (a
+    // counting sort by group): group `g` is `members[bounds[g]..bounds[g + 1]]`.
+    let mut bounds = vec![0usize; keys.len() + 1];
+    for &g in &group_of {
+        bounds[g + 1] += 1;
+    }
+    for g in 0..keys.len() {
+        bounds[g + 1] += bounds[g];
+    }
+    let mut next = bounds.clone();
+    let mut members: Vec<&'r R> = rows.iter().collect();
+    for (row, &g) in rows.iter().zip(&group_of) {
+        members[next[g]] = row;
+        next[g] += 1;
     }
 
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, group_rows) in &groups {
+    let mut out = Vec::with_capacity(keys.len());
+    for g in 0..keys.len() {
+        let group = &members[bounds[g]..bounds[g + 1]];
         // HAVING.
         if let Some(h) = having {
-            let v = eval_grouped(h, group_rows, bindings, db)?;
-            if !v.is_truthy() {
+            if !eval_grouped(h, group, &env, db)?.is_truthy() {
                 continue;
             }
         }
@@ -799,7 +892,7 @@ pub(crate) fn aggregate_rows(
             let SelectItem::Expr { expr, .. } = item else {
                 return Err(SqlError::Exec("unexpanded wildcard in projection".into()));
             };
-            projected.push(eval_grouped(expr, group_rows, bindings, db)?);
+            projected.push(eval_grouped(expr, group, &env, db)?);
         }
         out.push(projected);
     }
@@ -817,135 +910,134 @@ fn aggregate_project(
         items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let out = aggregate_rows(
         db,
-        &joined.bindings,
         &stmt.group_by,
         stmt.having.as_ref(),
         &items,
-        rows,
+        &rows,
+        |row: &Vec<Value>| Env::new(&joined.bindings, row, db),
     )?;
     Ok((columns, out))
 }
 
 /// Evaluate an expression in grouped context: aggregate nodes fold over the
 /// group; everything else evaluates against the group's first row.
-pub(crate) fn eval_grouped(
-    expr: &Expr,
-    group_rows: &[Vec<Value>],
-    bindings: &Bindings,
+pub(crate) fn eval_grouped<'r, R>(
+    expr: &'r Expr,
+    group: &[&'r R],
+    env: &impl Fn(&'r R) -> Env<'r>,
     db: &Database,
 ) -> Result<Value, SqlError> {
     match expr {
         Expr::Aggregate { func, arg, distinct } => {
-            let mut vals: Vec<Value> = Vec::with_capacity(group_rows.len());
-            for row in group_rows {
-                match arg {
-                    None => vals.push(Value::Int(1)), // COUNT(*)
-                    Some(e) => {
-                        let scopes = bindings.scopes(row);
-                        vals.push(eval(e, &Env { scopes: &scopes, db })?);
-                    }
+            let mut fold = Fold::new(*func);
+            let mut seen: Vec<Cow<'r, Value>> = Vec::new();
+            for &row in group {
+                let v = match arg {
+                    None => Cow::Borrowed(&Value::Int(1)), // COUNT(*)
+                    Some(e) => operand(e, &env(row))?,
+                };
+                if arg.is_some() && v.is_null() {
+                    continue;
                 }
-            }
-            if arg.is_some() {
-                vals.retain(|v| !v.is_null());
+                if *distinct {
+                    seen.push(v);
+                } else {
+                    fold.push(v);
+                }
             }
             if *distinct {
-                vals.sort_by(|a, b| a.total_cmp(b));
-                vals.dedup_by(|a, b| a.group_eq(b));
+                seen.sort_by(|a, b| a.total_cmp(b));
+                seen.dedup_by(|a, b| a.group_eq(b));
+                seen.into_iter().for_each(|v| fold.push(v));
             }
-            fold_aggregate(*func, &vals)
+            fold.finish()
         }
         Expr::Binary { op, left, right } => {
-            use crate::ast::BinOp;
-            let l = eval_grouped(left, group_rows, bindings, db)?;
+            let l = eval_grouped(left, group, env, db)?;
+            let r = eval_grouped(right, group, env, db)?;
             match op {
-                BinOp::And | BinOp::Or => {
-                    let r = eval_grouped(right, group_rows, bindings, db)?;
-                    // Reuse scalar logic by building literal expressions.
-                    let e = Expr::Binary {
-                        op: *op,
-                        left: Box::new(Expr::Literal(l)),
-                        right: Box::new(Expr::Literal(r)),
-                    };
-                    let scopes: Vec<Scope<'_>> = Vec::new();
-                    eval(&e, &Env { scopes: &scopes, db })
-                }
-                _ => {
-                    let r = eval_grouped(right, group_rows, bindings, db)?;
-                    crate::eval::eval_binop(*op, &l, &r)
-                }
+                BinOp::And | BinOp::Or => logic(*op, &l, &r),
+                _ => eval_binop(*op, &l, &r),
             }
         }
-        Expr::Unary { op, expr } => {
-            let v = eval_grouped(expr, group_rows, bindings, db)?;
-            let e = Expr::Unary { op: *op, expr: Box::new(Expr::Literal(v)) };
-            let scopes: Vec<Scope<'_>> = Vec::new();
-            eval(&e, &Env { scopes: &scopes, db })
+        Expr::Unary { op, expr } => unary(*op, &eval_grouped(expr, group, env, db)?),
+        // Non-aggregate leaf: evaluate against the first row (valid for
+        // GROUP BY keys; harmless for literals/subqueries). An empty
+        // group has no row and no table in scope.
+        other => match group.first() {
+            Some(&row) => eval(other, &env(row)),
+            None => eval(other, &Env::new(&Bindings::default(), &[], db)),
+        },
+    }
+}
+
+/// One aggregate folded a value at a time, in the order given: the same
+/// result — and the same first error — as folding the values collected
+/// up front.
+struct Fold<'v> {
+    func: AggFunc,
+    n: usize,
+    sum: f64,
+    all_int: bool,
+    best: Option<Cow<'v, Value>>,
+    err: Option<SqlError>,
+}
+
+impl<'v> Fold<'v> {
+    fn new(func: AggFunc) -> Self {
+        Fold { func, n: 0, sum: 0.0, all_int: true, best: None, err: None }
+    }
+
+    fn push(&mut self, v: Cow<'v, Value>) {
+        use std::cmp::Ordering::{Greater, Less};
+        self.n += 1;
+        if self.err.is_some() {
+            return;
         }
-        other => {
-            // Non-aggregate leaf: evaluate against the first row (valid for
-            // GROUP BY keys; harmless for literals/subqueries).
-            match group_rows.first() {
-                Some(row) => {
-                    let scopes = bindings.scopes(row);
-                    eval(other, &Env { scopes: &scopes, db })
+        let func = self.func;
+        match func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => match &*v {
+                Value::Int(i) => self.sum += *i as f64,
+                Value::Float(f) => {
+                    self.all_int = false;
+                    self.sum += f;
                 }
-                None => {
-                    let scopes: Vec<Scope<'_>> = Vec::new();
-                    eval(other, &Env { scopes: &scopes, db })
+                other => self.err = Some(SqlError::Type(format!("{} of {other}", func.name()))),
+            },
+            AggFunc::Min | AggFunc::Max => {
+                let take = match &self.best {
+                    None => true,
+                    Some(best) => match v.sql_cmp(best) {
+                        Some(Less) => func == AggFunc::Min,
+                        Some(Greater) => func == AggFunc::Max,
+                        Some(_) => false,
+                        None => {
+                            self.err =
+                                Some(SqlError::Type(format!("{} of mixed types", func.name())));
+                            false
+                        }
+                    },
+                };
+                if take {
+                    self.best = Some(v);
                 }
             }
         }
     }
-}
 
-fn fold_aggregate(func: AggFunc, vals: &[Value]) -> Result<Value, SqlError> {
-    match func {
-        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
-        AggFunc::Sum | AggFunc::Avg => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut all_int = true;
-            let mut sum = 0f64;
-            for v in vals {
-                match v {
-                    Value::Int(i) => sum += *i as f64,
-                    Value::Float(f) => {
-                        all_int = false;
-                        sum += f;
-                    }
-                    other => {
-                        return Err(SqlError::Type(format!("{} of {other}", func.name())))
-                    }
-                }
-            }
-            if func == AggFunc::Avg {
-                Ok(Value::Float(sum / vals.len() as f64))
-            } else if all_int {
-                Ok(Value::Int(sum as i64))
-            } else {
-                Ok(Value::Float(sum))
-            }
+    fn finish(self) -> Result<Value, SqlError> {
+        if let Some(e) = self.err {
+            return Err(e);
         }
-        AggFunc::Min | AggFunc::Max => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut best = vals[0].clone();
-            for v in &vals[1..] {
-                let take = match v.sql_cmp(&best) {
-                    Some(std::cmp::Ordering::Less) => func == AggFunc::Min,
-                    Some(std::cmp::Ordering::Greater) => func == AggFunc::Max,
-                    Some(std::cmp::Ordering::Equal) => false,
-                    None => return Err(SqlError::Type(format!("{} of mixed types", func.name()))),
-                };
-                if take {
-                    best = v.clone();
-                }
-            }
-            Ok(best)
-        }
+        Ok(match self.func {
+            AggFunc::Count => Value::Int(self.n as i64),
+            _ if self.n == 0 => Value::Null,
+            AggFunc::Avg => Value::Float(self.sum / self.n as f64),
+            AggFunc::Sum if self.all_int => Value::Int(self.sum as i64),
+            AggFunc::Sum => Value::Float(self.sum),
+            AggFunc::Min | AggFunc::Max => self.best.map_or(Value::Null, Cow::into_owned),
+        })
     }
 }
 

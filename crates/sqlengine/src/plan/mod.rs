@@ -13,9 +13,10 @@
 //!    evaluator), predicate pushdown below joins, scan column pruning, and
 //!    `LIMIT` pushdown into `Sort` (top-k).
 //! 3. **Physical execution** ([`physical::run`]) builds Volcano-style
-//!    pull iterators from the optimized plan and drains the root. Filter
-//!    chains over a base table fuse into the scan so non-matching rows
-//!    are never cloned.
+//!    pull iterators from the optimized plan and drains the root. Each
+//!    operator binds its expressions' columns to row positions once, when
+//!    it is built; scans hand out stored rows by reference, so only the
+//!    rows a projection or aggregate outputs are ever copied.
 //!
 //! The pre-planner executor survives as
 //! [`crate::exec::execute_select_direct`], a differential-testing oracle:

@@ -2,24 +2,38 @@
 //!
 //! [`build`] turns an optimized [`LogicalPlan`] into a tree of pull
 //! iterators ([`PhysOp`]); [`run`] drains the root and wraps the rows in
-//! a [`ResultSet`]. The one non-obvious construction rule: a chain of
-//! `Filter` nodes that bottoms out at a `Scan` fuses into [`ScanExec`],
-//! which evaluates the predicates against the *borrowed* stored row and
-//! only clones rows that pass — the direct executor clones the whole
-//! table up front.
+//! a [`ResultSet`]. Construction rules that are not one node per node:
+//!
+//! * **Binding.** Every operator resolves the columns of its expressions
+//!   against its input's layout once, when it is built
+//!   ([`Bindings::bind`]), and reads values by position from then on. A
+//!   column that does not resolve stays by name and fails, as it always
+//!   did, only if a row evaluates it.
+//! * **Borrowed FROM rows.** The FROM region (scans, filters, joins)
+//!   passes [`Tuple`]s: a scan hands out the stored row itself and a join
+//!   of two stored rows hands out both sides, so only the operators that
+//!   produce output rows (projection, aggregation) copy values. The
+//!   layout above a scan is therefore the table's full stored schema;
+//!   column pruning still decides what a plan *reads*.
+//! * **Fusion.** A chain of `Filter` nodes that bottoms out at a `Scan`
+//!   fuses into [`ScanExec`]; a top-k `Sort` over a projection of bare
+//!   columns fuses into [`TopKExec`], which projects only the rows it
+//!   keeps.
 //!
 //! Execution is wrapped in an `llmdm-obs` span (`sqlengine.plan.exec`);
 //! when a recorder is active, per-operator `rows_out` counts are attached
 //! as span fields and accumulated into `sqlengine.plan.rows.<op>`
 //! counters.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::ast::{Expr, JoinType, SelectItem, SetOp};
 use crate::catalog::Database;
 use crate::error::SqlError;
-use crate::eval::{eval, Env};
+use crate::eval::{truthy, Env};
 use crate::exec::{self, Bindings};
 use crate::result::ResultSet;
 use crate::schema::Row;
@@ -79,18 +93,92 @@ impl OpStat {
         }
     }
 
-    fn with_llm(mut self, counters: SemCounters) -> OpStat {
-        self.llm = Some(counters);
+    /// Attach a semantic operator's counters, if it has a scope.
+    fn with_llm(mut self, scope: Option<&Rc<SemScope>>) -> OpStat {
+        self.llm = scope.map(|s| s.counters());
         self
     }
 }
 
-/// A pull-based operator: `next()` yields one output row at a time.
-pub(crate) trait PhysOp<'a> {
+/// A pull-based operator: `next()` yields one row at a time — a
+/// [`Tuple`] in the FROM region, an owned [`Row`] above it.
+pub(crate) trait PhysOp<T> {
     /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Row>, SqlError>;
+    fn next(&mut self) -> Result<Option<T>, SqlError>;
     /// Append this operator's [`OpStat`], then its children's (pre-order).
     fn stats(&self, out: &mut Vec<OpStat>);
+}
+
+type FromOp<'a> = Box<dyn PhysOp<Tuple<'a>> + 'a>;
+type RowOp<'a> = Box<dyn PhysOp<Row> + 'a>;
+
+/// A row of the FROM region on its way up the operator tree.
+enum Tuple<'a> {
+    /// A stored row, borrowed from its table.
+    Stored(&'a [Value]),
+    /// A join's left and right stored rows; `None` is a LEFT JOIN's NULL
+    /// padding.
+    Pair(&'a [Value], Option<&'a [Value]>),
+    /// A row a join had to build: its left side was itself a join.
+    Owned(Row),
+}
+
+impl<'a> Tuple<'a> {
+    fn env<'e>(&'e self, layout: &'e Bindings, db: &'e Database) -> Env<'e> {
+        match self {
+            Tuple::Stored(row) => Env::new(layout, row, db),
+            Tuple::Pair(left, right) => Env::pair(layout, left, *right, db),
+            Tuple::Owned(row) => Env::new(layout, row, db),
+        }
+    }
+
+    /// The row as one slice of `width` values: a stored row stays
+    /// borrowed, a pair is concatenated.
+    fn into_slice(self, width: usize) -> Cow<'a, [Value]> {
+        match self {
+            Tuple::Stored(row) => Cow::Borrowed(row),
+            Tuple::Owned(row) => Cow::Owned(row),
+            Tuple::Pair(left, right) => {
+                let mut row = left.to_vec();
+                match right {
+                    Some(r) => row.extend_from_slice(r),
+                    None => row.resize(width, Value::Null),
+                }
+                Cow::Owned(row)
+            }
+        }
+    }
+}
+
+/// The physical layout of the rows a FROM-region plan produces: each
+/// scan's full stored schema, since scans hand out stored rows whole.
+/// Binds exactly as the plan's pruned layout would — pruning keeps every
+/// column an expression names.
+fn layout(db: &Database, plan: &LogicalPlan) -> Result<Bindings, SqlError> {
+    Ok(match plan {
+        LogicalPlan::Scan { table, alias, .. } => {
+            let mut b = Bindings::default();
+            b.push(alias.clone(), db.table(table)?.schema.clone());
+            b
+        }
+        LogicalPlan::Join { left, right, .. } => layout(db, left)?.concat(&layout(db, right)?),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::LlmFilter { input, .. } => {
+            layout(db, input)?
+        }
+        _ => Bindings::default(),
+    })
+}
+
+fn timed<'a, T: 'a>(op: Box<dyn PhysOp<T> + 'a>, instrument: bool) -> Box<dyn PhysOp<T> + 'a> {
+    if instrument {
+        Box::new(TimedExec { inner: op, loops: 0, elapsed_ns: 0 })
+    } else {
+        op
+    }
+}
+
+fn internal(what: &str) -> SqlError {
+    SqlError::Exec(format!("internal: {what}"))
 }
 
 /// Build the operator tree for a plan. With `instrument`, every operator
@@ -101,77 +189,19 @@ pub(crate) fn build<'a>(
     db: &'a Database,
     plan: &'a LogicalPlan,
     instrument: bool,
-) -> Result<Box<dyn PhysOp<'a> + 'a>, SqlError> {
-    let op: Box<dyn PhysOp<'a> + 'a> = match plan {
-        LogicalPlan::OneRow => Box::new(OneRowExec { emitted: false }),
-        LogicalPlan::Scan { .. } => build_scan(db, plan, Vec::new())?,
-        LogicalPlan::Filter { input, predicate } => {
-            // Fuse Filter chains over a base scan. Predicates collected
-            // outside-in are reversed so the innermost (leftmost WHERE
-            // conjunct) evaluates first, as on the direct path.
-            let mut preds: Vec<&'a Expr> = vec![predicate];
-            let mut base: &'a LogicalPlan = input;
-            while let LogicalPlan::Filter { input, predicate } = base {
-                preds.push(predicate);
-                base = input;
-            }
-            if matches!(base, LogicalPlan::Scan { .. }) {
-                preds.reverse();
-                build_scan(db, base, preds)?
-            } else {
-                Box::new(FilterExec {
-                    db,
-                    bindings: input.bindings(),
-                    input: build(db, input, instrument)?,
-                    predicate,
-                    rows_out: 0,
-                })
-            }
+) -> Result<RowOp<'a>, SqlError> {
+    let op: RowOp<'a> = match plan {
+        LogicalPlan::Project { input, items, .. } | LogicalPlan::LlmMap { input, items, .. } => {
+            let layout = layout(db, input)?;
+            Box::new(ProjectExec {
+                db,
+                items: layout.bind_items(items),
+                layout,
+                input: build_from(db, input, instrument)?,
+                scope: matches!(plan, LogicalPlan::LlmMap { .. }).then(SemScope::new),
+                rows_out: 0,
+            })
         }
-        LogicalPlan::LlmFilter { input, predicate, .. } => Box::new(LlmFilterExec {
-            db,
-            bindings: input.bindings(),
-            input: build(db, input, instrument)?,
-            predicate,
-            scope: SemScope::new(),
-            rows_out: 0,
-        }),
-        LogicalPlan::LlmMap { input, items, .. } => Box::new(LlmMapExec {
-            db,
-            bindings: input.bindings(),
-            input: build(db, input, instrument)?,
-            items,
-            scope: SemScope::new(),
-            rows_out: 0,
-        }),
-        LogicalPlan::Join { left, right, join, on } => Box::new(NLJoinExec {
-            db,
-            left_bindings: left.bindings(),
-            right_bindings: right.bindings(),
-            left: build(db, left, instrument)?,
-            right_plan: right,
-            right_rows: Vec::new(),
-            right_ready: false,
-            right_stats: Vec::new(),
-            instrument,
-            join: *join,
-            on: on.as_ref(),
-            // A semantic ON that survives lowering (LEFT JOIN can't be
-            // rewritten to cross-join + filter) still dedups prompts and
-            // attributes calls to this operator.
-            scope: on.as_ref().is_some_and(|e| e.contains_llm()).then(SemScope::new),
-            cur: None,
-            right_idx: 0,
-            matched: false,
-            rows_out: 0,
-        }),
-        LogicalPlan::Project { input, items, .. } => Box::new(ProjectExec {
-            db,
-            bindings: input.bindings(),
-            input: build(db, input, instrument)?,
-            items,
-            rows_out: 0,
-        }),
         LogicalPlan::Aggregate { input, group_by, having, items, .. } => {
             let has_llm = group_by.iter().any(Expr::contains_llm)
                 || having.as_ref().is_some_and(|h| h.contains_llm())
@@ -179,13 +209,14 @@ pub(crate) fn build<'a>(
                     SelectItem::Expr { expr, .. } => expr.contains_llm(),
                     _ => false,
                 });
+            let layout = layout(db, input)?;
             Box::new(AggregateExec {
                 db,
-                bindings: input.bindings(),
-                input: build(db, input, instrument)?,
-                group_by,
-                having: having.as_ref(),
-                items,
+                group_by: group_by.iter().map(|e| layout.bind(e)).collect(),
+                having: having.as_ref().map(|h| layout.bind(h)),
+                items: layout.bind_items(items),
+                layout,
+                input: build_from(db, input, instrument)?,
                 scope: has_llm.then(SemScope::new),
                 buf: VecDeque::new(),
                 done: false,
@@ -209,14 +240,25 @@ pub(crate) fn build<'a>(
             done: false,
             rows_out: 0,
         }),
-        LogicalPlan::Sort { input, keys, fetch } => Box::new(SortExec {
-            input: build(db, input, instrument)?,
-            keys,
-            fetch: *fetch,
-            buf: VecDeque::new(),
-            done: false,
-            rows_out: 0,
-        }),
+        LogicalPlan::Sort { input, keys, fetch } => {
+            // Fused top-k keeps the timing of the projection it absorbs
+            // out of `EXPLAIN ANALYZE`, so instrumented runs build both.
+            let fused = match fetch {
+                Some(k) if !instrument => TopKExec::build(db, input, keys, *k)?,
+                _ => None,
+            };
+            match fused {
+                Some(op) => Box::new(op),
+                None => Box::new(SortExec {
+                    input: build(db, input, instrument)?,
+                    keys,
+                    fetch: *fetch,
+                    buf: VecDeque::new(),
+                    done: false,
+                    rows_out: 0,
+                }),
+            }
+        }
         LogicalPlan::Strip { input, keep } => Box::new(StripExec {
             input: build(db, input, instrument)?,
             keep: *keep,
@@ -229,31 +271,94 @@ pub(crate) fn build<'a>(
             skipped: 0,
             emitted: 0,
         }),
+        LogicalPlan::OneRow
+        | LogicalPlan::Scan { .. }
+        | LogicalPlan::Filter { .. }
+        | LogicalPlan::LlmFilter { .. }
+        | LogicalPlan::Join { .. } => return Err(internal("FROM-region plan above a projection")),
     };
-    Ok(if instrument { Box::new(TimedExec { inner: op, loops: 0, elapsed_ns: 0 }) } else { op })
+    Ok(timed(op, instrument))
+}
+
+/// Build the FROM region: scans, filters and joins.
+fn build_from<'a>(
+    db: &'a Database,
+    plan: &'a LogicalPlan,
+    instrument: bool,
+) -> Result<FromOp<'a>, SqlError> {
+    let op: FromOp<'a> = match plan {
+        LogicalPlan::OneRow => Box::new(OneRowExec { emitted: false }),
+        LogicalPlan::Scan { .. } => build_scan(db, plan, Vec::new())?,
+        LogicalPlan::Filter { input, predicate } => {
+            // Fuse Filter chains over a base scan. Predicates collected
+            // outside-in are reversed so the innermost (leftmost WHERE
+            // conjunct) evaluates first, as on the direct path.
+            let mut preds: Vec<&'a Expr> = vec![predicate];
+            let mut base: &'a LogicalPlan = input;
+            while let LogicalPlan::Filter { input, predicate } = base {
+                preds.push(predicate);
+                base = input;
+            }
+            if matches!(base, LogicalPlan::Scan { .. }) {
+                preds.reverse();
+                build_scan(db, base, preds)?
+            } else {
+                FilterExec::build(db, input, predicate, None, instrument)?
+            }
+        }
+        LogicalPlan::LlmFilter { input, predicate, .. } => {
+            FilterExec::build(db, input, predicate, Some(SemScope::new()), instrument)?
+        }
+        LogicalPlan::Join { left, right, join, on } => {
+            let (left_layout, right_layout) = (layout(db, left)?, layout(db, right)?);
+            let layout = left_layout.concat(&right_layout);
+            Box::new(NLJoinExec {
+                db,
+                on: on.as_ref().map(|e| layout.bind(e)),
+                layout,
+                left_width: left_layout.width(),
+                right_width: right_layout.width(),
+                left: build_from(db, left, instrument)?,
+                right_plan: right,
+                right_rows: Vec::new(),
+                right_ready: false,
+                right_stats: Vec::new(),
+                instrument,
+                join: *join,
+                // A semantic ON that survives lowering (LEFT JOIN can't be
+                // rewritten to cross-join + filter) still dedups prompts and
+                // attributes calls to this operator.
+                scope: on.as_ref().is_some_and(|e| e.contains_llm()).then(SemScope::new),
+                cur: None,
+                right_idx: 0,
+                matched: false,
+                rows_out: 0,
+            })
+        }
+        _ => return Err(internal("output-region plan inside FROM")),
+    };
+    Ok(timed(op, instrument))
 }
 
 fn build_scan<'a>(
     db: &'a Database,
     scan: &'a LogicalPlan,
     predicates: Vec<&'a Expr>,
-) -> Result<Box<dyn PhysOp<'a> + 'a>, SqlError> {
-    let LogicalPlan::Scan { table, alias, projection, .. } = scan else {
-        return Err(SqlError::Exec("internal: build_scan on a non-scan node".into()));
+) -> Result<FromOp<'a>, SqlError> {
+    let LogicalPlan::Scan { table, .. } = scan else {
+        return Err(internal("build_scan on a non-scan node"));
     };
     let t = db.table(table)?;
-    // Predicates are evaluated against the *full* stored schema so pushed
+    // Predicates are evaluated against the *full* stored row, so pushed
     // conjuncts may reference pruned-away columns.
-    let mut full = Bindings::default();
-    full.push(alias.clone(), t.schema.clone());
+    let layout = layout(db, scan)?;
     Ok(Box::new(ScanExec {
         db,
         table: table.as_str(),
         rows: &t.rows,
         idx: 0,
-        full,
-        predicates,
-        projection: projection.as_deref(),
+        predicates: predicates.into_iter().map(|p| layout.bind(p)).collect(),
+        layout,
         rows_out: 0,
     }))
 }
@@ -315,14 +420,14 @@ fn run_with(
 /// The `EXPLAIN ANALYZE` decorator: forwards `next()` while counting
 /// calls and accumulating inclusive wall time, and annotates its inner
 /// operator's own [`OpStat`] (the first one its subtree pushes).
-struct TimedExec<'a> {
-    inner: Box<dyn PhysOp<'a> + 'a>,
+struct TimedExec<'a, T> {
+    inner: Box<dyn PhysOp<T> + 'a>,
     loops: u64,
     elapsed_ns: u64,
 }
 
-impl<'a> PhysOp<'a> for TimedExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
+impl<T> PhysOp<T> for TimedExec<'_, T> {
+    fn next(&mut self) -> Result<Option<T>, SqlError> {
         let t0 = std::time::Instant::now();
         let out = self.inner.next();
         self.elapsed_ns += t0.elapsed().as_nanos() as u64;
@@ -341,19 +446,19 @@ impl<'a> PhysOp<'a> for TimedExec<'a> {
     }
 }
 
-// ---------------- operators ----------------
+// ---------------- FROM region ----------------
 
 struct OneRowExec {
     emitted: bool,
 }
 
-impl<'a> PhysOp<'a> for OneRowExec {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
+impl<'a> PhysOp<Tuple<'a>> for OneRowExec {
+    fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         if self.emitted {
             Ok(None)
         } else {
             self.emitted = true;
-            Ok(Some(Vec::new()))
+            Ok(Some(Tuple::Stored(&[])))
         }
     }
 
@@ -362,37 +467,36 @@ impl<'a> PhysOp<'a> for OneRowExec {
     }
 }
 
+/// Whether every predicate holds, in order, stopping at the first that
+/// does not.
+fn passes(predicates: &[Expr], env: &Env<'_>) -> Result<bool, SqlError> {
+    for p in predicates {
+        if !truthy(p, env)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 struct ScanExec<'a> {
     db: &'a Database,
     table: &'a str,
     rows: &'a [Row],
     idx: usize,
-    full: Bindings,
-    predicates: Vec<&'a Expr>,
-    projection: Option<&'a [usize]>,
+    layout: Bindings,
+    predicates: Vec<Expr>,
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for ScanExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
-        'rows: while self.idx < self.rows.len() {
-            let row = &self.rows[self.idx];
+impl<'a> PhysOp<Tuple<'a>> for ScanExec<'a> {
+    fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
+        let rows = self.rows;
+        while let Some(row) = rows.get(self.idx) {
             self.idx += 1;
-            {
-                let scopes = self.full.scopes(row);
-                let env = Env { scopes: &scopes, db: self.db };
-                for p in &self.predicates {
-                    if !eval(p, &env)?.is_truthy() {
-                        continue 'rows;
-                    }
-                }
+            if passes(&self.predicates, &Env::new(&self.layout, row, self.db))? {
+                self.rows_out += 1;
+                return Ok(Some(Tuple::Stored(row)));
             }
-            let out = match self.projection {
-                None => row.clone(),
-                Some(keep) => keep.iter().map(|&i| row[i].clone()).collect(),
-            };
-            self.rows_out += 1;
-            return Ok(Some(out));
         }
         Ok(None)
     }
@@ -402,122 +506,128 @@ impl<'a> PhysOp<'a> for ScanExec<'a> {
     }
 }
 
+/// A row filter that is not fused into a scan. With a [`SemScope`] it is
+/// the semantic predicate operator (`LLM_FILTER` / `LLM_MATCH`): identical
+/// prompts within its input dedup to one model call, and model usage
+/// (calls, cache hits, dollars) is attributed to it in `EXPLAIN ANALYZE`.
 struct FilterExec<'a> {
     db: &'a Database,
-    bindings: Bindings,
-    input: Box<dyn PhysOp<'a> + 'a>,
-    predicate: &'a Expr,
+    layout: Bindings,
+    input: FromOp<'a>,
+    predicate: Expr,
+    scope: Option<Rc<SemScope>>,
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for FilterExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
-        while let Some(row) = self.input.next()? {
+impl<'a> FilterExec<'a> {
+    fn build(
+        db: &'a Database,
+        input: &'a LogicalPlan,
+        predicate: &Expr,
+        scope: Option<Rc<SemScope>>,
+        instrument: bool,
+    ) -> Result<FromOp<'a>, SqlError> {
+        let layout = layout(db, input)?;
+        Ok(Box::new(FilterExec {
+            db,
+            predicate: layout.bind(predicate),
+            layout,
+            input: build_from(db, input, instrument)?,
+            scope,
+            rows_out: 0,
+        }))
+    }
+}
+
+impl<'a> PhysOp<Tuple<'a>> for FilterExec<'a> {
+    fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
+        while let Some(t) = self.input.next()? {
             let keep = {
-                let scopes = self.bindings.scopes(&row);
-                let env = Env { scopes: &scopes, db: self.db };
-                eval(self.predicate, &env)?.is_truthy()
+                let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
+                truthy(&self.predicate, &t.env(&self.layout, self.db))?
             };
             if keep {
                 self.rows_out += 1;
-                return Ok(Some(row));
+                return Ok(Some(t));
             }
         }
         Ok(None)
     }
 
     fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("filter", self.rows_out));
-        self.input.stats(out);
-    }
-}
-
-/// Evaluates a semantic predicate (`LLM_FILTER` / `LLM_MATCH`) per input
-/// row. Owns a [`SemScope`] so identical prompts within this operator's
-/// input dedup to one model call, and model usage (calls, cache hits,
-/// dollars) is attributed to this operator in `EXPLAIN ANALYZE`.
-struct LlmFilterExec<'a> {
-    db: &'a Database,
-    bindings: Bindings,
-    input: Box<dyn PhysOp<'a> + 'a>,
-    predicate: &'a Expr,
-    scope: Rc<SemScope>,
-    rows_out: usize,
-}
-
-impl<'a> PhysOp<'a> for LlmFilterExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
-        while let Some(row) = self.input.next()? {
-            let keep = {
-                let _guard = ScopeGuard::enter(Rc::clone(&self.scope));
-                let scopes = self.bindings.scopes(&row);
-                let env = Env { scopes: &scopes, db: self.db };
-                eval(self.predicate, &env)?.is_truthy()
-            };
-            if keep {
-                self.rows_out += 1;
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("llm_filter", self.rows_out).with_llm(self.scope.counters()));
+        let label = if self.scope.is_some() { "llm_filter" } else { "filter" };
+        out.push(OpStat::basic(label, self.rows_out).with_llm(self.scope.as_ref()));
         self.input.stats(out);
     }
 }
 
 struct NLJoinExec<'a> {
     db: &'a Database,
-    left_bindings: Bindings,
-    right_bindings: Bindings,
-    left: Box<dyn PhysOp<'a> + 'a>,
+    /// Left then right layout, for `on`.
+    layout: Bindings,
+    left_width: usize,
+    right_width: usize,
+    left: FromOp<'a>,
     right_plan: &'a LogicalPlan,
-    /// Right side, materialized on first pull.
-    right_rows: Vec<Row>,
+    /// Right side, materialized on first pull (stored rows stay borrowed).
+    right_rows: Vec<Cow<'a, [Value]>>,
     right_ready: bool,
     right_stats: Vec<OpStat>,
     /// Whether lazily built right-side operators get [`TimedExec`] wrappers.
     instrument: bool,
     join: JoinType,
-    on: Option<&'a Expr>,
+    on: Option<Expr>,
     /// Present when `on` contains a semantic predicate: dedups prompts
     /// across the whole pairwise comparison and attributes model usage.
     scope: Option<Rc<SemScope>>,
     /// Current left row being matched.
-    cur: Option<Row>,
+    cur: Option<Cow<'a, [Value]>>,
     right_idx: usize,
     matched: bool,
     rows_out: usize,
 }
 
 impl<'a> NLJoinExec<'a> {
-    fn on_matches(&self, left_row: &[Value], right_row: &[Value]) -> Result<bool, SqlError> {
-        let Some(on) = self.on else { return Ok(true) };
+    fn on_matches(&self, left: &[Value], right: &[Value]) -> Result<bool, SqlError> {
+        let Some(on) = &self.on else { return Ok(true) };
         let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
-        // Evaluate against both segments without cloning the combined row.
-        let mut scopes = self.left_bindings.scopes(left_row);
-        scopes.extend(self.right_bindings.scopes(right_row));
-        let env = Env { scopes: &scopes, db: self.db };
-        Ok(eval(on, &env)?.is_truthy())
+        // Evaluate against both sides without building the joined row.
+        truthy(on, &Env::pair(&self.layout, left, Some(right), self.db))
+    }
+
+    /// The joined row; `right == None` pads with NULLs. Two stored rows
+    /// stay borrowed.
+    fn joined(&self, left: &Cow<'a, [Value]>, right: Option<&Cow<'a, [Value]>>) -> Tuple<'a> {
+        match (left, right) {
+            (Cow::Borrowed(l), Some(Cow::Borrowed(r))) => Tuple::Pair(l, Some(r)),
+            (Cow::Borrowed(l), None) => Tuple::Pair(l, None),
+            (l, r) => {
+                let mut row = Vec::with_capacity(self.left_width + self.right_width);
+                row.extend_from_slice(l);
+                match r {
+                    Some(r) => row.extend_from_slice(r),
+                    None => row.resize(self.left_width + self.right_width, Value::Null),
+                }
+                Tuple::Owned(row)
+            }
+        }
     }
 }
 
-impl<'a> PhysOp<'a> for NLJoinExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
+impl<'a> PhysOp<Tuple<'a>> for NLJoinExec<'a> {
+    fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         loop {
             if self.cur.is_none() {
                 match self.left.next()? {
-                    Some(row) => {
-                        self.cur = Some(row);
+                    Some(t) => {
+                        self.cur = Some(t.into_slice(self.left_width));
                         self.right_idx = 0;
                         self.matched = false;
                         if !self.right_ready {
-                            let mut child = build(self.db, self.right_plan, self.instrument)?;
+                            let mut child = build_from(self.db, self.right_plan, self.instrument)?;
                             let mut rows = Vec::new();
                             while let Some(r) = child.next()? {
-                                rows.push(r);
+                                rows.push(r.into_slice(self.right_width));
                             }
                             child.stats(&mut self.right_stats);
                             self.right_rows = rows;
@@ -527,37 +637,29 @@ impl<'a> PhysOp<'a> for NLJoinExec<'a> {
                     None => return Ok(None),
                 }
             }
-            let Some(left_row) = self.cur.take() else { unreachable!() };
+            let Some(left) = self.cur.take() else { unreachable!() };
             while self.right_idx < self.right_rows.len() {
-                let i = self.right_idx;
+                let right = &self.right_rows[self.right_idx];
                 self.right_idx += 1;
-                if self.on_matches(&left_row, &self.right_rows[i])? {
+                if self.on_matches(&left, right)? {
                     self.matched = true;
-                    let mut combined = left_row.clone();
-                    combined.extend(self.right_rows[i].iter().cloned());
-                    self.cur = Some(left_row);
+                    let out = self.joined(&left, Some(right));
+                    self.cur = Some(left);
                     self.rows_out += 1;
-                    return Ok(Some(combined));
+                    return Ok(Some(out));
                 }
             }
             // Right side exhausted for this left row.
             if self.join == JoinType::Left && !self.matched {
-                let mut combined = left_row;
-                combined
-                    .extend(std::iter::repeat_n(Value::Null, self.right_bindings.width()));
                 self.rows_out += 1;
-                return Ok(Some(combined));
+                return Ok(Some(self.joined(&left, None)));
             }
             // Inner with no match: move on to the next left row.
         }
     }
 
     fn stats(&self, out: &mut Vec<OpStat>) {
-        let mut st = OpStat::basic("join", self.rows_out);
-        if let Some(scope) = &self.scope {
-            st = st.with_llm(scope.counters());
-        }
-        out.push(st);
+        out.push(OpStat::basic("join", self.rows_out).with_llm(self.scope.as_ref()));
         self.left.stats(out);
         if self.right_ready {
             out.extend(self.right_stats.iter().cloned());
@@ -569,19 +671,26 @@ impl<'a> PhysOp<'a> for NLJoinExec<'a> {
     }
 }
 
+// ---------------- output region ----------------
+
+/// Projection. With a [`SemScope`] it is the semantic projection
+/// (`LLM_MAP` and friends in the select list): prompts dedup within it and
+/// model usage is attributed to it.
 struct ProjectExec<'a> {
     db: &'a Database,
-    bindings: Bindings,
-    input: Box<dyn PhysOp<'a> + 'a>,
-    items: &'a [SelectItem],
+    layout: Bindings,
+    input: FromOp<'a>,
+    items: Vec<SelectItem>,
+    scope: Option<Rc<SemScope>>,
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for ProjectExec<'a> {
+impl PhysOp<Row> for ProjectExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         match self.input.next()? {
-            Some(row) => {
-                let out = exec::project_row(self.db, &self.bindings, self.items, &row)?;
+            Some(t) => {
+                let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
+                let out = exec::project_row(&self.items, &t.env(&self.layout, self.db))?;
                 self.rows_out += 1;
                 Ok(Some(out))
             }
@@ -590,49 +699,19 @@ impl<'a> PhysOp<'a> for ProjectExec<'a> {
     }
 
     fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("project", self.rows_out));
-        self.input.stats(out);
-    }
-}
-
-/// Projection whose items contain semantic operators (`LLM_MAP` and
-/// friends). Identical to [`ProjectExec`] plus a per-operator
-/// [`SemScope`] for prompt dedup and usage attribution.
-struct LlmMapExec<'a> {
-    db: &'a Database,
-    bindings: Bindings,
-    input: Box<dyn PhysOp<'a> + 'a>,
-    items: &'a [SelectItem],
-    scope: Rc<SemScope>,
-    rows_out: usize,
-}
-
-impl<'a> PhysOp<'a> for LlmMapExec<'a> {
-    fn next(&mut self) -> Result<Option<Row>, SqlError> {
-        match self.input.next()? {
-            Some(row) => {
-                let _guard = ScopeGuard::enter(Rc::clone(&self.scope));
-                let out = exec::project_row(self.db, &self.bindings, self.items, &row)?;
-                self.rows_out += 1;
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("llm_map", self.rows_out).with_llm(self.scope.counters()));
+        let label = if self.scope.is_some() { "llm_map" } else { "project" };
+        out.push(OpStat::basic(label, self.rows_out).with_llm(self.scope.as_ref()));
         self.input.stats(out);
     }
 }
 
 struct AggregateExec<'a> {
     db: &'a Database,
-    bindings: Bindings,
-    input: Box<dyn PhysOp<'a> + 'a>,
-    group_by: &'a [Expr],
-    having: Option<&'a Expr>,
-    items: &'a [SelectItem],
+    layout: Bindings,
+    input: FromOp<'a>,
+    group_by: Vec<Expr>,
+    having: Option<Expr>,
+    items: Vec<SelectItem>,
     /// Present when any aggregate expression contains a semantic
     /// operator.
     scope: Option<Rc<SemScope>>,
@@ -641,21 +720,22 @@ struct AggregateExec<'a> {
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for AggregateExec<'a> {
+impl PhysOp<Row> for AggregateExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let mut rows = Vec::new();
-            while let Some(r) = self.input.next()? {
-                rows.push(r);
+            while let Some(t) = self.input.next()? {
+                rows.push(t);
             }
             let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
+            let (layout, db) = (&self.layout, self.db);
             self.buf = exec::aggregate_rows(
-                self.db,
-                &self.bindings,
-                self.group_by,
-                self.having,
-                self.items,
-                rows,
+                db,
+                &self.group_by,
+                self.having.as_ref(),
+                &self.items,
+                &rows,
+                |t: &Tuple<'_>| t.env(layout, db),
             )?
             .into();
             self.done = true;
@@ -666,23 +746,19 @@ impl<'a> PhysOp<'a> for AggregateExec<'a> {
     }
 
     fn stats(&self, out: &mut Vec<OpStat>) {
-        let mut st = OpStat::basic("aggregate", self.rows_out);
-        if let Some(scope) = &self.scope {
-            st = st.with_llm(scope.counters());
-        }
-        out.push(st);
+        out.push(OpStat::basic("aggregate", self.rows_out).with_llm(self.scope.as_ref()));
         self.input.stats(out);
     }
 }
 
 struct DistinctExec<'a> {
-    input: Box<dyn PhysOp<'a> + 'a>,
+    input: RowOp<'a>,
     buf: VecDeque<Row>,
     done: bool,
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for DistinctExec<'a> {
+impl PhysOp<Row> for DistinctExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let mut rows = Vec::new();
@@ -707,8 +783,8 @@ impl<'a> PhysOp<'a> for DistinctExec<'a> {
 struct SetOpExec<'a> {
     left_cols: usize,
     right_cols: usize,
-    left: Box<dyn PhysOp<'a> + 'a>,
-    right: Box<dyn PhysOp<'a> + 'a>,
+    left: RowOp<'a>,
+    right: RowOp<'a>,
     op: SetOp,
     all: bool,
     buf: VecDeque<Row>,
@@ -716,7 +792,7 @@ struct SetOpExec<'a> {
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for SetOpExec<'a> {
+impl PhysOp<Row> for SetOpExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             // Drain both sides *before* the arity check so error ordering
@@ -750,8 +826,30 @@ impl<'a> PhysOp<'a> for SetOpExec<'a> {
     }
 }
 
+/// Top-k selection: keep a sorted prefix of at most `k` items. Inserting
+/// at the *upper* bound of the equal range keeps the selection identical
+/// to a full stable sort + take(k). The input is still drained fully
+/// (even when k = 0) so runtime errors below the sort surface exactly as
+/// they do on the direct path.
+fn top_k<T>(
+    mut next: impl FnMut() -> Result<Option<T>, SqlError>,
+    k: usize,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Result<Vec<T>, SqlError> {
+    let mut top: Vec<T> = Vec::new();
+    while let Some(item) = next()? {
+        if k == 0 || (top.len() == k && cmp(&item, &top[k - 1]) != Ordering::Less) {
+            continue;
+        }
+        let pos = top.partition_point(|r| cmp(r, &item) != Ordering::Greater);
+        top.insert(pos, item);
+        top.truncate(k);
+    }
+    Ok(top)
+}
+
 struct SortExec<'a> {
-    input: Box<dyn PhysOp<'a> + 'a>,
+    input: RowOp<'a>,
     keys: &'a [(usize, bool)],
     fetch: Option<usize>,
     buf: VecDeque<Row>,
@@ -759,45 +857,23 @@ struct SortExec<'a> {
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for SortExec<'a> {
+impl PhysOp<Row> for SortExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
-            match self.fetch {
-                // Top-k: maintain a sorted prefix of at most k rows.
-                // Inserting at the *upper* bound of the equal range keeps
-                // the selection identical to a full stable sort + take(k).
-                Some(k) => {
-                    let mut top: Vec<Row> = Vec::new();
-                    while let Some(row) = self.input.next()? {
-                        // The input is still drained fully (even when
-                        // k = 0) so runtime errors below the sort surface
-                        // exactly as they do on the direct path.
-                        if k == 0 {
-                            continue;
-                        }
-                        if top.len() == k
-                            && exec::cmp_rows_on(&row, &top[k - 1], self.keys)
-                                != std::cmp::Ordering::Less
-                        {
-                            continue;
-                        }
-                        let pos = top.partition_point(|r| {
-                            exec::cmp_rows_on(r, &row, self.keys) != std::cmp::Ordering::Greater
-                        });
-                        top.insert(pos, row);
-                        top.truncate(k);
-                    }
-                    self.buf = top.into();
-                }
+            let keys = self.keys;
+            let input = &mut self.input;
+            let rows = match self.fetch {
+                Some(k) => top_k(|| input.next(), k, |a, b| exec::cmp_rows_on(a, b, keys))?,
                 None => {
                     let mut rows = Vec::new();
-                    while let Some(r) = self.input.next()? {
+                    while let Some(r) = input.next()? {
                         rows.push(r);
                     }
-                    exec::sort_rows(&mut rows, self.keys);
-                    self.buf = rows.into();
+                    exec::sort_rows(&mut rows, keys);
+                    rows
                 }
-            }
+            };
+            self.buf = rows.into();
             self.done = true;
         }
         let row = self.buf.pop_front();
@@ -812,13 +888,113 @@ impl<'a> PhysOp<'a> for SortExec<'a> {
     }
 }
 
+/// A top-k over a projection whose items are all bound columns or
+/// literals: the k rows are chosen among the projection's input tuples,
+/// compared on the key columns where they are stored, and only those k
+/// are projected. Projecting such items can neither fail nor call the
+/// model, so the result is the unfused plan's, without a row copy per
+/// input row. Reports the absorbed projection's stats as its own.
+struct TopKExec<'a> {
+    db: &'a Database,
+    layout: Bindings,
+    input: FromOp<'a>,
+    items: Vec<SelectItem>,
+    /// `(slot, descending)` per sort key; literal keys never decide.
+    keys: Vec<(usize, bool)>,
+    fetch: usize,
+    buf: VecDeque<Row>,
+    done: bool,
+    rows_out: usize,
+    /// Rows the absorbed projection consumed (and would have produced).
+    projected: usize,
+}
+
+impl<'a> TopKExec<'a> {
+    fn build(
+        db: &'a Database,
+        input: &'a LogicalPlan,
+        keys: &[(usize, bool)],
+        fetch: usize,
+    ) -> Result<Option<TopKExec<'a>>, SqlError> {
+        let LogicalPlan::Project { input, items, .. } = input else { return Ok(None) };
+        let layout = layout(db, input)?;
+        let items = layout.bind_items(items);
+        let slot = |item: &SelectItem| match item {
+            SelectItem::Expr { expr: Expr::Slot { index, .. }, .. } => Some(*index),
+            _ => None,
+        };
+        let literal = |item: &SelectItem| matches!(item, SelectItem::Expr { expr: Expr::Literal(_), .. });
+        if !items.iter().all(|it| slot(it).is_some() || literal(it)) {
+            return Ok(None);
+        }
+        let keys = keys.iter().filter_map(|&(i, desc)| Some((slot(items.get(i)?)?, desc))).collect();
+        Ok(Some(TopKExec {
+            db,
+            input: build_from(db, input, false)?,
+            layout,
+            items,
+            keys,
+            fetch,
+            buf: VecDeque::new(),
+            done: false,
+            rows_out: 0,
+            projected: 0,
+        }))
+    }
+}
+
+impl PhysOp<Row> for TopKExec<'_> {
+    fn next(&mut self) -> Result<Option<Row>, SqlError> {
+        if !self.done {
+            let (layout, db, keys) = (&self.layout, self.db, &self.keys);
+            let (input, projected) = (&mut self.input, &mut self.projected);
+            let next = || {
+                let t = input.next()?;
+                *projected += usize::from(t.is_some());
+                Ok(t)
+            };
+            let cmp = |a: &Tuple<'_>, b: &Tuple<'_>| {
+                let (a, b) = (a.env(layout, db), b.env(layout, db));
+                for &(slot, desc) in keys {
+                    // Both present: a bound slot lies inside every row of
+                    // its layout.
+                    let o = match (a.value(slot), b.value(slot)) {
+                        (Some(x), Some(y)) => x.order_cmp(y),
+                        _ => Ordering::Equal,
+                    };
+                    let o = if desc { o.reverse() } else { o };
+                    if o != Ordering::Equal {
+                        return o;
+                    }
+                }
+                Ordering::Equal
+            };
+            let top = top_k(next, self.fetch, cmp)?;
+            self.buf = top
+                .iter()
+                .map(|t| exec::project_row(&self.items, &t.env(layout, db)))
+                .collect::<Result<_, _>>()?;
+            self.done = true;
+        }
+        let row = self.buf.pop_front();
+        self.rows_out += usize::from(row.is_some());
+        Ok(row)
+    }
+
+    fn stats(&self, out: &mut Vec<OpStat>) {
+        out.push(OpStat::basic("topk", self.rows_out));
+        out.push(OpStat::basic("project", self.projected));
+        self.input.stats(out);
+    }
+}
+
 struct StripExec<'a> {
-    input: Box<dyn PhysOp<'a> + 'a>,
+    input: RowOp<'a>,
     keep: usize,
     rows_out: usize,
 }
 
-impl<'a> PhysOp<'a> for StripExec<'a> {
+impl PhysOp<Row> for StripExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         match self.input.next()? {
             Some(mut row) => {
@@ -837,14 +1013,14 @@ impl<'a> PhysOp<'a> for StripExec<'a> {
 }
 
 struct LimitExec<'a> {
-    input: Box<dyn PhysOp<'a> + 'a>,
+    input: RowOp<'a>,
     limit: Option<usize>,
     offset: usize,
     skipped: usize,
     emitted: usize,
 }
 
-impl<'a> PhysOp<'a> for LimitExec<'a> {
+impl PhysOp<Row> for LimitExec<'_> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if let Some(l) = self.limit {
             if self.emitted >= l {

@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use crate::ast::{BinOp, Expr, JoinType, SelectItem};
 use crate::catalog::Database;
-use crate::eval::{eval, Env, Scope};
+use crate::eval::{eval, Env};
 use crate::exec::Bindings;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -171,8 +171,7 @@ fn fold_expr(db: &Database, e: Expr) -> Expr {
         }
     }
     if !matches!(e, Expr::Literal(_)) && is_const(&e) {
-        let scopes: Vec<Scope<'_>> = Vec::new();
-        if let Ok(v) = eval(&e, &Env { scopes: &scopes, db }) {
+        if let Ok(v) = eval(&e, &Env::new(&Bindings::default(), &[], db)) {
             return Expr::Literal(v);
         }
         // Evaluation failed (overflow, division by zero, type error):
@@ -356,7 +355,8 @@ fn collect_aliases(e: &Expr, b: &Bindings, out: &mut BTreeSet<String>) -> bool {
         }
         Expr::InSubquery { expr, .. } => collect_aliases(expr, b, out),
         Expr::Exists { .. } | Expr::ScalarSubquery(_) => true,
-        Expr::Aggregate { .. } => false,
+        // Slots only exist in bound expressions, after rewriting.
+        Expr::Aggregate { .. } | Expr::Slot { .. } => false,
         Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => collect_aliases(arg, b, out),
         Expr::LlmMatch { left, right, .. } => {
             collect_aliases(left, b, out) && collect_aliases(right, b, out)
@@ -431,7 +431,7 @@ fn expr_refs(e: &Expr, out: &mut Vec<(Option<String>, String)>) {
         Expr::Column { qualifier, name } => {
             out.push((qualifier.as_ref().map(|q| q.to_lowercase()), name.to_lowercase()));
         }
-        Expr::Literal(_) => {}
+        Expr::Literal(_) | Expr::Slot { .. } => {}
         Expr::Binary { left, right, .. } => {
             expr_refs(left, out);
             expr_refs(right, out);

@@ -178,6 +178,7 @@ pub fn print_expr(e: &Expr) -> String {
             Some(q) => format!("{q}.{name}"),
             None => name.clone(),
         },
+        Expr::Slot { name, .. } => name.clone(),
         Expr::Binary { op, left, right } => {
             format!("({} {} {})", print_expr(left), binop_str(*op), print_expr(right))
         }

@@ -28,7 +28,8 @@
 //! * **Contract:** after every statement that returns `Ok` outside a
 //!   transaction, memory == store, row order included, and the store
 //!   I/O it did is proportional to the pages it changed. If the store
-//!   transaction fails without wedging (an over-long row, say), the
+//!   transaction fails without wedging (an over-long row, or an I/O
+//!   error before its commit was durable — the store rolls back), the
 //!   PERSIST tables are reloaded from the store before the error is
 //!   returned, so the contract also holds after an `Err`. Whole tables
 //!   move only then, at open, and for `CREATE`/`DROP TABLE`.
@@ -549,11 +550,13 @@ mod tests {
         assert!(db.store().spaces().is_empty());
     }
 
-    /// A [`MemVfs`] that counts the bytes read from it.
+    /// A [`MemVfs`] that counts the bytes read from it, and can fail its
+    /// next sync.
     #[derive(Debug, Default)]
     struct CountingVfs {
         disk: MemVfs,
         bytes_read: std::sync::atomic::AtomicU64,
+        fail_next_sync: bool,
     }
 
     impl llmdm_store::Vfs for CountingVfs {
@@ -568,6 +571,9 @@ mod tests {
             self.disk.truncate(file, len)
         }
         fn sync(&mut self, file: &str) -> Result<(), StoreError> {
+            if std::mem::take(&mut self.fail_next_sync) {
+                return Err(StoreError::Io("injected sync failure".into()));
+            }
             self.disk.sync(file)
         }
         fn len(&self, file: &str) -> u64 {
@@ -591,6 +597,26 @@ mod tests {
         }
         assert_eq!(db.store().pool_stats(), pool, "a SELECT must not touch the buffer pool");
         assert_eq!(read(), bytes, "a SELECT must not read the disk");
+    }
+
+    #[test]
+    fn a_commit_that_fails_before_it_is_durable_leaves_the_db_writable() {
+        let vfs = Arc::new(std::sync::Mutex::new(CountingVfs::default()));
+        let mut db = PersistentDb::open(vfs.clone(), StoreConfig::default()).unwrap();
+        db.execute("CREATE TABLE t (id INT) PERSIST").unwrap();
+        db.execute("INSERT INTO t VALUES (1)").unwrap();
+        // The commit's first sync is the WAL's: the insert is not durable.
+        vfs.lock().unwrap().fail_next_sync = true;
+        let err = db.execute("INSERT INTO t VALUES (2)").unwrap_err();
+        assert!(matches!(err, SqlError::Storage(_)), "{err}");
+        assert_eq!(db.query("SELECT id FROM t").unwrap().rows.len(), 1, "memory follows the store");
+        db.execute("INSERT INTO t VALUES (3)").unwrap();
+        let live = db.query("SELECT id FROM t").unwrap();
+        assert_eq!(live.rows, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
+        drop(db);
+        vfs.lock().unwrap().disk.crash();
+        let mut db = PersistentDb::open(vfs, StoreConfig::default()).unwrap();
+        assert!(db.query("SELECT id FROM t").unwrap().bit_eq(&live), "reopen shows the same rows");
     }
 
     /// Pages each statement's store transaction logged, from the WAL's

@@ -20,6 +20,8 @@ fn fixture() -> Database {
          CREATE TABLE sports_meeting (meeting_id INT, stadium_id INT, year INT); \
          CREATE TABLE scores (id INT, points FLOAT, tag TEXT); \
          CREATE TABLE vacant (id INT, x TEXT); \
+         CREATE TABLE \"Café\" (Été INT, naïve TEXT); \
+         INSERT INTO café VALUES (1, 'crème'), (2, NULL), (3, 'brûlée'); \
          INSERT INTO stadium VALUES \
            (1, 'Eagle Arena', 50000, 'Springfield'), \
            (2, 'River Dome', 30000, 'Shelbyville'), \
@@ -221,6 +223,90 @@ fn null_semantics() {
         "SELECT tag, COUNT(*) FROM scores GROUP BY tag ORDER BY COUNT(*) DESC, tag",
         "SELECT DISTINCT points FROM scores",
         "SELECT id FROM scores ORDER BY points DESC, tag, id LIMIT 4",
+    ]);
+}
+
+/// The planner resolves each column once per operator and reads it by
+/// position; the direct path resolves it by name on every row. A column
+/// that does not resolve must fail on both paths exactly when a row
+/// evaluates it — never on an empty input or behind a short circuit.
+#[test]
+fn binding_changes_no_outcome() {
+    check_all(&[
+        // Unknown, ambiguous and qualified-unknown columns: fine over no
+        // rows, an error over some.
+        "SELECT missing FROM vacant",
+        "SELECT missing FROM stadium",
+        "SELECT id FROM vacant WHERE missing = 1",
+        "SELECT name FROM stadium WHERE missing = 1",
+        "SELECT q.id FROM vacant",
+        "SELECT vacant.nope FROM vacant",
+        "SELECT s.nope FROM stadium s",
+        "SELECT id FROM vacant a JOIN vacant b ON a.id = b.id",
+        "SELECT id FROM vacant a, stadium b",
+        "SELECT stadium_id FROM stadium a JOIN concert b ON a.stadium_id = b.stadium_id",
+        // Behind a short circuit, per row.
+        "SELECT name FROM stadium WHERE FALSE AND missing = 1",
+        "SELECT name FROM stadium WHERE TRUE OR missing = 1",
+        "SELECT name FROM stadium WHERE capacity < 0 AND missing = 1",
+        "SELECT name FROM stadium WHERE capacity > 0 OR q.missing = 1",
+        "SELECT name FROM stadium WHERE capacity > 40000 OR missing = 1",
+        "SELECT name FROM stadium WHERE capacity > 40000 AND stadium_id = concert_id",
+        // In the ON of a join whose left (or right) side is empty.
+        "SELECT * FROM vacant v JOIN stadium s ON v.nope = s.stadium_id",
+        "SELECT * FROM vacant v LEFT JOIN stadium s ON nope = s.stadium_id",
+        "SELECT * FROM stadium s JOIN vacant v ON s.nope = v.id",
+        "SELECT s.name, v.x FROM stadium s LEFT JOIN vacant v ON s.nope = v.id",
+        "SELECT * FROM stadium s JOIN concert c ON s.nope = c.stadium_id",
+        // In HAVING, and in an ORDER BY hidden key.
+        "SELECT year FROM concert GROUP BY year HAVING missing > 1",
+        "SELECT id FROM vacant GROUP BY id HAVING missing > 1",
+        "SELECT COUNT(*) FROM vacant HAVING missing > 0",
+        "SELECT COUNT(*) FROM concert HAVING COUNT(*) > 100 AND missing > 0",
+        "SELECT name FROM stadium ORDER BY missing",
+        "SELECT id FROM vacant ORDER BY missing",
+        "SELECT id FROM vacant ORDER BY q.missing LIMIT 1",
+        "SELECT name FROM stadium ORDER BY s.capacity LIMIT 2",
+        // A bare column beside COUNT(*) over zero rows: the one group has
+        // no row to read it from.
+        "SELECT name, COUNT(*) FROM stadium WHERE capacity > 99999",
+        "SELECT s.name, COUNT(*) FROM stadium s WHERE s.capacity > 99999",
+        "SELECT COUNT(*), 1 + 1 FROM stadium WHERE capacity > 99999",
+        "SELECT MAX(capacity), MIN(name) FROM stadium WHERE capacity > 99999",
+        // An aggregate that would fail, in groups HAVING rejects.
+        "SELECT city, SUM(name) FROM stadium GROUP BY city HAVING COUNT(*) > 5",
+        "SELECT city, SUM(name) FROM stadium GROUP BY city",
+        "SELECT MIN(name), MAX(city), COUNT(DISTINCT tag), SUM(DISTINCT points) FROM stadium, scores",
+        // Mixed-case and non-ASCII identifiers.
+        "SELECT NAME, Stadium.Capacity FROM STADIUM WHERE CiTy LIKE 'S%'",
+        "SELECT été, NAÏVE FROM café",
+        "SELECT ÉTÉ, Café.naïve FROM CAFÉ WHERE Été > 1",
+        "SELECT c.Été FROM café c WHERE c.NAÏVE IS NULL",
+        "SELECT été FROM café WHERE naïve LIKE '%è%' OR naïve LIKE 'br_l_e'",
+        "SELECT x.été FROM café c",
+        // A self-join with the same column name on both sides.
+        "SELECT a.stadium_id, b.stadium_id FROM stadium a JOIN stadium b \
+         ON a.stadium_id = b.stadium_id",
+        "SELECT stadium_id FROM stadium a JOIN stadium b ON a.stadium_id = b.stadium_id",
+        "SELECT a.name, b.name FROM stadium a, stadium b \
+         WHERE a.stadium_id = b.stadium_id + 1 ORDER BY b.name",
+        "SELECT a.city, COUNT(*), MAX(b.capacity) FROM stadium a JOIN stadium b \
+         ON a.capacity <= b.capacity GROUP BY a.city ORDER BY a.city",
+        // Joins whose rows are built rather than borrowed, padding included.
+        "SELECT s.name, c.year, m.year FROM stadium s \
+         LEFT JOIN concert c ON s.stadium_id = c.stadium_id \
+         LEFT JOIN sports_meeting m ON c.stadium_id = m.stadium_id",
+        "SELECT s.name, COUNT(c.concert_id), SUM(c.attendance) FROM stadium s \
+         LEFT JOIN concert c ON s.stadium_id = c.stadium_id GROUP BY s.name",
+        // Top-k chosen among input rows before projecting.
+        "SELECT id, points FROM scores ORDER BY points DESC, id LIMIT 3",
+        "SELECT id, tag FROM scores ORDER BY tag, id DESC LIMIT 4 OFFSET 1",
+        "SELECT 'x', id FROM scores ORDER BY 1, id LIMIT 2",
+        "SELECT s.name, c.attendance FROM stadium s JOIN concert c \
+         ON s.stadium_id = c.stadium_id ORDER BY c.attendance DESC LIMIT 2",
+        "SELECT name FROM stadium ORDER BY city DESC LIMIT 2",
+        "SELECT name FROM stadium ORDER BY name LIMIT 0",
+        "SELECT id FROM vacant ORDER BY id LIMIT 3",
     ]);
 }
 

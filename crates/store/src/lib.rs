@@ -85,8 +85,9 @@ pub enum StoreError {
     /// is dead. The owner must drop this store, crash the vfs, and
     /// re-open (which runs recovery).
     Killed(KillPoint),
-    /// The store already hit a kill point; every subsequent operation
-    /// refuses to run (a dead process does not execute code).
+    /// The store already hit a kill point, or a commit failed after its
+    /// `Commit` frame was durable; every subsequent operation refuses to
+    /// run until the owner re-opens (which replays that commit).
     Wedged,
     /// A transaction is already open.
     TxnOpen,
@@ -109,7 +110,7 @@ impl fmt::Display for StoreError {
             StoreError::Io(m) => write!(f, "storage io error: {m}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
             StoreError::Killed(p) => write!(f, "killed at {}", p.label()),
-            StoreError::Wedged => write!(f, "store is wedged after a kill; re-open to recover"),
+            StoreError::Wedged => write!(f, "store is wedged; re-open to recover"),
             StoreError::TxnOpen => write!(f, "transaction already open"),
             StoreError::NoTxn => write!(f, "no open transaction"),
             StoreError::UnknownSpace(s) => write!(f, "unknown space: {s}"),

@@ -51,8 +51,12 @@
 //! maybe checkpoint (truncate WAL)
 //! ```
 //!
-//! A fired kill point wedges the store ([`StoreError::Wedged`] on every
-//! later call): a dead process does not execute code. The owner drops
+//! An I/O error before the WAL sync returns undoes the commit (the WAL is
+//! cut back to where the commit's frames began and the transaction rolls
+//! back); one after it — or a fired kill point — wedges the store
+//! ([`StoreError::Wedged`] on every later call): a dead process does not
+//! execute code, and a durable commit the pages do not show yet must not
+//! be served or built on. The owner drops
 //! the store, crashes the vfs, and re-opens — [`Store::open`] scans the
 //! WAL, truncates any torn tail, and redoes the page images of every
 //! committed transaction straight into the database file before the
@@ -421,7 +425,8 @@ impl Store {
         self.txn.is_some()
     }
 
-    /// Whether a kill point fired: every call now fails with
+    /// Whether a kill point fired, or a commit failed after its `Commit`
+    /// frame was durable: every call now fails with
     /// [`StoreError::Wedged`] until the owner re-opens.
     pub fn wedged(&self) -> bool {
         self.wedged
@@ -460,9 +465,39 @@ impl Store {
     /// Atomically commit the open transaction via the kill-checked
     /// protocol in the module docs. On [`StoreError::Killed`] the store
     /// wedges; the owner must crash the vfs and re-open.
+    ///
+    /// Any other failure before the `Commit` frame is durable undoes the
+    /// commit: the WAL is cut back to where its frames began (so no later
+    /// sync can make the transaction durable) and the transaction rolls
+    /// back, leaving the store usable at its pre-transaction state. A
+    /// failure after that point wedges the store instead — recovery will
+    /// replay the commit, so only a re-open shows the right state.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         self.ensure_live()?;
         let txn = self.txn.as_ref().ok_or(StoreError::NoTxn)?.id;
+        let mark = self.wal.len();
+        let dirty = match self.log_commit(txn) {
+            Ok(dirty) => dirty,
+            Err(e) => {
+                if !self.wedged {
+                    match self.wal.truncate_to(mark) {
+                        // The Rollback frame is informational: memory is
+                        // back at the pre-transaction state either way.
+                        Ok(()) => drop(self.rollback()),
+                        // The Commit frame may still reach the disk.
+                        Err(_) => self.wedged = true,
+                    }
+                }
+                return Err(e);
+            }
+        };
+        self.apply_commit(&dirty).inspect_err(|_| self.wedged = true)
+    }
+
+    /// The commit protocol up to its durability point: page images and
+    /// the `Commit` frame appended, the WAL synced. Returns the pages to
+    /// flush.
+    fn log_commit(&mut self, txn: u64) -> Result<Vec<u32>, StoreError> {
         if self.header_dirty {
             let header = self.header;
             header.encode_into(self.write_page(0)?);
@@ -475,8 +510,13 @@ impl Store {
         self.wal.append(&WalRecord::Commit { txn })?;
         self.kill_check(KillPoint::PostWalAppend)?;
         self.wal.sync()?;
+        Ok(dirty)
+    }
+
+    /// The commit protocol after its durability point.
+    fn apply_commit(&mut self, dirty: &[u32]) -> Result<(), StoreError> {
         self.kill_check(KillPoint::PostWalSync)?;
-        for &p in &dirty {
+        for &p in dirty {
             self.kill_check(KillPoint::MidPageFlush)?;
             self.pager.flush_page(p)?;
         }

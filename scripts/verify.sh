@@ -45,7 +45,7 @@ done
 #   obs_window        windowed observe <5% over plain, disabled window plane <=50 ns/call
 #   resil_overhead    no-op fault plan <5%, full resilient stack <25% over a bare completion
 #   serve_throughput  >=3x ops/sec at 8 workers vs 1; 1-worker == direct loop; dollars reconcile
-#   sqlplan           planner >=1.2x direct on filtered-scan and top-k; bit-equality
+#   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
 #   store_durability  warm scan >=2x cold through the buffer pool; fixtures read back
 #   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
