@@ -6,11 +6,14 @@
 //! succeeds first try does one breaker poll and no backoff. This bench
 //! measures a bare `SimLlm::complete` against the same call through
 //!
-//! 1. a `FaultyModel` with `FaultPlan::none()` — gated at <5% overhead
-//!    on `min_ns`;
+//! 1. a `FaultyModel` with `FaultPlan::none()` — gated at <5% overhead;
 //! 2. a full `ResilientClient(FaultyModel(SimLlm))` stack — gated under
 //!    a looser 25% wrapper budget, since the breaker/stats mutexes are
 //!    real work the fast path legitimately pays.
+//!
+//! The three paths are timed interleaved (`bench_interleaved`) and the
+//! gates compare medians, so a slow spell on a shared box lands on every
+//! path alike instead of on whichever one's window it hit.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; a regression
 //! that puts hashing or allocation on the clean path fails the build.
@@ -52,29 +55,17 @@ fn bench_paths(c: &mut Criterion) {
     ));
     let wrapped = ResilientClient::with_defaults(faulty.clone() as Arc<dyn LanguageModel>, clock);
 
-    let mut group = c.benchmark_group("resil_noop");
-    let mut i = 0usize;
-    group.bench_function("bare_model", |b| {
-        b.iter(|| {
-            i = (i + 1) % prompts.len();
-            model.complete(black_box(&CompletionRequest::new(prompts[i].clone()))).expect("ok")
-        })
-    });
-    let mut j = 0usize;
-    group.bench_function("faulty_noop", |b| {
-        b.iter(|| {
-            j = (j + 1) % prompts.len();
-            faulty.complete(black_box(&CompletionRequest::new(prompts[j].clone()))).expect("ok")
-        })
-    });
-    let mut k = 0usize;
-    group.bench_function("resilient_stack", |b| {
-        b.iter(|| {
-            k = (k + 1) % prompts.len();
-            wrapped.complete(black_box(&CompletionRequest::new(prompts[k].clone()))).expect("ok")
-        })
-    });
-    group.finish();
+    let complete = |m: &dyn LanguageModel, at: &mut usize| {
+        *at = (*at + 1) % prompts.len();
+        let req = CompletionRequest::new(prompts[*at].clone());
+        black_box(m.complete(black_box(&req)).expect("ok"));
+    };
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    c.benchmark_group("resil_noop").bench_interleaved(&mut [
+        ("bare_model", &mut || complete(model.as_ref(), &mut i)),
+        ("faulty_noop", &mut || complete(faulty.as_ref(), &mut j)),
+        ("resilient_stack", &mut || complete(&wrapped, &mut k)),
+    ]);
 }
 
 /// A no-op fault plan may cost at most 5 % over a bare completion.
@@ -84,11 +75,15 @@ const NOOP_RATIO_MAX: f64 = 1.05;
 const WRAPPED_RATIO_MAX: f64 = 1.25;
 
 fn gates(c: &mut Criterion) {
-    let bare = c.stat("resil_noop/bare_model").min_ns as f64;
-    let noop = c.stat("resil_noop/faulty_noop").min_ns as f64;
-    let stack = c.stat("resil_noop/resilient_stack").min_ns as f64;
-    c.gate("resil_noop faulty_noop/bare_model (min)", noop / bare, AtMost(NOOP_RATIO_MAX));
-    c.gate("resil_noop resilient_stack/bare_model (min)", stack / bare, AtMost(WRAPPED_RATIO_MAX));
+    let bare = c.stat("resil_noop/bare_model").median_ns as f64;
+    let noop = c.stat("resil_noop/faulty_noop").median_ns as f64;
+    let stack = c.stat("resil_noop/resilient_stack").median_ns as f64;
+    c.gate("resil_noop faulty_noop/bare_model (median)", noop / bare, AtMost(NOOP_RATIO_MAX));
+    c.gate(
+        "resil_noop resilient_stack/bare_model (median)",
+        stack / bare,
+        AtMost(WRAPPED_RATIO_MAX),
+    );
 }
 
 llmdm_rt::bench_main!("resil_overhead", Some(SEED), bench_paths, gates);

@@ -101,12 +101,6 @@ impl CascadeRouter {
         self.threshold
     }
 
-    /// Change the acceptance threshold (the accuracy/cost dial swept by
-    /// `repro_table1 --sweep`).
-    pub fn set_threshold(&mut self, t: f64) {
-        self.threshold = t;
-    }
-
     /// The decision model.
     pub fn decision(&self) -> &DecisionModel {
         &self.decision

@@ -5,7 +5,6 @@ use llmdm_model::{Embedder, PromptEnvelope};
 
 use crate::atoms::{Atom, Connective, Event, QueryShape};
 use crate::domain::YEARS;
-use crate::workload::NlQuery;
 
 /// A pool of (question, SQL) example pairs for few-shot prompting.
 #[derive(Debug, Clone)]
@@ -109,12 +108,6 @@ impl PromptBuilder {
     pub fn combined(&self, questions: &[&str]) -> String {
         let anchor = questions.first().copied().unwrap_or("");
         self.render(questions, self.combined_shots, anchor)
-    }
-
-    /// What `single()` prompts would cost in tokens for each query if sent
-    /// separately (used by cost reports).
-    pub fn single_tokens(&self, tokenizer: &llmdm_model::Tokenizer, q: &NlQuery) -> usize {
-        tokenizer.count(&self.single(&q.text))
     }
 }
 

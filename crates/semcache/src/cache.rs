@@ -510,23 +510,6 @@ impl SemanticCache {
         self.entries.values().map(|e| (e.query.as_str(), e.response.as_str(), e.kind))
     }
 
-    /// Overwrite the lifetime counters — used when rehydrating a cache
-    /// from durable storage, so a restarted process keeps reporting
-    /// cumulative stats. The replacement must itself reconcile; a
-    /// non-reconciling snapshot is rejected to keep the accounting
-    /// invariant unbreakable.
-    pub fn restore_stats(&mut self, stats: CacheStats) -> Result<(), String> {
-        if !stats.reconciles() {
-            return Err(format!(
-                "refusing to restore non-reconciling stats: {} + {} + {} + {} != {}",
-                stats.reuse_hits, stats.augment_hits, stats.stale_serves, stats.misses,
-                stats.lookups
-            ));
-        }
-        self.stats = stats;
-        Ok(())
-    }
-
     /// The surviving entries as `(id, query, response, kind)` in id order.
     #[cfg(test)]
     pub(crate) fn entries_by_id(&self) -> Vec<(u64, &str, &str, EntryKind)> {

@@ -39,7 +39,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod persist;
 pub mod predictor;
 pub mod sharded;
 pub mod stack;
@@ -47,7 +46,6 @@ pub mod stack;
 pub use cache::{
     CacheConfig, CacheStats, EntryKind, EvictionPolicy, HitKind, Lookup, Probe, SemanticCache,
 };
-pub use persist::PersistentCache;
 pub use client::CachedLlm;
 pub use predictor::AccessPredictor;
 pub use sharded::ShardedCache;

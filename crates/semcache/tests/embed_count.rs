@@ -12,10 +12,8 @@ use llmdm_model::prelude::*;
 use llmdm_model::{FaultyModel, ModelStack, PromptEnvelope};
 use llmdm_resil::{FaultPlan, FaultRates, SimClock, TierPlan};
 use llmdm_semcache::{
-    shared_cache, AccessPredictor, CacheConfig, CacheStackExt, CachedLlm, EntryKind,
-    PersistentCache, SemanticCache, ShardedCache,
+    shared_cache, AccessPredictor, CacheConfig, CacheStackExt, CachedLlm, EntryKind, ShardedCache,
 };
-use llmdm_store::{MemVfs, StoreConfig};
 
 const Q_2014: &str = "What are the names of stadiums that had concerts in 2014?";
 const Q_2016: &str = "What are the names of stadiums that had concerts in 2016?";
@@ -98,18 +96,6 @@ fn every_prompt_is_embedded_exactly_once() {
         assert_eq!(ask(&down, Q_2016), 1.0, "{shards} shards: stale fallback");
         assert_eq!(down.cache().stats().stale_serves, 1);
     }
-
-    // Rehydrating a snapshot embeds each entry once, and nothing else.
-    let mut cache = SemanticCache::new(CacheConfig::default());
-    for (i, q) in [Q_2014, Q_2016, Q_OTHER].into_iter().enumerate() {
-        cache.insert(q, &format!("answer {i}"), EntryKind::Original);
-    }
-    let mut snapshots = PersistentCache::open(MemVfs::shared(), StoreConfig::default()).unwrap();
-    assert_eq!(embeds(|| snapshots.save(&cache).unwrap()), 0.0, "a save embeds nothing");
-    let mut loaded = None;
-    let n = embeds(|| loaded = Some(snapshots.load(CacheConfig::default()).unwrap()));
-    assert_eq!(n, 3.0, "rehydrate: one per entry");
-    assert_eq!(loaded.expect("load ran").len(), 3);
 
     llmdm_obs::disable();
 }

@@ -10,7 +10,7 @@
 //! * **one entry point**: [`serve_requests`] runs validated
 //!   [`ServeRequest`]` { tenant, class, batch_key, payload }`s built via
 //!   [`ServeRequest::builder`]; the batch handler sees each full
-//!   [`Job`] (id, stream id, tenant, trace context, payload);
+//!   [`Job`] (id, tenant, priority, trace context, payload);
 //! * **per-tenant token-bucket quotas** ([`tenant::TokenBucket`], exact
 //!   integer millitoken arithmetic on the simulated clock): over-quota
 //!   submissions fail with [`ServeError::Throttled`] carrying the exact
@@ -23,25 +23,17 @@
 //! * **graceful load-shedding** wired to `llmdm-resil` outage windows
 //!   ([`tenant::ShedPolicy`]): during an outage the effective capacity
 //!   degrades and overflow is shed lowest class first with a typed
-//!   [`ServeError::Shed`]` { retry_after_ms }` pointing past the window;
-//! * **deterministic token streaming**: [`stream::StreamHandle`] yields
-//!   seeded prefixes of the final completion — identical prefix
-//!   sequences at any worker count (a handler builds one per job with
-//!   `StreamHandle::new(text, job.stream_id)`);
-//! * a **simulated N-node cluster** ([`cluster::Cluster`]) sharding
-//!   caller-owned node state (cache stripes, vecdb partitions) under a
-//!   seeded rendezvous router, stitching results back to global
-//!   submission order.
+//!   [`ServeError::Shed`]` { retry_after_ms }` pointing past the window.
 //!
 //! ## Determinism contract
 //!
 //! Scheduling is the one place concurrency could leak into results, so
-//! the contract is explicit (asserted by `examples/serving_pipeline.rs`,
-//! `examples/multi_tenant_cluster.rs`, and `tests/integration_serve.rs`):
+//! the contract is explicit (asserted by `examples/serving_pipeline.rs`
+//! and `tests/integration_serve.rs`):
 //!
-//! 1. every job gets a **seeded stream id** derived from
-//!    `(config.seed, submission index)` — never from wall-clock or thread
-//!    identity;
+//! 1. every job gets a **seeded trace id** (`job.trace.trace_id`) derived
+//!    from `(config.seed, submission index)` — never from wall-clock or
+//!    thread identity;
 //! 2. admission — including every quota, backpressure, and shed decision
 //!    on the simulated arrival timeline — happens in submission order
 //!    before workers start draining, so the *disposition* of every job is
@@ -58,22 +50,18 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod qos;
 pub mod queue;
 pub mod request;
 pub mod scheduler;
-pub mod stream;
 pub mod tenant;
 
-pub use cluster::{Cluster, ClusterNode, ClusterRun};
 pub use queue::ServeError;
 pub use request::{ServeRequest, ServeRequestBuilder};
 pub use scheduler::{
     record_job_cost, serve_requests, Disposition, Job, ServeConfig, ServeConfigBuilder, ServeRun,
     ServeStats,
 };
-pub use stream::StreamHandle;
 pub use tenant::{
     Priority, ShedPolicy, TenantId, TenantPolicies, TenantPolicy, TenantStats, TokenBucket,
 };
@@ -84,13 +72,11 @@ pub use tenant::{
 /// use llmdm_serve::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::cluster::{Cluster, ClusterNode, ClusterRun};
     pub use crate::queue::ServeError;
     pub use crate::request::ServeRequest;
     pub use crate::scheduler::{
         serve_requests, Disposition, Job, ServeConfig, ServeRun, ServeStats,
     };
-    pub use crate::stream::StreamHandle;
     pub use crate::tenant::{
         Priority, ShedPolicy, TenantId, TenantPolicies, TenantPolicy, TenantStats,
     };

@@ -69,7 +69,7 @@ pub struct ServeConfig {
     /// Micro-batch ceiling: a worker coalesces up to this many
     /// same-key jobs per dispatch.
     pub max_batch: usize,
-    /// Base seed for per-request stream ids.
+    /// Base seed for per-request trace ids.
     pub seed: u64,
     /// Simulated milliseconds between consecutive submissions — the
     /// timeline token buckets refill on and outage windows are checked
@@ -132,7 +132,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Base seed for stream ids.
+    /// Base seed for trace ids.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
@@ -199,10 +199,6 @@ impl ServeConfigBuilder {
 pub struct Job<P> {
     /// Submission index (0-based): results are reported under this id.
     pub id: u64,
-    /// Seeded per-request stream id — the deterministic substitute for
-    /// "whatever randomness the serving layer needs" (chunk boundaries,
-    /// tie-breaking, downstream nonces). Depends only on `(seed, id)`.
-    pub stream_id: u64,
     /// The tenant this job bills against.
     pub tenant: TenantId,
     /// QoS priority class (weighted-fair dequeue, shed order).
@@ -210,10 +206,11 @@ pub struct Job<P> {
     /// Batching class: only jobs of equal class coalesce into one
     /// dispatch (e.g. one model tier, one task family).
     pub class: String,
-    /// Request-scoped trace context, captured at admission: trace id is
-    /// `stream_id` (clamped off 0), parent span is the job's
-    /// `serve.admit` span. A handler that wraps a job's work in
-    /// `let _g = job.trace.attach();` gets its worker-side spans
+    /// Request-scoped trace context, captured at admission: the trace id
+    /// depends only on `(config.seed, id)` — it is also the seeded
+    /// per-job id a handler reads when it needs one — and the parent span
+    /// is the job's `serve.admit` span. A handler that wraps a job's work
+    /// in `let _g = job.trace.attach();` gets its worker-side spans
     /// stitched into the request's flame tree.
     pub trace: TraceContext,
     /// The request payload handed to the handler.
@@ -306,10 +303,10 @@ impl<T, E> ServeRun<T, E> {
     }
 }
 
-/// The deterministic per-request stream id for submission index `id`
-/// under `seed`.
-pub fn stream_id(seed: u64, id: u64) -> u64 {
-    splitmix(seed ^ splitmix(id))
+/// The deterministic trace id for submission index `id` under `seed`
+/// (never 0, which means "no trace").
+fn trace_id(seed: u64, id: u64) -> u64 {
+    splitmix(seed ^ splitmix(id)).max(1)
 }
 
 /// Record `usd` of spend for one job of `class` into the windowed
@@ -371,8 +368,7 @@ where
         }
         let now = clock.now_ms();
         let id = i as u64;
-        let sid = stream_id(config.seed, id);
-        let ctx = TraceContext::root(sid.max(1));
+        let ctx = TraceContext::root(trace_id(config.seed, id));
         let guard = ctx.attach();
         let mut aspan = llmdm_obs::span("serve.admit");
         if aspan.is_recording() {
@@ -412,7 +408,6 @@ where
 
         let job = Job {
             id,
-            stream_id: sid,
             tenant: req.tenant,
             priority: req.class,
             class: req.batch_key,
@@ -601,7 +596,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamHandle;
     use llmdm_resil::Window;
 
     /// One tenant, one priority class: the QoS queue degenerates to FIFO
@@ -706,36 +700,56 @@ mod tests {
         }
     }
 
+    /// The trace id each handler sees, in submission order.
+    fn served_trace_ids(seed: u64, workers: usize, n: usize) -> Vec<u64> {
+        let cfg = ServeConfig { workers, seed, ..Default::default() };
+        let run: ServeRun<u64, ServeError> =
+            serve_requests(&cfg, echo_requests(n), |_class, batch: &[Job<u64>]| {
+                batch.iter().map(|j| Ok(j.trace.trace_id)).collect()
+            });
+        run.results.iter().map(|d| *d.ok().expect("nothing is rejected")).collect()
+    }
+
     #[test]
-    fn stream_ids_are_seeded_and_stable() {
-        assert_eq!(stream_id(42, 0), stream_id(42, 0));
-        assert_ne!(stream_id(42, 0), stream_id(42, 1));
-        assert_ne!(stream_id(42, 0), stream_id(43, 0));
+    fn trace_ids_are_seeded_and_stable() {
+        let base = served_trace_ids(42, 1, 24);
+        for (i, &t) in base.iter().enumerate() {
+            assert_eq!(t, trace_id(42, i as u64), "job {i}");
+            assert_ne!(t, 0, "0 means no trace");
+        }
+        for workers in [2, 8] {
+            assert_eq!(served_trace_ids(42, workers, 24), base, "workers={workers}");
+        }
+        // A longer run keeps the prefix: the id depends on the index only.
+        assert_eq!(served_trace_ids(42, 2, 40)[..24], base[..]);
+        let other = served_trace_ids(43, 1, 24);
+        assert!(base.iter().zip(&other).all(|(a, b)| a != b), "ids must depend on the seed");
+        let mut distinct = base.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), base.len(), "ids must differ across submissions");
     }
 
     #[test]
     fn handler_sees_each_jobs_identity() {
         let cfg = ServeConfig { workers: 2, seed: 42, ..Default::default() };
-        let run: ServeRun<(u64, u64), ServeError> =
+        let run: ServeRun<u64, ServeError> =
             serve_requests(&cfg, echo_jobs(16), |_class, batch: &[Job<u64>]| {
                 batch
                     .iter()
                     .map(|j| {
-                        // Every queued job carries an active trace context
-                        // whose id matches its stream id (mod the 0 clamp).
+                        // Every queued job carries an active trace context.
                         assert!(j.trace.is_active());
-                        assert_eq!(j.trace.trace_id, j.stream_id.max(1));
+                        assert_eq!(j.trace.trace_id, trace_id(42, j.id));
                         assert_eq!(j.payload, j.id);
                         assert_eq!(j.tenant.as_str(), "default");
                         assert_eq!(j.priority, Priority::Standard);
-                        Ok((j.id, j.stream_id))
+                        Ok(j.id)
                     })
                     .collect()
             });
         for (i, d) in run.results.iter().enumerate() {
-            let (id, sid) = d.ok().unwrap();
-            assert_eq!(*id, i as u64);
-            assert_eq!(*sid, stream_id(42, i as u64));
+            assert_eq!(*d.ok().unwrap(), i as u64);
         }
     }
 
@@ -963,34 +977,5 @@ mod tests {
         }
         assert!(run.results[2].ok().is_some());
         assert!(run.results[3].ok().is_some());
-    }
-
-    #[test]
-    fn streaming_prefixes_identical_across_worker_counts() {
-        let text_for = |j: &Job<u64>| format!("answer {} with several words to chunk", j.payload);
-        let mk = |workers: usize| {
-            let cfg = ServeConfig { workers, seed: 99, ..Default::default() };
-            serve_requests(&cfg, echo_requests(24), |_c, batch: &[Job<u64>]| {
-                batch
-                    .iter()
-                    .map(|j| Ok::<_, ServeError>(StreamHandle::new(text_for(j), j.stream_id)))
-                    .collect()
-            })
-        };
-        let base = mk(1);
-        for workers in [2, 8] {
-            let run = mk(workers);
-            for (i, (a, b)) in base.results.iter().zip(&run.results).enumerate() {
-                let (sa, sb) = (a.ok().unwrap(), b.ok().unwrap());
-                assert_eq!(sa.prefixes(), sb.prefixes(), "job {i} at workers={workers}");
-                assert_eq!(sa.final_text(), sb.final_text());
-            }
-        }
-        // Prefixes really are prefixes of the final completion.
-        for (_, h) in base.successes() {
-            for p in h.prefixes() {
-                assert!(h.final_text().starts_with(p));
-            }
-        }
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use crate::error::SqlError;
 use crate::result::ResultSet;
-use crate::schema::{Schema, Table};
+use crate::schema::Table;
 use crate::semantic::ModelHandle;
 
 /// An in-memory database: a catalog of tables plus transaction state.
@@ -97,11 +97,6 @@ impl Database {
         self.tables.contains_key(&name.to_lowercase())
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Whether a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.snapshot.is_some()
@@ -181,17 +176,12 @@ impl Database {
         }
         s
     }
-
-    /// Direct access to a table's schema.
-    pub fn schema_of(&self, name: &str) -> Result<&Schema, SqlError> {
-        Ok(&self.table(name)?.schema)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
+    use crate::schema::{Column, Schema};
     use crate::value::{DataType, Value};
 
     fn db_with_t() -> Database {

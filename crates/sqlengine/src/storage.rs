@@ -35,7 +35,6 @@
 //!   move only then, at open, and for `CREATE`/`DROP TABLE`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use llmdm_store::{RecordId, SharedVfs, Store, StoreConfig, StoreError};
 
@@ -237,14 +236,6 @@ impl PersistentDb {
         };
         this.reload()?;
         Ok(this)
-    }
-
-    /// Open on real files under `dir` with default store settings.
-    pub fn open_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, SqlError> {
-        let vfs: SharedVfs = Arc::new(std::sync::Mutex::new(
-            llmdm_store::DirVfs::new(dir).map_err(storage_err)?,
-        ));
-        PersistentDb::open(vfs, StoreConfig::default())
     }
 
     /// The wrapped in-memory database (read access — e.g. for the
@@ -472,6 +463,7 @@ fn write_table(
 mod tests {
     use super::*;
     use llmdm_store::MemVfs;
+    use std::sync::Arc;
 
     fn mem_db(vfs: &std::sync::Arc<std::sync::Mutex<MemVfs>>) -> PersistentDb {
         PersistentDb::open(vfs.clone(), StoreConfig::default()).unwrap()

@@ -107,11 +107,6 @@ impl MemVfs {
         self.volatile.get(file).cloned().unwrap_or_default()
     }
 
-    /// The durable (synced) bytes of a file.
-    pub fn durable_bytes(&self, file: &str) -> Vec<u8> {
-        self.durable.get(file).cloned().unwrap_or_default()
-    }
-
     /// Deep copy of the whole disk (both layers) — snapshot/restore for
     /// crash-matrix scenarios that branch from one populated state.
     pub fn snapshot(&self) -> MemVfs {

@@ -1,7 +1,7 @@
 //! Durability walkthrough (DESIGN.md §13): the storage tier survives a
-//! process kill at *any* point inside a commit, and both consumers —
-//! persistent SQL tables and the semantic cache — come back from disk
-//! exactly as of the last committed transaction.
+//! process kill at *any* point inside a commit, and persistent SQL
+//! tables come back from disk exactly as of the last committed
+//! transaction.
 //!
 //! This example is self-validating; every step asserts:
 //! 1. populate a `PERSIST` table through the sqlengine;
@@ -9,17 +9,13 @@
 //!    (post-WAL-append, post-WAL-sync, mid-page-flush), crash the
 //!    simulated machine, re-open, and check the recovered database
 //!    bit-equals an in-memory oracle replay of exactly the statements
-//!    that committed;
-//! 3. snapshot a warm semantic cache, "restart the process", and show
-//!    the very first lookup after recovery is a warm reuse hit with the
-//!    lifetime counters still reconciling.
+//!    that committed.
 //!
 //! Run with `cargo run -p llmdm --example crash_recovery`.
 
-use llmdm::semcache::{CacheConfig, EntryKind, Lookup, PersistentCache, SemanticCache};
 use llmdm::sql::exec::{execute_select, execute_select_direct};
 use llmdm::sql::{parse_statement, Database, PersistentDb, Statement};
-use llmdm::store::{KillPoint, MemVfs, StorageFaults, StoreConfig, StoreError};
+use llmdm::store::{KillPoint, MemVfs, StorageFaults, StoreConfig};
 
 const DDL: &str = "CREATE TABLE readings (id INT, sensor TEXT, value FLOAT)";
 const CHECK: &str = "SELECT sensor, value FROM readings ORDER BY id";
@@ -106,7 +102,7 @@ fn kill_and_recover(point: KillPoint, at_ms: u64) {
 }
 
 fn main() {
-    println!("crash_recovery: durable tables + warm cache across injected kills\n");
+    println!("crash_recovery: durable tables across injected kills\n");
 
     // ---- 1. Baseline: populate, restart cleanly, differential-check.
     let vfs = MemVfs::shared();
@@ -147,49 +143,6 @@ fn main() {
         };
         kill_and_recover(point, at_ms);
     }
-
-    // ---- 3. Warm cache restart: snapshot, kill a later save mid-commit,
-    // recover, and serve a hit on the very first lookup.
-    println!("\nsemantic cache across a restart:");
-    let vfs = MemVfs::shared();
-    let mut cache = SemanticCache::new(CacheConfig::default());
-    cache.insert("how do transactions recover after a crash", "replay the WAL", EntryKind::Original);
-    cache.insert("what is a buffer pool", "an in-memory page cache", EntryKind::Original);
-    assert!(matches!(
-        cache.lookup("how do transactions recover after a crash"),
-        Lookup::Hit { .. }
-    ));
-    let saved = cache.stats();
-    let mut pc = PersistentCache::open(vfs.clone(), StoreConfig::default()).expect("cache store");
-    pc.save(&cache).expect("snapshot");
-
-    // A later save dies mid-commit: the snapshot on disk must stay the
-    // complete previous one, never a torn mix.
-    cache.insert("unsaved entry", "never durable", EntryKind::Original);
-    let mut doomed = PersistentCache::open(
-        vfs.clone(),
-        StoreConfig::with_faults(StorageFaults::kill_at(KillPoint::PostWalAppend, 1)),
-    )
-    .expect("doomed open");
-    match doomed.save(&cache) {
-        Err(StoreError::Killed(p)) => println!("  save killed at {p:?} as scheduled"),
-        other => panic!("expected the save to be killed, got {other:?}"),
-    }
-    drop(doomed);
-    llmdm::rt::lock_recover(&vfs).crash();
-
-    let mut pc = PersistentCache::open(vfs, StoreConfig::default()).expect("restart");
-    let mut warm = pc.load(CacheConfig::default()).expect("load");
-    assert_eq!(warm.len(), 2, "torn save must not be visible");
-    assert_eq!(warm.stats(), saved, "lifetime counters survive the restart");
-    match warm.lookup("how do transactions recover after a crash") {
-        Lookup::Hit { response, .. } => {
-            assert_eq!(response, "replay the WAL");
-            println!("  first lookup after restart: warm hit ({response:?})");
-        }
-        other => panic!("expected a warm hit after restart, got {other:?}"),
-    }
-    assert!(warm.stats().reconciles(), "stats reconcile after restart + lookup");
 
     println!("\ncrash_recovery: OK");
 }

@@ -30,20 +30,19 @@ rm -rf "$TRACE_DIR"
 # non-zero when one breaks.
 #   chaos_pipeline       quiet/lossy/outage schedules, retry caps, dollar reconciliation, determinism
 #   serving_pipeline     admission, class-pure batching, 1-worker byte-identity, sharded-cache + dollar reconciliation
-#   multi_tenant_cluster rendezvous routing, cluster-wide quotas, cross-node cache invariant, streaming at 1/2/8 workers, outage shedding
 #   query_planner        EXPLAIN renders, planner == direct oracle bit-for-bit
 #   semantic_sql         LLM operators end-to-end, EXPLAIN estimates, ANALYZE/meter reconciliation, dedup+cache savings
-#   crash_recovery       kill matrix at all 3 commit barriers, warm-cache restart
-for example in chaos_pipeline serving_pipeline multi_tenant_cluster query_planner semantic_sql crash_recovery; do
+#   crash_recovery       kill matrix at all 3 commit barriers
+for example in chaos_pipeline serving_pipeline query_planner semantic_sql crash_recovery; do
     echo "== example $example"
     cargo run -q --release --offline -p llmdm --example "$example" >/dev/null
 done
 
 # Gated benches as target:report. Each exits non-zero, after writing its
 # report, if a gate fails (llmdm_rt::bench::Criterion::finish).
-#   obs_overhead      disabled entry points <=50 ns/call, <5% on the tokenizer loop
+#   obs_overhead      disabled entry points <=50 ns/call, <5% on the tokenizer loop (interleaved medians)
 #   obs_window        windowed observe <5% over plain, disabled window plane <=50 ns/call
-#   resil_overhead    no-op fault plan <5%, full resilient stack <25% over a bare completion
+#   resil_overhead    no-op fault plan <5%, full resilient stack <25% over a bare completion (interleaved medians)
 #   serve_throughput  >=3x ops/sec at 8 workers vs 1; 1-worker == direct loop; dollars reconcile
 #   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality

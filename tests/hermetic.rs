@@ -308,6 +308,77 @@ fn bench_targets_have_one_entry_point() {
     assert_eq!(criterion_main_defs, 0, "`criterion_main!` is gone; `bench_main!` replaced it");
 }
 
+#[test]
+fn library_modules_are_pinned() {
+    // The public modules of the serving layer and the semantic cache, as
+    // DESIGN.md §3's "reached by" census accounts for them. A module that
+    // only an example and its own tests reach is deleted with them, so
+    // adding or removing one updates this list and the census together.
+    let root = workspace_root();
+    let pinned: [(&str, &[&str]); 2] = [
+        ("serve", &["prelude", "qos", "queue", "request", "scheduler", "tenant"]),
+        ("semcache", &["cache", "client", "predictor", "sharded", "stack"]),
+    ];
+    for (krate, want) in pinned {
+        let lib = root.join("crates").join(krate).join("src/lib.rs");
+        let text = fs::read_to_string(&lib).unwrap_or_else(|e| panic!("read {lib:?}: {e}"));
+        let mut have: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub mod "))
+            .map(|rest| rest.trim_end_matches([';', '{', ' ']))
+            .collect();
+        have.sort_unstable();
+        assert_eq!(
+            have, want,
+            "llmdm-{krate}'s public modules changed; update this list and DESIGN.md §3"
+        );
+    }
+}
+
+#[test]
+fn every_library_pub_fn_has_a_caller() {
+    // A `pub fn` whose name occurs nowhere but its own definition — not
+    // in a call, a test, an example or a doc — is surface nothing uses.
+    // Names are counted as identifier tokens across crates/, examples/
+    // and tests/; the `perf` package counts as a caller but its own
+    // functions are not checked.
+    let root = workspace_root();
+    let perf = root.join("crates/bench/src/bin/perf");
+    // Trait-method names: a definition satisfies a trait, not a caller.
+    let trait_methods = ["new", "default", "fmt"];
+    let mut counts: std::collections::HashMap<String, usize> = Default::default();
+    for dir in ["crates", "examples", "tests"] {
+        visit(&root.join(dir), &mut |_, text| {
+            for tok in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                if !tok.is_empty() {
+                    *counts.entry(tok.to_string()).or_default() += 1;
+                }
+            }
+        });
+    }
+    let crates = root.join("crates");
+    let mut uncalled = Vec::new();
+    visit(&crates, &mut |p, text| {
+        let in_src = p.strip_prefix(&crates).is_ok_and(|r| r.iter().nth(1) == Some("src".as_ref()));
+        if p.starts_with(&perf) || !in_src {
+            return;
+        }
+        for (n, line) in text.lines().enumerate() {
+            let t = line.trim_start();
+            let Some(rest) = t.strip_prefix("pub fn ").or_else(|| t.strip_prefix("pub const fn "))
+            else {
+                continue;
+            };
+            let name: String =
+                rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            if !trait_methods.contains(&name.as_str()) && counts.get(&name) == Some(&1) {
+                uncalled.push(format!("{}:{}: {name}", p.display(), n + 1));
+            }
+        }
+    });
+    assert!(uncalled.is_empty(), "pub fns with no caller anywhere:\n{}", uncalled.join("\n"));
+}
+
 fn visit(dir: &Path, f: &mut impl FnMut(&Path, &str)) {
     for entry in fs::read_dir(dir).expect("read dir") {
         let p = entry.expect("entry").path();

@@ -18,7 +18,6 @@ use llmdm::model::prelude::*;
 use llmdm::serve::prelude::*;
 use llmdm_rt::proptest;
 use llmdm_rt::proptest::prelude::*;
-use llmdm_serve::scheduler::stream_id;
 
 /// A generated request list: small tenant/key alphabets so coalescing
 /// and per-tenant accounting both have work to do.
@@ -135,16 +134,33 @@ proptest! {
         }
     }
 
-    /// Stream ids depend only on `(seed, submission index)` — same seed
-    /// reproduces them, different seeds diverge somewhere.
+    /// The trace id a handler reads off `job.trace` depends only on
+    /// `(seed, submission index)`: not on the worker count, not on what
+    /// was submitted; a different seed moves every id.
     #[test]
-    fn stream_ids_are_a_pure_function_of_seed_and_index(
+    fn trace_ids_are_a_pure_function_of_seed_and_index(
+        requests in requests_strategy(),
         seed in any::<u64>(),
-        id in 0u64..1_000_000,
     ) {
-        prop_assert_eq!(stream_id(seed, id), stream_id(seed, id));
-        prop_assert_ne!(stream_id(seed, id), stream_id(seed.wrapping_add(1), id));
-        prop_assert_ne!(stream_id(seed, id), stream_id(seed, id.wrapping_add(1)));
+        let ids = |seed: u64, workers: usize, requests: Vec<ServeRequest<u64>>| -> Vec<u64> {
+            let cfg = ServeConfig { workers, seed, ..Default::default() };
+            let run = serve_requests(&cfg, requests, |_class: &str, batch: &[Job<u64>]| {
+                batch.iter().map(|j| Ok::<_, ServeError>(j.trace.trace_id)).collect()
+            });
+            run.results.iter().map(|d| *d.ok().expect("nothing is rejected")).collect()
+        };
+        let base = ids(seed, 1, requests.clone());
+        prop_assert!(base.iter().all(|&t| t != 0), "0 means no trace");
+        for workers in [2usize, 8] {
+            prop_assert_eq!(&ids(seed, workers, requests.clone()), &base, "workers={}", workers);
+        }
+        // Other requests, same length: same ids.
+        let others: Vec<ServeRequest<u64>> = (0..requests.len() as u64)
+            .map(|i| ServeRequest::builder("z", i).build().expect("valid"))
+            .collect();
+        prop_assert_eq!(&ids(seed, 1, others), &base);
+        let moved = ids(seed.wrapping_add(1), 1, requests);
+        prop_assert!(base.iter().zip(&moved).all(|(a, b)| a != b), "seed must move every id");
     }
 }
 
