@@ -207,16 +207,6 @@ impl<'a> Probe<'a> {
         Probe { text, text_hash: fnv1a_str(text), vector: embedder.embed(text).ok() }
     }
 
-    /// The probed text.
-    pub fn text(&self) -> &'a str {
-        self.text
-    }
-
-    /// FNV-1a of the text.
-    pub(crate) fn text_hash(&self) -> u64 {
-        self.text_hash
-    }
-
     /// The embedding, if the text has one.
     pub(crate) fn vector(&self) -> Option<&[f32]> {
         self.vector.as_deref()
@@ -903,6 +893,107 @@ mod tests {
             assert_eq!(c.len(), 8);
         }
     }
+
+    /// A text from a pool of 8 shapes × 40 numbers (320 > the larger
+    /// capacity, so both capacities evict): same-shape neighbours land in
+    /// the augment and stale bands, repeats reuse, shapes miss each other;
+    /// multi-byte, lowercase-expanding and punctuation-only shapes are in,
+    /// and one draw in a hundred is the empty text no embedder accepts.
+    fn trace_text(rng: &mut llmdm_rt::rand::rngs::SmallRng) -> String {
+        use llmdm_rt::rand::Rng;
+        if rng.gen_range(0..100u32) == 0 {
+            return String::new();
+        }
+        let n = rng.gen_range(0..40u32);
+        match rng.gen_range(0..8u32) {
+            0 => format!("What are the names of stadiums that had concerts in {}?", 2000 + n),
+            1 => format!("median household income by postal region {n}"),
+            2 => format!("list all singers ordered by age, page {n}"),
+            3 => format!("total concert attendance per year since {}", 1980 + n),
+            4 => format!("Émile's café on Straße {n}: 漢字 menu"),
+            5 => format!("İSTANBUL weather for day {n}"),
+            6 => format!("SELECT name FROM stadium WHERE stadium_id = {n}"),
+            _ => format!("?!… — {n} …!?"),
+        }
+    }
+
+    fn trace_digest(mut cache: SemanticCache, seed: u64) -> u64 {
+        use llmdm_rt::hash::{combine, fnv1a_str};
+        use llmdm_rt::rand::rngs::SmallRng;
+        use llmdm_rt::rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut digest = seed;
+        for _ in 0..5_000 {
+            let q = trace_text(&mut rng);
+            let outcome = match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    // Half the responses are query-shaped, so the response
+                    // index (when on) has something to match.
+                    let r = if rng.gen_bool(0.5) {
+                        trace_text(&mut rng)
+                    } else {
+                        format!("answer {}", rng.gen_range(0..1000u32))
+                    };
+                    let kind =
+                        if rng.gen_bool(0.3) { EntryKind::SubQuery } else { EntryKind::Original };
+                    cache.insert(&q, &r, kind);
+                    "insert".to_string()
+                }
+                4..=7 => match cache.lookup(&q) {
+                    Lookup::Hit { query, response, similarity, kind } => {
+                        format!("hit {kind:?} {:08x} {query:?} {response:?}", similarity.to_bits())
+                    }
+                    Lookup::Miss => "miss".to_string(),
+                },
+                _ => match cache.serve_stale(&q) {
+                    Some((query, response, sim)) => {
+                        format!("stale {:08x} {query:?} {response:?}", sim.to_bits())
+                    }
+                    None => "stale-miss".to_string(),
+                },
+            };
+            digest = combine(digest, fnv1a_str(&outcome));
+        }
+        let end_state = format!("{:?} {:?}", cache.stats(), cache.entries_by_id());
+        combine(digest, fnv1a_str(&end_state))
+    }
+
+    /// Every outcome of a seeded trace — `Lookup` variant, similarity
+    /// bits, returned text — the final counters and the survivors, over
+    /// all three policies × response matching on/off × capacity 8/256,
+    /// folded into one number. The constant is this fold computed at
+    /// `1f32e45`, the last commit with a sharded cache: there the pinned
+    /// digest also ran every trace through one and four shards, and it
+    /// dated from before the probe refactor and the new embedding kernel.
+    /// Nothing since may move it.
+    #[test]
+    fn seeded_trace_digest_is_pinned() {
+        use llmdm_rt::hash::combine;
+        let policies = [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Lfu,
+            EvictionPolicy::Weighted { reuse_weight: 4.0, augment_weight: 1.0 },
+        ];
+        let mut digest = 0u64;
+        for (p, policy) in policies.into_iter().enumerate() {
+            for match_responses in [false, true] {
+                for capacity in [8usize, 256] {
+                    let config = CacheConfig {
+                        capacity,
+                        policy,
+                        match_responses,
+                        seed: 42,
+                        ..Default::default()
+                    };
+                    let seed = (p * 4 + usize::from(match_responses) * 2 + capacity / 256) as u64;
+                    digest = combine(digest, trace_digest(SemanticCache::new(config), seed));
+                }
+            }
+        }
+        assert_eq!(digest, PINNED_TRACE_DIGEST, "got {digest:#018x}");
+    }
+
+    const PINNED_TRACE_DIGEST: u64 = 0x6e91_ab79_a77d_a179;
 
     #[test]
     fn capacity_one_still_works() {

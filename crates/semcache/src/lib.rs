@@ -21,15 +21,14 @@
 //!   the probability of future access" to decide whether to cache a new
 //!   entry at all;
 //! * **one embedding per prompt** ([`cache::Probe`]): a query is embedded
-//!   once, outside any lock, and the same probe routes, scans, and — on a
-//!   miss — becomes the inserted entry's key (DESIGN.md §17);
-//! * a lock-striped [`sharded::ShardedCache`] whose operations take
-//!   `&self`, so a worker pool shares one cache;
-//! * one key-addressed client, [`client::CachedLlm`], that puts a
-//!   `ShardedCache` in front of any model (`ask(&self, key, prompt, …)`:
-//!   reuse hits are free, augment hits extend the prompt, retryable
-//!   outages degrade to stale serves), and one prompt-addressed
-//!   [`stack::CachedModel`] layer for `ModelStack`.
+//!   once, outside any lock, and the same probe scans and — on a miss —
+//!   becomes the inserted entry's key (DESIGN.md §17);
+//! * one client, [`stack::CachedModel`], that puts a
+//!   [`stack::SharedCache`] (one mutex) in front of any model: `ask(&self,
+//!   key, request)` keys the cache on a caller-chosen text, and as a
+//!   `ModelStack` layer it keys on the prompt. Reuse hits are free,
+//!   augment hits extend the prompt, admission is predicted, and
+//!   retryable outages degrade to stale serves.
 //!
 //! The Table III experiment itself (original-only vs original+sub-query
 //! caching over the decomposition pipeline) lives in the `llmdm` facade
@@ -38,15 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod client;
 pub mod predictor;
-pub mod sharded;
 pub mod stack;
 
 pub use cache::{
     CacheConfig, CacheStats, EntryKind, EvictionPolicy, HitKind, Lookup, Probe, SemanticCache,
 };
-pub use client::CachedLlm;
 pub use predictor::AccessPredictor;
-pub use sharded::ShardedCache;
 pub use stack::{shared_cache, CacheStackExt, CachedModel, SharedCache};

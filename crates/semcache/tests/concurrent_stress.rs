@@ -1,13 +1,12 @@
-//! Stress test for the lock-striped [`ShardedCache`] under real thread
-//! contention: 8 workers × 1 000 requests against one shared
-//! [`CachedLlm`].
+//! Stress test for the one-mutex `SharedCache` under real thread
+//! contention: 8 workers × 1 000 keyed asks against one shared
+//! [`CachedModel`].
 //!
 //! Two invariants must survive arbitrary interleavings:
 //!
 //! * **counter reconciliation** — `reuse + augment + stale + misses ==
-//!   lookups` holds on every shard independently AND on the global sum
-//!   (racing threads may both miss the same key and both insert; that
-//!   shifts the reuse/miss split, never the sum);
+//!   lookups` holds (racing threads may both miss the same key and both
+//!   insert; that shifts the reuse/miss split, never the sum);
 //! * **dollar reconciliation** — the costs the cache reported to its
 //!   callers sum to exactly what the zoo's usage meter billed, to 1e-9:
 //!   reuse and stale serves are free, every model call is metered once.
@@ -16,7 +15,7 @@ use std::sync::Mutex;
 
 use llmdm_model::prelude::*;
 use llmdm_model::PromptEnvelope;
-use llmdm_semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
+use llmdm_semcache::{shared_cache, CacheConfig, CachedModel};
 
 const THREADS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 1_000;
@@ -35,11 +34,8 @@ fn oracle_prompt(q: &str) -> String {
 #[test]
 fn eight_threads_thousand_requests_reconcile() {
     let zoo = ModelZoo::standard(SEED);
-    let llm = CachedLlm::new(
-        zoo.medium(),
-        ShardedCache::new(CacheConfig { capacity: 256, seed: SEED, ..Default::default() }, 8),
-        None,
-    );
+    let cache = shared_cache(CacheConfig { capacity: 256, seed: SEED, ..Default::default() });
+    let llm = CachedModel::new(zoo.medium(), cache.clone());
 
     // Each thread walks the shared template set from its own offset, so
     // every key is hammered by all 8 threads in different orders.
@@ -55,7 +51,7 @@ fn eight_threads_thousand_requests_reconcile() {
                         "stress query template {} with shared phrasing",
                         (t * 37 + i) % TEMPLATES
                     );
-                    let a = llm.ask(&q, &oracle_prompt(&q), EntryKind::Original).unwrap();
+                    let a = llm.ask(&q, &CompletionRequest::new(oracle_prompt(&q))).unwrap();
                     local_cost += a.cost;
                 }
                 *reported_cost.lock().unwrap() += local_cost;
@@ -63,18 +59,13 @@ fn eight_threads_thousand_requests_reconcile() {
         }
     });
 
-    // Counter reconciliation: per shard, then globally.
-    assert_eq!(llm.cache().shard_count(), 8);
-    for (i, s) in llm.cache().stats_per_shard().into_iter().enumerate() {
-        assert!(s.reconciles(), "shard {i} failed to reconcile: {s:?}");
-    }
-    let g = llm.cache().stats();
-    assert!(g.reconciles(), "global stats failed to reconcile: {g:?}");
+    let g = llmdm_rt::lock_recover(&cache).stats();
+    assert!(g.reconciles(), "stats failed to reconcile: {g:?}");
     assert_eq!(g.lookups as usize, THREADS * REQUESTS_PER_THREAD);
 
     // With 100 templates behind 8 000 requests, the steady state is
-    // overwhelmingly reuse hits — losing them would mean shards stopped
-    // seeing their own inserts under contention.
+    // overwhelmingly reuse hits — losing them would mean a thread stopped
+    // seeing the others' inserts under contention.
     assert!(
         g.reuse_hits as usize > THREADS * REQUESTS_PER_THREAD / 2,
         "reuse collapsed under contention: {g:?}"

@@ -12,7 +12,7 @@ use llmdm_model::prelude::*;
 use llmdm_model::{FaultyModel, ModelStack, PromptEnvelope};
 use llmdm_resil::{FaultPlan, FaultRates, SimClock, TierPlan};
 use llmdm_semcache::{
-    shared_cache, AccessPredictor, CacheConfig, CacheStackExt, CachedLlm, EntryKind, ShardedCache,
+    shared_cache, AccessPredictor, CacheConfig, CacheStackExt, CachedModel, EntryKind, SharedCache,
 };
 
 const Q_2014: &str = "What are the names of stadiums that had concerts in 2014?";
@@ -53,6 +53,7 @@ fn every_prompt_is_embedded_exactly_once() {
     llmdm_obs::enable();
     llmdm_obs::reset();
     let zoo = ModelZoo::standard(5);
+    let stats = |cache: &SharedCache| llmdm_rt::lock_recover(cache).stats();
 
     // The stack layer: miss, reuse hit, augment hit.
     let cache = shared_cache(CacheConfig { reuse_threshold: 0.995, ..Default::default() });
@@ -64,38 +65,37 @@ fn every_prompt_is_embedded_exactly_once() {
     assert_eq!(complete(Q_2014), 1.0, "CachedModel miss");
     assert_eq!(complete(Q_2014), 1.0, "CachedModel reuse hit");
     assert_eq!(complete(Q_2016), 1.0, "CachedModel augment hit");
-    let stats = llmdm_rt::lock_recover(&cache).stats();
-    assert_eq!((stats.misses, stats.reuse_hits, stats.augment_hits), (1, 1, 1));
+    let s = stats(&cache);
+    assert_eq!((s.misses, s.reuse_hits, s.augment_hits), (1, 1, 1));
 
-    // The key-addressed client, on one shard and on four.
-    for shards in [1usize, 4] {
-        let sharded = || ShardedCache::new(CacheConfig::default(), shards);
-        let llm = CachedLlm::new(zoo.medium(), sharded(), None);
-        let ask = |llm: &CachedLlm, q: &str| {
-            embeds(|| drop(llm.ask(q, &oracle_prompt(q), EntryKind::Original)))
-        };
-        assert_eq!(ask(&llm, Q_2014), 1.0, "{shards} shards: miss");
-        assert_eq!(ask(&llm, Q_2014), 1.0, "{shards} shards: reuse hit");
-        assert_eq!(ask(&llm, Q_2016), 1.0, "{shards} shards: augment hit");
-        let stats = llm.cache().stats();
-        assert_eq!((stats.misses, stats.reuse_hits, stats.augment_hits), (1, 1, 1));
+    // The keyed client: miss, reuse hit, augment hit.
+    let ask = |llm: &CachedModel, q: &str| {
+        embeds(|| drop(llm.ask(q, &CompletionRequest::new(oracle_prompt(q)))))
+    };
+    let cache = shared_cache(CacheConfig::default());
+    let llm = CachedModel::new(zoo.medium(), cache.clone());
+    assert_eq!(ask(&llm, Q_2014), 1.0, "keyed miss");
+    assert_eq!(ask(&llm, Q_2014), 1.0, "keyed reuse hit");
+    assert_eq!(ask(&llm, Q_2016), 1.0, "keyed augment hit");
+    let s = stats(&cache);
+    assert_eq!((s.misses, s.reuse_hits, s.augment_hits), (1, 1, 1));
 
-        // Admission rejects a shape seen once: the rejection is noted on
-        // the key's home shard without embedding it again.
-        let strict = Some(AccessPredictor::with_params(5.0, 0.5));
-        let picky = CachedLlm::new(zoo.medium(), sharded(), strict);
-        assert_eq!(ask(&picky, Q_OTHER), 1.0, "{shards} shards: admission-rejected");
-        assert_eq!(picky.cache().stats().rejected, 1);
-        assert_eq!(picky.cache().len(), 0);
+    // Admission rejects a shape seen once: the rejection is noted
+    // without embedding the key again.
+    let cache = shared_cache(CacheConfig::default());
+    let picky = CachedModel::new(zoo.medium(), cache.clone())
+        .with_admission(AccessPredictor::with_params(5.0, 0.5));
+    assert_eq!(ask(&picky, Q_OTHER), 1.0, "admission-rejected");
+    assert_eq!(stats(&cache).rejected, 1);
+    assert_eq!(llmdm_rt::lock_recover(&cache).len(), 0);
 
-        // The model goes down under a warm cache: the augment-band lookup
-        // and the stale serve that rescues it share the embedding.
-        let warm = sharded();
-        warm.insert(Q_2014, "the-answer", EntryKind::Original);
-        let down = CachedLlm::new(down_model(&zoo), warm, None);
-        assert_eq!(ask(&down, Q_2016), 1.0, "{shards} shards: stale fallback");
-        assert_eq!(down.cache().stats().stale_serves, 1);
-    }
+    // The model goes down under a warm cache: the augment-band lookup
+    // and the stale serve that rescues it share the embedding.
+    let cache = shared_cache(CacheConfig::default());
+    llmdm_rt::lock_recover(&cache).insert(Q_2014, "the-answer", EntryKind::Original);
+    let down = CachedModel::new(down_model(&zoo), cache.clone());
+    assert_eq!(ask(&down, Q_2016), 1.0, "stale fallback");
+    assert_eq!(stats(&cache).stale_serves, 1);
 
     llmdm_obs::disable();
 }

@@ -134,10 +134,12 @@ impl ModelHandle {
         // make results depend on operator evaluation order, which the
         // planner deliberately changes (dedup, predicate reordering).
         // Identical prompts embed identically (cosine ≈ 1.0); everything
-        // else must miss for planner ≡ direct to hold by construction.
+        // else must miss for planner ≡ direct to hold by construction —
+        // also the stale fallback a retryable model failure takes.
         let cache = shared_cache(CacheConfig {
             reuse_threshold: 0.9999,
             augment_threshold: 0.9999,
+            stale_threshold: 0.9999,
             ..CacheConfig::default()
         });
         let model =

@@ -11,7 +11,7 @@ use llmdm::cascade::eval::run_table1;
 use llmdm::model::{CompletionRequest, LanguageModel, ModelZoo};
 use llmdm::nlq::pipeline::run_table2;
 use llmdm::nlq::{concert_domain, ExamplePool, Nl2SqlSolver, PromptBuilder};
-use llmdm::semcache::{CacheConfig, CachedLlm, ShardedCache};
+use llmdm::semcache::{shared_cache, CacheConfig, CachedModel};
 
 fn main() {
     // --- The cascade saves money on QA traffic (Table I) ----------------
@@ -50,7 +50,8 @@ fn main() {
     let zoo = ModelZoo::standard(42);
     zoo.register_solver(Arc::new(Nl2SqlSolver));
     let builder = PromptBuilder::new(ExamplePool::generate(42), db.schema_summary());
-    let cached = CachedLlm::new(zoo.large(), ShardedCache::new(CacheConfig::default(), 1), None);
+    let cache = shared_cache(CacheConfig::default());
+    let cached = CachedModel::new(zoo.large(), cache.clone());
     let questions = [
         "What are the names of stadiums that had concerts in 2014?",
         "What are the names of stadiums that had festivals in 2013?",
@@ -59,18 +60,16 @@ fn main() {
     ];
     println!("\nsemantic cache in front of the model:");
     for q in questions {
-        let prompt = builder.single(q);
-        let a = cached
-            .ask(q, &prompt, llmdm::semcache::EntryKind::Original)
-            .expect("model answers");
+        // Keyed on the question, not on the prompt around it.
+        let a = cached.ask(q, &CompletionRequest::new(builder.single(q))).expect("model answers");
         println!(
             "  {:<62} {} ${:.4}",
             q,
-            if a.from_cache { "CACHE " } else { "MODEL " },
+            if a.model.ends_with("+cache") { "CACHE " } else { "MODEL " },
             a.cost
         );
     }
-    let stats = cached.cache().stats();
+    let stats = llmdm::rt::lock_recover(&cache).stats();
     println!(
         "  cache: {} reuse, {} augment, {} misses (hit ratio {:.0}%)",
         stats.reuse_hits,

@@ -18,11 +18,10 @@
 //! 4. **N workers, same answers**: 4-worker serving produces identical
 //!    per-job results (the handler is pure per payload), and per-tenant
 //!    accounting reconciles (`admitted + rejected + shed == submitted`).
-//! 5. **Concurrent cache + exact dollars**: a 4-worker run through
-//!    [`CachedLlm`] over a lock-striped [`ShardedCache`] keeps
-//!    the per-shard AND global `reuse+augment+stale+misses == lookups`
-//!    invariant, and the fault injector's executed cost reconciles with
-//!    the usage meter to 1e-9.
+//! 5. **Concurrent cache + exact dollars**: a 4-worker run through one
+//!    [`CachedModel`] over one `SharedCache` keeps the
+//!    `reuse+augment+stale+misses == lookups` invariant, and the fault
+//!    injector's executed cost reconciles with the usage meter to 1e-9.
 //!
 //! Exits non-zero on any violation — `scripts/verify.sh` runs it.
 
@@ -32,7 +31,7 @@ use llmdm::cascade::{HotpotConfig, HotpotWorkload, QaSolver};
 use llmdm::model::prelude::*;
 use llmdm::nlq::{concert_domain, ExamplePool, Nl2SqlSolver, PromptBuilder, Workload, WorkloadConfig};
 use llmdm::resil::FaultPlan;
-use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
+use llmdm::semcache::{shared_cache, CacheConfig, CachedModel};
 use llmdm::serve::prelude::*;
 
 const SEED: u64 = 42;
@@ -215,7 +214,7 @@ fn main() {
     println!("[1] admission: first {cap} admitted, {} rejected, at 1 and 4 workers", total - cap);
 
     // ================================================================
-    // Section 5: concurrent sharded cache + exact dollar accounting.
+    // Section 5: one concurrent cache + exact dollar accounting.
     // ================================================================
     let zoo2 = ModelZoo::standard(SEED);
     let jobs2 = mixed_workload(&zoo2);
@@ -224,28 +223,22 @@ fn main() {
     cached_jobs.extend(jobs2.iter().cloned());
     let stack = ModelStack::new(&zoo2).with_faults(Arc::new(FaultPlan::none()));
     let faulty = stack.faulty().expect("with_faults applied").clone();
-    let llm = CachedLlm::new(
-        stack.build_arc(),
-        ShardedCache::new(CacheConfig { capacity: 512, seed: SEED, ..Default::default() }, 4),
-        None,
-    );
+    let cache = shared_cache(CacheConfig { capacity: 512, seed: SEED, ..Default::default() });
+    let llm = CachedModel::new(stack.build_arc(), cache.clone());
     let run = serve_requests(
         &ServeConfig { workers: 4, max_batch: 4, seed: SEED, ..Default::default() },
         cached_jobs,
         |_class: &str, batch: &[Job<Req>]| {
             batch
                 .iter()
-                .map(|j| llm.ask(&j.payload.key, &j.payload.prompt, EntryKind::Original))
+                .map(|j| llm.ask(&j.payload.key, &CompletionRequest::new(j.payload.prompt.clone())))
                 .collect()
         },
     );
     assert_eq!(run.stats.admitted as usize, 2 * total);
     assert!(run.results.iter().all(|d| matches!(d, Disposition::Done(Ok(_)))));
-    for (i, s) in llm.cache().stats_per_shard().into_iter().enumerate() {
-        assert!(s.reconciles(), "shard {i} failed to reconcile: {s:?}");
-    }
-    let g = llm.cache().stats();
-    assert!(g.reconciles(), "global cache stats failed to reconcile: {g:?}");
+    let g = llmdm::rt::lock_recover(&cache).stats();
+    assert!(g.reconciles(), "cache stats failed to reconcile: {g:?}");
     assert_eq!(g.lookups as usize, 2 * total);
     assert!(g.reuse_hits as usize >= total / 2, "repeat pass must reuse: {g:?}");
     let executed = faulty.executed_cost();
@@ -253,7 +246,7 @@ fn main() {
     let diff = (executed - metered).abs();
     assert!(diff < 1e-9, "executed ${executed:.9} != metered ${metered:.9}");
     println!(
-        "[5] 4 workers × sharded cache: {} lookups, {} reuse hits, \
+        "[5] 4 workers × one cache: {} lookups, {} reuse hits, \
          executed ${executed:.6} == metered ${metered:.6}",
         g.lookups, g.reuse_hits
     );

@@ -23,7 +23,7 @@ use llmdm::model::prelude::*;
 use llmdm::nlq::{ExamplePool, PromptBuilder, Workload, WorkloadConfig};
 use llmdm::obs::Report;
 use llmdm::rt::json::{Json, ToJson};
-use llmdm::semcache::{CacheConfig, CachedLlm, EntryKind, ShardedCache};
+use llmdm::semcache::{shared_cache, CacheConfig, CachedModel};
 use llmdm::transform::Grid;
 use llmdm::DataManager;
 
@@ -96,34 +96,33 @@ fn run_pipeline() -> llmdm::semcache::CacheStats {
     }
 
     // ---- Semantic cache in front of NL2SQL (vecdb underneath). ----
-    // The cache keys on the user question (not the full prompt), so it
-    // stays a `CachedLlm` — but the model behind it is composed with the
+    // The cache keys on the user question (not the full prompt) through
+    // `CachedModel::ask`; the model behind it is composed with the
     // ModelStack builder, the workspace-standard way to assemble
     // decorator chains.
     let nlq_db = llmdm::nlq::concert_domain(SEED);
     let builder = PromptBuilder::new(ExamplePool::generate(SEED), nlq_db.schema_summary());
     let stacked = ModelStack::tier(zoo, ModelTier::Large).with_default_retry().build_arc();
-    let cached = CachedLlm::new(
-        stacked,
-        ShardedCache::new(CacheConfig { seed: SEED, ..Default::default() }, 1),
-        None,
-    );
+    let cache = shared_cache(CacheConfig { seed: SEED, ..Default::default() });
+    let cached = CachedModel::new(stacked, cache.clone());
     let nlq_workload =
         Workload::generate(WorkloadConfig { n: 6, seed: SEED, ..Default::default() });
+    let ask = |q: &str| {
+        cached.ask(q, &CompletionRequest::new(builder.single(q))).expect("cached ask")
+    };
     for q in &nlq_workload.queries {
-        let prompt = builder.single(&q.text);
-        cached.ask(&q.text, &prompt, EntryKind::Original).expect("cached ask");
+        ask(&q.text);
     }
     // Repeat the first query verbatim: a guaranteed reuse hit.
     if let Some(q) = nlq_workload.queries.first() {
-        let prompt = builder.single(&q.text);
-        cached.ask(&q.text, &prompt, EntryKind::Original).expect("cached ask");
+        ask(&q.text);
     }
 
     // ---- NL2SQL decomposition fan-out. ----
     llmdm::nlq::run_decomposition(&nlq_db, &nlq_workload.queries, zoo, &builder);
 
-    cached.cache().stats()
+    let stats = llmdm::rt::lock_recover(&cache).stats();
+    stats
 }
 
 /// Assert the acceptance criteria on the emitted report + file.

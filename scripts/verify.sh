@@ -29,7 +29,7 @@ rm -rf "$TRACE_DIR"
 # Self-validating examples: each asserts its own invariants and exits
 # non-zero when one breaks.
 #   chaos_pipeline       quiet/lossy/outage schedules, retry caps, dollar reconciliation, determinism
-#   serving_pipeline     admission, class-pure batching, 1-worker byte-identity, sharded-cache + dollar reconciliation
+#   serving_pipeline     admission, class-pure batching, 1-worker byte-identity, shared-cache + dollar reconciliation
 #   query_planner        EXPLAIN renders, planner == direct oracle bit-for-bit
 #   semantic_sql         LLM operators end-to-end, EXPLAIN estimates, ANALYZE/meter reconciliation, dedup+cache savings
 #   crash_recovery       kill matrix at all 3 commit barriers

@@ -317,7 +317,7 @@ fn library_modules_are_pinned() {
     let root = workspace_root();
     let pinned: [(&str, &[&str]); 2] = [
         ("serve", &["prelude", "qos", "queue", "request", "scheduler", "tenant"]),
-        ("semcache", &["cache", "client", "predictor", "sharded", "stack"]),
+        ("semcache", &["cache", "predictor", "stack"]),
     ];
     for (krate, want) in pinned {
         let lib = root.join("crates").join(krate).join("src/lib.rs");

@@ -1,11 +1,19 @@
 //! Cross-crate integration: the three cost-optimization mechanisms
 //! (cascade, decomposition/combination, semantic cache) agree on one
 //! shared accounting substrate and reproduce the paper's Tables I–III
-//! shapes together.
+//! shapes together; the semantic cache's stale fallback stays off the
+//! semantic-SQL path, where it would hand one row's answer to another.
+
+use std::sync::Arc;
 
 use llmdm::cascade::eval::run_table1;
+use llmdm::model::{Completion, CompletionRequest, FaultyModel, LanguageModel, ModelError, ModelZoo};
 use llmdm::nlq::pipeline::run_table2;
+use llmdm::resil::{FaultPlan, FaultRates, SimClock, TierPlan};
 use llmdm::run_table3;
+use llmdm::semcache::{shared_cache, CacheConfig, CachedModel};
+use llmdm::sql::semantic::{unary_prompt, SemSqlSolver};
+use llmdm::sql::{ModelHandle, Value};
 
 #[test]
 fn table1_table2_table3_shapes_from_one_build() {
@@ -61,4 +69,47 @@ fn seeds_change_workloads_but_not_shapes() {
             t2.origin.cost
         );
     }
+}
+
+/// Warm a cache with one row's `LLM_MAP` prompt through a healthy model,
+/// then ask a neighbouring row's prompt while every call is rate-limited.
+/// Returns the answer and the cache's stale-serve count.
+fn ask_during_outage(config: CacheConfig) -> (Result<Completion, ModelError>, u64) {
+    let zoo = ModelZoo::standard(42);
+    zoo.register_solver(Arc::new(SemSqlSolver));
+    let cache = shared_cache(config);
+    let row = |v: &str| {
+        CompletionRequest::new(unary_prompt("map", "uppercase it", &Value::Str(v.into())))
+    };
+    CachedModel::new(zoo.large(), cache.clone())
+        .complete(&row("the beatles"))
+        .expect("healthy model answers");
+    let plan = FaultPlan::new(
+        "total-outage",
+        7,
+        vec![TierPlan::with_rates(
+            "sim-large",
+            FaultRates { rate_limited: 1.0, ..FaultRates::none() },
+        )],
+    );
+    let down = Arc::new(FaultyModel::new(zoo.large(), Arc::new(plan), SimClock::new()));
+    let got = CachedModel::new(down, cache.clone()).complete(&row("the rolling stones"));
+    let stale = llmdm::rt::lock_recover(&cache).stats().stale_serves;
+    (got, stale)
+}
+
+#[test]
+fn stale_fallback_never_hands_one_rows_answer_to_another() {
+    let handle = ModelHandle::sim(42);
+    let sim = *llmdm::rt::lock_recover(handle.cache().expect("sim is cached")).config();
+    let (got, stale) = ask_during_outage(sim);
+    assert!(got.expect_err("no stale answer at sim's thresholds").is_retryable());
+    assert_eq!(stale, 0);
+
+    // The same outage under the default thresholds is rescued by the
+    // neighbouring row's answer: the fallback is live, and only the pin
+    // keeps it off the SQL path.
+    let (got, stale) = ask_during_outage(CacheConfig::default());
+    assert_eq!(got.expect("stale serve").cost, 0.0);
+    assert_eq!(stale, 1);
 }
