@@ -5,14 +5,15 @@
 //! Usage: `repro_fig4 [--seed N]`
 
 use llmdm_bench::render_table;
+use llmdm_rt::json::Json;
 use llmdm_transform::synthesize::apply_program;
-use llmdm_transform::{discover_program, json_to_tables, relationality, xml_to_table, Grid, JsonValue, XmlNode};
+use llmdm_transform::{discover_program, json_to_tables, relationality, xml_to_table, Grid, XmlNode};
 
 fn main() {
     let mut rows = Vec::new();
 
     // Left path: JSON documents → relational tables.
-    let json = JsonValue::parse(
+    let json = Json::parse(
         r#"{"hospital": "BIT General", "patients": [
             {"name": "alice", "age": 34, "labs": [{"test": "hb", "value": 1.2}, {"test": "glu", "value": 5.4}]},
             {"name": "bob", "age": 40, "labs": [{"test": "hb", "value": 0.9}]},

@@ -19,7 +19,11 @@
 //!   predicting whether an answer can be *accepted* or must escalate;
 //! * [`router::CascadeRouter`] — the Fig. 6 procedure: try tiers cheapest
 //!   first, accept when the decision model is confident, escalate
-//!   otherwise; full per-query traces for the Fig. 6 reproduction;
+//!   otherwise; full per-query traces for the Fig. 6 reproduction. The
+//!   same walk falls back past a failing tier, serves the best rejected
+//!   answer as `degraded` when no tier accepts, and
+//!   ([`CascadeRouter::answer_within`]) slices a latency budget across
+//!   the tiers' request deadlines;
 //! * [`eval`] — the Table I experiment: each tier alone vs the cascade,
 //!   accuracy and dollar cost on the same 40-query workload.
 
@@ -28,15 +32,11 @@
 pub mod decision;
 pub mod eval;
 pub mod hotpot;
-pub mod resilient;
 pub mod router;
 pub mod solver;
 
 pub use decision::{DecisionModel, Features};
 pub use eval::{run_table1, Table1Report, TierReport};
 pub use hotpot::{HotpotConfig, HotpotWorkload, QaItem};
-pub use resilient::{
-    CascadeExhausted, ResilientAnswer, ResilientCascade, ResilientTier, TierOutcome,
-};
-pub use router::{CascadeAnswer, CascadeRouter, TierAttempt};
+pub use router::{CascadeAnswer, CascadeExhausted, CascadeRouter, TierAttempt};
 pub use solver::QaSolver;

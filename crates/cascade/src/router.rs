@@ -4,10 +4,20 @@
 //! answer, the decision model scores acceptability; below-threshold
 //! answers escalate. The final tier's answer is always accepted. Full
 //! per-tier traces are kept for the Fig. 6 reproduction binary.
+//!
+//! The same walk survives failing tiers (§III-B graceful degradation):
+//! a tier that errors is recorded in the trace and the walk falls back
+//! to the next one, and if no tier accepts, the best-scoring rejected
+//! answer is served marked `degraded`. [`CascadeRouter::answer_within`]
+//! bounds the walk by a latency budget on the simulated clock and gives
+//! tier `i` of `n` the deadline `Deadline::slice(clock, i, n)` on its
+//! request, so a cheap-tier retry storm cannot starve the tiers after it.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use llmdm_model::{CompletionRequest, LanguageModel};
+use llmdm_resil::{Deadline, SimClock};
 
 use crate::decision::{DecisionModel, Features};
 
@@ -16,20 +26,23 @@ use crate::decision::{DecisionModel, Features};
 pub struct TierAttempt {
     /// Model name.
     pub model: String,
-    /// The answer it produced.
+    /// The answer it produced (empty if the tier failed).
     pub answer: String,
-    /// The decision model's acceptance score.
+    /// The decision model's acceptance score (0 if the tier failed).
     pub decision_score: f64,
-    /// Whether the answer was accepted (always true for the last tier).
+    /// Whether the answer was accepted (always true for the last tier
+    /// that answers).
     pub accepted: bool,
     /// Dollar cost of the attempt.
     pub cost: f64,
+    /// The tier's error, if it failed instead of answering.
+    pub error: Option<String>,
 }
 
 /// The cascade's final answer with its escalation trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeAnswer {
-    /// The accepted answer text.
+    /// The served answer text.
     pub text: String,
     /// Index of the tier that answered.
     pub tier_used: usize,
@@ -38,10 +51,35 @@ pub struct CascadeAnswer {
     /// Total simulated latency across attempted tiers (escalation is
     /// sequential, so latencies add — the §II-E latency cost of chasing
     /// accuracy).
-    pub total_latency: std::time::Duration,
+    pub total_latency: Duration,
+    /// Tiers that failed and were skipped.
+    pub fallbacks: u32,
+    /// True when the served answer is best-effort: some tier failed on
+    /// the way here, or no tier accepted and the best rejected answer
+    /// was served.
+    pub degraded: bool,
     /// Per-tier trace.
     pub trace: Vec<TierAttempt>,
 }
+
+/// Every tier failed, so no answer, not even a rejected one, existed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CascadeExhausted {
+    /// `(model, error)` for every failed tier.
+    pub failures: Vec<(String, String)>,
+}
+
+impl std::fmt::Display for CascadeExhausted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "all {} cascade tiers failed:", self.failures.len())?;
+        for (model, err) in &self.failures {
+            write!(f, " [{model}: {err}]")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for CascadeExhausted {}
 
 /// A cascade over an ordered model sequence.
 ///
@@ -81,7 +119,8 @@ impl CascadeRouter {
     }
 
     /// Build a router over already-erased trait objects (used when
-    /// tiers mix concrete types, e.g. the resilient cascade).
+    /// tiers are built as decorator stacks, e.g. fault injection under
+    /// retries).
     pub fn new_dyn(
         models: Vec<Arc<dyn LanguageModel>>,
         decision: DecisionModel,
@@ -106,24 +145,79 @@ impl CascadeRouter {
         &self.decision
     }
 
-    /// Answer a prompt through the cascade.
+    /// Answer a prompt through the cascade, with no deadline.
     ///
     /// Observability: each call opens a `cascade.answer` span (fields
-    /// `tier_used`, `tiers_tried`, `total_cost_usd`) with one
-    /// `cascade.tier` child per attempted tier (fields `model`,
-    /// `decision_score`, `accepted`), and bumps `cascade.queries`,
-    /// `cascade.escalations` and `cascade.accept.<model>` counters plus
-    /// the `cascade.tier_used` histogram.
-    pub fn answer(&self, prompt: &str) -> Result<CascadeAnswer, llmdm_model::ModelError> {
+    /// `tier_used`, `tiers_tried`, `total_cost_usd`, plus `fallbacks`
+    /// and `degraded` on a degraded answer) with one `cascade.tier`
+    /// child per attempted tier (fields `model`, `decision_score`,
+    /// `accepted`, or `error` for a failed tier), and bumps
+    /// `cascade.queries`, `cascade.escalations` and
+    /// `cascade.accept.<model>` counters plus the `cascade.tier_used`
+    /// histogram. A failed tier bumps `resil.fallback_tier`, a degraded
+    /// answer `resil.degraded_answers`.
+    pub fn answer(&self, prompt: &str) -> Result<CascadeAnswer, CascadeExhausted> {
+        self.walk(prompt, Deadline::unbounded(), None)
+    }
+
+    /// Answer under a total latency budget of `budget_ms` milliseconds
+    /// on `clock`. Tier `i` of `n` gets the sub-deadline
+    /// `remaining / (n - i)` (`Deadline::slice`): unconsumed budget rolls
+    /// forward, but no tier may starve its successors.
+    pub fn answer_within(
+        &self,
+        prompt: &str,
+        budget_ms: u64,
+        clock: &SimClock,
+    ) -> Result<CascadeAnswer, CascadeExhausted> {
+        self.walk(prompt, Deadline::after(clock, budget_ms), Some(clock))
+    }
+
+    /// The one cascade walk. `clock` is `None` only for an unbounded
+    /// deadline, which needs no slicing.
+    fn walk(
+        &self,
+        prompt: &str,
+        deadline: Deadline,
+        clock: Option<&SimClock>,
+    ) -> Result<CascadeAnswer, CascadeExhausted> {
         let mut span = llmdm_obs::span("cascade.answer");
         llmdm_obs::counter_add("cascade.queries", 1.0);
         let n = self.models.len();
         let mut trace = Vec::with_capacity(n);
         let mut total_cost = 0.0;
-        let mut total_latency = std::time::Duration::ZERO;
+        let mut total_latency = Duration::ZERO;
+        let mut fallbacks = 0u32;
+        // The best-scoring rejected answer so far: (tier, score).
+        let mut best: Option<(usize, f64)> = None;
         for (i, model) in self.models.iter().enumerate() {
             let mut tier_span = llmdm_obs::span("cascade.tier");
-            let completion = model.complete(&CompletionRequest::new(prompt))?;
+            let req = CompletionRequest {
+                deadline: clock.map_or(deadline, |c| deadline.slice(c, i, n)),
+                ..CompletionRequest::new(prompt)
+            };
+            let completion = match model.complete(&req) {
+                Ok(c) => c,
+                Err(e) => {
+                    let error = e.to_string();
+                    fallbacks += 1;
+                    llmdm_obs::counter_add("resil.fallback_tier", 1.0);
+                    if tier_span.is_recording() {
+                        tier_span.field("model", model.name());
+                        tier_span.field("tier", i);
+                        tier_span.field("error", error.as_str());
+                    }
+                    trace.push(TierAttempt {
+                        model: model.name().to_string(),
+                        answer: String::new(),
+                        decision_score: 0.0,
+                        accepted: false,
+                        cost: 0.0,
+                        error: Some(error),
+                    });
+                    continue;
+                }
+            };
             total_cost += completion.cost;
             total_latency += completion.latency;
             let score = self.decision.predict(&Features::extract(&completion, i, n));
@@ -142,8 +236,10 @@ impl CascadeRouter {
                 decision_score: score,
                 accepted,
                 cost: completion.cost,
+                error: None,
             });
             if accepted {
+                let degraded = fallbacks > 0;
                 if span.is_recording() {
                     span.field("tier_used", i);
                     span.field("tiers_tried", i + 1);
@@ -152,16 +248,46 @@ impl CascadeRouter {
                     llmdm_obs::counter_add(&format!("cascade.accept.{}", model.name()), 1.0);
                     llmdm_obs::observe("cascade.tier_used", i as f64);
                 }
+                if degraded {
+                    note_degraded(&mut span, fallbacks, "fallback");
+                }
                 return Ok(CascadeAnswer {
                     text: completion.text,
                     tier_used: i,
                     total_cost,
                     total_latency,
+                    fallbacks,
+                    degraded,
                     trace,
                 });
             }
+            if best.is_none_or(|(_, s)| score > s) {
+                best = Some((i, score));
+            }
         }
-        unreachable!("last tier always accepts")
+
+        // The last tier failed, so nothing accepted: serve the best
+        // rejected answer, degraded.
+        if let Some((tier_used, _)) = best {
+            if span.is_recording() {
+                span.field("tier_used", tier_used);
+                span.field("tiers_tried", n);
+                span.field("total_cost_usd", total_cost);
+            }
+            note_degraded(&mut span, fallbacks, "best_effort");
+            return Ok(CascadeAnswer {
+                text: trace[tier_used].answer.clone(),
+                tier_used,
+                total_cost,
+                total_latency,
+                fallbacks,
+                degraded: true,
+                trace,
+            });
+        }
+        Err(CascadeExhausted {
+            failures: trace.into_iter().filter_map(|t| Some((t.model, t.error?))).collect(),
+        })
     }
 
     /// Collect labelled decision-model training data by running every tier
@@ -184,12 +310,22 @@ impl CascadeRouter {
     }
 }
 
+/// Count a degraded answer and say why on the query's span.
+fn note_degraded(span: &mut llmdm_obs::Span<'_>, fallbacks: u32, why: &str) {
+    llmdm_obs::counter_add("resil.degraded_answers", 1.0);
+    if span.is_recording() {
+        span.field("fallbacks", fallbacks);
+        span.field("degraded", why);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hotpot::{HotpotConfig, HotpotWorkload};
     use crate::solver::QaSolver;
-    use llmdm_model::ModelZoo;
+    use llmdm_model::{ModelStack, ModelZoo};
+    use llmdm_resil::{FaultPlan, FaultRates, TierPlan, Window};
 
     fn setup(seed: u64) -> (ModelZoo, HotpotWorkload) {
         let zoo = ModelZoo::standard(seed);
@@ -305,5 +441,119 @@ mod tests {
         let a = router.answer(&w.items[0].prompt()).unwrap();
         assert_eq!(a.tier_used, 2);
         assert_eq!(a.trace.len(), 3);
+    }
+
+    // ---- Failing tiers: fallback, best-effort serving, sliced budget ----
+
+    fn oracle(gold: &str, nonce: u64) -> String {
+        llmdm_model::PromptEnvelope::builder("oracle")
+            .header("gold", gold)
+            .header("difficulty", 0.1)
+            .header("nonce", nonce)
+            .body("q")
+            .build()
+    }
+
+    /// A router whose tiers are the standard zoo behind `plan`'s fault
+    /// injector and the default retry client, all on `clock`.
+    fn faulty_router(plan: FaultPlan, clock: &SimClock, threshold: f64) -> CascadeRouter {
+        let zoo = ModelZoo::standard(3);
+        let plan = Arc::new(plan);
+        let models = zoo
+            .cascade_order()
+            .into_iter()
+            .map(|m| {
+                ModelStack::over(m as Arc<dyn LanguageModel>)
+                    .on_clock(clock.clone())
+                    .with_faults(plan.clone())
+                    .with_default_retry()
+                    .build_arc()
+            })
+            .collect();
+        CascadeRouter::new_dyn(models, DecisionModel::new(), threshold)
+    }
+
+    fn tier_names() -> Vec<String> {
+        ModelZoo::standard(3).cascade_order().iter().map(|m| m.name().to_string()).collect()
+    }
+
+    fn down(tier: &str) -> TierPlan {
+        TierPlan::quiet(tier).outage(Window::new(0, u64::MAX))
+    }
+
+    #[test]
+    fn quiet_plan_behaves_like_a_plain_cascade() {
+        let clock = SimClock::new();
+        let router = faulty_router(FaultPlan::none(), &clock, 0.0);
+        let a = router.answer_within(&oracle("paris", 0), 60_000, &clock).unwrap();
+        assert_eq!(a.tier_used, 0);
+        assert_eq!(a.fallbacks, 0);
+        assert!(!a.degraded);
+        assert!(!a.text.is_empty());
+    }
+
+    #[test]
+    fn tier_zero_outage_falls_back_and_degrades() {
+        let clock = SimClock::new();
+        let plan = FaultPlan::new("t0-outage", 1, vec![down(&tier_names()[0])]);
+        let router = faulty_router(plan, &clock, 0.0);
+        let a = router.answer_within(&oracle("paris", 0), 600_000, &clock).unwrap();
+        assert_eq!(a.tier_used, 1, "must fall back to the next tier");
+        assert_eq!(a.fallbacks, 1);
+        assert!(a.degraded);
+        assert!(a.trace[0].error.is_some());
+    }
+
+    #[test]
+    fn total_outage_exhausts_the_cascade() {
+        let clock = SimClock::new();
+        let plan = FaultPlan::new("all-out", 2, tier_names().iter().map(|t| down(t)).collect());
+        let router = faulty_router(plan, &clock, 0.0);
+        let err = router.answer_within(&oracle("paris", 0), 600_000, &clock).unwrap_err();
+        assert_eq!(err.failures.len(), 3);
+        assert!(err.to_string().contains("all 3 cascade tiers failed"));
+    }
+
+    #[test]
+    fn rejected_answer_is_served_best_effort_when_upper_tiers_die() {
+        let clock = SimClock::new();
+        let names = tier_names();
+        // Tiers 1 and 2 are down; tier 0 answers but the threshold is
+        // unreachable, so its rejected answer must be served degraded.
+        let plan = FaultPlan::new("top-out", 4, vec![down(&names[1]), down(&names[2])]);
+        let router = faulty_router(plan, &clock, 1.1);
+        let a = router.answer_within(&oracle("paris", 0), 600_000, &clock).unwrap();
+        assert!(a.degraded);
+        assert_eq!(a.tier_used, 0);
+        assert_eq!(a.fallbacks, 2);
+        assert!(!a.text.is_empty(), "a best-effort answer must still carry text");
+    }
+
+    #[test]
+    fn budget_is_sliced_so_early_storms_leave_budget_for_later_tiers() {
+        let clock = SimClock::new();
+        // Tier 0 rate-limits every call with a huge retry-after hint,
+        // so its retries would love to eat the entire budget.
+        let plan = FaultPlan::new(
+            "storm",
+            5,
+            vec![TierPlan::with_rates(
+                &tier_names()[0],
+                FaultRates { rate_limited: 1.0, ..Default::default() },
+            )
+            .retry_hint(50_000)],
+        );
+        let router = faulty_router(plan, &clock, 0.0);
+        let budget = 90_000u64;
+        let a = router.answer_within(&oracle("paris", 0), budget, &clock).unwrap();
+        // Tier 0's slice is budget/3; its 50s retry hint cannot fit, so
+        // it fails fast and tier 1 still has budget to answer.
+        assert_eq!(a.tier_used, 1);
+        assert!(a.degraded);
+        assert!(
+            clock.now_ms() <= budget,
+            "walk must respect the total budget: {}ms",
+            clock.now_ms()
+        );
     }
 }

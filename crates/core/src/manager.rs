@@ -7,8 +7,9 @@ use std::sync::Arc;
 use llmdm_integrate::clean::{clean_report, repair_fd_violations, CleanReport};
 use llmdm_model::ModelZoo;
 use llmdm_sqlengine::{Database, Table, Value};
+use llmdm_rt::json::Json;
 use llmdm_transform::relational::parse_scalar;
-use llmdm_transform::{discover_program, Grid, JsonValue, Op};
+use llmdm_transform::{discover_program, Grid, Op};
 use llmdm_vecdb::AttrValue;
 
 /// How a pipeline stage finished (graceful-degradation contract).
@@ -143,7 +144,7 @@ impl DataManager {
     pub fn ingest_json(&mut self, name: &str, json: &str) -> Result<Vec<String>, String> {
         let mut span = llmdm_obs::span("core.stage.transformation");
         span.field("op", "ingest_json");
-        let doc = JsonValue::parse(json)?;
+        let doc = Json::parse(json).map_err(|e| e.to_string())?;
         let tables = llmdm_transform::json_to_tables(name, &doc)?;
         let mut names = Vec::with_capacity(tables.len());
         for t in tables {

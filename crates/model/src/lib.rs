@@ -64,7 +64,7 @@ pub use faulty::FaultyModel;
 pub use resilient::{ClientStats, ResilientClient};
 pub use latency::LatencyModel;
 pub use pricing::{PriceTable, Pricing};
-pub use sim::{Completion, CompletionRequest, CompletionRequestBuilder, LanguageModel, SimLlm};
+pub use sim::{Completion, CompletionRequest, LanguageModel, SimLlm};
 pub use stack::ModelStack;
 pub use solver::{PromptEnvelope, PromptSolver, SolvedPart, SolvedTask};
 pub use tokenizer::Tokenizer;

@@ -2,15 +2,18 @@
 //! `llmdm-resil`'s retry executor (backoff + deadline + circuit
 //! breaker) around any inner model.
 //!
-//! This is the model-layer half of the resilience story: the tier-aware
-//! fallback router (`llmdm_cascade::resilient::ResilientCascade`) keeps
-//! one of these per tier and walks down the cascade when a tier's
-//! breaker opens or its budget slice expires.
+//! This is the model-layer half of the resilience story. Each call runs
+//! under the request's own [`CompletionRequest::deadline`], so a caller
+//! bounds a call by setting that field: the cascade router
+//! (`llmdm_cascade::CascadeRouter::answer_within`) hands each tier its
+//! slice of the query budget that way, and falls back to the next tier
+//! when this client gives up (breaker open, budget slice spent, retries
+//! exhausted).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use llmdm_resil::{
-    execute, Backoff, BreakerConfig, CallStats, CircuitBreaker, Deadline, ResilError, Retryable,
+    execute, Backoff, BreakerConfig, CallStats, CircuitBreaker, ResilError, Retryable,
     RetryPolicy, SimClock,
 };
 
@@ -122,18 +125,17 @@ impl ResilientClient {
         *self.lock_stats()
     }
 
-    /// Complete `req` under a deadline, returning the per-call
-    /// [`CallStats`] alongside the outcome.
-    pub fn complete_within(
+    /// Complete `req` under `req.deadline`, returning the per-call
+    /// [`CallStats`] alongside the executor's own error.
+    fn complete_within(
         &self,
         req: &CompletionRequest,
-        deadline: Deadline,
     ) -> (Result<Completion, ResilError<ModelError>>, CallStats) {
         let mut span = llmdm_obs::span("resil.call");
         span.field("model", self.inner.name());
         let mut breaker = self.lock_breaker();
         let (res, call_stats) =
-            execute(&self.policy, &mut breaker, &self.clock, deadline, |_attempt| {
+            execute(&self.policy, &mut breaker, &self.clock, req.deadline, |_attempt| {
                 self.inner.complete(req)
             });
         drop(breaker);
@@ -188,10 +190,10 @@ impl LanguageModel for ResilientClient {
         self.inner.context_window()
     }
 
-    /// Trait-level completion uses an unbounded deadline; use
-    /// [`ResilientClient::complete_within`] for budgeted calls.
+    /// Runs the retry executor under `req.deadline`; an expired or
+    /// exhausted budget surfaces as a retryable `Timeout`.
     fn complete(&self, req: &CompletionRequest) -> Result<Completion, ModelError> {
-        let (res, _) = self.complete_within(req, Deadline::unbounded());
+        let (res, _) = self.complete_within(req);
         res.map_err(resil_to_model_error)
     }
 }
@@ -206,7 +208,7 @@ mod tests {
     use crate::sim::{SimLlm, SimLlmConfig};
     use crate::solver::PromptEnvelope as Env;
     use crate::usage::UsageMeter;
-    use llmdm_resil::{FaultPlan, FaultRates, TierPlan, Window};
+    use llmdm_resil::{Deadline, FaultPlan, FaultRates, TierPlan, Window};
 
     fn sim(meter: UsageMeter) -> Arc<SimLlm> {
         Arc::new(SimLlm::new(
@@ -267,7 +269,7 @@ mod tests {
         let inner = faulty(FaultRates { rate_limited: 0.9, ..FaultRates::default() }, 5, &clock);
         let client = ResilientClient::with_defaults(inner, clock);
         for n in 0..30 {
-            let (_, cs) = client.complete_within(&prompt(n), Deadline::unbounded());
+            let (_, cs) = client.complete_within(&prompt(n));
             assert!(cs.retries <= client.policy().max_retries, "{cs:?}");
         }
     }
@@ -292,7 +294,7 @@ mod tests {
         );
         let mut rejections = 0;
         for n in 0..10 {
-            match client.complete_within(&prompt(n), Deadline::unbounded()).0 {
+            match client.complete_within(&prompt(n)).0 {
                 Err(ResilError::BreakerOpen { .. }) => rejections += 1,
                 Err(_) => {}
                 Ok(_) => panic!("nothing can succeed during a total outage"),
@@ -341,8 +343,8 @@ mod tests {
             BreakerConfig { failure_threshold: 100, cooldown_ms: 1, jitter: 0.0, seed: 0 },
             clock.clone(),
         );
-        let deadline = Deadline::after(&clock, 300);
-        let (res, _) = client.complete_within(&prompt(0), deadline);
+        let req = CompletionRequest { deadline: Deadline::after(&clock, 300), ..prompt(0) };
+        let (res, _) = client.complete_within(&req);
         assert!(matches!(res, Err(ResilError::DeadlineExceeded { .. })), "{res:?}");
         assert!(clock.now_ms() <= 300, "must not overrun the deadline: {}", clock.now_ms());
     }
@@ -352,8 +354,7 @@ mod tests {
         let clock = SimClock::new();
         let meter = UsageMeter::new(PriceTable::standard());
         let client = ResilientClient::with_defaults(sim(meter), clock);
-        let (res, cs) = client
-            .complete_within(&CompletionRequest::new("no envelope here"), Deadline::unbounded());
+        let (res, cs) = client.complete_within(&CompletionRequest::new("no envelope here"));
         assert!(matches!(res, Err(ResilError::Exhausted { attempts: 1, .. })));
         assert_eq!(cs.retries, 0);
     }

@@ -23,6 +23,8 @@ use std::time::Duration;
 
 use std::sync::RwLock;
 
+use llmdm_resil::Deadline;
+
 use crate::capability::CapabilityCurve;
 use crate::error::ModelError;
 use crate::hash::{combine, fnv1a_str, unit_f64};
@@ -39,52 +41,22 @@ pub struct CompletionRequest {
     pub prompt: String,
     /// Maximum output tokens (advisory; the simulation truncates).
     pub max_output_tokens: usize,
+    /// The absolute point on the simulated clock by which the call must
+    /// finish. The retry layer (`ResilientClient`) runs under it; a bare
+    /// model ignores it.
+    pub deadline: Deadline,
 }
 
 impl CompletionRequest {
-    /// A request with the default output budget.
-    ///
-    /// Infallible for compatibility; prefer [`CompletionRequest::builder`]
-    /// which validates the prompt up front (an empty prompt fails here
-    /// only at `complete` time, as [`ModelError::EmptyInput`]).
+    /// A request with the default output budget and no deadline. An
+    /// empty prompt is rejected at `complete` time, as
+    /// [`ModelError::EmptyInput`].
     pub fn new(prompt: impl Into<String>) -> Self {
-        CompletionRequest { prompt: prompt.into(), max_output_tokens: 512 }
-    }
-
-    /// The validating builder: the one construction path that rejects
-    /// bad requests *before* they reach a model or a solver.
-    pub fn builder(prompt: impl Into<String>) -> CompletionRequestBuilder {
-        CompletionRequestBuilder { prompt: prompt.into(), max_output_tokens: 512 }
-    }
-}
-
-/// Builder for [`CompletionRequest`] with up-front validation.
-///
-/// Previously every call site hand-assembled requests and an empty or
-/// whitespace-only prompt sailed through to whatever solver happened to
-/// parse it downstream — panicking or mis-parsing instead of failing
-/// with a typed error. The builder centralizes that check.
-#[derive(Debug, Clone)]
-pub struct CompletionRequestBuilder {
-    prompt: String,
-    max_output_tokens: usize,
-}
-
-impl CompletionRequestBuilder {
-    /// Override the output-token budget (clamped to ≥ 1).
-    pub fn max_output_tokens(mut self, n: usize) -> Self {
-        self.max_output_tokens = n.max(1);
-        self
-    }
-
-    /// Validate and build. An empty or whitespace-only prompt is a
-    /// permanent, typed [`ModelError::EmptyInput`] — not retryable, not a
-    /// downstream panic.
-    pub fn build(self) -> Result<CompletionRequest, ModelError> {
-        if self.prompt.trim().is_empty() {
-            return Err(ModelError::EmptyInput);
+        CompletionRequest {
+            prompt: prompt.into(),
+            max_output_tokens: 512,
+            deadline: Deadline::unbounded(),
         }
-        Ok(CompletionRequest { prompt: self.prompt, max_output_tokens: self.max_output_tokens })
     }
 }
 
@@ -242,8 +214,8 @@ impl LanguageModel for SimLlm {
     fn complete(&self, req: &CompletionRequest) -> Result<Completion, ModelError> {
         let mut span = llmdm_obs::span("model.complete");
         span.field("model", self.config.name.as_str());
-        // Defense in depth behind the builder: requests constructed via
-        // `CompletionRequest::new` can still carry an empty prompt.
+        // The one empty-prompt check: an empty or whitespace-only prompt
+        // is a permanent, typed error, not a downstream solver panic.
         if req.prompt.trim().is_empty() {
             return Err(ModelError::EmptyInput);
         }
@@ -496,28 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_empty_prompts_with_typed_error() {
-        for bad in ["", "   ", "\n\t "] {
-            assert_eq!(
-                CompletionRequest::builder(bad).build().unwrap_err(),
-                ModelError::EmptyInput
-            );
-        }
-        let ok = CompletionRequest::builder("### task: echo\nhi")
-            .max_output_tokens(7)
-            .build()
-            .unwrap();
-        assert_eq!(ok.max_output_tokens, 7);
-        // The model-side backstop catches unvalidated construction too.
+    fn complete_rejects_empty_prompts_with_typed_error() {
         let m = model(0.9);
-        assert_eq!(m.complete(&CompletionRequest::new("  ")), Err(ModelError::EmptyInput));
-    }
-
-    #[test]
-    fn builder_matches_new_for_valid_prompts() {
-        let a = CompletionRequest::builder("### task: echo\nsame").build().unwrap();
-        let b = CompletionRequest::new("### task: echo\nsame");
-        assert_eq!(a, b);
+        for bad in ["", "   ", "\n\t "] {
+            assert_eq!(m.complete(&CompletionRequest::new(bad)), Err(ModelError::EmptyInput));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`Deadline`] is an absolute point on the [`SimClock`] timeline.
 //! The retry executor refuses to start a backoff sleep that would blow
-//! past it, and the resilient cascade *slices* the remaining budget
+//! past it, and the cascade router *slices* the remaining budget
 //! across tiers so a cheap-tier retry storm cannot starve the
 //! expensive tier (DESIGN.md §9's deadline-propagation rule:
 //! tier `i` of `n` gets `remaining / (n - i)`).

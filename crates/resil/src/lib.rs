@@ -29,8 +29,8 @@
 //! use it without cycles. The `LanguageModel`-shaped adapters —
 //! `FaultyModel` (injects faults from a [`FaultPlan`]) and
 //! `ResilientClient` (wraps a model with [`retry::execute`]) — live in
-//! `llmdm-model::{faulty, resilient}`, and the tier-aware fallback
-//! router lives in `llmdm-cascade::resilient`. The error taxonomy this
+//! `llmdm-model::{faulty, resilient}`, and the tier-aware fallback walk
+//! is `llmdm-cascade`'s `CascadeRouter`. The error taxonomy this
 //! crate classifies against is abstracted behind the [`Retryable`]
 //! trait, which `llmdm_model::ModelError` implements.
 //!
@@ -38,7 +38,8 @@
 //!
 //! `resil.retries`, `resil.breaker_open` (trips),
 //! `resil.breaker_rejected` (calls refused while open),
-//! `resil.breaker_transition`, `resil.fallback_tier`,
+//! `resil.breaker_transition`, `resil.fallback_tier` and
+//! `resil.degraded_answers` (bumped by the cascade router),
 //! `resil.stale_serves` (bumped by semcache), `resil.faults.<kind>`
 //! (bumped by the injector), and the `resil.backoff_ms` histogram.
 //! See DESIGN.md §9.

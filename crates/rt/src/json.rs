@@ -647,6 +647,21 @@ mod tests {
     }
 
     #[test]
+    fn escapes_roundtrip() {
+        let v = Json::parse(r#""line\nbreak \"quoted\" A""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "line\nbreak \"quoted\" A");
+        let rendered = v.to_string();
+        assert_eq!(Json::parse(&rendered).unwrap(), v);
+    }
+
+    #[test]
+    fn display_roundtrip() {
+        let doc = r#"{"a":[1,2,{"b":null}],"c":true}"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
     fn parses_whitespace_and_escapes() {
         let v = Json::parse(" { \"a\" : [ 1 , 2.5 , \"x\\u0041\\n\" ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_str().unwrap(), "xA\n");
@@ -660,9 +675,66 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "[1] extra"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "1.2.3",
+            "1 2",
+            "\"unterminated",
+            "[1] extra",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parses_scalars() {
+        assert_eq!(Json::parse("null").unwrap(), Json::Null);
+        assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
+        assert_eq!(Json::parse("-3.5e2").unwrap(), Json::Num(-350.0));
+        assert_eq!(Json::parse("2E+3").unwrap(), Json::Num(2000.0));
+        assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn parses_nested_document() {
+        let doc = r#"{"patients": [{"name": "Alice", "age": 34, "labs": [1.2, 3.4]},
+                      {"name": "Bob", "age": 40, "labs": []}], "hospital": "BIT"}"#;
+        let v = Json::parse(doc).unwrap();
+        let patients = v.get("patients").unwrap().as_arr().unwrap();
+        assert_eq!(patients.len(), 2);
+        assert_eq!(patients[0].get("name").unwrap().as_str().unwrap(), "Alice");
+        assert_eq!(patients[0].get("labs").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(v.get("hospital").unwrap().as_str().unwrap(), "BIT");
+    }
+
+    #[test]
+    fn key_order_preserved() {
+        let v = Json::parse(r#"{"z": 1, "a": 2, "m": 3}"#).unwrap();
+        let Json::Obj(fields) = &v else { panic!("not an object: {v}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "a", "m"]);
+        assert_eq!(v.render(), r#"{"z":1,"a":2,"m":3}"#);
+    }
+
+    #[test]
+    fn unicode_content() {
+        let v = Json::parse("\"北京 café\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "北京 café");
+        assert_eq!(v.render(), "\"北京 café\"");
+    }
+
+    #[test]
+    fn empty_containers() {
+        assert_eq!(Json::parse("[]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse("{}").unwrap(), Json::Obj(vec![]));
+        assert_eq!(Json::parse(" [ ] ").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse("{ }").unwrap(), Json::Obj(vec![]));
     }
 
     #[test]

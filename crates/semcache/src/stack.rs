@@ -92,10 +92,10 @@ impl CachedModel {
     /// `key` is embedded once, off the lock, and that probe serves the
     /// lookup and whichever of insert, rejection note or stale serve
     /// follows it. A reuse hit is answered without the model; an augment
-    /// hit calls it with the cached pair appended as one more example; a
-    /// miss calls it with `req` as given. When the model fails with a
-    /// *retryable* error (rate limit, timeout, outage) the best entry
-    /// above [`CacheConfig::stale_threshold`] is served instead; other
+    /// hit calls it with the cached pair appended as one more example,
+    /// under `req`'s output budget and deadline; a miss calls it with
+    /// `req` as given. When the model fails with a *retryable* error
+    /// (rate limit, timeout, outage) the best entry above [`CacheConfig::stale_threshold`] is served instead; other
     /// errors surface unchanged — stale data cannot fix a broken request.
     pub fn ask(&self, key: &str, req: &CompletionRequest) -> Result<Completion, ModelError> {
         if let Some(p) = &self.admission {
@@ -109,6 +109,7 @@ impl CachedModel {
                 self.inner.complete(&CompletionRequest {
                     prompt: augment_prompt(&req.prompt, &query, &response),
                     max_output_tokens: req.max_output_tokens,
+                    deadline: req.deadline,
                 })
             }
             Lookup::Miss => self.inner.complete(req),
@@ -204,7 +205,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use llmdm_model::{FaultyModel, PromptEnvelope};
-    use llmdm_resil::{FaultPlan, FaultRates, SimClock, TierPlan};
+    use llmdm_resil::{Deadline, FaultPlan, FaultRates, SimClock, TierPlan};
 
     fn oracle_req(q: &str) -> CompletionRequest {
         CompletionRequest::new(
@@ -295,6 +296,31 @@ mod tests {
         );
         let diff = (faulty.executed_cost() - zoo.meter().snapshot().total_dollars()).abs();
         assert!(diff < 1e-9);
+    }
+
+    #[test]
+    fn the_request_deadline_reaches_the_retry_layer_on_miss_and_augment() {
+        let zoo = ModelZoo::standard(3);
+        let cache = shared_cache(CacheConfig { reuse_threshold: 0.995, ..Default::default() });
+        let stack = ModelStack::new(&zoo).with_default_retry().with_cache(cache.clone());
+        let client = stack.resilient().unwrap().clone();
+        let model = stack.build();
+        let expired = |q: &str| CompletionRequest { deadline: Deadline::at(0), ..oracle_req(q) };
+
+        // Miss: the request goes to the retry layer as given.
+        assert!(model.complete(&expired("stadiums with concerts in 2014")).is_err());
+        assert_eq!(client.stats().deadline_failures, 1);
+        assert_eq!(zoo.meter().snapshot().total_calls(), 0);
+
+        // Augment hit: the rewritten request must keep the deadline.
+        model
+            .complete(&oracle_req("What are the names of stadiums that had concerts in 2014?"))
+            .unwrap();
+        let _ =
+            model.complete(&expired("What are the names of stadiums that had concerts in 2016?"));
+        assert_eq!(stats(&cache).augment_hits, 1);
+        assert_eq!(client.stats().deadline_failures, 2);
+        assert_eq!(zoo.meter().snapshot().total_calls(), 1);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   (defaults to the priority's label);
 //! * [`ServeRequest::payload`] — the caller's job body, untouched.
 //!
-//! Construction goes through a validating builder mirroring
-//! `CompletionRequest::builder` in `llmdm-model`: invalid input is a
+//! Construction goes through a validating builder: invalid input is a
 //! typed [`ServeError::InvalidRequest`] at build time, not a panic in
 //! the scheduler.
 

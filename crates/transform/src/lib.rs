@@ -3,9 +3,10 @@
 //! Everything the paper's transformation section describes, built from
 //! scratch:
 //!
-//! * [`json`] / [`xml`] — hand-written parsers for the semi-structured
-//!   inputs of Fig. 4 (parsing semi-structured data *is* the application
-//!   here, so these are first-class implementations, not dependencies);
+//! * [`xml`] — a hand-written parser for the XML inputs of Fig. 4; JSON
+//!   inputs are parsed by the workspace's one JSON codec,
+//!   `llmdm_rt::json::Json` (parsing semi-structured data *is* the
+//!   application here, so neither is a dependency);
 //! * [`relational`] — schema inference and flattening: JSON/XML documents
 //!   → relational [`Table`](llmdm_sqlengine::Table)s ("guide LLMs to
 //!   extract schema information and the corresponding values … and then
@@ -33,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod colmap;
-pub mod json;
 pub mod nl2txn;
 pub mod ops;
 pub mod pattern;
@@ -43,7 +43,6 @@ pub mod synthesize;
 pub mod xml;
 
 pub use colmap::{synthesize_mapping, MapProgram};
-pub use json::JsonValue;
 pub use nl2txn::{compile_transaction, TransferScript};
 pub use ops::{Grid, Op};
 pub use pattern::{mine_pattern, Pattern, PatternToken};

@@ -9,9 +9,9 @@
 //! * Repeated XML child elements become rows; attributes and scalar
 //!   children become columns.
 
+use llmdm_rt::json::Json;
 use llmdm_sqlengine::{Column, DataType, Schema, Table, Value};
 
-use crate::json::JsonValue;
 use crate::xml::XmlNode;
 
 /// Schema inference over a set of flattened records.
@@ -78,33 +78,33 @@ impl SchemaInference {
 /// object-array fields are deferred to child tables via `children`.
 fn flatten_object(
     prefix: &str,
-    obj: &[(String, JsonValue)],
+    obj: &[(String, Json)],
     record: &mut Vec<(String, Value)>,
-    children: &mut Vec<(String, Vec<JsonValue>)>,
+    children: &mut Vec<(String, Vec<Json>)>,
 ) {
     for (k, v) in obj {
         let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
         match v {
-            JsonValue::Null => record.push((path, Value::Null)),
-            JsonValue::Bool(b) => record.push((path, Value::Bool(*b))),
-            JsonValue::Number(n) => {
+            Json::Null => record.push((path, Value::Null)),
+            Json::Bool(b) => record.push((path, Value::Bool(*b))),
+            Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
                     record.push((path, Value::Int(*n as i64)));
                 } else {
                     record.push((path, Value::Float(*n)));
                 }
             }
-            JsonValue::String(s) => record.push((path, Value::Str(s.clone()))),
-            JsonValue::Object(fields) => flatten_object(&path, fields, record, children),
-            JsonValue::Array(items) => {
-                if items.iter().all(|i| matches!(i, JsonValue::Object(_))) && !items.is_empty() {
+            Json::Str(s) => record.push((path, Value::Str(s.clone()))),
+            Json::Obj(fields) => flatten_object(&path, fields, record, children),
+            Json::Arr(items) => {
+                if items.iter().all(|i| matches!(i, Json::Obj(_))) && !items.is_empty() {
                     children.push((path, items.clone()));
                 } else {
                     // Scalar array: joined text rendering.
                     let joined = items
                         .iter()
                         .map(|i| match i {
-                            JsonValue::String(s) => s.clone(),
+                            Json::Str(s) => s.clone(),
                             other => other.to_string(),
                         })
                         .collect::<Vec<_>>()
@@ -122,15 +122,14 @@ fn flatten_object(
 /// an array (the first one found becomes the root table). Nested arrays of
 /// objects become child tables `"{root}_{path}"` with a `_parent_id`
 /// column.
-pub fn json_to_tables(name: &str, doc: &JsonValue) -> Result<Vec<Table>, String> {
-    let rows: &[JsonValue] = match doc {
-        JsonValue::Array(items) => items,
-        JsonValue::Object(fields) => fields
+pub fn json_to_tables(name: &str, doc: &Json) -> Result<Vec<Table>, String> {
+    let rows: &[Json] = match doc {
+        Json::Arr(items) => items,
+        Json::Obj(fields) => fields
             .iter()
             .find_map(|(_, v)| match v {
-                JsonValue::Array(items)
-                    if items.iter().all(|i| matches!(i, JsonValue::Object(_)))
-                        && !items.is_empty() =>
+                Json::Arr(items)
+                    if items.iter().all(|i| matches!(i, Json::Obj(_))) && !items.is_empty() =>
                 {
                     Some(items.as_slice())
                 }
@@ -146,9 +145,9 @@ pub fn json_to_tables(name: &str, doc: &JsonValue) -> Result<Vec<Table>, String>
     // Pass 1: flatten and infer.
     let mut inference = SchemaInference::default();
     let mut flat_rows: Vec<Vec<(String, Value)>> = Vec::with_capacity(rows.len());
-    let mut child_groups: Vec<(String, Vec<(usize, JsonValue)>)> = Vec::new();
+    let mut child_groups: Vec<(String, Vec<(usize, Json)>)> = Vec::new();
     for (i, r) in rows.iter().enumerate() {
-        let JsonValue::Object(fields) = r else {
+        let Json::Obj(fields) = r else {
             return Err(format!("record {i} is not an object"));
         };
         let mut record = vec![("_id".to_string(), Value::Int(i as i64))];
@@ -191,21 +190,21 @@ pub fn json_to_tables(name: &str, doc: &JsonValue) -> Result<Vec<Table>, String>
 
     // Pass 3: child tables, recursively.
     for (path, items) in child_groups {
-        let with_parent: Vec<JsonValue> = items
+        let with_parent: Vec<Json> = items
             .into_iter()
             .map(|(parent, v)| match v {
-                JsonValue::Object(mut fields) => {
+                Json::Obj(mut fields) => {
                     fields.insert(
                         0,
-                        ("_parent_id".to_string(), JsonValue::Number(parent as f64)),
+                        ("_parent_id".to_string(), Json::Num(parent as f64)),
                     );
-                    JsonValue::Object(fields)
+                    Json::Obj(fields)
                 }
                 other => other,
             })
             .collect();
         let child_name = format!("{name}_{}", path.replace('.', "_"));
-        out.extend(json_to_tables(&child_name, &JsonValue::Array(with_parent))?);
+        out.extend(json_to_tables(&child_name, &Json::Arr(with_parent))?);
     }
     Ok(out)
 }
@@ -301,7 +300,7 @@ mod tests {
 
     #[test]
     fn json_array_of_objects_to_table() {
-        let doc = JsonValue::parse(
+        let doc = Json::parse(
             r#"[{"name": "Alice", "age": 34, "city": "Beijing"},
                 {"name": "Bob", "age": 40},
                 {"name": "Chen", "age": 28, "city": "Singapore"}]"#,
@@ -319,7 +318,7 @@ mod tests {
 
     #[test]
     fn nested_objects_flatten_with_dotted_paths() {
-        let doc = JsonValue::parse(
+        let doc = Json::parse(
             r#"[{"name": "A", "address": {"city": "Beijing", "zip": 100081}}]"#,
         )
         .unwrap();
@@ -331,7 +330,7 @@ mod tests {
 
     #[test]
     fn object_arrays_become_child_tables() {
-        let doc = JsonValue::parse(
+        let doc = Json::parse(
             r#"[{"name": "A", "labs": [{"test": "hb", "value": 1.2}, {"test": "glu", "value": 3.4}]},
                 {"name": "B", "labs": [{"test": "hb", "value": 0.9}]}]"#,
         )
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn mixed_number_types_widen() {
-        let doc = JsonValue::parse(r#"[{"x": 1}, {"x": 2.5}]"#).unwrap();
+        let doc = Json::parse(r#"[{"x": 1}, {"x": 2.5}]"#).unwrap();
         let tables = json_to_tables("t", &doc).unwrap();
         let t = &tables[0];
         let x = t.schema.index_of("x").unwrap();
@@ -358,14 +357,14 @@ mod tests {
     #[test]
     fn wrapped_object_with_array_found() {
         let doc =
-            JsonValue::parse(r#"{"meta": 1, "rows": [{"a": 1}, {"a": 2}]}"#).unwrap();
+            Json::parse(r#"{"meta": 1, "rows": [{"a": 1}, {"a": 2}]}"#).unwrap();
         let tables = json_to_tables("t", &doc).unwrap();
         assert_eq!(tables[0].rows.len(), 2);
     }
 
     #[test]
     fn scalar_arrays_join_as_text() {
-        let doc = JsonValue::parse(r#"[{"tags": ["a", "b", "c"]}]"#).unwrap();
+        let doc = Json::parse(r#"[{"tags": ["a", "b", "c"]}]"#).unwrap();
         let tables = json_to_tables("t", &doc).unwrap();
         let t = &tables[0];
         let idx = t.schema.index_of("tags").unwrap();
@@ -374,7 +373,7 @@ mod tests {
 
     #[test]
     fn resulting_tables_are_queryable() {
-        let doc = JsonValue::parse(
+        let doc = Json::parse(
             r#"[{"name": "Alice", "age": 34}, {"name": "Bob", "age": 40}]"#,
         )
         .unwrap();
@@ -408,9 +407,9 @@ mod tests {
 
     #[test]
     fn non_record_json_rejected() {
-        assert!(json_to_tables("t", &JsonValue::parse("42").unwrap()).is_err());
-        assert!(json_to_tables("t", &JsonValue::parse("[]").unwrap()).is_err());
-        assert!(json_to_tables("t", &JsonValue::parse("[1, 2]").unwrap()).is_err());
+        assert!(json_to_tables("t", &Json::parse("42").unwrap()).is_err());
+        assert!(json_to_tables("t", &Json::parse("[]").unwrap()).is_err());
+        assert!(json_to_tables("t", &Json::parse("[1, 2]").unwrap()).is_err());
     }
 
     #[test]

@@ -4,22 +4,23 @@
 
 use llmdm_transform::ops::{Grid, Op};
 use llmdm_transform::synthesize::{apply_program, discover_program, relationality};
-use llmdm_transform::{mine_pattern, synthesize_mapping, JsonValue};
+use llmdm_transform::{mine_pattern, synthesize_mapping};
+use llmdm_rt::json::Json;
 use llmdm_rt::proptest;
 use llmdm_rt::proptest::prelude::*;
 
 // ---------- JSON ----------
 
-fn json_strategy() -> impl Strategy<Value = JsonValue> {
+fn json_strategy() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
-        Just(JsonValue::Null),
-        any::<bool>().prop_map(JsonValue::Bool),
-        (-1_000_000i64..1_000_000).prop_map(|i| JsonValue::Number(i as f64)),
-        "[a-zA-Z0-9 _.!?]{0,20}".prop_map(JsonValue::String),
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        (-1_000_000i64..1_000_000).prop_map(|i| Json::Num(i as f64)),
+        "[a-zA-Z0-9 _.!?]{0,20}".prop_map(Json::Str),
     ];
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(JsonValue::Array),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
             proptest::collection::vec(("[a-z][a-z0-9_]{0,8}", inner), 0..4).prop_map(|fields| {
                 // Deduplicate keys (JSON objects with repeated keys are not
                 // round-trippable by design).
@@ -31,7 +32,7 @@ fn json_strategy() -> impl Strategy<Value = JsonValue> {
                         out.push((k, v));
                     }
                 }
-                JsonValue::Object(out)
+                Json::Obj(out)
             }),
         ]
     })
@@ -42,7 +43,7 @@ proptest! {
     #[test]
     fn json_roundtrip(v in json_strategy()) {
         let rendered = v.to_string();
-        let reparsed = JsonValue::parse(&rendered)
+        let reparsed = Json::parse(&rendered)
             .unwrap_or_else(|e| panic!("reparse of {rendered:?} failed: {e}"));
         prop_assert_eq!(v, reparsed);
     }

@@ -108,71 +108,6 @@ impl IvfIndex {
         }
     }
 
-    /// Probed search with the list scans fanned out across `threads` OS
-    /// threads (the serving layer's parallel path).
-    ///
-    /// **Bit-identical to [`VectorIndex::search`]**: the quantizer picks
-    /// the same probe lists in the same order, the lists are chunked in
-    /// that order across threads, and per-chunk top-k partials merge in
-    /// chunk order — [`push_topk`]'s tie-break then reproduces the
-    /// sequential result exactly.
-    pub fn par_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        threads: usize,
-    ) -> Result<Vec<Neighbor>, VecDbError> {
-        let probed = self.probed(query);
-        let t = threads.max(1).min(probed.len().max(1));
-        if t <= 1 {
-            return self.search(query, k);
-        }
-        let mut span = llmdm_obs::span("vecdb.ivf.par_search");
-        check_dim(self.dim, query)?;
-        let q = self.metric.prepare(query);
-        let q = &q;
-        let chunk = probed.len().div_ceil(t);
-        let mut partials: Vec<(Vec<Neighbor>, usize)> = Vec::with_capacity(t);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = probed
-                .chunks(chunk)
-                .map(|lists| {
-                    s.spawn(move || {
-                        let mut best = Vec::with_capacity(k);
-                        let mut scanned = 0usize;
-                        for &c in lists {
-                            scanned += self.lists[c].ids.len();
-                            self.lists[c].scan(q, k, &mut best);
-                        }
-                        (best, scanned)
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("search worker panicked"));
-            }
-        });
-        let mut best = Vec::with_capacity(k);
-        let mut scanned = 0usize;
-        for (partial, part_scanned) in partials {
-            scanned += part_scanned;
-            for nb in partial {
-                push_topk(&mut best, k, nb);
-            }
-        }
-        if span.is_recording() {
-            span.field("k", k);
-            span.field("threads", t);
-            span.field("nprobe", self.config.nprobe);
-            span.field("candidates", scanned);
-            span.field("distance_comps", scanned);
-            llmdm_obs::counter_add("vecdb.search.queries", 1.0);
-            llmdm_obs::counter_add("vecdb.search.candidates", scanned as f64);
-            llmdm_obs::counter_add("vecdb.search.distance_comps", scanned as f64);
-        }
-        Ok(best)
-    }
-
     /// Retrain the quantizer on the currently stored vectors and
     /// redistribute the lists.
     pub fn retrain(&mut self) {
@@ -368,31 +303,6 @@ mod tests {
     #[test]
     fn invalid_config_rejected() {
         assert!(IvfIndex::new(4, Metric::L2, IvfConfig { nlist: 0, ..Default::default() }).is_err());
-    }
-
-    #[test]
-    fn par_search_matches_sequential() {
-        let (mut idx, _) = build(400);
-        let queries = random_vecs(20, 8, 123);
-        for nprobe in [1, 2, 8] {
-            idx.set_nprobe(nprobe);
-            for q in &queries {
-                let seq = idx.search(q, 10).unwrap();
-                for threads in [1, 2, 3, 8] {
-                    assert_eq!(
-                        idx.par_search(q, 10, threads).unwrap(),
-                        seq,
-                        "nprobe={nprobe} threads={threads}"
-                    );
-                }
-            }
-        }
-        // Also exact before training (single default list).
-        let mut fresh = IvfIndex::new(4, Metric::L2, IvfConfig::default()).unwrap();
-        fresh.insert(1, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        fresh.insert(2, vec![0.0, 1.0, 0.0, 0.0]).unwrap();
-        let q = [1.0, 0.0, 0.0, 0.0];
-        assert_eq!(fresh.par_search(&q, 2, 4).unwrap(), fresh.search(&q, 2).unwrap());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! once per search (`Metric::prepare`) and then pays one chunked [`dot`] per
 //! candidate ([`Rows::score`]). Because flat, IVF and HNSW all score through
 //! `Rows::score`, the same (query, row) pair gets the same bits everywhere —
-//! which is what keeps `par_search ≡ search` and pre-filter ≡ exact scan.
+//! which is what keeps pre-filter ≡ exact scan.
 
 /// Accumulator lanes of the chunked kernels. The value is part of the
 /// result: with the reduction order in [`reduce`] it fixes the last bit of

@@ -20,9 +20,7 @@
 
 use std::sync::Arc;
 
-use llmdm::cascade::{
-    CascadeRouter, DecisionModel, HotpotConfig, HotpotWorkload, QaSolver, ResilientCascade,
-};
+use llmdm::cascade::{CascadeRouter, DecisionModel, HotpotConfig, HotpotWorkload, QaSolver};
 use llmdm::model::prelude::*;
 use llmdm::resil::{FaultKind, FaultPlan, FaultRates, SimClock, TierPlan, Window};
 
@@ -35,6 +33,9 @@ const INTER_ARRIVAL_MS: u64 = 2_000;
 /// long outage hint fails fast and falls through instead of sleeping
 /// out the whole outage.
 const QUERY_BUDGET_MS: u64 = 10_000;
+/// FNV-1a of the three rendered schedule reports, concatenated in
+/// schedule order: pins every count, cost and fault tally of the run.
+const REPORT_DIGEST: u64 = 0x3fcc_e37a_46c4_11f5;
 
 /// The three escalating schedules.
 fn schedules() -> Vec<FaultPlan> {
@@ -115,9 +116,10 @@ fn run_schedule(plan: &FaultPlan) -> RunReport {
     let mut decision = DecisionModel::new();
     decision.train(&data, 400, 0.8);
 
-    // Wrap every tier in the fault injector on one shared clock via the
-    // ModelStack builder, keeping the typed injector handles for the
-    // executed-cost reconciliation below…
+    // Wrap every tier in the fault injector and the default retry client
+    // on one shared clock via the ModelStack builder, keeping the typed
+    // injector and retry handles for the executed-cost reconciliation
+    // and the retry-cap check below…
     let clock = SimClock::new();
     let plan = Arc::new(plan.clone());
     let stacks: Vec<ModelStack> = clean
@@ -126,13 +128,16 @@ fn run_schedule(plan: &FaultPlan) -> RunReport {
             ModelStack::over(m.clone() as Arc<dyn LanguageModel>)
                 .on_clock(clock.clone())
                 .with_faults(plan.clone())
+                .with_default_retry()
         })
         .collect();
     let faulty: Vec<Arc<FaultyModel>> =
         stacks.iter().map(|s| s.faulty().expect("with_faults applied").clone()).collect();
-    // …and build the resilient cascade over them.
+    let resilient: Vec<Arc<ResilientClient>> =
+        stacks.iter().map(|s| s.resilient().expect("retry applied").clone()).collect();
+    // …and build the cascade over them.
     let erased: Vec<Arc<dyn LanguageModel>> = stacks.into_iter().map(ModelStack::build_arc).collect();
-    let cascade = ResilientCascade::from_models(erased, decision, 0.6, clock.clone());
+    let cascade = CascadeRouter::new_dyn(erased, decision, 0.6);
 
     let mut answered = 0usize;
     let mut exhausted = 0usize;
@@ -141,7 +146,7 @@ fn run_schedule(plan: &FaultPlan) -> RunReport {
     let mut correct = 0usize;
     let mut total_cost = 0.0f64;
     for item in &workload.items {
-        match cascade.answer_within(&item.prompt(), QUERY_BUDGET_MS) {
+        match cascade.answer_within(&item.prompt(), QUERY_BUDGET_MS, &clock) {
             Ok(a) => {
                 answered += 1;
                 total_cost += a.total_cost;
@@ -161,7 +166,7 @@ fn run_schedule(plan: &FaultPlan) -> RunReport {
     // Per-tier resilience accounting.
     let mut retries = 0u64;
     let mut retry_cap_ok = true;
-    for tier in cascade.tiers() {
+    for tier in &resilient {
         let s = tier.stats();
         retries += s.retries;
         if s.retries > s.calls * u64::from(tier.policy().max_retries) {
@@ -278,6 +283,13 @@ fn main() {
     assert!(reports[2].fallbacks > 0, "outage schedule never fell back");
 
     // ---- Invariant 5: determinism. -----------------------------------
+    // The reports are pinned byte for byte.
+    let rendered: String = reports.iter().map(|r| r.rendered.as_str()).collect();
+    assert_eq!(
+        llmdm::rt::hash::fnv1a(rendered.as_bytes()),
+        REPORT_DIGEST,
+        "schedule reports changed"
+    );
     // Identical seed + plan ⇒ byte-identical fault sequence and report.
     for (plan, first) in plans.iter().zip(&reports) {
         let again = run_schedule(plan);

@@ -10,8 +10,9 @@ use llmdm::explore::DataLake;
 use llmdm::model::ModelZoo;
 use llmdm::privacy::dp::PrivacyAccountant;
 use llmdm::privacy::{membership_attack, train_dpsgd, DpSgdConfig};
+use llmdm::rt::json::Json;
 use llmdm::sql::Value;
-use llmdm::transform::{json_to_tables, xml_to_table, JsonValue, XmlNode};
+use llmdm::transform::{json_to_tables, xml_to_table, XmlNode};
 use llmdm::vecdb::AttrValue;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     println!("XML → table `{}` with {} rows", reports.name, reports.rows.len());
 
     // --- Transformation: JSON lab feed → relational (+ child table) ----
-    let labs_json = JsonValue::parse(
+    let labs_json = Json::parse(
         r#"[{"patient": "alice", "age": 63, "labs": [{"test": "hb", "value": 11.2}, {"test": "bp", "value": 151.0}]},
             {"patient": "bob", "age": 48, "labs": [{"test": "hb", "value": 13.9}]},
             {"patient": "chen", "age": 71, "labs": [{"test": "bp", "value": 162.0}]},

@@ -33,7 +33,8 @@ rm -rf "$TRACE_DIR"
 #   query_planner        EXPLAIN renders, planner == direct oracle bit-for-bit
 #   semantic_sql         LLM operators end-to-end, EXPLAIN estimates, ANALYZE/meter reconciliation, dedup+cache savings
 #   crash_recovery       kill matrix at all 3 commit barriers
-for example in chaos_pipeline serving_pipeline query_planner semantic_sql crash_recovery; do
+#   healthcare_pipeline  XML/JSON relationalization, imputation, lake search, DP-SGD (its .expect()s)
+for example in chaos_pipeline serving_pipeline query_planner semantic_sql crash_recovery healthcare_pipeline; do
     echo "== example $example"
     cargo run -q --release --offline -p llmdm --example "$example" >/dev/null
 done
