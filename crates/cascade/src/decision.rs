@@ -168,6 +168,7 @@ mod tests {
             cost: 0.0,
             latency: std::time::Duration::ZERO,
             confidence: 0.7,
+            cached: false,
         };
         let f = Features::extract(&c, 1, 3);
         assert_eq!(f.answer_len, 1.0);

@@ -53,7 +53,7 @@ fn meter_and_obs_counters_reconcile_after_cascade_run() {
             "per-model calls for {model}"
         );
         let per_obs = llmdm_obs::counter_value(&format!("model.cost_usd.{model}"));
-        assert!((per_obs - usage.dollars).abs() < 1e-9, "per-model dollars for {model}");
+        assert!((per_obs - usage.dollars()).abs() < 1e-9, "per-model dollars for {model}");
     }
 
     // The span side saw the same traffic: one model.complete span per call,

@@ -27,7 +27,6 @@
 pub mod clean;
 pub mod cta;
 pub mod er;
-pub mod jsonio;
 pub mod schema_match;
 pub mod understand;
 

@@ -82,14 +82,6 @@ impl Embedder {
         normalize(&mut v);
         Ok(v)
     }
-
-    /// Embed a batch of texts.
-    pub fn embed_batch<'a, I: IntoIterator<Item = &'a str>>(
-        &self,
-        texts: I,
-    ) -> Result<Vec<Vec<f32>>, ModelError> {
-        texts.into_iter().map(|t| self.embed(t)).collect()
-    }
 }
 
 /// The signed random projection of a stream of weighted features.
@@ -228,14 +220,6 @@ mod tests {
         let a = Embedder::standard(1).embed("stadium").unwrap();
         let b = Embedder::standard(2).embed("stadium").unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let e = emb();
-        let batch = e.embed_batch(["a cat", "a dog"]).unwrap();
-        assert_eq!(batch[0], e.embed("a cat").unwrap());
-        assert_eq!(batch[1], e.embed("a dog").unwrap());
     }
 
     #[test]

@@ -34,22 +34,12 @@ pub enum TransientKind {
 }
 
 impl TransientKind {
-    /// Stable lowercase label (used in JSON and metric names).
+    /// Stable lowercase label (used in metric names).
     pub fn label(self) -> &'static str {
         match self {
             TransientKind::RateLimited => "rate_limited",
             TransientKind::Timeout => "timeout",
             TransientKind::Unavailable => "unavailable",
-        }
-    }
-
-    /// Parse a [`Self::label`] back.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "rate_limited" => Some(TransientKind::RateLimited),
-            "timeout" => Some(TransientKind::Timeout),
-            "unavailable" => Some(TransientKind::Unavailable),
-            _ => None,
         }
     }
 }
@@ -217,14 +207,5 @@ mod tests {
         );
         assert_eq!(ModelError::transient(TransientKind::Timeout, 0).retry_after_ms(), None);
         assert_eq!(ModelError::EmptyInput.retry_after_ms(), None);
-    }
-
-    #[test]
-    fn transient_kind_labels_roundtrip() {
-        for kind in [TransientKind::RateLimited, TransientKind::Timeout, TransientKind::Unavailable]
-        {
-            assert_eq!(TransientKind::from_label(kind.label()), Some(kind));
-        }
-        assert_eq!(TransientKind::from_label("bogus"), None);
     }
 }

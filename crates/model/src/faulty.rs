@@ -103,11 +103,6 @@ impl FaultyModel {
         self.faults.get(kind)
     }
 
-    /// Total faults injected across all kinds.
-    pub fn total_faults(&self) -> u64 {
-        FaultKind::all().iter().map(|k| self.faults.get(*k)).sum()
-    }
-
     /// The dollar cost of inner calls that actually *executed* (clean
     /// calls, timeouts, truncations). By construction this equals what
     /// the inner model billed to its `UsageMeter` through this
@@ -231,6 +226,10 @@ mod tests {
     use crate::pricing::PriceTable;
     use crate::sim::{SimLlm, SimLlmConfig};
     use crate::solver::PromptEnvelope as Env;
+
+    fn total_faults(f: &FaultyModel) -> u64 {
+        FaultKind::all().iter().map(|k| f.fault_count(*k)).sum()
+    }
     use crate::usage::UsageMeter;
     use llmdm_resil::{FaultRates, TierPlan, Window};
 
@@ -268,7 +267,7 @@ mod tests {
             let c = f.complete(&prompt(n)).unwrap();
             assert_eq!(c.text, "answer forty two");
         }
-        assert_eq!(f.total_faults(), 0);
+        assert_eq!(total_faults(&f), 0);
         let billed = meter.snapshot().total_dollars();
         assert!((f.executed_cost() - billed).abs() < 1e-12, "{} vs {billed}", f.executed_cost());
         assert!(f.clock().now_ms() > 0, "latency must advance the clock");
@@ -369,7 +368,7 @@ mod tests {
         assert!(rl > 10 && mal > 10, "rl={rl} mal={mal}");
         assert_eq!(meter.snapshot().total_calls(), 0);
         assert_eq!(f.executed_cost(), 0.0);
-        assert_eq!(f.total_faults(), 50);
+        assert_eq!(total_faults(&f), 50);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod embed;
 pub mod error;
 pub mod faulty;
 pub mod hash;
-pub mod jsonio;
 pub mod latency;
 pub mod prelude;
 pub mod pricing;

@@ -115,11 +115,6 @@ impl ResilientClient {
         &self.clock
     }
 
-    /// Current breaker state.
-    pub fn breaker_state(&self) -> llmdm_resil::BreakerState {
-        self.lock_breaker().state()
-    }
-
     /// Snapshot of cumulative client statistics.
     pub fn stats(&self) -> ClientStats {
         *self.lock_stats()
@@ -301,7 +296,7 @@ mod tests {
             }
         }
         assert!(rejections > 0, "breaker must start rejecting");
-        assert_eq!(client.breaker_state(), llmdm_resil::BreakerState::Open);
+        assert_eq!(client.lock_breaker().state(), llmdm_resil::BreakerState::Open);
         assert_eq!(client.stats().breaker_rejections, rejections);
     }
 
@@ -325,12 +320,12 @@ mod tests {
         for n in 0..3 {
             let _ = client.complete(&prompt(n));
         }
-        assert_eq!(client.breaker_state(), llmdm_resil::BreakerState::Open);
+        assert_eq!(client.lock_breaker().state(), llmdm_resil::BreakerState::Open);
         // Past the outage and the cooldown, the probe succeeds and the
         // breaker re-closes.
         clock.advance(10_000);
         assert!(client.complete(&prompt(100)).is_ok());
-        assert_eq!(client.breaker_state(), llmdm_resil::BreakerState::Closed);
+        assert_eq!(client.lock_breaker().state(), llmdm_resil::BreakerState::Closed);
     }
 
     #[test]

@@ -77,6 +77,9 @@ pub struct Completion {
     /// but not equal to — the true probability of correctness, as with
     /// logprob-derived confidence from a real API.
     pub confidence: f64,
+    /// Answered from a cache without calling a model: `cost` is zero and
+    /// nothing was billed.
+    pub cached: bool,
 }
 
 /// Object-safe language-model interface implemented by [`SimLlm`].
@@ -295,7 +298,8 @@ impl LanguageModel for SimLlm {
             llmdm_obs::observe("model.latency_ms", latency.as_secs_f64() * 1e3);
         }
 
-        Ok(Completion { text, model: self.config.name.clone(), usage, cost, latency, confidence })
+        let model = self.config.name.clone();
+        Ok(Completion { text, model, usage, cost, latency, confidence, cached: false })
     }
 }
 

@@ -7,7 +7,10 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::pricing::PriceTable;
+use crate::pricing::{PriceTable, Pricing};
+
+/// Pico-dollars (1e-12 $) per dollar: the meter's unit.
+const PICO_PER_DOLLAR: f64 = 1e12;
 
 /// Token counts for a single call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,8 +37,24 @@ pub struct ModelUsage {
     pub input_tokens: u64,
     /// Sum of completion tokens.
     pub output_tokens: u64,
+    /// Accumulated cost in whole pico-dollars. An integer sum, so the
+    /// total does not depend on the order concurrent calls were billed in.
+    pico_dollars: u64,
+}
+
+impl ModelUsage {
     /// Accumulated dollar cost.
-    pub dollars: f64,
+    pub fn dollars(&self) -> f64 {
+        self.pico_dollars as f64 / PICO_PER_DOLLAR
+    }
+}
+
+/// A call's cost in pico-dollars. Every `PriceTable::standard` price is a
+/// whole number of pico-dollars per token; other prices round to one.
+fn pico_cost(p: Pricing, usage: TokenUsage) -> u64 {
+    let per_token = |per_1k: f64| (per_1k * (PICO_PER_DOLLAR / 1000.0)).round() as u64;
+    usage.input_tokens as u64 * per_token(p.input_per_1k)
+        + usage.output_tokens as u64 * per_token(p.output_per_1k)
 }
 
 /// A point-in-time copy of the meter's state.
@@ -45,14 +64,9 @@ pub struct UsageSnapshot {
 }
 
 impl UsageSnapshot {
-    /// Rebuild a snapshot from `(model, usage)` entries (JSON decoding).
-    pub(crate) fn from_entries(per_model: Vec<(String, ModelUsage)>) -> Self {
-        UsageSnapshot { per_model }
-    }
-
     /// Total dollars across all models.
     pub fn total_dollars(&self) -> f64 {
-        self.per_model.iter().map(|(_, u)| u.dollars).sum()
+        self.per_model.iter().map(|(_, u)| u.pico_dollars).sum::<u64>() as f64 / PICO_PER_DOLLAR
     }
 
     /// Total calls across all models.
@@ -110,11 +124,10 @@ impl UsageMeter {
     /// the Table I–III cost rows can never disagree (asserted by
     /// `crates/cascade/tests/obs_reconcile.rs`).
     pub fn record(&self, model: &str, usage: TokenUsage) -> f64 {
-        let cost = self
-            .prices
-            .get(model)
-            .map(|p| p.cost(usage.input_tokens, usage.output_tokens))
-            .unwrap_or(0.0);
+        let (cost, pico) = match self.prices.get(model) {
+            Some(p) => (p.cost(usage.input_tokens, usage.output_tokens), pico_cost(p, usage)),
+            None => (0.0, 0),
+        };
         if llmdm_obs::is_enabled() {
             llmdm_obs::counter_add("model.calls", 1.0);
             llmdm_obs::counter_add("model.tokens", usage.total() as f64);
@@ -136,7 +149,7 @@ impl UsageMeter {
         slot.calls += 1;
         slot.input_tokens += usage.input_tokens as u64;
         slot.output_tokens += usage.output_tokens as u64;
-        slot.dollars += cost;
+        slot.pico_dollars += pico;
         cost
     }
 
@@ -159,7 +172,6 @@ impl UsageMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pricing::Pricing;
 
     fn meter() -> UsageMeter {
         let mut t = PriceTable::new();
@@ -227,5 +239,25 @@ mod tests {
             }
         });
         assert_eq!(m.snapshot().total_calls(), 800);
+    }
+
+    #[test]
+    fn totals_do_not_depend_on_billing_order() {
+        // Five sim-large calls whose f64 costs sum to 0.00675 in this
+        // order and to 0.006749999999999999 in reverse.
+        let calls = [(37, 3), (41, 5), (29, 2), (55, 1), (33, 4)]
+            .map(|(input_tokens, output_tokens)| TokenUsage { input_tokens, output_tokens });
+        let forward = UsageMeter::new(PriceTable::standard());
+        let reverse = UsageMeter::new(PriceTable::standard());
+        for u in calls {
+            forward.record("sim-large", u);
+        }
+        for u in calls.into_iter().rev() {
+            reverse.record("sim-large", u);
+        }
+        let (f, r) = (forward.snapshot(), reverse.snapshot());
+        assert_eq!(f.total_dollars().to_bits(), r.total_dollars().to_bits());
+        assert_eq!(f.model("sim-large"), r.model("sim-large"));
+        assert_eq!(f.total_dollars(), 0.00675);
     }
 }

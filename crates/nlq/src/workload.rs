@@ -104,25 +104,6 @@ impl Workload {
         }
         Workload { queries }
     }
-
-    /// Number of *distinct* atoms across the workload (the number of model
-    /// calls the decomposed pipeline makes).
-    pub fn distinct_atoms(&self) -> usize {
-        let mut keys: Vec<String> = self
-            .queries
-            .iter()
-            .flat_map(|q| q.shape.atoms())
-            .map(|a| a.key())
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys.len()
-    }
-
-    /// Total atom references (with repetition).
-    pub fn total_atom_refs(&self) -> usize {
-        self.queries.iter().map(|q| q.shape.atoms().len()).sum()
-    }
 }
 
 /// The paper's exact five Figure-7 queries (Q1–Q5).
@@ -153,6 +134,16 @@ pub fn fig7_queries() -> Vec<NlQuery> {
 mod tests {
     use super::*;
 
+    /// Distinct atoms across the workload: the model calls the
+    /// decomposed pipeline makes.
+    fn distinct_atoms(w: &Workload) -> usize {
+        let mut keys: Vec<String> =
+            w.queries.iter().flat_map(|q| q.shape.atoms()).map(|a| a.key()).collect();
+        keys.sort();
+        keys.dedup();
+        keys.len()
+    }
+
     #[test]
     fn fig7_has_five_queries_with_shared_atoms() {
         let qs = fig7_queries();
@@ -160,8 +151,8 @@ mod tests {
         let w = Workload { queries: qs };
         // Q1/Q4/Q5 share both atoms; Q2/Q3 add superlative variants:
         // distinct atoms = {c14, m15, c14-sup, m15-sup} = 4 vs 8 refs.
-        assert_eq!(w.distinct_atoms(), 4);
-        assert_eq!(w.total_atom_refs(), 8);
+        assert_eq!(distinct_atoms(&w), 4);
+        assert_eq!(w.queries.iter().map(|q| q.shape.atoms().len()).sum::<usize>(), 8);
     }
 
     #[test]
@@ -175,7 +166,7 @@ mod tests {
     fn sharing_increases_with_smaller_pool() {
         let tight = Workload::generate(WorkloadConfig { atom_pool: 4, seed: 5, ..Default::default() });
         let loose = Workload::generate(WorkloadConfig { atom_pool: 12, seed: 5, ..Default::default() });
-        assert!(tight.distinct_atoms() <= loose.distinct_atoms());
+        assert!(distinct_atoms(&tight) <= distinct_atoms(&loose));
     }
 
     #[test]

@@ -420,11 +420,6 @@ impl Recorder {
         self.window(name, class).add(delta);
     }
 
-    /// Number of finished spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.lock().spans.len()
-    }
-
     /// Snapshot everything recorded so far into a [`Report`].
     pub fn snapshot(&self) -> Report {
         let now = self.now_ms();
@@ -654,7 +649,7 @@ mod tests {
         }
         r.reset();
         assert!(r.is_enabled());
-        assert_eq!(r.span_count(), 0);
+        assert_eq!(r.lock().spans.len(), 0);
         assert_eq!(r.counter_value("c"), 0.0);
     }
 
@@ -665,7 +660,7 @@ mod tests {
         let s = r.span("open");
         r.disable();
         drop(s);
-        assert_eq!(r.span_count(), 1);
+        assert_eq!(r.lock().spans.len(), 1);
         // But new spans are inert.
         assert!(!r.span("later").is_recording());
     }

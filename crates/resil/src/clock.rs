@@ -24,13 +24,6 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// A clock starting at `start_ms`.
-    pub fn starting_at(start_ms: u64) -> Self {
-        let c = SimClock::new();
-        c.now_ms.store(start_ms, Ordering::Relaxed);
-        c
-    }
-
     /// The current simulated time in milliseconds.
     pub fn now_ms(&self) -> u64 {
         self.now_ms.load(Ordering::Relaxed)
@@ -63,7 +56,8 @@ mod tests {
 
     #[test]
     fn starting_at_and_reset() {
-        let c = SimClock::starting_at(500);
+        let c = SimClock::new();
+        c.now_ms.store(500, Ordering::Relaxed);
         assert_eq!(c.now_ms(), 500);
         c.reset();
         assert_eq!(c.now_ms(), 0);

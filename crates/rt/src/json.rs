@@ -9,7 +9,6 @@
 //! Rust's shortest-roundtrip formatting), so serialized experiment
 //! artifacts diff cleanly across runs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value. Object fields preserve insertion order (`Vec` of
@@ -30,7 +29,8 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error produced by [`Json::parse`] or [`FromJson`] conversions.
+/// Error produced by [`Json::parse`] or a shape accessor such as
+/// [`Json::as_u64`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Human-readable description.
@@ -88,21 +88,6 @@ impl Json {
             Ok(n as u64)
         } else {
             Err(JsonError::shape(format!("expected unsigned integer, got {n}")))
-        }
-    }
-
-    /// This value as a `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        Ok(self.as_u64()? as usize)
-    }
-
-    /// This value as an `i64`.
-    pub fn as_i64(&self) -> Result<i64, JsonError> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&n) {
-            Ok(n as i64)
-        } else {
-            Err(JsonError::shape(format!("expected integer, got {n}")))
         }
     }
 
@@ -438,171 +423,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ToJson / FromJson — the serde replacement surface
-// ---------------------------------------------------------------------------
-
-/// Convert a value into a [`Json`] tree. The hand-written replacement
-/// for `serde::Serialize`.
-pub trait ToJson {
-    /// Build the JSON representation.
-    fn to_json(&self) -> Json;
-
-    /// Convenience: render straight to a compact string.
-    fn to_json_string(&self) -> String {
-        self.to_json().render()
-    }
-}
-
-/// Reconstruct a value from a [`Json`] tree. The hand-written
-/// replacement for `serde::Deserialize`.
-pub trait FromJson: Sized {
-    /// Convert from a parsed JSON value.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-
-    /// Convenience: parse text then convert.
-    fn from_json_str(s: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(s)?)
-    }
-}
-
-macro_rules! impl_json_uint {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::Num(*self as f64) }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                Ok(v.as_u64()? as $t)
-            }
-        }
-    )*};
-}
-
-macro_rules! impl_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::Num(*self as f64) }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                Ok(v.as_i64()? as $t)
-            }
-        }
-    )*};
-}
-
-macro_rules! impl_json_float {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::Num(*self as f64) }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                Ok(v.as_f64()? as $t)
-            }
-        }
-    )*};
-}
-
-impl_json_uint!(u8, u16, u32, u64, usize);
-impl_json_int!(i8, i16, i32, i64, isize);
-impl_json_float!(f32, f64);
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool()
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.as_str()?.to_string())
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(x) => x.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let items = v.as_arr()?;
-        if items.len() != 2 {
-            return Err(JsonError::shape(format!("expected pair, got {} items", items.len())));
-        }
-        Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-                .collect(),
-            other => Err(JsonError::shape(format!("expected object, got {}", other.kind()))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,21 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn derived_impls_roundtrip() {
-        let v: Vec<(String, f64)> = vec![("a".into(), 1.5), ("b".into(), -2.0)];
-        let j = v.to_json().render();
-        let back = Vec::<(String, f64)>::from_json_str(&j).unwrap();
-        assert_eq!(v, back);
-
-        let opt: Option<u64> = None;
-        assert_eq!(opt.to_json().render(), "null");
-        assert_eq!(Option::<u64>::from_json_str("7").unwrap(), Some(7));
-    }
-
-    #[test]
     fn shape_errors_are_reported() {
-        assert!(u64::from_json(&Json::Num(-1.0)).is_err());
-        assert!(String::from_json(&Json::Num(1.0)).is_err());
+        assert!(Json::Num(-1.0).as_u64().is_err());
+        assert!(Json::Num(1.0).as_str().is_err());
         let obj = Json::obj([("x", Json::Num(1.0))]);
         assert!(obj.field("y").is_err());
         assert!(obj.field("x").is_ok());

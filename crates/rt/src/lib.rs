@@ -32,6 +32,6 @@ pub mod proptest;
 pub mod rand;
 pub mod sync;
 
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError};
 pub use crate::rand::{Rng, SeedableRng, SmallRng};
 pub use sync::{lock_recover, read_recover, write_recover};

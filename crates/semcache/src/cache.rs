@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use llmdm_model::Embedder;
 use llmdm_rt::hash::fnv1a_str;
+use llmdm_rt::json::Json;
 use llmdm_vecdb::{FlatIndex, Metric, VectorIndex};
 
 /// What kind of entry this is (the Cache(O)/Cache(A) distinction).
@@ -162,13 +163,10 @@ impl CacheStats {
     pub fn reconciles(&self) -> bool {
         self.reuse_hits + self.augment_hits + self.stale_serves + self.misses == self.lookups
     }
-}
 
-impl llmdm_rt::json::ToJson for CacheStats {
     /// Serialize the counters (plus the derived `hit_ratio`) so trace
     /// reports can embed a cache section next to the span tree.
-    fn to_json(&self) -> llmdm_rt::json::Json {
-        use llmdm_rt::json::Json;
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("lookups".to_string(), Json::Num(self.lookups as f64)),
             ("reuse_hits".to_string(), Json::Num(self.reuse_hits as f64)),
@@ -670,7 +668,6 @@ mod tests {
 
     #[test]
     fn cache_stats_serialize_to_json() {
-        use llmdm_rt::json::{Json, ToJson};
         let mut c = cache(4, EvictionPolicy::Lru);
         c.insert("alpha bravo charlie", "1", EntryKind::Original);
         let _ = c.lookup("alpha bravo charlie"); // reuse hit

@@ -143,6 +143,7 @@ impl CachedModel {
             cost: 0.0,
             latency: Duration::ZERO,
             confidence: 1.0,
+            cached: true,
         }
     }
 }

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use llmdm_rt::{FromJson, Json, JsonError, ToJson};
-
 use crate::tenant::Priority;
 
 /// Serving-layer errors.
@@ -122,97 +120,9 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-impl ToJson for ServeError {
-    /// Tagged-object encoding `{"error": "<variant>", ...fields}` — the
-    /// same idiom `ModelError` uses, so mixed failure logs share one
-    /// shape.
-    fn to_json(&self) -> Json {
-        match self {
-            ServeError::Rejected { depth, retry_after_ms } => Json::obj([
-                ("error", Json::Str("rejected".into())),
-                ("depth", depth.to_json()),
-                ("retry_after_ms", retry_after_ms.to_json()),
-            ]),
-            ServeError::Throttled { tenant, retry_after_ms } => Json::obj([
-                ("error", Json::Str("throttled".into())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("retry_after_ms", retry_after_ms.to_json()),
-            ]),
-            ServeError::Shed { class, retry_after_ms } => Json::obj([
-                ("error", Json::Str("shed".into())),
-                ("class", Json::Str(class.label().into())),
-                ("retry_after_ms", retry_after_ms.to_json()),
-            ]),
-            ServeError::InvalidRequest { reason } => Json::obj([
-                ("error", Json::Str("invalid_request".into())),
-                ("reason", Json::Str(reason.clone())),
-            ]),
-            ServeError::InvalidConfig { reason } => Json::obj([
-                ("error", Json::Str("invalid_config".into())),
-                ("reason", Json::Str(reason.clone())),
-            ]),
-            ServeError::Closed => Json::obj([("error", Json::Str("closed".into()))]),
-        }
-    }
-}
-
-impl FromJson for ServeError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let tag = v.field("error")?.as_str()?;
-        match tag {
-            "rejected" => Ok(ServeError::Rejected {
-                depth: v.field("depth")?.as_usize()?,
-                retry_after_ms: v.field("retry_after_ms")?.as_u64()?,
-            }),
-            "throttled" => Ok(ServeError::Throttled {
-                tenant: v.field("tenant")?.as_str()?.to_string(),
-                retry_after_ms: v.field("retry_after_ms")?.as_u64()?,
-            }),
-            "shed" => {
-                let label = v.field("class")?.as_str()?;
-                let class = Priority::from_label(label)
-                    .ok_or_else(|| JsonError::shape("unknown priority class label"))?;
-                Ok(ServeError::Shed {
-                    class,
-                    retry_after_ms: v.field("retry_after_ms")?.as_u64()?,
-                })
-            }
-            "invalid_request" => Ok(ServeError::InvalidRequest {
-                reason: v.field("reason")?.as_str()?.to_string(),
-            }),
-            "invalid_config" => Ok(ServeError::InvalidConfig {
-                reason: v.field("reason")?.as_str()?.to_string(),
-            }),
-            "closed" => Ok(ServeError::Closed),
-            _ => Err(JsonError::shape("unknown ServeError tag")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_error_jsonio_roundtrips_every_variant() {
-        let variants = vec![
-            ServeError::Rejected { depth: 9, retry_after_ms: 45 },
-            ServeError::Throttled { tenant: "acme".into(), retry_after_ms: 120 },
-            ServeError::Throttled { tenant: "capped".into(), retry_after_ms: u64::MAX },
-            ServeError::Shed { class: Priority::Batch, retry_after_ms: 500 },
-            ServeError::Shed { class: Priority::Interactive, retry_after_ms: 0 },
-            ServeError::InvalidRequest { reason: "tenant id must be non-empty".into() },
-            ServeError::InvalidConfig { reason: "workers must be >= 1".into() },
-            ServeError::Closed,
-        ];
-        for e in variants {
-            let encoded = e.to_json().to_string();
-            let decoded = ServeError::from_json(&Json::parse(&encoded).unwrap()).unwrap();
-            assert_eq!(decoded, e, "round-trip through `{encoded}`");
-            // Every variant has a non-empty, stable Display.
-            assert!(!e.to_string().is_empty());
-        }
-    }
 
     #[test]
     fn retry_hints_align_with_model_error_semantics() {

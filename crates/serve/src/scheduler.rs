@@ -150,12 +150,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Quota policy override for one tenant.
-    pub fn tenant_policy(mut self, tenant: impl Into<String>, policy: TenantPolicy) -> Self {
-        self.config.policies.per_tenant.insert(tenant.into(), policy);
-        self
-    }
-
     /// Outage-driven load-shedding policy.
     pub fn shed(mut self, shed: ShedPolicy) -> Self {
         self.config.shed = shed;
@@ -598,6 +592,15 @@ mod tests {
     use super::*;
     use llmdm_resil::Window;
 
+    fn with_tenant_policy(
+        mut builder: ServeConfigBuilder,
+        tenant: &str,
+        policy: TenantPolicy,
+    ) -> ServeConfigBuilder {
+        builder.config.policies.per_tenant.insert(tenant.to_string(), policy);
+        builder
+    }
+
     /// One tenant, one priority class: the QoS queue degenerates to FIFO
     /// + same-key coalescing.
     fn echo_jobs(n: usize) -> Vec<ServeRequest<u64>> {
@@ -821,9 +824,7 @@ mod tests {
             ServeConfig::builder().workers(0).build(),
             ServeConfig::builder().queue_capacity(0).build(),
             ServeConfig::builder().max_batch(0).build(),
-            ServeConfig::builder()
-                .tenant_policy("acme", TenantPolicy::per_sec(0, 10))
-                .build(),
+            with_tenant_policy(ServeConfig::builder(), "acme", TenantPolicy::per_sec(0, 10)).build(),
             ServeConfig::builder().default_policy(TenantPolicy::per_sec(0, 1)).build(),
         ] {
             match bad {
@@ -831,13 +832,9 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
         }
-        let cfg = ServeConfig::builder()
-            .workers(2)
-            .seed(7)
-            .arrival_interval_ms(5)
-            .tenant_policy("acme", TenantPolicy::per_sec(3, 100))
-            .build()
-            .unwrap();
+        let builder = ServeConfig::builder().workers(2).seed(7).arrival_interval_ms(5);
+        let cfg =
+            with_tenant_policy(builder, "acme", TenantPolicy::per_sec(3, 100)).build().unwrap();
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.policies.policy_for("acme").unwrap().burst, 3);
         assert_eq!(cfg.policies.policy_for("other"), None);
@@ -847,11 +844,9 @@ mod tests {
     fn quota_throttles_past_burst_and_refills_on_the_sim_clock() {
         // Burst 2, 100 tokens/sec, arrivals every 5 ms: tokens refill at
         // 0.1/ms so a new token appears every 10 ms (every 2 arrivals).
-        let cfg = ServeConfig::builder()
-            .arrival_interval_ms(5)
-            .tenant_policy("metered", TenantPolicy::per_sec(2, 100))
-            .build()
-            .unwrap();
+        let builder = ServeConfig::builder().arrival_interval_ms(5);
+        let cfg =
+            with_tenant_policy(builder, "metered", TenantPolicy::per_sec(2, 100)).build().unwrap();
         let requests: Vec<ServeRequest<u64>> = (0..10u64)
             .map(|i| ServeRequest::builder("metered", i).build().unwrap())
             .collect();

@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use llmdm_resil::{FaultPlan, Window};
+use llmdm_resil::Window;
 
 use crate::queue::ServeError;
 
@@ -267,14 +267,6 @@ impl ShedPolicy {
         ShedPolicy { outages, degraded_capacity }
     }
 
-    /// Adopt the outage windows already configured for `tier` in a
-    /// resilience [`FaultPlan`] — the serving layer degrades on exactly
-    /// the schedule the fault injector enforces downstream.
-    pub fn from_plan(plan: &FaultPlan, tier: &str, degraded_capacity: usize) -> Self {
-        let outages = plan.tier(tier).map(|t| t.outages.clone()).unwrap_or_default();
-        ShedPolicy { outages, degraded_capacity }
-    }
-
     /// If `now_ms` falls inside an outage window, the window's exclusive
     /// end (the natural retry target).
     pub fn outage_end(&self, now_ms: u64) -> Option<u64> {
@@ -392,19 +384,19 @@ mod tests {
 
     #[test]
     fn shed_policy_from_plan_adopts_tier_outages() {
-        use llmdm_resil::TierPlan;
+        use llmdm_resil::{FaultPlan, TierPlan};
         let plan = FaultPlan::new(
             "o",
             1,
             vec![TierPlan::quiet("sim-large").outage(Window::new(100, 200))],
         );
-        let shed = ShedPolicy::from_plan(&plan, "sim-large", 4);
+        let shed = ShedPolicy::new(plan.tier("sim-large").unwrap().outages.clone(), 4);
         assert_eq!(shed.outages, vec![Window::new(100, 200)]);
         assert_eq!(shed.outage_end(150), Some(200));
         assert_eq!(shed.outage_end(99), None);
         assert_eq!(shed.outage_end(200), None);
         // A tier the plan does not know has no outages.
-        assert!(ShedPolicy::from_plan(&plan, "sim-small", 4).outages.is_empty());
+        assert!(plan.tier("sim-small").is_none());
     }
 
     #[test]

@@ -299,27 +299,26 @@ fn current_scope() -> Option<Rc<SemScope>> {
 // The completion path
 // ---------------------------------------------------------------------------
 
-/// Issue one prompt through the session handle, measuring billed dollars
-/// and cache reuse via meter/cache deltas around the call.
+/// Issue one prompt through the session handle. The counters come from
+/// the call's own completion, never from the shared meter or cache, so a
+/// concurrent query's calls cannot land in this operator's numbers. A
+/// failed call counts as one call and zero dollars.
 fn call_model(handle: &ModelHandle, prompt: &str) -> (Result<String, SqlError>, SemCounters) {
-    let before = handle.meter().snapshot();
-    let reuse_before = handle.cache_stats().reuse_hits;
-    let req = CompletionRequest::new(prompt);
-    let result = handle
-        .model()
-        .complete(&req)
-        .map(|c| c.text)
-        .map_err(|e| SqlError::Model(e.to_string()));
-    let after = handle.meter().snapshot();
-    let reuse_after = handle.cache_stats().reuse_hits;
-    let cache_hit = reuse_after > reuse_before;
-    let counters = SemCounters {
-        calls: if cache_hit { 0 } else { 1 },
-        dedup_hits: 0,
-        cache_hits: u64::from(cache_hit),
-        dollars: after.dollars_since(&before),
-    };
-    (result, counters)
+    match handle.model().complete(&CompletionRequest::new(prompt)) {
+        Ok(c) => {
+            let counters = SemCounters {
+                calls: u64::from(!c.cached),
+                dedup_hits: 0,
+                cache_hits: u64::from(c.cached),
+                dollars: c.cost,
+            };
+            (Ok(c.text), counters)
+        }
+        Err(e) => {
+            let counters = SemCounters { calls: 1, ..SemCounters::default() };
+            (Err(SqlError::Model(e.to_string())), counters)
+        }
+    }
 }
 
 /// Resolve one semantic prompt to its completion text.
@@ -559,5 +558,79 @@ mod tests {
         // differ ("\\n" vs " "), but both normalize to "line1nline2" vs
         // "line1line2"? Either way: must not error.
         assert!(parse_bool(&complete(Some(&h), &p).unwrap()).is_ok());
+    }
+
+    /// Stands in for a second worker on the same stack: before each call
+    /// it completes one fixed prompt of its own through the cached stack,
+    /// so the shared meter and cache move while the operator's call runs.
+    struct Interleaved {
+        stack: Arc<dyn LanguageModel>,
+        other: String,
+    }
+
+    impl LanguageModel for Interleaved {
+        fn name(&self) -> &str {
+            self.stack.name()
+        }
+
+        fn complete(&self, req: &CompletionRequest) -> Result<llmdm_model::Completion, ModelError> {
+            self.stack.complete(&CompletionRequest::new(self.other.as_str()))?;
+            self.stack.complete(req)
+        }
+
+        fn context_window(&self) -> usize {
+            self.stack.context_window()
+        }
+    }
+
+    /// The `llm_calls=… dollars=…` tail of every analyzed operator line
+    /// and the query's `llm:` totals line.
+    fn llm_counters(db: &mut crate::catalog::Database, sql: &str) -> Vec<String> {
+        let rs = db.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        rs.rows
+            .iter()
+            .filter_map(|row| match &row[0] {
+                Value::Str(line) => line
+                    .find(" llm_calls=")
+                    .map(|i| line[i..].to_string())
+                    .or_else(|| line.starts_with("llm: ").then(|| line.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn operator_counters_ignore_calls_interleaved_on_the_shared_stack() {
+        let sql =
+            "SELECT LLM_MAP(name, 'upper') FROM t WHERE LLM_FILTER(body, 'positive sentiment?')";
+        let script = "CREATE TABLE t (id INT, name TEXT, body TEXT); \
+             INSERT INTO t VALUES (1, 'arena', 'great venue'), (2, 'dome', 'awful parking'), \
+             (3, 'arena', 'great venue'), (4, 'bowl', 'love it'), (5, 'field', 'great venue')";
+        let db_with = |handle: ModelHandle| {
+            let mut db = crate::catalog::Database::new().with_model(handle);
+            db.execute_script(script).unwrap();
+            db
+        };
+        let shared = ModelHandle::sim(7);
+        let interleaved = ModelHandle::new(
+            Arc::new(Interleaved {
+                stack: shared.model().clone(),
+                other: unary_prompt("map", "upper", &Value::Str("elsewhere".into())),
+            }),
+            shared.meter().clone(),
+        )
+        .with_cache(shared.cache().unwrap().clone());
+        let mut plain = db_with(ModelHandle::sim(7));
+        let mut busy = db_with(interleaved);
+        // The second run is answered by the cache: counters must attribute
+        // those hits too.
+        for run in 0..2 {
+            let want = llm_counters(&mut plain, sql);
+            assert!(want.len() == 3, "two operators and the totals: {want:?}");
+            assert_eq!(llm_counters(&mut busy, sql), want, "run {run}");
+        }
+        // The other worker's calls were billed, just not to the query.
+        let other = shared.meter().snapshot().total_calls();
+        assert_eq!(other, plain.model().unwrap().meter().snapshot().total_calls() + 1);
     }
 }

@@ -107,11 +107,6 @@ impl Pager {
         }
     }
 
-    /// Whether the page's frame is currently dirty.
-    pub fn is_dirty(&self, id: u32) -> bool {
-        self.frames.get(&id).is_some_and(|f| f.dirty)
-    }
-
     /// Ids of all dirty frames, ascending (the deterministic flush and
     /// WAL-image order).
     pub fn dirty_pages(&self) -> Vec<u32> {
@@ -286,7 +281,7 @@ mod tests {
         assert!(p.resident() >= 3, "dirty+pinned frames can exceed capacity");
         // Faulting a fourth page evicts page 3 (the only eligible victim).
         let _ = p.page(4).unwrap();
-        assert!(p.is_dirty(1));
+        assert!(p.frames[&1].dirty);
         assert_eq!(p.stats().evictions, 1);
         // The dirty write is still there.
         assert_eq!(p.page(1).unwrap()[0], 1);
@@ -298,9 +293,9 @@ mod tests {
         let (_vfs, mut p) = mem_pager(4);
         let before = p.page(1).unwrap().to_vec();
         p.page_mut(1).unwrap()[0] = 9;
-        assert!(p.is_dirty(1));
+        assert!(p.frames[&1].dirty);
         p.restore_page(1, &before);
-        assert!(!p.is_dirty(1));
+        assert!(!p.frames[&1].dirty);
         assert_eq!(p.page(1).unwrap()[0], 0);
     }
 }

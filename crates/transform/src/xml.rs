@@ -37,11 +37,6 @@ impl XmlNode {
     pub fn children_named<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a XmlNode> + 'a {
         self.children.iter().filter(move |c| c.tag == tag)
     }
-
-    /// Attribute lookup.
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attributes.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
 }
 
 struct XmlParser<'a> {
@@ -196,18 +191,18 @@ mod tests {
             </patients>"#;
         let root = XmlNode::parse(doc).unwrap();
         assert_eq!(root.tag, "patients");
-        assert_eq!(root.attr("hospital"), Some("BIT"));
+        assert_eq!(root.attributes, [("hospital".to_string(), "BIT".to_string())]);
         let patients: Vec<&XmlNode> = root.children_named("patient").collect();
         assert_eq!(patients.len(), 2);
         assert_eq!(patients[0].child("name").unwrap().text, "Alice");
-        assert_eq!(patients[1].attr("id"), Some("2"));
+        assert_eq!(patients[1].attributes, [("id".to_string(), "2".to_string())]);
     }
 
     #[test]
     fn self_closing_and_empty() {
         let root = XmlNode::parse("<r><a x='1'/><b></b></r>").unwrap();
         assert_eq!(root.children.len(), 2);
-        assert_eq!(root.children[0].attr("x"), Some("1"));
+        assert_eq!(root.children[0].attributes, [("x".to_string(), "1".to_string())]);
         assert!(root.children[1].text.is_empty());
     }
 

@@ -90,11 +90,6 @@ impl IvfIndex {
         self.config.nprobe
     }
 
-    /// Adjust `nprobe` (the recall/latency dial).
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        self.config.nprobe = nprobe.max(1);
-    }
-
     fn empty_list(&self) -> List {
         List { ids: Vec::new(), rows: Rows::new(self.dim, self.metric) }
     }
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn finds_exact_match_with_full_probe() {
         let (mut idx, vecs) = build(200);
-        idx.set_nprobe(8); // probe everything → exact
+        idx.config.nprobe = 8; // probe everything → exact
         for probe in [0usize, 57, 199] {
             let hits = idx.search(&vecs[probe], 1).unwrap();
             assert_eq!(hits[0].id, probe as u64);
@@ -255,11 +250,11 @@ mod tests {
         let (mut idx, _vecs) = build(400);
         let queries = random_vecs(30, 8, 99);
         let exact: Vec<u64> = {
-            idx.set_nprobe(idx.lists.len().max(8));
+            idx.config.nprobe = idx.lists.len().max(8);
             queries.iter().map(|q| idx.search(q, 1).unwrap()[0].id).collect()
         };
         let recall_at = |idx: &mut IvfIndex, np: usize| {
-            idx.set_nprobe(np);
+            idx.config.nprobe = np;
             let mut hit = 0;
             for (q, gold) in queries.iter().zip(&exact) {
                 if idx.search(q, 1).unwrap().first().map(|n| n.id) == Some(*gold) {
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn remove_works_across_lists() {
         let (mut idx, vecs) = build(100);
-        idx.set_nprobe(16);
+        idx.config.nprobe = 16;
         idx.remove(5).unwrap();
         assert_eq!(idx.len(), 99);
         let hits = idx.search(&vecs[5], 1).unwrap();
@@ -310,7 +305,7 @@ mod tests {
         let (mut idx, vecs) = build(150);
         idx.retrain();
         assert_eq!(idx.len(), 150);
-        idx.set_nprobe(8);
+        idx.config.nprobe = 8;
         let hits = idx.search(&vecs[7], 1).unwrap();
         assert_eq!(hits[0].id, 7);
     }

@@ -65,7 +65,7 @@ fn main() {
         println!(
             "  {:<62} {} ${:.4}",
             q,
-            if a.model.ends_with("+cache") { "CACHE " } else { "MODEL " },
+            if a.cached { "CACHE " } else { "MODEL " },
             a.cost
         );
     }

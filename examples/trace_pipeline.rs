@@ -22,7 +22,7 @@ use llmdm::cascade::{CascadeRouter, DecisionModel, HotpotConfig, HotpotWorkload}
 use llmdm::model::prelude::*;
 use llmdm::nlq::{ExamplePool, PromptBuilder, Workload, WorkloadConfig};
 use llmdm::obs::Report;
-use llmdm::rt::json::{Json, ToJson};
+use llmdm::rt::json::Json;
 use llmdm::semcache::{shared_cache, CacheConfig, CachedModel};
 use llmdm::transform::Grid;
 use llmdm::DataManager;
