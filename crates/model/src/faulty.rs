@@ -226,12 +226,12 @@ mod tests {
     use crate::pricing::PriceTable;
     use crate::sim::{SimLlm, SimLlmConfig};
     use crate::solver::PromptEnvelope as Env;
+    use crate::usage::UsageMeter;
+    use llmdm_resil::{FaultRates, TierPlan, Window};
 
     fn total_faults(f: &FaultyModel) -> u64 {
         FaultKind::all().iter().map(|k| f.fault_count(*k)).sum()
     }
-    use crate::usage::UsageMeter;
-    use llmdm_resil::{FaultRates, TierPlan, Window};
 
     fn sim(meter: UsageMeter) -> Arc<SimLlm> {
         Arc::new(SimLlm::new(

@@ -1,13 +1,13 @@
-//! Dependency-free JSON: a value model, a recursive-descent parser, a
-//! compact printer, and the [`ToJson`] / [`FromJson`] traits that
-//! replace `serde::{Serialize, Deserialize}` across the workspace.
+//! Dependency-free JSON: a value model, a recursive-descent parser and a
+//! compact printer. This tree is all that replaces `serde`: each writer
+//! (the bench harness, `obs::Report`, the cache's stats) builds a [`Json`]
+//! directly, and readers walk a parsed tree with the `as_*` accessors.
 //!
-//! Design goals, in order: **round-trip fidelity** (everything the
-//! workspace serializes must parse back equal), **hand-writability**
-//! (impls are a dozen lines, no derive machinery), and **stable
-//! output** (object fields keep insertion order, floats print via
-//! Rust's shortest-roundtrip formatting), so serialized experiment
-//! artifacts diff cleanly across runs.
+//! Design goals, in order: **round-trip fidelity** (a rendered tree
+//! parses back equal) and **stable output** (object fields keep
+//! insertion order, floats print via Rust's shortest-roundtrip
+//! formatting), so serialized experiment artifacts diff cleanly across
+//! runs.
 
 use std::fmt;
 
@@ -49,7 +49,7 @@ impl std::error::Error for JsonError {}
 
 impl JsonError {
     /// A shape/conversion error (no meaningful offset).
-    pub fn shape(msg: impl Into<String>) -> Self {
+    fn shape(msg: impl Into<String>) -> Self {
         JsonError { msg: msg.into(), at: 0 }
     }
 }
@@ -66,11 +66,6 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// A required object field, as a shape error if missing.
-    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key).ok_or_else(|| JsonError::shape(format!("missing field `{key}`")))
     }
 
     /// This value as an `f64`.
@@ -569,7 +564,8 @@ mod tests {
         assert!(Json::Num(-1.0).as_u64().is_err());
         assert!(Json::Num(1.0).as_str().is_err());
         let obj = Json::obj([("x", Json::Num(1.0))]);
-        assert!(obj.field("y").is_err());
-        assert!(obj.field("x").is_ok());
+        assert!(obj.get("y").is_none());
+        assert_eq!(obj.get("x"), Some(&Json::Num(1.0)));
+        assert!(obj.as_arr().is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! | removed crate | replacement | module |
 //! |---------------|-------------|--------|
 //! | `rand`        | SplitMix64-seeded xoshiro256\*\* with a rand-compatible surface (`Rng::gen_range`/`gen_bool`/`fill`, `SeedableRng::seed_from_u64`, `seq::SliceRandom`) | [`rand`] |
-//! | `serde`       | hand-written [`json::ToJson`] / [`json::FromJson`] over an owned JSON tree | [`json`] |
+//! | `serde`       | an owned JSON tree with a parser and a printer, built directly by each writer | [`json`] |
 //! | `proptest`    | seeded generator strategies + shrink-by-halving runner ([`proptest!`] macro) | [`proptest`] |
 //! | `criterion`   | warmup + timed-iteration harness, median/p99, gated and stamped JSON reports behind one [`bench_main!`] | [`bench`] |
 //! | `crossbeam`   | `std::thread::scope` (std since 1.63) | — |
@@ -32,6 +32,5 @@ pub mod proptest;
 pub mod rand;
 pub mod sync;
 
-pub use json::{Json, JsonError};
 pub use crate::rand::{Rng, SeedableRng, SmallRng};
 pub use sync::{lock_recover, read_recover, write_recover};

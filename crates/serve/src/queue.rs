@@ -149,6 +149,11 @@ mod tests {
         ] {
             assert!(!e.is_retryable(), "{e}");
             assert_eq!(e.retry_after_ms(), None);
+            assert!(!e.to_string().is_empty(), "{e:?}");
+        }
+        // Every variant has a non-empty Display.
+        for e in [r, t, s, never] {
+            assert!(!e.to_string().is_empty(), "{e:?}");
         }
     }
 }

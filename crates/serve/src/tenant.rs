@@ -395,8 +395,6 @@ mod tests {
         assert_eq!(shed.outage_end(150), Some(200));
         assert_eq!(shed.outage_end(99), None);
         assert_eq!(shed.outage_end(200), None);
-        // A tier the plan does not know has no outages.
-        assert!(plan.tier("sim-small").is_none());
     }
 
     #[test]

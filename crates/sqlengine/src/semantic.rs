@@ -20,7 +20,8 @@
 //! (`Database::with_model`). The handle carries the composed model stack
 //! (tier, retry, semantic cache), the [`UsageMeter`] it is billed on, and
 //! the [`SharedCache`] so the planner can read live [`CacheStats`] for
-//! cost estimation and EXPLAIN ANALYZE can attribute cache hits.
+//! cost estimation. EXPLAIN ANALYZE attributes calls, cache hits and
+//! dollars from each call's own [`llmdm_model::Completion`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -69,8 +70,7 @@ impl ModelHandle {
     }
 
     /// Attach the semantic cache the model stack probes, so the planner
-    /// can read its live hit ratio and EXPLAIN ANALYZE can attribute
-    /// cache hits per operator.
+    /// can read its live hit ratio.
     pub fn with_cache(mut self, cache: SharedCache) -> Self {
         self.cache = Some(cache);
         self
@@ -234,7 +234,8 @@ pub struct SemCounters {
     pub dedup_hits: u64,
     /// Prompts answered by the semantic cache (stack probed, model not).
     pub cache_hits: u64,
-    /// Dollars billed on the session meter by this operator's calls.
+    /// Dollars billed by this operator's calls: the sum of their
+    /// completions' `cost`.
     pub dollars: f64,
 }
 
