@@ -22,14 +22,14 @@
 //! let model = ModelStack::new(&zoo)
 //!     .with_faults(Arc::new(FaultPlan::none()))
 //!     .with_default_retry()
-//!     .build();
+//!     .build_arc();
 //! assert_eq!(model.name(), "sim-large");
 //! ```
 //!
 //! Layers added later wrap layers added earlier (the last `with_*` is the
 //! outermost decorator the caller talks to). Typed handles to the fault
 //! injector and retry client stay available (for `executed_cost`
-//! reconciliation and retry accounting) even after `build()` erases the
+//! reconciliation and retry accounting) even after `build_arc()` erases the
 //! stack to a `dyn LanguageModel`. Cache layers live downstream:
 //! `llmdm-semcache` extends this builder with `.with_cache(…)` via its
 //! `CacheStackExt` trait, keeping the dependency graph acyclic.
@@ -43,7 +43,7 @@ use llmdm_resil::{BreakerConfig, FaultPlan, RetryPolicy, SimClock};
 
 use crate::faulty::FaultyModel;
 use crate::resilient::ResilientClient;
-use crate::sim::{Completion, CompletionRequest, LanguageModel};
+use crate::sim::LanguageModel;
 use crate::zoo::{ModelTier, ModelZoo};
 
 /// A fluent builder composing zoo tier → [`FaultyModel`] →
@@ -152,41 +152,17 @@ impl ModelStack {
         self.top.clone()
     }
 
-    /// Finish the chain as a boxed trait object.
-    pub fn build(self) -> Box<dyn LanguageModel> {
-        Box::new(BuiltStack { top: self.top })
-    }
-
-    /// Finish the chain as an `Arc` (for callers that fan the model out
-    /// across tiers or threads, e.g. cascade construction).
+    /// Finish the chain: the outermost layer, shareable across tiers and
+    /// threads (e.g. cascade construction).
     pub fn build_arc(self) -> Arc<dyn LanguageModel> {
         self.top
-    }
-}
-
-/// The erased product of [`ModelStack::build`]: delegates every call to
-/// the outermost layer.
-struct BuiltStack {
-    top: Arc<dyn LanguageModel>,
-}
-
-impl LanguageModel for BuiltStack {
-    fn name(&self) -> &str {
-        self.top.name()
-    }
-
-    fn complete(&self, req: &CompletionRequest) -> Result<Completion, crate::error::ModelError> {
-        self.top.complete(req)
-    }
-
-    fn context_window(&self) -> usize {
-        self.top.context_window()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Completion, CompletionRequest};
     use crate::solver::PromptEnvelope;
     use llmdm_resil::{Backoff, FaultRates, TierPlan};
 
@@ -204,7 +180,7 @@ mod tests {
     #[test]
     fn bare_stack_is_transparent() {
         let zoo = ModelZoo::standard(7);
-        let stacked = ModelStack::tier(&zoo, ModelTier::Medium).build();
+        let stacked = ModelStack::tier(&zoo, ModelTier::Medium).build_arc();
         let direct = zoo.medium();
         assert_eq!(stacked.name(), "sim-medium");
         assert_eq!(stacked.context_window(), direct.context_window());
@@ -235,7 +211,7 @@ mod tests {
         let faulty = stack.faulty().unwrap().clone();
         let client = stack.resilient().unwrap().clone();
         let clock = stack.clock().clone();
-        let model = stack.build();
+        let model = stack.build_arc();
         let mut ok = 0;
         for n in 0..30 {
             if model.complete(&prompt(n)).is_ok() {
@@ -285,7 +261,7 @@ mod tests {
         }
         let zoo = ModelZoo::standard(7);
         let model =
-            ModelStack::new(&zoo).with_layer(|inner, _clock| Arc::new(Renamed(inner))).build();
+            ModelStack::new(&zoo).with_layer(|inner, _clock| Arc::new(Renamed(inner))).build_arc();
         assert_eq!(model.name(), "renamed");
         assert!(model.complete(&prompt(0)).is_ok());
     }

@@ -16,7 +16,7 @@
 //! let model = ModelStack::new(&zoo)
 //!     .with_default_retry()
 //!     .with_cache(cache.clone()) // outermost: probes before retrying
-//!     .build();
+//!     .build_arc();
 //! let req = CompletionRequest::new("### task: echo\nhello");
 //! let a = model.complete(&req).unwrap();
 //! let b = model.complete(&req).unwrap(); // reuse hit, free
@@ -44,7 +44,7 @@ use crate::cache::{CacheConfig, EntryKind, HitKind, Lookup, Probe, SemanticCache
 use crate::predictor::AccessPredictor;
 
 /// A semantic cache shareable between the stack layer and the caller
-/// (who keeps a handle for stats/inspection after `build()` erases the
+/// (who keeps a handle for stats/inspection after `build_arc()` erases the
 /// stack).
 pub type SharedCache = Arc<Mutex<SemanticCache>>;
 
@@ -246,7 +246,7 @@ mod tests {
     fn reuse_hit_is_free_and_identical() {
         let zoo = ModelZoo::standard(3);
         let cache = shared_cache(CacheConfig::default());
-        let model = ModelStack::new(&zoo).with_cache(cache.clone()).build();
+        let model = ModelStack::new(&zoo).with_cache(cache.clone()).build_arc();
         let req = oracle_req("what stadiums had concerts in 2014");
         let a = model.complete(&req).unwrap();
         let calls = zoo.meter().snapshot().total_calls();
@@ -264,7 +264,7 @@ mod tests {
         // which inflates similarity — a tighter reuse threshold keeps
         // near-duplicates in the augment band.
         let cache = shared_cache(CacheConfig { reuse_threshold: 0.995, ..Default::default() });
-        let model = ModelStack::new(&zoo).with_cache(cache.clone()).build();
+        let model = ModelStack::new(&zoo).with_cache(cache.clone()).build_arc();
         model
             .complete(&oracle_req("What are the names of stadiums that had concerts in 2014?"))
             .unwrap();
@@ -286,7 +286,7 @@ mod tests {
             .with_default_retry()
             .with_cache(cache.clone());
         let faulty = stack.faulty().unwrap().clone();
-        let model = stack.build();
+        let model = stack.build_arc();
         let req = oracle_req("concert attendance by year");
         model.complete(&req).unwrap();
         model.complete(&req).unwrap(); // reuse
@@ -305,7 +305,7 @@ mod tests {
         let cache = shared_cache(CacheConfig { reuse_threshold: 0.995, ..Default::default() });
         let stack = ModelStack::new(&zoo).with_default_retry().with_cache(cache.clone());
         let client = stack.resilient().unwrap().clone();
-        let model = stack.build();
+        let model = stack.build_arc();
         let expired = |q: &str| CompletionRequest { deadline: Deadline::at(0), ..oracle_req(q) };
 
         // Miss: the request goes to the retry layer as given.

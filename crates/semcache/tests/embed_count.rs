@@ -57,7 +57,7 @@ fn every_prompt_is_embedded_exactly_once() {
 
     // The stack layer: miss, reuse hit, augment hit.
     let cache = shared_cache(CacheConfig { reuse_threshold: 0.995, ..Default::default() });
-    let model = ModelStack::new(&zoo).with_cache(cache.clone()).build();
+    let model = ModelStack::new(&zoo).with_cache(cache.clone()).build_arc();
     let complete = |q: &str| {
         let req = CompletionRequest::new(oracle_prompt(q));
         embeds(|| drop(model.complete(&req).expect("healthy model")))

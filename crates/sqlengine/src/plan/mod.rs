@@ -22,8 +22,11 @@
 //! [`crate::exec::execute_select_direct`], a differential-testing oracle:
 //! every planned result can be checked bit-for-bit against it.
 //!
-//! `EXPLAIN SELECT …` renders both the optimized logical plan and the
-//! physical operator tree without executing the query.
+//! `EXPLAIN SELECT …` renders the optimized logical plan and the physical
+//! operator tree [`physical::build`] makes, without pulling a row.
+//! `EXPLAIN ANALYZE SELECT …` builds the same tree with timing wrappers,
+//! runs it and renders it with what each operator did, so both describe
+//! the operators a plain run executes.
 
 pub(crate) mod logical;
 pub(crate) mod physical;
@@ -50,6 +53,8 @@ pub(crate) fn execute_select_planned(
 
 /// Execute `EXPLAIN SELECT …`: return the optimized logical plan and the
 /// physical operator tree as a one-column result set, one line per row.
+/// The operator tree is built, so it shows what a run would execute, but
+/// never pulled.
 pub(crate) fn explain_select(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
     let plan = lower_select(db, stmt)?;
     let plan = optimize(db, plan);
@@ -59,7 +64,7 @@ pub(crate) fn explain_select(db: &Database, stmt: &SelectStmt) -> Result<ResultS
         rows.push(vec![Value::Str(format!("  {line}"))]);
     }
     rows.push(vec![Value::Str("physical:".into())]);
-    for line in physical::render(&plan) {
+    for line in physical::render(&physical::build(db, &plan, false)?.stats(), false) {
         rows.push(vec![Value::Str(format!("  {line}"))]);
     }
     Ok(ResultSet { columns: vec!["plan".into()], rows, affected: 0 })
@@ -77,31 +82,22 @@ pub(crate) fn explain_analyze_select(
 ) -> Result<ResultSet, SqlError> {
     let plan = lower_select(db, stmt)?;
     let plan = optimize(db, plan);
-    let (result, stats) = physical::run_analyzed(db, &plan)?;
+    let (run, llm) = crate::semantic::tally(|| physical::run_analyzed(db, &plan));
+    let (result, root) = run?;
     let mut rows: Vec<Vec<Value>> = Vec::new();
     rows.push(vec![Value::Str("physical (analyzed):".into())]);
-    for line in physical::render_analyzed(&plan, &stats) {
+    for line in physical::render(&root, true) {
         rows.push(vec![Value::Str(format!("  {line}"))]);
     }
     rows.push(vec![Value::Str(format!("result: {} row(s)", result.rows.len()))]);
-    // Query-level semantic totals: the sum of the per-operator counters,
-    // which reconciles exactly with the session `UsageMeter` delta as
-    // long as every LLM evaluation runs inside a scoped operator.
-    let mut total = crate::semantic::SemCounters::default();
-    let mut any_llm = false;
-    for st in &stats {
-        if let Some(c) = &st.llm {
-            any_llm = true;
-            total.calls += c.calls;
-            total.dedup_hits += c.dedup_hits;
-            total.cache_hits += c.cache_hits;
-            total.dollars += c.dollars;
-        }
-    }
-    if any_llm {
+    // Statement-level semantic totals, counted from every call's own
+    // completion — subqueries' included, whose operators have no line
+    // here — so they reconcile exactly with the session `UsageMeter`
+    // delta whenever no other statement shares the meter.
+    if let Some(c) = llm {
         rows.push(vec![Value::Str(format!(
             "llm: calls={} dedup_hits={} cache_hits={} dollars=${:.9}",
-            total.calls, total.dedup_hits, total.cache_hits, total.dollars
+            c.calls, c.dedup_hits, c.cache_hits, c.dollars
         ))]);
     }
     Ok(ResultSet { columns: vec!["plan".into()], rows, affected: 0 })
@@ -109,7 +105,11 @@ pub(crate) fn explain_analyze_select(
 
 #[cfg(test)]
 mod tests {
+    use super::logical::LogicalPlan;
+    use super::*;
+    use crate::ast::{Expr, Statement};
     use crate::exec::concert_db;
+    use crate::parser::parse_statement;
 
     fn explain(db: &mut crate::catalog::Database, sql: &str) -> String {
         let rs = db.query(sql).unwrap();
@@ -179,16 +179,69 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_marks_unexecuted_join_side() {
+    fn explain_analyze_times_the_fused_topk() {
         let mut db = concert_db();
-        db.execute("CREATE TABLE empty_t (x INT)").unwrap();
-        // Left side empty → lazily materialized right side never builds.
         let text = explain(
             &mut db,
-            "EXPLAIN ANALYZE SELECT * FROM empty_t JOIN stadium ON empty_t.x = stadium.stadium_id",
+            "EXPLAIN ANALYZE SELECT name FROM stadium ORDER BY capacity DESC LIMIT 2",
         );
-        assert!(text.contains("(never executed)"), "{text}");
-        assert!(text.contains("result: 0 row(s)"), "{text}");
+        let line =
+            |op: &str| text.lines().find(|l| l.contains(op)).unwrap_or_else(|| panic!("{text}"));
+        assert!(line("TopKExec").contains("rows_out=2 loops="), "{text}");
+        // The absorbed projection has its row counts and no timer of its own.
+        let project = line("ProjectExec");
+        assert!(project.ends_with("(rows_in=4 rows_out=4)"), "{text}");
+    }
+
+    /// The annotated operator lines hold one join over an empty left scan
+    /// whose right subtree, the last `right_side` lines, never ran.
+    fn assert_right_side_never_executed(lines: &[&str], right_side: usize) {
+        let text = lines.join("\n");
+        let join = lines.iter().position(|l| l.contains("NLJoinExec")).expect("join line");
+        assert!(lines[join + 1].contains("ScanExec empty_t"), "{text}");
+        assert_eq!(lines.len(), join + 2 + right_side, "{text}");
+        assert!(lines[join + 2..].iter().all(|l| l.ends_with("  (never executed)")), "{text}");
+        assert_eq!(text.matches("(never executed)").count(), right_side, "{text}");
+    }
+
+    #[test]
+    fn explain_analyze_marks_unexecuted_join_side() {
+        let mut db = concert_db().with_model(crate::semantic::ModelHandle::sim(7));
+        db.execute("CREATE TABLE empty_t (x INT)").unwrap();
+        // Left side empty → the right side is never pulled.
+        let on = "SELECT * FROM empty_t JOIN stadium ON empty_t.x = stadium.stadium_id";
+        for sql in [
+            on.to_string(),
+            // A filter chain, fused into the right scan.
+            format!("{on} WHERE stadium.capacity > 1000 AND stadium.city <> 'x'"),
+        ] {
+            let text = explain(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines[lines.len() - 1], "result: 0 row(s)", "{text}");
+            assert_right_side_never_executed(&lines[1..lines.len() - 1], 1);
+        }
+
+        // SQL keeps semantic predicates above the join; move one onto the
+        // right side, under an unfusable filter.
+        let sql =
+            format!("{on} WHERE stadium.capacity > 1000 AND LLM_FILTER(stadium.name, 'non-empty')");
+        let Statement::Select(stmt) = parse_statement(&sql).unwrap() else { unreachable!() };
+        let plan = optimize(&db, lower_select(&db, &stmt).unwrap());
+        let LogicalPlan::Project { input, items, columns } = plan else { panic!("{plan:?}") };
+        let LogicalPlan::LlmFilter { input, predicate, est } = *input else { panic!() };
+        let LogicalPlan::Join { left, right, join, on } = *input else { panic!() };
+        let right = LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::LlmFilter { input: right, predicate, est }),
+            predicate: Expr::lit(true),
+        };
+        let join = LogicalPlan::Join { left, right: Box::new(right), join, on };
+        let plan = LogicalPlan::Project { input: Box::new(join), items, columns };
+        let (result, root) = physical::run_analyzed(&db, &plan).unwrap();
+        assert!(result.rows.is_empty());
+        let lines = physical::render(&root, true);
+        assert!(lines[lines.len() - 2].trim_start().starts_with("LlmFilterExec"), "{lines:?}");
+        assert_right_side_never_executed(&lines.iter().map(String::as_str).collect::<Vec<_>>(), 3);
+        assert_eq!(db.model().unwrap().meter().snapshot().total_calls(), 0);
     }
 
     #[test]

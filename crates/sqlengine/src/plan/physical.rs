@@ -20,6 +20,12 @@
 //!   columns fuses into [`TopKExec`], which projects only the rows it
 //!   keeps.
 //!
+//! Every operator describes itself: [`PhysOp::stats`] returns its
+//! [`OpStat`] with its inputs' below it, and [`render`] prints that tree.
+//! `EXPLAIN` renders a tree it built and never pulled; `EXPLAIN ANALYZE`
+//! builds the same tree, each operator wrapped in a [`TimedExec`], drains
+//! it and renders it with what every operator did.
+//!
 //! Execution is wrapped in an `llmdm-obs` span (`sqlengine.plan.exec`);
 //! when a recorder is active, per-operator `rows_out` counts are attached
 //! as span fields and accumulated into `sqlengine.plan.rows.<op>`
@@ -42,75 +48,94 @@ use crate::value::Value;
 
 use super::logical::LogicalPlan;
 
-/// Execution statistics for one physical operator, in the same pre-order
-/// as [`render`]'s lines (which is what lets [`render_analyzed`] zip the
-/// two together).
-#[derive(Debug, Clone)]
-pub(crate) struct OpStat {
-    /// Operator label (`scan.<table>`, `filter`, `join`, …) — also the
-    /// suffix of the `sqlengine.plan.rows.<label>` counters.
-    pub label: String,
+/// What one physical operator did, with its inputs' stats below it.
+#[derive(Debug)]
+pub(crate) struct OpStat<'a> {
+    /// The logical node the operator was built from (a fused scan's
+    /// `Scan`, a fused top-k's `Sort`).
+    node: &'a LogicalPlan,
+    /// `Filter` predicates fused into a scan.
+    fused_filters: usize,
     /// Rows this operator produced.
-    pub rows_out: usize,
+    rows_out: usize,
     /// `next()` calls observed (only meaningful when `timed`).
-    pub loops: u64,
+    loops: u64,
     /// Inclusive wall time across all `next()` calls, in nanoseconds
     /// (only meaningful when `timed`).
-    pub elapsed_ns: u64,
+    elapsed_ns: u64,
     /// Whether this node was wrapped in timing instrumentation
     /// (`EXPLAIN ANALYZE` builds; plain runs skip the timer entirely).
-    pub timed: bool,
-    /// `false` for operators that never ran — e.g. the lazily
-    /// materialized right side of a join whose left side was empty.
-    pub executed: bool,
+    timed: bool,
+    /// `false` for operators that never ran: the right side of a join
+    /// whose left side was empty is never pulled.
+    executed: bool,
     /// Semantic-operator counters (model calls, dedup/cache hits,
     /// dollars), present only for operators that invoke the LLM.
-    pub llm: Option<SemCounters>,
+    llm: Option<SemCounters>,
+    /// The operator's inputs, left to right.
+    inputs: Vec<OpStat<'a>>,
 }
 
-impl OpStat {
-    fn basic(label: impl Into<String>, rows_out: usize) -> OpStat {
+impl<'a> OpStat<'a> {
+    fn new(node: &'a LogicalPlan, rows_out: usize, inputs: Vec<OpStat<'a>>) -> OpStat<'a> {
         OpStat {
-            label: label.into(),
+            node,
+            fused_filters: 0,
             rows_out,
             loops: 0,
             elapsed_ns: 0,
             timed: false,
             executed: true,
             llm: None,
-        }
-    }
-
-    fn never(label: impl Into<String>) -> OpStat {
-        OpStat {
-            label: label.into(),
-            rows_out: 0,
-            loops: 0,
-            elapsed_ns: 0,
-            timed: false,
-            executed: false,
-            llm: None,
+            inputs,
         }
     }
 
     /// Attach a semantic operator's counters, if it has a scope.
-    fn with_llm(mut self, scope: Option<&Rc<SemScope>>) -> OpStat {
+    fn with_llm(mut self, scope: Option<&Rc<SemScope>>) -> OpStat<'a> {
         self.llm = scope.map(|s| s.counters());
         self
+    }
+
+    /// This subtree, marked as never run.
+    fn never(self) -> OpStat<'a> {
+        let inputs = self.inputs.into_iter().map(OpStat::never).collect();
+        OpStat { executed: false, inputs, ..self }
+    }
+
+    /// `scan.<table>`, `filter`, `join`, …: the suffix of the
+    /// `sqlengine.plan.rows.<label>` counters.
+    fn label(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self.node {
+            LogicalPlan::OneRow => "onerow",
+            LogicalPlan::Scan { table, .. } => return Cow::Owned(format!("scan.{table}")),
+            LogicalPlan::Filter { .. } => "filter",
+            LogicalPlan::LlmFilter { .. } => "llm_filter",
+            LogicalPlan::Join { .. } => "join",
+            LogicalPlan::LlmMap { .. } => "llm_map",
+            LogicalPlan::Project { .. } => "project",
+            LogicalPlan::Aggregate { .. } => "aggregate",
+            LogicalPlan::Distinct { .. } => "distinct",
+            LogicalPlan::SetOp { .. } => "setop",
+            LogicalPlan::Sort { fetch: Some(_), .. } => "topk",
+            LogicalPlan::Sort { fetch: None, .. } => "sort",
+            LogicalPlan::Strip { .. } => "strip",
+            LogicalPlan::Limit { .. } => "limit",
+        })
     }
 }
 
 /// A pull-based operator: `next()` yields one row at a time — a
 /// [`Tuple`] in the FROM region, an owned [`Row`] above it.
-pub(crate) trait PhysOp<T> {
+pub(crate) trait PhysOp<'a, T> {
     /// Produce the next row, or `None` when exhausted.
     fn next(&mut self) -> Result<Option<T>, SqlError>;
-    /// Append this operator's [`OpStat`], then its children's (pre-order).
-    fn stats(&self, out: &mut Vec<OpStat>);
+    /// This operator's [`OpStat`], its inputs' below it.
+    fn stats(&self) -> OpStat<'a>;
 }
 
-type FromOp<'a> = Box<dyn PhysOp<Tuple<'a>> + 'a>;
-type RowOp<'a> = Box<dyn PhysOp<Row> + 'a>;
+type FromOp<'a> = Box<dyn PhysOp<'a, Tuple<'a>> + 'a>;
+type RowOp<'a> = Box<dyn PhysOp<'a, Row> + 'a>;
 
 /// A row of the FROM region on its way up the operator tree.
 enum Tuple<'a> {
@@ -169,7 +194,10 @@ fn layout(db: &Database, plan: &LogicalPlan) -> Result<Bindings, SqlError> {
     })
 }
 
-fn timed<'a, T: 'a>(op: Box<dyn PhysOp<T> + 'a>, instrument: bool) -> Box<dyn PhysOp<T> + 'a> {
+fn timed<'a, T: 'a>(
+    op: Box<dyn PhysOp<'a, T> + 'a>,
+    instrument: bool,
+) -> Box<dyn PhysOp<'a, T> + 'a> {
     if instrument {
         Box::new(TimedExec { inner: op, loops: 0, elapsed_ns: 0 })
     } else {
@@ -181,10 +209,10 @@ fn internal(what: &str) -> SqlError {
     SqlError::Exec(format!("internal: {what}"))
 }
 
-/// Build the operator tree for a plan. With `instrument`, every operator
-/// is wrapped in a [`TimedExec`] that counts `next()` calls and
-/// accumulates inclusive wall time — the `EXPLAIN ANALYZE` path; plain
-/// execution passes `false` and pays nothing.
+/// Build the operator tree for a plan without pulling a row. With
+/// `instrument`, every operator is wrapped in a [`TimedExec`] that counts
+/// `next()` calls and accumulates inclusive wall time — the `EXPLAIN
+/// ANALYZE` path; plain execution passes `false` and pays nothing.
 pub(crate) fn build<'a>(
     db: &'a Database,
     plan: &'a LogicalPlan,
@@ -195,6 +223,7 @@ pub(crate) fn build<'a>(
             let layout = layout(db, input)?;
             Box::new(ProjectExec {
                 db,
+                node: plan,
                 items: layout.bind_items(items),
                 layout,
                 input: build_from(db, input, instrument)?,
@@ -212,6 +241,7 @@ pub(crate) fn build<'a>(
             let layout = layout(db, input)?;
             Box::new(AggregateExec {
                 db,
+                node: plan,
                 group_by: group_by.iter().map(|e| layout.bind(e)).collect(),
                 having: having.as_ref().map(|h| layout.bind(h)),
                 items: layout.bind_items(items),
@@ -224,12 +254,14 @@ pub(crate) fn build<'a>(
             })
         }
         LogicalPlan::Distinct { input } => Box::new(DistinctExec {
+            node: plan,
             input: build(db, input, instrument)?,
             buf: VecDeque::new(),
             done: false,
             rows_out: 0,
         }),
         LogicalPlan::SetOp { left, right, op, all } => Box::new(SetOpExec {
+            node: plan,
             left_cols: left.output_columns().len(),
             right_cols: right.output_columns().len(),
             left: build(db, left, instrument)?,
@@ -241,15 +273,14 @@ pub(crate) fn build<'a>(
             rows_out: 0,
         }),
         LogicalPlan::Sort { input, keys, fetch } => {
-            // Fused top-k keeps the timing of the projection it absorbs
-            // out of `EXPLAIN ANALYZE`, so instrumented runs build both.
             let fused = match fetch {
-                Some(k) if !instrument => TopKExec::build(db, input, keys, *k)?,
-                _ => None,
+                Some(k) => TopKExec::build(db, plan, input, keys, *k, instrument)?,
+                None => None,
             };
             match fused {
                 Some(op) => Box::new(op),
                 None => Box::new(SortExec {
+                    node: plan,
                     input: build(db, input, instrument)?,
                     keys,
                     fetch: *fetch,
@@ -260,11 +291,13 @@ pub(crate) fn build<'a>(
             }
         }
         LogicalPlan::Strip { input, keep } => Box::new(StripExec {
+            node: plan,
             input: build(db, input, instrument)?,
             keep: *keep,
             rows_out: 0,
         }),
         LogicalPlan::Limit { input, limit, offset } => Box::new(LimitExec {
+            node: plan,
             input: build(db, input, instrument)?,
             limit: *limit,
             offset: *offset,
@@ -287,9 +320,11 @@ fn build_from<'a>(
     instrument: bool,
 ) -> Result<FromOp<'a>, SqlError> {
     let op: FromOp<'a> = match plan {
-        LogicalPlan::OneRow => Box::new(OneRowExec { emitted: false }),
+        LogicalPlan::OneRow => Box::new(OneRowExec { node: plan, emitted: false }),
         LogicalPlan::Scan { .. } => build_scan(db, plan, Vec::new())?,
-        LogicalPlan::Filter { input, predicate } => {
+        LogicalPlan::Filter { input, predicate }
+        | LogicalPlan::LlmFilter { input, predicate, .. } => {
+            let semantic = matches!(plan, LogicalPlan::LlmFilter { .. });
             // Fuse Filter chains over a base scan. Predicates collected
             // outside-in are reversed so the innermost (leftmost WHERE
             // conjunct) evaluates first, as on the direct path.
@@ -299,31 +334,36 @@ fn build_from<'a>(
                 preds.push(predicate);
                 base = input;
             }
-            if matches!(base, LogicalPlan::Scan { .. }) {
+            if !semantic && matches!(base, LogicalPlan::Scan { .. }) {
                 preds.reverse();
                 build_scan(db, base, preds)?
             } else {
-                FilterExec::build(db, input, predicate, None, instrument)?
+                let layout = layout(db, input)?;
+                Box::new(FilterExec {
+                    db,
+                    node: plan,
+                    predicate: layout.bind(predicate),
+                    layout,
+                    input: build_from(db, input, instrument)?,
+                    scope: semantic.then(SemScope::new),
+                    rows_out: 0,
+                })
             }
-        }
-        LogicalPlan::LlmFilter { input, predicate, .. } => {
-            FilterExec::build(db, input, predicate, Some(SemScope::new()), instrument)?
         }
         LogicalPlan::Join { left, right, join, on } => {
             let (left_layout, right_layout) = (layout(db, left)?, layout(db, right)?);
             let layout = left_layout.concat(&right_layout);
             Box::new(NLJoinExec {
                 db,
+                node: plan,
                 on: on.as_ref().map(|e| layout.bind(e)),
                 layout,
                 left_width: left_layout.width(),
                 right_width: right_layout.width(),
                 left: build_from(db, left, instrument)?,
-                right_plan: right,
+                right: build_from(db, right, instrument)?,
                 right_rows: Vec::new(),
                 right_ready: false,
-                right_stats: Vec::new(),
-                instrument,
                 join: *join,
                 // A semantic ON that survives lowering (LEFT JOIN can't be
                 // rewritten to cross-join + filter) still dedups prompts and
@@ -354,7 +394,7 @@ fn build_scan<'a>(
     let layout = layout(db, scan)?;
     Ok(Box::new(ScanExec {
         db,
-        table: table.as_str(),
+        node: scan,
         rows: &t.rows,
         idx: 0,
         predicates: predicates.into_iter().map(|p| layout.bind(p)).collect(),
@@ -369,43 +409,41 @@ pub(crate) fn run(db: &Database, plan: &LogicalPlan) -> Result<ResultSet, SqlErr
 }
 
 /// Execute a plan with per-operator instrumentation ([`TimedExec`]
-/// wrappers) and return both the result set and the pre-order
-/// [`OpStat`]s — the `EXPLAIN ANALYZE` entry point.
-pub(crate) fn run_analyzed(
-    db: &Database,
-    plan: &LogicalPlan,
-) -> Result<(ResultSet, Vec<OpStat>), SqlError> {
-    run_with(db, plan, true)
+/// wrappers) and return both the result set and the root's [`OpStat`] —
+/// the `EXPLAIN ANALYZE` entry point.
+pub(crate) fn run_analyzed<'a>(
+    db: &'a Database,
+    plan: &'a LogicalPlan,
+) -> Result<(ResultSet, OpStat<'a>), SqlError> {
+    run_with(db, plan, true).map(|(rs, root)| (rs, root.stats()))
 }
 
-fn run_with(
-    db: &Database,
-    plan: &LogicalPlan,
+fn run_with<'a>(
+    db: &'a Database,
+    plan: &'a LogicalPlan,
     instrument: bool,
-) -> Result<(ResultSet, Vec<OpStat>), SqlError> {
+) -> Result<(ResultSet, RowOp<'a>), SqlError> {
     let mut span = llmdm_obs::span("sqlengine.plan.exec");
     let mut root = build(db, plan, instrument)?;
     let mut rows: Vec<Row> = Vec::new();
-    let mut failure: Option<SqlError> = None;
-    loop {
+    let failure = loop {
         match root.next() {
             Ok(Some(r)) => rows.push(r),
-            Ok(None) => break,
-            Err(e) => {
-                failure = Some(e);
-                break;
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+    };
+    if span.is_recording() {
+        fn record(st: &OpStat<'_>, i: &mut usize, span: &mut llmdm_obs::Span<'_>) {
+            let label = st.label();
+            span.field(&format!("rows_out.{i}.{label}"), st.rows_out);
+            llmdm_obs::counter_add(&format!("sqlengine.plan.rows.{label}"), st.rows_out as f64);
+            *i += 1;
+            for input in &st.inputs {
+                record(input, i, span);
             }
         }
-    }
-    let mut stats: Vec<OpStat> = Vec::new();
-    if instrument || span.is_recording() {
-        root.stats(&mut stats);
-    }
-    if span.is_recording() {
-        for (i, st) in stats.iter().enumerate() {
-            span.field(&format!("rows_out.{i}.{}", st.label), st.rows_out);
-            llmdm_obs::counter_add(&format!("sqlengine.plan.rows.{}", st.label), st.rows_out as f64);
-        }
+        record(&root.stats(), &mut 0, &mut span);
         span.field("rows_out", rows.len());
         if failure.is_some() {
             span.field("error", true);
@@ -413,20 +451,20 @@ fn run_with(
     }
     match failure {
         Some(e) => Err(e),
-        None => Ok((ResultSet { columns: plan.output_columns(), rows, affected: 0 }, stats)),
+        None => Ok((ResultSet { columns: plan.output_columns(), rows, affected: 0 }, root)),
     }
 }
 
 /// The `EXPLAIN ANALYZE` decorator: forwards `next()` while counting
 /// calls and accumulating inclusive wall time, and annotates its inner
-/// operator's own [`OpStat`] (the first one its subtree pushes).
+/// operator's [`OpStat`].
 struct TimedExec<'a, T> {
-    inner: Box<dyn PhysOp<T> + 'a>,
+    inner: Box<dyn PhysOp<'a, T> + 'a>,
     loops: u64,
     elapsed_ns: u64,
 }
 
-impl<T> PhysOp<T> for TimedExec<'_, T> {
+impl<'a, T> PhysOp<'a, T> for TimedExec<'a, T> {
     fn next(&mut self) -> Result<Option<T>, SqlError> {
         let t0 = std::time::Instant::now();
         let out = self.inner.next();
@@ -435,24 +473,19 @@ impl<T> PhysOp<T> for TimedExec<'_, T> {
         out
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        let start = out.len();
-        self.inner.stats(out);
-        if let Some(st) = out.get_mut(start) {
-            st.loops = self.loops;
-            st.elapsed_ns = self.elapsed_ns;
-            st.timed = true;
-        }
+    fn stats(&self) -> OpStat<'a> {
+        OpStat { loops: self.loops, elapsed_ns: self.elapsed_ns, timed: true, ..self.inner.stats() }
     }
 }
 
 // ---------------- FROM region ----------------
 
-struct OneRowExec {
+struct OneRowExec<'a> {
+    node: &'a LogicalPlan,
     emitted: bool,
 }
 
-impl<'a> PhysOp<Tuple<'a>> for OneRowExec {
+impl<'a> PhysOp<'a, Tuple<'a>> for OneRowExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         if self.emitted {
             Ok(None)
@@ -462,8 +495,8 @@ impl<'a> PhysOp<Tuple<'a>> for OneRowExec {
         }
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("onerow", usize::from(self.emitted)));
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, usize::from(self.emitted), Vec::new())
     }
 }
 
@@ -480,7 +513,7 @@ fn passes(predicates: &[Expr], env: &Env<'_>) -> Result<bool, SqlError> {
 
 struct ScanExec<'a> {
     db: &'a Database,
-    table: &'a str,
+    node: &'a LogicalPlan,
     rows: &'a [Row],
     idx: usize,
     layout: Bindings,
@@ -488,7 +521,7 @@ struct ScanExec<'a> {
     rows_out: usize,
 }
 
-impl<'a> PhysOp<Tuple<'a>> for ScanExec<'a> {
+impl<'a> PhysOp<'a, Tuple<'a>> for ScanExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         let rows = self.rows;
         while let Some(row) = rows.get(self.idx) {
@@ -501,8 +534,9 @@ impl<'a> PhysOp<Tuple<'a>> for ScanExec<'a> {
         Ok(None)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic(format!("scan.{}", self.table), self.rows_out));
+    fn stats(&self) -> OpStat<'a> {
+        let fused_filters = self.predicates.len();
+        OpStat { fused_filters, ..OpStat::new(self.node, self.rows_out, Vec::new()) }
     }
 }
 
@@ -512,6 +546,7 @@ impl<'a> PhysOp<Tuple<'a>> for ScanExec<'a> {
 /// (calls, cache hits, dollars) is attributed to it in `EXPLAIN ANALYZE`.
 struct FilterExec<'a> {
     db: &'a Database,
+    node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     predicate: Expr,
@@ -519,27 +554,7 @@ struct FilterExec<'a> {
     rows_out: usize,
 }
 
-impl<'a> FilterExec<'a> {
-    fn build(
-        db: &'a Database,
-        input: &'a LogicalPlan,
-        predicate: &Expr,
-        scope: Option<Rc<SemScope>>,
-        instrument: bool,
-    ) -> Result<FromOp<'a>, SqlError> {
-        let layout = layout(db, input)?;
-        Ok(Box::new(FilterExec {
-            db,
-            predicate: layout.bind(predicate),
-            layout,
-            input: build_from(db, input, instrument)?,
-            scope,
-            rows_out: 0,
-        }))
-    }
-}
-
-impl<'a> PhysOp<Tuple<'a>> for FilterExec<'a> {
+impl<'a> PhysOp<'a, Tuple<'a>> for FilterExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         while let Some(t) = self.input.next()? {
             let keep = {
@@ -554,27 +569,26 @@ impl<'a> PhysOp<Tuple<'a>> for FilterExec<'a> {
         Ok(None)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        let label = if self.scope.is_some() { "llm_filter" } else { "filter" };
-        out.push(OpStat::basic(label, self.rows_out).with_llm(self.scope.as_ref()));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
+            .with_llm(self.scope.as_ref())
     }
 }
 
 struct NLJoinExec<'a> {
     db: &'a Database,
+    node: &'a LogicalPlan,
     /// Left then right layout, for `on`.
     layout: Bindings,
     left_width: usize,
     right_width: usize,
     left: FromOp<'a>,
-    right_plan: &'a LogicalPlan,
-    /// Right side, materialized on first pull (stored rows stay borrowed).
+    /// Drained into `right_rows` on the first left row, so an empty left
+    /// side never pulls it.
+    right: FromOp<'a>,
+    /// The right side's rows (stored rows stay borrowed).
     right_rows: Vec<Cow<'a, [Value]>>,
     right_ready: bool,
-    right_stats: Vec<OpStat>,
-    /// Whether lazily built right-side operators get [`TimedExec`] wrappers.
-    instrument: bool,
     join: JoinType,
     on: Option<Expr>,
     /// Present when `on` contains a semantic predicate: dedups prompts
@@ -614,7 +628,7 @@ impl<'a> NLJoinExec<'a> {
     }
 }
 
-impl<'a> PhysOp<Tuple<'a>> for NLJoinExec<'a> {
+impl<'a> PhysOp<'a, Tuple<'a>> for NLJoinExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         loop {
             if self.cur.is_none() {
@@ -624,13 +638,9 @@ impl<'a> PhysOp<Tuple<'a>> for NLJoinExec<'a> {
                         self.right_idx = 0;
                         self.matched = false;
                         if !self.right_ready {
-                            let mut child = build_from(self.db, self.right_plan, self.instrument)?;
-                            let mut rows = Vec::new();
-                            while let Some(r) = child.next()? {
-                                rows.push(r.into_slice(self.right_width));
+                            while let Some(r) = self.right.next()? {
+                                self.right_rows.push(r.into_slice(self.right_width));
                             }
-                            child.stats(&mut self.right_stats);
-                            self.right_rows = rows;
                             self.right_ready = true;
                         }
                     }
@@ -658,16 +668,11 @@ impl<'a> PhysOp<Tuple<'a>> for NLJoinExec<'a> {
         }
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("join", self.rows_out).with_llm(self.scope.as_ref()));
-        self.left.stats(out);
-        if self.right_ready {
-            out.extend(self.right_stats.iter().cloned());
-        } else {
-            // Left side was empty: the right subtree was never built.
-            // Emit placeholders so pre-order stays aligned with render().
-            placeholder_stats(self.right_plan, out);
-        }
+    fn stats(&self) -> OpStat<'a> {
+        let right = self.right.stats();
+        let right = if self.right_ready { right } else { right.never() };
+        OpStat::new(self.node, self.rows_out, vec![self.left.stats(), right])
+            .with_llm(self.scope.as_ref())
     }
 }
 
@@ -678,6 +683,7 @@ impl<'a> PhysOp<Tuple<'a>> for NLJoinExec<'a> {
 /// model usage is attributed to it.
 struct ProjectExec<'a> {
     db: &'a Database,
+    node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     items: Vec<SelectItem>,
@@ -685,7 +691,7 @@ struct ProjectExec<'a> {
     rows_out: usize,
 }
 
-impl PhysOp<Row> for ProjectExec<'_> {
+impl<'a> PhysOp<'a, Row> for ProjectExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         match self.input.next()? {
             Some(t) => {
@@ -698,15 +704,15 @@ impl PhysOp<Row> for ProjectExec<'_> {
         }
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        let label = if self.scope.is_some() { "llm_map" } else { "project" };
-        out.push(OpStat::basic(label, self.rows_out).with_llm(self.scope.as_ref()));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
+            .with_llm(self.scope.as_ref())
     }
 }
 
 struct AggregateExec<'a> {
     db: &'a Database,
+    node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     group_by: Vec<Expr>,
@@ -720,7 +726,7 @@ struct AggregateExec<'a> {
     rows_out: usize,
 }
 
-impl PhysOp<Row> for AggregateExec<'_> {
+impl<'a> PhysOp<'a, Row> for AggregateExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let mut rows = Vec::new();
@@ -745,20 +751,21 @@ impl PhysOp<Row> for AggregateExec<'_> {
         Ok(row)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("aggregate", self.rows_out).with_llm(self.scope.as_ref()));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
+            .with_llm(self.scope.as_ref())
     }
 }
 
 struct DistinctExec<'a> {
+    node: &'a LogicalPlan,
     input: RowOp<'a>,
     buf: VecDeque<Row>,
     done: bool,
     rows_out: usize,
 }
 
-impl PhysOp<Row> for DistinctExec<'_> {
+impl<'a> PhysOp<'a, Row> for DistinctExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let mut rows = Vec::new();
@@ -774,13 +781,13 @@ impl PhysOp<Row> for DistinctExec<'_> {
         Ok(row)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("distinct", self.rows_out));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
     }
 }
 
 struct SetOpExec<'a> {
+    node: &'a LogicalPlan,
     left_cols: usize,
     right_cols: usize,
     left: RowOp<'a>,
@@ -792,7 +799,7 @@ struct SetOpExec<'a> {
     rows_out: usize,
 }
 
-impl PhysOp<Row> for SetOpExec<'_> {
+impl<'a> PhysOp<'a, Row> for SetOpExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             // Drain both sides *before* the arity check so error ordering
@@ -819,10 +826,8 @@ impl PhysOp<Row> for SetOpExec<'_> {
         Ok(row)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("setop", self.rows_out));
-        self.left.stats(out);
-        self.right.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.left.stats(), self.right.stats()])
     }
 }
 
@@ -849,6 +854,7 @@ fn top_k<T>(
 }
 
 struct SortExec<'a> {
+    node: &'a LogicalPlan,
     input: RowOp<'a>,
     keys: &'a [(usize, bool)],
     fetch: Option<usize>,
@@ -857,7 +863,7 @@ struct SortExec<'a> {
     rows_out: usize,
 }
 
-impl PhysOp<Row> for SortExec<'_> {
+impl<'a> PhysOp<'a, Row> for SortExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let keys = self.keys;
@@ -881,10 +887,8 @@ impl PhysOp<Row> for SortExec<'_> {
         Ok(row)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        let label = if self.fetch.is_some() { "topk" } else { "sort" };
-        out.push(OpStat::basic(label, self.rows_out));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
     }
 }
 
@@ -893,9 +897,13 @@ impl PhysOp<Row> for SortExec<'_> {
 /// compared on the key columns where they are stored, and only those k
 /// are projected. Projecting such items can neither fail nor call the
 /// model, so the result is the unfused plan's, without a row copy per
-/// input row. Reports the absorbed projection's stats as its own.
+/// input row. Reports the absorbed projection as its input, with the
+/// rows it consumed and no timing of its own.
 struct TopKExec<'a> {
     db: &'a Database,
+    node: &'a LogicalPlan,
+    /// The absorbed `Project`.
+    project: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     items: Vec<SelectItem>,
@@ -912,25 +920,31 @@ struct TopKExec<'a> {
 impl<'a> TopKExec<'a> {
     fn build(
         db: &'a Database,
-        input: &'a LogicalPlan,
+        node: &'a LogicalPlan,
+        project: &'a LogicalPlan,
         keys: &[(usize, bool)],
         fetch: usize,
+        instrument: bool,
     ) -> Result<Option<TopKExec<'a>>, SqlError> {
-        let LogicalPlan::Project { input, items, .. } = input else { return Ok(None) };
+        let LogicalPlan::Project { input, items, .. } = project else { return Ok(None) };
         let layout = layout(db, input)?;
         let items = layout.bind_items(items);
         let slot = |item: &SelectItem| match item {
             SelectItem::Expr { expr: Expr::Slot { index, .. }, .. } => Some(*index),
             _ => None,
         };
-        let literal = |item: &SelectItem| matches!(item, SelectItem::Expr { expr: Expr::Literal(_), .. });
+        let literal =
+            |item: &SelectItem| matches!(item, SelectItem::Expr { expr: Expr::Literal(_), .. });
         if !items.iter().all(|it| slot(it).is_some() || literal(it)) {
             return Ok(None);
         }
-        let keys = keys.iter().filter_map(|&(i, desc)| Some((slot(items.get(i)?)?, desc))).collect();
+        let keys =
+            keys.iter().filter_map(|&(i, desc)| Some((slot(items.get(i)?)?, desc))).collect();
         Ok(Some(TopKExec {
             db,
-            input: build_from(db, input, false)?,
+            node,
+            project,
+            input: build_from(db, input, instrument)?,
             layout,
             items,
             keys,
@@ -943,7 +957,7 @@ impl<'a> TopKExec<'a> {
     }
 }
 
-impl PhysOp<Row> for TopKExec<'_> {
+impl<'a> PhysOp<'a, Row> for TopKExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
             let (layout, db, keys) = (&self.layout, self.db, &self.keys);
@@ -981,20 +995,20 @@ impl PhysOp<Row> for TopKExec<'_> {
         Ok(row)
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("topk", self.rows_out));
-        out.push(OpStat::basic("project", self.projected));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        let project = OpStat::new(self.project, self.projected, vec![self.input.stats()]);
+        OpStat::new(self.node, self.rows_out, vec![project])
     }
 }
 
 struct StripExec<'a> {
+    node: &'a LogicalPlan,
     input: RowOp<'a>,
     keep: usize,
     rows_out: usize,
 }
 
-impl PhysOp<Row> for StripExec<'_> {
+impl<'a> PhysOp<'a, Row> for StripExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         match self.input.next()? {
             Some(mut row) => {
@@ -1006,13 +1020,13 @@ impl PhysOp<Row> for StripExec<'_> {
         }
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("strip", self.rows_out));
-        self.input.stats(out);
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.rows_out, vec![self.input.stats()])
     }
 }
 
 struct LimitExec<'a> {
+    node: &'a LogicalPlan,
     input: RowOp<'a>,
     limit: Option<usize>,
     offset: usize,
@@ -1020,7 +1034,7 @@ struct LimitExec<'a> {
     emitted: usize,
 }
 
-impl PhysOp<Row> for LimitExec<'_> {
+impl<'a> PhysOp<'a, Row> for LimitExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if let Some(l) = self.limit {
             if self.emitted >= l {
@@ -1042,119 +1056,8 @@ impl PhysOp<Row> for LimitExec<'_> {
         }
     }
 
-    fn stats(&self, out: &mut Vec<OpStat>) {
-        out.push(OpStat::basic("limit", self.emitted));
-        self.input.stats(out);
-    }
-}
-
-/// Pre-order placeholder stats for a subtree that was never built (the
-/// lazily materialized right side of a join whose left side was empty).
-/// Mirrors [`render_into`]'s traversal — including filter-over-scan
-/// fusion — so stats stay zip-aligned with [`render`]'s lines.
-fn placeholder_stats(plan: &LogicalPlan, out: &mut Vec<OpStat>) {
-    match plan {
-        LogicalPlan::OneRow => out.push(OpStat::never("onerow")),
-        LogicalPlan::Scan { table, .. } => out.push(OpStat::never(format!("scan.{table}"))),
-        LogicalPlan::Filter { input, .. } => {
-            let mut base: &LogicalPlan = input;
-            while let LogicalPlan::Filter { input, .. } = base {
-                base = input;
-            }
-            if let LogicalPlan::Scan { table, .. } = base {
-                out.push(OpStat::never(format!("scan.{table}")));
-            } else {
-                out.push(OpStat::never("filter"));
-                placeholder_stats(input, out);
-            }
-        }
-        LogicalPlan::LlmFilter { input, .. } => {
-            out.push(OpStat::never("llm_filter"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::LlmMap { input, .. } => {
-            out.push(OpStat::never("llm_map"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            out.push(OpStat::never("join"));
-            placeholder_stats(left, out);
-            placeholder_stats(right, out);
-        }
-        LogicalPlan::Project { input, .. } => {
-            out.push(OpStat::never("project"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::Aggregate { input, .. } => {
-            out.push(OpStat::never("aggregate"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::Distinct { input } => {
-            out.push(OpStat::never("distinct"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::SetOp { left, right, .. } => {
-            out.push(OpStat::never("setop"));
-            placeholder_stats(left, out);
-            placeholder_stats(right, out);
-        }
-        LogicalPlan::Sort { input, fetch, .. } => {
-            out.push(OpStat::never(if fetch.is_some() { "topk" } else { "sort" }));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::Strip { input, .. } => {
-            out.push(OpStat::never("strip"));
-            placeholder_stats(input, out);
-        }
-        LogicalPlan::Limit { input, .. } => {
-            out.push(OpStat::never("limit"));
-            placeholder_stats(input, out);
-        }
-    }
-}
-
-/// Render the physical operator tree for `EXPLAIN` (a pure function of
-/// the optimized logical plan, mirroring the fusion rules in [`build`]).
-pub(crate) fn render(plan: &LogicalPlan) -> Vec<String> {
-    let mut out = Vec::new();
-    render_into(plan, 0, &mut out);
-    out
-}
-
-/// Per-node child counts in the same pre-order as [`render`] — the shape
-/// information [`render_analyzed`] uses to compute each operator's
-/// `rows_in` (sum of its direct children's `rows_out`).
-fn arities_into(plan: &LogicalPlan, out: &mut Vec<usize>) {
-    match plan {
-        LogicalPlan::OneRow | LogicalPlan::Scan { .. } => out.push(0),
-        LogicalPlan::Filter { input, .. } => {
-            let mut base: &LogicalPlan = input;
-            while let LogicalPlan::Filter { input, .. } = base {
-                base = input;
-            }
-            if matches!(base, LogicalPlan::Scan { .. }) {
-                out.push(0);
-            } else {
-                out.push(1);
-                arities_into(input, out);
-            }
-        }
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-            out.push(2);
-            arities_into(left, out);
-            arities_into(right, out);
-        }
-        LogicalPlan::LlmFilter { input, .. }
-        | LogicalPlan::LlmMap { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Strip { input, .. }
-        | LogicalPlan::Limit { input, .. } => {
-            out.push(1);
-            arities_into(input, out);
-        }
+    fn stats(&self) -> OpStat<'a> {
+        OpStat::new(self.node, self.emitted, vec![self.input.stats()])
     }
 }
 
@@ -1170,48 +1073,21 @@ fn fmt_op_ns(ns: u64) -> String {
     }
 }
 
-/// Render the `EXPLAIN ANALYZE` operator tree: [`render`]'s lines, each
-/// annotated with the matching [`OpStat`] — actual rows in/out, `next()`
-/// loops and inclusive wall time, or `(never executed)` for subtrees the
-/// run never built. `stats` must come from [`run_analyzed`] on the same
-/// optimized plan.
-pub(crate) fn render_analyzed(plan: &LogicalPlan, stats: &[OpStat]) -> Vec<String> {
-    let lines = render(plan);
-    let mut arities: Vec<usize> = Vec::new();
-    arities_into(plan, &mut arities);
-    debug_assert_eq!(lines.len(), stats.len(), "render/stats pre-order mismatch");
-    debug_assert_eq!(lines.len(), arities.len());
-
-    // rows_in per node = sum of direct children's rows_out, recovered
-    // from the pre-order + arity encoding of the tree.
-    fn walk(i: usize, ar: &[usize], stats: &[OpStat], rows_in: &mut [usize]) -> (usize, usize) {
-        let mut next = i + 1;
-        let mut sum = 0usize;
-        for _ in 0..ar[i] {
-            let (after, child_rows) = walk(next, ar, stats, rows_in);
-            sum += child_rows;
-            next = after;
-        }
-        rows_in[i] = sum;
-        (next, stats.get(i).map_or(0, |s| s.rows_out))
-    }
-    let mut rows_in = vec![0usize; lines.len()];
-    if !lines.is_empty() && stats.len() == lines.len() {
-        walk(0, &arities, stats, &mut rows_in);
-    }
-
-    lines
-        .iter()
-        .zip(stats)
-        .enumerate()
-        .map(|(i, (line, st))| {
-            if !st.executed {
-                return format!("{line}  (never executed)");
-            }
-            let input = if arities[i] == 0 {
+/// Render an operator tree, one line per operator with its inputs
+/// indented below it. `analyzed` annotates each line with what the
+/// operator did — rows in (the sum of its inputs' rows out) and out,
+/// `next()` loops and inclusive wall time, model usage — or marks it
+/// `(never executed)`.
+pub(crate) fn render(root: &OpStat<'_>, analyzed: bool) -> Vec<String> {
+    fn walk(st: &OpStat<'_>, depth: usize, analyzed: bool, out: &mut Vec<String>) {
+        let mut text = format!("{}{}", "  ".repeat(depth), line(st.node, st.fused_filters));
+        if analyzed && !st.executed {
+            text.push_str("  (never executed)");
+        } else if analyzed {
+            let input = if st.inputs.is_empty() {
                 String::new()
             } else {
-                format!("rows_in={} ", rows_in[i])
+                format!("rows_in={} ", st.inputs.iter().map(|i| i.rows_out).sum::<usize>())
             };
             let timing = if st.timed {
                 format!(" loops={} time={}", st.loops, fmt_op_ns(st.elapsed_ns))
@@ -1225,109 +1101,76 @@ pub(crate) fn render_analyzed(plan: &LogicalPlan, stats: &[OpStat]) -> Vec<Strin
                 ),
                 None => String::new(),
             };
-            format!("{line}  ({input}rows_out={}{timing}{llm})", st.rows_out)
-        })
-        .collect()
+            text.push_str(&format!("  ({input}rows_out={}{timing}{llm})", st.rows_out));
+        }
+        out.push(text);
+        for input in &st.inputs {
+            walk(input, depth + 1, analyzed, out);
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, 0, analyzed, &mut out);
+    out
 }
 
-fn render_into(plan: &LogicalPlan, depth: usize, out: &mut Vec<String>) {
-    let pad = "  ".repeat(depth);
-    match plan {
-        LogicalPlan::OneRow => out.push(format!("{pad}OneRowExec")),
-        LogicalPlan::Scan { .. } => out.push(format!("{pad}{}", scan_line(plan, 0))),
-        LogicalPlan::Filter { input, .. } => {
-            let mut n = 1usize;
-            let mut base: &LogicalPlan = input;
-            while let LogicalPlan::Filter { input, .. } = base {
-                n += 1;
-                base = input;
-            }
-            if matches!(base, LogicalPlan::Scan { .. }) {
-                out.push(format!("{pad}{}", scan_line(base, n)));
-            } else {
-                out.push(format!("{pad}FilterExec"));
-                render_into(input, depth + 1, out);
-            }
+/// One operator's line: the operator built from `node`, with
+/// `fused_filters` predicates when it is a scan.
+fn line(node: &LogicalPlan, fused_filters: usize) -> String {
+    match node {
+        LogicalPlan::OneRow => "OneRowExec".into(),
+        LogicalPlan::Scan { table, alias, schema, projection } => {
+            let alias_s = if alias == table { String::new() } else { format!(" AS {alias}") };
+            let pruned = match projection {
+                Some(_) => format!(" cols={} (pruned)", schema.len()),
+                None => String::new(),
+            };
+            format!("ScanExec {table}{alias_s} predicates={fused_filters}{pruned}")
         }
-        LogicalPlan::Join { left, right, join, .. } => {
+        LogicalPlan::Filter { .. } => "FilterExec".into(),
+        LogicalPlan::Join { join, .. } => {
             let jt = match join {
                 JoinType::Inner => "inner",
                 JoinType::Left => "left",
             };
-            out.push(format!("{pad}NLJoinExec {jt} (right side materialized)"));
-            render_into(left, depth + 1, out);
-            render_into(right, depth + 1, out);
+            format!("NLJoinExec {jt} (right side materialized)")
         }
-        LogicalPlan::LlmFilter { input, predicate, .. } => {
-            out.push(format!("{pad}LlmFilterExec {}", crate::printer::print_expr(predicate)));
-            render_into(input, depth + 1, out);
+        LogicalPlan::LlmFilter { predicate, .. } => {
+            format!("LlmFilterExec {}", crate::printer::print_expr(predicate))
         }
-        LogicalPlan::LlmMap { input, columns, .. } => {
-            out.push(format!("{pad}LlmMapExec [{}]", columns.join(", ")));
-            render_into(input, depth + 1, out);
+        LogicalPlan::LlmMap { columns, .. } => format!("LlmMapExec [{}]", columns.join(", ")),
+        LogicalPlan::Project { columns, .. } => format!("ProjectExec [{}]", columns.join(", ")),
+        LogicalPlan::Aggregate { columns, .. } => {
+            format!("AggregateExec -> [{}]", columns.join(", "))
         }
-        LogicalPlan::Project { input, columns, .. } => {
-            out.push(format!("{pad}ProjectExec [{}]", columns.join(", ")));
-            render_into(input, depth + 1, out);
-        }
-        LogicalPlan::Aggregate { input, columns, .. } => {
-            out.push(format!("{pad}AggregateExec -> [{}]", columns.join(", ")));
-            render_into(input, depth + 1, out);
-        }
-        LogicalPlan::Distinct { input } => {
-            out.push(format!("{pad}DistinctExec"));
-            render_into(input, depth + 1, out);
-        }
-        LogicalPlan::SetOp { left, right, op, all } => {
+        LogicalPlan::Distinct { .. } => "DistinctExec".into(),
+        LogicalPlan::SetOp { op, all, .. } => {
             let name = match op {
                 SetOp::Union => "union",
                 SetOp::Intersect => "intersect",
                 SetOp::Except => "except",
             };
             let all_s = if *all { " all" } else { "" };
-            out.push(format!("{pad}SetOpExec {name}{all_s}"));
-            render_into(left, depth + 1, out);
-            render_into(right, depth + 1, out);
+            format!("SetOpExec {name}{all_s}")
         }
-        LogicalPlan::Sort { input, keys, fetch } => {
+        LogicalPlan::Sort { keys, fetch, .. } => {
             let keys_s: Vec<String> = keys
                 .iter()
                 .map(|(i, desc)| format!("#{i}{}", if *desc { " DESC" } else { "" }))
                 .collect();
             match fetch {
-                Some(k) => out.push(format!(
-                    "{pad}TopKExec keys=[{}] fetch={k}",
-                    keys_s.join(", ")
-                )),
-                None => out.push(format!("{pad}SortExec keys=[{}]", keys_s.join(", "))),
+                Some(k) => format!("TopKExec keys=[{}] fetch={k}", keys_s.join(", ")),
+                None => format!("SortExec keys=[{}]", keys_s.join(", ")),
             }
-            render_into(input, depth + 1, out);
         }
-        LogicalPlan::Strip { input, keep } => {
-            out.push(format!("{pad}StripExec keep={keep}"));
-            render_into(input, depth + 1, out);
-        }
-        LogicalPlan::Limit { input, limit, offset } => {
+        LogicalPlan::Strip { keep, .. } => format!("StripExec keep={keep}"),
+        LogicalPlan::Limit { limit, offset, .. } => {
             let limit_s = match limit {
                 Some(l) => format!("{l}"),
                 None => "ALL".to_string(),
             };
-            out.push(format!("{pad}LimitExec limit={limit_s} offset={offset}"));
-            render_into(input, depth + 1, out);
+            format!("LimitExec limit={limit_s} offset={offset}")
         }
     }
-}
-
-fn scan_line(scan: &LogicalPlan, fused_predicates: usize) -> String {
-    let LogicalPlan::Scan { table, alias, schema, projection } = scan else {
-        return "ScanExec ?".to_string();
-    };
-    let alias_s = if alias == table { String::new() } else { format!(" AS {alias}") };
-    let pruned = match projection {
-        Some(_) => format!(" cols={} (pruned)", schema.len()),
-        None => String::new(),
-    };
-    format!("ScanExec {table}{alias_s} predicates={fused_predicates}{pruned}")
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! cost estimation. EXPLAIN ANALYZE attributes calls, cache hits and
 //! dollars from each call's own [`llmdm_model::Completion`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -239,6 +239,15 @@ pub struct SemCounters {
     pub dollars: f64,
 }
 
+impl SemCounters {
+    fn add(&mut self, other: SemCounters) {
+        self.calls += other.calls;
+        self.dedup_hits += other.dedup_hits;
+        self.cache_hits += other.cache_hits;
+        self.dollars += other.dollars;
+    }
+}
+
 /// The prompt memo + counters for one executing semantic operator.
 ///
 /// Implements the batch-dedup optimizer rule while preserving Volcano
@@ -256,6 +265,7 @@ pub struct SemScope {
 impl SemScope {
     /// Fresh scope for one operator execution.
     pub fn new() -> Rc<SemScope> {
+        add_to_tally(SemCounters::default());
         Rc::new(SemScope::default())
     }
 
@@ -296,6 +306,34 @@ fn current_scope() -> Option<Rc<SemScope>> {
     SEM_SCOPES.with(|s| s.borrow().last().cloned())
 }
 
+thread_local! {
+    /// The totals of the statement [`tally`] is running on this thread:
+    /// `Some(None)` until it builds a semantic operator or resolves a
+    /// prompt.
+    static TALLY: Cell<Option<Option<SemCounters>>> = const { Cell::new(None) };
+}
+
+fn add_to_tally(delta: SemCounters) {
+    TALLY.with(|t| {
+        if let Some(total) = t.get() {
+            let mut total = total.unwrap_or_default();
+            total.add(delta);
+            t.set(Some(Some(total)));
+        }
+    });
+}
+
+/// Run `f` (one statement) and return, with its result, the counters of
+/// every prompt resolved while it ran, in whichever scope: a subquery's
+/// operators count too, though their own scopes are dropped with the
+/// subquery. `None` when `f` neither built a semantic operator nor
+/// resolved a prompt.
+pub(crate) fn tally<R>(f: impl FnOnce() -> R) -> (R, Option<SemCounters>) {
+    let outer = TALLY.with(|t| t.replace(Some(None)));
+    let out = f();
+    (out, TALLY.with(|t| t.replace(outer)).flatten())
+}
+
 // ---------------------------------------------------------------------------
 // The completion path
 // ---------------------------------------------------------------------------
@@ -326,30 +364,32 @@ fn call_model(handle: &ModelHandle, prompt: &str) -> (Result<String, SqlError>, 
 ///
 /// Routing: innermost [`SemScope`] memo first (dedup hit — free), then
 /// the model stack (whose cache layer may answer without a model call).
-/// Counters accrue on the scope; without a scope the call is still
-/// metered globally but unattributed (the direct oracle path).
+/// Counters accrue on the scope and on the running [`tally`]; without a
+/// scope the call is still metered globally but unattributed to an
+/// operator (the direct oracle path).
 pub fn complete(handle: Option<&ModelHandle>, prompt: &str) -> Result<String, SqlError> {
     let Some(handle) = handle else {
         return Err(SqlError::Model(
             "no session model attached — use Database::with_model / set_model".into(),
         ));
     };
-    match current_scope() {
-        Some(scope) => {
-            if let Some(hit) = scope.memo.borrow().get(prompt) {
-                scope.counters.borrow_mut().dedup_hits += 1;
-                return hit.clone();
-            }
+    let scope = current_scope();
+    let hit = scope.as_ref().and_then(|s| s.memo.borrow().get(prompt).cloned());
+    let (result, delta) = match hit {
+        Some(hit) => (hit, SemCounters { dedup_hits: 1, ..SemCounters::default() }),
+        None => {
             let (result, delta) = call_model(handle, prompt);
-            scope.memo.borrow_mut().insert(prompt.to_string(), result.clone());
-            let mut c = scope.counters.borrow_mut();
-            c.calls += delta.calls;
-            c.cache_hits += delta.cache_hits;
-            c.dollars += delta.dollars;
-            result
+            if let Some(s) = &scope {
+                s.memo.borrow_mut().insert(prompt.to_string(), result.clone());
+            }
+            (result, delta)
         }
-        None => call_model(handle, prompt).0,
+    };
+    if let Some(s) = &scope {
+        s.counters.borrow_mut().add(delta);
     }
+    add_to_tally(delta);
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -633,5 +673,73 @@ mod tests {
         // The other worker's calls were billed, just not to the query.
         let other = shared.meter().snapshot().total_calls();
         assert_eq!(other, plain.model().unwrap().meter().snapshot().total_calls() + 1);
+    }
+
+    fn products_and_reviews() -> crate::catalog::Database {
+        let mut db = crate::catalog::Database::new().with_model(ModelHandle::sim(7));
+        db.execute_script(
+            "CREATE TABLE products (id INT, name TEXT); \
+             CREATE TABLE reviews (rid INT, product TEXT); \
+             INSERT INTO products VALUES (1, 'ARENA'), (2, 'dome'), (3, 'BOWL'), (4, 'field'); \
+             INSERT INTO reviews VALUES (10, 'arena'), (11, 'bowl'), (12, 'pier')",
+        )
+        .unwrap();
+        db
+    }
+
+    /// The `calls=` and `dollars=$` values of an `llm:` totals line.
+    fn calls_and_dollars(line: &str) -> (u64, String) {
+        let field = |key: &str| {
+            let at = line.find(key).unwrap_or_else(|| panic!("no {key}: {line}"));
+            line[at + key.len()..].split(' ').next().unwrap().to_string()
+        };
+        (field("calls=").parse().unwrap(), field("dollars=$"))
+    }
+
+    #[test]
+    fn statement_totals_count_the_calls_subqueries_make() {
+        for sql in [
+            "SELECT name FROM products \
+             WHERE name IN (SELECT LLM_MAP(product, 'upper') FROM reviews)",
+            "SELECT name FROM products \
+             WHERE id < (SELECT COUNT(*) FROM reviews WHERE LLM_FILTER(product, 'non-empty'))",
+            "SELECT name FROM products \
+             WHERE EXISTS (SELECT rid FROM reviews WHERE LLM_FILTER(product, 'positive'))",
+        ] {
+            let mut db = products_and_reviews();
+            let meter = db.model().unwrap().meter().clone();
+            let before = meter.snapshot();
+            let lines = llm_counters(&mut db, sql);
+            let after = meter.snapshot();
+            let totals = lines.last().filter(|l| l.starts_with("llm: ")).unwrap_or_else(|| {
+                panic!("no llm: line for {sql}: {lines:?}");
+            });
+            let (calls, dollars) = calls_and_dollars(totals);
+            assert_eq!(calls, after.total_calls() - before.total_calls(), "{sql}");
+            assert!(calls > 0, "{sql}");
+            let billed = after.total_dollars() - before.total_dollars();
+            assert_eq!(dollars, format!("{billed:.9}"), "{sql}");
+        }
+    }
+
+    #[test]
+    fn explain_leaves_the_meter_and_the_cache_alone() {
+        let mut db = products_and_reviews();
+        let handle = db.model().unwrap().clone();
+        for sql in [
+            "SELECT LLM_MAP(name, 'upper') FROM products",
+            "SELECT name FROM products WHERE LLM_FILTER(name, 'non-empty')",
+            "SELECT p.name, r.rid FROM products p \
+             JOIN reviews r ON LLM_MATCH(p.name, r.product, 'same?')",
+        ] {
+            let (calls, stats) = (handle.meter().snapshot().total_calls(), handle.cache_stats());
+            let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+            assert!(plan.rows.len() > 2, "{sql}");
+            assert_eq!(handle.meter().snapshot().total_calls(), calls, "{sql}");
+            assert_eq!(handle.cache_stats(), stats, "{sql}");
+            // The same statement run for real does reach the model.
+            db.query(sql).unwrap();
+            assert_ne!(handle.cache_stats(), stats, "{sql}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! a rewrite changes evaluation order); one-sided errors fail.
 
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
-use llmdm_sqlengine::{parse_statement, Database, Statement};
+use llmdm_sqlengine::{parse_statement, Database, ResultSet, Statement, Value};
 
 /// Concert/stadium fixture (the workspace-wide Spider-style schema) plus
 /// a NULL-heavy scores table and an empty table.
@@ -39,7 +39,7 @@ fn fixture() -> Database {
     db
 }
 
-fn check(db: &Database, sql: &str) {
+fn check(db: &mut Database, sql: &str) {
     let stmt = parse_statement(sql).unwrap_or_else(|e| panic!("parse failed for {sql}: {e}"));
     let Statement::Select(s) = stmt else { panic!("not a SELECT: {sql}") };
     let planned = execute_select(db, &s);
@@ -52,12 +52,43 @@ fn check(db: &Database, sql: &str) {
         (Err(_), Err(_)) => {}
         (p, d) => panic!("one path errored on {sql}\n planner: {p:?}\n direct:  {d:?}"),
     }
+    check_explain_matches_analyze(db, sql);
+}
+
+/// `EXPLAIN` describes the operator tree `EXPLAIN ANALYZE` runs: the same
+/// lines, once ANALYZE's `  (…)` annotations are stripped.
+fn check_explain_matches_analyze(db: &mut Database, sql: &str) {
+    let lines = |rs: ResultSet| -> Vec<String> {
+        let text = |row: &Vec<Value>| match &row[0] {
+            Value::Str(s) => s.clone(),
+            other => panic!("non-text plan line {other:?}"),
+        };
+        rs.rows.iter().map(text).collect()
+    };
+    let Ok(analyzed) = db.query(&format!("EXPLAIN ANALYZE {sql}")) else { return };
+    let explained = db
+        .query(&format!("EXPLAIN {sql}"))
+        .unwrap_or_else(|e| panic!("EXPLAIN failed where ANALYZE ran on {sql}: {e}"));
+    let explained = lines(explained);
+    let physical: Vec<&str> = explained
+        .iter()
+        .skip_while(|l| *l != "physical:")
+        .skip(1)
+        .map(String::as_str)
+        .collect();
+    let analyzed = lines(analyzed);
+    let stripped: Vec<&str> = analyzed[1..]
+        .iter()
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| l.rsplit_once("  (").map_or(l.as_str(), |(line, _)| line))
+        .collect();
+    assert_eq!(physical, stripped, "EXPLAIN and EXPLAIN ANALYZE trees differ on {sql}");
 }
 
 fn check_all(queries: &[&str]) {
-    let db = fixture();
+    let mut db = fixture();
     for sql in queries {
-        check(&db, sql);
+        check(&mut db, sql);
     }
 }
 
@@ -312,7 +343,7 @@ fn binding_changes_no_outcome() {
 
 #[test]
 fn error_cases_error_on_both_paths() {
-    let db = fixture();
+    let mut db = fixture();
     for sql in [
         // Unknown table / column.
         "SELECT * FROM nope",
@@ -332,6 +363,6 @@ fn error_cases_error_on_both_paths() {
         "SELECT name + 1 FROM stadium",
         "SELECT name FROM stadium WHERE capacity + city > 0",
     ] {
-        check(&db, sql);
+        check(&mut db, sql);
     }
 }

@@ -4,6 +4,8 @@
 //! front of everything.
 //!
 //! Run with `cargo run -p llmdm --example nl2sql_cost_optimizer`.
+//! Self-checking: it exits non-zero unless every `CACHE` answer is a
+//! zero-cost reuse hit and the cache's counters reconcile.
 
 use std::sync::Arc;
 
@@ -59,6 +61,7 @@ fn main() {
         "What are the names of stadiums that had concerts in 2016?", // similar → augment
     ];
     println!("\nsemantic cache in front of the model:");
+    let mut cached_answers = 0;
     for q in questions {
         // Keyed on the question, not on the prompt around it.
         let a = cached.ask(q, &CompletionRequest::new(builder.single(q))).expect("model answers");
@@ -68,6 +71,10 @@ fn main() {
             if a.cached { "CACHE " } else { "MODEL " },
             a.cost
         );
+        if a.cached {
+            cached_answers += 1;
+            assert_eq!(a.cost, 0.0, "a cached answer is free: {q}");
+        }
     }
     let stats = llmdm::rt::lock_recover(&cache).stats();
     println!(
@@ -77,6 +84,8 @@ fn main() {
         stats.misses,
         stats.hit_ratio() * 100.0
     );
+    assert_eq!(cached_answers, stats.reuse_hits, "every CACHE answer is a reuse hit");
+    assert!(stats.reconciles(), "every lookup has exactly one outcome: {stats:?}");
 
     // --- The combined bill ------------------------------------------------
     let direct_model = zoo.large();

@@ -34,7 +34,9 @@ rm -rf "$TRACE_DIR"
 #   semantic_sql         LLM operators end-to-end, EXPLAIN estimates, ANALYZE/meter reconciliation, dedup+cache savings
 #   crash_recovery       kill matrix at all 3 commit barriers
 #   healthcare_pipeline  XML/JSON relationalization, imputation, lake search, DP-SGD (its .expect()s)
-for example in chaos_pipeline serving_pipeline query_planner semantic_sql crash_recovery healthcare_pipeline; do
+#   nl2sql_cost_optimizer  CACHE answers are the cache's reuse hits, each $0; cache counters reconcile
+for example in chaos_pipeline serving_pipeline query_planner semantic_sql crash_recovery healthcare_pipeline \
+    nl2sql_cost_optimizer; do
     echo "== example $example"
     cargo run -q --release --offline -p llmdm --example "$example" >/dev/null
 done
