@@ -222,72 +222,95 @@ impl Expr {
 
     /// Does this expression (recursively) contain an aggregate call?
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => expr.contains_aggregate(),
-            Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
-            Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => arg.contains_aggregate(),
-            Expr::LlmMatch { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            _ => false,
-        }
+        let mut found = matches!(self, Expr::Aggregate { .. });
+        self.for_each_child(|c| found = found || c.contains_aggregate());
+        found
     }
 
     /// Does this expression (recursively) contain a semantic operator
     /// (`LLM_MAP` / `LLM_FILTER` / `LLM_MATCH`)? Subquery bodies are not
     /// descended into — they plan and account for themselves.
-    pub fn contains_llm(&self) -> bool {
-        match self {
-            Expr::LlmMap { .. } | Expr::LlmFilter { .. } | Expr::LlmMatch { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => false,
-            Expr::Binary { left, right, .. } => left.contains_llm() || right.contains_llm(),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-                expr.contains_llm()
-            }
-            Expr::Aggregate { arg, .. } => arg.as_ref().is_some_and(|a| a.contains_llm()),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_llm() || list.iter().any(|e| e.contains_llm())
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.contains_llm() || low.contains_llm() || high.contains_llm()
-            }
-            Expr::InSubquery { expr, .. } => expr.contains_llm(),
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => false,
-        }
+    pub(crate) fn contains_llm(&self) -> bool {
+        self.count_llm() > 0
     }
 
     /// Number of semantic-operator invocations in this expression — the
     /// prompts evaluating it once costs (before dedup/caching). Subquery
     /// bodies are excluded, like [`Expr::contains_llm`].
-    pub fn count_llm(&self) -> usize {
+    pub(crate) fn count_llm(&self) -> usize {
+        let mut n = usize::from(matches!(
+            self,
+            Expr::LlmMap { .. } | Expr::LlmFilter { .. } | Expr::LlmMatch { .. }
+        ));
+        self.for_each_child(|c| n += c.count_llm());
+        n
+    }
+
+    /// Call `f` on each direct child, in evaluation order. Subquery bodies
+    /// are never children: they plan, bind and bill themselves when they
+    /// run. This and [`Expr::for_each_child_mut`] are the one place that
+    /// says what an expression's children are; every walker recurses
+    /// through them.
+    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
-            Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => 1 + arg.count_llm(),
-            Expr::LlmMatch { left, right, .. } => 1 + left.count_llm() + right.count_llm(),
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Slot { .. } => 0,
-            Expr::Binary { left, right, .. } => left.count_llm() + right.count_llm(),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-                expr.count_llm()
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Slot { .. }
+            | Expr::Aggregate { arg: None, .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Like { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::LlmMap { arg: expr, .. }
+            | Expr::LlmFilter { arg: expr, .. }
+            | Expr::Aggregate { arg: Some(expr), .. } => f(expr),
+            Expr::Binary { left, right, .. } | Expr::LlmMatch { left, right, .. } => {
+                f(left);
+                f(right);
             }
-            Expr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| a.count_llm()),
             Expr::InList { expr, list, .. } => {
-                expr.count_llm() + list.iter().map(Expr::count_llm).sum::<usize>()
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.count_llm() + low.count_llm() + high.count_llm()
+                f(expr);
+                f(low);
+                f(high);
             }
-            Expr::InSubquery { expr, .. } => expr.count_llm(),
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => 0,
+        }
+    }
+
+    /// [`Expr::for_each_child`] over mutable children.
+    pub(crate) fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Slot { .. }
+            | Expr::Aggregate { arg: None, .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Like { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::LlmMap { arg: expr, .. }
+            | Expr::LlmFilter { arg: expr, .. }
+            | Expr::Aggregate { arg: Some(expr), .. } => f(expr),
+            Expr::Binary { left, right, .. } | Expr::LlmMatch { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
         }
     }
 }
@@ -469,6 +492,8 @@ pub enum Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Bindings;
+    use crate::schema::{Column, Schema};
 
     #[test]
     fn contains_aggregate_walks_tree() {
@@ -478,17 +503,72 @@ mod tests {
         assert!(!Expr::col("x").contains_aggregate());
     }
 
+    fn bx(e: &Expr) -> Box<Expr> {
+        Box::new(e.clone())
+    }
+
+    /// A subquery holding `e` in its projection and its WHERE.
+    fn body(e: &Expr) -> Box<SelectStmt> {
+        let mut sub = SelectStmt::empty();
+        sub.projections.push(SelectItem::Expr { expr: e.clone(), alias: None });
+        sub.selection = Some(e.clone());
+        Box::new(sub)
+    }
+
+    /// Every `Expr` variant with `e` in each of its child slots and in
+    /// each subquery body, and how many child slots that is.
+    fn every_variant(e: &Expr) -> Vec<(Expr, usize)> {
+        vec![
+            (Expr::lit(1i64), 0),
+            (Expr::col("y"), 0),
+            (Expr::Slot { index: 0, name: "y".into() }, 0),
+            (Expr::bin(BinOp::Add, e.clone(), e.clone()), 2),
+            (Expr::Unary { op: UnOp::Neg, expr: bx(e) }, 1),
+            (Expr::Aggregate { func: AggFunc::Sum, arg: Some(bx(e)), distinct: false }, 1),
+            (Expr::Aggregate { func: AggFunc::Count, arg: None, distinct: false }, 0),
+            (Expr::InList { expr: bx(e), list: vec![e.clone(), e.clone()], negated: false }, 3),
+            (Expr::InSubquery { expr: bx(e), subquery: body(e), negated: false }, 1),
+            (Expr::Exists { subquery: body(e), negated: false }, 0),
+            (Expr::ScalarSubquery(body(e)), 0),
+            (Expr::Like { expr: bx(e), pattern: "a%".into(), negated: false }, 1),
+            (Expr::Between { expr: bx(e), low: bx(e), high: bx(e), negated: false }, 3),
+            (Expr::IsNull { expr: bx(e), negated: true }, 1),
+            (Expr::LlmMap { arg: bx(e), template: "m".into() }, 1),
+            (Expr::LlmFilter { arg: bx(e), template: "f".into() }, 1),
+            (Expr::LlmMatch { left: bx(e), right: bx(e), template: "j".into() }, 2),
+        ]
+    }
+
     #[test]
     fn contains_llm_walks_tree_but_not_subqueries() {
-        let m = Expr::LlmMap { arg: Box::new(Expr::col("x")), template: "t".into() };
-        assert!(m.contains_llm());
-        assert!(Expr::bin(BinOp::Eq, m.clone(), Expr::lit(1i64)).contains_llm());
-        assert!(!Expr::col("x").contains_llm());
         // A subquery body with an LLM op does not make the outer
-        // expression semantic: the subquery plans itself.
-        let mut sub = SelectStmt::empty();
-        sub.projections.push(SelectItem::Expr { expr: m, alias: None });
-        assert!(!Expr::Exists { subquery: Box::new(sub), negated: false }.contains_llm());
+        // expression semantic: the subquery plans and bills itself.
+        let is_llm = |e: &Expr| {
+            matches!(e, Expr::LlmMap { .. } | Expr::LlmFilter { .. } | Expr::LlmMatch { .. })
+        };
+        let is_agg = |e: &Expr| matches!(e, Expr::Aggregate { .. });
+        let llm = Expr::LlmMap { arg: bx(&Expr::col("x")), template: "t".into() };
+        for (e, slots) in every_variant(&llm) {
+            assert_eq!(e.count_llm(), usize::from(is_llm(&e)) + slots, "{e:?}");
+            assert_eq!(e.contains_llm(), is_llm(&e) || slots > 0, "{e:?}");
+            assert_eq!(e.contains_aggregate(), is_agg(&e), "{e:?}");
+        }
+        let agg =
+            Expr::Aggregate { func: AggFunc::Max, arg: Some(bx(&Expr::col("x"))), distinct: false };
+        for (e, slots) in every_variant(&agg) {
+            assert_eq!(e.contains_aggregate(), is_agg(&e) || slots > 0, "{e:?}");
+            assert_eq!(e.count_llm(), usize::from(is_llm(&e)), "{e:?}");
+        }
+        // Binding turns every child column into a slot and leaves the
+        // subquery bodies' columns by name: they bind when they run.
+        let mut b = Bindings::default();
+        b.push("t".into(), Schema::new(vec![Column::new("x", DataType::Int)]));
+        let count = |e: &Expr, needle: &str| format!("{e:?}").matches(needle).count();
+        for (e, slots) in every_variant(&Expr::col("x")) {
+            let bound = b.bind(&e);
+            assert_eq!(count(&bound, "Slot {") - count(&e, "Slot {"), slots, "{bound:?}");
+            assert_eq!(count(&e, "Column {") - count(&bound, "Column {"), slots, "{bound:?}");
+        }
     }
 
     #[test]

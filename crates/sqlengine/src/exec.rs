@@ -357,42 +357,16 @@ impl Bindings {
     }
 
     fn bind_in_place(&self, e: &mut Expr) {
-        match e {
-            Expr::Column { qualifier, name } => {
-                if let Ok(index) = self.resolve(qualifier.as_deref(), name) {
-                    let name = match qualifier {
-                        Some(q) => format!("{}.{name}", q.to_lowercase()),
-                        None => std::mem::take(name),
-                    };
-                    *e = Expr::Slot { index, name };
-                }
+        if let Expr::Column { qualifier, name } = e {
+            if let Ok(index) = self.resolve(qualifier.as_deref(), name) {
+                let name = match qualifier {
+                    Some(q) => format!("{}.{name}", q.to_lowercase()),
+                    None => std::mem::take(name),
+                };
+                *e = Expr::Slot { index, name };
             }
-            Expr::Binary { left, right, .. } | Expr::LlmMatch { left, right, .. } => {
-                self.bind_in_place(left);
-                self.bind_in_place(right);
-            }
-            Expr::Unary { expr, .. }
-            | Expr::IsNull { expr, .. }
-            | Expr::Like { expr, .. }
-            | Expr::InSubquery { expr, .. }
-            | Expr::LlmMap { arg: expr, .. }
-            | Expr::LlmFilter { arg: expr, .. }
-            | Expr::Aggregate { arg: Some(expr), .. } => self.bind_in_place(expr),
-            Expr::InList { expr, list, .. } => {
-                self.bind_in_place(expr);
-                list.iter_mut().for_each(|x| self.bind_in_place(x));
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.bind_in_place(expr);
-                self.bind_in_place(low);
-                self.bind_in_place(high);
-            }
-            Expr::Literal(_)
-            | Expr::Slot { .. }
-            | Expr::Aggregate { arg: None, .. }
-            | Expr::Exists { .. }
-            | Expr::ScalarSubquery(_) => {}
         }
+        e.for_each_child_mut(|c| self.bind_in_place(c));
     }
 
     /// [`Bindings::bind`] for a projection list.
@@ -462,7 +436,7 @@ fn execute_select_direct_inner(db: &Database, stmt: &SelectStmt) -> Result<Resul
     let mut rs = execute_core(db, stmt)?;
     // Set operation chain.
     if let Some((op, all, rhs)) = &stmt.set_op {
-        let right = execute_select_no_order(db, rhs)?;
+        let right = execute_select(db, rhs)?;
         if right.columns.len() != rs.columns.len() {
             return Err(SqlError::Exec(format!(
                 "set operation arity mismatch: {} vs {}",
@@ -550,12 +524,6 @@ pub(crate) fn order_keys_executable(stmt: &SelectStmt) -> Result<(), SqlError> {
         }
     }
     Ok(())
-}
-
-/// Execute ignoring ORDER BY/LIMIT of the *inner* statement (used for set
-/// operation right-hand sides whose ordering is irrelevant).
-fn execute_select_no_order(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
-    execute_select(db, stmt)
 }
 
 pub(crate) fn apply_set_op(op: SetOp, all: bool, left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {

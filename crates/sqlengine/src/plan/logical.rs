@@ -181,6 +181,30 @@ impl LogicalPlan {
         }
     }
 
+    /// Call `f` on each expression this node evaluates itself, in plan
+    /// order; its inputs' expressions are theirs to visit.
+    pub(crate) fn for_each_expr_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            LogicalPlan::Join { on: Some(e), .. }
+            | LogicalPlan::Filter { predicate: e, .. }
+            | LogicalPlan::LlmFilter { predicate: e, .. } => f(e),
+            LogicalPlan::Project { items, .. } | LogicalPlan::LlmMap { items, .. } => {
+                item_exprs(items).for_each(f)
+            }
+            LogicalPlan::Aggregate { group_by, having, items, .. } => {
+                group_by.iter_mut().chain(having.as_mut()).chain(item_exprs(items)).for_each(f)
+            }
+            LogicalPlan::OneRow
+            | LogicalPlan::Scan { .. }
+            | LogicalPlan::Join { on: None, .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::SetOp { .. }
+            | LogicalPlan::Sort { .. }
+            | LogicalPlan::Strip { .. }
+            | LogicalPlan::Limit { .. } => {}
+        }
+    }
+
     /// Output column names, in order.
     pub(crate) fn output_columns(&self) -> Vec<String> {
         match self {
@@ -209,6 +233,14 @@ impl LogicalPlan {
             }
         }
     }
+}
+
+/// The expressions of a projection list (wildcards have none).
+pub(super) fn item_exprs(items: &mut [SelectItem]) -> impl Iterator<Item = &mut Expr> {
+    items.iter_mut().filter_map(|it| match it {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+    })
 }
 
 /// Lower a full SELECT (set ops, ORDER BY, LIMIT) into a logical plan.

@@ -1,6 +1,6 @@
 //! Rule-based logical rewrites.
 //!
-//! Four passes run in a fixed order:
+//! Five passes run in a fixed order:
 //!
 //! 1. **Constant folding** — evaluate column-free subexpressions with the
 //!    shared [`crate::eval`] evaluator; drop filters whose predicate folds
@@ -17,6 +17,8 @@
 //! 4. **LIMIT pushdown** — a `Limit` directly above a `Sort` (possibly
 //!    through a `Strip`) sets the sort's `fetch`, turning a full sort
 //!    into a top-k selection.
+//! 5. **Semantic estimate** — annotate each `LlmFilter`/`LlmMap` with
+//!    estimated rows, model calls and dollars for `EXPLAIN`.
 
 use std::collections::BTreeSet;
 
@@ -27,7 +29,7 @@ use crate::exec::Bindings;
 use crate::schema::Schema;
 use crate::value::Value;
 
-use super::logical::{LlmEstimate, LogicalPlan};
+use super::logical::{item_exprs, LlmEstimate, LogicalPlan};
 
 /// Apply all rewrite passes.
 pub(crate) fn optimize(db: &Database, plan: LogicalPlan) -> LogicalPlan {
@@ -35,165 +37,76 @@ pub(crate) fn optimize(db: &Database, plan: LogicalPlan) -> LogicalPlan {
     let plan = push_down_filters(plan);
     let plan = prune_scan_columns(plan);
     let plan = push_limit_into_sort(plan);
-    estimate_semantic(db, plan)
+    estimate_semantic(db, plan).0
 }
 
 // ---------------- constant folding ----------------
 
 fn fold_constants(db: &Database, plan: LogicalPlan) -> LogicalPlan {
+    let mut plan = map_children(plan, &mut |child| fold_constants(db, child));
+    // The LLM calls inside a semantic operator's expressions never fold
+    // (`is_const` is false for them); their relational parts do.
+    plan.for_each_expr_mut(|e| fold_expr(db, e));
     match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = fold_constants(db, *input);
-            let predicate = fold_expr(db, predicate);
-            if matches!(predicate, Expr::Literal(Value::Bool(true))) {
-                // A tautological filter passes every row — drop it. A
-                // filter folded to any *other* literal is kept: it is
-                // cheap and removing it would change nothing.
-                input
-            } else {
-                LogicalPlan::Filter { input: Box::new(input), predicate }
-            }
-        }
-        LogicalPlan::Join { left, right, join, on } => {
-            let on = on.map(|e| fold_expr(db, e));
-            // An INNER join on literal TRUE is a cross join.
-            let on = match (join, on) {
-                (JoinType::Inner, Some(Expr::Literal(Value::Bool(true)))) => None,
-                (_, o) => o,
-            };
-            LogicalPlan::Join {
-                left: Box::new(fold_constants(db, *left)),
-                right: Box::new(fold_constants(db, *right)),
-                join,
-                on,
-            }
-        }
-        LogicalPlan::LlmFilter { input, predicate, est } => LogicalPlan::LlmFilter {
-            input: Box::new(fold_constants(db, *input)),
-            // Fold inside the predicate's relational subexpressions; the
-            // LLM call itself never folds (`is_const` is false for it).
-            predicate: fold_expr(db, predicate),
-            est,
-        },
-        LogicalPlan::Project { input, items, columns } => LogicalPlan::Project {
-            input: Box::new(fold_constants(db, *input)),
-            items: items.into_iter().map(|it| fold_item(db, it)).collect(),
-            columns,
-        },
-        LogicalPlan::LlmMap { input, items, columns, est } => LogicalPlan::LlmMap {
-            input: Box::new(fold_constants(db, *input)),
-            items: items.into_iter().map(|it| fold_item(db, it)).collect(),
-            columns,
-            est,
-        },
-        LogicalPlan::Aggregate { input, group_by, having, items, columns } => {
-            LogicalPlan::Aggregate {
-                input: Box::new(fold_constants(db, *input)),
-                group_by: group_by.into_iter().map(|e| fold_expr(db, e)).collect(),
-                having: having.map(|h| fold_expr(db, h)),
-                items: items.into_iter().map(|it| fold_item(db, it)).collect(),
-                columns,
-            }
-        }
-        other => map_children(other, &mut |child| fold_constants(db, child)),
-    }
-}
-
-fn fold_item(db: &Database, item: SelectItem) -> SelectItem {
-    match item {
-        SelectItem::Expr { expr, alias } => {
-            SelectItem::Expr { expr: fold_expr(db, expr), alias }
-        }
+        // A tautological filter passes every row — drop it. A filter
+        // folded to any *other* literal is kept: it is cheap and removing
+        // it would change nothing.
+        LogicalPlan::Filter { input, predicate: Expr::Literal(Value::Bool(true)) } => *input,
+        // An INNER join on literal TRUE is a cross join.
+        LogicalPlan::Join {
+            left,
+            right,
+            join: JoinType::Inner,
+            on: Some(Expr::Literal(Value::Bool(true))),
+        } => LogicalPlan::Join { left, right, join: JoinType::Inner, on: None },
         other => other,
     }
 }
 
-fn fold_expr(db: &Database, e: Expr) -> Expr {
-    // Fold children first. Subquery bodies are planned independently at
-    // execution time and are left untouched.
-    let e = match e {
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(fold_expr(db, *left)),
-            right: Box::new(fold_expr(db, *right)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary { op, expr: Box::new(fold_expr(db, *expr)) },
-        Expr::Aggregate { func, arg, distinct } => Expr::Aggregate {
-            func,
-            arg: arg.map(|a| Box::new(fold_expr(db, *a))),
-            distinct,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(fold_expr(db, *expr)),
-            list: list.into_iter().map(|x| fold_expr(db, x)).collect(),
-            negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(fold_expr(db, *expr)),
-            low: Box::new(fold_expr(db, *low)),
-            high: Box::new(fold_expr(db, *high)),
-            negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(fold_expr(db, *expr)), negated }
-        }
-        Expr::Like { expr, pattern, negated } => {
-            Expr::Like { expr: Box::new(fold_expr(db, *expr)), pattern, negated }
-        }
-        Expr::InSubquery { expr, subquery, negated } => {
-            Expr::InSubquery { expr: Box::new(fold_expr(db, *expr)), subquery, negated }
-        }
-        Expr::LlmMap { arg, template } => {
-            Expr::LlmMap { arg: Box::new(fold_expr(db, *arg)), template }
-        }
-        Expr::LlmFilter { arg, template } => {
-            Expr::LlmFilter { arg: Box::new(fold_expr(db, *arg)), template }
-        }
-        Expr::LlmMatch { left, right, template } => Expr::LlmMatch {
-            left: Box::new(fold_expr(db, *left)),
-            right: Box::new(fold_expr(db, *right)),
-            template,
-        },
-        other => other,
-    };
+fn fold_expr(db: &Database, e: &mut Expr) {
+    // Fold children first. Subquery bodies are not children: they are
+    // planned independently at execution time and are left untouched.
+    e.for_each_child_mut(|c| fold_expr(db, c));
     // Left-driven short-circuits only: `eval` never evaluates the right
     // side after `FALSE AND` / `TRUE OR`, so folding it away cannot hide
     // an error. (`x AND FALSE` is *not* foldable — `eval` still
     // evaluates and type-checks `x`.)
-    if let Expr::Binary { op: BinOp::And, left, .. } = &e {
-        if matches!(**left, Expr::Literal(Value::Bool(false))) {
-            return Expr::lit(false);
+    if let Expr::Binary { op, left, .. } = e {
+        let short = match (*op, &**left) {
+            (BinOp::And, Expr::Literal(Value::Bool(false))) => Some(false),
+            (BinOp::Or, Expr::Literal(Value::Bool(true))) => Some(true),
+            _ => None,
+        };
+        if let Some(b) = short {
+            *e = Expr::lit(b);
+            return;
         }
     }
-    if let Expr::Binary { op: BinOp::Or, left, .. } = &e {
-        if matches!(**left, Expr::Literal(Value::Bool(true))) {
-            return Expr::lit(true);
-        }
-    }
-    if !matches!(e, Expr::Literal(_)) && is_const(&e) {
-        if let Ok(v) = eval(&e, &Env::new(&Bindings::default(), &[], db)) {
-            return Expr::Literal(v);
-        }
-        // Evaluation failed (overflow, division by zero, type error):
-        // keep the expression so the error surfaces at runtime exactly
+    if !matches!(e, Expr::Literal(_)) && is_const(e) {
+        // Evaluation failure (overflow, division by zero, type error)
+        // keeps the expression, so the error surfaces at runtime exactly
         // like the direct path.
+        if let Ok(v) = eval(e, &Env::new(&Bindings::default(), &[], db)) {
+            *e = Expr::Literal(v);
+        }
     }
-    e
 }
 
 /// Column-free, aggregate-free, subquery-free — safe to evaluate once.
+/// Only the variants listed here fold, so a new one never does by default.
 fn is_const(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(_) => true,
-        Expr::Binary { left, right, .. } => is_const(left) && is_const(right),
-        Expr::Unary { expr, .. } => is_const(expr),
-        Expr::InList { expr, list, .. } => is_const(expr) && list.iter().all(is_const),
-        Expr::Between { expr, low, high, .. } => {
-            is_const(expr) && is_const(low) && is_const(high)
-        }
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => is_const(expr),
-        _ => false,
-    }
+    let mut foldable = matches!(
+        e,
+        Expr::Literal(_)
+            | Expr::Binary { .. }
+            | Expr::Unary { .. }
+            | Expr::InList { .. }
+            | Expr::Between { .. }
+            | Expr::IsNull { .. }
+            | Expr::Like { .. }
+    );
+    e.for_each_child(|c| foldable = foldable && is_const(c));
+    foldable
 }
 
 // ---------------- predicate pushdown ----------------
@@ -254,12 +167,11 @@ fn try_sink(plan: LogicalPlan, pred: Expr) -> Result<LogicalPlan, (LogicalPlan, 
     match plan {
         LogicalPlan::Join { left, right, join, on } => {
             let bindings = left.bindings().concat(&right.bindings());
-            let Some(req) = required_aliases(&pred, &bindings) else {
-                return Err((LogicalPlan::Join { left, right, join, on }, pred));
-            };
-            if req.is_empty() {
-                // Row-independent (e.g. bare EXISTS): leave it above the
-                // join where it runs once per joined row, same as legacy.
+            let mut req = BTreeSet::new();
+            // An unattributable predicate stays put, and so does a
+            // row-independent one (e.g. bare EXISTS): above the join it
+            // runs once per joined row, same as legacy.
+            if !collect_aliases(&pred, &bindings, &mut req) || req.is_empty() {
                 return Err((LogicalPlan::Join { left, right, join, on }, pred));
             }
             let left_aliases: BTreeSet<String> =
@@ -297,22 +209,12 @@ fn sink_or_wrap(plan: LogicalPlan, pred: Expr) -> LogicalPlan {
     }
 }
 
-/// The set of binding aliases `e` reads from, or `None` when the
+/// Add the binding aliases `e` reads from to `out`; `false` when the
 /// expression cannot be attributed to specific bindings (unknown
 /// qualifier, ambiguous or unknown unqualified name, aggregate call).
 /// Subquery bodies are uncorrelated in this engine and read nothing.
-fn required_aliases(e: &Expr, bindings: &Bindings) -> Option<BTreeSet<String>> {
-    let mut out = BTreeSet::new();
-    if collect_aliases(e, bindings, &mut out) {
-        Some(out)
-    } else {
-        None
-    }
-}
-
 fn collect_aliases(e: &Expr, b: &Bindings, out: &mut BTreeSet<String>) -> bool {
     match e {
-        Expr::Literal(_) => true,
         Expr::Column { qualifier: Some(q), .. } => {
             let q = q.to_lowercase();
             if b.aliases.contains(&q) {
@@ -339,27 +241,12 @@ fn collect_aliases(e: &Expr, b: &Bindings, out: &mut BTreeSet<String>) -> bool {
                 false
             }
         }
-        Expr::Binary { left, right, .. } => {
-            collect_aliases(left, b, out) && collect_aliases(right, b, out)
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-            collect_aliases(expr, b, out)
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aliases(expr, b, out) && list.iter().all(|x| collect_aliases(x, b, out))
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_aliases(expr, b, out)
-                && collect_aliases(low, b, out)
-                && collect_aliases(high, b, out)
-        }
-        Expr::InSubquery { expr, .. } => collect_aliases(expr, b, out),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => true,
         // Slots only exist in bound expressions, after rewriting.
         Expr::Aggregate { .. } | Expr::Slot { .. } => false,
-        Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => collect_aliases(arg, b, out),
-        Expr::LlmMatch { left, right, .. } => {
-            collect_aliases(left, b, out) && collect_aliases(right, b, out)
+        _ => {
+            let mut ok = true;
+            e.for_each_child(|c| ok = ok && collect_aliases(c, b, out));
+            ok
         }
     }
 }
@@ -426,44 +313,13 @@ fn item_refs(item: &SelectItem, out: &mut Vec<(Option<String>, String)>) -> bool
     }
 }
 
+/// Subquery bodies are uncorrelated and not children: they never read
+/// outer scans.
 fn expr_refs(e: &Expr, out: &mut Vec<(Option<String>, String)>) {
-    match e {
-        Expr::Column { qualifier, name } => {
-            out.push((qualifier.as_ref().map(|q| q.to_lowercase()), name.to_lowercase()));
-        }
-        Expr::Literal(_) | Expr::Slot { .. } => {}
-        Expr::Binary { left, right, .. } => {
-            expr_refs(left, out);
-            expr_refs(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-            expr_refs(expr, out)
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                expr_refs(a, out);
-            }
-        }
-        Expr::InList { expr, list, .. } => {
-            expr_refs(expr, out);
-            for x in list {
-                expr_refs(x, out);
-            }
-        }
-        Expr::Between { expr, low, high, .. } => {
-            expr_refs(expr, out);
-            expr_refs(low, out);
-            expr_refs(high, out);
-        }
-        // Subquery bodies are uncorrelated: they never read outer scans.
-        Expr::InSubquery { expr, .. } => expr_refs(expr, out),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
-        Expr::LlmMap { arg, .. } | Expr::LlmFilter { arg, .. } => expr_refs(arg, out),
-        Expr::LlmMatch { left, right, .. } => {
-            expr_refs(left, out);
-            expr_refs(right, out);
-        }
+    if let Expr::Column { qualifier, name } = e {
+        out.push((qualifier.as_ref().map(|q| q.to_lowercase()), name.to_lowercase()));
     }
+    e.for_each_child(|c| expr_refs(c, out));
 }
 
 fn apply_prune(plan: LogicalPlan, refs: &[(Option<String>, String)]) -> LogicalPlan {
@@ -528,104 +384,43 @@ fn push_limit_into_sort(plan: LogicalPlan) -> LogicalPlan {
 /// (relational selectivity is not modeled); calls are discounted by the
 /// session cache's *live* hit ratio; dollars use the meter's observed
 /// per-call average (nominal list price before any history). Without a
-/// session model the estimates fill in with zero discount and $0.
-fn estimate_semantic(db: &Database, plan: LogicalPlan) -> LogicalPlan {
-    estimate_rec(db, plan).0
-}
-
-/// Returns the annotated plan and its estimated output row count.
-fn estimate_rec(db: &Database, plan: LogicalPlan) -> (LogicalPlan, usize) {
-    match plan {
-        LogicalPlan::OneRow => (LogicalPlan::OneRow, 1),
-        LogicalPlan::Scan { table, alias, schema, projection } => {
-            let rows = db.table(&table).map(|t| t.len()).unwrap_or(0);
-            (LogicalPlan::Scan { table, alias, schema, projection }, rows)
+/// session model the estimates fill in with zero discount and $0. Returns
+/// the annotated plan and its estimated output row count.
+fn estimate_semantic(db: &Database, plan: LogicalPlan) -> (LogicalPlan, usize) {
+    let mut inputs = [0usize; 2];
+    let mut n = 0;
+    let mut plan = map_children(plan, &mut |child| {
+        let (child, rows) = estimate_semantic(db, child);
+        inputs[n] = rows;
+        n += 1;
+        child
+    });
+    let [first, second] = inputs;
+    let rows = match &mut plan {
+        LogicalPlan::OneRow => 1,
+        LogicalPlan::Scan { table, .. } => db.table(table).map(|t| t.len()).unwrap_or(0),
+        // Equi-ish join: assume the larger side's cardinality.
+        LogicalPlan::Join { on: Some(_), .. } => first.max(second),
+        LogicalPlan::Join { on: None, .. } => first.saturating_mul(second),
+        LogicalPlan::SetOp { .. } => first.saturating_add(second),
+        LogicalPlan::LlmFilter { predicate, est, .. } => {
+            *est = Some(make_estimate(db, first, predicate.count_llm()));
+            first
         }
-        LogicalPlan::Join { left, right, join, on } => {
-            let (left, l) = estimate_rec(db, *left);
-            let (right, r) = estimate_rec(db, *right);
-            let rows = match &on {
-                // Equi-ish join: assume the smaller side's cardinality.
-                Some(_) => l.max(r),
-                None => l.saturating_mul(r),
-            };
-            (
-                LogicalPlan::Join { left: Box::new(left), right: Box::new(right), join, on },
-                rows,
-            )
+        LogicalPlan::LlmMap { items, est, .. } => {
+            let prompts = item_exprs(items).map(|e| e.count_llm()).sum();
+            *est = Some(make_estimate(db, first, prompts));
+            first
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let (input, rows) = estimate_rec(db, *input);
-            (LogicalPlan::Filter { input: Box::new(input), predicate }, rows)
-        }
-        LogicalPlan::LlmFilter { input, predicate, .. } => {
-            let (input, rows) = estimate_rec(db, *input);
-            let est = make_estimate(db, rows, predicate.count_llm());
-            (
-                LogicalPlan::LlmFilter { input: Box::new(input), predicate, est: Some(est) },
-                rows,
-            )
-        }
-        LogicalPlan::Project { input, items, columns } => {
-            let (input, rows) = estimate_rec(db, *input);
-            (LogicalPlan::Project { input: Box::new(input), items, columns }, rows)
-        }
-        LogicalPlan::LlmMap { input, items, columns, .. } => {
-            let (input, rows) = estimate_rec(db, *input);
-            let prompts: usize = items
-                .iter()
-                .map(|it| match it {
-                    SelectItem::Expr { expr, .. } => expr.count_llm(),
-                    _ => 0,
-                })
-                .sum();
-            let est = make_estimate(db, rows, prompts);
-            (
-                LogicalPlan::LlmMap { input: Box::new(input), items, columns, est: Some(est) },
-                rows,
-            )
-        }
-        LogicalPlan::Aggregate { input, group_by, having, items, columns } => {
-            let (input, rows) = estimate_rec(db, *input);
-            let out = if group_by.is_empty() { 1 } else { rows };
-            (
-                LogicalPlan::Aggregate {
-                    input: Box::new(input),
-                    group_by,
-                    having,
-                    items,
-                    columns,
-                },
-                out,
-            )
-        }
-        LogicalPlan::Distinct { input } => {
-            let (input, rows) = estimate_rec(db, *input);
-            (LogicalPlan::Distinct { input: Box::new(input) }, rows)
-        }
-        LogicalPlan::SetOp { left, right, op, all } => {
-            let (left, l) = estimate_rec(db, *left);
-            let (right, r) = estimate_rec(db, *right);
-            (
-                LogicalPlan::SetOp { left: Box::new(left), right: Box::new(right), op, all },
-                l.saturating_add(r),
-            )
-        }
-        LogicalPlan::Sort { input, keys, fetch } => {
-            let (input, rows) = estimate_rec(db, *input);
-            let out = fetch.map_or(rows, |k| rows.min(k));
-            (LogicalPlan::Sort { input: Box::new(input), keys, fetch }, out)
-        }
-        LogicalPlan::Strip { input, keep } => {
-            let (input, rows) = estimate_rec(db, *input);
-            (LogicalPlan::Strip { input: Box::new(input), keep }, rows)
-        }
-        LogicalPlan::Limit { input, limit, offset } => {
-            let (input, rows) = estimate_rec(db, *input);
-            let out = limit.map_or(rows, |l| rows.min(l.saturating_add(offset)));
-            (LogicalPlan::Limit { input: Box::new(input), limit, offset }, out)
-        }
-    }
+        LogicalPlan::Aggregate { group_by, .. } if group_by.is_empty() => 1,
+        LogicalPlan::Sort { fetch: Some(k), .. } => first.min(*k),
+        LogicalPlan::Limit { limit: Some(l), offset, .. } => first.min(l.saturating_add(*offset)),
+        // Filters (selectivity is not modeled), projections, grouped
+        // aggregates, DISTINCT, Strip and unbounded Sort/Limit keep their
+        // input's count.
+        _ => first,
+    };
+    (plan, rows)
 }
 
 fn make_estimate(db: &Database, rows: usize, prompts_per_row: usize) -> LlmEstimate {
@@ -777,6 +572,34 @@ mod tests {
         let join_at = text.find("Join Inner").unwrap();
         let pred_at = text.find("Filter (stadium_id > 0)").unwrap();
         assert!(pred_at < join_at, "ambiguous predicate was pushed:\n{text}");
+    }
+
+    /// Every expression of the optimized plan, printed, inputs first.
+    fn printed_exprs(plan: LogicalPlan, out: &mut Vec<String>) -> LogicalPlan {
+        let mut plan = map_children(plan, &mut |child| printed_exprs(child, out));
+        plan.for_each_expr_mut(|e| out.push(crate::printer::print_expr(e)));
+        plan
+    }
+
+    #[test]
+    fn constants_fold_in_every_child_slot_but_not_in_subquery_bodies() {
+        let db = concert_db();
+        let sql = "SELECT LLM_MAP(1 + 1, 'upper') FROM stadium \
+                   WHERE capacity BETWEEN 1 + 1 AND 2 * 3 AND stadium_id IN (1 + 1, 3) \
+                   AND name IN (SELECT name FROM stadium WHERE 1 + 1 = 2)";
+        let crate::ast::Statement::Select(stmt) = parse_statement(sql).unwrap() else {
+            unreachable!()
+        };
+        let mut exprs = Vec::new();
+        printed_exprs(optimize(&db, lower_select(&db, &stmt).unwrap()), &mut exprs);
+        for want in [
+            "(capacity BETWEEN 2 AND 6)",
+            "(stadium_id IN (2, 3))",
+            "LLM_MAP(2, 'upper')",
+            "(name IN (SELECT name FROM stadium WHERE ((1 + 1) = 2)))",
+        ] {
+            assert!(exprs.iter().any(|e| e == want), "no {want} in {exprs:#?}");
+        }
     }
 
     #[test]

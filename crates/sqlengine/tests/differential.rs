@@ -8,7 +8,9 @@
 //! a rewrite changes evaluation order); one-sided errors fail.
 
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
-use llmdm_sqlengine::{parse_statement, Database, ResultSet, Statement, Value};
+use llmdm_sqlengine::{parse_statement, Database, Statement};
+
+mod common;
 
 /// Concert/stadium fixture (the workspace-wide Spider-style schema) plus
 /// a NULL-heavy scores table and an empty table.
@@ -52,37 +54,7 @@ fn check(db: &mut Database, sql: &str) {
         (Err(_), Err(_)) => {}
         (p, d) => panic!("one path errored on {sql}\n planner: {p:?}\n direct:  {d:?}"),
     }
-    check_explain_matches_analyze(db, sql);
-}
-
-/// `EXPLAIN` describes the operator tree `EXPLAIN ANALYZE` runs: the same
-/// lines, once ANALYZE's `  (…)` annotations are stripped.
-fn check_explain_matches_analyze(db: &mut Database, sql: &str) {
-    let lines = |rs: ResultSet| -> Vec<String> {
-        let text = |row: &Vec<Value>| match &row[0] {
-            Value::Str(s) => s.clone(),
-            other => panic!("non-text plan line {other:?}"),
-        };
-        rs.rows.iter().map(text).collect()
-    };
-    let Ok(analyzed) = db.query(&format!("EXPLAIN ANALYZE {sql}")) else { return };
-    let explained = db
-        .query(&format!("EXPLAIN {sql}"))
-        .unwrap_or_else(|e| panic!("EXPLAIN failed where ANALYZE ran on {sql}: {e}"));
-    let explained = lines(explained);
-    let physical: Vec<&str> = explained
-        .iter()
-        .skip_while(|l| *l != "physical:")
-        .skip(1)
-        .map(String::as_str)
-        .collect();
-    let analyzed = lines(analyzed);
-    let stripped: Vec<&str> = analyzed[1..]
-        .iter()
-        .take_while(|l| l.starts_with("  "))
-        .map(|l| l.rsplit_once("  (").map_or(l.as_str(), |(line, _)| line))
-        .collect();
-    assert_eq!(physical, stripped, "EXPLAIN and EXPLAIN ANALYZE trees differ on {sql}");
+    common::check_explain_matches_analyze(db, sql);
 }
 
 fn check_all(queries: &[&str]) {

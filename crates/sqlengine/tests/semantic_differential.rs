@@ -15,6 +15,8 @@ use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
 use llmdm_sqlengine::{parse_statement, Database, ModelHandle, PersistentDb, Statement};
 use llmdm_store::{MemVfs, StoreConfig};
 
+mod common;
+
 const SEED: u64 = 0xC0FFEE;
 
 fn fixture() -> Database {
@@ -39,7 +41,7 @@ fn fixture() -> Database {
     db
 }
 
-fn check(db: &Database, sql: &str) {
+fn check(db: &mut Database, sql: &str) {
     let stmt = parse_statement(sql).unwrap_or_else(|e| panic!("parse failed for {sql}: {e}"));
     let Statement::Select(s) = stmt else { panic!("not a SELECT: {sql}") };
     let planned = execute_select(db, &s);
@@ -52,12 +54,13 @@ fn check(db: &Database, sql: &str) {
         (Err(_), Err(_)) => {}
         (p, d) => panic!("one path errored on {sql}\n planner: {p:?}\n direct:  {d:?}"),
     }
+    common::check_explain_matches_analyze(db, sql);
 }
 
 fn check_all(queries: &[&str]) {
-    let db = fixture();
+    let mut db = fixture();
     for sql in queries {
-        check(&db, sql);
+        check(&mut db, sql);
     }
 }
 
@@ -119,7 +122,7 @@ fn llm_in_aggregates_matches_direct() {
 
 #[test]
 fn model_error_paths_agree() {
-    let db = fixture();
+    let mut db = fixture();
     // 'hard' drives difficulty to 0.95: most prompts fail or corrupt,
     // deterministically per (seed, prompt) — both paths must agree
     // row-for-row on error vs. success.
@@ -129,17 +132,17 @@ fn model_error_paths_agree() {
         "SELECT p.name FROM products p LLM_JOIN reviews r \
            ON LLM_MATCH(p.name, r.product, 'hard to say')",
     ] {
-        check(&db, sql);
+        check(&mut db, sql);
     }
     // No model attached: both paths must fail with the same class of
     // error rather than diverge.
-    let bare = {
+    let mut bare = {
         let mut d = Database::new();
         d.execute("CREATE TABLE t (x TEXT)").unwrap();
         d.execute("INSERT INTO t VALUES ('a')").unwrap();
         d
     };
-    check(&bare, "SELECT LLM_MAP(x, 'upper') FROM t");
+    check(&mut bare, "SELECT LLM_MAP(x, 'upper') FROM t");
 }
 
 #[test]
@@ -173,6 +176,6 @@ fn semantic_results_are_byte_reproducible_across_persist_restart() {
 
     // And the reloaded catalog still passes the planner/direct gate.
     for q in &queries {
-        check(per.database(), q);
+        check(&mut per.database().clone(), q);
     }
 }
