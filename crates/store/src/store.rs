@@ -62,7 +62,11 @@
 //! committed transaction straight into the database file before the
 //! pager comes up. Recovery never writes uncommitted data and is
 //! idempotent (the WAL is only truncated at its torn point, so opening
-//! twice redoes twice onto identical bytes).
+//! twice redoes twice onto identical bytes). Open refuses damage it
+//! cannot repair with [`StoreError::Corrupt`] rather than serve fewer
+//! rows: a WAL frame that is damaged rather than torn (see
+//! [`crate::wal`]), a database file shorter than its header's page
+//! count, or a chain page that reads back as zeros.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -102,6 +106,17 @@ fn rp_init(buf: &mut [u8]) {
 
 fn rp_next(buf: &[u8]) -> u32 {
     u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"))
+}
+
+/// The `next` link of page `id`, reached through a chain. The store
+/// never leaves a chain page without its header, so one that has none
+/// (all zeros: a page lost from the file that a later redo wrote past)
+/// is corrupt.
+fn rp_chain_next(id: u32, buf: &[u8]) -> Result<u32, StoreError> {
+    if rp_used(buf) < PAGE_HDR {
+        return Err(StoreError::Corrupt(format!("page {id} in a chain is not a record page")));
+    }
+    Ok(rp_next(buf))
 }
 
 fn rp_set_next(buf: &mut [u8], next: u32) {
@@ -330,6 +345,12 @@ impl Store {
             v.read_at(&wal_file, 0, n)
         };
         let scan = Wal::scan(&wal_bytes);
+        if scan.corrupt {
+            return Err(StoreError::Corrupt(format!(
+                "{wal_file}: damaged frame at byte {}, not a torn tail",
+                scan.valid_len
+            )));
+        }
         let mut recovery = RecoveryReport {
             frames: scan.records.len(),
             committed_txns: scan.committed.len(),
@@ -369,6 +390,15 @@ impl Store {
         let db_len = vfs_lock(&vfs).len(&db_file);
         let header =
             if db_len == 0 { Header::fresh() } else { Header::decode(pager.page(0)?)? };
+        // Every allocated page is written by the commit that allocates
+        // it, so a shorter file lost pages that would read back as
+        // zero-fill, and with them records.
+        if db_len > 0 && db_len < header.page_count as u64 * PAGE_SIZE as u64 {
+            return Err(StoreError::Corrupt(format!(
+                "{db_file}: {db_len} bytes, short of its {} pages",
+                header.page_count
+            )));
+        }
 
         let mut store = Store {
             vfs,
@@ -892,7 +922,7 @@ impl Store {
             self.pager.pin(p)?;
             let parsed = {
                 let buf = self.pager.page(p)?;
-                rp_slots(buf).map(|slots| (rp_next(buf), slots))
+                rp_chain_next(p, buf).and_then(|next| Ok((next, rp_slots(buf)?)))
             };
             self.pager.unpin(p);
             let (next, slots) = parsed?;
@@ -929,7 +959,8 @@ impl Store {
     fn chain_pages(&mut self, head: u32) -> Result<Vec<u32>, StoreError> {
         let mut pages = vec![head];
         loop {
-            let next = rp_next(self.pager.page(*pages.last().expect("starts with head"))?);
+            let page = *pages.last().expect("starts with head");
+            let next = rp_chain_next(page, self.pager.page(page)?)?;
             if next == 0 {
                 return Ok(pages);
             }
@@ -941,7 +972,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::MemVfs;
+    use crate::vfs::{MemVfs, Vfs};
     use std::sync::{Arc, Mutex};
 
     fn shared(vfs: &Arc<Mutex<MemVfs>>) -> SharedVfs {
@@ -1256,6 +1287,29 @@ mod tests {
         let mut s2 = open(&vfs);
         assert!(s2.recovery().pages_redone > 0, "recovery must redo the committed images");
         assert_eq!(s2.scan("kept").unwrap(), vec![b"r".to_vec()]);
+    }
+
+    #[test]
+    fn a_file_short_of_its_page_count_is_corrupt() {
+        let vfs = MemVfs::shared();
+        let cfg = || StoreConfig { checkpoint_bytes: Some(1), ..StoreConfig::default() };
+        let mut s = Store::open(shared(&vfs), cfg()).unwrap();
+        s.with_txn(|s| {
+            s.create_space("kept")?;
+            s.create_space("tmp")?;
+            (0..40).try_for_each(|_| s.append("tmp", &[7; 1000]).map(drop))
+        })
+        .unwrap();
+        s.with_txn(|s| s.drop_space("tmp")).unwrap();
+        drop(s);
+        // The last page is free: only the header's page count names it.
+        {
+            let mut v = llmdm_rt::lock_recover(&vfs);
+            let len = v.len("data.db");
+            v.truncate("data.db", len - PAGE_SIZE as u64).unwrap();
+            v.sync("data.db").unwrap();
+        }
+        assert!(matches!(Store::open(shared(&vfs), cfg()), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //! `page = 0, len = 0`.
 //!
 //! [`Wal::scan`] walks the file from the start and stops at the first
-//! frame that is short, fails its checksum, or has an unknown kind —
-//! exactly the state a crash mid-append leaves behind. Everything
-//! before that point is trusted; everything after is a torn tail that
-//! recovery truncates. A transaction counts as committed iff its
-//! `Commit` frame lies in the trusted prefix.
+//! frame that is short, fails its checksum, or has a header no writer
+//! produces. Everything before that point is trusted. A crash
+//! mid-append cuts the log short; it does not change bytes already
+//! written. So what follows the trusted prefix is a *torn tail* that
+//! recovery truncates only if it is cut short too — a partial header,
+//! a well-formed header whose frame runs past end of file, or all
+//! zeros (a file extended on disk whose data never landed). A complete
+//! frame that fails its checksum, or a malformed header, is *corrupt*:
+//! committed frames may follow it, so recovery refuses to open rather
+//! than lose them. A transaction counts as committed iff its `Commit`
+//! frame lies in the trusted prefix.
 
 use std::collections::BTreeSet;
 
@@ -115,6 +121,9 @@ pub struct WalScan {
     /// Whether bytes beyond `valid_len` existed (a torn or corrupt
     /// tail).
     pub torn: bool,
+    /// Whether those bytes are damage rather than a cut-short append
+    /// (see module docs): truncating them could drop committed frames.
+    pub corrupt: bool,
 }
 
 /// Append-side handle to the log file (see module docs).
@@ -194,15 +203,27 @@ impl Wal {
             let txn = u64::from_le_bytes(rest[1..9].try_into().expect("8 bytes"));
             let page = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes"));
             let len = u32::from_le_bytes(rest[13..17].try_into().expect("4 bytes")) as usize;
+            let well_formed = match kind {
+                KIND_PAGE => len <= PAGE_DATA,
+                KIND_BEGIN | KIND_COMMIT | KIND_ROLLBACK => page == 0 && len == 0,
+                _ => false,
+            };
             let total = FRAME_OVERHEAD + len;
-            if rest.len() < total || len > PAGE_DATA {
+            // `Some(damaged)` stops the scan: damage, or a frame cut short.
+            let stop = if !well_formed {
+                Some(true)
+            } else if rest.len() < total {
+                Some(false)
+            } else {
+                let stored =
+                    u64::from_le_bytes(rest[total - 8..total].try_into().expect("8 bytes"));
+                (stored != fnv1a(&rest[..total - 8])).then_some(true)
+            };
+            if let Some(damaged) = stop {
                 out.torn = true;
-                break;
-            }
-            let body = &rest[..total - 8];
-            let stored = u64::from_le_bytes(rest[total - 8..total].try_into().expect("8 bytes"));
-            if stored != fnv1a(body) {
-                out.torn = true;
+                // All zeros is an extension whose data never landed:
+                // torn, however long.
+                out.corrupt = damaged && rest.iter().any(|&b| b != 0);
                 break;
             }
             let rec = match kind {
@@ -214,11 +235,7 @@ impl Wal {
                     out.committed.insert(txn);
                     WalRecord::Commit { txn }
                 }
-                KIND_ROLLBACK => WalRecord::Rollback { txn },
-                _ => {
-                    out.torn = true;
-                    break;
-                }
+                _ => WalRecord::Rollback { txn },
             };
             out.records.push(rec);
             pos += total;
@@ -291,6 +308,27 @@ mod tests {
         assert_eq!(scan.records.len(), 1, "only the Begin before the corruption");
         assert!(scan.torn);
         assert!(scan.committed.is_empty());
+    }
+
+    #[test]
+    fn a_cut_is_torn_and_a_flipped_bit_is_corrupt() {
+        let bytes = sample_log();
+        for cut in 0..bytes.len() {
+            let scan = Wal::scan(&bytes[..cut]);
+            assert!(!scan.corrupt, "a cut at byte {cut} is a tear, not damage");
+        }
+        let first = WalRecord::Begin { txn: 1 }.encode().len();
+        let mut zero_filled = bytes[..first].to_vec();
+        zero_filled.resize(bytes.len(), 0);
+        assert!(!Wal::scan(&zero_filled).corrupt, "zero-fill after a whole frame is a tear");
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                let scan = Wal::scan(&flipped);
+                assert!(scan.corrupt, "bit {bit} of byte {at} flipped reads as {scan:?}");
+            }
+        }
     }
 
     #[test]

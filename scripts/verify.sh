@@ -49,7 +49,7 @@ done
 #   serve_throughput  >=3x ops/sec at 8 workers vs 1; 1-worker == direct loop; dollars reconcile
 #   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
-#   store_durability  warm scan >=2x cold through the buffer pool; fixtures read back
+#   store_durability  warm scan >=2x cold through the buffer pool; a 1-row commit behind 1 MiB of WAL <=1.5x one on a near-empty WAL (interleaved medians); fixtures read back
 #   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
 #   vecdb_hybrid      adaptive <=1.25x the better of pre-/post-filter at 2% and 50%; prefilter@2% <= exact scan
 #   semcache_bench    probe+lookup+insert (miss) and probe+lookup (hit) each <=1.5x one embedding at a full 256-entry cache
