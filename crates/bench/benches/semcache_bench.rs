@@ -96,7 +96,7 @@ fn bench_hot_path(c: &mut Criterion) {
             h = (h + 1) % ENTRIES;
             let prompt = semsql_prompt(h);
             let hit = warm.lookup_probed(&Probe::new(&embedder, &prompt));
-            assert!(matches!(black_box(hit), Lookup::Hit { .. }));
+            assert!(matches!(black_box(hit), Lookup::Reuse { .. }));
         }),
     ]);
     // Apart from the interleaved cases: its misses would overwrite the

@@ -131,7 +131,7 @@ pub fn run_table3(seed: u64) -> Table3Report {
     let mut ok = 0usize;
     for q in &asks {
         let answer = match cache.lookup(&q.text) {
-            Lookup::Hit { response, kind: llmdm_semcache::HitKind::Reuse, .. } => response,
+            Lookup::Reuse { response, .. } => response,
             _ => {
                 let prompt = builder.single(&q.text);
                 match model.complete(&CompletionRequest::new(prompt)) {
@@ -168,7 +168,7 @@ pub fn run_table3(seed: u64) -> Table3Report {
         for (key, atom) in d.atom_keys.iter().zip(q.shape.atoms()) {
             let sub_q = atom.sub_question();
             let sql = match cache.lookup(&sub_q) {
-                Lookup::Hit { response, kind: llmdm_semcache::HitKind::Reuse, .. } => response,
+                Lookup::Reuse { response, .. } => response,
                 _ => match model.complete(&CompletionRequest::new(builder.single(&sub_q))) {
                     Ok(c) => {
                         let text = c.text.trim().to_string();

@@ -16,30 +16,26 @@ pub enum EntryKind {
     SubQuery,
 }
 
-/// How a lookup hit the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitKind {
-    /// Similar enough to reuse the cached response outright — no model
-    /// call (the paper's case 1).
-    Reuse,
-    /// Similar enough that the cached (query, response) pair should
-    /// augment the new prompt as an extra example (the paper's case 2).
-    Augment,
-}
-
 /// The result of a cache lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// A hit with the cached query/response and the match similarity.
-    Hit {
+    /// Similar enough to reuse the cached response outright — no model
+    /// call (the paper's case 1).
+    Reuse {
+        /// The cached response.
+        response: String,
+        /// Cosine similarity of the match.
+        similarity: f32,
+    },
+    /// Similar enough that the cached (query, response) pair should
+    /// augment the new prompt as an extra example (the paper's case 2).
+    Augment {
         /// The cached query text.
         query: String,
         /// The cached response.
         response: String,
         /// Cosine similarity of the match.
         similarity: f32,
-        /// Reuse or augment.
-        kind: HitKind,
     },
     /// No cached entry was similar enough.
     Miss,
@@ -75,10 +71,10 @@ impl Default for EvictionPolicy {
 pub struct CacheConfig {
     /// Maximum number of entries.
     pub capacity: usize,
-    /// Similarity at or above which a hit is a [`HitKind::Reuse`].
+    /// Similarity at or above which a hit is a [`Lookup::Reuse`].
     pub reuse_threshold: f32,
-    /// Similarity at or above which a hit is at least an
-    /// [`HitKind::Augment`].
+    /// Similarity at or above which a hit is at least a
+    /// [`Lookup::Augment`].
     pub augment_threshold: f32,
     /// Similarity at or above which [`SemanticCache::serve_stale`] will
     /// serve an entry during an upstream outage. Deliberately *below*
@@ -337,44 +333,36 @@ impl SemanticCache {
             self.stats.misses += 1;
             return miss(&mut span);
         }
-        let kind = if !via_response && best.score >= self.config.reuse_threshold {
-            HitKind::Reuse
-        } else {
-            HitKind::Augment
-        };
+        let reuse = !via_response && best.score >= self.config.reuse_threshold;
         let entry = self.entries.get_mut(&best.id).expect("index and entries are in sync");
         entry.hits += 1;
         entry.last_access = self.clock;
         if let EvictionPolicy::Weighted { reuse_weight, augment_weight } = self.config.policy {
-            entry.weight += match kind {
-                HitKind::Reuse => reuse_weight,
-                HitKind::Augment => augment_weight,
-            };
+            entry.weight += if reuse { reuse_weight } else { augment_weight };
         }
-        match kind {
-            HitKind::Reuse => self.stats.reuse_hits += 1,
-            HitKind::Augment => self.stats.augment_hits += 1,
+        if reuse {
+            self.stats.reuse_hits += 1;
+        } else {
+            self.stats.augment_hits += 1;
         }
         if span.is_recording() {
+            let (kind, counter) = if reuse {
+                ("reuse", "semcache.lookup.reuse")
+            } else {
+                ("augment", "semcache.lookup.augment")
+            };
             span.field("cache", "hit");
-            span.field(
-                "kind",
-                match kind {
-                    HitKind::Reuse => "reuse",
-                    HitKind::Augment => "augment",
-                },
-            );
+            span.field("kind", kind);
             span.field("similarity", best.score as f64);
-            match kind {
-                HitKind::Reuse => llmdm_obs::counter_add("semcache.lookup.reuse", 1.0),
-                HitKind::Augment => llmdm_obs::counter_add("semcache.lookup.augment", 1.0),
-            }
+            llmdm_obs::counter_add(counter, 1.0);
         }
-        Lookup::Hit {
-            query: entry.query.clone(),
-            response: entry.response.clone(),
-            similarity: best.score,
-            kind,
+        let (response, similarity) = (entry.response.clone(), best.score);
+        if reuse {
+            // A reuse hit answers with the response alone: the cached
+            // query is not copied.
+            Lookup::Reuse { response, similarity }
+        } else {
+            Lookup::Augment { query: entry.query.clone(), response, similarity }
         }
     }
 
@@ -560,9 +548,8 @@ mod tests {
         let mut c = cache(16, EvictionPolicy::Lru);
         c.insert("what are the names of stadiums that had concerts in 2014", "SQL-A", EntryKind::Original);
         match c.lookup("what are the names of stadiums that had concerts in 2014") {
-            Lookup::Hit { response, kind, similarity, .. } => {
+            Lookup::Reuse { response, similarity } => {
                 assert_eq!(response, "SQL-A");
-                assert_eq!(kind, HitKind::Reuse);
                 assert!(similarity > 0.99);
             }
             other => panic!("{other:?}"),
@@ -579,9 +566,7 @@ mod tests {
         );
         // Same template, different year: similar but not near-identical.
         match c.lookup("What are the names of stadiums that had concerts in 2016?") {
-            Lookup::Hit { kind, similarity, .. } => {
-                assert_eq!(kind, HitKind::Augment, "similarity was {similarity}");
-            }
+            Lookup::Augment { .. } => {}
             other => panic!("expected augment hit, got {other:?}"),
         }
     }
@@ -609,7 +594,7 @@ mod tests {
         let _ = c.lookup("alpha bravo charlie");
         c.insert("golf hotel india", "3", EntryKind::Original);
         assert_eq!(c.len(), 2);
-        assert!(matches!(c.lookup("alpha bravo charlie"), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup("alpha bravo charlie"), Lookup::Reuse { .. }));
         assert_eq!(c.lookup("delta echo foxtrot"), Lookup::Miss);
         assert_eq!(c.stats().evictions, 1);
     }
@@ -624,7 +609,7 @@ mod tests {
         }
         c.insert("golf hotel india", "3", EntryKind::Original);
         assert_eq!(c.lookup("alpha bravo charlie"), Lookup::Miss);
-        assert!(matches!(c.lookup("delta echo foxtrot"), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup("delta echo foxtrot"), Lookup::Reuse { .. }));
     }
 
     #[test]
@@ -636,11 +621,11 @@ mod tests {
         // hits — lower total weight despite more accesses.
         let _ = c.lookup("alpha bravo charlie delta"); // reuse
         match c.lookup("echo foxtrot golf hotel kilo lima mike november oscar papa") {
-            Lookup::Hit { kind: HitKind::Augment, .. } | Lookup::Miss => {}
+            Lookup::Augment { .. } | Lookup::Miss => {}
             other => panic!("unexpected {other:?}"),
         }
         c.insert("papa quebec romeo sierra", "3", EntryKind::Original);
-        assert!(matches!(c.lookup("alpha bravo charlie delta"), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup("alpha bravo charlie delta"), Lookup::Reuse { .. }));
     }
 
     #[test]
@@ -650,7 +635,7 @@ mod tests {
         c.insert("same query text", "new", EntryKind::Original);
         assert_eq!(c.len(), 1);
         match c.lookup("same query text") {
-            Lookup::Hit { response, .. } => assert_eq!(response, "new"),
+            Lookup::Reuse { response, .. } => assert_eq!(response, "new"),
             other => panic!("{other:?}"),
         }
     }
@@ -704,8 +689,8 @@ mod tests {
         );
         // A follow-up query phrased like the cached *response*.
         match c.lookup("SELECT name FROM stadium WHERE stadium_id IN (SELECT stadium_id FROM concert WHERE year = 2014)") {
-            Lookup::Hit { kind, .. } => assert_eq!(kind, HitKind::Augment),
-            Lookup::Miss => panic!("response-similar query should hit"),
+            Lookup::Augment { .. } => {}
+            other => panic!("response-similar query should augment, got {other:?}"),
         }
         // Without the flag, the same lookup misses.
         let mut plain = SemanticCache::new(CacheConfig::default());
@@ -733,7 +718,7 @@ mod tests {
         // …and the fresh one must.
         assert!(matches!(
             c.lookup("entirely different second answer body"),
-            Lookup::Hit { .. }
+            Lookup::Augment { .. }
         ));
     }
 
@@ -745,8 +730,8 @@ mod tests {
         });
         c.insert("the question", "the exact response text", EntryKind::Original);
         match c.lookup("the exact response text") {
-            Lookup::Hit { kind, .. } => assert_eq!(kind, HitKind::Augment),
-            Lookup::Miss => panic!("exact response text should at least augment"),
+            Lookup::Augment { .. } => {}
+            other => panic!("exact response text should augment, got {other:?}"),
         }
     }
 
@@ -833,7 +818,7 @@ mod tests {
         assert_eq!(c.stats().evictions, 2);
         assert!(matches!(
             c.lookup("alpha bravo charlie"),
-            Lookup::Hit { response, .. } if response == "5"
+            Lookup::Reuse { response, .. } if response == "5"
         ));
         assert_filed(&c);
     }
@@ -937,8 +922,16 @@ mod tests {
                     "insert".to_string()
                 }
                 4..=7 => match cache.lookup(&q) {
-                    Lookup::Hit { query, response, similarity, kind } => {
-                        format!("hit {kind:?} {:08x} {query:?} {response:?}", similarity.to_bits())
+                    Lookup::Reuse { response, similarity } => {
+                        // The entry that answered is the one the lookup
+                        // just touched.
+                        let clock = cache.clock;
+                        let e = cache.entries.values().find(|e| e.last_access == clock).unwrap();
+                        let query = &e.query;
+                        format!("hit Reuse {:08x} {query:?} {response:?}", similarity.to_bits())
+                    }
+                    Lookup::Augment { query, response, similarity } => {
+                        format!("hit Augment {:08x} {query:?} {response:?}", similarity.to_bits())
                     }
                     Lookup::Miss => "miss".to_string(),
                 },

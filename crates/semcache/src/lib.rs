@@ -40,8 +40,6 @@ pub mod cache;
 pub mod predictor;
 pub mod stack;
 
-pub use cache::{
-    CacheConfig, CacheStats, EntryKind, EvictionPolicy, HitKind, Lookup, Probe, SemanticCache,
-};
+pub use cache::{CacheConfig, CacheStats, EntryKind, EvictionPolicy, Lookup, Probe, SemanticCache};
 pub use predictor::AccessPredictor;
 pub use stack::{shared_cache, CacheStackExt, CachedModel, SharedCache};

@@ -40,7 +40,7 @@ use std::time::Duration;
 use llmdm_model::prelude::*;
 use llmdm_model::{Embedder, ModelStack};
 
-use crate::cache::{CacheConfig, EntryKind, HitKind, Lookup, Probe, SemanticCache};
+use crate::cache::{CacheConfig, EntryKind, Lookup, Probe, SemanticCache};
 use crate::predictor::AccessPredictor;
 
 /// A semantic cache shareable between the stack layer and the caller
@@ -104,8 +104,8 @@ impl CachedModel {
         let probe = Probe::new(&self.embedder, key);
         let hit = self.lock().lookup_probed(&probe);
         let answer = match hit {
-            Lookup::Hit { response, kind: HitKind::Reuse, .. } => return Ok(self.cached(response)),
-            Lookup::Hit { query, response, kind: HitKind::Augment, .. } => {
+            Lookup::Reuse { response, .. } => return Ok(self.cached(response)),
+            Lookup::Augment { query, response, .. } => {
                 self.inner.complete(&CompletionRequest {
                     prompt: augment_prompt(&req.prompt, &query, &response),
                     max_output_tokens: req.max_output_tokens,

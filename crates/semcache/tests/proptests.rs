@@ -50,7 +50,8 @@ proptest! {
             SemanticCache::new(CacheConfig { capacity: 8, policy, ..Default::default() });
         cache.insert(&query, &response, EntryKind::SubQuery);
         match cache.lookup(&query) {
-            Lookup::Hit { response: got, similarity, .. } => {
+            Lookup::Reuse { response: got, similarity }
+            | Lookup::Augment { response: got, similarity, .. } => {
                 prop_assert_eq!(got, response);
                 prop_assert!(similarity > 0.999);
             }

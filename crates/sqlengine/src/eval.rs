@@ -6,21 +6,25 @@
 //! [`Expr::Slot`] and reads its value by index; a bare [`Expr::Column`]
 //! is resolved by name, which is how the direct reference executor reads
 //! every column and how the planner reaches a column that failed to bind
-//! (to raise the same error it always did). Subqueries re-enter the
-//! executor against the same database. Aggregate nodes are *not* handled
-//! here — the executor evaluates them per group via `eval_grouped`.
+//! (to raise the same error it always did). Subqueries run as part of
+//! the statement the expression belongs to (`Cx::select`). A semantic
+//! operator's prompts resolve in the scope of the operator that built the
+//! `Env`: an expression evaluated anywhere else, a subquery's operators
+//! included, brings its own. Aggregate nodes are *not* handled here — the
+//! executor evaluates them per group via `eval_grouped`.
 
 use std::borrow::Cow;
 
-use crate::ast::{BinOp, Expr, SelectStmt, UnOp};
-use crate::catalog::Database;
+use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::SqlError;
-use crate::exec::Bindings;
+use crate::exec::{Bindings, Cx};
+use crate::semantic::{complete, match_prompt, parse_bool, unary_prompt, SemScope};
 use crate::value::Value;
 
 /// The evaluation environment: the row, the layout that names its
-/// columns, and the database (for subqueries and the session model).
-#[derive(Debug, Clone, Copy)]
+/// columns, the statement evaluating it (for subqueries and the session
+/// model) and the semantic operator it evaluates for, if any.
+#[derive(Clone, Copy)]
 pub(crate) struct Env<'a> {
     layout: &'a Bindings,
     /// The row, or a join's left row.
@@ -29,13 +33,24 @@ pub(crate) struct Env<'a> {
     right: &'a [Value],
     /// Positions past `row` and `right` read NULL: a LEFT JOIN's padding.
     padded: bool,
-    pub(crate) db: &'a Database,
+    cx: &'a Cx<'a>,
+    /// The scope of the semantic operator evaluating this row: its prompts
+    /// dedup and count there.
+    scope: Option<&'a SemScope>,
 }
 
 impl<'a> Env<'a> {
     /// One row laid out per `layout`.
-    pub(crate) fn new(layout: &'a Bindings, row: &'a [Value], db: &'a Database) -> Self {
-        Env { layout, row, right: &[], padded: false, db }
+    pub(crate) fn new(layout: &'a Bindings, row: &'a [Value], cx: &'a Cx<'a>) -> Self {
+        Env { layout, row, right: &[], padded: false, cx, scope: None }
+    }
+
+    /// No row and no table in scope: an INSERT's values, a SELECT
+    /// without FROM being folded, an empty group.
+    pub(crate) fn empty(cx: &'a Cx<'a>) -> Self {
+        static NO_TABLES: Bindings =
+            Bindings { aliases: Vec::new(), schemas: Vec::new(), offsets: Vec::new() };
+        Env::new(&NO_TABLES, &[], cx)
     }
 
     /// A join's left row and right row (`None`: NULL padding), evaluated
@@ -44,9 +59,15 @@ impl<'a> Env<'a> {
         layout: &'a Bindings,
         left: &'a [Value],
         right: Option<&'a [Value]>,
-        db: &'a Database,
+        cx: &'a Cx<'a>,
     ) -> Self {
-        Env { layout, row: left, right: right.unwrap_or(&[]), padded: right.is_none(), db }
+        let (right, padded) = (right.unwrap_or(&[]), right.is_none());
+        Env { layout, row: left, right, padded, cx, scope: None }
+    }
+
+    /// This environment, evaluated for the semantic operator owning `scope`.
+    pub(crate) fn scoped(self, scope: Option<&'a SemScope>) -> Self {
+        Env { scope, ..self }
     }
 
     /// The value at position `i` of the row, `None` past its end.
@@ -138,7 +159,7 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             if v.is_null() {
                 return owned(Value::Null);
             }
-            let rs = run_subquery(subquery, env.db)?;
+            let rs = env.cx.select(subquery)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::Exec("IN subquery must project one column".into()).into());
             }
@@ -149,11 +170,11 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             owned(Value::Bool(found != *negated))
         }
         Expr::Exists { subquery, negated } => {
-            let rs = run_subquery(subquery, env.db)?;
+            let rs = env.cx.select(subquery)?;
             owned(Value::Bool(rs.rows.is_empty() == *negated))
         }
         Expr::ScalarSubquery(subquery) => {
-            let mut rs = run_subquery(subquery, env.db)?;
+            let mut rs = env.cx.select(subquery)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::Exec("scalar subquery must project one column".into()).into());
             }
@@ -191,17 +212,16 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             if v.is_null() {
                 return owned(Value::Null);
             }
-            let prompt = crate::semantic::unary_prompt("map", template, &v);
-            owned(Value::Str(crate::semantic::complete(env.db.model(), &prompt)?))
+            let prompt = unary_prompt("map", template, &v);
+            owned(Value::Str(complete(env.cx, env.scope, &prompt)?))
         }
         Expr::LlmFilter { arg, template } => {
             let v = walk(arg, env)?;
             if v.is_null() {
                 return owned(Value::Null);
             }
-            let prompt = crate::semantic::unary_prompt("filter", template, &v);
-            let text = crate::semantic::complete(env.db.model(), &prompt)?;
-            owned(Value::Bool(crate::semantic::parse_bool(&text)?))
+            let prompt = unary_prompt("filter", template, &v);
+            owned(Value::Bool(parse_bool(&complete(env.cx, env.scope, &prompt)?)?))
         }
         Expr::LlmMatch { left, right, template } => {
             let l = walk(left, env)?;
@@ -209,18 +229,10 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             if l.is_null() || r.is_null() {
                 return owned(Value::Null);
             }
-            let prompt = crate::semantic::match_prompt(template, &l, &r);
-            let text = crate::semantic::complete(env.db.model(), &prompt)?;
-            owned(Value::Bool(crate::semantic::parse_bool(&text)?))
+            let prompt = match_prompt(template, &l, &r);
+            owned(Value::Bool(parse_bool(&complete(env.cx, env.scope, &prompt)?)?))
         }
     }
-}
-
-fn run_subquery(
-    subquery: &SelectStmt,
-    db: &Database,
-) -> Result<crate::result::ResultSet, SqlError> {
-    crate::exec::execute_select(db, subquery)
 }
 
 fn as_bool(v: &Value) -> Result<bool, SqlError> {
@@ -380,6 +392,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Database;
     use crate::schema::{Column, Schema};
     use crate::value::DataType;
 
@@ -397,7 +410,8 @@ mod tests {
 
     fn eval_with(expr: &str) -> Result<Value, SqlError> {
         let (db, layout, row) = env_fixture();
-        let env = Env::new(&layout, &row, &db);
+        let cx = Cx::new(&db);
+        let env = Env::new(&layout, &row, &cx);
         let e = crate::parser::parse_expr(expr)?;
         eval(&e, &env)
     }
@@ -413,7 +427,8 @@ mod tests {
     #[test]
     fn bound_slots_read_what_names_resolve_to() {
         let (db, layout, row) = env_fixture();
-        let env = Env::new(&layout, &row, &db);
+        let cx = Cx::new(&db);
+        let env = Env::new(&layout, &row, &cx);
         for sql in ["t.name", "NAME", "x + 1", "name LIKE 'a%' AND x BETWEEN 1 AND 9", "u.x"] {
             let e = crate::parser::parse_expr(sql).unwrap();
             let bound = layout.bind(&e);
@@ -421,8 +436,7 @@ mod tests {
         }
         // An empty group has no row: a slot fails the way a name does
         // with no table in scope.
-        let none = Bindings::default();
-        let empty = Env::new(&none, &[], &db);
+        let empty = Env::empty(&cx);
         for sql in ["t.NAME", "x"] {
             let e = crate::parser::parse_expr(sql).unwrap();
             assert_eq!(eval(&layout.bind(&e), &empty), eval(&e, &empty), "{sql}");
@@ -432,12 +446,13 @@ mod tests {
     #[test]
     fn a_pair_reads_both_sides_and_pads_with_nulls() {
         let (db, one, row) = env_fixture();
+        let cx = Cx::new(&db);
         let mut layout = one.clone();
         layout.push("u".into(), one.schemas[0].clone());
         let right = vec![Value::Int(7), Value::Str("bob".into())];
         let e = layout.bind(&crate::parser::parse_expr("u.x - t.x").unwrap());
-        assert_eq!(eval(&e, &Env::pair(&layout, &row, Some(&right), &db)).unwrap(), Value::Int(2));
-        assert_eq!(eval(&e, &Env::pair(&layout, &row, None, &db)).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &Env::pair(&layout, &row, Some(&right), &cx)).unwrap(), Value::Int(2));
+        assert_eq!(eval(&e, &Env::pair(&layout, &row, None, &cx)).unwrap(), Value::Null);
     }
 
     #[test]
@@ -528,7 +543,8 @@ mod tests {
         layout.push("a".into(), schema.clone());
         layout.push("b".into(), schema);
         let row = vec![Value::Int(1), Value::Int(2)];
-        let env = Env::new(&layout, &row, &db);
+        let cx = Cx::new(&db);
+        let env = Env::new(&layout, &row, &cx);
         let e = crate::parser::parse_expr("x").unwrap();
         assert!(matches!(eval(&e, &env), Err(SqlError::AmbiguousColumn(_))));
         let q = crate::parser::parse_expr("b.x").unwrap();
@@ -541,8 +557,8 @@ mod tests {
         // via unary minus on i64::MIN's literal magnitude… which itself is
         // out of range, so build the expression programmatically.
         let db = Database::new();
-        let none = Bindings::default();
-        let env = Env::new(&none, &[], &db);
+        let cx = Cx::new(&db);
+        let env = Env::empty(&cx);
         let e = Expr::Unary {
             op: crate::ast::UnOp::Neg,
             expr: Box::new(Expr::Literal(Value::Int(i64::MIN))),

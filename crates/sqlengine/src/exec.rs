@@ -5,6 +5,7 @@
 //! DISTINCT → ORDER BY → LIMIT/OFFSET.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 
 use crate::ast::{
     AggFunc, BinOp, Expr, FromItem, JoinType, SelectItem, SelectStmt, SetOp, Statement,
@@ -14,6 +15,7 @@ use crate::error::SqlError;
 use crate::eval::{eval, eval_binop, logic, operand, truthy, unary, Env};
 use crate::result::{cmp_rows, ResultSet};
 use crate::schema::{Column, Row, Schema, Table};
+use crate::semantic::SemCounters;
 use crate::value::Value;
 
 /// The rows of one table a DML statement changed, as indices into
@@ -168,17 +170,15 @@ fn insert(
     values: &[Vec<Expr>],
 ) -> Result<RowChange, SqlError> {
     // Evaluate value expressions first (no row scope: literals/arithmetic).
-    let none = Bindings::default();
+    let cx = Cx::new(db);
+    let env = Env::empty(&cx);
     let mut rows: Vec<Row> = Vec::with_capacity(values.len());
-    {
-        let env = Env::new(&none, &[], db);
-        for exprs in values {
-            let mut row = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                row.push(eval(e, &env)?);
-            }
-            rows.push(row);
+    for exprs in values {
+        let mut row = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            row.push(eval(e, &env)?);
         }
+        rows.push(row);
     }
     let t = db.table_mut(table)?;
     let n = rows.len();
@@ -224,7 +224,8 @@ fn update(
     // Two-phase: compute the new rows against the table as it is, then
     // write them in place. Columns bind once; an unknown target column
     // still fails only when a row matches.
-    let t = db.table(table)?;
+    let cx = Cx::new(db);
+    let t = cx.db.table(table)?;
     let layout = Bindings::of_table(t);
     let selection = selection.map(|e| layout.bind(e));
     let targets: Vec<(Result<usize, SqlError>, Expr)> = assignments
@@ -236,7 +237,7 @@ fn update(
         .collect();
     let mut writes: Vec<(usize, Row)> = Vec::new();
     for (i, row) in t.rows.iter().enumerate() {
-        let env = Env::new(&layout, row, db);
+        let env = Env::new(&layout, row, &cx);
         if !selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             continue;
         }
@@ -263,12 +264,13 @@ fn delete(
     table: &str,
     selection: Option<&Expr>,
 ) -> Result<RowChange, SqlError> {
-    let t = db.table(table)?;
+    let cx = Cx::new(db);
+    let t = cx.db.table(table)?;
     let layout = Bindings::of_table(t);
     let selection = selection.map(|e| layout.bind(e));
     let mut gone = Vec::new();
     for (i, row) in t.rows.iter().enumerate() {
-        let env = Env::new(&layout, row, db);
+        let env = Env::new(&layout, row, &cx);
         if selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             gone.push(i);
         }
@@ -398,12 +400,48 @@ pub(crate) struct Joined {
     rows: Vec<Vec<Value>>,
 }
 
-thread_local! {
-    /// When set, `execute_select` takes the legacy direct path — including
-    /// for subqueries, which re-enter `execute_select`. Installed (RAII)
-    /// by [`execute_select_direct`] so the whole statement tree stays on
-    /// the oracle path.
-    static FORCE_DIRECT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// One statement's execution state, made once per statement and lent to
+/// every operator, expression and subquery it runs.
+pub(crate) struct Cx<'a> {
+    /// The database the statement reads.
+    pub(crate) db: &'a Database,
+    /// Subqueries run on the direct path too: a statement tree started by
+    /// [`execute_select_direct`] stays on the differential oracle.
+    direct: bool,
+    /// What every prompt the statement resolved cost, in whichever
+    /// operator, a subquery's included; `None` until it builds a semantic
+    /// operator or resolves a prompt. `EXPLAIN ANALYZE` prints it as its
+    /// `llm:` line.
+    tally: Cell<Option<SemCounters>>,
+}
+
+impl<'a> Cx<'a> {
+    /// A statement on the planned path.
+    pub(crate) fn new(db: &'a Database) -> Self {
+        Cx { db, direct: false, tally: Cell::new(None) }
+    }
+
+    /// Run a SELECT of this statement, itself or a subquery, on the
+    /// statement's path.
+    pub(crate) fn select(&self, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
+        if self.direct {
+            select_direct(self, stmt)
+        } else {
+            crate::plan::execute_select_planned(self, stmt)
+        }
+    }
+
+    /// Add `delta` to the statement's totals.
+    pub(crate) fn count(&self, delta: SemCounters) {
+        let mut total = self.tally.get().unwrap_or_default();
+        total.add(delta);
+        self.tally.set(Some(total));
+    }
+
+    /// The statement's totals so far.
+    pub(crate) fn tally(&self) -> Option<SemCounters> {
+        self.tally.get()
+    }
 }
 
 /// Execute a SELECT (read-only) through the query planner: AST → logical
@@ -411,32 +449,22 @@ thread_local! {
 /// [`crate::plan`]). The pre-planner direct executor is kept as the
 /// differential-testing oracle behind [`execute_select_direct`].
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
-    if FORCE_DIRECT.with(|f| f.get()) {
-        return execute_select_direct_inner(db, stmt);
-    }
-    crate::plan::execute_select_planned(db, stmt)
+    Cx::new(db).select(stmt)
 }
 
 /// Execute a SELECT on the legacy direct-walk path. This is the
 /// differential-testing oracle: subqueries inside `stmt` also stay on the
-/// direct path (via a thread-local flag), so a whole statement tree can be
-/// compared against the planner byte for byte.
+/// direct path, so a whole statement tree can be compared against the
+/// planner byte for byte.
 pub fn execute_select_direct(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_DIRECT.with(|f| f.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCE_DIRECT.with(|f| f.replace(true)));
-    execute_select_direct_inner(db, stmt)
+    Cx { direct: true, ..Cx::new(db) }.select(stmt)
 }
 
-fn execute_select_direct_inner(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
-    let mut rs = execute_core(db, stmt)?;
+fn select_direct(cx: &Cx<'_>, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
+    let mut rs = execute_core(cx, stmt)?;
     // Set operation chain.
     if let Some((op, all, rhs)) = &stmt.set_op {
-        let right = execute_select(db, rhs)?;
+        let right = cx.select(rhs)?;
         if right.columns.len() != rs.columns.len() {
             return Err(SqlError::Exec(format!(
                 "set operation arity mismatch: {} vs {}",
@@ -464,7 +492,7 @@ fn execute_select_direct_inner(db: &Database, stmt: &SelectStmt) -> Result<Resul
                         alias: None,
                     });
                 }
-                let mut wide = execute_core(db, &widened)?;
+                let mut wide = execute_core(cx, &widened)?;
                 if wide.columns.len() != visible + stmt.order_by.len() {
                     return Err(SqlError::Exec(
                         "hidden ORDER BY projection misaligned with output".into(),
@@ -598,15 +626,15 @@ fn lookup_mut<'a>(counts: &'a mut [(Row, usize)], row: &Row) -> Option<&'a mut u
 /// per-operator row counts of the pipeline: `rows_joined` (after FROM),
 /// `rows_after_where`, `aggregated`, and `rows_out` (after projection and
 /// DISTINCT).
-fn execute_core(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
+fn execute_core(cx: &Cx<'_>, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
     let mut span = llmdm_obs::span("sqlengine.exec.select_core");
-    let joined = build_from(db, &stmt.from)?;
+    let joined = build_from(cx, &stmt.from)?;
     // WHERE.
     let mut filtered: Vec<Vec<Value>> = Vec::new();
     for row in &joined.rows {
         let keep = match &stmt.selection {
             None => true,
-            Some(pred) => truthy(pred, &Env::new(&joined.bindings, row, db))?,
+            Some(pred) => truthy(pred, &Env::new(&joined.bindings, row, cx))?,
         };
         if keep {
             filtered.push(row.clone());
@@ -623,9 +651,9 @@ fn execute_core(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError>
     }
 
     let (columns, rows) = if has_agg {
-        aggregate_project(db, stmt, &joined, filtered)?
+        aggregate_project(cx, stmt, &joined, filtered)?
     } else {
-        plain_project(db, stmt, &joined, &filtered)?
+        plain_project(cx, stmt, &joined, &filtered)?
     };
 
     let mut rows = rows;
@@ -639,10 +667,10 @@ fn execute_core(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError>
 }
 
 /// Build the joined row set for a FROM clause.
-fn build_from(db: &Database, from: &[FromItem]) -> Result<Joined, SqlError> {
+fn build_from(cx: &Cx<'_>, from: &[FromItem]) -> Result<Joined, SqlError> {
     let mut joined = Joined { bindings: Bindings::default(), rows: vec![Vec::new()] };
     for item in from {
-        let table = db.table(&item.table)?;
+        let table = cx.db.table(&item.table)?;
         let alias = item.alias.clone().unwrap_or_else(|| table.name.clone()).to_lowercase();
         if joined.bindings.aliases.contains(&alias) {
             return Err(SqlError::Exec(format!("duplicate table alias {alias}")));
@@ -659,7 +687,7 @@ fn build_from(db: &Database, from: &[FromItem]) -> Result<Joined, SqlError> {
                         combined.extend(right.iter().cloned());
                         let keep = match cond {
                             None => true,
-                            Some(c) => truthy(c, &Env::new(&joined.bindings, &combined, db))?,
+                            Some(c) => truthy(c, &Env::new(&joined.bindings, &combined, cx))?,
                         };
                         if keep {
                             next_rows.push(combined);
@@ -673,7 +701,7 @@ fn build_from(db: &Database, from: &[FromItem]) -> Result<Joined, SqlError> {
                     for right in &table.rows {
                         let mut combined = left.clone();
                         combined.extend(right.iter().cloned());
-                        if truthy(cond, &Env::new(&joined.bindings, &combined, db))? {
+                        if truthy(cond, &Env::new(&joined.bindings, &combined, cx))? {
                             matched = true;
                             next_rows.push(combined);
                         }
@@ -778,7 +806,7 @@ pub(crate) fn project_row(items: &[SelectItem], env: &Env<'_>) -> Result<Row, Sq
 }
 
 fn plain_project(
-    db: &Database,
+    cx: &Cx<'_>,
     stmt: &SelectStmt,
     joined: &Joined,
     rows: &[Vec<Value>],
@@ -788,19 +816,19 @@ fn plain_project(
         items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
-        out.push(project_row(&items, &Env::new(&joined.bindings, row, db))?);
+        out.push(project_row(&items, &Env::new(&joined.bindings, row, cx))?);
     }
     Ok((columns, out))
 }
 
 /// Group `rows` by `group_by` keys (first-seen order, [`Value::group_eq`]
 /// equality), apply HAVING, and project each surviving group through
-/// `items`; `env` evaluates over one row. Shared by the direct executor's
-/// aggregate path and the planner's Aggregate operator. Keys and
-/// aggregate arguments are read in place, so nothing is copied or grown
-/// per row.
+/// `items`; `env` evaluates over one row and `empty` over a group with
+/// none. Shared by the direct executor's aggregate path and the
+/// planner's Aggregate operator. Keys and aggregate arguments are read in
+/// place, so nothing is copied or grown per row.
 pub(crate) fn aggregate_rows<'r, R>(
-    db: &Database,
+    empty: &Env<'_>,
     group_by: &'r [Expr],
     having: Option<&'r Expr>,
     items: &'r [SelectItem],
@@ -851,7 +879,7 @@ pub(crate) fn aggregate_rows<'r, R>(
         let group = &members[bounds[g]..bounds[g + 1]];
         // HAVING.
         if let Some(h) = having {
-            if !eval_grouped(h, group, &env, db)?.is_truthy() {
+            if !eval_grouped(h, group, &env, empty)?.is_truthy() {
                 continue;
             }
         }
@@ -860,7 +888,7 @@ pub(crate) fn aggregate_rows<'r, R>(
             let SelectItem::Expr { expr, .. } = item else {
                 return Err(SqlError::Exec("unexpanded wildcard in projection".into()));
             };
-            projected.push(eval_grouped(expr, group, &env, db)?);
+            projected.push(eval_grouped(expr, group, &env, empty)?);
         }
         out.push(projected);
     }
@@ -868,7 +896,7 @@ pub(crate) fn aggregate_rows<'r, R>(
 }
 
 fn aggregate_project(
-    db: &Database,
+    cx: &Cx<'_>,
     stmt: &SelectStmt,
     joined: &Joined,
     rows: Vec<Vec<Value>>,
@@ -877,23 +905,24 @@ fn aggregate_project(
     let columns: Vec<String> =
         items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let out = aggregate_rows(
-        db,
+        &Env::empty(cx),
         &stmt.group_by,
         stmt.having.as_ref(),
         &items,
         &rows,
-        |row: &Vec<Value>| Env::new(&joined.bindings, row, db),
+        |row: &Vec<Value>| Env::new(&joined.bindings, row, cx),
     )?;
     Ok((columns, out))
 }
 
 /// Evaluate an expression in grouped context: aggregate nodes fold over the
-/// group; everything else evaluates against the group's first row.
+/// group; everything else evaluates against the group's first row, or in
+/// `empty` when it has none.
 pub(crate) fn eval_grouped<'r, R>(
     expr: &'r Expr,
     group: &[&'r R],
     env: &impl Fn(&'r R) -> Env<'r>,
-    db: &Database,
+    empty: &Env<'_>,
 ) -> Result<Value, SqlError> {
     match expr {
         Expr::Aggregate { func, arg, distinct } => {
@@ -921,20 +950,19 @@ pub(crate) fn eval_grouped<'r, R>(
             fold.finish()
         }
         Expr::Binary { op, left, right } => {
-            let l = eval_grouped(left, group, env, db)?;
-            let r = eval_grouped(right, group, env, db)?;
+            let l = eval_grouped(left, group, env, empty)?;
+            let r = eval_grouped(right, group, env, empty)?;
             match op {
                 BinOp::And | BinOp::Or => logic(*op, &l, &r),
                 _ => eval_binop(*op, &l, &r),
             }
         }
-        Expr::Unary { op, expr } => unary(*op, &eval_grouped(expr, group, env, db)?),
+        Expr::Unary { op, expr } => unary(*op, &eval_grouped(expr, group, env, empty)?),
         // Non-aggregate leaf: evaluate against the first row (valid for
-        // GROUP BY keys; harmless for literals/subqueries). An empty
-        // group has no row and no table in scope.
+        // GROUP BY keys; harmless for literals/subqueries).
         other => match group.first() {
             Some(&row) => eval(other, &env(row)),
-            None => eval(other, &Env::new(&Bindings::default(), &[], db)),
+            None => eval(other, empty),
         },
     }
 }

@@ -38,17 +38,19 @@ pub(crate) use rewrite::optimize;
 use crate::ast::SelectStmt;
 use crate::catalog::Database;
 use crate::error::SqlError;
+use crate::exec::Cx;
 use crate::result::ResultSet;
 use crate::value::Value;
 
-/// Execute a SELECT through the planner: lower, optimize, run.
+/// Execute a SELECT of the statement `cx` runs through the planner:
+/// lower, optimize, run.
 pub(crate) fn execute_select_planned(
-    db: &Database,
+    cx: &Cx<'_>,
     stmt: &SelectStmt,
 ) -> Result<ResultSet, SqlError> {
-    let plan = lower_select(db, stmt)?;
-    let plan = optimize(db, plan);
-    physical::run(db, &plan)
+    let plan = lower_select(cx.db, stmt)?;
+    let plan = optimize(cx.db, plan);
+    physical::run(cx, &plan)
 }
 
 /// Execute `EXPLAIN SELECT …`: return the optimized logical plan and the
@@ -64,7 +66,7 @@ pub(crate) fn explain_select(db: &Database, stmt: &SelectStmt) -> Result<ResultS
         rows.push(vec![Value::Str(format!("  {line}"))]);
     }
     rows.push(vec![Value::Str("physical:".into())]);
-    for line in physical::render(&physical::build(db, &plan, false)?.stats(), false) {
+    for line in physical::render(&physical::build(&Cx::new(db), &plan, false)?.stats(), false) {
         rows.push(vec![Value::Str(format!("  {line}"))]);
     }
     Ok(ResultSet { columns: vec!["plan".into()], rows, affected: 0 })
@@ -82,8 +84,8 @@ pub(crate) fn explain_analyze_select(
 ) -> Result<ResultSet, SqlError> {
     let plan = lower_select(db, stmt)?;
     let plan = optimize(db, plan);
-    let (run, llm) = crate::semantic::tally(|| physical::run_analyzed(db, &plan));
-    let (result, root) = run?;
+    let cx = Cx::new(db);
+    let (result, root) = physical::run_analyzed(&cx, &plan)?;
     let mut rows: Vec<Vec<Value>> = Vec::new();
     rows.push(vec![Value::Str("physical (analyzed):".into())]);
     for line in physical::render(&root, true) {
@@ -94,7 +96,7 @@ pub(crate) fn explain_analyze_select(
     // completion — subqueries' included, whose operators have no line
     // here — so they reconcile exactly with the session `UsageMeter`
     // delta whenever no other statement shares the meter.
-    if let Some(c) = llm {
+    if let Some(c) = cx.tally() {
         rows.push(vec![Value::Str(format!(
             "llm: calls={} dedup_hits={} cache_hits={} dollars=${:.9}",
             c.calls, c.dedup_hits, c.cache_hits, c.dollars
@@ -236,7 +238,8 @@ mod tests {
         };
         let join = LogicalPlan::Join { left, right: Box::new(right), join, on };
         let plan = LogicalPlan::Project { input: Box::new(join), items, columns };
-        let (result, root) = physical::run_analyzed(&db, &plan).unwrap();
+        let cx = Cx::new(&db);
+        let (result, root) = physical::run_analyzed(&cx, &plan).unwrap();
         assert!(result.rows.is_empty());
         let lines = physical::render(&root, true);
         assert!(lines[lines.len() - 2].trim_start().starts_with("LlmFilterExec"), "{lines:?}");

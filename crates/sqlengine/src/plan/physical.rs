@@ -34,16 +34,15 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use crate::ast::{Expr, JoinType, SelectItem, SetOp};
 use crate::catalog::Database;
 use crate::error::SqlError;
 use crate::eval::{truthy, Env};
-use crate::exec::{self, Bindings};
+use crate::exec::{self, Bindings, Cx};
 use crate::result::ResultSet;
 use crate::schema::Row;
-use crate::semantic::{ScopeGuard, SemCounters, SemScope};
+use crate::semantic::{SemCounters, SemScope};
 use crate::value::Value;
 
 use super::logical::LogicalPlan;
@@ -92,7 +91,7 @@ impl<'a> OpStat<'a> {
     }
 
     /// Attach a semantic operator's counters, if it has a scope.
-    fn with_llm(mut self, scope: Option<&Rc<SemScope>>) -> OpStat<'a> {
+    fn with_llm(mut self, scope: Option<&SemScope>) -> OpStat<'a> {
         self.llm = scope.map(|s| s.counters());
         self
     }
@@ -149,11 +148,11 @@ enum Tuple<'a> {
 }
 
 impl<'a> Tuple<'a> {
-    fn env<'e>(&'e self, layout: &'e Bindings, db: &'e Database) -> Env<'e> {
+    fn env<'e>(&'e self, layout: &'e Bindings, cx: &'e Cx<'e>) -> Env<'e> {
         match self {
-            Tuple::Stored(row) => Env::new(layout, row, db),
-            Tuple::Pair(left, right) => Env::pair(layout, left, *right, db),
-            Tuple::Owned(row) => Env::new(layout, row, db),
+            Tuple::Stored(row) => Env::new(layout, row, cx),
+            Tuple::Pair(left, right) => Env::pair(layout, left, *right, cx),
+            Tuple::Owned(row) => Env::new(layout, row, cx),
         }
     }
 
@@ -214,20 +213,20 @@ fn internal(what: &str) -> SqlError {
 /// `next()` calls and accumulates inclusive wall time — the `EXPLAIN
 /// ANALYZE` path; plain execution passes `false` and pays nothing.
 pub(crate) fn build<'a>(
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     plan: &'a LogicalPlan,
     instrument: bool,
 ) -> Result<RowOp<'a>, SqlError> {
     let op: RowOp<'a> = match plan {
         LogicalPlan::Project { input, items, .. } | LogicalPlan::LlmMap { input, items, .. } => {
-            let layout = layout(db, input)?;
+            let layout = layout(cx.db, input)?;
             Box::new(ProjectExec {
-                db,
+                cx,
                 node: plan,
                 items: layout.bind_items(items),
                 layout,
-                input: build_from(db, input, instrument)?,
-                scope: matches!(plan, LogicalPlan::LlmMap { .. }).then(SemScope::new),
+                input: build_from(cx, input, instrument)?,
+                scope: matches!(plan, LogicalPlan::LlmMap { .. }).then(|| SemScope::new(cx)),
                 rows_out: 0,
             })
         }
@@ -238,16 +237,16 @@ pub(crate) fn build<'a>(
                     SelectItem::Expr { expr, .. } => expr.contains_llm(),
                     _ => false,
                 });
-            let layout = layout(db, input)?;
+            let layout = layout(cx.db, input)?;
             Box::new(AggregateExec {
-                db,
+                cx,
                 node: plan,
                 group_by: group_by.iter().map(|e| layout.bind(e)).collect(),
                 having: having.as_ref().map(|h| layout.bind(h)),
                 items: layout.bind_items(items),
                 layout,
-                input: build_from(db, input, instrument)?,
-                scope: has_llm.then(SemScope::new),
+                input: build_from(cx, input, instrument)?,
+                scope: has_llm.then(|| SemScope::new(cx)),
                 buf: VecDeque::new(),
                 done: false,
                 rows_out: 0,
@@ -255,7 +254,7 @@ pub(crate) fn build<'a>(
         }
         LogicalPlan::Distinct { input } => Box::new(DistinctExec {
             node: plan,
-            input: build(db, input, instrument)?,
+            input: build(cx, input, instrument)?,
             buf: VecDeque::new(),
             done: false,
             rows_out: 0,
@@ -264,8 +263,8 @@ pub(crate) fn build<'a>(
             node: plan,
             left_cols: left.output_columns().len(),
             right_cols: right.output_columns().len(),
-            left: build(db, left, instrument)?,
-            right: build(db, right, instrument)?,
+            left: build(cx, left, instrument)?,
+            right: build(cx, right, instrument)?,
             op: *op,
             all: *all,
             buf: VecDeque::new(),
@@ -274,14 +273,14 @@ pub(crate) fn build<'a>(
         }),
         LogicalPlan::Sort { input, keys, fetch } => {
             let fused = match fetch {
-                Some(k) => TopKExec::build(db, plan, input, keys, *k, instrument)?,
+                Some(k) => TopKExec::build(cx, plan, input, keys, *k, instrument)?,
                 None => None,
             };
             match fused {
                 Some(op) => Box::new(op),
                 None => Box::new(SortExec {
                     node: plan,
-                    input: build(db, input, instrument)?,
+                    input: build(cx, input, instrument)?,
                     keys,
                     fetch: *fetch,
                     buf: VecDeque::new(),
@@ -292,13 +291,13 @@ pub(crate) fn build<'a>(
         }
         LogicalPlan::Strip { input, keep } => Box::new(StripExec {
             node: plan,
-            input: build(db, input, instrument)?,
+            input: build(cx, input, instrument)?,
             keep: *keep,
             rows_out: 0,
         }),
         LogicalPlan::Limit { input, limit, offset } => Box::new(LimitExec {
             node: plan,
-            input: build(db, input, instrument)?,
+            input: build(cx, input, instrument)?,
             limit: *limit,
             offset: *offset,
             skipped: 0,
@@ -315,13 +314,13 @@ pub(crate) fn build<'a>(
 
 /// Build the FROM region: scans, filters and joins.
 fn build_from<'a>(
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     plan: &'a LogicalPlan,
     instrument: bool,
 ) -> Result<FromOp<'a>, SqlError> {
     let op: FromOp<'a> = match plan {
         LogicalPlan::OneRow => Box::new(OneRowExec { node: plan, emitted: false }),
-        LogicalPlan::Scan { .. } => build_scan(db, plan, Vec::new())?,
+        LogicalPlan::Scan { .. } => build_scan(cx, plan, Vec::new())?,
         LogicalPlan::Filter { input, predicate }
         | LogicalPlan::LlmFilter { input, predicate, .. } => {
             let semantic = matches!(plan, LogicalPlan::LlmFilter { .. });
@@ -336,39 +335,39 @@ fn build_from<'a>(
             }
             if !semantic && matches!(base, LogicalPlan::Scan { .. }) {
                 preds.reverse();
-                build_scan(db, base, preds)?
+                build_scan(cx, base, preds)?
             } else {
-                let layout = layout(db, input)?;
+                let layout = layout(cx.db, input)?;
                 Box::new(FilterExec {
-                    db,
+                    cx,
                     node: plan,
                     predicate: layout.bind(predicate),
                     layout,
-                    input: build_from(db, input, instrument)?,
-                    scope: semantic.then(SemScope::new),
+                    input: build_from(cx, input, instrument)?,
+                    scope: semantic.then(|| SemScope::new(cx)),
                     rows_out: 0,
                 })
             }
         }
         LogicalPlan::Join { left, right, join, on } => {
-            let (left_layout, right_layout) = (layout(db, left)?, layout(db, right)?);
+            let (left_layout, right_layout) = (layout(cx.db, left)?, layout(cx.db, right)?);
             let layout = left_layout.concat(&right_layout);
             Box::new(NLJoinExec {
-                db,
+                cx,
                 node: plan,
                 on: on.as_ref().map(|e| layout.bind(e)),
                 layout,
                 left_width: left_layout.width(),
                 right_width: right_layout.width(),
-                left: build_from(db, left, instrument)?,
-                right: build_from(db, right, instrument)?,
+                left: build_from(cx, left, instrument)?,
+                right: build_from(cx, right, instrument)?,
                 right_rows: Vec::new(),
                 right_ready: false,
                 join: *join,
                 // A semantic ON that survives lowering (LEFT JOIN can't be
                 // rewritten to cross-join + filter) still dedups prompts and
                 // attributes calls to this operator.
-                scope: on.as_ref().is_some_and(|e| e.contains_llm()).then(SemScope::new),
+                scope: on.as_ref().is_some_and(|e| e.contains_llm()).then(|| SemScope::new(cx)),
                 cur: None,
                 right_idx: 0,
                 matched: false,
@@ -381,19 +380,19 @@ fn build_from<'a>(
 }
 
 fn build_scan<'a>(
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     scan: &'a LogicalPlan,
     predicates: Vec<&'a Expr>,
 ) -> Result<FromOp<'a>, SqlError> {
     let LogicalPlan::Scan { table, .. } = scan else {
         return Err(internal("build_scan on a non-scan node"));
     };
-    let t = db.table(table)?;
+    let t = cx.db.table(table)?;
     // Predicates are evaluated against the *full* stored row, so pushed
     // conjuncts may reference pruned-away columns.
-    let layout = layout(db, scan)?;
+    let layout = layout(cx.db, scan)?;
     Ok(Box::new(ScanExec {
-        db,
+        cx,
         node: scan,
         rows: &t.rows,
         idx: 0,
@@ -404,27 +403,27 @@ fn build_scan<'a>(
 }
 
 /// Execute a plan and collect the result set.
-pub(crate) fn run(db: &Database, plan: &LogicalPlan) -> Result<ResultSet, SqlError> {
-    run_with(db, plan, false).map(|(rs, _)| rs)
+pub(crate) fn run(cx: &Cx<'_>, plan: &LogicalPlan) -> Result<ResultSet, SqlError> {
+    run_with(cx, plan, false).map(|(rs, _)| rs)
 }
 
 /// Execute a plan with per-operator instrumentation ([`TimedExec`]
 /// wrappers) and return both the result set and the root's [`OpStat`] —
 /// the `EXPLAIN ANALYZE` entry point.
 pub(crate) fn run_analyzed<'a>(
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     plan: &'a LogicalPlan,
 ) -> Result<(ResultSet, OpStat<'a>), SqlError> {
-    run_with(db, plan, true).map(|(rs, root)| (rs, root.stats()))
+    run_with(cx, plan, true).map(|(rs, root)| (rs, root.stats()))
 }
 
 fn run_with<'a>(
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     plan: &'a LogicalPlan,
     instrument: bool,
 ) -> Result<(ResultSet, RowOp<'a>), SqlError> {
     let mut span = llmdm_obs::span("sqlengine.plan.exec");
-    let mut root = build(db, plan, instrument)?;
+    let mut root = build(cx, plan, instrument)?;
     let mut rows: Vec<Row> = Vec::new();
     let failure = loop {
         match root.next() {
@@ -512,7 +511,7 @@ fn passes(predicates: &[Expr], env: &Env<'_>) -> Result<bool, SqlError> {
 }
 
 struct ScanExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     rows: &'a [Row],
     idx: usize,
@@ -526,7 +525,7 @@ impl<'a> PhysOp<'a, Tuple<'a>> for ScanExec<'a> {
         let rows = self.rows;
         while let Some(row) = rows.get(self.idx) {
             self.idx += 1;
-            if passes(&self.predicates, &Env::new(&self.layout, row, self.db))? {
+            if passes(&self.predicates, &Env::new(&self.layout, row, self.cx))? {
                 self.rows_out += 1;
                 return Ok(Some(Tuple::Stored(row)));
             }
@@ -545,23 +544,20 @@ impl<'a> PhysOp<'a, Tuple<'a>> for ScanExec<'a> {
 /// prompts within its input dedup to one model call, and model usage
 /// (calls, cache hits, dollars) is attributed to it in `EXPLAIN ANALYZE`.
 struct FilterExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     predicate: Expr,
-    scope: Option<Rc<SemScope>>,
+    scope: Option<SemScope>,
     rows_out: usize,
 }
 
 impl<'a> PhysOp<'a, Tuple<'a>> for FilterExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         while let Some(t) = self.input.next()? {
-            let keep = {
-                let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
-                truthy(&self.predicate, &t.env(&self.layout, self.db))?
-            };
-            if keep {
+            let env = t.env(&self.layout, self.cx).scoped(self.scope.as_ref());
+            if truthy(&self.predicate, &env)? {
                 self.rows_out += 1;
                 return Ok(Some(t));
             }
@@ -576,7 +572,7 @@ impl<'a> PhysOp<'a, Tuple<'a>> for FilterExec<'a> {
 }
 
 struct NLJoinExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     /// Left then right layout, for `on`.
     layout: Bindings,
@@ -593,7 +589,7 @@ struct NLJoinExec<'a> {
     on: Option<Expr>,
     /// Present when `on` contains a semantic predicate: dedups prompts
     /// across the whole pairwise comparison and attributes model usage.
-    scope: Option<Rc<SemScope>>,
+    scope: Option<SemScope>,
     /// Current left row being matched.
     cur: Option<Cow<'a, [Value]>>,
     right_idx: usize,
@@ -604,9 +600,9 @@ struct NLJoinExec<'a> {
 impl<'a> NLJoinExec<'a> {
     fn on_matches(&self, left: &[Value], right: &[Value]) -> Result<bool, SqlError> {
         let Some(on) = &self.on else { return Ok(true) };
-        let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
         // Evaluate against both sides without building the joined row.
-        truthy(on, &Env::pair(&self.layout, left, Some(right), self.db))
+        let env = Env::pair(&self.layout, left, Some(right), self.cx);
+        truthy(on, &env.scoped(self.scope.as_ref()))
     }
 
     /// The joined row; `right == None` pads with NULLs. Two stored rows
@@ -682,12 +678,12 @@ impl<'a> PhysOp<'a, Tuple<'a>> for NLJoinExec<'a> {
 /// (`LLM_MAP` and friends in the select list): prompts dedup within it and
 /// model usage is attributed to it.
 struct ProjectExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
     items: Vec<SelectItem>,
-    scope: Option<Rc<SemScope>>,
+    scope: Option<SemScope>,
     rows_out: usize,
 }
 
@@ -695,8 +691,8 @@ impl<'a> PhysOp<'a, Row> for ProjectExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         match self.input.next()? {
             Some(t) => {
-                let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
-                let out = exec::project_row(&self.items, &t.env(&self.layout, self.db))?;
+                let env = t.env(&self.layout, self.cx).scoped(self.scope.as_ref());
+                let out = exec::project_row(&self.items, &env)?;
                 self.rows_out += 1;
                 Ok(Some(out))
             }
@@ -711,7 +707,7 @@ impl<'a> PhysOp<'a, Row> for ProjectExec<'a> {
 }
 
 struct AggregateExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     layout: Bindings,
     input: FromOp<'a>,
@@ -720,7 +716,7 @@ struct AggregateExec<'a> {
     items: Vec<SelectItem>,
     /// Present when any aggregate expression contains a semantic
     /// operator.
-    scope: Option<Rc<SemScope>>,
+    scope: Option<SemScope>,
     buf: VecDeque<Row>,
     done: bool,
     rows_out: usize,
@@ -733,15 +729,14 @@ impl<'a> PhysOp<'a, Row> for AggregateExec<'a> {
             while let Some(t) = self.input.next()? {
                 rows.push(t);
             }
-            let _guard = self.scope.as_ref().map(|s| ScopeGuard::enter(Rc::clone(s)));
-            let (layout, db) = (&self.layout, self.db);
+            let (layout, cx, scope) = (&self.layout, self.cx, self.scope.as_ref());
             self.buf = exec::aggregate_rows(
-                db,
+                &Env::empty(cx).scoped(scope),
                 &self.group_by,
                 self.having.as_ref(),
                 &self.items,
                 &rows,
-                |t: &Tuple<'_>| t.env(layout, db),
+                |t: &Tuple<'_>| t.env(layout, cx).scoped(scope),
             )?
             .into();
             self.done = true;
@@ -900,7 +895,7 @@ impl<'a> PhysOp<'a, Row> for SortExec<'a> {
 /// input row. Reports the absorbed projection as its input, with the
 /// rows it consumed and no timing of its own.
 struct TopKExec<'a> {
-    db: &'a Database,
+    cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     /// The absorbed `Project`.
     project: &'a LogicalPlan,
@@ -919,7 +914,7 @@ struct TopKExec<'a> {
 
 impl<'a> TopKExec<'a> {
     fn build(
-        db: &'a Database,
+        cx: &'a Cx<'a>,
         node: &'a LogicalPlan,
         project: &'a LogicalPlan,
         keys: &[(usize, bool)],
@@ -927,7 +922,7 @@ impl<'a> TopKExec<'a> {
         instrument: bool,
     ) -> Result<Option<TopKExec<'a>>, SqlError> {
         let LogicalPlan::Project { input, items, .. } = project else { return Ok(None) };
-        let layout = layout(db, input)?;
+        let layout = layout(cx.db, input)?;
         let items = layout.bind_items(items);
         let slot = |item: &SelectItem| match item {
             SelectItem::Expr { expr: Expr::Slot { index, .. }, .. } => Some(*index),
@@ -941,10 +936,10 @@ impl<'a> TopKExec<'a> {
         let keys =
             keys.iter().filter_map(|&(i, desc)| Some((slot(items.get(i)?)?, desc))).collect();
         Ok(Some(TopKExec {
-            db,
+            cx,
             node,
             project,
-            input: build_from(db, input, instrument)?,
+            input: build_from(cx, input, instrument)?,
             layout,
             items,
             keys,
@@ -960,7 +955,7 @@ impl<'a> TopKExec<'a> {
 impl<'a> PhysOp<'a, Row> for TopKExec<'a> {
     fn next(&mut self) -> Result<Option<Row>, SqlError> {
         if !self.done {
-            let (layout, db, keys) = (&self.layout, self.db, &self.keys);
+            let (layout, cx, keys) = (&self.layout, self.cx, &self.keys);
             let (input, projected) = (&mut self.input, &mut self.projected);
             let next = || {
                 let t = input.next()?;
@@ -968,7 +963,7 @@ impl<'a> PhysOp<'a, Row> for TopKExec<'a> {
                 Ok(t)
             };
             let cmp = |a: &Tuple<'_>, b: &Tuple<'_>| {
-                let (a, b) = (a.env(layout, db), b.env(layout, db));
+                let (a, b) = (a.env(layout, cx), b.env(layout, cx));
                 for &(slot, desc) in keys {
                     // Both present: a bound slot lies inside every row of
                     // its layout.
@@ -986,7 +981,7 @@ impl<'a> PhysOp<'a, Row> for TopKExec<'a> {
             let top = top_k(next, self.fetch, cmp)?;
             self.buf = top
                 .iter()
-                .map(|t| exec::project_row(&self.items, &t.env(layout, db)))
+                .map(|t| exec::project_row(&self.items, &t.env(layout, cx)))
                 .collect::<Result<_, _>>()?;
             self.done = true;
         }
@@ -1183,7 +1178,7 @@ mod tests {
         let crate::ast::Statement::Select(stmt) = parse_statement(sql).unwrap() else {
             panic!("not a select: {sql}");
         };
-        super::super::execute_select_planned(db, &stmt).unwrap()
+        super::super::execute_select_planned(&Cx::new(db), &stmt).unwrap()
     }
 
     #[test]

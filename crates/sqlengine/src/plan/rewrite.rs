@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use crate::ast::{BinOp, Expr, JoinType, SelectItem};
 use crate::catalog::Database;
 use crate::eval::{eval, Env};
-use crate::exec::Bindings;
+use crate::exec::{Bindings, Cx};
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -33,7 +33,7 @@ use super::logical::{item_exprs, LlmEstimate, LogicalPlan};
 
 /// Apply all rewrite passes.
 pub(crate) fn optimize(db: &Database, plan: LogicalPlan) -> LogicalPlan {
-    let plan = fold_constants(db, plan);
+    let plan = fold_constants(&Cx::new(db), plan);
     let plan = push_down_filters(plan);
     let plan = prune_scan_columns(plan);
     let plan = push_limit_into_sort(plan);
@@ -42,11 +42,13 @@ pub(crate) fn optimize(db: &Database, plan: LogicalPlan) -> LogicalPlan {
 
 // ---------------- constant folding ----------------
 
-fn fold_constants(db: &Database, plan: LogicalPlan) -> LogicalPlan {
-    let mut plan = map_children(plan, &mut |child| fold_constants(db, child));
+/// Folding evaluates no subquery and no prompt, so the statement `cx`
+/// stands for is a throwaway.
+fn fold_constants(cx: &Cx<'_>, plan: LogicalPlan) -> LogicalPlan {
+    let mut plan = map_children(plan, &mut |child| fold_constants(cx, child));
     // The LLM calls inside a semantic operator's expressions never fold
     // (`is_const` is false for them); their relational parts do.
-    plan.for_each_expr_mut(|e| fold_expr(db, e));
+    plan.for_each_expr_mut(|e| fold_expr(cx, e));
     match plan {
         // A tautological filter passes every row — drop it. A filter
         // folded to any *other* literal is kept: it is cheap and removing
@@ -63,10 +65,10 @@ fn fold_constants(db: &Database, plan: LogicalPlan) -> LogicalPlan {
     }
 }
 
-fn fold_expr(db: &Database, e: &mut Expr) {
+fn fold_expr(cx: &Cx<'_>, e: &mut Expr) {
     // Fold children first. Subquery bodies are not children: they are
     // planned independently at execution time and are left untouched.
-    e.for_each_child_mut(|c| fold_expr(db, c));
+    e.for_each_child_mut(|c| fold_expr(cx, c));
     // Left-driven short-circuits only: `eval` never evaluates the right
     // side after `FALSE AND` / `TRUE OR`, so folding it away cannot hide
     // an error. (`x AND FALSE` is *not* foldable — `eval` still
@@ -86,7 +88,7 @@ fn fold_expr(db: &Database, e: &mut Expr) {
         // Evaluation failure (overflow, division by zero, type error)
         // keeps the expression, so the error surfaces at runtime exactly
         // like the direct path.
-        if let Ok(v) = eval(e, &Env::new(&Bindings::default(), &[], db)) {
+        if let Ok(v) = eval(e, &Env::empty(cx)) {
             *e = Expr::Literal(v);
         }
     }

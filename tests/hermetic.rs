@@ -309,6 +309,24 @@ fn bench_targets_have_one_entry_point() {
 }
 
 #[test]
+fn sqlengine_keeps_no_thread_local_state() {
+    // A statement's execution state — which executor its subqueries take,
+    // the operator scope each prompt resolves in, the `llm:` totals — is
+    // one value the statement lends down its call graph (`exec::Cx`),
+    // never per-thread state that another statement on the thread shares.
+    let src = workspace_root().join("crates/sqlengine/src");
+    let mut offenders = Vec::new();
+    visit(&src, &mut |p, text| {
+        for (n, line) in text.lines().enumerate() {
+            if line.contains("thread_local!") {
+                offenders.push(format!("{}:{}: {}", p.display(), n + 1, line.trim()));
+            }
+        }
+    });
+    assert!(offenders.is_empty(), "thread-local state in sqlengine:\n{}", offenders.join("\n"));
+}
+
+#[test]
 fn library_modules_are_pinned() {
     // The public modules of the serving layer, the semantic cache, the
     // cascade and the transformation crate, as DESIGN.md §3's "reached
