@@ -4,10 +4,11 @@
 //! explicit seeds so that experiments are reproducible bit-for-bit across
 //! runs and platforms. `std::collections::hash_map::DefaultHasher` is not
 //! guaranteed stable across Rust releases, so the workspace's FNV-1a and
-//! SplitMix64 finalizer ([`llmdm_rt::hash`], re-exported here) are the
-//! base, and this module adds the seed-splitting helpers on top.
+//! SplitMix64 finalizer and the hash → `[0, 1)` map ([`llmdm_rt::hash`],
+//! re-exported here) are the base, and this module adds the
+//! seed-splitting helper on top.
 
-pub use llmdm_rt::hash::{combine, fnv1a, fnv1a_str, splitmix};
+pub use llmdm_rt::hash::{combine, fnv1a, fnv1a_str, splitmix, unit_f64};
 
 /// Derive a deterministic sub-seed from a base seed and a label.
 ///
@@ -16,13 +17,6 @@ pub use llmdm_rt::hash::{combine, fnv1a, fnv1a_str, splitmix};
 #[inline]
 pub fn seed_for(seed: u64, label: &str) -> u64 {
     combine(splitmix(seed), fnv1a_str(label))
-}
-
-/// Map a hash to a uniform f64 in `[0, 1)`.
-#[inline]
-pub fn unit_f64(h: u64) -> f64 {
-    // Use the top 53 bits for a uniformly distributed mantissa.
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

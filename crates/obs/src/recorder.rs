@@ -358,7 +358,7 @@ impl Recorder {
     }
 
     /// Milliseconds since the recorder's epoch, on the amortized clock
-    /// (exact every [`CLOCK_SAMPLE_INTERVAL`] calls, cached in between).
+    /// (exact every `CLOCK_SAMPLE_INTERVAL` calls, cached in between).
     pub fn now_ms(&self) -> u64 {
         let t = CLOCK_TICKS.with(|c| {
             let t = c.get();

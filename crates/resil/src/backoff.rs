@@ -7,7 +7,7 @@
 //! pipeline's determinism invariant depends on — while different seeds
 //! decorrelate concurrent clients exactly like real jitter would.
 
-use crate::{combine, splitmix};
+use crate::{combine, splitmix, unit_f64};
 
 /// A deterministic capped-exponential-backoff schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +52,7 @@ impl Backoff {
         }
         // A 53-bit unit fraction from the hash, scaled to [0, ceil].
         let h = splitmix(combine(self.seed, attempt as u64 + 1));
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        (unit * ceil as f64).floor() as u64
+        (unit_f64(h) * ceil as f64).floor() as u64
     }
 }
 

@@ -10,7 +10,7 @@
 //! — which is exactly the property `tests/proptests.rs` checks against
 //! the transition log.
 
-use crate::{combine, splitmix};
+use crate::{combine, splitmix, unit_f64};
 
 /// Breaker state machine states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,8 +211,7 @@ impl CircuitBreaker {
             return self.config.cooldown_ms;
         }
         let h = splitmix(combine(self.config.seed, opening));
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let scaled = self.config.cooldown_ms as f64 * (1.0 + jitter * unit);
+        let scaled = self.config.cooldown_ms as f64 * (1.0 + jitter * unit_f64(h));
         scaled.floor() as u64
     }
 

@@ -60,4 +60,4 @@ pub use deadline::Deadline;
 pub use plan::{FaultKind, FaultPlan, FaultRates, TierPlan, Window};
 pub use retry::{execute, CallStats, ResilError, Retryable, RetryPolicy};
 
-pub(crate) use llmdm_rt::hash::{combine, fnv1a_str, splitmix};
+pub(crate) use llmdm_rt::hash::{combine, fnv1a_str, splitmix, unit_f64};

@@ -42,6 +42,13 @@ pub fn combine(a: u64, b: u64) -> u64 {
     splitmix(a ^ b.rotate_left(17).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
+/// Map a hash to a uniform f64 in `[0, 1)`.
+#[inline]
+pub fn unit_f64(h: u64) -> f64 {
+    // Use the top 53 bits for a uniformly distributed mantissa.
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

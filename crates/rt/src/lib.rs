@@ -8,8 +8,8 @@
 //! |---------------|-------------|--------|
 //! | `rand`        | SplitMix64-seeded xoshiro256\*\* with a rand-compatible surface (`Rng::gen_range`/`gen_bool`/`fill`, `SeedableRng::seed_from_u64`, `seq::SliceRandom`) | [`rand`] |
 //! | `serde`       | an owned JSON tree with a parser and a printer, built directly by each writer | [`json`] |
-//! | `proptest`    | seeded generator strategies + shrink-by-halving runner ([`proptest!`] macro) | [`proptest`] |
-//! | `criterion`   | warmup + timed-iteration harness, median/p99, gated and stamped JSON reports behind one [`bench_main!`] | [`bench`] |
+//! | `proptest`    | seeded generator strategies + shrink-by-halving runner ([`proptest!`] macro) | [`proptest`](mod@proptest) |
+//! | `criterion`   | warmup + timed-iteration harness, median/p99, gated and stamped JSON reports behind one [`bench_main!`] | [`bench`](mod@bench) |
 //! | `crossbeam`   | `std::thread::scope` (std since 1.63) | — |
 //! | `parking_lot` | `std::sync::{Mutex, RwLock}` with poison recovery | — |
 //!

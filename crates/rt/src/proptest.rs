@@ -55,7 +55,7 @@ pub enum TestCaseError {
     Reject,
 }
 
-/// Result type produced by the body the [`proptest!`] macro generates.
+/// Result type produced by the body the [`proptest!`](crate::proptest!) macro generates.
 pub type TestCaseResult = Result<(), TestCaseError>;
 
 /// Runner configuration (`#![proptest_config(...)]`).
@@ -481,7 +481,7 @@ where
 }
 
 /// Drive one property: draw cases until `config.cases` pass, shrinking
-/// and panicking on the first failure. Called by the [`proptest!`]
+/// and panicking on the first failure. Called by the [`proptest!`](crate::proptest!)
 /// macro; not intended for direct use.
 pub fn run_property<S, F>(name: &str, config: &ProptestConfig, strat: &S, test: F)
 where

@@ -1,7 +1,7 @@
 //! Expression evaluation.
 //!
-//! Expressions are evaluated against an [`Env`]: one row — or a join's
-//! left and right rows side by side — laid out per the [`Bindings`] of the
+//! Expressions are evaluated against an `Env`: one row — or a join's
+//! left and right rows side by side — laid out per the `Bindings` of the
 //! tables in scope. A column the planner or DML bound is an
 //! [`Expr::Slot`] and reads its value by index; a bare [`Expr::Column`]
 //! is resolved by name, which is how the direct reference executor reads

@@ -63,7 +63,7 @@ pub(crate) fn remove_at<T>(v: &mut Vec<T>, gone: &[usize], mut removed: impl FnM
 /// `kind`, `rows_out`, `affected`) and bumps the
 /// `sqlengine.exec.statements` / `sqlengine.exec.rows_out` counters; the
 /// SELECT core additionally records per-operator row counts (see
-/// [`execute_core`]).
+/// `execute_core`).
 pub fn execute(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlError> {
     execute_reporting(db, stmt).map(|(rs, _)| rs)
 }
@@ -446,7 +446,7 @@ impl<'a> Cx<'a> {
 
 /// Execute a SELECT (read-only) through the query planner: AST → logical
 /// plan → rule-based rewrites → Volcano physical iterators (see
-/// [`crate::plan`]). The pre-planner direct executor is kept as the
+/// the `plan` module). The pre-planner direct executor is kept as the
 /// differential-testing oracle behind [`execute_select_direct`].
 pub fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<ResultSet, SqlError> {
     Cx::new(db).select(stmt)

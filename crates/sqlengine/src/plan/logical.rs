@@ -39,18 +39,14 @@ pub(crate) enum LogicalPlan {
     /// A single zero-width row — the seed for FROM-less selects and the
     /// left side of a first-item LEFT JOIN.
     OneRow,
-    /// Full scan of a base table. `projection` (set by column pruning)
-    /// selects a subset of the stored columns; `schema` always describes
-    /// the scan's *output* (pruned when `projection` is `Some`).
+    /// Full scan of a base table, whose stored rows it hands out whole.
     Scan {
         /// Base table name (lowercase).
         table: String,
         /// Binding alias (lowercase).
         alias: String,
-        /// Output schema (pruned columns removed).
+        /// The stored table's schema.
         schema: Schema,
-        /// Indices into the stored row to keep, ascending; `None` = all.
-        projection: Option<Vec<usize>>,
     },
     /// Nested-loop join.
     Join {
@@ -161,7 +157,8 @@ pub(crate) enum LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Table bindings describing this node's output row layout. Only
+    /// Table bindings describing this node's output row layout, which
+    /// every physical operator binds its expressions against. Only
     /// meaningful for the FROM region (Scan/Join/Filter/OneRow);
     /// projection and later operators produce column-shaped rows with no
     /// table scoping.
@@ -315,7 +312,6 @@ fn lower_core(db: &Database, stmt: &SelectStmt, hidden: &[Expr]) -> Result<Logic
             table: table.name.clone(),
             alias,
             schema: table.schema.clone(),
-            projection: None,
         };
         plan = match (&item.join, i) {
             (None, _) => {
@@ -430,12 +426,10 @@ fn render_into(plan: &LogicalPlan, depth: usize, out: &mut Vec<String>) {
     let pad = "  ".repeat(depth);
     match plan {
         LogicalPlan::OneRow => out.push(format!("{pad}OneRow")),
-        LogicalPlan::Scan { table, alias, schema, projection } => {
-            let cols: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
-            let pruned = if projection.is_some() { " (pruned)" } else { "" };
+        LogicalPlan::Scan { table, alias, .. } => {
             let alias_s =
                 if alias == table { String::new() } else { format!(" AS {alias}") };
-            out.push(format!("{pad}Scan {table}{alias_s} cols=[{}]{pruned}", cols.join(", ")));
+            out.push(format!("{pad}Scan {table}{alias_s}"));
         }
         LogicalPlan::Join { left, right, join, on } => {
             let jt = match join {

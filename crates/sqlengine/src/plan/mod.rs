@@ -10,8 +10,8 @@
 //!    projection used for `ORDER BY` on unprojected expressions.
 //! 2. **Rewrites** ([`rewrite::optimize`]) apply rule-based
 //!    transformations: constant folding (via the shared [`crate::eval`]
-//!    evaluator), predicate pushdown below joins, scan column pruning, and
-//!    `LIMIT` pushdown into `Sort` (top-k).
+//!    evaluator), predicate pushdown below joins, `LIMIT` pushdown into
+//!    `Sort` (top-k), and cost estimates for the semantic operators.
 //! 3. **Physical execution** ([`physical::run`]) builds Volcano-style
 //!    pull iterators from the optimized plan and drains the root. Each
 //!    operator binds its expressions' columns to row positions once, when

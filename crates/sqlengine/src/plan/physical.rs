@@ -13,8 +13,8 @@
 //!   passes [`Tuple`]s: a scan hands out the stored row itself and a join
 //!   of two stored rows hands out both sides, so only the operators that
 //!   produce output rows (projection, aggregation) copy values. The
-//!   layout above a scan is therefore the table's full stored schema;
-//!   column pruning still decides what a plan *reads*.
+//!   layout above a scan is the table's stored schema, which is what
+//!   [`LogicalPlan::bindings`] describes.
 //! * **Fusion.** A chain of `Filter` nodes that bottoms out at a `Scan`
 //!   fuses into [`ScanExec`]; a top-k `Sort` over a projection of bare
 //!   columns fuses into [`TopKExec`], which projects only the rows it
@@ -36,7 +36,6 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use crate::ast::{Expr, JoinType, SelectItem, SetOp};
-use crate::catalog::Database;
 use crate::error::SqlError;
 use crate::eval::{truthy, Env};
 use crate::exec::{self, Bindings, Cx};
@@ -174,25 +173,6 @@ impl<'a> Tuple<'a> {
     }
 }
 
-/// The physical layout of the rows a FROM-region plan produces: each
-/// scan's full stored schema, since scans hand out stored rows whole.
-/// Binds exactly as the plan's pruned layout would — pruning keeps every
-/// column an expression names.
-fn layout(db: &Database, plan: &LogicalPlan) -> Result<Bindings, SqlError> {
-    Ok(match plan {
-        LogicalPlan::Scan { table, alias, .. } => {
-            let mut b = Bindings::default();
-            b.push(alias.clone(), db.table(table)?.schema.clone());
-            b
-        }
-        LogicalPlan::Join { left, right, .. } => layout(db, left)?.concat(&layout(db, right)?),
-        LogicalPlan::Filter { input, .. } | LogicalPlan::LlmFilter { input, .. } => {
-            layout(db, input)?
-        }
-        _ => Bindings::default(),
-    })
-}
-
 fn timed<'a, T: 'a>(
     op: Box<dyn PhysOp<'a, T> + 'a>,
     instrument: bool,
@@ -219,7 +199,7 @@ pub(crate) fn build<'a>(
 ) -> Result<RowOp<'a>, SqlError> {
     let op: RowOp<'a> = match plan {
         LogicalPlan::Project { input, items, .. } | LogicalPlan::LlmMap { input, items, .. } => {
-            let layout = layout(cx.db, input)?;
+            let layout = input.bindings();
             Box::new(ProjectExec {
                 cx,
                 node: plan,
@@ -237,7 +217,7 @@ pub(crate) fn build<'a>(
                     SelectItem::Expr { expr, .. } => expr.contains_llm(),
                     _ => false,
                 });
-            let layout = layout(cx.db, input)?;
+            let layout = input.bindings();
             Box::new(AggregateExec {
                 cx,
                 node: plan,
@@ -337,7 +317,7 @@ fn build_from<'a>(
                 preds.reverse();
                 build_scan(cx, base, preds)?
             } else {
-                let layout = layout(cx.db, input)?;
+                let layout = input.bindings();
                 Box::new(FilterExec {
                     cx,
                     node: plan,
@@ -350,7 +330,7 @@ fn build_from<'a>(
             }
         }
         LogicalPlan::Join { left, right, join, on } => {
-            let (left_layout, right_layout) = (layout(cx.db, left)?, layout(cx.db, right)?);
+            let (left_layout, right_layout) = (left.bindings(), right.bindings());
             let layout = left_layout.concat(&right_layout);
             Box::new(NLJoinExec {
                 cx,
@@ -388,9 +368,7 @@ fn build_scan<'a>(
         return Err(internal("build_scan on a non-scan node"));
     };
     let t = cx.db.table(table)?;
-    // Predicates are evaluated against the *full* stored row, so pushed
-    // conjuncts may reference pruned-away columns.
-    let layout = layout(cx.db, scan)?;
+    let layout = scan.bindings();
     Ok(Box::new(ScanExec {
         cx,
         node: scan,
@@ -922,7 +900,7 @@ impl<'a> TopKExec<'a> {
         instrument: bool,
     ) -> Result<Option<TopKExec<'a>>, SqlError> {
         let LogicalPlan::Project { input, items, .. } = project else { return Ok(None) };
-        let layout = layout(cx.db, input)?;
+        let layout = input.bindings();
         let items = layout.bind_items(items);
         let slot = |item: &SelectItem| match item {
             SelectItem::Expr { expr: Expr::Slot { index, .. }, .. } => Some(*index),
@@ -1113,13 +1091,9 @@ pub(crate) fn render(root: &OpStat<'_>, analyzed: bool) -> Vec<String> {
 fn line(node: &LogicalPlan, fused_filters: usize) -> String {
     match node {
         LogicalPlan::OneRow => "OneRowExec".into(),
-        LogicalPlan::Scan { table, alias, schema, projection } => {
+        LogicalPlan::Scan { table, alias, .. } => {
             let alias_s = if alias == table { String::new() } else { format!(" AS {alias}") };
-            let pruned = match projection {
-                Some(_) => format!(" cols={} (pruned)", schema.len()),
-                None => String::new(),
-            };
-            format!("ScanExec {table}{alias_s} predicates={fused_filters}{pruned}")
+            format!("ScanExec {table}{alias_s} predicates={fused_filters}")
         }
         LogicalPlan::Filter { .. } => "FilterExec".into(),
         LogicalPlan::Join { join, .. } => {
@@ -1171,6 +1145,7 @@ fn line(node: &LogicalPlan, fused_filters: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Database;
     use crate::exec::concert_db;
     use crate::parser::parse_statement;
 

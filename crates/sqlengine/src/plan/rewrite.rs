@@ -1,6 +1,6 @@
 //! Rule-based logical rewrites.
 //!
-//! Five passes run in a fixed order:
+//! Four passes run in a fixed order:
 //!
 //! 1. **Constant folding** — evaluate column-free subexpressions with the
 //!    shared [`crate::eval`] evaluator; drop filters whose predicate folds
@@ -11,22 +11,18 @@
 //!    below joins whose single side binds every column it references
 //!    (left side only for LEFT JOINs; pushing into the right side would
 //!    change padding).
-//! 3. **Column pruning** — restrict each scan to the columns referenced
-//!    anywhere in the plan. Unqualified names are kept in *every* schema
-//!    that has them, preserving ambiguous-column errors.
-//! 4. **LIMIT pushdown** — a `Limit` directly above a `Sort` (possibly
+//! 3. **LIMIT pushdown** — a `Limit` directly above a `Sort` (possibly
 //!    through a `Strip`) sets the sort's `fetch`, turning a full sort
 //!    into a top-k selection.
-//! 5. **Semantic estimate** — annotate each `LlmFilter`/`LlmMap` with
+//! 4. **Semantic estimate** — annotate each `LlmFilter`/`LlmMap` with
 //!    estimated rows, model calls and dollars for `EXPLAIN`.
 
 use std::collections::BTreeSet;
 
-use crate::ast::{BinOp, Expr, JoinType, SelectItem};
+use crate::ast::{BinOp, Expr, JoinType};
 use crate::catalog::Database;
 use crate::eval::{eval, Env};
 use crate::exec::{Bindings, Cx};
-use crate::schema::Schema;
 use crate::value::Value;
 
 use super::logical::{item_exprs, LlmEstimate, LogicalPlan};
@@ -35,7 +31,6 @@ use super::logical::{item_exprs, LlmEstimate, LogicalPlan};
 pub(crate) fn optimize(db: &Database, plan: LogicalPlan) -> LogicalPlan {
     let plan = fold_constants(&Cx::new(db), plan);
     let plan = push_down_filters(plan);
-    let plan = prune_scan_columns(plan);
     let plan = push_limit_into_sort(plan);
     estimate_semantic(db, plan).0
 }
@@ -253,107 +248,6 @@ fn collect_aliases(e: &Expr, b: &Bindings, out: &mut BTreeSet<String>) -> bool {
     }
 }
 
-// ---------------- scan column pruning ----------------
-
-fn prune_scan_columns(plan: LogicalPlan) -> LogicalPlan {
-    let mut refs: Vec<(Option<String>, String)> = Vec::new();
-    if !collect_plan_refs(&plan, &mut refs) {
-        // An unexpanded wildcard somewhere: every column may be needed.
-        return plan;
-    }
-    apply_prune(plan, &refs)
-}
-
-/// Gather `(qualifier, column)` references (lowercase) from every
-/// expression in the plan. Returns `false` if pruning is unsafe.
-fn collect_plan_refs(plan: &LogicalPlan, out: &mut Vec<(Option<String>, String)>) -> bool {
-    match plan {
-        LogicalPlan::OneRow | LogicalPlan::Scan { .. } => true,
-        LogicalPlan::Join { left, right, on, .. } => {
-            if let Some(on) = on {
-                expr_refs(on, out);
-            }
-            collect_plan_refs(left, out) && collect_plan_refs(right, out)
-        }
-        LogicalPlan::Filter { input, predicate }
-        | LogicalPlan::LlmFilter { input, predicate, .. } => {
-            expr_refs(predicate, out);
-            collect_plan_refs(input, out)
-        }
-        LogicalPlan::Project { input, items, .. }
-        | LogicalPlan::LlmMap { input, items, .. } => {
-            items.iter().all(|it| item_refs(it, out)) && collect_plan_refs(input, out)
-        }
-        LogicalPlan::Aggregate { input, group_by, having, items, .. } => {
-            for e in group_by {
-                expr_refs(e, out);
-            }
-            if let Some(h) = having {
-                expr_refs(h, out);
-            }
-            items.iter().all(|it| item_refs(it, out)) && collect_plan_refs(input, out)
-        }
-        LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Strip { input, .. }
-        | LogicalPlan::Limit { input, .. } => collect_plan_refs(input, out),
-        LogicalPlan::SetOp { left, right, .. } => {
-            collect_plan_refs(left, out) && collect_plan_refs(right, out)
-        }
-    }
-}
-
-fn item_refs(item: &SelectItem, out: &mut Vec<(Option<String>, String)>) -> bool {
-    match item {
-        SelectItem::Expr { expr, .. } => {
-            expr_refs(expr, out);
-            true
-        }
-        // Wildcards should be expanded by lowering; if one leaks through,
-        // refuse to prune rather than drop columns it would project.
-        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
-    }
-}
-
-/// Subquery bodies are uncorrelated and not children: they never read
-/// outer scans.
-fn expr_refs(e: &Expr, out: &mut Vec<(Option<String>, String)>) {
-    if let Expr::Column { qualifier, name } = e {
-        out.push((qualifier.as_ref().map(|q| q.to_lowercase()), name.to_lowercase()));
-    }
-    e.for_each_child(|c| expr_refs(c, out));
-}
-
-fn apply_prune(plan: LogicalPlan, refs: &[(Option<String>, String)]) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { table, alias, schema, projection } => {
-            let keep: Vec<usize> = schema
-                .columns()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    refs.iter().any(|(q, n)| {
-                        *n == c.name && (q.is_none() || q.as_deref() == Some(alias.as_str()))
-                    })
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if keep.len() == schema.len() {
-                LogicalPlan::Scan { table, alias, schema, projection }
-            } else {
-                let cols = keep.iter().map(|&i| schema.columns()[i].clone()).collect();
-                LogicalPlan::Scan {
-                    table,
-                    alias,
-                    schema: Schema::new(cols),
-                    projection: Some(keep),
-                }
-            }
-        }
-        other => map_children(other, &mut |child| apply_prune(child, refs)),
-    }
-}
-
 // ---------------- LIMIT pushdown ----------------
 
 fn push_limit_into_sort(plan: LogicalPlan) -> LogicalPlan {
@@ -556,13 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn scans_prune_unreferenced_columns() {
-        let db = concert_db();
-        let text = optimized(&db, "SELECT name FROM stadium WHERE capacity > 1000");
-        assert!(text.contains("cols=[name, capacity] (pruned)"), "{text}");
-    }
-
-    #[test]
     fn ambiguous_unqualified_names_block_pushdown() {
         let db = concert_db();
         // `stadium_id` exists in both tables: the conjunct must stay put.
@@ -574,6 +461,26 @@ mod tests {
         let join_at = text.find("Join Inner").unwrap();
         let pred_at = text.find("Filter (stadium_id > 0)").unwrap();
         assert!(pred_at < join_at, "ambiguous predicate was pushed:\n{text}");
+    }
+
+    #[test]
+    fn conjuncts_naming_no_column_or_an_aggregate_stay_above_the_join() {
+        let db = concert_db();
+        for (pred, printed) in [
+            ("EXISTS (SELECT 1 FROM concert WHERE year = 2014)", "Filter EXISTS"),
+            ("COUNT(s.capacity) > 0", "Filter (COUNT(s.capacity) > 0)"),
+        ] {
+            let text = optimized(
+                &db,
+                &format!(
+                    "SELECT s.name FROM stadium s JOIN concert c \
+                     ON s.stadium_id = c.stadium_id WHERE {pred}"
+                ),
+            );
+            let join_at = text.find("Join Inner").unwrap();
+            let pred_at = text.find(printed).unwrap_or_else(|| panic!("no {printed}:\n{text}"));
+            assert!(pred_at < join_at, "{pred} was pushed:\n{text}");
+        }
     }
 
     /// Every expression of the optimized plan, printed, inputs first.

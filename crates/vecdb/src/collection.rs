@@ -4,7 +4,7 @@
 //! ANN search walks the graph over it, while exact search and pre-filtered
 //! search score rows straight out of it. Beside the index sit two columns
 //! addressed by the same row numbers — each row's metadata, and the
-//! [`AttrIndex`] that answers "which rows have `key = value`" without
+//! `AttrIndex` that answers "which rows have `key = value`" without
 //! reading any of it.
 
 use std::borrow::Cow;

@@ -52,11 +52,6 @@ pub(crate) fn level_hash(seed: u64, counter: u64) -> u64 {
     llmdm_rt::hash::splitmix(seed ^ counter.wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
-#[inline]
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn unit_in_range() {
         for i in 0..1000 {
-            let u = unit(level_hash(3, i));
+            let u = llmdm_rt::hash::unit_f64(level_hash(3, i));
             assert!((0.0..1.0).contains(&u));
         }
     }

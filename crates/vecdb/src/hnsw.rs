@@ -15,9 +15,9 @@
 //!
 //! A node is a *row number*, handed out in insertion order, and everything
 //! about it lives in a column indexed by that number: its vector in one
-//! row-major `f32` arena ([`Rows`], with the inverse norm cosine scoring
+//! row-major `f32` arena (`Rows`, with the inverse norm cosine scoring
 //! wants beside it), its id, its tombstone flag, its drawn level, and its
-//! links ([`Links`]). A row number is stable until [`HnswIndex::compact`],
+//! links (`Links`). A row number is stable until [`HnswIndex::compact`],
 //! which drops the tombstoned rows and renumbers the rest in order — so
 //! ascending row order is always insertion order.
 
@@ -212,16 +212,6 @@ impl HnswIndex {
         })
     }
 
-    /// Adjust the search frontier width (`ef`): the recall/latency dial.
-    pub fn set_ef_search(&mut self, ef: usize) {
-        self.config.ef_search = ef.max(1);
-    }
-
-    /// Current search `ef`.
-    pub fn ef_search(&self) -> usize {
-        self.config.ef_search
-    }
-
     /// Fraction of stored nodes that are tombstones.
     pub fn tombstone_ratio(&self) -> f64 {
         if self.ids.is_empty() {
@@ -300,7 +290,7 @@ impl HnswIndex {
         let mut x = h;
         // Each "success" with probability 1/e ≈ 0.3679 bumps the level.
         loop {
-            let u = crate::hash_ord::unit(x);
+            let u = llmdm_rt::hash::unit_f64(x);
             if u < std::f64::consts::E.recip() && level < 16 {
                 level += 1;
                 x = llmdm_rt::hash::splitmix(x);

@@ -110,9 +110,9 @@ fn higher_ef_no_worse_recall() {
         }
         overlap
     };
-    idx.set_ef_search(8);
+    idx.config.ef_search = 8;
     let low = recall(&idx);
-    idx.set_ef_search(128);
+    idx.config.ef_search = 128;
     let high = recall(&idx);
     assert!(high >= low, "low={low} high={high}");
 }

@@ -6,11 +6,11 @@
 //!
 //! [`Metric::score`] is the one-off form: two slices in, one score out, both
 //! cosine norms recomputed. An index never calls it per candidate. It keeps
-//! its vectors in a [`Rows`] arena, which stores beside each row what the
+//! its vectors in a `Rows` arena, which stores beside each row what the
 //! metric needs of it (the inverse norm, for cosine), prepares the query
-//! once per search (`Metric::prepare`) and then pays one chunked [`dot`] per
-//! candidate ([`Rows::score`]). Because IVF and HNSW score through
-//! `Rows::score`, and flat through [`Rows::scores`], which gives its bits, the
+//! once per search (`Metric::prepare`) and then pays one chunked `dot` per
+//! candidate (`Rows::score`). Because IVF and HNSW score through
+//! `Rows::score`, and flat through `Rows::scores`, which gives its bits, the
 //! same (query, row) pair gets the same bits everywhere — which is what
 //! keeps pre-filter ≡ exact scan.
 
@@ -105,7 +105,7 @@ pub enum Metric {
 impl Metric {
     /// Score of `b` against query `a`; higher is better.
     ///
-    /// For one-off comparisons. Indexes score through [`Rows`], whose
+    /// For one-off comparisons. Indexes score through `Rows`, whose
     /// result can differ from this one in the last few ulps (different
     /// summation order, a stored inverse norm instead of a division).
     #[inline]

@@ -1,7 +1,7 @@
 //! Query-planner walkthrough (DESIGN.md §11): the sqlengine now lowers
 //! every `SELECT` into a logical plan, runs rule-based rewrites
-//! (constant folding, predicate pushdown, projection pruning, LIMIT →
-//! top-k), and executes it through Volcano-style pull iterators. The
+//! (constant folding, predicate pushdown, LIMIT → top-k, semantic cost
+//! estimates), and executes it through Volcano-style pull iterators. The
 //! pre-planner direct executor is kept alive as a differential oracle.
 //!
 //! This example:

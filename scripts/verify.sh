@@ -10,6 +10,9 @@ cargo build --release --offline
 echo "== offline test suite"
 cargo test -q --offline
 
+echo "== rustdoc builds without a warning (a broken or private intra-doc link fails it)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== every bench target builds (the ungated ones are compiled by neither step above)"
 cargo bench --offline -p llmdm-bench --no-run
 

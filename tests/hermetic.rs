@@ -362,8 +362,9 @@ fn library_modules_are_pinned() {
 #[test]
 fn every_library_pub_fn_has_a_caller() {
     // A `pub fn` whose name occurs nowhere but its own definition and
-    // its own file's `#[cfg(test)]` module — not in another call, another
-    // file's test, an example or a doc — is surface nothing uses: a unit
+    // its own file's `#[cfg(test)]` module (inline, or the file a
+    // `#[cfg(test)] mod x;` names) — not in another call, another file's
+    // test, an example or a doc — is surface nothing uses: a unit
     // test of a function is not a reason for the function to exist.
     // Names are counted as identifier tokens across crates/, examples/
     // and tests/; the `perf` package counts as a caller but its own
@@ -380,6 +381,7 @@ fn every_library_pub_fn_has_a_caller() {
         ("calibration.rs", "calibrate", "§III-E confidence calibration"),
         ("calibration.rs", "raw_signal_ece", "§III-E confidence calibration"),
         ("collection.rs", "search_filtered_learning", "§III-B2 filtered vector search"),
+        ("hnsw.rs", "search_adaptive", "§III-B2 adaptive early termination"),
         ("nl2txn.rs", "execute_transfers", "§II-B NL2Transaction"),
         ("lake.rs", "add_table_rows", "§II-D per-row lake granularity"),
     ];
@@ -396,7 +398,7 @@ fn every_library_pub_fn_has_a_caller() {
         }
         let file = p.file_name().and_then(|f| f.to_str()).unwrap_or_default();
         let mut in_own_tests: std::collections::HashMap<String, usize> = Default::default();
-        count_tokens(&unit_tests_of(text), &mut in_own_tests);
+        count_tokens(&unit_tests_of(p, text), &mut in_own_tests);
         for (n, line) in text.lines().enumerate() {
             let t = line.trim_start();
             let Some(rest) = t.strip_prefix("pub fn ").or_else(|| t.strip_prefix("pub const fn "))
@@ -428,14 +430,21 @@ fn count_tokens(text: &str, counts: &mut std::collections::HashMap<String, usize
     }
 }
 
-/// The text of a file's `#[cfg(test)] mod … { … }` blocks: from the
-/// attribute to the module's closing `}` in column 0.
-fn unit_tests_of(text: &str) -> String {
+/// The text of the file `path`'s unit-test modules: a `#[cfg(test)] mod
+/// … { … }` block from the attribute to the module's closing `}` in
+/// column 0, and the whole file of a `#[cfg(test)] mod x;` declaration.
+fn unit_tests_of(path: &Path, text: &str) -> String {
     let mut out = String::new();
     let mut lines = text.lines().peekable();
     while let Some(line) = lines.next() {
         let opens_mod = lines.peek().is_some_and(|next| next.starts_with("mod "));
         if line.trim_end() != "#[cfg(test)]" || !opens_mod {
+            continue;
+        }
+        let declared =
+            lines.peek().and_then(|l| l.trim_end().strip_prefix("mod ")?.strip_suffix(';'));
+        if let Some(name) = declared {
+            out.push_str(&fs::read_to_string(module_file(path, name)).expect("read test module"));
             continue;
         }
         for body in lines.by_ref() {
@@ -447,6 +456,18 @@ fn unit_tests_of(text: &str) -> String {
         }
     }
     out
+}
+
+/// The file `name.rs` of a `mod name;` declared in `parent`: beside a
+/// `lib.rs`/`main.rs`/`mod.rs`, in the directory named after any other
+/// file.
+fn module_file(parent: &Path, name: &str) -> PathBuf {
+    let stem = parent.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+    let mut dir = parent.parent().expect("parent dir").to_path_buf();
+    if !["lib", "main", "mod"].contains(&stem) {
+        dir.push(stem);
+    }
+    dir.join(format!("{name}.rs"))
 }
 
 fn visit(dir: &Path, f: &mut impl FnMut(&Path, &str)) {
