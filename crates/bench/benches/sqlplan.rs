@@ -19,10 +19,19 @@
 //! the aggregation code, so their ratio is what binding and borrowed rows
 //! save on a join and on a grouped scan.
 //!
+//! A transaction logs only the rows it changes for ROLLBACK, so a
+//! one-row `BEGIN; INSERT; COMMIT` costs the same on a 10 000-row table
+//! as on a 100-row one: the ratio of their interleaved medians is gated
+//! at ≤ 1.5× (a transaction that copied the table it wrote to paid for
+//! every row of it).
+//!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; results land
 //! in `BENCH_sqlplan.json`.
 
-use llmdm_rt::bench::{Bound::AtLeast, Criterion};
+use llmdm_rt::bench::{
+    Bound::{AtLeast, AtMost},
+    Criterion,
+};
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
 use llmdm_sqlengine::{parse_statement, Database, SelectStmt, Statement, Value};
 
@@ -32,6 +41,11 @@ const VENUES: i64 = 25;
 const MIN_SCAN_SPEEDUP: f64 = 2.0;
 /// What the top-k rewrite must save against a full sort.
 const MIN_TOPK_SPEEDUP: f64 = 1.2;
+/// Rows of the two tables a one-row transaction is timed on.
+const TXN_SMALL: usize = 100;
+const TXN_LARGE: usize = 10_000;
+/// How much longer the transaction may take on the large table.
+const MAX_TXN_SIZE_RATIO: f64 = 1.5;
 
 /// A deterministic two-table fixture big enough that per-row costs
 /// dominate: `events` (8000 rows, ~3% selective filters) plus a small
@@ -68,6 +82,28 @@ fn fixture() -> Database {
             .expect("event row");
     }
     db
+}
+
+/// A `t (id INT, name TEXT, score FLOAT)` table of `rows` rows.
+fn txn_fixture(rows: usize) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (id INT, name TEXT, score FLOAT)").expect("ddl");
+    let t = db.table_mut("t").expect("created above");
+    for i in 0..rows as i64 {
+        let row = vec![Value::Int(i), Value::Str(format!("row-{i}")), Value::Float(i as f64 / 8.0)];
+        t.push_row(row).expect("txn row");
+    }
+    db
+}
+
+/// Commit one inserted row, then truncate the table back to `rows`
+/// (outside the transaction, so both sizes pay the same for that).
+fn one_row_txn(db: &mut Database, rows: usize) {
+    let rs = db
+        .execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT")
+        .expect("commits");
+    std::hint::black_box(rs);
+    db.table_mut("t").expect("exists").rows.truncate(rows);
 }
 
 fn select_stmt(sql: &str) -> SelectStmt {
@@ -159,6 +195,17 @@ fn run(c: &mut Criterion) {
         let x = speedup(c, name);
         c.gate(format!("sqlplan {name} direct/plan (median)"), x, AtLeast(bound));
     }
+
+    // ---- A one-row transaction's cost is flat in the table size. ----
+    let (mut small, mut large) = (txn_fixture(TXN_SMALL), txn_fixture(TXN_LARGE));
+    c.benchmark_group("sqlplan_txn").bench_interleaved(&mut [
+        ("insert_commit_100", &mut || one_row_txn(&mut small, TXN_SMALL)),
+        ("insert_commit_10k", &mut || one_row_txn(&mut large, TXN_LARGE)),
+    ]);
+    assert_eq!(large.table("t").expect("exists").rows.len(), TXN_LARGE);
+    let ratio = c.stat("sqlplan_txn/insert_commit_10k").median_ns as f64
+        / c.stat("sqlplan_txn/insert_commit_100").median_ns as f64;
+    c.gate("sqlplan txn 10k rows / 100 rows (median)", ratio, AtMost(MAX_TXN_SIZE_RATIO));
 }
 
 // The fixture is a hash scatter: no seed to stamp.

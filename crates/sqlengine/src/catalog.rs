@@ -1,22 +1,44 @@
 //! The database catalog and the top-level execute/query API, including
-//! snapshot-based transactions (the substrate for §II-B1's NL2Transaction).
+//! transactions (the substrate for §II-B1's NL2Transaction).
+//!
+//! A transaction keeps an undo log: each change it makes logs what puts
+//! that change back — the row count before an `INSERT`, the old rows an
+//! `UPDATE` overwrote, the rows a `DELETE` removed (each at its index),
+//! and the whole table a `DROP TABLE` removed. The rows are moved into
+//! the log, not cloned, so a transaction's rollback state is
+//! proportional to the rows it changes, not to the tables it touches.
+//! `ROLLBACK` applies the log newest-first and leaves every table as it
+//! was at `BEGIN`, row order included; `COMMIT` drops it. Outside a
+//! transaction nothing is logged.
 
 use std::collections::BTreeMap;
 
-
 use crate::error::SqlError;
 use crate::result::ResultSet;
-use crate::schema::Table;
+use crate::schema::{Row, Table};
 use crate::semantic::ModelHandle;
+
+/// What puts one change of an open transaction back. Each names its
+/// table by catalog key (lowercase).
+#[derive(Debug, Clone)]
+pub(crate) enum Undo {
+    /// Rows were pushed onto the table, which had this many before.
+    Truncate(String, usize),
+    /// Rows were overwritten in place: each old row at its index.
+    Restore(String, Vec<(usize, Row)>),
+    /// Rows were removed: each at its ascending pre-delete index.
+    Reinsert(String, Vec<(usize, Row)>),
+    /// The whole table as it was (`None`: it did not exist).
+    Table(String, Option<Table>),
+}
 
 /// An in-memory database: a catalog of tables plus transaction state.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    /// `Some` while a transaction is open: each table as it was before
-    /// the transaction first wrote to it (`None`: it did not exist),
-    /// put back on ROLLBACK.
-    snapshot: Option<BTreeMap<String, Option<Table>>>,
+    /// `Some` while a transaction is open: what puts each of its changes
+    /// back, oldest first (see the module docs).
+    undo: Option<Vec<Undo>>,
     /// The session LLM handle semantic operators route through; `None`
     /// (the default) makes `LLM_MAP`/`LLM_FILTER`/`LLM_MATCH` fail with
     /// [`SqlError::Model`]. Transactions never roll this back — the
@@ -51,7 +73,9 @@ impl Database {
         if self.tables.contains_key(&table.name) {
             return Err(SqlError::TableExists(table.name.clone()));
         }
-        self.save(&table.name);
+        if let Some(log) = &mut self.undo {
+            log.push(Undo::Table(table.name.clone(), None));
+        }
         self.tables.insert(table.name.clone(), table);
         Ok(())
     }
@@ -59,8 +83,11 @@ impl Database {
     /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> Result<(), SqlError> {
         let key = name.to_lowercase();
-        self.save(&key);
-        self.tables.remove(&key).map(|_| ()).ok_or(SqlError::UnknownTable(key))
+        let table = self.tables.remove(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
+        if let Some(log) = &mut self.undo {
+            log.push(Undo::Table(key, Some(table)));
+        }
+        Ok(())
     }
 
     /// Look up a table.
@@ -69,22 +96,27 @@ impl Database {
         self.tables.get(&key).ok_or(SqlError::UnknownTable(key))
     }
 
-    /// Mutable table lookup (inside a transaction, the table's first
-    /// one snapshots it for ROLLBACK).
+    /// Mutable table lookup. The caller can change anything, so inside a
+    /// transaction this logs a copy of the whole table for ROLLBACK; the
+    /// engine's own DML logs only the rows it changes.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         let key = name.to_lowercase();
-        self.save(&key);
-        self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))
+        let table = self.tables.get_mut(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
+        if let Some(log) = &mut self.undo {
+            log.push(Undo::Table(key, Some(table.clone())));
+        }
+        Ok(table)
     }
 
-    /// Inside a transaction, remember `key`'s table as it is now unless
-    /// the transaction already did.
-    fn save(&mut self, key: &str) {
-        if let Some(snapshot) = &mut self.snapshot {
-            if !snapshot.contains_key(key) {
-                snapshot.insert(key.to_string(), self.tables.get(key).cloned());
-            }
-        }
+    /// DML write access: the table, and the undo log while a transaction
+    /// is open. The caller logs what puts its change back.
+    pub(crate) fn table_for_dml(
+        &mut self,
+        name: &str,
+    ) -> Result<(&mut Table, Option<&mut Vec<Undo>>), SqlError> {
+        let key = name.to_lowercase();
+        let table = self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))?;
+        Ok((table, self.undo.as_mut()))
     }
 
     /// All table names, sorted.
@@ -99,36 +131,62 @@ impl Database {
 
     /// Whether a transaction is open.
     pub fn in_transaction(&self) -> bool {
-        self.snapshot.is_some()
+        self.undo.is_some()
     }
 
-    /// Begin a transaction. Tables are snapshotted as it first writes
-    /// to them, not here.
+    /// Begin a transaction: changes are logged from here on.
     pub fn begin(&mut self) -> Result<(), SqlError> {
-        if self.snapshot.is_some() {
+        if self.undo.is_some() {
             return Err(SqlError::Txn("transaction already open".into()));
         }
-        self.snapshot = Some(BTreeMap::new());
+        self.undo = Some(Vec::new());
         Ok(())
     }
 
-    /// Commit the open transaction.
+    /// Commit the open transaction: its undo log is dropped.
     pub fn commit(&mut self) -> Result<(), SqlError> {
-        self.snapshot.take().map(|_| ()).ok_or_else(|| SqlError::Txn("no open transaction".into()))
+        self.undo.take().map(|_| ()).ok_or_else(|| SqlError::Txn("no open transaction".into()))
     }
 
-    /// Roll back: every table the transaction wrote to, created or
-    /// dropped is as it was at BEGIN again.
+    /// Roll back: undo the transaction's changes newest-first, so every
+    /// table it wrote to, created or dropped is as it was at BEGIN again.
     pub fn rollback(&mut self) -> Result<(), SqlError> {
-        let snapshot =
-            self.snapshot.take().ok_or_else(|| SqlError::Txn("no open transaction".into()))?;
-        for (key, was) in snapshot {
-            match was {
-                Some(table) => self.tables.insert(key, table),
-                None => self.tables.remove(&key),
-            };
+        let log = self.undo.take().ok_or_else(|| SqlError::Txn("no open transaction".into()))?;
+        for undo in log.into_iter().rev() {
+            match undo {
+                Undo::Truncate(key, len) => self.rows_to_undo(&key).truncate(len),
+                Undo::Restore(key, old) => {
+                    let rows = self.rows_to_undo(&key);
+                    for (i, row) in old {
+                        rows[i] = row;
+                    }
+                }
+                Undo::Reinsert(key, removed) => {
+                    let rows = self.rows_to_undo(&key);
+                    let mut kept = std::mem::take(rows).into_iter();
+                    rows.reserve_exact(kept.len() + removed.len());
+                    for (i, row) in removed {
+                        rows.extend(kept.by_ref().take(i - rows.len()));
+                        rows.push(row);
+                    }
+                    rows.extend(kept);
+                }
+                Undo::Table(key, Some(table)) => {
+                    self.tables.insert(key, table);
+                }
+                Undo::Table(key, None) => {
+                    self.tables.remove(&key);
+                }
+            }
         }
         Ok(())
+    }
+
+    /// The rows a row entry of the undo log puts back. Entries are undone
+    /// newest-first, so the table exists: a later `DROP` or `CREATE` of
+    /// the name was undone before.
+    fn rows_to_undo(&mut self, key: &str) -> &mut Vec<Row> {
+        &mut self.tables.get_mut(key).expect("undo entry names a live table").rows
     }
 
     /// Parse and execute one statement.
@@ -268,6 +326,18 @@ mod tests {
         let rs = db.query("SELECT id, name FROM t").unwrap();
         assert_eq!(rs.len(), 2, "the dropped and recreated table is the original again");
         assert!(db.has_table("other"), "an untouched table stays");
+    }
+
+    #[test]
+    fn rollback_undoes_table_mut_between_row_changes() {
+        let mut db = db_with_t();
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO t VALUES (3, 'c')").unwrap();
+        db.table_mut("t").unwrap().rows.reverse();
+        db.execute("UPDATE t SET name = 'z' WHERE id = 1").unwrap();
+        db.execute("DELETE FROM t WHERE id = 2").unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(db.table("t").unwrap().rows, db_with_t().table("t").unwrap().rows);
     }
 
     #[test]

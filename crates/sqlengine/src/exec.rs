@@ -10,7 +10,7 @@ use std::cell::Cell;
 use crate::ast::{
     AggFunc, BinOp, Expr, FromItem, JoinType, SelectItem, SelectStmt, SetOp, Statement,
 };
-use crate::catalog::Database;
+use crate::catalog::{Database, Undo};
 use crate::error::SqlError;
 use crate::eval::{eval, eval_binop, logic, operand, truthy, unary, Env};
 use crate::result::{cmp_rows, ResultSet};
@@ -41,20 +41,18 @@ impl RowChange {
     }
 }
 
-/// Remove the elements at the ascending indices `gone`, handing each to
-/// `removed`; the rest keep their order. Indices past the end are
-/// ignored.
-pub(crate) fn remove_at<T>(v: &mut Vec<T>, gone: &[usize], mut removed: impl FnMut(&T)) {
-    let mut gone = gone.iter().peekable();
+/// Remove the elements at the ascending indices `gone`, moving each to
+/// `removed` with its index; the rest keep their order. Indices past the
+/// end are ignored.
+pub(crate) fn remove_at<T>(v: &mut Vec<T>, gone: &[usize], mut removed: impl FnMut(usize, T)) {
+    let mut next = gone.iter().peekable();
     let mut i = 0usize;
-    v.retain(|x| {
-        let hit = gone.next_if_eq(&&i).is_some();
+    let hits = v.extract_if(.., |_| {
+        let hit = next.next_if_eq(&&i).is_some();
         i += 1;
-        if hit {
-            removed(x);
-        }
-        !hit
+        hit
     });
+    gone.iter().zip(hits).for_each(|(&i, x)| removed(i, x));
 }
 
 /// Execute any statement against the database.
@@ -180,7 +178,7 @@ fn insert(
         }
         rows.push(row);
     }
-    let t = db.table_mut(table)?;
+    let (t, log) = db.table_for_dml(table)?;
     let n = rows.len();
     let before = t.rows.len();
     let pushed = rows.into_iter().try_for_each(|row| {
@@ -211,6 +209,9 @@ fn insert(
         // All rows or none: a failed statement changes nothing.
         t.rows.truncate(before);
         return Err(e);
+    }
+    if let Some(log) = log {
+        log.push(Undo::Truncate(t.name.clone(), before));
     }
     Ok(RowChange::Inserted(n))
 }
@@ -250,10 +251,17 @@ fn update(
     }
     let mut changed = Vec::with_capacity(writes.len());
     if !writes.is_empty() {
-        let t = db.table_mut(table)?;
+        let (t, log) = db.table_for_dml(table)?;
+        let mut old = Vec::new();
         for (i, row) in writes {
-            t.rows[i] = row;
+            let was = std::mem::replace(&mut t.rows[i], row);
+            if log.is_some() {
+                old.push((i, was));
+            }
             changed.push(i);
+        }
+        if let Some(log) = log {
+            log.push(Undo::Restore(t.name.clone(), old));
         }
     }
     Ok(RowChange::Updated(changed))
@@ -276,7 +284,16 @@ fn delete(
         }
     }
     if !gone.is_empty() {
-        remove_at(&mut db.table_mut(table)?.rows, &gone, |_| {});
+        let (t, log) = db.table_for_dml(table)?;
+        let mut removed = Vec::new();
+        remove_at(&mut t.rows, &gone, |i, row| {
+            if log.is_some() {
+                removed.push((i, row));
+            }
+        });
+        if let Some(log) = log {
+            log.push(Undo::Reinsert(t.name.clone(), removed));
+        }
     }
     Ok(RowChange::Deleted(gone))
 }

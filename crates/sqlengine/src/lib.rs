@@ -19,7 +19,7 @@
 //! aggregates, `ORDER BY`/`LIMIT`/`OFFSET`, `DISTINCT`, set operations,
 //! `IN`/`EXISTS`/scalar subqueries, `LIKE`/`BETWEEN`/`IS NULL`, plus DML
 //! (`INSERT`/`UPDATE`/`DELETE`), DDL (`CREATE`/`DROP TABLE`), and
-//! snapshot-based transactions.
+//! transactions that roll back from an undo log of the rows they changed.
 //!
 //! ```
 //! use llmdm_sqlengine::{Database, Value};

@@ -139,6 +139,21 @@ mod tests {
     }
 
     #[test]
+    fn a_conjunct_folded_to_true_leaves_no_filter() {
+        let mut db = concert_db();
+        let sql = "EXPLAIN SELECT name FROM stadium WHERE capacity > 2000 + 2000 AND 1 = 1 \
+                   ORDER BY capacity DESC LIMIT 2";
+        let text = explain(&mut db, sql);
+        assert!(!text.contains("Filter TRUE"), "{text}");
+        assert!(text.contains("Filter (capacity > 4000)"), "{text}");
+        assert!(text.contains("ScanExec stadium predicates=1"), "{text}");
+        let sql = sql.trim_start_matches("EXPLAIN ");
+        let Statement::Select(stmt) = parse_statement(sql).unwrap() else { unreachable!() };
+        let planned = crate::exec::execute_select(&db, &stmt).unwrap();
+        assert!(planned.bit_eq(&crate::exec::execute_select_direct(&db, &stmt).unwrap()));
+    }
+
+    #[test]
     fn explain_shows_topk_for_limited_sort() {
         let mut db = concert_db();
         let text =

@@ -7,10 +7,11 @@
 //!    to literal `TRUE`. Folding never descends into subquery bodies and
 //!    keeps any subexpression whose evaluation errors, so runtime error
 //!    behavior is preserved.
-//! 2. **Predicate pushdown** — split `WHERE` conjuncts and sink each one
-//!    below joins whose single side binds every column it references
-//!    (left side only for LEFT JOINs; pushing into the right side would
-//!    change padding).
+//! 2. **Predicate pushdown** — split `WHERE` conjuncts, drop each one
+//!    that folded to literal `TRUE` (`x AND TRUE` folds no further: see
+//!    `fold_expr`), and sink the rest below joins whose single side binds
+//!    every column it references (left side only for LEFT JOINs; pushing
+//!    into the right side would change padding).
 //! 3. **LIMIT pushdown** — a `Limit` directly above a `Sort` (possibly
 //!    through a `Strip`) sets the sort's `fetch`, turning a full sort
 //!    into a top-k selection.
@@ -115,6 +116,10 @@ fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
             let mut remaining: Vec<Expr> = Vec::new();
             let mut semantic: Vec<Expr> = Vec::new();
             for conj in split_conjuncts(predicate) {
+                // A `TRUE` conjunct passes every row.
+                if matches!(conj, Expr::Literal(Value::Bool(true))) {
+                    continue;
+                }
                 // The reorder rule: conjuncts invoking LLM operators are
                 // peeled off and applied *after* every relational
                 // predicate — model calls only see rows that survived the

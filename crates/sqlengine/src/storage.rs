@@ -200,7 +200,7 @@ impl Stored {
                     .filter_map(|&i| gone.binary_search(&i).err().map(|before| i - before))
                     .collect();
                 let deleted = &mut self.deleted;
-                remove_at(&mut self.ids, &gone, |id| deleted.push(*id));
+                remove_at(&mut self.ids, &gone, |_, id| deleted.push(id));
             }
         }
     }

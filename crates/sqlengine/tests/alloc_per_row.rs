@@ -5,13 +5,16 @@
 //! the stored rows in place, so a row a predicate rejects, an aggregate
 //! folds or a top-k drops costs no heap allocation. This binary counts
 //! allocations with its own global allocator and runs the `perf`
-//! `rel_read` statement shapes (plus a LIKE scan and point DML) over the
-//! same data at two table sizes: the count may grow by at most one per
+//! `rel_read` statement shapes (plus a LIKE scan, point DML and a point
+//! transaction that commits or rolls back) over the same data at two
+//! table sizes: the count may grow by at most one per
 //! extra output or changed row, plus a small constant (`Vec` doubling in
 //! the few buffers that hold one entry per input row). Before binding,
 //! every scanned row paid at least one allocation (a lowercased column
 //! name, and on the SELECT paths an evaluation scope list), so 900 extra
-//! rows cost hundreds to tens of thousands.
+//! rows cost hundreds to tens of thousands. A transaction logs the rows
+//! it changes for ROLLBACK; one that copied each table it wrote to paid
+//! about five allocations per stored row.
 //!
 //! One `#[test]`, so no other test thread allocates while it counts.
 
@@ -110,20 +113,31 @@ fn fixture(items: usize) -> Database {
     db
 }
 
-/// Allocations one run of `sql` makes on a fresh fixture, and the rows it
-/// output or changed (the fewest allocations of three runs).
+/// Allocations one run of the script `sql` makes on a fresh fixture, and
+/// the rows its last statement output or changed (the fewest allocations
+/// of three runs).
 fn measure(items: usize, sql: &str) -> (i64, i64) {
     (0..3)
         .map(|_| {
             let mut db = fixture(items);
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let rs = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let rs = db.execute_script(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
             (allocs as i64, (rs.rows.len() + rs.affected) as i64)
         })
         .min()
         .unwrap()
 }
+
+/// One row of each DML kind changed inside a transaction.
+const POINT_TXN_COMMIT: &str = "BEGIN; \
+    INSERT INTO items VALUES (5000, 'cat03', 'brand07', 9.5, 3, 'item-5000', 'new'); \
+    UPDATE items SET price = 1.5, stock = 7 WHERE id = 123; \
+    DELETE FROM items WHERE id = 124; COMMIT";
+const POINT_TXN_ROLLBACK: &str = "BEGIN; \
+    INSERT INTO items VALUES (5000, 'cat03', 'brand07', 9.5, 3, 'item-5000', 'new'); \
+    UPDATE items SET price = 1.5, stock = 7 WHERE id = 123; \
+    DELETE FROM items WHERE id = 124; ROLLBACK";
 
 #[test]
 fn allocations_grow_with_output_rows_not_scanned_rows() {
@@ -138,6 +152,8 @@ fn allocations_grow_with_output_rows_not_scanned_rows() {
         "SELECT id, name FROM items WHERE name LIKE 'item-1_' AND descr LIKE '%stopped%weeks%'",
         "UPDATE items SET price = 1.5, stock = 7 WHERE id = 123",
         "DELETE FROM items WHERE id = 124",
+        POINT_TXN_COMMIT,
+        POINT_TXN_ROLLBACK,
     ];
     let mut failures = Vec::new();
     for sql in statements {

@@ -199,6 +199,94 @@ proptest! {
         let after = db.query("SELECT x FROM t").unwrap();
         prop_assert!(before.bag_eq(&after));
     }
+
+    /// Any mix of DML and DDL over two tables inside `BEGIN … ROLLBACK`
+    /// leaves every table bit-identical to a clone taken at BEGIN, row
+    /// order included; the same statements ending in COMMIT leave what
+    /// auto-commit leaves, statement outcomes included.
+    #[test]
+    fn rollback_and_commit_match_their_references(
+        a in proptest::collection::vec(row_strategy(), 0..12),
+        b in proptest::collection::vec(row_strategy(), 0..12),
+        stmts in proptest::collection::vec(txn_statement_strategy(), 0..16),
+    ) {
+        let fixture = || {
+            let mut db = Database::new();
+            for (table, rows) in [("a", &a), ("b", &b)] {
+                db.execute(&format!("CREATE TABLE {table} ({TXN_COLUMNS})")).unwrap();
+                if !rows.is_empty() {
+                    db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", "))).unwrap();
+                }
+            }
+            db
+        };
+        let run = |db: &mut Database| -> Vec<bool> {
+            stmts.iter().map(|sql| db.execute(sql).is_ok()).collect()
+        };
+
+        let mut rolled = fixture();
+        let at_begin = rolled.clone();
+        rolled.execute("BEGIN").unwrap();
+        run(&mut rolled);
+        rolled.execute("ROLLBACK").unwrap();
+        prop_assert!(same_tables(&rolled, &at_begin), "ROLLBACK after {stmts:#?}");
+
+        let mut committed = fixture();
+        committed.execute("BEGIN").unwrap();
+        let in_txn = run(&mut committed);
+        committed.execute("COMMIT").unwrap();
+        let mut auto = fixture();
+        prop_assert_eq!(in_txn, run(&mut auto));
+        prop_assert!(same_tables(&committed, &auto), "COMMIT after {stmts:#?}");
+    }
+}
+
+const TXN_COLUMNS: &str = "id INT, s TEXT, f FLOAT";
+
+/// One `(id, s, f)` row literal. Ids collide on purpose, so a range
+/// predicate matches zero, one or several rows.
+fn row_strategy() -> impl Strategy<Value = String> {
+    (0i64..20, "[a-c]{0,3}", -8i64..8)
+        .prop_map(|(id, s, f)| format!("({id}, '{s}', {:?})", f as f64 / 4.0))
+}
+
+/// A statement against table `a` or `b`: single- and multi-row INSERT,
+/// UPDATE and DELETE over an id range that may match nothing, an INSERT
+/// that fails part-way (wrong arity in its last row), and a DROP or
+/// re-CREATE of the name.
+fn txn_statement_strategy() -> impl Strategy<Value = String> {
+    let table = || prop_oneof![Just("a"), Just("b")];
+    let range = || (0i64..24, 0i64..6).prop_map(|(lo, span)| (lo, lo + span));
+    prop_oneof![
+        (table(), proptest::collection::vec(row_strategy(), 1..4))
+            .prop_map(|(t, rows)| format!("INSERT INTO {t} VALUES {}", rows.join(", "))),
+        (table(), range(), "[a-c]{0,3}").prop_map(|(t, (lo, hi), s)| format!(
+            "UPDATE {t} SET s = '{s}', f = f + 0.5 WHERE id BETWEEN {lo} AND {hi}"
+        )),
+        (table(), range())
+            .prop_map(|(t, (lo, hi))| format!("DELETE FROM {t} WHERE id BETWEEN {lo} AND {hi}")),
+        (table(), proptest::collection::vec(row_strategy(), 0..3)).prop_map(|(t, rows)| {
+            let mut rows = rows;
+            rows.push("(1, 'x')".to_string());
+            format!("INSERT INTO {t} VALUES {}", rows.join(", "))
+        }),
+        table().prop_map(|t| format!("DROP TABLE {t}")),
+        table().prop_map(|t| format!("CREATE TABLE {t} ({TXN_COLUMNS})")),
+    ]
+}
+
+/// Same table names, and each table the same schema and rows, every
+/// value [`Value::bit_eq`] and in the same order.
+fn same_tables(x: &Database, y: &Database) -> bool {
+    x.table_names() == y.table_names()
+        && x.table_names().into_iter().all(|name| {
+            let (p, q) = (x.table(name).unwrap(), y.table(name).unwrap());
+            p.schema == q.schema
+                && p.rows.len() == q.rows.len()
+                && p.rows.iter().zip(&q.rows).all(|(r, w)| {
+                    r.len() == w.len() && r.iter().zip(w).all(|(u, v)| u.bit_eq(v))
+                })
+        })
 }
 
 fn value_strategy() -> impl Strategy<Value = Value> {
