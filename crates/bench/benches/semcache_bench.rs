@@ -1,29 +1,39 @@
 //! The semantic cache's hot path, pinned; lookup/insert throughput and
 //! eviction-policy overhead, reported.
 //!
-//! DESIGN.md §17 claims that a prompt costs the cache one embedding plus
-//! a scan, whatever the outcome. Gated here on a `semsql`-shaped prompt
-//! against a full 256-entry cache, as ratios of medians measured
-//! interleaved within one run (so a loaded box moves both sides alike):
+//! DESIGN.md §17 claims that a prompt costs the cache at most one
+//! embedding plus a scan, whatever the outcome, and a verbatim repeat no
+//! embedding at all. Gated here on a `semsql`-shaped prompt against a
+//! full 256-entry cache, as ratios of medians measured interleaved within
+//! one run (so a loaded box moves both sides alike):
 //!
 //! * `miss_pair` — probe → `lookup_probed` (miss) → `insert_probed`
 //!   (evicting), what a cold prompt costs around its model call — at most
 //!   1.5 × `embed`;
 //! * `lookup_hit` — probe → `lookup_probed` (reuse) — at most 1.5 ×
-//!   `embed`.
+//!   `embed`;
+//! * `verbatim_hit` — `CachedModel::ask` over a sim model on a prompt the
+//!   cache holds verbatim (a reuse hit: the probe copies the entry's
+//!   vector, then the scan) — at most 0.5 × `embed`.
 //!
-//! A second embedding on either path, or a scan that grows past half an
-//! embedding, fails the gate. `scripts/verify.sh` runs this with
-//! `LLMDM_BENCH_FAST=1`; results land in `BENCH_semcache.json`.
+//! A second embedding on the first two paths, an embedding on the third,
+//! or a scan that grows past half an embedding, fails a gate.
+//! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; results land
+//! in `BENCH_semcache.json`.
 //!
 //! The embedder memoizes each feature's projection per thread, and the
 //! gated prompts repeat their words, so `embed` is the warm case.
 //! `hot_path/embed_novel` (reported, not gated) is the cold one: a prompt
 //! of words the thread has never seen, so every feature misses the memo.
 
+use std::sync::{Arc, Mutex};
+
+use llmdm_model::prelude::*;
 use llmdm_rt::bench::{black_box, BenchmarkId, Bound::AtMost, Criterion};
 use llmdm_rt::hash::splitmix;
-use llmdm_semcache::{CacheConfig, EntryKind, EvictionPolicy, Lookup, Probe, SemanticCache};
+use llmdm_semcache::{
+    CacheConfig, CachedModel, EntryKind, EvictionPolicy, Lookup, Probe, SemanticCache,
+};
 use llmdm_sqlengine::semantic::unary_prompt;
 use llmdm_sqlengine::Value;
 
@@ -31,6 +41,9 @@ use llmdm_sqlengine::Value;
 const ENTRIES: usize = 256;
 /// A cache operation pair may cost this many embeddings, at most.
 const MAX_OVER_EMBED: f64 = 1.5;
+/// A verbatim reuse hit through the client may cost this many embeddings,
+/// at most: it makes none.
+const MAX_VERBATIM_OVER_EMBED: f64 = 0.5;
 /// How many distinct prompts `hot_path/embed_novel` cycles through.
 const NOVEL_RING: usize = 4096;
 
@@ -77,7 +90,9 @@ fn full_cache() -> SemanticCache {
 fn bench_hot_path(c: &mut Criterion) {
     let (mut cold, mut warm) = (full_cache(), full_cache());
     let embedder = cold.embedder().clone();
-    let (mut e, mut m, mut h) = (0usize, ENTRIES, 0usize);
+    let shared = Arc::new(Mutex::new(full_cache()));
+    let client = CachedModel::new(ModelZoo::standard(42).medium(), shared);
+    let (mut e, mut m, mut h, mut v) = (0usize, ENTRIES, 0usize, 0usize);
     let mut group = c.benchmark_group("hot_path");
     // Every case formats its prompt, so the ratios compare like with like.
     group.bench_interleaved(&mut [
@@ -97,6 +112,12 @@ fn bench_hot_path(c: &mut Criterion) {
             let prompt = semsql_prompt(h);
             let hit = warm.lookup_probed(&Probe::new(&embedder, &prompt));
             assert!(matches!(black_box(hit), Lookup::Reuse { .. }));
+        }),
+        ("verbatim_hit", &mut || {
+            v = (v + 1) % ENTRIES;
+            let req = CompletionRequest::new(semsql_prompt(v));
+            let answer = client.ask(&req.prompt, &req).expect("a reuse hit");
+            assert!(black_box(answer).cached);
         }),
     ]);
     // Apart from the interleaved cases: its misses would overwrite the
@@ -166,9 +187,13 @@ fn bench_cache(c: &mut Criterion) {
 
 fn gates(c: &mut Criterion) {
     let embed = c.stat("hot_path/embed").median_ns as f64;
-    for id in ["miss_pair", "lookup_hit"] {
+    for (id, bound) in [
+        ("miss_pair", MAX_OVER_EMBED),
+        ("lookup_hit", MAX_OVER_EMBED),
+        ("verbatim_hit", MAX_VERBATIM_OVER_EMBED),
+    ] {
         let ratio = c.stat(&format!("hot_path/{id}")).median_ns as f64 / embed;
-        c.gate(format!("hot_path {id}/embed (median)"), ratio, AtMost(MAX_OVER_EMBED));
+        c.gate(format!("hot_path {id}/embed (median)"), ratio, AtMost(bound));
     }
 }
 

@@ -178,10 +178,16 @@ impl CacheStats {
 
 /// A query as the cache sees it: everything the cache derives from the
 /// text alone — its embedding and the hash its verbatim copy is filed
-/// under — computed once, by [`Probe::new`], outside any lock, and then
-/// carried from the lookup to the insert (or stale serve) that follows a
-/// miss, so one prompt costs one embedding however many cache operations
-/// it takes.
+/// under — computed once and then carried from the lookup to the insert
+/// (or stale serve) that follows a miss, so one prompt costs at most one
+/// embedding however many cache operations it takes.
+///
+/// A text the cache already holds verbatim costs none: its probe copies
+/// the entry's stored vector (`SemanticCache::cached_probe`), which has
+/// the bits [`Probe::new`] would compute, since the embedder is a pure
+/// function of its seed and the text and the index keeps the vector it
+/// was given. Any other text is embedded by [`Probe::new`], outside any
+/// lock.
 ///
 /// The probe borrows its text, so a vector cannot be paired with a text
 /// it was not made from. It must be made with the target cache's
@@ -198,7 +204,12 @@ pub struct Probe<'a> {
 impl<'a> Probe<'a> {
     /// Embed and hash `text`.
     pub fn new(embedder: &Embedder, text: &'a str) -> Self {
-        Probe { text, text_hash: fnv1a_str(text), vector: embedder.embed(text).ok() }
+        Probe::embedded(embedder, text, fnv1a_str(text))
+    }
+
+    /// Embed `text`, whose `fnv1a_str` hash is `text_hash`.
+    pub(crate) fn embedded(embedder: &Embedder, text: &'a str, text_hash: u64) -> Self {
+        Probe { text, text_hash, vector: embedder.embed(text).ok() }
     }
 
     /// The embedding, if the text has one.
@@ -228,11 +239,13 @@ pub struct SemanticCache {
     /// Response-keyed index (populated when `match_responses` is on).
     response_index: FlatIndex,
     entries: HashMap<u64, Entry>,
-    /// Entry ids by the hash of their query text, so `insert` finds a
-    /// verbatim duplicate without comparing against every entry. A
+    /// Entry ids by the hash of their query text, so a verbatim repeat
+    /// is found without comparing against every entry: `insert` refreshes
+    /// it, and a probe for it copies its vector instead of embedding. A
     /// bucket holds more than one id only when two texts collide, which
     /// is why a hash match is confirmed on the text. Kept in step with
-    /// `entries` by insert and `evict_one`; lookups never consult it.
+    /// `entries` by insert and `evict_one`. A lookup still scans: it never
+    /// answers from here.
     by_text: HashMap<u64, Vec<u64>>,
     next_id: u64,
     clock: u64,
@@ -285,9 +298,30 @@ impl SemanticCache {
         &self.embedder
     }
 
-    /// Look up a query; [`SemanticCache::lookup_probed`] on a fresh probe.
+    /// The probe for `text` when an entry holds it verbatim, its vector
+    /// copied from that entry's row; `None` otherwise. `text_hash` is
+    /// `fnv1a_str(text)`, so a caller that embeds on `None` hashes once.
+    pub(crate) fn cached_probe<'t>(&self, text: &'t str, text_hash: u64) -> Option<Probe<'t>> {
+        let id = self.verbatim(text, text_hash)?;
+        let vector = self.index.get(id).expect("index and entries are in sync").to_vec();
+        Some(Probe { text, text_hash, vector: Some(vector) })
+    }
+
+    /// The probe for `text`: the cached one, else embedded.
+    fn probe<'t>(&self, text: &'t str) -> Probe<'t> {
+        let text_hash = fnv1a_str(text);
+        self.cached_probe(text, text_hash)
+            .unwrap_or_else(|| Probe::embedded(&self.embedder, text, text_hash))
+    }
+
+    /// The id of the entry whose query is `text`.
+    fn verbatim(&self, text: &str, text_hash: u64) -> Option<u64> {
+        self.by_text.get(&text_hash)?.iter().copied().find(|id| self.entries[id].query == text)
+    }
+
+    /// Look up a query; [`SemanticCache::lookup_probed`] on its probe.
     pub fn lookup(&mut self, query: &str) -> Lookup {
-        let probe = Probe::new(&self.embedder, query);
+        let probe = self.probe(query);
         self.lookup_probed(&probe)
     }
 
@@ -366,10 +400,10 @@ impl SemanticCache {
         }
     }
 
-    /// Stale-serve for a query; [`SemanticCache::serve_stale_probed`] on a
-    /// fresh probe.
+    /// Stale-serve for a query; [`SemanticCache::serve_stale_probed`] on
+    /// its probe.
     pub fn serve_stale(&mut self, query: &str) -> Option<(String, String, f32)> {
-        let probe = Probe::new(&self.embedder, query);
+        let probe = self.probe(query);
         self.serve_stale_probed(&probe)
     }
 
@@ -414,9 +448,9 @@ impl SemanticCache {
     }
 
     /// Insert a (query, response) pair; [`SemanticCache::insert_probed`]
-    /// on a fresh probe.
+    /// on its probe.
     pub fn insert(&mut self, query: &str, response: &str, kind: EntryKind) {
-        let probe = Probe::new(&self.embedder, query);
+        let probe = self.probe(query);
         self.insert_probed(probe, response, kind);
     }
 
@@ -428,10 +462,7 @@ impl SemanticCache {
         llmdm_obs::counter_add("semcache.insert", 1.0);
         self.clock += 1;
         let Probe { text: query, text_hash, vector } = probe;
-        let verbatim = self.by_text.get(&text_hash).and_then(|ids| {
-            ids.iter().copied().find(|id| self.entries[id].query == query)
-        });
-        if let Some(id) = verbatim {
+        if let Some(id) = self.verbatim(query, text_hash) {
             let e = self.entries.get_mut(&id).expect("by_text and entries are in sync");
             e.response = response.to_string();
             e.last_access = self.clock;
@@ -487,8 +518,7 @@ impl SemanticCache {
     }
 
     /// The surviving entries as `(id, query, response, kind)` in id order.
-    #[cfg(test)]
-    pub(crate) fn entries_by_id(&self) -> Vec<(u64, &str, &str, EntryKind)> {
+    pub fn entries_by_id(&self) -> Vec<(u64, &str, &str, EntryKind)> {
         let mut out: Vec<_> = self
             .entries
             .iter()

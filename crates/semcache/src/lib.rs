@@ -20,9 +20,11 @@
 //! * **admission prediction** ([`predictor::AccessPredictor`]): "predict
 //!   the probability of future access" to decide whether to cache a new
 //!   entry at all;
-//! * **one embedding per prompt** ([`cache::Probe`]): a query is embedded
-//!   once, outside any lock, and the same probe scans and — on a miss —
-//!   becomes the inserted entry's key (DESIGN.md §17);
+//! * **at most one embedding per prompt** ([`cache::Probe`]): a query the
+//!   cache holds verbatim is probed with that entry's stored vector and
+//!   not embedded at all; any other query is embedded once, outside any
+//!   lock. The same probe scans and — on a miss — becomes the inserted
+//!   entry's key (DESIGN.md §17);
 //! * one client, [`stack::CachedModel`], that puts a
 //!   [`stack::SharedCache`] (one mutex) in front of any model: `ask(&self,
 //!   key, request)` keys the cache on a caller-chosen text, and as a

@@ -39,6 +39,7 @@ use std::time::Duration;
 
 use llmdm_model::prelude::*;
 use llmdm_model::{Embedder, ModelStack};
+use llmdm_rt::hash::fnv1a_str;
 
 use crate::cache::{CacheConfig, EntryKind, Lookup, Probe, SemanticCache};
 use crate::predictor::AccessPredictor;
@@ -57,8 +58,9 @@ pub fn shared_cache(config: CacheConfig) -> SharedCache {
 /// delegating to the inner model.
 ///
 /// [`CachedModel::ask`] takes `&self`, so a serving worker pool shares
-/// one client; the cache is one mutex, held for a flat scan or an index
-/// append, never for an embedding or a model call (DESIGN.md §17).
+/// one client; the cache is one mutex, held for a flat scan, an index
+/// append or the copy of a cached vector, never for an embedding or a
+/// model call (DESIGN.md §17).
 pub struct CachedModel {
     inner: Arc<dyn LanguageModel>,
     cache: SharedCache,
@@ -89,7 +91,9 @@ impl CachedModel {
 
     /// Answer `req` through the cache, keyed on `key`.
     ///
-    /// `key` is embedded once, off the lock, and that probe serves the
+    /// A `key` the cache holds verbatim is probed with that entry's
+    /// vector under the lock the lookup takes, and costs no embedding; any
+    /// other `key` is embedded once, off the lock. That probe serves the
     /// lookup and whichever of insert, rejection note or stale serve
     /// follows it. A reuse hit is answered without the model; an augment
     /// hit calls it with the cached pair appended as one more example,
@@ -101,8 +105,22 @@ impl CachedModel {
         if let Some(p) = &self.admission {
             llmdm_rt::lock_recover(p).observe(key);
         }
-        let probe = Probe::new(&self.embedder, key);
-        let hit = self.lock().lookup_probed(&probe);
+        let text_hash = fnv1a_str(key);
+        let (probe, hit) = {
+            let mut cache = self.lock();
+            match cache.cached_probe(key, text_hash) {
+                Some(probe) => {
+                    let hit = cache.lookup_probed(&probe);
+                    (probe, hit)
+                }
+                None => {
+                    drop(cache);
+                    let probe = Probe::embedded(&self.embedder, key, text_hash);
+                    let hit = self.lock().lookup_probed(&probe);
+                    (probe, hit)
+                }
+            }
+        };
         let answer = match hit {
             Lookup::Reuse { response, .. } => return Ok(self.cached(response)),
             Lookup::Augment { query, response, .. } => {

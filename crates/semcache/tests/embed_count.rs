@@ -1,6 +1,6 @@
-//! One embedding per prompt: the count the hot-path claim rests on
-//! (DESIGN.md §17), read from the `model.embed` counter that
-//! `Embedder::embed` bumps.
+//! At most one embedding per prompt, and none for a verbatim repeat: the
+//! counts the hot-path claim rests on (DESIGN.md §17), read from the
+//! `model.embed` counter that `Embedder::embed` bumps.
 //!
 //! One `#[test]` in a binary of its own on purpose: the obs recorder is
 //! process-global, and a second test thread's embeddings would land in
@@ -49,7 +49,7 @@ fn down_model(zoo: &ModelZoo) -> Arc<dyn LanguageModel> {
 }
 
 #[test]
-fn every_prompt_is_embedded_exactly_once() {
+fn a_verbatim_repeat_embeds_nothing_and_any_other_prompt_once() {
     llmdm_obs::enable();
     llmdm_obs::reset();
     let zoo = ModelZoo::standard(5);
@@ -63,7 +63,7 @@ fn every_prompt_is_embedded_exactly_once() {
         embeds(|| drop(model.complete(&req).expect("healthy model")))
     };
     assert_eq!(complete(Q_2014), 1.0, "CachedModel miss");
-    assert_eq!(complete(Q_2014), 1.0, "CachedModel reuse hit");
+    assert_eq!(complete(Q_2014), 0.0, "CachedModel verbatim reuse hit");
     assert_eq!(complete(Q_2016), 1.0, "CachedModel augment hit");
     let s = stats(&cache);
     assert_eq!((s.misses, s.reuse_hits, s.augment_hits), (1, 1, 1));
@@ -75,10 +75,20 @@ fn every_prompt_is_embedded_exactly_once() {
     let cache = shared_cache(CacheConfig::default());
     let llm = CachedModel::new(zoo.medium(), cache.clone());
     assert_eq!(ask(&llm, Q_2014), 1.0, "keyed miss");
-    assert_eq!(ask(&llm, Q_2014), 1.0, "keyed reuse hit");
+    assert_eq!(ask(&llm, Q_2014), 0.0, "keyed verbatim reuse hit");
     assert_eq!(ask(&llm, Q_2016), 1.0, "keyed augment hit");
     let s = stats(&cache);
     assert_eq!((s.misses, s.reuse_hits, s.augment_hits), (1, 1, 1));
+
+    // A text asked again after its entry was evicted is a miss again,
+    // and embedded again.
+    let cache = shared_cache(CacheConfig { capacity: 1, ..Default::default() });
+    let small = CachedModel::new(zoo.medium(), cache.clone());
+    assert_eq!(ask(&small, Q_2014), 1.0, "first ask");
+    assert_eq!(ask(&small, Q_OTHER), 1.0, "evicting ask");
+    assert_eq!(ask(&small, Q_2014), 1.0, "ask after eviction");
+    let s = stats(&cache);
+    assert_eq!((s.misses, s.evictions), (3, 2));
 
     // Admission rejects a shape seen once: the rejection is noted
     // without embedding the key again.

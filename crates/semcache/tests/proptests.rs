@@ -1,6 +1,8 @@
 //! Property-based tests for semantic-cache invariants.
 
-use llmdm_semcache::{AccessPredictor, CacheConfig, EntryKind, EvictionPolicy, Lookup, SemanticCache};
+use llmdm_semcache::{
+    AccessPredictor, CacheConfig, EntryKind, EvictionPolicy, Lookup, Probe, SemanticCache,
+};
 use llmdm_rt::proptest;
 use llmdm_rt::proptest::prelude::*;
 
@@ -15,7 +17,100 @@ fn any_policy() -> impl Strategy<Value = EvictionPolicy> {
     ]
 }
 
+/// A text from a small pool, so verbatim repeats are common: five
+/// shapes × four numbers, each in one of three casings. Same-shape texts
+/// are near-duplicates; texts that differ only in case embed identically
+/// and tie in a scan; the empty text has no embedding at all.
+fn pool_text() -> impl Strategy<Value = String> {
+    (0..6usize, 0..4u32, 0..3usize).prop_map(|(shape, n, casing)| {
+        let text = match shape {
+            0 => format!("Foo Bar stadium concerts in {}", 2014 + n),
+            1 => format!("median household income by postal region {n}"),
+            2 => format!("list all singers ordered by age, page {n}"),
+            3 => format!("Émile's café on Straße {n}"),
+            4 => format!("İSTANBUL weather for day {n}"),
+            _ => String::new(),
+        };
+        match casing {
+            0 => text,
+            1 => text.to_lowercase(),
+            _ => text.to_uppercase(),
+        }
+    })
+}
+
+/// One cache operation.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(String, String),
+    Lookup(String),
+    ServeStale(String),
+}
+
+fn any_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (pool_text(), pool_text()).prop_map(|(q, r)| Op::Insert(q, r)),
+        pool_text().prop_map(Op::Lookup),
+        pool_text().prop_map(Op::ServeStale),
+    ]
+}
+
+/// What an operation returned, similarities as bits.
+fn outcome_bits(lookup: Lookup) -> (u8, String, String, u32) {
+    match lookup {
+        Lookup::Reuse { response, similarity } => {
+            (0, String::new(), response, similarity.to_bits())
+        }
+        Lookup::Augment { query, response, similarity } => {
+            (1, query, response, similarity.to_bits())
+        }
+        Lookup::Miss => (2, String::new(), String::new(), 0),
+    }
+}
+
 proptest! {
+    /// A probe copied from a verbatim entry changes nothing: a cache
+    /// driven through `insert`/`lookup`/`serve_stale` (which probe a text
+    /// they hold verbatim with its stored vector) and one driven through
+    /// `Probe::new` and the `_probed` methods (which always embed) return
+    /// the same outcomes, similarity bits included, and end with the same
+    /// counters and survivors — across evictions, ties between texts that
+    /// embed alike, and response matching.
+    #[test]
+    fn verbatim_probes_match_embedded_probes_bit_for_bit(
+        capacity in 1usize..6,
+        policy in any_policy(),
+        match_responses in any::<bool>(),
+        ops in proptest::collection::vec(any_op(), 1..60),
+    ) {
+        let config = CacheConfig { capacity, policy, match_responses, ..Default::default() };
+        let (mut verbatim, mut embedded) = (SemanticCache::new(config), SemanticCache::new(config));
+        let embedder = embedded.embedder().clone();
+        for op in &ops {
+            match op {
+                Op::Insert(q, r) => {
+                    verbatim.insert(q, r, EntryKind::Original);
+                    embedded.insert_probed(Probe::new(&embedder, q), r, EntryKind::Original);
+                }
+                Op::Lookup(q) => {
+                    let got = outcome_bits(verbatim.lookup(q));
+                    let want = outcome_bits(embedded.lookup_probed(&Probe::new(&embedder, q)));
+                    prop_assert_eq!(got, want, "lookup {:?}", q);
+                }
+                Op::ServeStale(q) => {
+                    let bits = |s: Option<(String, String, f32)>| {
+                        s.map(|(q, r, sim)| (q, r, sim.to_bits()))
+                    };
+                    let got = bits(verbatim.serve_stale(q));
+                    let want = bits(embedded.serve_stale_probed(&Probe::new(&embedder, q)));
+                    prop_assert_eq!(got, want, "serve_stale {:?}", q);
+                }
+            }
+            prop_assert_eq!(verbatim.stats(), embedded.stats(), "after {:?}", op);
+            prop_assert_eq!(verbatim.entries_by_id(), embedded.entries_by_id(), "after {:?}", op);
+        }
+    }
+
     /// The cache never exceeds its capacity, whatever the op sequence.
     #[test]
     fn capacity_invariant(

@@ -1,5 +1,6 @@
 //! The SQL abstract syntax tree.
 
+use std::sync::Arc;
 
 use crate::value::{DataType, Value};
 
@@ -67,6 +68,11 @@ impl AggFunc {
 }
 
 /// An expression.
+///
+/// A subquery body is shared (`Arc`), not owned: every clone of an
+/// expression — the planner lowers and binds clones — names the same
+/// subquery node, so a statement runs each subquery once however many
+/// copies of it, and rows, it evaluates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Literal value.
@@ -127,19 +133,19 @@ pub enum Expr {
         /// Tested expression.
         expr: Box<Expr>,
         /// The subquery (must project one column).
-        subquery: Box<SelectStmt>,
+        subquery: Arc<SelectStmt>,
         /// NOT IN.
         negated: bool,
     },
     /// `[NOT] EXISTS (SELECT …)`
     Exists {
         /// The subquery.
-        subquery: Box<SelectStmt>,
+        subquery: Arc<SelectStmt>,
         /// NOT EXISTS.
         negated: bool,
     },
     /// Scalar subquery: `(SELECT …)` producing one value.
-    ScalarSubquery(Box<SelectStmt>),
+    ScalarSubquery(Arc<SelectStmt>),
     /// `expr [NOT] LIKE pattern` (`%` and `_` wildcards).
     Like {
         /// Tested expression.
@@ -508,11 +514,11 @@ mod tests {
     }
 
     /// A subquery holding `e` in its projection and its WHERE.
-    fn body(e: &Expr) -> Box<SelectStmt> {
+    fn body(e: &Expr) -> Arc<SelectStmt> {
         let mut sub = SelectStmt::empty();
         sub.projections.push(SelectItem::Expr { expr: e.clone(), alias: None });
         sub.selection = Some(e.clone());
-        Box::new(sub)
+        Arc::new(sub)
     }
 
     /// Every `Expr` variant with `e` in each of its child slots and in

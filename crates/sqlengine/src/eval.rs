@@ -7,11 +7,12 @@
 //! is resolved by name, which is how the direct reference executor reads
 //! every column and how the planner reaches a column that failed to bind
 //! (to raise the same error it always did). Subqueries run as part of
-//! the statement the expression belongs to (`Cx::select`). A semantic
-//! operator's prompts resolve in the scope of the operator that built the
-//! `Env`: an expression evaluated anywhere else, a subquery's operators
-//! included, brings its own. Aggregate nodes are *not* handled here — the
-//! executor evaluates them per group via `eval_grouped`.
+//! the statement the expression belongs to, once each (`Cx::subquery`).
+//! A semantic operator's prompts resolve in the scope of the operator
+//! that built the `Env`: an expression evaluated anywhere else, a
+//! subquery's operators included, brings its own. Aggregate nodes are
+//! *not* handled here — the executor evaluates them per group via
+//! `eval_grouped`.
 
 use std::borrow::Cow;
 
@@ -159,7 +160,7 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             if v.is_null() {
                 return owned(Value::Null);
             }
-            let rs = env.cx.select(subquery)?;
+            let rs = env.cx.subquery(subquery)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::Exec("IN subquery must project one column".into()).into());
             }
@@ -170,17 +171,17 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             owned(Value::Bool(found != *negated))
         }
         Expr::Exists { subquery, negated } => {
-            let rs = env.cx.select(subquery)?;
+            let rs = env.cx.subquery(subquery)?;
             owned(Value::Bool(rs.rows.is_empty() == *negated))
         }
         Expr::ScalarSubquery(subquery) => {
-            let mut rs = env.cx.select(subquery)?;
+            let rs = env.cx.subquery(subquery)?;
             if rs.columns.len() != 1 {
                 return Err(SqlError::Exec("scalar subquery must project one column".into()).into());
             }
             match rs.rows.len() {
                 0 => owned(Value::Null),
-                1 => owned(rs.rows.swap_remove(0).swap_remove(0)),
+                1 => owned(rs.rows[0][0].clone()),
                 n => Err(SqlError::Exec(format!("scalar subquery returned {n} rows")).into()),
             }
         }

@@ -5,7 +5,9 @@
 //! DISTINCT → ORDER BY → LIMIT/OFFSET.
 
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::{
     AggFunc, BinOp, Expr, FromItem, JoinType, SelectItem, SelectStmt, SetOp, Statement,
@@ -430,12 +432,30 @@ pub(crate) struct Cx<'a> {
     /// operator or resolves a prompt. `EXPLAIN ANALYZE` prints it as its
     /// `llm:` line.
     tally: Cell<Option<SemCounters>>,
+    /// Each subquery's result, by node, from the first row that ran it.
+    /// A subquery is uncorrelated and `db` cannot change while the
+    /// statement borrows it, so a second run could only repeat the first.
+    /// Holding the node keeps its address from being reused by another.
+    subqueries: RefCell<Vec<(Arc<SelectStmt>, Rc<ResultSet>)>>,
 }
 
 impl<'a> Cx<'a> {
     /// A statement on the planned path.
     pub(crate) fn new(db: &'a Database) -> Self {
-        Cx { db, direct: false, tally: Cell::new(None) }
+        Cx { db, direct: false, tally: Cell::new(None), subqueries: RefCell::new(Vec::new()) }
+    }
+
+    /// The result of `subquery`, run on the statement's path the first
+    /// time the statement asks for it.
+    pub(crate) fn subquery(&self, subquery: &Arc<SelectStmt>) -> Result<Rc<ResultSet>, SqlError> {
+        let memo = self.subqueries.borrow();
+        if let Some((_, rs)) = memo.iter().find(|(s, _)| Arc::ptr_eq(s, subquery)) {
+            return Ok(rs.clone());
+        }
+        drop(memo);
+        let rs = Rc::new(self.select(subquery)?);
+        self.subqueries.borrow_mut().push((subquery.clone(), rs.clone()));
+        Ok(rs)
     }
 
     /// Run a SELECT of this statement, itself or a subquery, on the

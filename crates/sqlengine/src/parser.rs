@@ -1,5 +1,7 @@
 //! Recursive-descent SQL parser.
 
+use std::sync::Arc;
+
 use crate::ast::{
     AggFunc, Assignment, BinOp, Expr, FromItem, JoinType, OrderKey, SelectItem, SelectStmt, SetOp,
     Statement, UnOp,
@@ -560,7 +562,8 @@ impl Parser {
             if self.peek().is_some_and(|t| t.is_kw("SELECT")) {
                 let sub = self.select()?;
                 self.expect_symbol(Sym::RParen)?;
-                return Ok(Expr::InSubquery { expr: Box::new(left), subquery: Box::new(sub), negated });
+                let subquery = Arc::new(sub);
+                return Ok(Expr::InSubquery { expr: Box::new(left), subquery, negated });
             }
             let mut list = vec![self.expr()?];
             while self.eat_symbol(Sym::Comma) {
@@ -668,7 +671,7 @@ impl Parser {
                 if self.peek().is_some_and(|t| t.is_kw("SELECT")) {
                     let sub = self.select()?;
                     self.expect_symbol(Sym::RParen)?;
-                    Ok(Expr::ScalarSubquery(Box::new(sub)))
+                    Ok(Expr::ScalarSubquery(Arc::new(sub)))
                 } else {
                     let e = self.expr()?;
                     self.expect_symbol(Sym::RParen)?;
@@ -694,7 +697,7 @@ impl Parser {
                     self.expect_symbol(Sym::LParen)?;
                     let sub = self.select()?;
                     self.expect_symbol(Sym::RParen)?;
-                    return Ok(Expr::Exists { subquery: Box::new(sub), negated: false });
+                    return Ok(Expr::Exists { subquery: Arc::new(sub), negated: false });
                 }
                 if id.eq_ignore_ascii_case("NOT")
                     && self.peek2().is_some_and(|t| t.is_kw("EXISTS"))
@@ -704,7 +707,7 @@ impl Parser {
                     self.expect_symbol(Sym::LParen)?;
                     let sub = self.select()?;
                     self.expect_symbol(Sym::RParen)?;
-                    return Ok(Expr::Exists { subquery: Box::new(sub), negated: true });
+                    return Ok(Expr::Exists { subquery: Arc::new(sub), negated: true });
                 }
                 // Aggregate call?
                 if let Some(func) = AggFunc::from_name(&id) {

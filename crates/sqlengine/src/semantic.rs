@@ -693,29 +693,37 @@ mod tests {
     fn a_semantic_subquery_inside_a_semantic_operator_keeps_its_calls() {
         let sql = "SELECT LLM_MAP((SELECT MAX(product) FROM reviews \
                    WHERE LLM_FILTER(product, 'non-empty')), 'upper') FROM products";
-        let mut db = products_and_reviews();
-        let meter = db.model().unwrap().meter().clone();
-        let before = meter.snapshot();
-        let lines = llm_counters(&mut db, sql);
-        let after = meter.snapshot();
-        let [outer, totals] = &lines[..] else { panic!("one operator and the totals: {lines:?}") };
-        // The map renders one prompt per product row; the filter prompts
-        // the subquery resolves on each of those rows are the subquery's.
-        let own = ["llm_calls=", "dedup_hits=", "cache_hits="].map(|k| field(outer, k));
-        assert_eq!(own, ["1", "3", "0"], "{outer}");
-        let (calls, dollars) = calls_and_dollars(totals);
-        assert_eq!(calls, after.total_calls() - before.total_calls());
-        assert!(calls > 1, "{totals}");
-        let billed = after.total_dollars() - before.total_dollars();
-        assert_eq!(dollars, format!("{billed:.9}"));
-        let crate::ast::Statement::Select(stmt) = crate::parser::parse_statement(sql).unwrap()
-        else {
-            unreachable!()
-        };
-        let direct = crate::exec::execute_select_direct(&db, &stmt).unwrap();
-        let planned = db.query(sql).unwrap();
-        assert!(planned.bit_eq(&direct), "{planned:?} vs {direct:?}");
-        assert_eq!(planned.rows.len(), 4);
+        // Without a cache, a subquery run once per product row would
+        // prompt its three reviews four times over.
+        for handle in [ModelHandle::sim(7), ModelHandle::sim_uncached(7)] {
+            let cached = handle.cache().is_some();
+            let mut db = products_and_reviews().with_model(handle);
+            let meter = db.model().unwrap().meter().clone();
+            let before = meter.snapshot();
+            let lines = llm_counters(&mut db, sql);
+            let after = meter.snapshot();
+            let [outer, totals] = &lines[..] else {
+                panic!("one operator and the totals: {lines:?}")
+            };
+            // The map renders one prompt per product row; the filter
+            // prompts the subquery resolves on the first of those rows are
+            // the subquery's, and the other rows reuse its result.
+            let own = ["llm_calls=", "dedup_hits=", "cache_hits="].map(|k| field(outer, k));
+            assert_eq!(own, ["1", "3", "0"], "cached {cached}: {outer}");
+            let (calls, dollars) = calls_and_dollars(totals);
+            assert_eq!(calls, after.total_calls() - before.total_calls(), "cached {cached}");
+            assert_eq!(calls, 3 + 1, "one subquery run and the map, cached {cached}: {totals}");
+            let billed = after.total_dollars() - before.total_dollars();
+            assert_eq!(dollars, format!("{billed:.9}"), "cached {cached}");
+            let crate::ast::Statement::Select(stmt) = crate::parser::parse_statement(sql).unwrap()
+            else {
+                unreachable!()
+            };
+            let direct = crate::exec::execute_select_direct(&db, &stmt).unwrap();
+            let planned = db.query(sql).unwrap();
+            assert!(planned.bit_eq(&direct), "cached {cached}: {planned:?} vs {direct:?}");
+            assert_eq!(planned.rows.len(), 4);
+        }
     }
 
     #[test]
