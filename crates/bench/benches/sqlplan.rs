@@ -23,7 +23,15 @@
 //! one-row `BEGIN; INSERT; COMMIT` costs the same on a 10 000-row table
 //! as on a 100-row one: the ratio of their interleaved medians is gated
 //! at ≤ 1.5× (a transaction that copied the table it wrote to paid for
-//! every row of it).
+//! every row of it). Its durable twin runs the same transaction through
+//! a `PersistentDb` over `MemVfs`, where the catalog's undo log is also
+//! what the commit writes to the store: gated at ≤ 1.06× (a wrapper that
+//! copied each written table's record ids paid 8 B per stored row).
+//!
+//! Point `SELECT`, `UPDATE` and `DELETE` by `id` through a
+//! `PersistentDb` at 1k, 10k and 100k rows are reported ungated: a
+//! keyed statement is a linear scan, and this sweep is what an access
+//! path for it would have to beat.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; results land
 //! in `BENCH_sqlplan.json`.
@@ -33,7 +41,9 @@ use llmdm_rt::bench::{
     Criterion,
 };
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
-use llmdm_sqlengine::{parse_statement, Database, SelectStmt, Statement, Value};
+use llmdm_sqlengine::{parse_statement, Database, PersistentDb, SelectStmt, Statement, Value};
+use llmdm_store::{MemVfs, StoreConfig};
+use std::time::Duration;
 
 const EVENT_ROWS: i64 = 8000;
 const VENUES: i64 = 25;
@@ -46,6 +56,18 @@ const TXN_SMALL: usize = 100;
 const TXN_LARGE: usize = 10_000;
 /// How much longer the transaction may take on the large table.
 const MAX_TXN_SIZE_RATIO: f64 = 1.5;
+/// The same through a `PersistentDb`: the store work is the same at
+/// both sizes, so only a per-row cost can move the ratio.
+const MAX_PERSIST_TXN_SIZE_RATIO: f64 = 1.06;
+/// Durable commits timed per size. Every commit adds a row to both
+/// tables, so the run stays short enough to keep the small one far
+/// below the large one (about 3 000 rows against 13 000).
+const PERSIST_TXN_SAMPLES: usize = 3_000;
+/// Table sizes of the keyed-statement sweep.
+const KEYED_ROWS: [usize; 3] = [1_000, 10_000, 100_000];
+/// Samples per keyed case: a point `DELETE` removes a row each time, so
+/// this stays well below the smallest table.
+const KEYED_SAMPLES: usize = 300;
 
 /// A deterministic two-table fixture big enough that per-row costs
 /// dominate: `events` (8000 rows, ~3% selective filters) plus a small
@@ -104,6 +126,28 @@ fn one_row_txn(db: &mut Database, rows: usize) {
         .expect("commits");
     std::hint::black_box(rs);
     db.table_mut("t").expect("exists").rows.truncate(rows);
+}
+
+/// A `PersistentDb` over a fresh `MemVfs` holding the [`txn_fixture`]
+/// table, `PERSIST`, loaded 1 000 rows per statement.
+fn persist_fixture(rows: usize) -> PersistentDb {
+    let mut db = PersistentDb::open(MemVfs::shared(), StoreConfig::default()).expect("opens");
+    db.execute("CREATE TABLE t (id INT, name TEXT, score FLOAT) PERSIST").expect("ddl");
+    for start in (0..rows).step_by(1_000) {
+        let values: Vec<String> = (start..rows.min(start + 1_000))
+            .map(|i| format!("({i}, 'row-{i}', {})", i as f64 / 8.0))
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).expect("rows");
+    }
+    db
+}
+
+/// Commit one inserted row through the store.
+fn persist_one_row_txn(db: &mut PersistentDb) {
+    let rs = db
+        .execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT")
+        .expect("commits");
+    std::hint::black_box(rs);
 }
 
 fn select_stmt(sql: &str) -> SelectStmt {
@@ -206,6 +250,71 @@ fn run(c: &mut Criterion) {
     let ratio = c.stat("sqlplan_txn/insert_commit_10k").median_ns as f64
         / c.stat("sqlplan_txn/insert_commit_100").median_ns as f64;
     c.gate("sqlplan txn 10k rows / 100 rows (median)", ratio, AtMost(MAX_TXN_SIZE_RATIO));
+
+    // ---- The same through the store. --------------------------------
+    let saved = (c.warmup, c.max_samples);
+    (c.warmup, c.max_samples) = (Duration::from_millis(20), PERSIST_TXN_SAMPLES);
+    let (mut small, mut large) = (persist_fixture(TXN_SMALL), persist_fixture(TXN_LARGE));
+    c.benchmark_group("sqlplan_txn").bench_interleaved(&mut [
+        ("persist_insert_commit_100", &mut || persist_one_row_txn(&mut small)),
+        ("persist_insert_commit_10k", &mut || persist_one_row_txn(&mut large)),
+    ]);
+    let rows = |db: &PersistentDb| db.database().table("t").expect("exists").rows.len();
+    assert!(rows(&small) * 3 < rows(&large), "{} rows against {}", rows(&small), rows(&large));
+    let ratio = c.stat("sqlplan_txn/persist_insert_commit_10k").median_ns as f64
+        / c.stat("sqlplan_txn/persist_insert_commit_100").median_ns as f64;
+    c.gate(
+        "sqlplan txn persist 10k rows / 100 rows (median)",
+        ratio,
+        AtMost(MAX_PERSIST_TXN_SIZE_RATIO),
+    );
+
+    // ---- Keyed statements against table size, ungated. --------------
+    // No warm-up: each DELETE removes a row, so the calls must be counted.
+    (c.warmup, c.max_samples) = (Duration::ZERO, KEYED_SAMPLES);
+    let mut group = c.benchmark_group("sqlplan_keyed");
+    for rows in KEYED_ROWS {
+        let mut db = persist_fixture(rows);
+        let mut k = 0;
+        let mut next_key = move || {
+            k = (k + 7_919) % rows;
+            k
+        };
+        group.bench_function(format!("point_select_{rows}"), |b| {
+            b.iter(|| {
+                let sql = format!("SELECT * FROM t WHERE id = {}", next_key());
+                db.query(&sql).expect("reads")
+            })
+        });
+        group.bench_function(format!("point_update_{rows}"), |b| {
+            b.iter(|| {
+                let sql = format!("UPDATE t SET score = score + 1.0 WHERE id = {}", next_key());
+                db.execute(&sql).expect("updates")
+            })
+        });
+        // Each one deletes a row that is still there: keys from the top down.
+        let mut last = rows;
+        group.bench_function(format!("point_delete_{rows}"), |b| {
+            b.iter(|| {
+                last -= 1;
+                let rs = db.execute(&format!("DELETE FROM t WHERE id = {last}")).expect("deletes");
+                assert_eq!(rs.affected, 1);
+            })
+        });
+    }
+    group.finish();
+    (c.warmup, c.max_samples) = saved;
+    for op in ["select", "update", "delete"] {
+        let us: Vec<String> = KEYED_ROWS
+            .iter()
+            .map(|n| {
+                let ns = c.stat(&format!("sqlplan_keyed/point_{op}_{n}")).median_ns;
+                format!("{:.1}", ns as f64 / 1e3)
+            })
+            .collect();
+        let us = us.join(" / ");
+        println!("sqlplan keyed point_{op} µs at 1k/10k/100k rows (median): {us}, ungated");
+    }
 }
 
 // The fixture is a hash scatter: no seed to stamp.

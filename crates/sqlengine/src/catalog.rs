@@ -8,8 +8,11 @@
 //! the log, not cloned, so a transaction's rollback state is
 //! proportional to the rows it changes, not to the tables it touches.
 //! `ROLLBACK` applies the log newest-first and leaves every table as it
-//! was at `BEGIN`, row order included; `COMMIT` drops it. Outside a
-//! transaction nothing is logged.
+//! was at `BEGIN`, row order included. `COMMIT` hands the log over:
+//! read oldest-first it says which rows of which tables changed, and
+//! that is what `PersistentDb` writes to the store. A write statement
+//! outside `BEGIN … COMMIT` runs as a transaction of its own, so every
+//! write is logged; a method called outside a transaction logs nothing.
 
 use std::collections::BTreeMap;
 
@@ -30,6 +33,18 @@ pub(crate) enum Undo {
     Reinsert(String, Vec<(usize, Row)>),
     /// The whole table as it was (`None`: it did not exist).
     Table(String, Option<Table>),
+}
+
+impl Undo {
+    /// The catalog key of the table this entry puts back.
+    pub(crate) fn table(&self) -> &str {
+        match self {
+            Undo::Truncate(key, _)
+            | Undo::Restore(key, _)
+            | Undo::Reinsert(key, _)
+            | Undo::Table(key, _) => key,
+        }
+    }
 }
 
 /// An in-memory database: a catalog of tables plus transaction state.
@@ -108,15 +123,15 @@ impl Database {
         Ok(table)
     }
 
-    /// DML write access: the table, and the undo log while a transaction
-    /// is open. The caller logs what puts its change back.
+    /// DML write access: the table, and the undo log of the transaction
+    /// the statement runs in. The caller logs what puts its change back.
     pub(crate) fn table_for_dml(
         &mut self,
         name: &str,
-    ) -> Result<(&mut Table, Option<&mut Vec<Undo>>), SqlError> {
+    ) -> Result<(&mut Table, &mut Vec<Undo>), SqlError> {
         let key = name.to_lowercase();
         let table = self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))?;
-        Ok((table, self.undo.as_mut()))
+        Ok((table, self.undo.as_mut().expect("DML runs inside a transaction")))
     }
 
     /// All table names, sorted.
@@ -145,7 +160,13 @@ impl Database {
 
     /// Commit the open transaction: its undo log is dropped.
     pub fn commit(&mut self) -> Result<(), SqlError> {
-        self.undo.take().map(|_| ()).ok_or_else(|| SqlError::Txn("no open transaction".into()))
+        self.end().map(drop)
+    }
+
+    /// Commit the open transaction and hand over its undo log, oldest
+    /// entry first.
+    pub(crate) fn end(&mut self) -> Result<Vec<Undo>, SqlError> {
+        self.undo.take().ok_or_else(|| SqlError::Txn("no open transaction".into()))
     }
 
     /// Roll back: undo the transaction's changes newest-first, so every

@@ -20,29 +20,6 @@ use crate::schema::{Column, Row, Schema, Table};
 use crate::semantic::SemCounters;
 use crate::value::Value;
 
-/// The rows of one table a DML statement changed, as indices into
-/// `Table.rows` — what a durable wrapper has to write through.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RowChange {
-    /// This many rows were pushed at the end.
-    Inserted(usize),
-    /// These rows (ascending) were overwritten in place.
-    Updated(Vec<usize>),
-    /// These rows (ascending, indexed as before the statement) were
-    /// removed; the rest kept their order.
-    Deleted(Vec<usize>),
-}
-
-impl RowChange {
-    /// Number of rows changed.
-    pub(crate) fn rows(&self) -> usize {
-        match self {
-            RowChange::Inserted(n) => *n,
-            RowChange::Updated(rows) | RowChange::Deleted(rows) => rows.len(),
-        }
-    }
-}
-
 /// Remove the elements at the ascending indices `gone`, moving each to
 /// `removed` with its index; the rest keep their order. Indices past the
 /// end are ignored.
@@ -68,11 +45,13 @@ pub fn execute(db: &mut Database, stmt: &Statement) -> Result<ResultSet, SqlErro
     execute_reporting(db, stmt).map(|(rs, _)| rs)
 }
 
-/// [`execute`], also returning which rows a DML statement changed.
+/// [`execute`], also handing over the undo log of the transaction the
+/// statement committed: its own, if it writes outside a transaction, or
+/// the open one, if it is `COMMIT`.
 pub(crate) fn execute_reporting(
     db: &mut Database,
     stmt: &Statement,
-) -> Result<(ResultSet, Option<RowChange>), SqlError> {
+) -> Result<(ResultSet, Option<Vec<Undo>>), SqlError> {
     let mut span = llmdm_obs::span("sqlengine.exec");
     let result = execute_inner(db, stmt);
     if span.is_recording() {
@@ -111,8 +90,23 @@ pub(crate) fn execute_reporting(
 fn execute_inner(
     db: &mut Database,
     stmt: &Statement,
-) -> Result<(ResultSet, Option<RowChange>), SqlError> {
-    let dml = |change: RowChange| (ResultSet::affected(change.rows()), Some(change));
+) -> Result<(ResultSet, Option<Vec<Undo>>), SqlError> {
+    use Statement::{CreateTable, Delete, DropTable, Insert, Update};
+    let writes = matches!(
+        stmt,
+        Insert { .. } | Update { .. } | Delete { .. } | CreateTable { .. } | DropTable { .. }
+    );
+    if writes && !db.in_transaction() {
+        // A write outside a transaction is one of its own.
+        db.begin()?;
+        return match execute_inner(db, stmt) {
+            Ok((rs, _)) => Ok((rs, Some(db.end()?))),
+            Err(e) => {
+                db.rollback()?;
+                Err(e)
+            }
+        };
+    }
     let rs = match stmt {
         Statement::Select(s) => execute_select(db, s)?,
         Statement::Explain { analyze: false, select } => crate::plan::explain_select(db, select)?,
@@ -120,13 +114,13 @@ fn execute_inner(
             crate::plan::explain_analyze_select(db, select)?
         }
         Statement::Insert { table, columns, values } => {
-            return insert(db, table, columns.as_deref(), values).map(dml);
+            ResultSet::affected(insert(db, table, columns.as_deref(), values)?)
         }
         Statement::Update { table, assignments, selection } => {
-            return update(db, table, assignments, selection.as_ref()).map(dml);
+            ResultSet::affected(update(db, table, assignments, selection.as_ref())?)
         }
         Statement::Delete { table, selection } => {
-            return delete(db, table, selection.as_ref()).map(dml);
+            ResultSet::affected(delete(db, table, selection.as_ref())?)
         }
         Statement::CreateTable { table, columns, if_not_exists, persist } => {
             if !(*if_not_exists && db.has_table(table)) {
@@ -149,10 +143,7 @@ fn execute_inner(
             db.begin()?;
             ResultSet::empty()
         }
-        Statement::Commit => {
-            db.commit()?;
-            ResultSet::empty()
-        }
+        Statement::Commit => return Ok((ResultSet::empty(), Some(db.end()?))),
         Statement::Rollback => {
             db.rollback()?;
             ResultSet::empty()
@@ -168,7 +159,7 @@ fn insert(
     table: &str,
     columns: Option<&[String]>,
     values: &[Vec<Expr>],
-) -> Result<RowChange, SqlError> {
+) -> Result<usize, SqlError> {
     // Evaluate value expressions first (no row scope: literals/arithmetic).
     let cx = Cx::new(db);
     let env = Env::empty(&cx);
@@ -212,10 +203,8 @@ fn insert(
         t.rows.truncate(before);
         return Err(e);
     }
-    if let Some(log) = log {
-        log.push(Undo::Truncate(t.name.clone(), before));
-    }
-    Ok(RowChange::Inserted(n))
+    log.push(Undo::Truncate(t.name.clone(), before));
+    Ok(n)
 }
 
 fn update(
@@ -223,7 +212,7 @@ fn update(
     table: &str,
     assignments: &[crate::ast::Assignment],
     selection: Option<&Expr>,
-) -> Result<RowChange, SqlError> {
+) -> Result<usize, SqlError> {
     // Two-phase: compute the new rows against the table as it is, then
     // write them in place. Columns bind once; an unknown target column
     // still fails only when a row matches.
@@ -251,29 +240,20 @@ fn update(
         }
         writes.push((i, new_row));
     }
-    let mut changed = Vec::with_capacity(writes.len());
-    if !writes.is_empty() {
+    let n = writes.len();
+    if n > 0 {
         let (t, log) = db.table_for_dml(table)?;
-        let mut old = Vec::new();
-        for (i, row) in writes {
-            let was = std::mem::replace(&mut t.rows[i], row);
-            if log.is_some() {
-                old.push((i, was));
-            }
-            changed.push(i);
-        }
-        if let Some(log) = log {
-            log.push(Undo::Restore(t.name.clone(), old));
-        }
+        let old = writes.into_iter().map(|(i, row)| (i, std::mem::replace(&mut t.rows[i], row)));
+        log.push(Undo::Restore(t.name.clone(), old.collect()));
     }
-    Ok(RowChange::Updated(changed))
+    Ok(n)
 }
 
 fn delete(
     db: &mut Database,
     table: &str,
     selection: Option<&Expr>,
-) -> Result<RowChange, SqlError> {
+) -> Result<usize, SqlError> {
     let cx = Cx::new(db);
     let t = cx.db.table(table)?;
     let layout = Bindings::of_table(t);
@@ -287,17 +267,11 @@ fn delete(
     }
     if !gone.is_empty() {
         let (t, log) = db.table_for_dml(table)?;
-        let mut removed = Vec::new();
-        remove_at(&mut t.rows, &gone, |i, row| {
-            if log.is_some() {
-                removed.push((i, row));
-            }
-        });
-        if let Some(log) = log {
-            log.push(Undo::Reinsert(t.name.clone(), removed));
-        }
+        let mut removed = Vec::with_capacity(gone.len());
+        remove_at(&mut t.rows, &gone, |i, row| removed.push((i, row)));
+        log.push(Undo::Reinsert(t.name.clone(), removed));
     }
-    Ok(RowChange::Deleted(gone))
+    Ok(gone.len())
 }
 
 // ---------------- SELECT ----------------

@@ -19,7 +19,9 @@
 //! aggregates, `ORDER BY`/`LIMIT`/`OFFSET`, `DISTINCT`, set operations,
 //! `IN`/`EXISTS`/scalar subqueries, `LIKE`/`BETWEEN`/`IS NULL`, plus DML
 //! (`INSERT`/`UPDATE`/`DELETE`), DDL (`CREATE`/`DROP TABLE`), and
-//! transactions that roll back from an undo log of the rows they changed.
+//! transactions that keep an undo log of the rows they changed: read
+//! backwards it is `ROLLBACK`, read forwards at the commit it is what a
+//! [`PersistentDb`] writes to its store.
 //!
 //! ```
 //! use llmdm_sqlengine::{Database, Value};

@@ -17,14 +17,14 @@
 //!   `SELECT` never touches the store.
 //! * **The store is written through, by change.** Beside each table's
 //!   rows sits the [`RecordId`] of each stored row, in the same order
-//!   (the store keeps scan order under update and delete). DML reports
-//!   which row indices it changed; at the commit boundary those rows —
-//!   and only the pages holding them — are deleted, updated or appended
-//!   in one store transaction. In auto-commit mode that boundary is the
-//!   end of every mutating statement; inside `BEGIN … COMMIT` changes
-//!   accumulate until `COMMIT`, and `ROLLBACK` forgets them without
-//!   touching the store. The store's WAL makes the boundary
-//!   crash-atomic in turn.
+//!   (the store keeps scan order under update and delete); that is all
+//!   this type keeps. The catalog's undo log is the one record of what a
+//!   transaction changed: when one commits — a write statement on its
+//!   own, or `BEGIN … COMMIT` — the log, read oldest-first, names the
+//!   rows it inserted, updated and deleted, and those rows (and only the
+//!   pages holding them) are written in one store transaction. A
+//!   transaction that rolls back never reaches the store. The store's
+//!   WAL makes the boundary crash-atomic in turn.
 //! * **Contract:** after every statement that returns `Ok` outside a
 //!   transaction, memory == store, row order included, and the store
 //!   I/O it did is proportional to the pages it changed. If the store
@@ -39,9 +39,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use llmdm_store::{RecordId, SharedVfs, Store, StoreConfig, StoreError};
 
 use crate::ast::Statement;
-use crate::catalog::Database;
+use crate::catalog::{Database, Undo};
 use crate::error::SqlError;
-use crate::exec::{remove_at, RowChange};
+use crate::exec::remove_at;
 use crate::result::ResultSet;
 use crate::schema::{Column, Row, Schema, Table};
 use crate::value::{DataType, Value};
@@ -163,63 +163,15 @@ fn decode_row(bytes: &[u8]) -> Result<Row, SqlError> {
 
 // -------------------------------------------------------- persistence
 
-/// What the store holds of one PERSIST table, and what memory has
-/// changed since the last commit.
-#[derive(Debug, Default)]
-struct Stored {
-    /// Record of each stored row, in row order. Rows past its end were
-    /// inserted since the last commit (INSERT only ever adds at the
-    /// end, and UPDATE/DELETE keep order).
-    ids: Vec<RecordId>,
-    /// Indices into `ids` of rows updated since then.
-    updated: BTreeSet<usize>,
-    /// Records of rows deleted since then.
-    deleted: Vec<RecordId>,
-    /// The table was dropped since then (and maybe created again under
-    /// the same name): the space goes, and nothing in it is reused.
-    dropped: bool,
-}
-
-impl Stored {
-    fn clean(ids: Vec<RecordId>) -> Self {
-        Stored { ids, ..Stored::default() }
-    }
-
-    fn note(&mut self, change: RowChange) {
-        match change {
-            RowChange::Inserted(_) => {}
-            RowChange::Updated(rows) => {
-                let stored = self.ids.len();
-                self.updated.extend(rows.into_iter().filter(|&i| i < stored));
-            }
-            RowChange::Deleted(gone) => {
-                // A surviving row moves down by the deleted rows before it.
-                self.updated = self
-                    .updated
-                    .iter()
-                    .filter_map(|&i| gone.binary_search(&i).err().map(|before| i - before))
-                    .collect();
-                let deleted = &mut self.deleted;
-                remove_at(&mut self.ids, &gone, |_, id| deleted.push(id));
-            }
-        }
-    }
-}
-
 /// A [`Database`] whose `PERSIST` tables are durably backed by an
 /// `llmdm-store` [`Store`] (see module docs).
 #[derive(Debug)]
 pub struct PersistentDb {
     db: Database,
     store: Store,
-    /// One entry per table that has a space in the store.
-    stored: BTreeMap<String, Stored>,
-    /// Tables whose durable state lags memory: written at the next
-    /// commit boundary.
-    dirty: BTreeSet<String>,
-    /// `Stored::ids` of each table the open SQL transaction changed, as
-    /// they were at BEGIN — ROLLBACK puts them back.
-    undo: BTreeMap<String, Vec<RecordId>>,
+    /// For each table with a space in the store, the record of each
+    /// stored row, in row order.
+    stored: BTreeMap<String, Vec<RecordId>>,
 }
 
 impl PersistentDb {
@@ -227,13 +179,7 @@ impl PersistentDb {
     /// recovery and loading every persisted table into the catalog.
     pub fn open(vfs: SharedVfs, cfg: StoreConfig) -> Result<Self, SqlError> {
         let store = Store::open(vfs, cfg).map_err(storage_err)?;
-        let mut this = PersistentDb {
-            db: Database::new(),
-            store,
-            stored: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            undo: BTreeMap::new(),
-        };
+        let mut this = PersistentDb { db: Database::new(), store, stored: BTreeMap::new() };
         this.reload()?;
         Ok(this)
     }
@@ -270,7 +216,6 @@ impl PersistentDb {
                 Err(e) => {
                     if self.db.in_transaction() {
                         let _ = self.db.rollback();
-                        self.forget_changes();
                     }
                     return Err(e);
                 }
@@ -297,76 +242,28 @@ impl PersistentDb {
         if self.store.wedged() {
             return Err(storage_err(StoreError::Wedged));
         }
-        let creates = matches!(
-            stmt,
-            Statement::CreateTable { table, persist: true, .. } if !self.db.has_table(table)
-        );
-        let (rs, change) = crate::exec::execute_reporting(&mut self.db, stmt)?;
-        match stmt {
-            Statement::CreateTable { table, .. } if creates => {
-                self.dirty.insert(table.to_lowercase());
-            }
-            Statement::DropTable { table, .. } => {
-                let name = table.to_lowercase();
-                if let Some(stored) = self.stored_mut(&name) {
-                    stored.dropped = true;
-                    self.dirty.insert(name);
-                }
-            }
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => {
-                let name = table.to_lowercase();
-                let change = change.expect("DML reports its rows");
-                if change.rows() > 0 && self.db.table(&name).is_ok_and(|t| t.persist) {
-                    // A table not stored yet, or dropped and created
-                    // again, is written whole at commit.
-                    if let Some(stored) = self.stored_mut(&name).filter(|s| !s.dropped) {
-                        stored.note(change);
-                    }
-                    self.dirty.insert(name);
-                }
-            }
-            Statement::Rollback => self.forget_changes(),
-            _ => {}
-        }
-        if !self.db.in_transaction() {
-            self.write_through()?;
+        let (rs, committed) = crate::exec::execute_reporting(&mut self.db, stmt)?;
+        if let Some(log) = committed {
+            self.write_through(&log)?;
         }
         Ok(rs)
     }
 
-    /// `stored[name]` for changing, saved first for ROLLBACK if a SQL
-    /// transaction is open and has not changed it yet.
-    fn stored_mut(&mut self, name: &str) -> Option<&mut Stored> {
-        let stored = self.stored.get_mut(name)?;
-        if self.db.in_transaction() && !self.undo.contains_key(name) {
-            self.undo.insert(name.to_string(), stored.ids.clone());
-        }
-        Some(stored)
-    }
-
-    /// ROLLBACK: the catalog is back at BEGIN, put the bookkeeping there
-    /// too. (Nothing was pending at BEGIN: auto-commit writes through
-    /// after every statement.)
-    fn forget_changes(&mut self) {
-        for (name, ids) in std::mem::take(&mut self.undo) {
-            self.stored.insert(name, Stored::clean(ids));
-        }
-        self.dirty.clear();
-    }
-
-    /// The commit boundary: bring the store up to memory for every
-    /// dirty table, atomically in one store transaction.
-    fn write_through(&mut self) -> Result<(), SqlError> {
-        self.undo.clear();
-        if self.dirty.is_empty() {
+    /// The commit boundary: bring the store up to memory for every table
+    /// the committed `log` names that has a space or needs one, in name
+    /// order, atomically in one store transaction.
+    fn write_through(&mut self, log: &[Undo]) -> Result<(), SqlError> {
+        let PersistentDb { db, store, stored } = self;
+        let names: BTreeSet<&str> = log
+            .iter()
+            .map(Undo::table)
+            .filter(|name| stored.contains_key(*name) || db.table(name).is_ok_and(|t| t.persist))
+            .collect();
+        if names.is_empty() {
             return Ok(());
         }
-        let dirty = std::mem::take(&mut self.dirty);
-        let PersistentDb { db, store, stored, .. } = self;
         let written = store.with_txn(|s| {
-            dirty.iter().try_for_each(|name| write_table(s, db.table(name).ok(), stored, name))
+            names.iter().try_for_each(|name| write_table(s, db.table(name).ok(), stored, name, log))
         });
         if let Err(e) = written {
             // The store rolled back; memory has to follow it. (Wedged:
@@ -392,12 +289,11 @@ impl PersistentDb {
             self.db.drop_table(&name)?;
         }
         self.stored.clear();
-        self.dirty.clear();
         for space in self.store.spaces() {
             if let Some(name) = space.strip_prefix(SPACE_PREFIX) {
                 let (table, ids) = self.load_table(name)?;
                 self.db.create_table(table)?;
-                self.stored.insert(name.to_string(), Stored::clean(ids));
+                self.stored.insert(name.to_string(), ids);
             }
         }
         Ok(())
@@ -421,41 +317,70 @@ impl PersistentDb {
 }
 
 /// Bring one table's space up to `table` (`None`: it no longer exists)
-/// inside the open store transaction. Deletes go first so that the
-/// store's live records are exactly `ids` again when an update splits a
-/// page and reports where the records after it went.
+/// inside the open store transaction, from the table's entries of the
+/// committed `log`. A whole-table entry (`CREATE`, `DROP`, a `table_mut`
+/// copy) drops the space and writes the table whole. Otherwise the row
+/// entries are replayed oldest-first into the records to delete, the
+/// rows to update and the rows past the stored ones to append. Deletes
+/// go first so that the store's live records are exactly `ids` again
+/// when an update splits a page and reports where the records after it
+/// went.
 fn write_table(
     s: &mut Store,
     table: Option<&Table>,
-    stored: &mut BTreeMap<String, Stored>,
+    stored: &mut BTreeMap<String, Vec<RecordId>>,
     name: &str,
+    log: &[Undo],
 ) -> Result<(), StoreError> {
     let space = format!("{SPACE_PREFIX}{name}");
+    let entries = || log.iter().filter(|undo| undo.table() == name);
     let mut was = stored.remove(name);
-    if was.as_ref().is_some_and(|st| st.dropped) {
+    if was.is_some() && entries().any(|undo| matches!(undo, Undo::Table(..))) {
         s.drop_space(&space)?;
         was = None;
     }
     let Some(table) = table.filter(|t| t.persist) else { return Ok(()) };
-    let mut st = match was {
-        Some(st) => st,
+    let (mut deleted, mut updated) = (Vec::new(), BTreeSet::new());
+    let mut ids = match was {
+        Some(mut ids) => {
+            for undo in entries() {
+                match undo {
+                    // Rows past the stored ones are appended anyway.
+                    Undo::Restore(_, old) => {
+                        let on_disk = ids.len();
+                        updated.extend(old.iter().map(|&(i, _)| i).filter(|&i| i < on_disk));
+                    }
+                    Undo::Reinsert(_, removed) => {
+                        // A surviving row moves down by the deleted rows before it.
+                        let gone: Vec<usize> = removed.iter().map(|&(i, _)| i).collect();
+                        updated = updated
+                            .iter()
+                            .filter_map(|&i| gone.binary_search(&i).err().map(|before| i - before))
+                            .collect();
+                        remove_at(&mut ids, &gone, |_, id| deleted.push(id));
+                    }
+                    Undo::Truncate(..) | Undo::Table(..) => {}
+                }
+            }
+            ids
+        }
         None => {
             s.create_space(&space)?;
             s.append(&space, &encode_schema(&table.schema))?;
-            Stored::default()
+            Vec::new()
         }
     };
-    for id in st.deleted.drain(..) {
+    for id in deleted {
         s.delete(&space, id)?;
     }
-    for i in std::mem::take(&mut st.updated) {
-        let moved = s.update(&space, st.ids[i], &encode_row(&table.rows[i]))?;
-        st.ids[i..i + moved.len()].copy_from_slice(&moved);
+    for i in updated {
+        let moved = s.update(&space, ids[i], &encode_row(&table.rows[i]))?;
+        ids[i..i + moved.len()].copy_from_slice(&moved);
     }
-    for row in &table.rows[st.ids.len()..] {
-        st.ids.push(s.append(&space, &encode_row(row))?);
+    for row in &table.rows[ids.len()..] {
+        ids.push(s.append(&space, &encode_row(row))?);
     }
-    stored.insert(name.to_string(), st);
+    stored.insert(name.to_string(), ids);
     Ok(())
 }
 

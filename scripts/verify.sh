@@ -51,7 +51,8 @@ done
 #   resil_overhead    no-op fault plan <5%, full resilient stack <25% over a bare completion (interleaved medians)
 #   serve_throughput  >=3x ops/sec at 8 workers vs 1; 1-worker == direct loop; dollars reconcile
 #   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality;
-#                     a one-row BEGIN/INSERT/COMMIT on 10k rows <=1.5x one on 100 rows (interleaved medians)
+#                     a one-row BEGIN/INSERT/COMMIT on 10k rows <=1.5x one on 100 rows (interleaved medians), and
+#                     <=1.06x through PersistentDb over MemVfs; point SELECT/UPDATE/DELETE at 1k/10k/100k rows reported
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
 #   store_durability  warm scan >=2x cold through the buffer pool; a 1-row commit behind 1 MiB of WAL <=1.5x one on a near-empty WAL (interleaved medians); fixtures read back
 #   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
