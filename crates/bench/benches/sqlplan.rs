@@ -19,6 +19,11 @@
 //! the aggregation code, so their ratio is what binding and borrowed rows
 //! save on a join and on a grouped scan.
 //!
+//! A row finds its `GROUP BY` group by a hash of the key, so grouping
+//! the 8 000 events into 2 000 groups costs about what 16 groups cost:
+//! the ratio of their interleaved medians is gated at ≤ 3× (a search
+//! through every group seen so far paid ~1 000 key comparisons a row).
+//!
 //! A transaction logs only the rows it changes for ROLLBACK, so a
 //! one-row `BEGIN; INSERT; COMMIT` costs the same on a 10 000-row table
 //! as on a 100-row one: the ratio of their interleaved medians is gated
@@ -51,6 +56,12 @@ const VENUES: i64 = 25;
 const MIN_SCAN_SPEEDUP: f64 = 2.0;
 /// What the top-k rewrite must save against a full sort.
 const MIN_TOPK_SPEEDUP: f64 = 1.2;
+/// Group counts of the grouping gate: `event_id % keys` over the events.
+const FEW_KEYS: i64 = 16;
+const MANY_KEYS: i64 = 2_000;
+/// How much longer grouping into `MANY_KEYS` groups may take: the extra
+/// groups' own output and state, and no per-row search.
+const MAX_GROUP_KEYS_RATIO: f64 = 3.0;
 /// Rows of the two tables a one-row transaction is timed on.
 const TXN_SMALL: usize = 100;
 const TXN_LARGE: usize = 10_000;
@@ -239,6 +250,24 @@ fn run(c: &mut Criterion) {
         let x = speedup(c, name);
         c.gate(format!("sqlplan {name} direct/plan (median)"), x, AtLeast(bound));
     }
+
+    // ---- A row's group is found by hash, not by search. -------------
+    let grouped = |keys: i64| {
+        select_stmt(&format!(
+            "SELECT event_id % {keys}, COUNT(*), SUM(attendance) FROM events \
+             GROUP BY event_id % {keys}"
+        ))
+    };
+    let (few, many) = (grouped(FEW_KEYS), grouped(MANY_KEYS));
+    let groups = |stmt: &SelectStmt| execute_select(&db, stmt).expect("groups").rows.len();
+    assert_eq!((groups(&few), groups(&many)), (FEW_KEYS as usize, MANY_KEYS as usize));
+    c.benchmark_group("sqlplan_group").bench_interleaved(&mut [
+        ("keys_16", &mut || drop(std::hint::black_box(execute_select(&db, &few)))),
+        ("keys_2000", &mut || drop(std::hint::black_box(execute_select(&db, &many)))),
+    ]);
+    let ratio = c.stat("sqlplan_group/keys_2000").median_ns as f64
+        / c.stat("sqlplan_group/keys_16").median_ns as f64;
+    c.gate("sqlplan group 2000 keys / 16 keys (median)", ratio, AtMost(MAX_GROUP_KEYS_RATIO));
 
     // ---- A one-row transaction's cost is flat in the table size. ----
     let (mut small, mut large) = (txn_fixture(TXN_SMALL), txn_fixture(TXN_LARGE));

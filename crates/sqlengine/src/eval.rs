@@ -95,32 +95,62 @@ pub(crate) fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
     operand(expr, env).map(Cow::into_owned)
 }
 
-/// Whether `expr` evaluates to TRUE in `env` (the WHERE / ON test).
+/// Whether `expr` evaluates to TRUE in `env` (the WHERE / ON test). A
+/// comparison is decided here as a `bool`, with the value, NULL and
+/// error [`walk`] would give: no `Value::Bool` is built to be tested.
 pub(crate) fn truthy(expr: &Expr, env: &Env<'_>) -> Result<bool, SqlError> {
-    walk(expr, env).map(|v| v.is_truthy()).map_err(|e| *e)
+    use BinOp::{Eq, Ge, Gt, Le, Lt, Neq};
+    match expr {
+        Expr::Binary { op: op @ (Eq | Neq | Lt | Le | Gt | Ge), left, right } => {
+            let l = read(left, env).map_err(|e| *e)?;
+            let r = read(right, env).map_err(|e| *e)?;
+            Ok(compare(*op, &l, &r)? == Some(true))
+        }
+        _ => read(expr, env).map(|v| v.is_truthy()).map_err(|e| *e),
+    }
 }
 
 /// `expr`'s value in `env`: a column, slot or literal comes back
 /// borrowed, so comparisons and tests read their operands in place; a
 /// value is copied only when it becomes output.
 pub(crate) fn operand<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, SqlError> {
-    walk(expr, env).map_err(|e| *e)
+    read(expr, env).map_err(|e| *e)
 }
 
-/// The expression walker behind [`operand`]. Its error is boxed so that
+/// `expr`'s value, a slot or literal read in place without a call: most
+/// operands a row is evaluated on — a scan predicate's sides, a group
+/// key, an aggregate's argument, a projected column — are one of the
+/// two. Every other node goes to [`walk`].
+#[inline(always)]
+fn read<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlError>> {
+    match expr {
+        Expr::Slot { index, name } => match env.value(*index) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Err(unknown_column(name)),
+        },
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        _ => walk(expr, env),
+    }
+}
+
+#[cold]
+fn unknown_column(name: &str) -> Box<SqlError> {
+    SqlError::UnknownColumn(name.to_string()).into()
+}
+
+/// The expression walker behind [`read`]. Its error is boxed so that
 /// a result is three words: evaluation is a chain of these returns, and
-/// a five-word one costs several times more per node.
+/// a five-word one costs several times more per node. It is never
+/// inlined: folded into its one caller it made every leaf read pay the
+/// whole walker's frame set-up (~40 ns per scanned row, not ~10).
+#[inline(never)]
 fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlError>> {
     let owned = |v: Value| Ok(Cow::Owned(v));
     match expr {
-        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-        Expr::Slot { index, name } => match env.value(*index) {
-            Some(v) => Ok(Cow::Borrowed(v)),
-            None => Err(SqlError::UnknownColumn(name.clone()).into()),
-        },
+        Expr::Literal(_) | Expr::Slot { .. } => read(expr, env),
         Expr::Column { qualifier, name } => Ok(Cow::Borrowed(env.resolve(qualifier.as_deref(), name)?)),
         Expr::Binary { op, left, right } => {
-            let l = walk(left, env)?;
+            let l = read(left, env)?;
             // Short-circuit: the right side is not evaluated at all after
             // `FALSE AND` / `TRUE OR`.
             match op {
@@ -128,23 +158,23 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
                     if matches!(*l, Value::Bool(b) if b == (*op == BinOp::Or)) {
                         return owned(Value::Bool(*op == BinOp::Or));
                     }
-                    owned(logic(*op, &l, &*walk(right, env)?)?)
+                    owned(logic(*op, &l, &*read(right, env)?)?)
                 }
-                _ => owned(eval_binop(*op, &l, &*walk(right, env)?)?),
+                _ => owned(eval_binop(*op, &l, &*read(right, env)?)?),
             }
         }
-        Expr::Unary { op, expr } => owned(unary(*op, &*walk(expr, env)?)?),
+        Expr::Unary { op, expr } => owned(unary(*op, &*read(expr, env)?)?),
         Expr::Aggregate { .. } => {
             Err(SqlError::Exec("aggregate used outside GROUP BY context".into()).into())
         }
         Expr::InList { expr, list, negated } => {
-            let v = walk(expr, env)?;
+            let v = read(expr, env)?;
             if v.is_null() {
                 return owned(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let iv = walk(item, env)?;
+                let iv = read(item, env)?;
                 if iv.is_null() {
                     saw_null = true;
                     continue;
@@ -156,7 +186,7 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             owned(if saw_null { Value::Null } else { Value::Bool(*negated) })
         }
         Expr::InSubquery { expr, subquery, negated } => {
-            let v = walk(expr, env)?;
+            let v = read(expr, env)?;
             if v.is_null() {
                 return owned(Value::Null);
             }
@@ -185,15 +215,15 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
                 n => Err(SqlError::Exec(format!("scalar subquery returned {n} rows")).into()),
             }
         }
-        Expr::Like { expr, pattern, negated } => match &*walk(expr, env)? {
+        Expr::Like { expr, pattern, negated } => match &*read(expr, env)? {
             Value::Null => owned(Value::Null),
             Value::Str(s) => owned(Value::Bool(like_match(s, pattern) != *negated)),
             other => Err(SqlError::Type(format!("LIKE expects text, got {other}")).into()),
         },
         Expr::Between { expr, low, high, negated } => {
-            let v = walk(expr, env)?;
-            let lo = walk(low, env)?;
-            let hi = walk(high, env)?;
+            let v = read(expr, env)?;
+            let lo = read(low, env)?;
+            let hi = read(high, env)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
                 return owned(Value::Null);
             }
@@ -207,9 +237,9 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             );
             owned(Value::Bool((ge && le) != *negated))
         }
-        Expr::IsNull { expr, negated } => owned(Value::Bool(walk(expr, env)?.is_null() != *negated)),
+        Expr::IsNull { expr, negated } => owned(Value::Bool(read(expr, env)?.is_null() != *negated)),
         Expr::LlmMap { arg, template } => {
-            let v = walk(arg, env)?;
+            let v = read(arg, env)?;
             if v.is_null() {
                 return owned(Value::Null);
             }
@@ -217,7 +247,7 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             owned(Value::Str(complete(env.cx, env.scope, &prompt)?))
         }
         Expr::LlmFilter { arg, template } => {
-            let v = walk(arg, env)?;
+            let v = read(arg, env)?;
             if v.is_null() {
                 return owned(Value::Null);
             }
@@ -225,8 +255,8 @@ fn walk<'v>(expr: &'v Expr, env: &Env<'v>) -> Result<Cow<'v, Value>, Box<SqlErro
             owned(Value::Bool(parse_bool(&complete(env.cx, env.scope, &prompt)?)?))
         }
         Expr::LlmMatch { left, right, template } => {
-            let l = walk(left, env)?;
-            let r = walk(right, env)?;
+            let l = read(left, env)?;
+            let r = read(right, env)?;
             if l.is_null() || r.is_null() {
                 return owned(Value::Null);
             }
@@ -274,27 +304,42 @@ pub(crate) fn unary(op: UnOp, v: &Value) -> Result<Value, SqlError> {
     }
 }
 
+/// `l op r` for a comparison `op`: `None` when either side is NULL, a
+/// `Type` error when the two cannot be compared. The one comparison
+/// [`truthy`] and [`eval_binop`] both make.
+#[inline]
+fn compare(op: BinOp, l: &Value, r: &Value) -> Result<Option<bool>, SqlError> {
+    use std::cmp::Ordering::*;
+    let Some(ord) = l.sql_cmp(r) else {
+        if l.is_null() || r.is_null() {
+            return Ok(None);
+        }
+        return Err(incomparable(l, r));
+    };
+    Ok(Some(match op {
+        BinOp::Eq => ord == Equal,
+        BinOp::Neq => ord != Equal,
+        BinOp::Lt => ord == Less,
+        BinOp::Le => ord != Greater,
+        BinOp::Gt => ord == Greater,
+        BinOp::Ge => ord != Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }))
+}
+
+#[cold]
+fn incomparable(l: &Value, r: &Value) -> SqlError {
+    SqlError::Type(format!("cannot compare {l} with {r}"))
+}
+
 /// Apply a non-logical binary operator with SQL NULL propagation.
 pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
-    use std::cmp::Ordering::*;
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     match op {
         BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let Some(ord) = l.sql_cmp(r) else {
-                return Err(SqlError::Type(format!("cannot compare {l} with {r}")));
-            };
-            let b = match op {
-                BinOp::Eq => ord == Equal,
-                BinOp::Neq => ord != Equal,
-                BinOp::Lt => ord == Less,
-                BinOp::Le => ord != Greater,
-                BinOp::Gt => ord == Greater,
-                BinOp::Ge => ord != Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+            Ok(compare(op, l, r)?.map_or(Value::Null, Value::Bool))
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
@@ -550,6 +595,79 @@ mod tests {
         assert!(matches!(eval(&e, &env), Err(SqlError::AmbiguousColumn(_))));
         let q = crate::parser::parse_expr("b.x").unwrap();
         assert_eq!(eval(&q, &env).unwrap(), Value::Int(2));
+    }
+
+    mod truthy_matches_walk {
+        use super::*;
+        use llmdm_rt::proptest;
+        use llmdm_rt::proptest::prelude::*;
+
+        /// Every type, NULL and NaN, over few distinct values so that
+        /// equal, unequal and incomparable pairs all come up often.
+        fn value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                (-2i64..3).prop_map(Value::Int),
+                (-2i64..3).prop_map(|i| Value::Float(i as f64 / 2.0)),
+                Just(Value::Float(f64::NAN)),
+                "[ab]{0,2}".prop_map(Value::Str),
+                any::<bool>().prop_map(Value::Bool),
+            ]
+        }
+
+        /// A slot (up to two past a row's end) or a literal.
+        fn leaf() -> impl Strategy<Value = Expr> {
+            prop_oneof![
+                (0usize..6).prop_map(|index| Expr::Slot { index, name: format!("c{index}") }),
+                value().prop_map(Expr::Literal),
+            ]
+        }
+
+        fn comparison() -> impl Strategy<Value = BinOp> {
+            use BinOp::*;
+            prop_oneof![Just(Eq), Just(Neq), Just(Lt), Just(Le), Just(Gt), Just(Ge)]
+        }
+
+        /// Comparisons over leaves and over each other, under AND, OR,
+        /// NOT and IS NULL; half the trees are a comparison at the root.
+        fn tree() -> impl Strategy<Value = Expr> {
+            let inner = leaf().prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone(), comparison())
+                        .prop_map(|(l, r, op)| Expr::bin(op, l, r)),
+                    (inner.clone(), inner.clone(), prop_oneof![Just(BinOp::And), Just(BinOp::Or)])
+                        .prop_map(|(l, r, op)| Expr::bin(op, l, r)),
+                    inner.clone().prop_map(|e| Expr::Unary { op: UnOp::Not, expr: Box::new(e) }),
+                    (inner, any::<bool>())
+                        .prop_map(|(e, negated)| Expr::IsNull { expr: Box::new(e), negated }),
+                ]
+            });
+            prop_oneof![
+                (inner.clone(), inner.clone(), comparison())
+                    .prop_map(|(l, r, op)| Expr::bin(op, l, r)),
+                inner,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// `truthy` decides a comparison itself; its answer and its
+            /// error, text included, are the walker's.
+            #[test]
+            fn truthy_is_the_walkers_answer(
+                e in tree(),
+                row in proptest::collection::vec(value(), 0..5),
+            ) {
+                let db = Database::new();
+                let cx = Cx::new(&db);
+                let layout = Bindings::default();
+                let env = Env::new(&layout, &row, &cx);
+                let decided = truthy(&e, &env).map_err(|e| e.to_string());
+                let walked = walk(&e, &env).map(|v| v.is_truthy()).map_err(|e| e.to_string());
+                prop_assert_eq!(decided, walked, "{:?} over {:?}", e, row);
+            }
+        }
     }
 
     #[test]

@@ -576,10 +576,10 @@ pub(crate) fn apply_set_op(op: SetOp, all: bool, left: Vec<Row>, right: Vec<Row>
             rows
         }
         SetOp::Intersect => {
-            let mut counts = count_rows(&right);
+            let mut counts = RowCounts::of(&right);
             let mut out = Vec::new();
             for r in left {
-                if let Some(c) = lookup_mut(&mut counts, &r) {
+                if let Some(c) = counts.get_mut(&r) {
                     if *c > 0 {
                         *c -= 1;
                         out.push(r);
@@ -592,10 +592,10 @@ pub(crate) fn apply_set_op(op: SetOp, all: bool, left: Vec<Row>, right: Vec<Row>
             out
         }
         SetOp::Except => {
-            let mut counts = count_rows(&right);
+            let mut counts = RowCounts::of(&right);
             let mut out = Vec::new();
             for r in left {
-                match lookup_mut(&mut counts, &r) {
+                match counts.get_mut(&r) {
                     Some(c) if *c > 0 => *c -= 1,
                     _ => out.push(r),
                 }
@@ -613,22 +613,96 @@ pub(crate) fn dedup_rows(rows: &mut Vec<Row>) {
     rows.dedup_by(|a, b| cmp_rows(a, b) == std::cmp::Ordering::Equal);
 }
 
-fn count_rows(rows: &[Row]) -> Vec<(Row, usize)> {
-    let mut counts: Vec<(Row, usize)> = Vec::new();
-    for r in rows {
-        match lookup_mut(&mut counts, r) {
-            Some(c) => *c += 1,
-            None => counts.push((r.clone(), 1)),
-        }
-    }
-    counts
+/// A key's hash, consistent with comparing keys value by value with
+/// [`Value::group_eq`] (and so with [`cmp_rows`] on rows of one width).
+fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
+    key.into_iter().fold(0, |h, v| llmdm_rt::hash::combine(h, v.group_hash()))
 }
 
-fn lookup_mut<'a>(counts: &'a mut [(Row, usize)], row: &Row) -> Option<&'a mut usize> {
-    counts
-        .iter_mut()
-        .find(|(r, _)| cmp_rows(r, row) == std::cmp::Ordering::Equal)
-        .map(|(_, c)| c)
+/// Keys numbered in first-seen order and found by their [`key_hash`]:
+/// `find` walks one bucket's chain and the caller's test confirms a
+/// match. The bucket array doubles when it fills, so nothing is
+/// allocated per lookup and the chains stay short.
+#[derive(Default)]
+struct KeyIndex {
+    /// Each key's hash, by number.
+    hashes: Vec<u64>,
+    /// Per bucket, its newest key's number + 1 (0: empty). Its length
+    /// is zero or a power of two.
+    heads: Vec<usize>,
+    /// Per key, the number + 1 of the next older key in its bucket (0: none).
+    older: Vec<usize>,
+}
+
+impl KeyIndex {
+    /// The key hashing to `h` for which `is` holds, if one was inserted.
+    fn find(&self, h: u64, mut is: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.heads.is_empty() {
+            return None;
+        }
+        let mut link = self.heads[h as usize & (self.heads.len() - 1)];
+        while let Some(k) = link.checked_sub(1) {
+            if self.hashes[k] == h && is(k) {
+                return Some(k);
+            }
+            link = self.older[k];
+        }
+        None
+    }
+
+    /// Number a new key hashing to `h`: the next number in first-seen order.
+    fn insert(&mut self, h: u64) -> usize {
+        let k = self.hashes.len();
+        self.hashes.push(h);
+        if k >= self.heads.len() {
+            self.heads = vec![0; (2 * self.heads.len()).max(16)];
+            self.older.clear();
+            (0..k).for_each(|i| self.link(i));
+        }
+        self.link(k);
+        k
+    }
+
+    /// Put key `k`, the newest linked so far, at the head of its bucket.
+    fn link(&mut self, k: usize) {
+        let b = self.hashes[k] as usize & (self.heads.len() - 1);
+        self.older.push(self.heads[b]);
+        self.heads[b] = k + 1;
+    }
+}
+
+/// A set operation's right side: its distinct rows, each with how often
+/// it occurs, found by hash and confirmed by [`cmp_rows`].
+struct RowCounts<'a> {
+    rows: Vec<(&'a Row, usize)>,
+    index: KeyIndex,
+}
+
+impl<'a> RowCounts<'a> {
+    fn of(rows: &'a [Row]) -> Self {
+        let mut counts = RowCounts { rows: Vec::new(), index: KeyIndex::default() };
+        for r in rows {
+            let h = key_hash(r);
+            match counts.find(h, r) {
+                Some(k) => counts.rows[k].1 += 1,
+                None => {
+                    counts.index.insert(h);
+                    counts.rows.push((r, 1));
+                }
+            }
+        }
+        counts
+    }
+
+    fn find(&self, h: u64, row: &Row) -> Option<usize> {
+        self.index.find(h, |k| cmp_rows(self.rows[k].0, row) == std::cmp::Ordering::Equal)
+    }
+
+    /// How many of `row` are left to match, if the right side has it at all.
+    fn get_mut(&mut self, row: &Row) -> Option<&mut usize> {
+        let k = self.find(key_hash(row), row)?;
+        Some(&mut self.rows[k].1)
+    }
 }
 
 /// Execute the core of one SELECT (no set ops / order / limit).
@@ -837,7 +911,8 @@ fn plain_project(
 /// `items`; `env` evaluates over one row and `empty` over a group with
 /// none. Shared by the direct executor's aggregate path and the
 /// planner's Aggregate operator. Keys and aggregate arguments are read in
-/// place, so nothing is copied or grown per row.
+/// place, so nothing is copied or grown per row, and a row finds its
+/// group by the key's hash, not by comparing it with every group's.
 pub(crate) fn aggregate_rows<'r, R>(
     empty: &Env<'_>,
     group_by: &'r [Expr],
@@ -848,6 +923,7 @@ pub(crate) fn aggregate_rows<'r, R>(
 ) -> Result<Vec<Row>, SqlError> {
     // Each row's group, numbered in first-seen order.
     let mut keys: Vec<Vec<Cow<'r, Value>>> = Vec::new();
+    let mut index = KeyIndex::default();
     let mut group_of: Vec<usize> = Vec::with_capacity(rows.len());
     let mut key: Vec<Cow<'r, Value>> = Vec::with_capacity(group_by.len());
     for row in rows {
@@ -856,11 +932,12 @@ pub(crate) fn aggregate_rows<'r, R>(
         for e in group_by {
             key.push(operand(e, &env)?);
         }
-        let g = match keys.iter().position(|k| k.iter().zip(&key).all(|(a, b)| a.group_eq(b))) {
+        let h = key_hash(key.iter().map(|v| &**v));
+        let g = match index.find(h, |g| keys[g].iter().zip(&key).all(|(a, b)| a.group_eq(b))) {
             Some(g) => g,
             None => {
                 keys.push(key.clone());
-                keys.len() - 1
+                index.insert(h)
             }
         };
         group_of.push(g);

@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-
 /// Column data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
@@ -77,6 +76,7 @@ impl Value {
 
     /// SQL comparison. Returns `None` when either side is NULL or the types
     /// are incomparable.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
@@ -117,6 +117,20 @@ impl Value {
     /// GROUP BY requires).
     pub fn group_eq(&self, other: &Value) -> bool {
         self.total_cmp(other) == Ordering::Equal
+    }
+
+    /// A hash consistent with [`Value::group_eq`]: two values it calls
+    /// equal hash alike. Numbers hash by their `f64` bits, as `group_eq`
+    /// compares them (so `1` and `1.0` agree, `-0.0` and `0.0` do not),
+    /// text by FNV-1a, NULL and booleans by tag.
+    pub(crate) fn group_hash(&self) -> u64 {
+        match self {
+            Value::Null => 0,
+            Value::Bool(b) => 1 + u64::from(*b),
+            Value::Int(i) => (*i as f64).to_bits(),
+            Value::Float(f) => f.to_bits(),
+            Value::Str(s) => llmdm_rt::hash::fnv1a_str(s),
+        }
     }
 
     /// ORDER BY comparison: NULLS LAST when ascending (so a descending
@@ -239,6 +253,46 @@ mod tests {
         assert!(Value::Null.group_eq(&Value::Null));
         assert!(Value::Int(3).group_eq(&Value::Float(3.0)));
         assert!(!Value::Int(3).group_eq(&Value::Str("3".into())));
+    }
+
+    #[test]
+    fn group_eq_values_hash_alike() {
+        let big = 1i64 << 53;
+        let values = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Str("a".into()),
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+            Value::Str(String::new()),
+            Value::Null,
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(true),
+            Value::Bool(false),
+        ];
+        let mut equal_pairs = 0;
+        for a in &values {
+            for b in &values {
+                if a.group_eq(b) {
+                    assert_eq!(a.group_hash(), b.group_hash(), "{a:?} and {b:?}");
+                    equal_pairs += 1;
+                }
+            }
+        }
+        // 1 ~ 1.0; 2^53 ~ 2^53+1 ~ 2^53.0 (one f64); 0 ~ 0.0 but not
+        // -0.0; each NaN only itself; the repeated text, NULL and TRUE.
+        assert!(Value::Int(big).group_eq(&Value::Int(big + 1)));
+        assert!(!Value::Float(-0.0).group_eq(&Value::Float(0.0)));
+        assert_eq!(equal_pairs, values.len() + 2 + 6 + 2 + 2 + 2 + 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! a rewrite changes evaluation order); one-sided errors fail.
 
 use llmdm_sqlengine::exec::{execute_select, execute_select_direct};
-use llmdm_sqlengine::{parse_statement, Database, Statement};
+use llmdm_sqlengine::{parse_statement, Database, Statement, Value};
 
 mod common;
 
@@ -190,6 +190,82 @@ fn distinct_and_set_ops() {
         "SELECT year FROM concert UNION SELECT id FROM vacant",
         "SELECT tag FROM scores UNION SELECT city FROM stadium",
     ]);
+}
+
+/// The planner's rows for `sql`, as `Debug` text: the values with their
+/// types, so a pinned result also pins `1` against `1.0`.
+fn planned_rows(db: &Database, sql: &str) -> String {
+    let Ok(Statement::Select(s)) = parse_statement(sql) else { panic!("not a SELECT: {sql}") };
+    format!("{:?}", execute_select(db, &s).unwrap_or_else(|e| panic!("{sql}: {e}")).rows)
+}
+
+/// `INTERSECT` and `EXCEPT` find a left row among the right side's by a
+/// hash of its values: `1` and `1.0` are one row, each right duplicate
+/// matches one left row, and the output keeps the left side's order.
+#[test]
+fn set_ops_match_duplicates_across_int_and_float() {
+    let mut db = fixture();
+    for (sql, rows) in [
+        (
+            "SELECT stadium_id FROM concert EXCEPT ALL SELECT stadium_id * 1.0 FROM sports_meeting",
+            "[[Int(1)], [Int(1)]]",
+        ),
+        (
+            "SELECT year FROM concert INTERSECT ALL SELECT year * 1.0 FROM sports_meeting",
+            "[[Int(2015)], [Int(2015)]]",
+        ),
+        (
+            "SELECT year * 1.0 FROM sports_meeting INTERSECT SELECT year FROM concert",
+            "[[Float(2015.0)]]",
+        ),
+        (
+            "SELECT stadium_id, year FROM concert \
+             EXCEPT SELECT stadium_id * 1.0, year FROM sports_meeting",
+            "[[Int(1), Int(2014)], [Int(1), Int(2015)], [Int(2), Int(2014)]]",
+        ),
+        (
+            "SELECT stadium_id, year FROM concert \
+             INTERSECT ALL SELECT stadium_id, year FROM concert WHERE year = 2014",
+            "[[Int(1), Int(2014)], [Int(1), Int(2014)], [Int(2), Int(2014)]]",
+        ),
+    ] {
+        check(&mut db, sql);
+        assert_eq!(planned_rows(&db, sql), rows, "{sql}");
+    }
+}
+
+/// Rows find their group by a hash of the key. `1` and `1.0` are one
+/// group, as are 2^53 and 2^53 + 1 (one `f64`), and each group keeps the
+/// key it saw first; `-0.0` is a group apart from `0`.
+#[test]
+fn group_by_mixed_int_and_float_keys_keeps_the_first_seen_key() {
+    let mut db = fixture();
+    db.execute("CREATE TABLE mixed (k FLOAT, v INT)").unwrap();
+    let big = 1i64 << 53;
+    let keys = [
+        Value::Float(1.0),
+        Value::Int(1),
+        Value::Int(0),
+        Value::Float(-0.0),
+        Value::Int(big + 1),
+        Value::Int(big),
+        Value::Null,
+        Value::Float(0.0),
+        Value::Null,
+    ];
+    // Pushed as stored rows: an INSERT would widen the Ints to FLOAT.
+    let t = db.table_mut("mixed").unwrap();
+    for (v, k) in (1..).zip(keys) {
+        t.rows.push(vec![k, Value::Int(v)]);
+    }
+    let sql = "SELECT k, COUNT(*), SUM(v) FROM mixed GROUP BY k";
+    check(&mut db, sql);
+    assert_eq!(
+        planned_rows(&db, sql),
+        "[[Float(1.0), Int(2), Int(3)], [Int(0), Int(2), Int(11)], \
+         [Float(-0.0), Int(1), Int(4)], [Int(9007199254740993), Int(2), Int(11)], \
+         [Null, Int(2), Int(16)]]"
+    );
 }
 
 #[test]

@@ -51,6 +51,7 @@ done
 #   resil_overhead    no-op fault plan <5%, full resilient stack <25% over a bare completion (interleaved medians)
 #   serve_throughput  >=3x ops/sec at 8 workers vs 1; 1-worker == direct loop; dollars reconcile
 #   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality;
+#                     GROUP BY into 2 000 groups <=3x one into 16 over the same 8 000 rows (interleaved medians);
 #                     a one-row BEGIN/INSERT/COMMIT on 10k rows <=1.5x one on 100 rows (interleaved medians), and
 #                     <=1.06x through PersistentDb over MemVfs; point SELECT/UPDATE/DELETE at 1k/10k/100k rows reported
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
