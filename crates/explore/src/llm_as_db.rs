@@ -17,8 +17,10 @@
 use std::sync::Arc;
 
 use llmdm_model::{CompletionRequest, LanguageModel, PromptEnvelope, SimLlm};
-use llmdm_sqlengine::ast::Statement;
-use llmdm_sqlengine::{Column, DataType, Database, ResultSet, Schema, SqlError, Table, Value};
+use llmdm_sqlengine::ast::{SelectItem, Statement};
+use llmdm_sqlengine::{
+    Column, DataType, Database, Expr, ResultSet, Schema, SelectStmt, SqlError, Table, Value,
+};
 
 /// A model-backed relation.
 #[derive(Debug, Clone)]
@@ -182,49 +184,38 @@ impl LlmDatabase {
     }
 }
 
-/// Collect all table names referenced by a SELECT (FROM items and
-/// subqueries).
-fn collect_tables(select: &llmdm_sqlengine::SelectStmt, out: &mut Vec<String>) {
+/// Collect every table name a SELECT references: its FROM items, and
+/// those of each subquery in any of its expressions — projections, JOIN
+/// `ON`, WHERE, GROUP BY, HAVING, ORDER BY — and in its set-op chain.
+fn collect_tables(select: &SelectStmt, out: &mut Vec<String>) {
     for f in &select.from {
         let name = f.table.to_lowercase();
         if !out.contains(&name) {
             out.push(name);
         }
     }
-    // Walk expressions for subqueries.
-    fn walk_expr(e: &llmdm_sqlengine::Expr, out: &mut Vec<String>) {
-        use llmdm_sqlengine::Expr::*;
-        match e {
-            Binary { left, right, .. } => {
-                walk_expr(left, out);
-                walk_expr(right, out);
-            }
-            Unary { expr, .. } | IsNull { expr, .. } | Like { expr, .. } => walk_expr(expr, out),
-            InList { expr, list, .. } => {
-                walk_expr(expr, out);
-                for i in list {
-                    walk_expr(i, out);
-                }
-            }
-            Between { expr, low, high, .. } => {
-                walk_expr(expr, out);
-                walk_expr(low, out);
-                walk_expr(high, out);
-            }
-            InSubquery { expr, subquery, .. } => {
-                walk_expr(expr, out);
-                collect_tables(subquery, out);
-            }
-            Exists { subquery, .. } | ScalarSubquery(subquery) => collect_tables(subquery, out),
-            Aggregate { arg: Some(a), .. } => walk_expr(a, out),
-            _ => {}
+    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
+        if let Expr::InSubquery { subquery, .. }
+        | Expr::Exists { subquery, .. }
+        | Expr::ScalarSubquery(subquery) = e
+        {
+            collect_tables(subquery, out);
         }
+        e.for_each_child(|child| walk_expr(child, out));
     }
-    if let Some(w) = &select.selection {
-        walk_expr(w, out);
-    }
-    if let Some(h) = &select.having {
-        walk_expr(h, out);
+    let projected = select.projections.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+    });
+    let on = select.from.iter().filter_map(|f| f.join.as_ref().map(|(_, on)| on));
+    let exprs = projected
+        .chain(on)
+        .chain(&select.selection)
+        .chain(&select.group_by)
+        .chain(&select.having)
+        .chain(select.order_by.iter().map(|key| &key.expr));
+    for e in exprs {
+        walk_expr(e, out);
     }
     if let Some((_, _, rhs)) = &select.set_op {
         collect_tables(rhs, out);
@@ -297,6 +288,26 @@ mod tests {
         let rs = db
             .query(
                 "SELECT title FROM movies WHERE title IN (SELECT title FROM awards)",
+            )
+            .unwrap();
+        assert_eq!(rs.rows.len(), 2);
+    }
+
+    #[test]
+    fn projected_subquery_tables_are_materialized() {
+        let db = facade();
+        let rs = db.query("SELECT title, (SELECT COUNT(*) FROM awards) FROM movies").unwrap();
+        assert_eq!(rs.rows.len(), 3);
+        assert!(rs.rows.iter().all(|row| row[1] == Value::Int(2)));
+    }
+
+    #[test]
+    fn join_on_subquery_tables_are_materialized() {
+        let db = facade();
+        let rs = db
+            .query(
+                "SELECT m.title FROM movies m JOIN movies n \
+                 ON m.title = n.title AND m.title IN (SELECT title FROM awards)",
             )
             .unwrap();
         assert_eq!(rs.rows.len(), 2);

@@ -254,10 +254,10 @@ impl Expr {
 
     /// Call `f` on each direct child, in evaluation order. Subquery bodies
     /// are never children: they plan, bind and bill themselves when they
-    /// run. This and [`Expr::for_each_child_mut`] are the one place that
-    /// says what an expression's children are; every walker recurses
-    /// through them.
-    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+    /// run. This and its crate-private twin `for_each_child_mut` are the
+    /// one place that says what an expression's children are; every
+    /// walker recurses through them, inside the crate and out.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
             Expr::Literal(_)
             | Expr::Column { .. }

@@ -194,7 +194,7 @@ impl Collection {
                 (hits, stats, None, indexed)
             }
             HybridStrategy::PostFilter { expansion } => {
-                let (hits, stats) = self.postfilter_search(query, k, filter, expansion)?;
+                let (hits, stats, _) = self.postfilter_search(query, k, filter, expansion)?;
                 (hits, stats, None, false)
             }
             HybridStrategy::Adaptive { selectivity_threshold, sample } => {
@@ -204,7 +204,8 @@ impl Collection {
                     self.prefilter_search(query, k, filter, est.resolved)?
                 } else {
                     let expansion = self.predictor.predict(est.selectivity);
-                    self.postfilter_search(query, k, filter, expansion)?
+                    let (hits, stats, _) = self.postfilter_search(query, k, filter, expansion)?;
+                    (hits, stats)
                 };
                 stats.metadata_checked += est.checked;
                 (hits, stats, Some(est.selectivity), indexed)
@@ -233,9 +234,15 @@ impl Collection {
     ) -> Result<Vec<SearchHit>, VecDbError> {
         let sel = self.estimate(filter, 256).selectivity;
         let expansion = self.predictor.predict(sel);
-        let (hits, stats) = self.postfilter_search(query, k, filter, expansion)?;
-        // The expansion that would have sufficed: the final round's factor.
-        let needed = expansion as f64 * 2f64.powi(stats.rounds.saturating_sub(1) as i32);
+        let (hits, stats, depth) = self.postfilter_search(query, k, filter, expansion)?;
+        // The expansion that would have sufficed: the depth of the k-th
+        // survivor over k, not the factor used — observing what was used
+        // would feed the predictor's margin back into its own mean. Only a
+        // search that ran out of rows falls back to its final factor.
+        let needed = match depth {
+            Some(depth) => depth as f64 / k as f64,
+            None => expansion as f64 * 2f64.powi(stats.rounds.saturating_sub(1) as i32),
+        };
         self.predictor.observe(sel, needed);
         Ok(hits)
     }
@@ -321,25 +328,37 @@ impl Collection {
         Ok((self.ann.search_rows(query, k, rows.iter().copied())?, stats))
     }
 
+    /// Over-fetch `k × expansion` ANN candidates, doubling until `k`
+    /// survive the filter. Beside the hits and stats: how many of the last
+    /// round's candidates, best first, it took to reach the `k`-th
+    /// survivor (`None` when fewer than `k` survive at all).
     fn postfilter_search(
         &self,
         query: &[f32],
         k: usize,
         filter: &Filter,
         expansion: usize,
-    ) -> Result<(Vec<SearchHit>, HybridStats), VecDbError> {
+    ) -> Result<(Vec<SearchHit>, HybridStats, Option<usize>), VecDbError> {
         let mut stats = HybridStats::default();
         let mut fetch = (k * expansion.max(1)).max(k);
         loop {
             stats.rounds += 1;
-            let mut hits = self.ann.search(query, fetch)?;
-            stats.vectors_scored += hits.len();
-            stats.metadata_checked += hits.len();
-            hits.retain(|n| self.metadata(n.id).is_some_and(|m| filter.matches(m)));
-            hits.truncate(k);
-            // Done when we have k results, or we already fetched everything.
-            if hits.len() >= k || fetch >= self.len() {
-                return Ok((hits, stats));
+            let fetched = self.ann.search(query, fetch)?;
+            stats.vectors_scored += fetched.len();
+            let mut hits = Vec::with_capacity(k);
+            for (rank, n) in fetched.iter().enumerate() {
+                if self.metadata(n.id).is_some_and(|m| filter.matches(m)) {
+                    hits.push(*n);
+                    if hits.len() == k {
+                        stats.metadata_checked += rank + 1;
+                        return Ok((hits, stats, Some(rank + 1)));
+                    }
+                }
+            }
+            stats.metadata_checked += fetched.len();
+            // Short of k (or k is 0), and everything already fetched.
+            if k == 0 || fetch >= self.len() {
+                return Ok((hits, stats, None));
             }
             fetch = (fetch * 2).min(self.len().max(1));
         }
@@ -457,6 +476,32 @@ mod tests {
         assert_eq!(coll.predictor().observations(), 0);
         coll.search_filtered_learning(&q, 5, &f).unwrap();
         assert_eq!(coll.predictor().observations(), 1);
+    }
+
+    #[test]
+    fn repeating_a_learning_search_does_not_ratchet_the_prediction() {
+        // Half the 400 rows are "doc": the same query needs the same
+        // over-fetch every time, so once the predictor has left its cold
+        // start (three observations) a repeat must not move it. Observing
+        // the factor used fed the 25 % margin back into the mean, and the
+        // prediction grew with every other repeat.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut coll = Collection::new(8, Metric::Cosine);
+        for id in 0..400u64 {
+            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let kind = if id % 2 == 0 { "doc" } else { "table" };
+            coll.insert(id, v, [("kind", AttrValue::from(kind))]).unwrap();
+        }
+        let q = coll.get(1).unwrap().vector;
+        let f = Filter::eq("kind", "doc");
+        let mut learned = Vec::new();
+        for _ in 0..12 {
+            assert_eq!(coll.search_filtered_learning(&q, 5, &f).unwrap().len(), 5);
+            if coll.predictor().observations() >= 3 {
+                learned.push(coll.predictor().predict(0.5));
+            }
+        }
+        assert!(learned.windows(2).all(|w| w[1] == w[0]), "{learned:?}");
     }
 
     #[test]

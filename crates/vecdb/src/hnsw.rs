@@ -6,7 +6,8 @@
 //! Malkov–Yashunin construction: nodes get a geometric random level; upper
 //! layers are sparse express lanes for greedy descent; layer 0 holds the
 //! dense neighborhood graph searched with a bounded best-first frontier of
-//! width `ef`.
+//! width `ef`; every layer's links are chosen by the paper's diversity
+//! heuristic (`HnswIndex::diverse`), so clustered data stays one graph.
 //!
 //! Deletions are tombstoned: removed ids stay as graph waypoints (keeping
 //! connectivity) but are filtered from results; `compact()` rebuilds.
@@ -414,17 +415,40 @@ impl HnswIndex {
             .collect()
     }
 
-    /// Connect `node` to the best candidates on `layer` (best first, at
-    /// most the layer's capacity), and prune neighbors that exceed theirs.
-    fn connect(&mut self, node: u32, candidates: &[(f32, u32)], layer: usize) {
+    /// The links a node keeps on `layer` out of `candidates` (`(score
+    /// from the node, row)`, best first), up to the layer's capacity: the
+    /// HNSW paper's neighbour heuristic (Malkov & Yashunin, Alg. 4). A
+    /// candidate is dropped when a link kept before it is strictly closer
+    /// to it than the node is. A candidate a kept link already covers is
+    /// reached through that link; the closest `cap` alone would all sit in
+    /// the node's own cluster and leave the others unlinked. Ties are kept:
+    /// a copy of the node scores every candidate exactly as the node does,
+    /// and dropping on a tie would leave it that copy as its one link.
+    fn diverse(&self, candidates: &[(f32, u32)], layer: usize) -> Vec<u32> {
         let cap = self.links.cap(layer);
-        for &(_, c) in candidates.iter().take(cap) {
+        let mut kept: Vec<u32> = Vec::with_capacity(cap);
+        for &(score, c) in candidates {
+            if kept.len() == cap {
+                break;
+            }
+            let from_c = self.rows.prepare_row(c as usize);
+            if kept.iter().all(|&k| self.rows.score(&from_c, k as usize) <= score) {
+                kept.push(c);
+            }
+        }
+        kept
+    }
+
+    /// Link `node` to [`HnswIndex::diverse`] candidates on `layer` and
+    /// each of them back; a neighbour whose block is full re-selects its
+    /// links from its own and `node`.
+    fn connect(&mut self, node: u32, candidates: &[(f32, u32)], layer: usize) {
+        for c in self.diverse(candidates, layer) {
             self.links.push(node, layer, c);
             if self.links.push(c, layer, node) {
                 continue;
             }
-            // `c` is full: keep the best `cap` of its links and `node`,
-            // scored from `c`'s own row in the arena.
+            // Scored from `c`'s own row in the arena.
             let from_c = self.rows.prepare_row(c as usize);
             let mut scored: Vec<(f32, u32)> = self
                 .links
@@ -434,7 +458,8 @@ impl HnswIndex {
                 .map(|&l| (self.rows.score(&from_c, l as usize), l))
                 .collect();
             scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-            self.links.set(c, layer, scored.iter().take(cap).map(|&(_, l)| l));
+            let links = self.diverse(&scored, layer);
+            self.links.set(c, layer, links.into_iter());
         }
     }
 

@@ -48,6 +48,82 @@ fn recall_vs_flat_above_90_percent() {
     assert!(recall > 0.9, "recall@10 = {recall}");
 }
 
+/// `n` 64-d vectors around 32 centres (jitter 0.3), and 256 queries that
+/// are stored vectors nudged by 0.1: the clustered fixture of the
+/// `vecdb_search` bench, at its seed, with four times its queries.
+fn clustered(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut query_rng = SmallRng::seed_from_u64(2);
+    let jitter = |rng: &mut SmallRng, around: &[f32], spread: f32| -> Vec<f32> {
+        around.iter().map(|x| x + spread * rng.gen_range(-1.0f32..1.0)).collect()
+    };
+    let centres: Vec<Vec<f32>> = (0..32).map(|_| jitter(&mut rng, &[0.0; 64], 1.0)).collect();
+    let vecs: Vec<Vec<f32>> = (0..n)
+        .map(|_| {
+            let centre = rng.gen_range(0..centres.len());
+            jitter(&mut rng, &centres[centre], 0.3)
+        })
+        .collect();
+    let queries = (0..256)
+        .map(|_| {
+            let near = query_rng.gen_range(0..n);
+            jitter(&mut query_rng, &vecs[near], 0.1)
+        })
+        .collect();
+    (vecs, queries)
+}
+
+#[test]
+fn every_cluster_is_reachable() {
+    // Keeping only the closest links leaves whole clusters with no edge
+    // in from the rest of the graph: then no `ef`, however wide, finds
+    // them. With diverse links a search as wide as the index is exact.
+    let (vecs, queries) = clustered(1000);
+    let config = HnswConfig { ef_search: 1000, ..HnswConfig::default() };
+    let mut idx = HnswIndex::new(64, Metric::Cosine, config).unwrap();
+    let mut flat = FlatIndex::new(64, Metric::Cosine);
+    for (i, v) in vecs.iter().enumerate() {
+        idx.insert(i as u64, v.clone()).unwrap();
+        flat.insert(i as u64, v.clone()).unwrap();
+    }
+    let ids = |hits: Vec<Neighbor>| hits.iter().map(|n| n.id).collect::<Vec<_>>();
+    for (i, q) in queries.iter().enumerate() {
+        let (got, gold) = (ids(idx.search(q, 10).unwrap()), ids(flat.search(q, 10).unwrap()));
+        assert_eq!(got, gold, "query {i}");
+    }
+}
+
+#[test]
+fn copies_of_stored_vectors_keep_every_row_reachable() {
+    // A copy scores every other row exactly as its original does. Were a
+    // tie a reason to drop a link, the copy would keep the original as its
+    // one link, and an original re-selecting its full block would keep
+    // the copy as its one: a search landing on either finds only the two.
+    let vecs = random_vecs(400, 16, 5);
+    let config = HnswConfig { m: 4, ef_search: 1000, ..HnswConfig::default() };
+    let mut idx = HnswIndex::new(16, Metric::Cosine, config).unwrap();
+    for (i, v) in vecs.iter().enumerate() {
+        idx.insert(i as u64, v.clone()).unwrap();
+    }
+    // Rows on an upper layer whose layer-0 block is full: a search at such
+    // a row's vector starts its layer-0 walk there.
+    let originals: Vec<usize> = (0..vecs.len())
+        .filter(|&row| {
+            let node = row as u32;
+            idx.links.levels[row] >= 1 && idx.links.get(node, 0).len() == idx.links.cap(0)
+        })
+        .collect();
+    assert!(originals.len() >= 10, "only {} full upper-layer rows", originals.len());
+    for (i, &row) in originals.iter().enumerate() {
+        idx.insert((vecs.len() + i) as u64, vecs[row].clone()).unwrap();
+    }
+    for &row in &originals {
+        assert_eq!(idx.search(&vecs[row], 10).unwrap().len(), 10, "copy of row {row}");
+    }
+    let total = idx.len();
+    assert_eq!(idx.search(&vecs[0], total).unwrap().len(), total);
+}
+
 #[test]
 fn results_sorted_best_first() {
     let (idx, vecs) = build(200, 3);

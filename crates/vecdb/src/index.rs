@@ -12,7 +12,7 @@ pub struct Neighbor {
     pub score: f32,
 }
 
-/// Common interface over flat, IVF, and HNSW indexes.
+/// Common interface over the flat and HNSW indexes.
 pub trait VectorIndex: Send + Sync {
     /// Dimensionality of stored vectors.
     fn dim(&self) -> usize;

@@ -8,10 +8,10 @@
 //! from-scratch, in-memory vector database implementing exactly those
 //! requirements:
 //!
-//! * three index structures — exhaustive [`flat::FlatIndex`], inverted-file
-//!   [`ivf::IvfIndex`] (k-means coarse quantizer + `nprobe` search), and
-//!   graph-based [`hnsw::HnswIndex`] — behind one [`index::VectorIndex`]
-//!   trait;
+//! * two index structures — exhaustive [`flat::FlatIndex`], the exact
+//!   answer, and graph-based [`hnsw::HnswIndex`], whose diverse neighbour
+//!   links keep clustered data one connected graph — behind one
+//!   [`index::VectorIndex`] trait;
 //! * a [`collection::Collection`] API pairing each vector with attribute
 //!   metadata, and an attribute index (posting lists per key and value) so
 //!   that an equality filter is a lookup, not a scan;
@@ -46,8 +46,6 @@ pub mod filter;
 pub mod flat;
 pub mod hnsw;
 pub mod index;
-pub mod ivf;
-pub mod kmeans;
 pub mod metric;
 
 pub use collection::{Collection, Document, SearchHit};
@@ -56,5 +54,4 @@ pub use filter::{AttrValue, Filter, HybridStrategy, KPredictor, Predicate};
 pub use flat::FlatIndex;
 pub use hnsw::{AdaptiveSearch, HnswConfig, HnswIndex};
 pub use index::VectorIndex;
-pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;

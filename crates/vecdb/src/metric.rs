@@ -9,10 +9,10 @@
 //! its vectors in a `Rows` arena, which stores beside each row what the
 //! metric needs of it (the inverse norm, for cosine), prepares the query
 //! once per search (`Metric::prepare`) and then pays one chunked `dot` per
-//! candidate (`Rows::score`). Because IVF and HNSW score through
-//! `Rows::score`, and flat through `Rows::scores`, which gives its bits, the
-//! same (query, row) pair gets the same bits everywhere — which is what
-//! keeps pre-filter ≡ exact scan.
+//! candidate (`Rows::score`). Because HNSW scores through `Rows::score`,
+//! and flat through `Rows::scores`, which gives its bits, the same (query,
+//! row) pair gets the same bits everywhere — which is what keeps
+//! pre-filter ≡ exact scan.
 
 /// Accumulator lanes of the chunked kernels. The value is part of the
 /// result: with the reduction order in [`reduce`] it fixes the last bit of

@@ -56,7 +56,7 @@ done
 #                     <=1.06x through PersistentDb over MemVfs; point SELECT/UPDATE/DELETE at 1k/10k/100k rows reported
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
 #   store_durability  warm scan >=2x cold through the buffer pool; a 1-row commit behind 1 MiB of WAL <=1.5x one on a near-empty WAL (interleaved medians); fixtures read back
-#   vecdb_search      IVF and HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too in a full run)
+#   vecdb_search      HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too, and HNSW >=5x flat, in a full run)
 #   vecdb_hybrid      adaptive <=1.25x the better of pre-/post-filter at 2% and 50% (the pair timed alone); prefilter@2% <= exact scan
 #   semcache_bench    probe+lookup+insert (miss) and probe+lookup (hit) each <=1.5x one embedding at a full 256-entry cache;
 #                     a verbatim reuse hit through CachedModel::ask <=0.5x (it embeds nothing)
