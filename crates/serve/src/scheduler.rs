@@ -384,82 +384,77 @@ where
             }
             None => None,
         };
-        if let Some(retry_after_ms) = throttled {
-            rejected += 1;
-            tenants.get_mut(&tenant_key).expect("entry created above").rejected += 1;
-            aspan.field("admitted", false);
-            if telemetry {
-                llmdm_obs::window_counter_add("serve.tenant.rejected", &tenant_key, 1.0);
+        let outcome = match throttled {
+            Some(retry_after_ms) => {
+                Err(ServeError::Throttled { tenant: tenant_key.clone(), retry_after_ms })
             }
-            results.push(Some(Disposition::Rejected(ServeError::Throttled {
-                tenant: tenant_key,
-                retry_after_ms,
-            })));
-            drop(aspan);
-            drop(guard);
-            continue;
-        }
+            None => {
+                let job = Job {
+                    id,
+                    tenant: req.tenant,
+                    priority: req.class,
+                    class: req.batch_key,
+                    trace: ctx.at(&aspan),
+                    payload: req.payload,
+                };
+                let class_key = job.class.clone();
 
-        let job = Job {
-            id,
-            tenant: req.tenant,
-            priority: req.class,
-            class: req.batch_key,
-            trace: ctx.at(&aspan),
-            payload: req.payload,
-        };
-        let class_key = job.class.clone();
+                // 2. Load shedding: inside an outage window the effective
+                // capacity shrinks; overflow is shed lowest class first.
+                let outage_end = config.shed.outage_end(now);
+                let effective_capacity = match outage_end {
+                    Some(_) => config.shed.degraded_capacity.min(config.queue_capacity),
+                    None => config.queue_capacity,
+                };
+                let outcome = if outage_end.is_some() && queue.len() >= effective_capacity {
+                    let retry_after_ms =
+                        outage_end.expect("checked above").saturating_sub(now).max(1);
+                    let displaceable = queue
+                        .lowest_backlogged()
+                        .is_some_and(|lowest| job.priority.rank() < lowest.rank());
+                    if displaceable {
+                        // Displace the youngest job of the lowest backlogged
+                        // class: its admission is retroactively converted to a
+                        // shed, and the higher-priority arrival takes its seat.
+                        let victim = queue.evict_lowest().expect("lowest_backlogged was Some");
+                        admitted -= 1;
+                        shed += 1;
+                        let vt = tenants
+                            .get_mut(victim.tenant.as_str())
+                            .expect("victim was accounted at its own admission");
+                        vt.admitted -= 1;
+                        vt.shed += 1;
+                        if telemetry {
+                            llmdm_obs::window_counter_add(
+                                "serve.tenant.shed",
+                                victim.tenant.as_str(),
+                                1.0,
+                            );
+                        }
+                        results[victim.id as usize] =
+                            Some(Disposition::Rejected(ServeError::Shed {
+                                class: victim.priority,
+                                retry_after_ms,
+                            }));
+                        queue.try_push(job)
+                    } else {
+                        Err(ServeError::Shed { class: job.priority, retry_after_ms })
+                    }
+                } else {
+                    // 3. Plain backpressure.
+                    queue.try_push(job)
+                };
 
-        // 2. Load shedding: inside an outage window the effective
-        // capacity shrinks; overflow is shed lowest class first.
-        let outage_end = config.shed.outage_end(now);
-        let effective_capacity = match outage_end {
-            Some(_) => config.shed.degraded_capacity.min(config.queue_capacity),
-            None => config.queue_capacity,
-        };
-        let outcome = if outage_end.is_some() && queue.len() >= effective_capacity {
-            let retry_after_ms = outage_end.expect("checked above").saturating_sub(now).max(1);
-            let displaceable = queue
-                .lowest_backlogged()
-                .is_some_and(|lowest| job.priority.rank() < lowest.rank());
-            if displaceable {
-                // Displace the youngest job of the lowest backlogged
-                // class: its admission is retroactively converted to a
-                // shed, and the higher-priority arrival takes its seat.
-                let victim = queue.evict_lowest().expect("lowest_backlogged was Some");
-                admitted -= 1;
-                shed += 1;
-                let vt = tenants
-                    .get_mut(victim.tenant.as_str())
-                    .expect("victim was accounted at its own admission");
-                vt.admitted -= 1;
-                vt.shed += 1;
+                // The depth window sees every job that passed the quota.
                 if telemetry {
-                    llmdm_obs::window_counter_add(
-                        "serve.tenant.shed",
-                        victim.tenant.as_str(),
-                        1.0,
-                    );
+                    depth_wins
+                        .entry(class_key.clone())
+                        .or_insert_with(|| llmdm_obs::window("serve.queue_depth", &class_key))
+                        .observe(queue.len() as f64);
                 }
-                results[victim.id as usize] = Some(Disposition::Rejected(ServeError::Shed {
-                    class: victim.priority,
-                    retry_after_ms,
-                }));
-                queue.try_push(job)
-            } else {
-                Err(ServeError::Shed { class: job.priority, retry_after_ms })
+                outcome
             }
-        } else {
-            // 3. Plain backpressure.
-            queue.try_push(job)
         };
-
-        if telemetry {
-            depth_wins
-                .entry(class_key.clone())
-                .or_insert_with(|| llmdm_obs::window("serve.queue_depth", &class_key))
-                .observe(queue.len() as f64);
-        }
         match outcome {
             Ok(()) => {
                 admitted += 1;

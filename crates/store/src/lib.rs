@@ -12,9 +12,10 @@
 //!   crash can deterministically lose exactly the unsynced tail — the
 //!   machinery the crash matrix is built on.
 //! * **[`pager`]** — a fixed-size page file behind an LRU buffer pool
-//!   with pin counts and dirty tracking. Eviction never writes a dirty
-//!   page (strict no-steal), so uncommitted data can never reach the
-//!   database file ahead of its WAL record.
+//!   with dirty tracking. Eviction never writes a dirty page (strict
+//!   no-steal), so uncommitted data can never reach the database file
+//!   ahead of its WAL record, and a rollback only drops dirty frames:
+//!   the file still holds every page's committed image.
 //! * **[`wal`]** — a write-ahead log of checksummed frames
 //!   (begin / page-image / commit / rollback). Recovery replays the
 //!   page images of committed transactions and truncates any torn tail.

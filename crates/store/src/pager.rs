@@ -9,17 +9,18 @@
 //!
 //! Buffer-pool policy:
 //!
-//! * **LRU eviction over clean, unpinned frames only.** Dirty pages are
-//!   *never* evicted or written back outside an explicit flush — the
-//!   strict no-steal rule that guarantees uncommitted data cannot reach
-//!   the database file before its WAL record is durable. When every
-//!   frame is dirty or pinned the pool grows past its capacity rather
-//!   than lose data; `tests/props.rs` hammers this with random
-//!   workloads under tiny pool capacities.
-//! * **Pin counts** protect pages a caller is actively iterating
-//!   (record scans pin the chain page they are parsing).
-//! * [`PoolStats`] counts hits/misses/evictions/flushes — the numbers
-//!   behind the cold-vs-warm scan bench.
+//! * **LRU eviction over clean frames only.** Dirty pages are *never*
+//!   evicted or written back outside an explicit flush — the strict
+//!   no-steal rule that guarantees uncommitted data cannot reach the
+//!   database file before its WAL record is durable. When every frame
+//!   is dirty the pool grows past its capacity rather than lose data;
+//!   `tests/props.rs` hammers this with random workloads under tiny
+//!   pool capacities.
+//! * **The file is the undo record.** [`Pager::discard_dirty`] drops a
+//!   transaction's dirty frames; no-steal kept them out of the file, so
+//!   the next access faults the committed page back in, checksum verified.
+//! * [`PoolStats`] counts one hit or miss per page access, evictions and
+//!   flushes — the numbers behind the cold-vs-warm scan bench.
 
 use std::collections::HashMap;
 
@@ -48,7 +49,6 @@ pub struct PoolStats {
 struct Frame {
     data: Vec<u8>,
     dirty: bool,
-    pins: u32,
     last_use: u64,
 }
 
@@ -92,21 +92,6 @@ impl Pager {
         Ok(&mut f.data)
     }
 
-    /// Pin a page (faulting it in), protecting it from eviction until
-    /// the matching [`Pager::unpin`].
-    pub fn pin(&mut self, id: u32) -> Result<(), StoreError> {
-        self.fault_in(id)?;
-        self.frames.get_mut(&id).expect("just faulted in").pins += 1;
-        Ok(())
-    }
-
-    /// Release one pin.
-    pub fn unpin(&mut self, id: u32) {
-        if let Some(f) = self.frames.get_mut(&id) {
-            f.pins = f.pins.saturating_sub(1);
-        }
-    }
-
     /// Ids of all dirty frames, ascending (the deterministic flush and
     /// WAL-image order).
     pub fn dirty_pages(&self) -> Vec<u32> {
@@ -136,23 +121,10 @@ impl Pager {
         Ok(())
     }
 
-    /// Overwrite a frame's payload in place (restoring a transaction's
-    /// before-image on rollback) and mark it clean: the disk copy was
-    /// never touched while the transaction ran, so pool and disk agree
-    /// again.
-    pub fn restore_page(&mut self, id: u32, data: &[u8]) {
-        self.tick += 1;
-        let frame = Frame {
-            data: {
-                let mut d = data.to_vec();
-                d.resize(PAGE_DATA, 0);
-                d
-            },
-            dirty: false,
-            pins: self.frames.get(&id).map_or(0, |f| f.pins),
-            last_use: self.tick,
-        };
-        self.frames.insert(id, frame);
+    /// Drop every dirty frame (a rollback): the next access to one of
+    /// those pages faults its committed image back in from the file.
+    pub fn discard_dirty(&mut self) {
+        self.frames.retain(|_, f| !f.dirty);
     }
 
     /// Drop every cached frame (must all be clean — callers only reset
@@ -203,14 +175,14 @@ impl Pager {
         }
         self.frames.insert(
             id,
-            Frame { data: data.to_vec(), dirty: false, pins: 0, last_use: self.tick },
+            Frame { data: data.to_vec(), dirty: false, last_use: self.tick },
         );
         Ok(())
     }
 
-    /// Evict the least-recently-used clean, unpinned frame if the pool
-    /// is full. If every frame is dirty or pinned, grow instead — a
-    /// dirty page is never written back or dropped here (no-steal).
+    /// Evict the least-recently-used clean frame if the pool is full. If
+    /// every frame is dirty, grow instead — a dirty page is never
+    /// written back or dropped here (no-steal).
     fn evict_for_room(&mut self) {
         if self.frames.len() < self.capacity {
             return;
@@ -218,7 +190,7 @@ impl Pager {
         let victim = self
             .frames
             .iter()
-            .filter(|(_, f)| !f.dirty && f.pins == 0)
+            .filter(|(_, f)| !f.dirty)
             .min_by_key(|(_, f)| f.last_use)
             .map(|(&id, _)| id);
         if let Some(id) = victim {
@@ -272,30 +244,36 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_only_clean_unpinned() {
+    fn lru_evicts_only_clean_frames() {
         let (_vfs, mut p) = mem_pager(2);
-        // Page 1 dirty, page 2 pinned, page 3 clean.
+        // Pages 1 and 2 dirty, page 3 clean.
         p.page_mut(1).unwrap()[0] = 1;
-        p.pin(2).unwrap();
+        p.page_mut(2).unwrap()[0] = 2;
         let _ = p.page(3).unwrap();
-        assert!(p.resident() >= 3, "dirty+pinned frames can exceed capacity");
+        assert!(p.resident() >= 3, "dirty frames can exceed capacity");
         // Faulting a fourth page evicts page 3 (the only eligible victim).
         let _ = p.page(4).unwrap();
-        assert!(p.frames[&1].dirty);
+        assert!(p.frames[&1].dirty && p.frames[&2].dirty);
         assert_eq!(p.stats().evictions, 1);
-        // The dirty write is still there.
+        // The dirty writes are still there.
         assert_eq!(p.page(1).unwrap()[0], 1);
-        p.unpin(2);
+        assert_eq!(p.page(2).unwrap()[0], 2);
     }
 
     #[test]
-    fn restore_page_clears_dirt() {
+    fn discard_dirty_brings_back_the_file_image() {
         let (_vfs, mut p) = mem_pager(4);
-        let before = p.page(1).unwrap().to_vec();
+        p.page_mut(1).unwrap()[0] = 7;
+        p.flush_page(1).unwrap();
+        let _ = p.page(2).unwrap();
         p.page_mut(1).unwrap()[0] = 9;
-        assert!(p.frames[&1].dirty);
-        p.restore_page(1, &before);
-        assert!(!p.frames[&1].dirty);
-        assert_eq!(p.page(1).unwrap()[0], 0);
+        p.page_mut(3).unwrap()[0] = 9;
+        p.discard_dirty();
+        assert!(p.dirty_pages().is_empty());
+        assert_eq!(p.resident(), 1, "only the clean page 2 stays");
+        let misses = p.stats().misses;
+        assert_eq!(p.page(1).unwrap()[0], 7, "the flushed image comes back");
+        assert_eq!(p.page(3).unwrap()[0], 0, "a never-flushed page reads as zeros");
+        assert_eq!(p.stats().misses, misses + 2);
     }
 }

@@ -51,6 +51,10 @@
 //! maybe checkpoint (truncate WAL)
 //! ```
 //!
+//! Only that flush writes the database file and the pool never evicts a
+//! dirty page (no-steal), so a rollback just drops the dirty frames: the
+//! file still holds every touched page's committed image.
+//!
 //! An I/O error before the WAL sync returns undoes the commit (the WAL is
 //! cut back to where the commit's frames began and the transaction rolls
 //! back); one after it — or a fired kill point — wedges the store
@@ -68,7 +72,7 @@
 //! [`crate::wal`]), a database file shorter than its header's page
 //! count, or a chain page that reads back as zeros.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::faults::{KillPoint, StorageFaults};
 use crate::pager::{Pager, PoolStats, PAGE_DATA, PAGE_SIZE};
@@ -251,12 +255,10 @@ impl SpaceInfo {
     }
 }
 
+/// What a rollback restores; the pages come back from the file.
 #[derive(Debug)]
 struct TxnState {
     id: u64,
-    /// Page payloads as they were before this transaction first touched
-    /// them — restored on rollback.
-    before: HashMap<u32, Vec<u8>>,
     header: Header,
     /// Spaces as they were before this transaction first changed their
     /// page list (`None`: did not exist) — restored on rollback.
@@ -483,12 +485,7 @@ impl Store {
         let id = self.next_txn;
         self.next_txn += 1;
         self.wal.append(&WalRecord::Begin { txn: id })?;
-        self.txn = Some(TxnState {
-            id,
-            before: HashMap::new(),
-            header: self.header,
-            spaces: BTreeMap::new(),
-        });
+        self.txn = Some(TxnState { id, header: self.header, spaces: BTreeMap::new() });
         Ok(())
     }
 
@@ -562,15 +559,14 @@ impl Store {
         Ok(())
     }
 
-    /// Abort the open transaction: every touched page reverts to its
-    /// before-image, metadata reverts to its begin-time snapshot, and
-    /// the database file is untouched (it only ever changes at commit).
+    /// Abort the open transaction: its dirty pages are dropped from the
+    /// pool, metadata reverts to its begin-time snapshot, and the
+    /// database file is untouched (it only ever changes at commit), so
+    /// the next read of a touched page faults its committed image in.
     pub fn rollback(&mut self) -> Result<(), StoreError> {
         self.ensure_live()?;
         let t = self.txn.take().ok_or(StoreError::NoTxn)?;
-        for (&id, img) in &t.before {
-            self.pager.restore_page(id, img);
-        }
+        self.pager.discard_dirty();
         self.header = t.header;
         for (name, was) in t.spaces {
             match was {
@@ -763,8 +759,7 @@ impl Store {
     }
 
     /// Snapshot a space's page list (or its absence) into the open
-    /// transaction before the first change to it, as
-    /// [`Store::write_page`] does for pages.
+    /// transaction before the first change to it.
     fn save_space(&mut self, name: &str) {
         let txn = self.txn.as_mut().expect("page lists only change inside a transaction");
         if !txn.spaces.contains_key(name) {
@@ -810,16 +805,10 @@ impl Store {
         Ok(())
     }
 
-    /// Mutable page access that snapshots the before-image into the
-    /// open transaction on first touch.
+    /// Mutable page access, only inside a transaction.
     fn write_page(&mut self, id: u32) -> Result<&mut [u8], StoreError> {
         if self.txn.is_none() {
             return Err(StoreError::NoTxn);
-        }
-        let need = !self.txn.as_ref().expect("checked").before.contains_key(&id);
-        if need {
-            let img = self.pager.page(id)?.to_vec();
-            self.txn.as_mut().expect("checked").before.insert(id, img);
         }
         self.pager.page_mut(id)
     }
@@ -919,13 +908,8 @@ impl Store {
         let mut out = Vec::new();
         let mut p = head;
         while p != 0 {
-            self.pager.pin(p)?;
-            let parsed = {
-                let buf = self.pager.page(p)?;
-                rp_chain_next(p, buf).and_then(|next| Ok((next, rp_slots(buf)?)))
-            };
-            self.pager.unpin(p);
-            let (next, slots) = parsed?;
+            let buf = self.pager.page(p)?;
+            let (next, slots) = (rp_chain_next(p, buf)?, rp_slots(buf)?);
             out.extend(slots.into_iter().enumerate().filter_map(|(slot, rec)| {
                 Some(keep(RecordId { page: p, slot: slot as u16 }, rec?))
             }));
@@ -1246,6 +1230,55 @@ mod tests {
         // Ids handed out before the rolled-back transaction still work.
         s.with_txn(|s| s.delete("r", ids[7])).unwrap();
         assert_eq!(s.scan("r").unwrap().len(), 7);
+    }
+
+    #[test]
+    fn rollback_drops_dirty_frames_and_rereads_the_file() {
+        let vfs = MemVfs::shared();
+        let cfg = || StoreConfig { pool_pages: 2, ..StoreConfig::default() };
+        let mut s = Store::open(shared(&vfs), cfg()).unwrap();
+        let ids = filled(&mut s, 8, 1000);
+        let committed = s.scan_ids("r").unwrap();
+        let db = llmdm_rt::lock_recover(&vfs).bytes("data.db");
+
+        s.begin().unwrap();
+        assert!(!s.update("r", ids[1], &vec![9; 3000]).unwrap().is_empty(), "the page split");
+        ids[4..8].iter().for_each(|&id| s.delete("r", id).unwrap());
+        assert_eq!(s.catalog["r"].pages.len(), 2, "the emptied second page was unlinked");
+        s.append("r", b"late").unwrap();
+        s.create_space("new").unwrap();
+        assert!(s.pager.resident() > 2, "dirty frames grew the pool past its capacity");
+        s.rollback().unwrap();
+
+        assert_eq!(llmdm_rt::lock_recover(&vfs).bytes("data.db"), db, "the file is untouched");
+        assert!(s.pager.dirty_pages().is_empty());
+        let misses = s.pool_stats().misses;
+        assert_eq!(rp_slots(s.pager.page(ids[1].page).unwrap()).unwrap().len(), 4);
+        assert_eq!(s.pool_stats().misses, misses + 1, "a changed page faults back in");
+        assert_eq!(s.scan_ids("r").unwrap(), committed);
+        assert!(!s.has_space("new"));
+        drop(s);
+        let mut s = Store::open(shared(&vfs), cfg()).unwrap();
+        assert_eq!(s.scan_ids("r").unwrap(), committed);
+        assert!(!s.has_space("new"));
+    }
+
+    #[test]
+    fn a_scan_counts_one_hit_or_miss_per_page() {
+        let vfs = MemVfs::shared();
+        let mut s = open(&vfs);
+        filled(&mut s, 20, 1000);
+        let n = s.catalog["r"].pages.len() as u64;
+        assert_eq!(n, 5);
+        let delta = |s: &mut Store| {
+            let before = s.pool_stats();
+            s.scan("r").unwrap();
+            let after = s.pool_stats();
+            (after.misses - before.misses, after.hits - before.hits)
+        };
+        s.clear_pool().unwrap();
+        assert_eq!(delta(&mut s), (n, 0), "cold: every page misses once");
+        assert_eq!(delta(&mut s), (0, n), "warm: every page hits once");
     }
 
     #[test]

@@ -401,13 +401,7 @@ fn every_library_pub_fn_has_a_caller() {
         let mut in_own_tests: std::collections::HashMap<String, usize> = Default::default();
         count_tokens(&unit_tests_of(p, text), &mut in_own_tests);
         for (n, line) in text.lines().enumerate() {
-            let t = line.trim_start();
-            let Some(rest) = t.strip_prefix("pub fn ").or_else(|| t.strip_prefix("pub const fn "))
-            else {
-                continue;
-            };
-            let name: String =
-                rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            let Some(name) = pub_fn_name(line) else { continue };
             let callers = counts.get(&name).copied().unwrap_or(0)
                 .saturating_sub(1 + in_own_tests.get(&name).copied().unwrap_or(0));
             let is_kept = kept.iter().any(|&(f, k, _)| f == file && k == name);
@@ -421,6 +415,60 @@ fn every_library_pub_fn_has_a_caller() {
         "pub fns with no caller outside their own unit tests:\n{}",
         uncalled.join("\n")
     );
+}
+
+#[test]
+fn pub_fns_no_other_crate_names_are_pinned() {
+    // A library `pub fn` whose name occurs in no other crate — not in its
+    // sources, tests, benches or examples, nor in the top-level
+    // `examples/` and `tests/` — could be private to its crate. Names are
+    // identifier tokens, so a name another crate uses for something else
+    // hides a candidate: the count is a floor. It may only fall; when it
+    // does, lower `PINNED` with it.
+    const PINNED: usize = 111;
+    let root = workspace_root();
+    let crates = root.join("crates");
+    let perf = crates.join("bench/src/bin/perf");
+    let crate_of = |p: &Path| -> String {
+        let rel = p.strip_prefix(&crates).ok().and_then(|r| r.iter().next());
+        rel.map(|c| c.to_string_lossy().into_owned()).unwrap_or_default()
+    };
+    let mut by_crate: std::collections::HashMap<String, std::collections::HashMap<String, usize>> =
+        Default::default();
+    for dir in ["crates", "examples", "tests"] {
+        visit(&root.join(dir), &mut |p, text| {
+            count_tokens(text, by_crate.entry(crate_of(p)).or_default())
+        });
+    }
+    let mut inside = Vec::new();
+    visit(&crates, &mut |p, text| {
+        let in_src = p.strip_prefix(&crates).is_ok_and(|r| r.iter().nth(1) == Some("src".as_ref()));
+        if p.starts_with(&perf) || !in_src {
+            return;
+        }
+        let own = crate_of(p);
+        for name in text.lines().filter_map(pub_fn_name) {
+            let elsewhere = by_crate.iter().any(|(k, counts)| *k != own && counts.contains_key(&name));
+            if !elsewhere && !["new", "default", "fmt"].contains(&name.as_str()) {
+                inside.push(format!("llmdm-{own}: {name}"));
+            }
+        }
+    });
+    inside.sort_unstable();
+    assert!(
+        inside.len() <= PINNED,
+        "{} pub fns no other crate names (pinned at {PINNED}):\n{}",
+        inside.len(),
+        inside.join("\n")
+    );
+    assert_eq!(inside.len(), PINNED, "the count fell: lower PINNED to it");
+}
+
+/// The name a `pub fn` / `pub const fn` line defines.
+fn pub_fn_name(line: &str) -> Option<String> {
+    let t = line.trim_start();
+    let rest = t.strip_prefix("pub fn ").or_else(|| t.strip_prefix("pub const fn "))?;
+    Some(rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect())
 }
 
 fn count_tokens(text: &str, counts: &mut std::collections::HashMap<String, usize>) {
