@@ -7,7 +7,8 @@
 //!   column to its position once per operator and evaluates the fused
 //!   scan predicates against the *borrowed* stored row, while the direct
 //!   path (the by-name reference) clones the entire table and resolves
-//!   every column by name on every row;
+//!   every column by name on every row; both lead with an equality, so
+//!   the planner also reads only the rows the column's index names;
 //! * **top-k** — `LIMIT k` pushes a `fetch` into the sort, so the
 //!   planner keeps a k-row sorted prefix instead of sorting everything.
 //!
@@ -33,10 +34,12 @@
 //! what the commit writes to the store: gated at ≤ 1.06× (a wrapper that
 //! copied each written table's record ids paid 8 B per stored row).
 //!
-//! Point `SELECT`, `UPDATE` and `DELETE` by `id` through a
-//! `PersistentDb` at 1k, 10k and 100k rows are reported ungated: a
-//! keyed statement is a linear scan, and this sweep is what an access
-//! path for it would have to beat.
+//! Point `SELECT`, `UPDATE` and `DELETE` by `id` run through a
+//! `PersistentDb` at 1k, 10k and 100k rows. A keyed statement reads the
+//! rows its column's equality index names, not the table, so the point
+//! `SELECT` at 100k rows is gated at ≤ 3× the one at 1k (a scan read
+//! ~100×). `UPDATE` and `DELETE` are reported ungated: a `DELETE` still
+//! shifts every row after the one it removes.
 //!
 //! `scripts/verify.sh` runs this with `LLMDM_BENCH_FAST=1`; results land
 //! in `BENCH_sqlplan.json`.
@@ -79,6 +82,9 @@ const KEYED_ROWS: [usize; 3] = [1_000, 10_000, 100_000];
 /// Samples per keyed case: a point `DELETE` removes a row each time, so
 /// this stays well below the smallest table.
 const KEYED_SAMPLES: usize = 300;
+/// How much longer a point `SELECT` may take at 100k rows than at 1k:
+/// an index lookup's cost does not grow with the table.
+const MAX_KEYED_SIZE_RATIO: f64 = 3.0;
 
 /// A deterministic two-table fixture big enough that per-row costs
 /// dominate: `events` (8000 rows, ~3% selective filters) plus a small
@@ -132,9 +138,8 @@ fn txn_fixture(rows: usize) -> Database {
 /// Commit one inserted row, then truncate the table back to `rows`
 /// (outside the transaction, so both sizes pay the same for that).
 fn one_row_txn(db: &mut Database, rows: usize) {
-    let rs = db
-        .execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT")
-        .expect("commits");
+    let rs =
+        db.execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT").expect("commits");
     std::hint::black_box(rs);
     db.table_mut("t").expect("exists").rows.truncate(rows);
 }
@@ -155,9 +160,8 @@ fn persist_fixture(rows: usize) -> PersistentDb {
 
 /// Commit one inserted row through the store.
 fn persist_one_row_txn(db: &mut PersistentDb) {
-    let rs = db
-        .execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT")
-        .expect("commits");
+    let rs =
+        db.execute_script("BEGIN; INSERT INTO t VALUES (-1, 'new', 0.5); COMMIT").expect("commits");
     std::hint::black_box(rs);
 }
 
@@ -298,7 +302,7 @@ fn run(c: &mut Criterion) {
         AtMost(MAX_PERSIST_TXN_SIZE_RATIO),
     );
 
-    // ---- Keyed statements against table size, ungated. --------------
+    // ---- A keyed statement's cost against table size. ---------------
     // No warm-up: each DELETE removes a row, so the calls must be counted.
     (c.warmup, c.max_samples) = (Duration::ZERO, KEYED_SAMPLES);
     let mut group = c.benchmark_group("sqlplan_keyed");
@@ -342,8 +346,11 @@ fn run(c: &mut Criterion) {
             })
             .collect();
         let us = us.join(" / ");
-        println!("sqlplan keyed point_{op} µs at 1k/10k/100k rows (median): {us}, ungated");
+        println!("sqlplan keyed point_{op} µs at 1k/10k/100k rows (median): {us}");
     }
+    let ratio = c.stat("sqlplan_keyed/point_select_100000").median_ns as f64
+        / c.stat("sqlplan_keyed/point_select_1000").median_ns as f64;
+    c.gate("sqlplan_keyed point_select 100k / 1k (median)", ratio, AtMost(MAX_KEYED_SIZE_RATIO));
 }
 
 // The fixture is a hash scatter: no seed to stamp.

@@ -13,10 +13,17 @@
 //! that is what `PersistentDb` writes to the store. A write statement
 //! outside `BEGIN … COMMIT` runs as a transaction of its own, so every
 //! write is logged; a method called outside a transaction logs nothing.
+//!
+//! Beside each table sit its equality indexes (`crate::index`), built
+//! by the first statement that keys on a column and kept up to date by
+//! the engine's DML. `ROLLBACK` drops the indexes of every table it puts
+//! back, [`Database::table_mut`] those of the table it lends out, and a
+//! table created, dropped or restored whole comes without any.
 
 use std::collections::BTreeMap;
 
 use crate::error::SqlError;
+use crate::index::Keys;
 use crate::result::ResultSet;
 use crate::schema::{Row, Table};
 use crate::semantic::ModelHandle;
@@ -50,7 +57,8 @@ impl Undo {
 /// An in-memory database: a catalog of tables plus transaction state.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    /// Each table by catalog key, with its equality indexes.
+    tables: BTreeMap<String, (Table, Keys)>,
     /// `Some` while a transaction is open: what puts each of its changes
     /// back, oldest first (see the module docs).
     undo: Option<Vec<Undo>>,
@@ -91,14 +99,16 @@ impl Database {
         if let Some(log) = &mut self.undo {
             log.push(Undo::Table(table.name.clone(), None));
         }
-        self.tables.insert(table.name.clone(), table);
+        let keys = Keys::new(table.schema.len());
+        self.tables.insert(table.name.clone(), (table, keys));
         Ok(())
     }
 
     /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> Result<(), SqlError> {
         let key = name.to_lowercase();
-        let table = self.tables.remove(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
+        let (table, _) =
+            self.tables.remove(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
         if let Some(log) = &mut self.undo {
             log.push(Undo::Table(key, Some(table)));
         }
@@ -107,31 +117,41 @@ impl Database {
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table, SqlError> {
-        let key = name.to_lowercase();
-        self.tables.get(&key).ok_or(SqlError::UnknownTable(key))
+        self.table_keyed(name).map(|(table, _)| table)
     }
 
-    /// Mutable table lookup. The caller can change anything, so inside a
-    /// transaction this logs a copy of the whole table for ROLLBACK; the
-    /// engine's own DML logs only the rows it changes.
+    /// A table and its equality indexes.
+    pub(crate) fn table_keyed(&self, name: &str) -> Result<(&Table, &Keys), SqlError> {
+        let key = name.to_lowercase();
+        self.tables.get(&key).map(|(table, keys)| (table, keys)).ok_or(SqlError::UnknownTable(key))
+    }
+
+    /// Mutable table lookup. The caller can change anything, so this
+    /// drops the table's indexes (the next statement that keys on a
+    /// column builds its index again), and inside a transaction it logs
+    /// a copy of the whole table for ROLLBACK; the engine's own DML
+    /// logs only the rows it changes and keeps the indexes up to date.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         let key = name.to_lowercase();
-        let table = self.tables.get_mut(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
+        let (table, keys) =
+            self.tables.get_mut(&key).ok_or_else(|| SqlError::UnknownTable(key.clone()))?;
+        keys.clear();
         if let Some(log) = &mut self.undo {
             log.push(Undo::Table(key, Some(table.clone())));
         }
         Ok(table)
     }
 
-    /// DML write access: the table, and the undo log of the transaction
-    /// the statement runs in. The caller logs what puts its change back.
+    /// DML write access: the table, its indexes, and the undo log of the
+    /// transaction the statement runs in. The caller tells the indexes
+    /// what it changed and logs what puts its change back.
     pub(crate) fn table_for_dml(
         &mut self,
         name: &str,
-    ) -> Result<(&mut Table, &mut Vec<Undo>), SqlError> {
+    ) -> Result<(&mut Table, &mut Keys, &mut Vec<Undo>), SqlError> {
         let key = name.to_lowercase();
-        let table = self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))?;
-        Ok((table, self.undo.as_mut().expect("DML runs inside a transaction")))
+        let (table, keys) = self.tables.get_mut(&key).ok_or(SqlError::UnknownTable(key))?;
+        Ok((table, keys, self.undo.as_mut().expect("DML runs inside a transaction")))
     }
 
     /// All table names, sorted.
@@ -170,7 +190,8 @@ impl Database {
     }
 
     /// Roll back: undo the transaction's changes newest-first, so every
-    /// table it wrote to, created or dropped is as it was at BEGIN again.
+    /// table it wrote to, created or dropped is as it was at BEGIN again,
+    /// and without indexes.
     pub fn rollback(&mut self) -> Result<(), SqlError> {
         let log = self.undo.take().ok_or_else(|| SqlError::Txn("no open transaction".into()))?;
         for undo in log.into_iter().rev() {
@@ -193,7 +214,8 @@ impl Database {
                     rows.extend(kept);
                 }
                 Undo::Table(key, Some(table)) => {
-                    self.tables.insert(key, table);
+                    let keys = Keys::new(table.schema.len());
+                    self.tables.insert(key, (table, keys));
                 }
                 Undo::Table(key, None) => {
                     self.tables.remove(&key);
@@ -203,11 +225,13 @@ impl Database {
         Ok(())
     }
 
-    /// The rows a row entry of the undo log puts back. Entries are undone
-    /// newest-first, so the table exists: a later `DROP` or `CREATE` of
-    /// the name was undone before.
+    /// The rows a row entry of the undo log puts back; their indexes are
+    /// dropped. Entries are undone newest-first, so the table exists: a
+    /// later `DROP` or `CREATE` of the name was undone before.
     fn rows_to_undo(&mut self, key: &str) -> &mut Vec<Row> {
-        &mut self.tables.get_mut(key).expect("undo entry names a live table").rows
+        let (table, keys) = self.tables.get_mut(key).expect("undo entry names a live table");
+        keys.clear();
+        &mut table.rows
     }
 
     /// Parse and execute one statement.
@@ -246,7 +270,7 @@ impl Database {
     /// the "table information" the paper's Figure 2 feeds to the LLM.
     pub fn schema_summary(&self) -> String {
         let mut s = String::new();
-        for t in self.tables.values() {
+        for (t, _) in self.tables.values() {
             s.push_str(&format!("TABLE {} (", t.name));
             let cols: Vec<String> =
                 t.schema.columns().iter().map(|c| format!("{} {}", c.name, c.dtype)).collect();
@@ -280,10 +304,7 @@ mod tests {
     #[test]
     fn duplicate_table_rejected() {
         let mut db = db_with_t();
-        assert!(matches!(
-            db.execute("CREATE TABLE t (x INT)"),
-            Err(SqlError::TableExists(_))
-        ));
+        assert!(matches!(db.execute("CREATE TABLE t (x INT)"), Err(SqlError::TableExists(_))));
         assert!(db.execute("CREATE TABLE IF NOT EXISTS t (x INT)").is_ok());
     }
 
@@ -373,10 +394,7 @@ mod tests {
     #[test]
     fn programmatic_create() {
         let mut db = Database::new();
-        let t = Table::new(
-            "Emp",
-            Schema::new(vec![Column::new("id", DataType::Int)]),
-        );
+        let t = Table::new("Emp", Schema::new(vec![Column::new("id", DataType::Int)]));
         db.create_table(t).unwrap();
         db.table_mut("emp").unwrap().push_row(vec![Value::Int(1)]).unwrap();
         assert_eq!(db.table("EMP").unwrap().len(), 1);

@@ -15,6 +15,7 @@ use crate::ast::{
 use crate::catalog::{Database, Undo};
 use crate::error::SqlError;
 use crate::eval::{eval, eval_binop, logic, operand, truthy, unary, Env};
+use crate::index::{Access, Keys};
 use crate::result::{cmp_rows, ResultSet};
 use crate::schema::{Column, Row, Schema, Table};
 use crate::semantic::SemCounters;
@@ -124,9 +125,7 @@ fn execute_inner(
         }
         Statement::CreateTable { table, columns, if_not_exists, persist } => {
             if !(*if_not_exists && db.has_table(table)) {
-                let schema = Schema::new(
-                    columns.iter().map(|(n, t)| Column::new(n, *t)).collect(),
-                );
+                let schema = Schema::new(columns.iter().map(|(n, t)| Column::new(n, *t)).collect());
                 let mut t = Table::new(table, schema);
                 t.persist = *persist;
                 db.create_table(t)?;
@@ -171,7 +170,7 @@ fn insert(
         }
         rows.push(row);
     }
-    let (t, log) = db.table_for_dml(table)?;
+    let (t, keys, log) = db.table_for_dml(table)?;
     let n = rows.len();
     let before = t.rows.len();
     let pushed = rows.into_iter().try_for_each(|row| {
@@ -187,10 +186,8 @@ fn insert(
                 }
                 let mut full = vec![Value::Null; t.schema.len()];
                 for (c, v) in cols.iter().zip(row) {
-                    let idx = t
-                        .schema
-                        .index_of(c)
-                        .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
+                    let idx =
+                        t.schema.index_of(c).ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
                     full[idx] = v;
                 }
                 full
@@ -203,6 +200,7 @@ fn insert(
         t.rows.truncate(before);
         return Err(e);
     }
+    keys.inserted(&t.rows, before);
     log.push(Undo::Truncate(t.name.clone(), before));
     Ok(n)
 }
@@ -217,7 +215,7 @@ fn update(
     // write them in place. Columns bind once; an unknown target column
     // still fails only when a row matches.
     let cx = Cx::new(db);
-    let t = cx.db.table(table)?;
+    let (t, keys) = cx.db.table_keyed(table)?;
     let layout = Bindings::of_table(t);
     let selection = selection.map(|e| layout.bind(e));
     let targets: Vec<(Result<usize, SqlError>, Expr)> = assignments
@@ -228,7 +226,8 @@ fn update(
         })
         .collect();
     let mut writes: Vec<(usize, Row)> = Vec::new();
-    for (i, row) in t.rows.iter().enumerate() {
+    for i in dml_access(&t.rows, keys, selection.as_ref()) {
+        let row = &t.rows[i];
         let env = Env::new(&layout, row, &cx);
         if !selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             continue;
@@ -242,36 +241,49 @@ fn update(
     }
     let n = writes.len();
     if n > 0 {
-        let (t, log) = db.table_for_dml(table)?;
+        let (t, keys, log) = db.table_for_dml(table)?;
         let old = writes.into_iter().map(|(i, row)| (i, std::mem::replace(&mut t.rows[i], row)));
-        log.push(Undo::Restore(t.name.clone(), old.collect()));
+        let old: Vec<(usize, Row)> = old.collect();
+        keys.updated(&t.rows, &old);
+        log.push(Undo::Restore(t.name.clone(), old));
     }
     Ok(n)
 }
 
-fn delete(
-    db: &mut Database,
-    table: &str,
-    selection: Option<&Expr>,
-) -> Result<usize, SqlError> {
+fn delete(db: &mut Database, table: &str, selection: Option<&Expr>) -> Result<usize, SqlError> {
     let cx = Cx::new(db);
-    let t = cx.db.table(table)?;
+    let (t, keys) = cx.db.table_keyed(table)?;
     let layout = Bindings::of_table(t);
     let selection = selection.map(|e| layout.bind(e));
     let mut gone = Vec::new();
-    for (i, row) in t.rows.iter().enumerate() {
-        let env = Env::new(&layout, row, &cx);
+    for i in dml_access(&t.rows, keys, selection.as_ref()) {
+        let env = Env::new(&layout, &t.rows[i], &cx);
         if selection.as_ref().map_or(Ok(true), |pred| truthy(pred, &env))? {
             gone.push(i);
         }
     }
     if !gone.is_empty() {
-        let (t, log) = db.table_for_dml(table)?;
+        let (t, keys, log) = db.table_for_dml(table)?;
         let mut removed = Vec::with_capacity(gone.len());
         remove_at(&mut t.rows, &gone, |i, row| removed.push((i, row)));
+        keys.deleted(&t.rows, &removed);
         log.push(Undo::Reinsert(t.name.clone(), removed));
     }
     Ok(gone.len())
+}
+
+/// The rows an `UPDATE` or `DELETE` evaluates its bound `WHERE` on, in
+/// table order: an index's candidates when the leftmost conjunct is an
+/// equality on a column, else every row. The whole `WHERE` still runs
+/// on each row read. A row skipped has its leftmost conjunct FALSE, and
+/// `FALSE AND …` evaluates nothing more; a NULL key goes on to evaluate
+/// the other conjuncts, so with more than one the index must hold none.
+fn dml_access<'a>(rows: &'a [Row], keys: &'a Keys, selection: Option<&Expr>) -> Access<'a> {
+    let (mut leftmost, mut alone) = (selection, true);
+    while let Some(Expr::Binary { op: BinOp::And, left, .. }) = leftmost {
+        (leftmost, alone) = (Some(&**left), false);
+    }
+    keys.access(rows, leftmost, alone)
 }
 
 // ---------------- SELECT ----------------
@@ -498,10 +510,9 @@ fn select_direct(cx: &Cx<'_>, stmt: &SelectStmt) -> Result<ResultSet, SqlError> 
                 for k in &stmt.order_by {
                     // Hidden sort keys are positional — no alias, so they
                     // can never collide with user columns named `__sortN`.
-                    widened.projections.push(SelectItem::Expr {
-                        expr: k.expr.clone(),
-                        alias: None,
-                    });
+                    widened
+                        .projections
+                        .push(SelectItem::Expr { expr: k.expr.clone(), alias: None });
                 }
                 let mut wide = execute_core(cx, &widened)?;
                 if wide.columns.len() != visible + stmt.order_by.len() {
@@ -509,12 +520,8 @@ fn select_direct(cx: &Cx<'_>, stmt: &SelectStmt) -> Result<ResultSet, SqlError> 
                         "hidden ORDER BY projection misaligned with output".into(),
                     ));
                 }
-                let keys: Vec<(usize, bool)> = stmt
-                    .order_by
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| (visible + i, k.desc))
-                    .collect();
+                let keys: Vec<(usize, bool)> =
+                    stmt.order_by.iter().enumerate().map(|(i, k)| (visible + i, k.desc)).collect();
                 sort_rows(&mut wide.rows, &keys);
                 for row in &mut wide.rows {
                     row.truncate(visible);
@@ -897,8 +904,7 @@ fn plain_project(
     rows: &[Vec<Value>],
 ) -> Result<(Vec<String>, Vec<Row>), SqlError> {
     let items = expand_projections(stmt, &joined.bindings)?;
-    let columns: Vec<String> =
-        items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
+    let columns: Vec<String> = items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
         out.push(project_row(&items, &Env::new(&joined.bindings, row, cx))?);
@@ -990,8 +996,7 @@ fn aggregate_project(
     rows: Vec<Vec<Value>>,
 ) -> Result<(Vec<String>, Vec<Row>), SqlError> {
     let items = expand_projections(stmt, &joined.bindings)?;
-    let columns: Vec<String> =
-        items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
+    let columns: Vec<String> = items.iter().enumerate().map(|(i, it)| output_name(it, i)).collect();
     let out = aggregate_rows(
         &Env::empty(cx),
         &stmt.group_by,
@@ -1143,16 +1148,10 @@ pub(crate) fn resolve_order_key(
         }
         Expr::Aggregate { .. } => {
             // ORDER BY COUNT(*) etc: find a matching output column.
-            let name =
-                output_name(&SelectItem::Expr { expr: k.expr.clone(), alias: None }, 0);
-            columns
-                .iter()
-                .position(|c| c.eq_ignore_ascii_case(&name))
-                .ok_or_else(|| {
-                    SqlError::Exec(format!(
-                        "ORDER BY aggregate {name} must appear in the projection"
-                    ))
-                })
+            let name = output_name(&SelectItem::Expr { expr: k.expr.clone(), alias: None }, 0);
+            columns.iter().position(|c| c.eq_ignore_ascii_case(&name)).ok_or_else(|| {
+                SqlError::Exec(format!("ORDER BY aggregate {name} must appear in the projection"))
+            })
         }
         other => Err(SqlError::Exec(format!(
             "unsupported ORDER BY expression {other:?}; project it first"
@@ -1206,8 +1205,10 @@ mod tests {
         let mut db = Database::new();
         db.execute("CREATE TABLE stadium (stadium_id INT, name TEXT, capacity INT, city TEXT)")
             .unwrap();
-        db.execute("CREATE TABLE concert (concert_id INT, stadium_id INT, year INT, attendance INT)")
-            .unwrap();
+        db.execute(
+            "CREATE TABLE concert (concert_id INT, stadium_id INT, year INT, attendance INT)",
+        )
+        .unwrap();
         db.execute("CREATE TABLE sports_meeting (meeting_id INT, stadium_id INT, year INT)")
             .unwrap();
         db.execute(
@@ -1224,10 +1225,8 @@ mod tests {
              (13, 3, 2015, 30000), (14, 1, 2015, 41000)",
         )
         .unwrap();
-        db.execute(
-            "INSERT INTO sports_meeting VALUES (20, 2, 2015), (21, 3, 2015), (22, 1, 2016)",
-        )
-        .unwrap();
+        db.execute("INSERT INTO sports_meeting VALUES (20, 2, 2015), (21, 3, 2015), (22, 1, 2016)")
+            .unwrap();
         db
     }
 
@@ -1247,8 +1246,7 @@ mod tests {
                  ON s.stadium_id = c.stadium_id WHERE c.year = 2014",
             )
             .unwrap();
-        let mut names: Vec<String> =
-            rs.rows.iter().map(|r| format!("{}", r[0])).collect();
+        let mut names: Vec<String> = rs.rows.iter().map(|r| format!("{}", r[0])).collect();
         names.sort();
         assert_eq!(names, vec!["'Eagle Arena'", "'River Dome'"]);
     }
@@ -1304,7 +1302,8 @@ mod tests {
     #[test]
     fn global_aggregate_on_empty_input() {
         let mut db = concert_db();
-        let rs = db.query("SELECT COUNT(*), SUM(capacity) FROM stadium WHERE capacity > 99999").unwrap();
+        let rs =
+            db.query("SELECT COUNT(*), SUM(capacity) FROM stadium WHERE capacity > 99999").unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::Int(0));
         assert!(rs.rows[0][1].is_null());
@@ -1411,9 +1410,7 @@ mod tests {
     #[test]
     fn exists_subquery() {
         let mut db = concert_db();
-        let rs = db
-            .query("SELECT name FROM stadium WHERE EXISTS (SELECT 1 FROM concert)")
-            .unwrap();
+        let rs = db.query("SELECT name FROM stadium WHERE EXISTS (SELECT 1 FROM concert)").unwrap();
         assert_eq!(rs.rows.len(), 4);
         let rs = db
             .query(
@@ -1427,7 +1424,9 @@ mod tests {
     #[test]
     fn update_with_expression() {
         let mut db = concert_db();
-        let rs = db.execute("UPDATE stadium SET capacity = capacity + 1000 WHERE stadium_id = 4").unwrap();
+        let rs = db
+            .execute("UPDATE stadium SET capacity = capacity + 1000 WHERE stadium_id = 4")
+            .unwrap();
         assert_eq!(rs.affected, 1);
         let rs = db.query("SELECT capacity FROM stadium WHERE stadium_id = 4").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(21000));
@@ -1472,10 +1471,7 @@ mod tests {
     fn unknown_table_and_column_errors() {
         let mut db = concert_db();
         assert!(matches!(db.query("SELECT * FROM missing"), Err(SqlError::UnknownTable(_))));
-        assert!(matches!(
-            db.query("SELECT wrong FROM stadium"),
-            Err(SqlError::UnknownColumn(_))
-        ));
+        assert!(matches!(db.query("SELECT wrong FROM stadium"), Err(SqlError::UnknownColumn(_))));
     }
 
     #[test]
@@ -1510,9 +1506,8 @@ mod tests {
     #[test]
     fn group_by_expression_key() {
         let mut db = concert_db();
-        let rs = db
-            .query("SELECT year, COUNT(*) FROM concert GROUP BY year ORDER BY year")
-            .unwrap();
+        let rs =
+            db.query("SELECT year, COUNT(*) FROM concert GROUP BY year ORDER BY year").unwrap();
         assert_eq!(rs.rows.len(), 2);
         assert_eq!(rs.rows[0], vec![Value::Int(2014), Value::Int(3)]);
     }
@@ -1521,10 +1516,8 @@ mod tests {
     fn nullable_db() -> Database {
         let mut db = Database::new();
         db.execute("CREATE TABLE t (id INT, score FLOAT)").unwrap();
-        db.execute(
-            "INSERT INTO t VALUES (1, 2.5), (2, NULL), (3, 1.0), (4, NULL), (5, 3)",
-        )
-        .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 2.5), (2, NULL), (3, 1.0), (4, NULL), (5, 3)")
+            .unwrap();
         db
     }
 
@@ -1557,9 +1550,8 @@ mod tests {
         // A user column literally named `__sort0` must not collide with the
         // hidden ORDER BY projection (which is positional, not named).
         let mut db = concert_db();
-        let rs = db
-            .query("SELECT name AS __sort0 FROM stadium ORDER BY capacity DESC LIMIT 1")
-            .unwrap();
+        let rs =
+            db.query("SELECT name AS __sort0 FROM stadium ORDER BY capacity DESC LIMIT 1").unwrap();
         assert_eq!(rs.columns, vec!["__sort0"]);
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::Str("Eagle Arena".into()));
@@ -1581,8 +1573,8 @@ mod tests {
         let mut db = concert_db();
         let planned = db.query("SELECT name FROM stadium ORDER BY COUNT(*)");
         assert!(matches!(planned, Err(SqlError::Exec(_))), "{planned:?}");
-        let stmt = crate::parser::parse_statement("SELECT name FROM stadium ORDER BY COUNT(*)")
-            .unwrap();
+        let stmt =
+            crate::parser::parse_statement("SELECT name FROM stadium ORDER BY COUNT(*)").unwrap();
         let Statement::Select(sel) = stmt else { panic!("not a select") };
         let direct = execute_select_direct(&db, &sel);
         assert!(matches!(direct, Err(SqlError::Exec(_))), "{direct:?}");

@@ -21,7 +21,9 @@
 //! (`INSERT`/`UPDATE`/`DELETE`), DDL (`CREATE`/`DROP TABLE`), and
 //! transactions that keep an undo log of the rows they changed: read
 //! backwards it is `ROLLBACK`, read forwards at the commit it is what a
-//! [`PersistentDb`] writes to its store.
+//! [`PersistentDb`] writes to its store. A statement whose leftmost test
+//! is `col = literal` reads only the rows that column's equality index
+//! names; the first such statement builds the index and DML keeps it.
 //!
 //! ```
 //! use llmdm_sqlengine::{Database, Value};
@@ -40,6 +42,7 @@ pub mod catalog;
 pub mod error;
 pub mod eval;
 pub mod exec;
+mod index;
 pub mod lexer;
 pub mod parser;
 pub(crate) mod plan;

@@ -19,6 +19,12 @@
 //!   fuses into [`ScanExec`]; a top-k `Sort` over a projection of bare
 //!   columns fuses into [`TopKExec`], which projects only the rows it
 //!   keeps.
+//! * **Access path.** A [`ScanExec`] whose first fused predicate is
+//!   `col = literal` reads only the rows the column's equality index
+//!   (`crate::index`) names, in table order, and runs every predicate on
+//!   each as a scan would; when the index cannot stand for a scan it
+//!   reads every row. `EXPLAIN` names the key column, and `EXPLAIN
+//!   ANALYZE` the rows a keyed scan read.
 //!
 //! Every operator describes itself: [`PhysOp::stats`] returns its
 //! [`OpStat`] with its inputs' below it, and [`render`] prints that tree.
@@ -39,6 +45,7 @@ use crate::ast::{Expr, JoinType, SelectItem, SetOp};
 use crate::error::SqlError;
 use crate::eval::{truthy, Env};
 use crate::exec::{self, Bindings, Cx};
+use crate::index::Access;
 use crate::result::ResultSet;
 use crate::schema::Row;
 use crate::semantic::{SemCounters, SemScope};
@@ -54,6 +61,8 @@ pub(crate) struct OpStat<'a> {
     node: &'a LogicalPlan,
     /// `Filter` predicates fused into a scan.
     fused_filters: usize,
+    /// A keyed scan's key column and the rows it read.
+    key: Option<(&'a str, usize)>,
     /// Rows this operator produced.
     rows_out: usize,
     /// `next()` calls observed (only meaningful when `timed`).
@@ -79,6 +88,7 @@ impl<'a> OpStat<'a> {
         OpStat {
             node,
             fused_filters: 0,
+            key: None,
             rows_out,
             loops: 0,
             elapsed_ns: 0,
@@ -367,14 +377,22 @@ fn build_scan<'a>(
     let LogicalPlan::Scan { table, .. } = scan else {
         return Err(internal("build_scan on a non-scan node"));
     };
-    let t = cx.db.table(table)?;
+    let (t, keys) = cx.db.table_keyed(table)?;
     let layout = scan.bindings();
+    let predicates: Vec<Expr> = predicates.into_iter().map(|p| layout.bind(p)).collect();
+    let access = keys.access(&t.rows, predicates.first(), true);
+    let key = match access {
+        Access::Key { column, .. } => Some(t.schema.columns()[column].name.as_str()),
+        Access::Scan(_) => None,
+    };
     Ok(Box::new(ScanExec {
         cx,
         node: scan,
         rows: &t.rows,
-        idx: 0,
-        predicates: predicates.into_iter().map(|p| layout.bind(p)).collect(),
+        access,
+        key,
+        read: 0,
+        predicates,
         layout,
         rows_out: 0,
     }))
@@ -492,7 +510,12 @@ struct ScanExec<'a> {
     cx: &'a Cx<'a>,
     node: &'a LogicalPlan,
     rows: &'a [Row],
-    idx: usize,
+    /// The rows to read: every row, or an index's candidates.
+    access: Access<'a>,
+    /// The key column, when `access` is an index's.
+    key: Option<&'a str>,
+    /// Rows read so far.
+    read: usize,
     layout: Bindings,
     predicates: Vec<Expr>,
     rows_out: usize,
@@ -501,8 +524,9 @@ struct ScanExec<'a> {
 impl<'a> PhysOp<'a, Tuple<'a>> for ScanExec<'a> {
     fn next(&mut self) -> Result<Option<Tuple<'a>>, SqlError> {
         let rows = self.rows;
-        while let Some(row) = rows.get(self.idx) {
-            self.idx += 1;
+        for i in self.access.by_ref() {
+            let row = &rows[i];
+            self.read += 1;
             // A scan with nothing to test hands each row on untouched.
             if self.predicates.is_empty()
                 || passes(&self.predicates, &Env::new(&self.layout, row, self.cx))?
@@ -516,7 +540,8 @@ impl<'a> PhysOp<'a, Tuple<'a>> for ScanExec<'a> {
 
     fn stats(&self) -> OpStat<'a> {
         let fused_filters = self.predicates.len();
-        OpStat { fused_filters, ..OpStat::new(self.node, self.rows_out, Vec::new()) }
+        let key = self.key.map(|column| (column, self.read));
+        OpStat { fused_filters, key, ..OpStat::new(self.node, self.rows_out, Vec::new()) }
     }
 }
 
@@ -1056,14 +1081,14 @@ fn fmt_op_ns(ns: u64) -> String {
 /// `(never executed)`.
 pub(crate) fn render(root: &OpStat<'_>, analyzed: bool) -> Vec<String> {
     fn walk(st: &OpStat<'_>, depth: usize, analyzed: bool, out: &mut Vec<String>) {
-        let mut text = format!("{}{}", "  ".repeat(depth), line(st.node, st.fused_filters));
+        let mut text = format!("{}{}", "  ".repeat(depth), line(st));
         if analyzed && !st.executed {
             text.push_str("  (never executed)");
         } else if analyzed {
-            let input = if st.inputs.is_empty() {
-                String::new()
-            } else {
-                format!("rows_in={} ", st.inputs.iter().map(|i| i.rows_out).sum::<usize>())
+            let input = match st.key {
+                Some((_, read)) => format!("rows_read={read} "),
+                None if st.inputs.is_empty() => String::new(),
+                None => format!("rows_in={} ", st.inputs.iter().map(|i| i.rows_out).sum::<usize>()),
             };
             let timing = if st.timed {
                 format!(" loops={} time={}", st.loops, fmt_op_ns(st.elapsed_ns))
@@ -1089,14 +1114,15 @@ pub(crate) fn render(root: &OpStat<'_>, analyzed: bool) -> Vec<String> {
     out
 }
 
-/// One operator's line: the operator built from `node`, with
-/// `fused_filters` predicates when it is a scan.
-fn line(node: &LogicalPlan, fused_filters: usize) -> String {
-    match node {
+/// One operator's line: the operator built from its node, with a
+/// scan's fused predicates and key column.
+fn line(st: &OpStat<'_>) -> String {
+    match st.node {
         LogicalPlan::OneRow => "OneRowExec".into(),
         LogicalPlan::Scan { table, alias, .. } => {
             let alias_s = if alias == table { String::new() } else { format!(" AS {alias}") };
-            format!("ScanExec {table}{alias_s} predicates={fused_filters}")
+            let key_s = st.key.map(|(column, _)| format!(" key={column}")).unwrap_or_default();
+            format!("ScanExec {table}{alias_s} predicates={}{key_s}", st.fused_filters)
         }
         LogicalPlan::Filter { .. } => "FilterExec".into(),
         LogicalPlan::Join { join, .. } => {
@@ -1170,10 +1196,8 @@ mod tests {
     fn topk_matches_full_sort_prefix_with_ties() {
         let mut db = concert_db();
         db.execute("CREATE TABLE t (x INT, y INT)").unwrap();
-        db.execute(
-            "INSERT INTO t VALUES (1, 10), (2, 20), (1, 30), (2, 40), (1, 50), (3, 60)",
-        )
-        .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (1, 30), (2, 40), (1, 50), (3, 60)")
+            .unwrap();
         let with_limit = planned(&db, "SELECT x, y FROM t ORDER BY x LIMIT 3");
         let full = planned(&db, "SELECT x, y FROM t ORDER BY x");
         assert_eq!(with_limit.rows, full.rows[..3].to_vec());
@@ -1200,9 +1224,6 @@ mod tests {
         let err = db
             .query("SELECT name, capacity FROM stadium UNION SELECT name FROM stadium")
             .unwrap_err();
-        assert!(
-            err.to_string().contains("set operation arity mismatch: 2 vs 1"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("set operation arity mismatch: 2 vs 1"), "{err}");
     }
 }

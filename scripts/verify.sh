@@ -53,7 +53,8 @@ done
 #   sqlplan           planner >=2x direct on filtered-scan and point-lookup, >=1.2x on top-k; bit-equality;
 #                     GROUP BY into 2 000 groups <=3x one into 16 over the same 8 000 rows (interleaved medians);
 #                     a one-row BEGIN/INSERT/COMMIT on 10k rows <=1.5x one on 100 rows (interleaved medians), and
-#                     <=1.06x through PersistentDb over MemVfs; point SELECT/UPDATE/DELETE at 1k/10k/100k rows reported
+#                     <=1.06x through PersistentDb over MemVfs; a keyed point SELECT at 100k rows <=3x one at 1k
+#                     (medians); point UPDATE/DELETE at 1k/10k/100k rows reported
 #   semsql            dedup >=2x fewer calls and dollars; zero-bill warm cache; bit-equality
 #   store_durability  warm scan >=2x cold through the buffer pool; a 1-row commit behind 1 MiB of WAL <=1.5x one on a near-empty WAL (interleaved medians); fixtures read back
 #   vecdb_search      HNSW recall@10 floors on uniform and clustered 10k x 64-d (100k too, and HNSW >=5x flat, in a full run)
